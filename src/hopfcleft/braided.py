@@ -12,7 +12,7 @@ ambient K = k, for which the braiding degenerates to the flip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .errors import BaseMismatch, CorruptFixture, InducedStructureFailure, NoSolution, ShapeMismatch
 from .fields import FieldSpec
@@ -274,6 +274,12 @@ class BraidedBialgebra:
     yd: YDModule
     bialg: BialgebraData
     antipode: LinearMap | None = None
+    # the braided coalgebras on H (x) H and H (x) H (x) H, built on first use
+    # by cocycle.pair_coalgebra and cocycle.triple_coalgebra
+    pair_cache: CoalgebraData | None = dc_field(
+        default=None, init=False, repr=False, compare=False)
+    triple_cache: CoalgebraData | None = dc_field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def space(self) -> BasedSpace:
@@ -423,13 +429,6 @@ def trivial_measuring(hopf: BraidedBialgebra) -> Measuring:
     return Measuring(hopf, algebra, carrier, hopf.counit)
 
 
-def module_algebra_measuring(
-    hopf: BraidedBialgebra, algebra: AlgebraData, carrier: HModule, action: LinearMap
-) -> Measuring:
-    """A module algebra seen as a measuring (nu = the associative action)."""
-    return Measuring(hopf, algebra, carrier, action)
-
-
 @dataclass
 class ComoduleAlgebra:
     """A right H-bar-comodule algebra B in the ambient-module category."""
@@ -478,34 +477,6 @@ def check_comodule_algebra(b: ComoduleAlgebra) -> CheckReport:
         tensor_map(b.algebra.unit, h.unit),
     ))
     return report
-
-
-def module_tensor(m_action: LinearMap, n_action: LinearMap,
-                  hopf: BraidedBialgebra, m_carrier: HModule, n_carrier: HModule) -> LinearMap:
-    """Action of H-bar on M (x) N:
-    (phi_M (x) phi_N)(id (x) c_{H,M} (x) id)(comul (x) id (x) id)."""
-    id_h = LinearMap.identity(hopf.space)
-    id_n = LinearMap.identity(n_carrier.space)
-    id_m = LinearMap.identity(m_carrier.space)
-    return compose_all(
-        tensor_map(m_action, n_action),
-        tensor_maps(id_h, hopf.braid_with(m_carrier), id_n),
-        tensor_maps(hopf.comul, id_m, id_n),
-    )
-
-
-def comodule_tensor(m_coaction: LinearMap, n_coaction: LinearMap,
-                    hopf: BraidedBialgebra, m_carrier: HModule, n_carrier: HModule) -> LinearMap:
-    """Coaction of H-bar on M (x) N (right comodules):
-    (id (x) id (x) mul)(id (x) c_{H,N} (x) id)(rho_M (x) rho_N)."""
-    id_h = LinearMap.identity(hopf.space)
-    id_m = LinearMap.identity(m_carrier.space)
-    id_n = LinearMap.identity(n_carrier.space)
-    return compose_all(
-        tensor_maps(id_m, id_n, hopf.mul),
-        tensor_maps(id_m, hopf.braid_with(n_carrier), id_h),
-        tensor_map(m_coaction, n_coaction),
-    )
 
 
 @dataclass

@@ -239,33 +239,17 @@ def _crossed_output(cp, out_path) -> list[str]:
     notes = [f"crossed product space: {space.name} (dim {space.dim})"]
     if out_path is None:
         return notes
-    # serialized labels must be dot-free; "." is the tensor separator
-    labels = tuple(lab.replace(".", "_") for lab in space.labels)
-    product_space = io.BasedSpace("B", labels, space.field)
-
-    def relabel(f, source=None, target=None):
-        return LinearMap(source or f.source, target or f.target, f.entries)
-
-    from .linalg import tensor_space
-
-    sq = tensor_space(product_space, product_space)
+    product_space = io.file_space(space, "B")
     tensors = [
-        io.Tensor("B_mul", "mul", ("B",), relabel(b.algebra.mul, sq, product_space)),
-        io.Tensor("B_unit", "unit", ("B",),
-                  relabel(b.algebra.unit, None, product_space)),
+        io.role_tensor("B_mul", "mul", (product_space,), b.algebra.mul),
+        io.role_tensor("B_unit", "unit", (product_space,), b.algebra.unit),
     ]
     if hopf.ambient.space.dim == 1:
         df = io.hopf_to_definition(hopf.hopf_data(), "H")
-        hname = hopf.space.name
         df.spaces["B"] = product_space
-        ce = crossed_to_cleft(cp)
-        co_target = tensor_space(product_space, df.spaces[hname])
-        tensors.append(io.Tensor(
-            "B_coaction", "right_coaction", (hname, "B"),
-            relabel(b.coaction, product_space, co_target)))
-        tensors.append(io.Tensor(
-            "B_section", "section", (hname, "B"),
-            relabel(ce.gamma, df.spaces[hname], product_space)))
+        pair = (df.spaces[hopf.space.name], product_space)
+        tensors.append(io.role_tensor("B_coaction", "right_coaction", pair, b.coaction))
+        tensors.append(io.role_tensor("B_section", "section", pair, crossed_to_cleft(cp).gamma))
         for t in tensors:
             df.tensors[t.name] = t
         df.roles["B"] = io.Role("cleft_extension", "B", {
@@ -393,36 +377,11 @@ def bosonize_cmd(file, role_name, fmt, out_path):
     b = bosonize(g)
     notes = [f"bosonization: dim {b.space.dim}"]
     if out_path is not None:
-        out = io.hopf_to_definition(_relabeled_hopf(b.hopf, "HB"), "HB")
+        out = io.hopf_to_definition(b.hopf, "HB")
         io.save(out, out_path)
         notes.append(f"wrote {out_path}")
     report.add(CheckItem("bosonization passes the Hopf axioms", True))
     _finish(report, fmt, notes)
-
-
-def _relabeled_hopf(h, name):
-    """Rename the carrier with dot-free labels so the result serializes."""
-    from .hopf import AlgebraData, BialgebraData, CoalgebraData, HopfAlgebraData
-    from .linalg import flip_map, tensor_space
-
-    labels = tuple(lab.replace(".", "_") for lab in h.space.labels)
-    space = io.BasedSpace(name, labels, h.space.field)
-    sq = tensor_space(space, space)
-    old_sq = tensor_space(h.space, h.space)
-
-    def relabel(f):
-        src = space if f.source.same_basis(h.space) else (
-            sq if f.source.dim == old_sq.dim else f.source)
-        tgt = space if f.target.same_basis(h.space) else (
-            sq if f.target.dim == old_sq.dim else f.target)
-        return LinearMap(src, tgt, f.entries)
-
-    return HopfAlgebraData(
-        BialgebraData(
-            AlgebraData(space, relabel(h.mul), relabel(h.unit)),
-            CoalgebraData(space, relabel(h.comul), relabel(h.counit)),
-            flip_map(space, space)),
-        relabel(h.antipode))
 
 
 def _boson_and_sigma(df, role_name, index, bound):
@@ -518,7 +477,7 @@ def deform_cmd(file, role_name, fmt, bound, sigma_index, out_path):
     report.add(CheckItem("deformed bialgebra passes the Hopf axioms", True))
     notes = []
     if out_path is not None:
-        io.save(io.hopf_to_definition(_relabeled_hopf(deformed, "HD"), "HD"), out_path)
+        io.save(io.hopf_to_definition(deformed, "HD"), out_path)
         notes.append(f"wrote {out_path}")
     _finish(report, fmt, notes)
 

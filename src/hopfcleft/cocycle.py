@@ -2,7 +2,9 @@
 
 All convolutions on the tensor square (and cube) of the braided bialgebra
 use the braided coalgebra structure obtained from the one-sided braiding,
-never the plain componentwise one.
+never the plain componentwise one. These pair and triple coalgebras depend
+only on the bialgebra and rebuilding them dominates repeated checks, so each
+is built once and kept on the ``BraidedBialgebra`` it belongs to.
 """
 
 from __future__ import annotations
@@ -51,20 +53,11 @@ class Cocycle:
         return self.measuring.hopf
 
 
-# the pair and triple coalgebras depend only on the bialgebra; rebuilding
-# them dominates repeated checks, so they are cached per object
-_pair_cache: dict = {}
-_triple_cache: dict = {}
-
-
 def pair_coalgebra(hopf: BraidedBialgebra) -> CoalgebraData:
     """The braided coalgebra on H (x) H used for every convolution here."""
-    hit = _pair_cache.get(id(hopf))
-    if hit is not None and hit[0] is hopf:
-        return hit[1]
-    data = braided_square_coalgebra(hopf.bialg)
-    _pair_cache[id(hopf)] = (hopf, data)
-    return data
+    if hopf.pair_cache is None:
+        hopf.pair_cache = braided_square_coalgebra(hopf.bialg)
+    return hopf.pair_cache
 
 
 def power_carrier(hopf: BraidedBialgebra, n: int) -> HModule:
@@ -77,14 +70,10 @@ def power_carrier(hopf: BraidedBialgebra, n: int) -> HModule:
 
 def triple_coalgebra(hopf: BraidedBialgebra) -> CoalgebraData:
     """The braided coalgebra on H (x) H (x) H (for the derived relations)."""
-    hit = _triple_cache.get(id(hopf))
-    if hit is not None and hit[0] is hopf:
-        return hit[1]
-    pair = pair_coalgebra(hopf)
-    c = braiding(hopf.yd, power_carrier(hopf, 2))
-    data = braided_tensor_coalgebra(hopf.coalg, pair, c)
-    _triple_cache[id(hopf)] = (hopf, data)
-    return data
+    if hopf.triple_cache is None:
+        c = braiding(hopf.yd, power_carrier(hopf, 2))
+        hopf.triple_cache = braided_tensor_coalgebra(hopf.coalg, pair_coalgebra(hopf), c)
+    return hopf.triple_cache
 
 
 def sigma_hat(m: Measuring, sigma: LinearMap) -> LinearMap:

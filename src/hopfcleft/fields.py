@@ -8,6 +8,7 @@ is equality of representations.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,14 +20,36 @@ PRIME = "prime"
 CYCLOTOMIC = "cyclotomic"
 
 
+# Miller-Rabin with the first seven prime bases is deterministic below this
+# bound (Jaeschke 1993); larger characteristics are rejected, not guessed
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17)
+MAX_PRIME = 341_550_071_728_321
+# Q(zeta_n) first builds the n-th cyclotomic polynomial, which takes up to
+# about n^2 rational operations, so the index is capped
+MAX_CYCLOTOMIC_INDEX = 1000
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; only valid for p < MAX_PRIME."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -75,6 +98,18 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     return tuple(num)
 
 
+# only the documented forms: Fraction would also take exponents such as
+# "1e999999999", whose expansion does not finish
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
+
+
+def _rational(text: str) -> Fraction:
+    text = text.strip()
+    if not _RATIONAL_RE.fullmatch(text):
+        raise ValueError(f"bad rational literal {text!r}")
+    return Fraction(text)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """One of Q, F_p (p prime) or Q(zeta_n)."""
@@ -84,10 +119,14 @@ class FieldSpec:
     n: int = 0
 
     def __post_init__(self):
-        if self.kind == PRIME and not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.kind == CYCLOTOMIC and self.n < 1:
-            raise ValueError("cyclotomic index must be >= 1")
+        if self.kind == PRIME:
+            if self.p >= MAX_PRIME:
+                raise ValueError(f"characteristic {self.p} exceeds the supported {MAX_PRIME - 1}")
+            if not _is_prime(self.p):
+                raise ValueError(f"{self.p} is not prime")
+        if self.kind == CYCLOTOMIC and not 1 <= self.n <= MAX_CYCLOTOMIC_INDEX:
+            raise ValueError(
+                f"cyclotomic index must lie in 1..{MAX_CYCLOTOMIC_INDEX}, got {self.n}")
 
     @staticmethod
     def rationals() -> "FieldSpec":
@@ -156,8 +195,8 @@ class FieldSpec:
                 raise ValueError(f"bad scalar literal {text!r}")
             inner = text[1:-1].strip()
             parts = [p for p in inner.split(",") if p.strip()] if inner else []
-            return self.scalar([Fraction(p.strip()) for p in parts])
-        return self.scalar(Fraction(text))
+            return self.scalar([_rational(p) for p in parts])
+        return self.scalar(_rational(text))
 
     def format(self, s: "Scalar") -> str:
         if self.kind == RATIONALS:
@@ -270,19 +309,6 @@ class Scalar:
 
     def __str__(self) -> str:
         return self.field.format(self)
-
-
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Dispatch-style entry point used by the CLI layer."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def root_of_unity(field: FieldSpec, n: int) -> Scalar:

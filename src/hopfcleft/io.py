@@ -30,10 +30,10 @@ from .braided import (
     YDModule,
     classical_hopf,
 )
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ShapeMismatch, ValidationError
 from .fields import FieldSpec
 from .hopf import AlgebraData, BialgebraData, CoalgebraData, HopfAlgebraData
-from .linalg import BasedSpace, LinearMap, flip_map, tensor_space, unit_space
+from .linalg import TENSOR_SEP, BasedSpace, LinearMap, flip_map, tensor_space, unit_space
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_'-]+$")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
@@ -208,6 +208,8 @@ def parse(text: str) -> DefinitionFile:
         head, _, body = line.partition(":")
         words = head.strip().split()
         body = body.strip()
+        if not words:
+            raise ParseError("missing line keyword before ':'", line_no)
         if words[0] == "field":
             if len(words) != 1:
                 raise ParseError("field line takes no name", line_no)
@@ -531,24 +533,6 @@ _BUILDERS = {
 }
 
 
-def definition_from_maps(
-    f: FieldSpec, spaces: list[BasedSpace], tensors: list[Tensor],
-    grades=None, roles=None,
-) -> DefinitionFile:
-    """Assemble a definition file from already-built components; used by the
-    constructive commands to write their results."""
-    df = DefinitionFile(f)
-    for s in spaces:
-        df.spaces[s.name] = s
-    for name, pair in (grades or {}).items():
-        df.grades[name] = pair
-    for t in tensors:
-        df.tensors[t.name] = t
-    for r in (roles or []):
-        df.roles[r.name] = r
-    return df
-
-
 def graded_to_definition(g, ambient_name: str = "K", name: str = "R") -> DefinitionFile:
     """A graded braided Hopf algebra (with its ambient) as a definition file."""
     df = hopf_to_definition(g.hopf.ambient, ambient_name)
@@ -585,21 +569,33 @@ def graded_to_definition(g, ambient_name: str = "K", name: str = "R") -> Definit
 
 
 def hopf_to_definition(h: HopfAlgebraData, name: str = "H") -> DefinitionFile:
-    """A classical Hopf algebra as a definition file with one hopf_algebra role."""
-    space = h.space
-    tensors = [
-        Tensor(f"{name}_mul", "mul", (space.name,), h.mul),
-        Tensor(f"{name}_unit", "unit", (space.name,), h.unit),
-        Tensor(f"{name}_comul", "comul", (space.name,), h.comul),
-        Tensor(f"{name}_counit", "counit", (space.name,), h.counit),
-        Tensor(f"{name}_antipode", "antipode", (space.name,), h.antipode),
-    ]
-    role = Role("hopf_algebra", name, {
-        "space": space.name,
-        "mul": f"{name}_mul",
-        "unit": f"{name}_unit",
-        "comul": f"{name}_comul",
-        "counit": f"{name}_counit",
-        "antipode": f"{name}_antipode",
-    })
-    return definition_from_maps(space.field, [space], tensors, roles=[role])
+    """A classical Hopf algebra as a definition file with one hopf_algebra role.
+    A composite carrier (a bosonization or its deformation) is written as the
+    space ``name`` with dot-free labels, see ``file_space``."""
+    space = file_space(h.space, name) if h.space.factors else h.space
+    df = DefinitionFile(space.field)
+    df.spaces[space.name] = space
+    bindings = {"space": space.name}
+    for role in ("mul", "unit", "comul", "counit", "antipode"):
+        t = role_tensor(f"{name}_{role}", role, (space,), getattr(h, role))
+        df.tensors[t.name] = t
+        bindings[role] = t.name
+    df.roles[name] = Role("hopf_algebra", name, bindings)
+    return df
+
+
+def file_space(space: BasedSpace, name: str) -> BasedSpace:
+    """``space`` renamed, with "_" for the tensor separator in its labels, so
+    that a basis built from tensor products can be written to a file."""
+    labels = tuple(lab.replace(TENSOR_SEP, "_") for lab in space.labels)
+    return BasedSpace(name, labels, space.field)
+
+
+def role_tensor(name: str, role: str, spaces: tuple[BasedSpace, ...], f: LinearMap) -> Tensor:
+    """The tensor NAME ROLE@SPACES holding the entries of f. Its source and
+    target are the shape the role takes on ``spaces``, which relabels f's own
+    basis; the dimensions must agree."""
+    source, target = _role_shape(role, spaces, spaces[0].field)
+    if (source.dim, target.dim) != (f.source.dim, f.target.dim):
+        raise ShapeMismatch(f"tensor {name!r} does not have the shape of a {role}")
+    return Tensor(name, role, tuple(s.name for s in spaces), LinearMap(source, target, f.entries))

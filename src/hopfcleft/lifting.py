@@ -9,7 +9,7 @@ bosonization as associated graded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .braided import (
     BraidedBialgebra,
@@ -19,7 +19,7 @@ from .braided import (
     trivial_module,
 )
 from .cleft import CleftExtension, cocycle_from_section
-from .cocycle import Cocycle, check_cocycle, crossed_product
+from .cocycle import Cocycle, check_cocycle, crossed_product, pair_coalgebra
 from .errors import AxiomFailure, CorruptFixture, NotInvertible, TheoremViolation
 from .hopf import (
     AlgebraData,
@@ -31,7 +31,6 @@ from .hopf import (
     convolution,
     convolution_inverse,
     convolution_unit,
-    iterated_comul,
     iterated_mul,
 )
 from .linalg import (
@@ -128,6 +127,9 @@ class Bosonization:
     source: GradedYDHopf
     hopf: HopfAlgebraData  # classical Hopf algebra on R (x) H
     degrees: list[int]  # degree of each basis label of the product space
+    # the classical wrapper of ``hopf``, built on first use by ``braided()``
+    braided_cache: BraidedBialgebra | None = dc_field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def space(self) -> BasedSpace:
@@ -140,9 +142,9 @@ class Bosonization:
     def braided(self) -> BraidedBialgebra:
         """The bosonization as a classical object over the trivial ambient.
         Returns the same object on every call so downstream caches hit."""
-        if not hasattr(self, "_braided"):
-            self._braided = classical_hopf(self.hopf)
-        return self._braided
+        if self.braided_cache is None:
+            self.braided_cache = classical_hopf(self.hopf)
+        return self.braided_cache
 
 
 def bosonize(g: GradedYDHopf) -> Bosonization:
@@ -497,19 +499,20 @@ def sigma_gamma_restricts(b: Bosonization, ce: CleftExtension) -> tuple[ScalarCo
 
 
 def deform(b: Bosonization, s: ScalarCocycleH) -> HopfAlgebraData:
-    """The cocycle deformation: same coalgebra, multiplication twisted on both
-    sides by sigma and its convolution inverse."""
+    """The cocycle deformation: the same coalgebra with Doi's twisted product
+
+        x ._sigma y = sigma(x1, y1) x2 y2 sigma^-1(x3, y3).
+
+    This is the convolution sigma * mul * sigma^-1 in Hom(H (x) H, H) over
+    the pair coalgebra of the bosonization (sigma and its inverse land in H
+    through the unit), evaluated as two sparse convolutions."""
     if not s.in_z:
         raise AxiomFailure("deformation requires a verified cocycle")
     hopf = b.hopf
     hs = hopf.space
-    com2 = iterated_comul(hopf.coalg, 2)
-    mixed = permutation_map([hs] * 6, [0, 3, 1, 4, 2, 5])
-    mul = compose_all(
-        tensor_maps(s.sigma, hopf.mul, s.sigma_inv),
-        mixed,
-        tensor_map(com2, com2),
-    )
+    pair = pair_coalgebra(b.braided())
+    left = convolution(compose(hopf.unit, s.sigma), hopf.mul, pair, hopf.alg)
+    mul = convolution(left, compose(hopf.unit, s.sigma_inv), pair, hopf.alg)
     alg = AlgebraData(hs, mul, hopf.unit)
     bialg = BialgebraData(alg, hopf.coalg, flip_map(hs, hs))
     try:

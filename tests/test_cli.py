@@ -102,6 +102,19 @@ def test_parse_error_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("text,message", [
+    ("field: Q\n: foo\n", "line 2: missing line keyword"),
+    ("field: F_1000000000000000003\n", "line 1: characteristic"),
+    ("field: Q(zeta_1000000007)\n", "line 1: cyclotomic index"),
+])
+def test_malformed_line_exits_2_with_its_line_number(runner, tmp_path, text, message):
+    path = tmp_path / "malformed.had"
+    path.write_text(text)
+    result = run(runner, ["verify-hopf", str(path)])
+    assert result.exit_code == 2
+    assert message in result.output
+
+
 def test_missing_file_exits_2(runner):
     result = run(runner, ["verify-hopf", "no_such_file.had"])
     assert result.exit_code == 2

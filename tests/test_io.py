@@ -1,6 +1,7 @@
 from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hopfcleft.errors import ParseError, ValidationError
 from hopfcleft.fields import FieldSpec
@@ -66,6 +67,10 @@ def test_empty_file_with_field_is_valid():
     ("field: Q\ntensor T mul@H: (1, 1.1, 1)", 2),           # unknown space
     ("field: Q\nnonsense line here", 2),
     ("field: Q\nspace H: 1 g\ntensor T wat@H: (1, 1.1, 1)", 3),
+    ("field: Q\n: foo", 2),                  # empty keyword
+    ("field: F_1000000000000000003\n", 1),    # beyond the proven primality range
+    ("field: Q(zeta_1000000007)\n", 1),       # cyclotomic index over the cap
+    ("field: Q\nspace H: 1 g\ntensor T unit@H: (1, 1, 1e999999999)", 3),  # not a literal
 ])
 def test_parse_errors_carry_line_numbers(text, bad_line):
     with pytest.raises(ParseError) as exc:
@@ -142,3 +147,46 @@ def test_cyclotomic_scalars_round_trip():
     df = parse(text)
     assert df.field == FieldSpec.cyclotomic(4)
     assert serialize(df) == text
+
+
+# fragments spliced into the shipped files by the parser fuzz
+_FRAGMENTS = list(":@=,.()[]#/-_ ") + [
+    "1", "g", "x", "0", "-1", "2/3", "[1, 0]", "F_", "Q", "space", "tensor", "role",
+    "grade", "field", "1e999999999", "9" * 5000, "F_1000000000000000003",
+    "Q(zeta_1000000007)", "\n"]
+
+
+@st.composite
+def _mutated_file(draw):
+    """A shipped file with a few lines edited, dropped or repeated."""
+    lines = data_text(draw(st.sampled_from(DATA_FILES))).splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.sampled_from(range(len(lines))))
+        line = lines[k]
+        i = draw(st.integers(0, len(line)))
+        edit = draw(st.sampled_from(("insert", "delete", "truncate", "drop", "repeat")))
+        if edit == "insert":
+            lines[k] = line[:i] + draw(st.sampled_from(_FRAGMENTS)) + line[i:]
+        elif edit == "delete":
+            lines[k] = line[:i] + line[i + 1:]
+        elif edit == "truncate":
+            lines[k] = line[:i]
+        elif edit == "drop":
+            del lines[k]
+        else:
+            lines.insert(draw(st.sampled_from(range(len(lines) + 1))), line)
+        if not lines:
+            break
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_mutated_file())
+def test_parse_fuzz_fails_only_with_input_errors(text):
+    try:
+        df = parse(text)
+    except (ParseError, ValidationError):
+        return
+    canon = serialize(df)
+    assert serialize(parse(canon)) == canon

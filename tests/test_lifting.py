@@ -4,7 +4,7 @@ from hopfcleft.braided import trivial_measuring
 from hopfcleft.cleft import crossed_to_cleft, functor_F
 from hopfcleft.cocycle import crossed_product
 from hopfcleft.errors import AxiomFailure
-from hopfcleft.hopf import check_hopf
+from hopfcleft.hopf import check_hopf, iterated_comul
 from hopfcleft.lifting import (
     check_boson_grading,
     check_equivariant_pair,
@@ -18,6 +18,7 @@ from hopfcleft.lifting import (
     psi,
     sigma_gamma_restricts,
 )
+from hopfcleft.linalg import compose, permutation_map, tensor_map, tensor_maps
 from hopfcleft.oracle import enumerate_cocycles, enumerate_zprime
 
 
@@ -95,6 +96,24 @@ def test_every_deformation_is_filtered_with_graded_top(boson8, f5_sigmas):
         deformed = deform(boson8, s)
         report = gr_check(boson8, deformed)
         assert report.ok, str(report)
+
+
+def _materialised_doi_product(b, sigmas):
+    """Independent reference: sigma (x) mul (x) sigma^-1 applied to
+    x1 y1 x2 y2 x3 y3, built from Kronecker products and a factor permutation."""
+    hopf = b.hopf
+    hs = hopf.space
+    com2 = iterated_comul(hopf.coalg, 2)
+    spread = compose(permutation_map([hs] * 6, [0, 3, 1, 4, 2, 5]), tensor_map(com2, com2))
+    return [compose(tensor_maps(s.sigma, hopf.mul, s.sigma_inv), spread) for s in sigmas]
+
+
+def test_deform_equals_the_materialised_doi_chain(boson4, boson8, f5_sigmas):
+    # every deformation of boson4 equals the undeformed product (there
+    # x^2 = lambda (1 - g^2) = 0), so a nontrivial one of boson8 is added
+    for b, sigmas in ((boson4, enumerate_zprime(boson4)), (boson8, f5_sigmas[1:2])):
+        for s, reference in zip(sigmas, _materialised_doi_product(b, sigmas)):
+            assert deform(b, s).mul == reference
 
 
 def test_deformed_square_of_the_generator(boson8, f5_sigmas):
