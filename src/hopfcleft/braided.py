@@ -27,12 +27,14 @@ from .hopf import (
 from .linalg import (
     BasedSpace,
     LinearMap,
+    apply_in_slot,
     compose,
     compose_all,
     equalizer,
     flip_map,
     invert,
     permutation_map,
+    precompose_in_slot,
     solve_linear,
     tensor_map,
     tensor_maps,
@@ -235,10 +237,10 @@ def yd_tensor(x: YDModule, y: YDModule) -> YDModule:
     """Tensor product inside the Yetter-Drinfeld category."""
     base = x.base
     h = base.space
-    id_x, id_y, id_h = map(LinearMap.identity, (x.space, y.space, h))
-    action = compose_all(
-        tensor_maps(x.module.action, y.module.action),
-        tensor_maps(id_h, flip_map(h, x.space), id_y),
+    id_x, id_y = LinearMap.identity(x.space), LinearMap.identity(y.space)
+    action = compose(
+        precompose_in_slot(
+            tensor_map(x.module.action, y.module.action), h, flip_map(h, x.space), y.space),
         tensor_maps(base.comul, id_x, id_y),
     )
     coaction = compose_all(
@@ -253,9 +255,8 @@ def ambient_module_tensor(m: HModule, n: HModule) -> HModule:
     """Tensor product of modules over the (classical) ambient Hopf algebra."""
     base = m.base
     h = base.space
-    action = compose_all(
-        tensor_maps(m.action, n.action),
-        tensor_maps(LinearMap.identity(h), flip_map(h, m.space), LinearMap.identity(n.space)),
+    action = compose(
+        precompose_in_slot(tensor_map(m.action, n.action), h, flip_map(h, m.space), n.space),
         tensor_maps(base.comul, LinearMap.identity(m.space), LinearMap.identity(n.space)),
     )
     return HModule(base, tensor_space(m.space, n.space), action)
@@ -332,10 +333,7 @@ def braided_tensor_algebra(
     """The algebra A (x) B for A in the module category and B braided,
     with multiplication (mul_A (x) mul_B)(id (x) c_{B,A} (x) id)."""
     space = tensor_space(a.space, b.space)
-    mul = compose(
-        tensor_map(a.mul, b.mul),
-        tensor_maps(LinearMap.identity(a.space), c_ba, LinearMap.identity(b.space)),
-    )
+    mul = precompose_in_slot(tensor_map(a.mul, b.mul), a.space, c_ba, b.space)
     unit = tensor_map(a.unit, b.unit)
     return AlgebraData(space, mul, unit)
 
@@ -346,10 +344,7 @@ def braided_tensor_coalgebra(
     """The coalgebra B (x) A for B braided and A in the module category,
     with comultiplication (id (x) c_{B,A} (x) id)(comul_B (x) comul_A)."""
     space = tensor_space(b.space, a.space)
-    comul = compose(
-        tensor_maps(LinearMap.identity(b.space), c_ba, LinearMap.identity(a.space)),
-        tensor_map(b.comul, a.comul),
-    )
+    comul = apply_in_slot(b.space, c_ba, a.space, tensor_map(b.comul, a.comul))
     counit = tensor_map(b.counit, a.counit)
     return CoalgebraData(space, comul, counit)
 
@@ -400,10 +395,8 @@ def check_measuring(m: Measuring) -> CheckReport:
         compose(m.nu, tensor_map(id_h, a.unit)),
         compose(a.unit, m.hopf.counit),
     ))
-    rel3_rhs = compose_all(
-        a.mul,
-        tensor_map(m.nu, m.nu),
-        tensor_maps(id_h, m.braid_ha(), id_a),
+    rel3_rhs = compose(
+        precompose_in_slot(compose(a.mul, tensor_map(m.nu, m.nu)), h, m.braid_ha(), a.space),
         tensor_maps(m.hopf.comul, id_a, id_a),
     )
     report.add(map_equal_item(

@@ -2,8 +2,10 @@
 
 Every command reads definition files (see io.py for the format), prints a
 deterministic report in text or JSON and exits with 0 when all checks pass,
-1 when an axiom or verification fails, and 2 on input errors. Constructive
-commands additionally write their result as a definition file.
+1 when an axiom or verification fails, 2 on input errors and 3 when an
+identity guaranteed by a proved statement fails (a bug here, not in the
+input). Constructive commands additionally write their result as a
+definition file.
 """
 
 from __future__ import annotations
@@ -60,8 +62,7 @@ from .report import CheckItem, CheckReport
 FIXTURE_DIR_VAR = "HOPFCLEFT_FIXTURE_DIR"
 
 _INPUT_ERRORS = (ParseError, ValidationError, CorruptFixture, SearchSpaceTooLarge, OSError)
-_CHECK_ERRORS = (
-    AxiomFailure, NotHopf, NotInvertible, FactorizationFailure, TheoremViolation)
+_CHECK_ERRORS = (AxiomFailure, NotHopf, NotInvertible, FactorizationFailure)
 
 
 def _resolve(path: str) -> str:
@@ -132,6 +133,9 @@ def _command_errors(func):
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
+        except TheoremViolation as exc:
+            click.echo(f"internal error: theorem violated: {exc}", err=True)
+            sys.exit(3)
         except _CHECK_ERRORS as exc:
             click.echo(f"check failed: {exc}", err=True)
             sys.exit(1)

@@ -3,8 +3,9 @@
 All convolutions on the tensor square (and cube) of the braided bialgebra
 use the braided coalgebra structure obtained from the one-sided braiding,
 never the plain componentwise one. These pair and triple coalgebras depend
-only on the bialgebra and rebuilding them dominates repeated checks, so each
-is built once and kept on the ``BraidedBialgebra`` it belongs to.
+only on the bialgebra, so each is built once (applying the braiding in its
+tensor slot with ``linalg.apply_in_slot``) and kept on the
+``BraidedBialgebra`` it belongs to.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .linalg import (
     LinearMap,
     compose,
     compose_all,
+    precompose_in_slot,
     tensor_map,
     tensor_maps,
     tensor_space,
@@ -84,12 +86,10 @@ def sigma_hat(m: Measuring, sigma: LinearMap) -> LinearMap:
 def mu_sigma(m: Measuring, sigma: LinearMap) -> LinearMap:
     """The candidate multiplication on A (x) H induced by sigma."""
     a = m.algebra
-    id_a = LinearMap.identity(a.space)
     id_h = LinearMap.identity(m.hopf.space)
-    return compose_all(
-        tensor_map(a.mul, id_h),
-        tensor_map(a.mul, sigma_hat(m, sigma)),
-        tensor_maps(id_a, c_nu(m), id_h),
+    return precompose_in_slot(
+        compose(tensor_map(a.mul, id_h), tensor_map(a.mul, sigma_hat(m, sigma))),
+        a.space, c_nu(m), m.hopf.space,
     )
 
 

@@ -24,8 +24,8 @@ CYCLOTOMIC = "cyclotomic"
 # bound (Jaeschke 1993); larger characteristics are rejected, not guessed
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17)
 MAX_PRIME = 341_550_071_728_321
-# Q(zeta_n) first builds the n-th cyclotomic polynomial, which takes up to
-# about n^2 rational operations, so the index is capped
+# a product in Q(zeta_n) takes about euler_phi(n)^2 rational operations, so
+# the index is capped
 MAX_CYCLOTOMIC_INDEX = 1000
 
 
@@ -86,16 +86,42 @@ def _poly_divmod(num: list, den: list) -> tuple[list, list]:
     return _poly_trim(q), _poly_trim(num)
 
 
+def _mobius(m: int) -> int:
+    """The Moebius function: 0 unless m is squarefree, else (-1)^(number of primes)."""
+    result = 1
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            result = -result
+        d += 1
+    return -result if m > 1 else result
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, low degree first."""
-    num = [Fraction(0)] * (n + 1)
-    num[0], num[n] = Fraction(-1), Fraction(1)
-    for d in range(1, n):
-        if n % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            assert not rem
-    return tuple(num)
+    """Coefficients of the n-th cyclotomic polynomial, low degree first.
+
+    Integer product formula Phi_n = prod_{d | n} (x^d - 1)^mu(n/d): first
+    multiply by every factor with mu = 1, then divide exactly by the rest.
+    """
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    poly = [1]
+    for d in divisors:
+        if _mobius(n // d) == 1:  # poly * (x^d - 1)
+            shifted = [0] * d + poly
+            for i, c in enumerate(poly):
+                shifted[i] -= c
+            poly = shifted
+    for d in divisors:
+        if _mobius(n // d) == -1:  # poly / (x^d - 1), exact: q_i = q_{i-d} - p_i
+            q = []
+            for i in range(len(poly) - d):
+                q.append((q[i - d] if i >= d else 0) - poly[i])
+            poly = q
+    return tuple(Fraction(c) for c in poly)
 
 
 # only the documented forms: Fraction would also take exponents such as

@@ -15,11 +15,12 @@ from .fields import FieldSpec
 from .linalg import (
     BasedSpace,
     LinearMap,
+    apply_in_slot,
     compose,
     compose_all,
+    precompose_in_slot,
     solve_linear,
     tensor_map,
-    tensor_maps,
     tensor_space,
     unit_space,
 )
@@ -158,11 +159,7 @@ def check_coalgebra(c: CoalgebraData) -> CheckReport:
 def braided_square_algebra(b: BialgebraData) -> AlgebraData:
     """The algebra on H (x) H with multiplication (mul (x) mul)(id (x) c (x) id)."""
     space = tensor_space(b.space, b.space)
-    ident = LinearMap.identity(b.space)
-    mul = compose(
-        tensor_map(b.mul, b.mul),
-        tensor_maps(ident, b.self_braiding, ident),
-    )
+    mul = precompose_in_slot(tensor_map(b.mul, b.mul), b.space, b.self_braiding, b.space)
     unit = tensor_map(b.unit, b.unit)
     return AlgebraData(space, mul, unit)
 
@@ -170,11 +167,7 @@ def braided_square_algebra(b: BialgebraData) -> AlgebraData:
 def braided_square_coalgebra(b: BialgebraData) -> CoalgebraData:
     """The coalgebra on H (x) H with comultiplication (id (x) c (x) id)(comul (x) comul)."""
     space = tensor_space(b.space, b.space)
-    ident = LinearMap.identity(b.space)
-    comul = compose(
-        tensor_maps(ident, b.self_braiding, ident),
-        tensor_map(b.comul, b.comul),
-    )
+    comul = apply_in_slot(b.space, b.self_braiding, b.space, tensor_map(b.comul, b.comul))
     counit = tensor_map(b.counit, b.counit)
     return CoalgebraData(space, comul, counit)
 

@@ -2,12 +2,20 @@
 
 Tensor products are flattened (strict monoidal): a tensor space remembers its
 atomic factors and the basis is ordered lexicographically, leftmost factor
-most significant. Linear maps are stored sparsely as {(row, col): Scalar}.
+most significant. A tensor space stores only its factors and its dimension;
+its joined basis labels ("a.b.c") are built on first access and cached, so
+large intermediate tensor powers cost nothing until a report names a basis
+vector. Linear maps are stored sparsely as {(row, col): Scalar}.
+
+``apply_in_slot`` and ``precompose_in_slot`` compose a map with
+``id_L (x) f (x) id_R`` by re-indexing one tensor slot of the sparse entries,
+so the Kronecker product with the identities is never built; their cost is
+nnz(g) times the number of entries in a column (or row) of f.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import prod
 
 from .errors import FieldMismatch, NoSolution, ShapeMismatch
 from .fields import FieldSpec, Scalar
@@ -15,30 +23,73 @@ from .fields import FieldSpec, Scalar
 TENSOR_SEP = "."
 
 
-@dataclass(frozen=True)
 class BasedSpace:
-    name: str
-    labels: tuple[str, ...]
-    field: FieldSpec
-    factors: tuple["BasedSpace", ...] = ()
+    """A vector space over ``field`` with a named, ordered basis.
 
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"duplicate basis labels in {self.name}")
+    An atomic space is given its labels; a tensor space (``factors``
+    non-empty, labels None) joins its factors' labels on first access.
+    """
+
+    __slots__ = ("name", "field", "factors", "dim", "_labels")
+
+    def __init__(self, name: str, labels, field: FieldSpec, factors: tuple = ()):
+        self.name = name
+        self.field = field
+        self.factors = factors
+        if labels is None:
+            self._labels = None
+            self.dim = prod(f.dim for f in factors)
+            # joined labels can only collide when a factor label contains
+            # the separator (file labels never do)
+            if any(TENSOR_SEP in lab for f in factors for lab in f.labels):
+                labels = self.labels
+        else:
+            labels = self._labels = tuple(labels)
+            self.dim = len(labels)
+        if labels is not None and len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate basis labels in {name}")
 
     @property
-    def dim(self) -> int:
-        return len(self.labels)
+    def labels(self) -> tuple[str, ...]:
+        if self._labels is None:
+            labels = [""]
+            for s in self.factors:
+                labels = [a + TENSOR_SEP + b if a else b for a in labels for b in s.labels]
+            self._labels = tuple(labels)
+        return self._labels
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
     def same_basis(self, other: "BasedSpace") -> bool:
         """Structural compatibility: same field and basis labels."""
-        return self.field == other.field and self.labels == other.labels
+        if self is other:
+            return True
+        if self.field != other.field or self.dim != other.dim:
+            return False
+        if self.factors and len(self.factors) == len(other.factors) and all(
+            a.same_basis(b) for a, b in zip(self.factors, other.factors)
+        ):
+            return True
+        return self.labels == other.labels
 
     def atomic_factors(self) -> tuple["BasedSpace", ...]:
         return self.factors if self.factors else (self,)
+
+    def _key(self) -> tuple:
+        # a tensor space's labels are determined by its factors
+        return (self.name, self.field, self.factors, None if self.factors else self._labels)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BasedSpace):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"BasedSpace({self.name!r}, dim={self.dim}, field={self.field})"
 
     def __str__(self) -> str:
         return f"{self.name}[{self.dim}]"
@@ -70,11 +121,8 @@ def tensor_space(*spaces: BasedSpace) -> BasedSpace:
         return unit_space(field)
     if len(factors) == 1:
         return factors[0]
-    labels = [""]
-    for s in factors:
-        labels = [a + TENSOR_SEP + b if a else b for a in labels for b in s.labels]
     name = "(" + "*".join(s.name for s in factors) + ")"
-    return BasedSpace(name, tuple(labels), field, tuple(factors))
+    return BasedSpace(name, None, field, tuple(factors))
 
 
 class LinearMap:
@@ -133,7 +181,8 @@ class LinearMap:
         )
 
     def __hash__(self):
-        return hash((self.source.labels, self.target.labels, frozenset(self.entries.items())))
+        # same_basis implies equal dimensions, so equal maps hash alike
+        return hash((self.source.dim, self.target.dim, frozenset(self.entries.items())))
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         self._check_parallel(other)
@@ -194,6 +243,47 @@ def compose_all(*maps: LinearMap) -> LinearMap:
     for m in maps[1:]:
         result = compose(result, m)
     return result
+
+
+def _through_slot(entries: dict, axis: int, moves: dict, mid: int, mid_new: int, right: int) -> dict:
+    """Re-index coordinate ``axis`` (0: rows, 1: columns) of sparse entries
+    over L (x) X (x) R through ``moves`` (x -> [(y, value)]), giving the
+    entries over L (x) Y (x) R with each value multiplied in."""
+    block = mid * right
+    block_new = mid_new * right
+    out: dict = {}
+    for key, gv in entries.items():
+        l, rest = divmod(key[axis], block)
+        x, r = divmod(rest, right)
+        base = l * block_new + r
+        for y, fv in moves.get(x, ()):
+            flat = base + y * right
+            k = (flat, key[1]) if axis == 0 else (key[0], flat)
+            acc = out.get(k)
+            out[k] = fv * gv if acc is None else acc + fv * gv
+    return out
+
+
+def apply_in_slot(left: BasedSpace, f: LinearMap, right: BasedSpace, g: LinearMap) -> LinearMap:
+    """(id_left (x) f (x) id_right) . g, without the Kronecker product."""
+    if not g.target.same_basis(tensor_space(left, f.source, right)):
+        raise ShapeMismatch(f"cannot apply {f.source} -> {f.target} in a slot of {g.target}")
+    by_col: dict[int, list] = {}
+    for (i, k), v in f.entries.items():
+        by_col.setdefault(k, []).append((i, v))
+    entries = _through_slot(g.entries, 0, by_col, f.source.dim, f.target.dim, right.dim)
+    return LinearMap(g.source, tensor_space(left, f.target, right), entries)
+
+
+def precompose_in_slot(g: LinearMap, left: BasedSpace, f: LinearMap, right: BasedSpace) -> LinearMap:
+    """g . (id_left (x) f (x) id_right), without the Kronecker product."""
+    if not g.source.same_basis(tensor_space(left, f.target, right)):
+        raise ShapeMismatch(f"cannot precompose {f.source} -> {f.target} in a slot of {g.source}")
+    by_row: dict[int, list] = {}
+    for (k, j), v in f.entries.items():
+        by_row.setdefault(k, []).append((j, v))
+    entries = _through_slot(g.entries, 1, by_row, f.target.dim, f.source.dim, right.dim)
+    return LinearMap(tensor_space(left, f.source, right), g.target, entries)
 
 
 def tensor_map(f: LinearMap, g: LinearMap) -> LinearMap:

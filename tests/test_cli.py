@@ -211,3 +211,22 @@ def test_deform_writes_a_verified_hopf_file(runner, tmp_path):
     assert result.exit_code == 0, result.output
     again = run(runner, ["verify-hopf", str(out)])
     assert again.exit_code == 0, again.output
+
+
+def test_theorem_violation_exits_3(runner, monkeypatch):
+    """A failed proved identity is a bug, reported apart from a failed check."""
+    from hopfcleft import lifting
+    from hopfcleft.report import CheckItem, CheckReport
+
+    def broken_equivariance(g, f):
+        report = CheckReport("equivariance")
+        report.add(CheckItem("equivariance", False, "forced"))
+        return report
+
+    monkeypatch.setattr(lifting, "check_equivariant_pair", broken_equivariance)
+    result = run(runner, ["phi-inverse", "qline_kc2_f3.had", "--sigma-index", "1"],
+                 env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})
+    assert result.exit_code == 3
+    assert ("internal error: theorem violated: restricted cocycle lost ambient equivariance"
+            in result.output)
+    assert "check failed" not in result.output

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from hopfcleft.braided import check_comodule_algebra, trivial_measuring
@@ -10,11 +12,12 @@ from hopfcleft.cocycle import (
     sigma_recovery,
     smash_product,
     trivial_sigma,
+    triple_coalgebra,
 )
 from hopfcleft.errors import ShapeMismatch
 from hopfcleft.fixtures import classical_cyclic
 from hopfcleft.hopf import convolution_inverse_or_none
-from hopfcleft.linalg import LinearMap, tensor_space
+from hopfcleft.linalg import LinearMap, compose, tensor_map, tensor_maps, tensor_space
 from hopfcleft.oracle import enumerate_cocycles
 
 
@@ -87,8 +90,6 @@ def test_smash_product_multiplication(qline_f3, braided_measuring):
 
 
 def test_unverified_cocycle_rejected(braided_measuring, braided_cocycles):
-    from dataclasses import replace
-
     stale = replace(braided_cocycles[0], verified=False)
     with pytest.raises(ValueError):
         crossed_product(stale)
@@ -108,3 +109,50 @@ def test_derived_relations_reported(braided_cocycles):
     assert report.ok, str(report)
     names = [item.name for item in report.items]
     assert any("unital" in n for n in names)
+
+
+def _materialised_braided_coalgebra(b, a, c_ba):
+    """Reference comultiplication (id (x) c_{B,A} (x) id)(comul_B (x) comul_A),
+    through the Kronecker product with the identities."""
+    middle = tensor_maps(LinearMap.identity(b.space), c_ba, LinearMap.identity(a.space))
+    return compose(middle, tensor_map(b.comul, a.comul))
+
+
+@pytest.mark.parametrize("name", ["qline_f3", "boson4", "boson8"])
+def test_braided_coalgebras_equal_the_materialised_chain(request, name):
+    obj = request.getfixturevalue(name)
+    hopf = obj.hopf if name == "qline_f3" else obj.braided()
+    h = hopf.space
+    id_h = LinearMap.identity(h)
+    c_hh = hopf.braid_with(hopf.yd.module)
+    pair_comul = _materialised_braided_coalgebra(hopf.coalg, hopf.coalg, c_hh)
+    pair = pair_coalgebra(hopf)
+    assert pair.comul == pair_comul
+    assert pair.counit == tensor_map(hopf.counit, hopf.counit)
+    # c_{H, H (x) H} = (id (x) c_{H,H})(c_{H,H} (x) id), a braiding axiom
+    c_h_hh = compose(tensor_map(id_h, c_hh), tensor_map(c_hh, id_h))
+    triple_comul = compose(
+        tensor_maps(id_h, c_h_hh, LinearMap.identity(pair.space)),
+        tensor_map(hopf.comul, pair_comul))
+    triple = triple_coalgebra(hopf)
+    assert triple.comul == triple_comul
+    assert triple.counit == tensor_map(hopf.counit, pair.counit)
+
+
+def test_triple_coalgebra_builds_no_large_map(monkeypatch, boson8):
+    """Machine-independent size guard: the largest map built on the way to
+    the dim-8 triple coalgebra (512 -> 262,144, 1,728 entries) stays small."""
+    fresh = replace(boson8.braided())  # empty pair and triple caches
+    largest = [0]
+    original = LinearMap.__init__
+
+    def counting_init(self, source, target, entries=None):
+        original(self, source, target, entries)
+        largest[0] = max(largest[0], len(self.entries))
+
+    monkeypatch.setattr(LinearMap, "__init__", counting_init)
+    triple = triple_coalgebra(fresh)
+    monkeypatch.undo()
+    assert fresh.pair_cache is not None and fresh.triple_cache is triple
+    assert len(triple.comul.entries) == 1728
+    assert largest[0] <= 10_000

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -94,6 +95,35 @@ def test_cyclotomic_polynomials():
     assert as_ints(4) == [1, 0, 1]
     assert as_ints(3) == [1, 1, 1]
     assert as_ints(6) == [1, -1, 1]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_by_division(n):
+    """Reference: x^n - 1 divided by every Phi_d, d a proper divisor of n,
+    by long division on lists of Fractions."""
+    num = [Fraction(0)] * (n + 1)
+    num[0], num[n] = Fraction(-1), Fraction(1)
+    for d in range(1, n):
+        if n % d == 0:
+            den = _cyclotomic_by_division(d)
+            q = [Fraction(0)] * (len(num) - len(den) + 1)
+            for i in range(len(q) - 1, -1, -1):
+                q[i] = num[i + len(den) - 1] / den[-1]
+                if q[i]:
+                    for j, c in enumerate(den):
+                        num[i + j] -= q[i] * c
+            assert not any(num)
+            num = q
+    return tuple(num)
+
+
+def test_cyclotomic_polynomials_match_long_division():
+    for n in range(1, 201):
+        phi = cyclotomic_polynomial(n)
+        assert phi == _cyclotomic_by_division(n), n
+        assert all(type(c) is Fraction for c in phi)
+    # the first cyclotomic polynomial with a coefficient outside {-1, 0, 1}
+    assert min(cyclotomic_polynomial(105)) == -2
 
 
 @pytest.mark.parametrize("field,n", [

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from hopfcleft.fields import FieldSpec
 from hopfcleft.linalg import (
     BasedSpace,
     LinearMap,
+    apply_in_slot,
     based_space,
     compose,
     equalizer,
@@ -15,8 +18,10 @@ from hopfcleft.linalg import (
     kernel_basis,
     nullity,
     permutation_map,
+    precompose_in_slot,
     solve_linear,
     tensor_map,
+    tensor_maps,
     tensor_space,
     unit_space,
 )
@@ -169,3 +174,85 @@ def test_from_labels_sums_duplicates():
 def test_based_space_requires_distinct_labels():
     with pytest.raises(Exception):
         BasedSpace("bad", ("a", "a"), F5)
+
+
+Q = FieldSpec.rationals()
+
+
+def _slot_spaces(field):
+    a = based_space("A", ["a0", "a1"], field)
+    b = based_space("B", ["b0", "b1", "b2"], field)
+    return [unit_space(field), a, b, tensor_space(a, a)]
+
+
+@st.composite
+def _sparse_map(draw, source, target):
+    field = source.field
+    value = (st.integers(-2, 2) if field == F5 else
+             st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    n = source.dim * target.dim
+    vals = draw(st.lists(value, min_size=n, max_size=n))
+    return LinearMap(source, target, {
+        divmod(k, source.dim): field.scalar(v) for k, v in enumerate(vals) if v})
+
+
+@st.composite
+def _slot_case(draw):
+    """(L, f, R, g, h) with g landing in L (x) f.source (x) R and h leaving
+    L (x) f.target (x) R; L, R and the slot may be the unit space."""
+    field = draw(st.sampled_from([F5, Q]))
+    spaces = _slot_spaces(field)
+    left, right, x, y = (draw(st.sampled_from(spaces)) for _ in range(4))
+    outer = draw(st.sampled_from(spaces[1:3]))
+    f = draw(_sparse_map(x, y))
+    g = draw(_sparse_map(outer, tensor_space(left, x, right)))
+    h = draw(_sparse_map(tensor_space(left, y, right), outer))
+    return left, f, right, g, h
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(_slot_case())
+def test_slot_kernel_matches_the_kronecker_product(case):
+    left, f, right, g, h = case
+    middle = tensor_maps(LinearMap.identity(left), f, LinearMap.identity(right))
+    assert apply_in_slot(left, f, right, g) == compose(middle, g)
+    assert precompose_in_slot(h, left, f, right) == compose(h, middle)
+
+
+def test_slot_kernel_rejects_a_wrong_slot():
+    f = LinearMap.identity(V)
+    g = LinearMap.identity(tensor_space(U, W))
+    with pytest.raises(ShapeMismatch):
+        apply_in_slot(U, f, W, g)
+    with pytest.raises(ShapeMismatch):
+        precompose_in_slot(g, U, f, W)
+
+
+def test_tensor_labels_are_the_eager_join():
+    uvw = tensor_space(U, V, W)
+    assert uvw.dim == U.dim * V.dim * W.dim
+    assert uvw.labels == tuple(
+        f"{u}.{v}.{w}" for u in U.labels for v in V.labels for w in W.labels)
+    assert uvw.index("u1.v2.w0") == uvw.labels.index("u1.v2.w0")
+
+
+def test_same_basis_between_tensor_and_atomic_spaces():
+    uvw = tensor_space(U, V, W)
+    flat = BasedSpace("flat", uvw.labels, F5)
+    assert uvw.same_basis(flat) and flat.same_basis(uvw)
+    other = BasedSpace("other", tuple(f"x{k}" for k in range(uvw.dim)), F5)
+    assert not uvw.same_basis(other) and not other.same_basis(uvw)
+    assert not uvw.same_basis(tensor_space(V, U, W))
+    assert not uvw.same_basis(BasedSpace("flat", uvw.labels, Q))
+    # maps that compare equal hash alike
+    f = LinearMap(uvw, U, {(1, 3): F5.one()})
+    g = LinearMap(flat, U, {(1, 3): F5.one()})
+    assert f == g and hash(f) == hash(g)
+
+
+def test_tensor_space_rejects_colliding_joined_labels():
+    # "a" + "b.c" and "a.b" + "c" both join to "a.b.c"
+    left = based_space("P", ["a", "a.b"], F5)
+    right = based_space("R", ["b.c", "c"], F5)
+    with pytest.raises(ValueError):
+        tensor_space(left, right)
