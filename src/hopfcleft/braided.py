@@ -5,8 +5,13 @@ Yetter-Drinfeld modules over K braid from the left against plain K-modules:
 
     c(x (x) v) = x_(-1).v (x) x_(0)
 
-A bialgebra object of the Yetter-Drinfeld category is represented by
-``BraidedBialgebra``; the classical case is recovered by taking the trivial
+This braiding is ``twist(coaction_X, action_V)``. Every structure on a
+tensor product of two objects is built from a twist: ``braided_tensor_algebra``
+and ``braided_tensor_coalgebra`` apply it inside one tensor slot (the
+bosonization R (x) H takes c_{H,R} = twist(comul_H, action_R) and c_{R,H} =
+twist(coaction_R, mul_H)), and so do the Yetter-Drinfeld and module tensor
+products. A bialgebra object of the Yetter-Drinfeld category is represented
+by ``BraidedBialgebra``; the classical case is recovered by taking the trivial
 ambient K = k, for which the braiding degenerates to the flip.
 """
 
@@ -21,6 +26,7 @@ from .hopf import (
     BialgebraData,
     CoalgebraData,
     HopfAlgebraData,
+    braided_product,
     iterated_comul,
     iterated_mul,
 )
@@ -31,7 +37,6 @@ from .linalg import (
     compose,
     compose_all,
     equalizer,
-    flip_map,
     invert,
     permutation_map,
     precompose_in_slot,
@@ -60,21 +65,15 @@ class HModule:
 
 @dataclass
 class HComodule:
+    """A left comodule over a (classical) Hopf algebra."""
+
     base: HopfAlgebraData
     space: BasedSpace
-    coaction: LinearMap
-    side: str  # "left": M -> H (x) M, "right": M -> M (x) H
+    coaction: LinearMap  # space -> base.space (x) space
 
     def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
-        want = (
-            tensor_space(self.base.space, self.space)
-            if self.side == "left"
-            else tensor_space(self.space, self.base.space)
-        )
-        if not self.coaction.target.same_basis(want):
-            raise ShapeMismatch(f"coaction must map M -> {'H (x) M' if self.side == 'left' else 'M (x) H'}")
+        if not self.coaction.target.same_basis(tensor_space(self.base.space, self.space)):
+            raise ShapeMismatch("coaction must map M -> H (x) M")
 
 
 @dataclass
@@ -108,26 +107,15 @@ def check_module(m: HModule) -> CheckReport:
 
 
 def check_comodule(c: HComodule) -> CheckReport:
-    report = CheckReport(f"{c.side} comodule {c.space.name} over {c.base.space.name}")
-    h = c.base.space
+    report = CheckReport(f"left comodule {c.space.name} over {c.base.space.name}")
     ident = LinearMap.identity(c.space)
-    id_h = LinearMap.identity(h)
-    if c.side == "left":
-        report.add(map_equal_item(
-            "coassociativity",
-            compose(tensor_map(c.base.comul, ident), c.coaction),
-            compose(tensor_map(id_h, c.coaction), c.coaction),
-        ))
-        report.add(map_equal_item(
-            "counitality", compose(tensor_map(c.base.counit, ident), c.coaction), ident))
-    else:
-        report.add(map_equal_item(
-            "coassociativity",
-            compose(tensor_map(ident, c.base.comul), c.coaction),
-            compose(tensor_map(c.coaction, id_h), c.coaction),
-        ))
-        report.add(map_equal_item(
-            "counitality", compose(tensor_map(ident, c.base.counit), c.coaction), ident))
+    report.add(map_equal_item(
+        "coassociativity",
+        compose(tensor_map(c.base.comul, ident), c.coaction),
+        compose(tensor_map(LinearMap.identity(c.base.space), c.coaction), c.coaction),
+    ))
+    report.add(map_equal_item(
+        "counitality", compose(tensor_map(c.base.counit, ident), c.coaction), ident))
     return report
 
 
@@ -137,7 +125,7 @@ def check_yd(x: YDModule) -> CheckReport:
     base = x.base
     report = check_module(x.module)
     report.subject = f"Yetter-Drinfeld module {x.space.name}"
-    report.extend(check_comodule(HComodule(base, x.space, x.coaction, "left")))
+    report.extend(check_comodule(HComodule(base, x.space, x.coaction)))
     h, v = base.space, x.space
     lhs = compose(x.coaction, x.module.action)
     id_h = LinearMap.identity(h)
@@ -152,16 +140,35 @@ def check_yd(x: YDModule) -> CheckReport:
     return report
 
 
+def twist(coaction: LinearMap, action: LinearMap) -> LinearMap:
+    """x (x) v -> x_(-1).v (x) x_(0) : X (x) V -> V (x) X, for a left coaction
+    X -> K (x) X and a left action K (x) V -> V, evaluated over the sparse
+    entries. Every braiding here is one: c_{X,V} of ``braiding`` and the
+    c_{H,R}, c_{R,H} of the bosonization."""
+    dx, dv = coaction.source.dim, action.target.dim
+    if coaction.target.dim * dv != action.source.dim * dx:
+        raise ShapeMismatch("coaction and action act through different Hopf algebras")
+    by_k: dict[int, list] = {}  # k -> [(v, k.v row, value)]
+    for (w, kv), av in action.entries.items():
+        k, v = divmod(kv, dv)
+        by_k.setdefault(k, []).append((v, w, av))
+    entries: dict = {}
+    for (kx, x), cv in coaction.entries.items():
+        k, x0 = divmod(kx, dx)
+        for v, w, av in by_k.get(k, ()):
+            key = (w * dx + x0, x * dv + v)
+            acc = entries.get(key)
+            entries[key] = cv * av if acc is None else acc + cv * av
+    return LinearMap(
+        tensor_space(coaction.source, action.target),
+        tensor_space(action.target, coaction.source), entries)
+
+
 def braiding(x: YDModule, v: HModule) -> LinearMap:
     """c(x (x) v) = x_(-1).v (x) x_(0), an isomorphism X (x) V -> V (x) X."""
     if x.base is not v.base and not x.base.space.same_basis(v.base.space):
         raise BaseMismatch("braiding requires a shared ambient Hopf algebra")
-    h = x.base.space
-    return compose_all(
-        tensor_map(v.action, LinearMap.identity(x.space)),
-        tensor_map(LinearMap.identity(h), flip_map(x.space, v.space)),
-        tensor_map(x.coaction, LinearMap.identity(v.space)),
-    )
+    return twist(x.coaction, v.action)
 
 
 def braiding_inverse(x: YDModule, v: HModule) -> LinearMap:
@@ -234,32 +241,24 @@ def trivial_yd(base: HopfAlgebraData, space: BasedSpace) -> YDModule:
 
 
 def yd_tensor(x: YDModule, y: YDModule) -> YDModule:
-    """Tensor product inside the Yetter-Drinfeld category."""
-    base = x.base
-    h = base.space
-    id_x, id_y = LinearMap.identity(x.space), LinearMap.identity(y.space)
-    action = compose(
-        precompose_in_slot(
-            tensor_map(x.module.action, y.module.action), h, flip_map(h, x.space), y.space),
-        tensor_maps(base.comul, id_x, id_y),
-    )
-    coaction = compose_all(
-        tensor_maps(base.mul, id_x, id_y),
-        permutation_map([h, x.space, h, y.space], [0, 2, 1, 3]),
-        tensor_map(x.coaction, y.coaction),
-    )
-    return YDModule(HModule(base, tensor_space(x.space, y.space), action), coaction)
+    """Tensor product inside the Yetter-Drinfeld category: the diagonal
+    action, and the coaction x (x) y -> x_(-1) y_(-1) (x) x_(0) (x) y_(0),
+    which is twist(coaction_X, mul) applied to x (x) y_(-1)."""
+    module = ambient_module_tensor(x.module, y.module)
+    coaction = apply_in_slot(
+        unit_space(x.space.field), twist(x.coaction, x.base.mul), y.space,
+        tensor_map(LinearMap.identity(x.space), y.coaction))
+    return YDModule(module, coaction)
 
 
 def ambient_module_tensor(m: HModule, n: HModule) -> HModule:
-    """Tensor product of modules over the (classical) ambient Hopf algebra."""
-    base = m.base
-    h = base.space
-    action = compose(
-        precompose_in_slot(tensor_map(m.action, n.action), h, flip_map(h, m.space), n.space),
-        tensor_maps(base.comul, LinearMap.identity(m.space), LinearMap.identity(n.space)),
-    )
-    return HModule(base, tensor_space(m.space, n.space), action)
+    """Tensor product of modules over the (classical) ambient Hopf algebra:
+    h.(m (x) n) = h1.m (x) h2.n, acting on n after twist(comul, action_M)."""
+    c = twist(m.base.comul, m.action)  # h (x) m -> h1.m (x) h2
+    action = apply_in_slot(
+        m.space, n.action, unit_space(m.space.field),
+        tensor_map(c, LinearMap.identity(n.space)))
+    return HModule(m.base, tensor_space(m.space, n.space), action)
 
 
 @dataclass
@@ -330,8 +329,9 @@ def classical_hopf(hopf: HopfAlgebraData) -> BraidedBialgebra:
 def braided_tensor_algebra(
     a: AlgebraData, b: AlgebraData, c_ba: LinearMap
 ) -> AlgebraData:
-    """The algebra A (x) B for A in the module category and B braided,
-    with multiplication (mul_A (x) mul_B)(id (x) c_{B,A} (x) id)."""
+    """The algebra A (x) B twisted by c_{B,A}: B (x) A -> A (x) B, with
+    multiplication (mul_A (x) mul_B)(id (x) c_{B,A} (x) id). The bosonization
+    is R (x) H with c_{H,R} = twist(comul_H, action_R)."""
     space = tensor_space(a.space, b.space)
     mul = precompose_in_slot(tensor_map(a.mul, b.mul), a.space, c_ba, b.space)
     unit = tensor_map(a.unit, b.unit)
@@ -341,8 +341,10 @@ def braided_tensor_algebra(
 def braided_tensor_coalgebra(
     b: CoalgebraData, a: CoalgebraData, c_ba: LinearMap
 ) -> CoalgebraData:
-    """The coalgebra B (x) A for B braided and A in the module category,
-    with comultiplication (id (x) c_{B,A} (x) id)(comul_B (x) comul_A)."""
+    """The coalgebra B (x) A twisted by c_{B,A}: B (x) A -> A (x) B, with
+    comultiplication (id (x) c_{B,A} (x) id)(comul_B (x) comul_A). The
+    bosonization is R (x) H with c_{R,H} = twist(coaction_R, mul_H); the pair
+    coalgebra is H (x) H with the self-braiding."""
     space = tensor_space(b.space, a.space)
     comul = apply_in_slot(b.space, c_ba, a.space, tensor_map(b.comul, a.comul))
     counit = tensor_map(b.counit, a.counit)
@@ -363,9 +365,6 @@ class Measuring:
     def space(self) -> BasedSpace:
         return self.algebra.space
 
-    def braid_ha(self) -> LinearMap:
-        return self.hopf.braid_with(self.carrier)
-
 
 def c_nu(m: Measuring) -> LinearMap:
     """c^nu = (nu (x) id)(id (x) c_{H,A})(comul (x) id) : H (x) A -> A (x) H."""
@@ -374,7 +373,7 @@ def c_nu(m: Measuring) -> LinearMap:
     id_a = LinearMap.identity(m.space)
     return compose_all(
         tensor_map(m.nu, id_h),
-        tensor_map(id_h, m.braid_ha()),
+        tensor_map(id_h, m.hopf.braid_with(m.carrier)),
         tensor_map(m.hopf.comul, id_a),
     )
 
@@ -396,7 +395,8 @@ def check_measuring(m: Measuring) -> CheckReport:
         compose(a.unit, m.hopf.counit),
     ))
     rel3_rhs = compose(
-        precompose_in_slot(compose(a.mul, tensor_map(m.nu, m.nu)), h, m.braid_ha(), a.space),
+        precompose_in_slot(
+            compose(a.mul, tensor_map(m.nu, m.nu)), h, m.hopf.braid_with(m.carrier), a.space),
         tensor_maps(m.hopf.comul, id_a, id_a),
     )
     report.add(map_equal_item(
@@ -435,13 +435,6 @@ class ComoduleAlgebra:
     def space(self) -> BasedSpace:
         return self.algebra.space
 
-    def braid_hb(self) -> LinearMap:
-        return self.hopf.braid_with(self.carrier)
-
-    def product_algebra(self) -> AlgebraData:
-        """The braided algebra structure on B (x) H-bar."""
-        return braided_tensor_algebra(self.algebra, self.hopf.alg, self.braid_hb())
-
 
 def check_comodule_algebra(b: ComoduleAlgebra) -> CheckReport:
     report = CheckReport(f"comodule algebra {b.space.name} over {b.hopf.space.name}")
@@ -458,11 +451,10 @@ def check_comodule_algebra(b: ComoduleAlgebra) -> CheckReport:
         compose(tensor_map(id_b, h.counit), b.coaction),
         id_b,
     ))
-    prod = b.product_algebra()
     report.add(map_equal_item(
         "coaction is an algebra morphism",
         compose(b.coaction, b.algebra.mul),
-        compose(prod.mul, tensor_map(b.coaction, b.coaction)),
+        braided_product(b.coaction, b.algebra, h.alg, h.braid_with(b.carrier)),
     ))
     report.add(map_equal_item(
         "coaction of the unit",

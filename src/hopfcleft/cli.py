@@ -27,13 +27,10 @@ from .cleft import crossed_to_cleft, functor_F, round_trip_check, check_cleft, c
 from .cocycle import check_cocycle, crossed_product, smash_product, trivial_sigma
 from .errors import (
     AxiomFailure,
-    CorruptFixture,
     FactorizationFailure,
     HopfcleftError,
     NotHopf,
     NotInvertible,
-    ParseError,
-    SearchSpaceTooLarge,
     TheoremViolation,
     ValidationError,
 )
@@ -61,7 +58,6 @@ from .report import CheckItem, CheckReport
 
 FIXTURE_DIR_VAR = "HOPFCLEFT_FIXTURE_DIR"
 
-_INPUT_ERRORS = (ParseError, ValidationError, CorruptFixture, SearchSpaceTooLarge, OSError)
 _CHECK_ERRORS = (AxiomFailure, NotHopf, NotInvertible, FactorizationFailure)
 
 
@@ -139,10 +135,7 @@ def _command_errors(func):
         except _CHECK_ERRORS as exc:
             click.echo(f"check failed: {exc}", err=True)
             sys.exit(1)
-        except _INPUT_ERRORS as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except HopfcleftError as exc:
+        except (HopfcleftError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
 

@@ -3,9 +3,9 @@
 All convolutions on the tensor square (and cube) of the braided bialgebra
 use the braided coalgebra structure obtained from the one-sided braiding,
 never the plain componentwise one. These pair and triple coalgebras depend
-only on the bialgebra, so each is built once (applying the braiding in its
-tensor slot with ``linalg.apply_in_slot``) and kept on the
-``BraidedBialgebra`` it belongs to.
+only on the bialgebra, so each is built once by
+``braided.braided_tensor_coalgebra`` and kept on the ``BraidedBialgebra`` it
+belongs to.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .braided import (
     BraidedBialgebra,
     ComoduleAlgebra,
-    HModule,
     Measuring,
     ambient_module_tensor,
     braided_tensor_coalgebra,
@@ -26,7 +25,6 @@ from .errors import AxiomFailure, NotInvertible, ShapeMismatch
 from .hopf import (
     AlgebraData,
     CoalgebraData,
-    braided_square_coalgebra,
     check_algebra,
     convolution,
     convolution_inverse,
@@ -58,22 +56,15 @@ class Cocycle:
 def pair_coalgebra(hopf: BraidedBialgebra) -> CoalgebraData:
     """The braided coalgebra on H (x) H used for every convolution here."""
     if hopf.pair_cache is None:
-        hopf.pair_cache = braided_square_coalgebra(hopf.bialg)
+        hopf.pair_cache = braided_tensor_coalgebra(
+            hopf.coalg, hopf.coalg, hopf.bialg.self_braiding)
     return hopf.pair_cache
-
-
-def power_carrier(hopf: BraidedBialgebra, n: int) -> HModule:
-    """Ambient module structure on the n-th tensor power of the carrier."""
-    result = hopf.yd.module
-    for _ in range(n - 1):
-        result = ambient_module_tensor(result, hopf.yd.module)
-    return result
 
 
 def triple_coalgebra(hopf: BraidedBialgebra) -> CoalgebraData:
     """The braided coalgebra on H (x) H (x) H (for the derived relations)."""
     if hopf.triple_cache is None:
-        c = braiding(hopf.yd, power_carrier(hopf, 2))
+        c = braiding(hopf.yd, ambient_module_tensor(hopf.yd.module, hopf.yd.module))
         hopf.triple_cache = braided_tensor_coalgebra(hopf.coalg, pair_coalgebra(hopf), c)
     return hopf.triple_cache
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DivisionByZero, FieldMismatch, NoSuchRoot
 
@@ -166,9 +166,10 @@ class FieldSpec:
     def cyclotomic(n: int) -> "FieldSpec":
         return FieldSpec(CYCLOTOMIC, n=n)
 
-    @property
+    @cached_property
     def degree(self) -> int:
-        """Degree over Q for cyclotomic fields, 1 otherwise."""
+        """Degree over Q for cyclotomic fields, 1 otherwise (computed once per
+        field object; not a dataclass field, so equality and hash ignore it)."""
         return euler_phi(self.n) if self.kind == CYCLOTOMIC else 1
 
     def zero(self) -> "Scalar":
@@ -211,7 +212,9 @@ class FieldSpec:
         """The residue class of x in Q(zeta_n)."""
         if self.kind != CYCLOTOMIC:
             raise NoSuchRoot("zeta only exists in cyclotomic fields")
-        return self.scalar([0, 1] if self.degree > 1 else [1] * 0 + [1 if self.n == 1 else -1])
+        if self.degree == 1:  # Q(zeta_1) = Q(zeta_2) = Q
+            return self.scalar(1 if self.n == 1 else -1)
+        return self.scalar([0, 1])
 
     def parse(self, text: str) -> "Scalar":
         """Parse the file-format notation: 'a/b', integer, or '[c0,c1,...]'."""
@@ -356,15 +359,10 @@ def root_of_unity(field: FieldSpec, n: int) -> Scalar:
             if all(pow(z, k, field.p) != 1 for k in range(1, n)):
                 return field.scalar(z)
         raise NoSuchRoot(f"F_{field.p} has no primitive {n}-th root of unity")
-    if field.n % n != 0:
+    # the roots of unity of Q(zeta_m) form a cyclic group of order lcm(2, m),
+    # generated by zeta_m (m even) or -zeta_m (m odd)
+    m = field.n
+    order, generator = (m, field.zeta()) if m % 2 == 0 else (2 * m, -field.zeta())
+    if order % n != 0:
         raise NoSuchRoot(f"{field} has no primitive {n}-th root of unity")
-    z = field.scalar([0, 1]) ** (field.n // n) if field.degree > 1 else field.one()
-    if field.degree == 1:
-        # Q(zeta_1) = Q(zeta_2) = Q
-        if n == 2:
-            return field.scalar(-1)
-        raise NoSuchRoot(f"{field} has no primitive {n}-th root of unity")
-    for k in range(1, n):
-        if (z ** k).is_one():
-            raise NoSuchRoot(f"zeta_{field.n}^{field.n // n} is not primitive of order {n}")
-    return z
+    return generator ** (order // n)

@@ -38,7 +38,7 @@ from .linalg import TENSOR_SEP, BasedSpace, LinearMap, flip_map, tensor_space, u
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_'-]+$")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
-# role -> (number of spaces, description); shapes are computed in _role_shape
+# tensor role -> number of space names it takes; its shape is _role_shape
 TENSOR_ROLES = {
     "mul": 1,
     "unit": 1,
@@ -472,25 +472,29 @@ def _build_graded(df, role):
     return GradedYDHopf(hopf, grading)
 
 
-def _build_measuring(df, role) -> Measuring:
-    b = role.bindings
+def _algebra_over_hopf(df, b) -> tuple[BraidedBialgebra, AlgebraData, HModule]:
+    """The parts a measuring and a cleft extension share: the braided
+    bialgebra of the ``hopf=`` binding (a hopf_algebra over the trivial
+    ambient, or the one a graded_yd_hopf wraps), the algebra on ``space=``
+    and its ambient carrier (trivial unless ``carrier_action=`` is bound)."""
+    from .braided import trivial_module
+
     hopf = build(df, b["hopf"])
     if isinstance(hopf, HopfAlgebraData):
         hopf = classical_hopf(hopf)
     elif not isinstance(hopf, BraidedBialgebra):
-        hopf = hopf.hopf  # graded_yd_hopf wraps a BraidedBialgebra
+        hopf = hopf.hopf
     space = df.space(b["space"])
     algebra = AlgebraData(space, df.tensor_map(b["mul"]), df.tensor_map(b["unit"]))
-    carrier = _carrier(df, b, hopf, space)
+    if "carrier_action" in b:
+        return hopf, algebra, HModule(hopf.ambient, space, df.tensor_map(b["carrier_action"]))
+    return hopf, algebra, trivial_module(hopf.ambient, space)
+
+
+def _build_measuring(df, role) -> Measuring:
+    b = role.bindings
+    hopf, algebra, carrier = _algebra_over_hopf(df, b)
     return Measuring(hopf, algebra, carrier, df.tensor_map(b["nu"]))
-
-
-def _carrier(df, bindings, hopf, space) -> HModule:
-    from .braided import trivial_module
-
-    if "carrier_action" in bindings:
-        return HModule(hopf.ambient, space, df.tensor_map(bindings["carrier_action"]))
-    return trivial_module(hopf.ambient, space)
 
 
 def _build_cocycle(df, role):
@@ -511,14 +515,7 @@ def _build_cleft(df, role):
     from .cleft import make_cleft
 
     b = role.bindings
-    hopf = build(df, b["hopf"])
-    if isinstance(hopf, HopfAlgebraData):
-        hopf = classical_hopf(hopf)
-    elif not isinstance(hopf, BraidedBialgebra):
-        hopf = hopf.hopf
-    space = df.space(b["space"])
-    algebra = AlgebraData(space, df.tensor_map(b["mul"]), df.tensor_map(b["unit"]))
-    carrier = _carrier(df, b, hopf, space)
+    hopf, algebra, carrier = _algebra_over_hopf(df, b)
     comod = ComoduleAlgebra(hopf, algebra, carrier, df.tensor_map(b["coaction"]))
     return make_cleft(comod, df.tensor_map(b["section"]))
 

@@ -1,7 +1,9 @@
 """Bosonization, scalar cocycles on it, and cocycle deformations.
 
 A connected graded Hopf algebra R in the Yetter-Drinfeld category over H
-bosonizes to a classical Hopf algebra on R (x) H. Scalar two-cocycles on the
+bosonizes to a classical Hopf algebra on R (x) H: the braided tensor product
+algebra and coalgebra of R and H with the twists c_{H,R}(h (x) r) =
+h1.r (x) h2 and c_{R,H}(r (x) h) = r(-1) h (x) r(0). Scalar two-cocycles on the
 bosonization that are trivial on the H-part (the restricted ones) correspond
 bijectively to braided scalar cocycles on R, and their deformations have the
 bosonization as associated graded.
@@ -14,9 +16,12 @@ from dataclasses import dataclass, field as dc_field
 from .braided import (
     BraidedBialgebra,
     ComoduleAlgebra,
+    braided_tensor_algebra,
+    braided_tensor_coalgebra,
     classical_hopf,
     trivial_measuring,
     trivial_module,
+    twist,
 )
 from .cleft import CleftExtension, cocycle_from_section
 from .cocycle import Cocycle, check_cocycle, crossed_product, pair_coalgebra
@@ -24,7 +29,6 @@ from .errors import AxiomFailure, CorruptFixture, NotInvertible, TheoremViolatio
 from .hopf import (
     AlgebraData,
     BialgebraData,
-    CoalgebraData,
     HopfAlgebraData,
     antipode,
     check_hopf,
@@ -36,13 +40,13 @@ from .hopf import (
 from .linalg import (
     BasedSpace,
     LinearMap,
+    apply_in_slot,
     compose,
     compose_all,
     flip_map,
     permutation_map,
     tensor_map,
     tensor_maps,
-    tensor_space,
     unit_space,
 )
 from .report import CheckItem, CheckReport, map_equal_item
@@ -148,34 +152,20 @@ class Bosonization:
 
 
 def bosonize(g: GradedYDHopf) -> Bosonization:
-    """The classical Hopf algebra on R (x) H with smash multiplication and
-    cosmash comultiplication; the closed-form antipode is asserted against
-    the convolution inverse of the identity."""
+    """The classical Hopf algebra on R (x) H (Radford's biproduct): the
+    braided tensor product algebra with c_{H,R} = twist(comul_H, action_R),
+    h (x) r -> h1.r (x) h2, and the braided tensor product coalgebra with
+    c_{R,H} = twist(coaction_R, mul_H), r (x) h -> r(-1) h (x) r(0). The
+    closed-form antipode is asserted against the convolution inverse of the
+    identity."""
     grading_report = check_graded(g)
     if not grading_report.ok:
         raise AxiomFailure(f"invalid graded input: {grading_report.first_failure()}")
     r = g.hopf
     h = g.ambient
-    rs, hs = r.space, h.space
-    id_r, id_h = LinearMap.identity(rs), LinearMap.identity(hs)
-    space = tensor_space(rs, hs)
-    mul = compose_all(
-        tensor_map(r.mul, id_h),
-        tensor_maps(id_r, r.yd.module.action, h.mul),
-        permutation_map([rs, hs, hs, rs, hs], [0, 1, 3, 2, 4]),
-        tensor_maps(id_r, h.comul, id_r, id_h),
-    )
-    unit = tensor_map(r.unit, h.unit)
-    comul = compose_all(
-        tensor_maps(id_r, h.mul, id_r, id_h),
-        permutation_map([rs, hs, rs, hs, hs], [0, 1, 3, 2, 4]),
-        tensor_maps(id_r, r.yd.coaction, id_h, id_h),
-        tensor_map(r.comul, h.comul),
-    )
-    counit = tensor_map(r.counit, h.counit)
-    alg = AlgebraData(space, mul, unit)
-    coalg = CoalgebraData(space, comul, counit)
-    bialg = BialgebraData(alg, coalg, flip_map(space, space))
+    alg = braided_tensor_algebra(r.alg, h.alg, twist(h.comul, r.yd.module.action))
+    coalg = braided_tensor_coalgebra(r.coalg, h.coalg, twist(r.yd.coaction, h.mul))
+    bialg = BialgebraData(alg, coalg, flip_map(alg.space, alg.space))
     s_closed = convolution(
         tensor_map(compose(r.unit, r.counit), h.antipode),
         tensor_map(r.hopf_data().antipode, compose(h.unit, h.counit)),
@@ -188,7 +178,7 @@ def bosonize(g: GradedYDHopf) -> Bosonization:
     hopf_report = check_hopf(hopf)
     if not hopf_report.ok:
         raise AxiomFailure(f"bosonization fails: {hopf_report.first_failure()}")
-    degrees = [g.grading[rl] for rl in rs.labels for _ in hs.labels]
+    degrees = [g.grading[rl] for rl in r.space.labels for _ in h.space.labels]
     b = Bosonization(g, hopf, degrees)
     grading = check_boson_grading(b)
     if not grading.ok:
@@ -375,29 +365,17 @@ def phi_inverse(s: ScalarCocycleH) -> Cocycle:
 
 
 def smash_comodule_algebra(b: Bosonization, e: ComoduleAlgebra) -> ComoduleAlgebra:
-    """The product algebra E (x) H with smash multiplication and the coaction
-    rho(e (x) h) = e0 (x) e1(-1) h1 (x) e1(0) (x) h2 over the bosonization."""
+    """The smash product E (x) H, the braided tensor product algebra with
+    c_{H,E} = twist(comul_H, action_E), and the coaction
+    rho(e (x) h) = e0 (x) e1(-1) h1 (x) e1(0) (x) h2 over the bosonization,
+    c_{R,H} = twist(coaction_R, mul_H) applied to rho_E (x) comul_H."""
     g = b.source
     h = g.ambient
-    es, hs, rs = e.space, h.space, g.space
-    id_e, id_h = LinearMap.identity(es), LinearMap.identity(hs)
-    space = tensor_space(es, hs)
-    mul = compose_all(
-        tensor_map(e.algebra.mul, id_h),
-        tensor_maps(id_e, e.carrier.action, h.mul),
-        permutation_map([es, hs, hs, es, hs], [0, 1, 3, 2, 4]),
-        tensor_maps(id_e, h.comul, id_e, id_h),
-    )
-    unit = tensor_map(e.algebra.unit, h.unit)
-    algebra = AlgebraData(space, mul, unit)
-    coaction = compose_all(
-        tensor_maps(id_e, h.mul, LinearMap.identity(rs), id_h),
-        permutation_map([es, hs, rs, hs, hs], [0, 1, 3, 2, 4]),
-        tensor_maps(id_e, g.hopf.yd.coaction, id_h, id_h),
-        tensor_map(e.coaction, h.comul),
-    )
+    algebra = braided_tensor_algebra(e.algebra, h.alg, twist(h.comul, e.carrier.action))
+    coaction = apply_in_slot(
+        e.space, twist(g.hopf.yd.coaction, h.mul), h.space, tensor_map(e.coaction, h.comul))
     boson = b.braided()
-    carrier = trivial_module(boson.ambient, space)
+    carrier = trivial_module(boson.ambient, algebra.space)
     return ComoduleAlgebra(boson, algebra, coaction=coaction, carrier=carrier)
 
 

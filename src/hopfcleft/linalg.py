@@ -168,6 +168,13 @@ class LinearMap:
     def column(self, j: int) -> dict:
         return {i: v for (i, jj), v in self.entries.items() if jj == j}
 
+    def columns(self) -> dict[int, list]:
+        """The sparse columns: col -> [(row, value)]."""
+        cols: dict[int, list] = {}
+        for (i, j), v in self.entries.items():
+            cols.setdefault(j, []).append((i, v))
+        return cols
+
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -198,9 +205,6 @@ class LinearMap:
     def __sub__(self, other: "LinearMap") -> "LinearMap":
         return self + (-other)
 
-    def scale(self, c: Scalar) -> "LinearMap":
-        return LinearMap(self.source, self.target, {k: c * v for k, v in self.entries.items()})
-
     def _check_parallel(self, other: "LinearMap"):
         if not (self.source.same_basis(other.source) and self.target.same_basis(other.target)):
             raise ShapeMismatch("maps are not parallel")
@@ -224,12 +228,8 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """Matrix product f.g (apply g first)."""
     if not f.source.same_basis(g.target):
         raise ShapeMismatch(f"cannot compose {f.source} after {g.target}")
-    # group f's entries by column for sparse accumulation
-    by_col: dict[int, list] = {}
-    for (i, k), v in f.entries.items():
-        by_col.setdefault(k, []).append((i, v))
+    by_col = f.columns()
     entries: dict = {}
-    zero = g.source.field.zero()
     for (k, j), gv in g.entries.items():
         for i, fv in by_col.get(k, ()):
             key = (i, j)
@@ -268,10 +268,7 @@ def apply_in_slot(left: BasedSpace, f: LinearMap, right: BasedSpace, g: LinearMa
     """(id_left (x) f (x) id_right) . g, without the Kronecker product."""
     if not g.target.same_basis(tensor_space(left, f.source, right)):
         raise ShapeMismatch(f"cannot apply {f.source} -> {f.target} in a slot of {g.target}")
-    by_col: dict[int, list] = {}
-    for (i, k), v in f.entries.items():
-        by_col.setdefault(k, []).append((i, v))
-    entries = _through_slot(g.entries, 0, by_col, f.source.dim, f.target.dim, right.dim)
+    entries = _through_slot(g.entries, 0, f.columns(), f.source.dim, f.target.dim, right.dim)
     return LinearMap(g.source, tensor_space(left, f.target, right), entries)
 
 

@@ -13,11 +13,22 @@ from hopfcleft.braided import (
     trivial_measuring,
     trivial_module,
     trivial_yd,
+    twist,
     yd_tensor,
 )
-from hopfcleft.errors import BaseMismatch
+from hopfcleft.errors import BaseMismatch, ShapeMismatch
 from hopfcleft.fixtures import cyclic_group_hopf
-from hopfcleft.linalg import LinearMap, based_space, compose, flip_map, tensor_space
+from hopfcleft.linalg import (
+    LinearMap,
+    based_space,
+    compose,
+    compose_all,
+    flip_map,
+    permutation_map,
+    tensor_map,
+    tensor_maps,
+    tensor_space,
+)
 
 
 def test_quantum_line_is_yetter_drinfeld(qline_f5):
@@ -76,10 +87,58 @@ def test_yd_tensor_is_yetter_drinfeld(qline_f5):
     assert report.ok, str(report)
 
 
+def _permuted_yd_tensor(x, y):
+    """Reference structure of X (x) Y through Kronecker products and
+    permutations: h.(x (x) y) = h1.x (x) h2.y and
+    x (x) y -> x(-1) y(-1) (x) x(0) (x) y(0)."""
+    base = x.base
+    h = base.space
+    id_x, id_y = LinearMap.identity(x.space), LinearMap.identity(y.space)
+    action = compose_all(
+        tensor_map(x.module.action, y.module.action),
+        permutation_map([h, h, x.space, y.space], [0, 2, 1, 3]),
+        tensor_maps(base.comul, id_x, id_y),
+    )
+    coaction = compose_all(
+        tensor_maps(base.mul, id_x, id_y),
+        permutation_map([h, x.space, h, y.space], [0, 2, 1, 3]),
+        tensor_map(x.coaction, y.coaction),
+    )
+    return action, coaction
+
+
+def _flipped_braiding(x, v):
+    """Reference c(x (x) v) = x(-1).v (x) x(0) through Kronecker products."""
+    return compose_all(
+        tensor_map(v.action, LinearMap.identity(x.space)),
+        tensor_map(LinearMap.identity(x.base.space), flip_map(x.space, v.space)),
+        tensor_map(x.coaction, LinearMap.identity(v.space)),
+    )
+
+
+def test_yd_tensor_and_braiding_equal_the_permutation_chains(qline_f3, qline_f5):
+    for g in (qline_f3, qline_f5):
+        yd = g.hopf.yd
+        yy = yd_tensor(yd, yd)
+        for x, y in ((yd, yd), (yy, yd), (yd, yy)):
+            xy = yd_tensor(x, y)
+            action, coaction = _permuted_yd_tensor(x, y)
+            assert xy.module.action == action
+            assert xy.coaction == coaction
+            assert braiding(x, y.module) == _flipped_braiding(x, y.module)
+        # over the trivial ambient the braiding is the flip
+        classical = classical_hopf(g.ambient)
+        plain = trivial_module(classical.ambient, yd.space)
+        assert braiding(classical.yd, plain) == flip_map(classical.space, yd.space)
+
+
 def test_braiding_requires_common_ambient(qline_f5, kc2_f3):
     other = trivial_module(kc2_f3, based_space("M", ["m"], kc2_f3.space.field))
     with pytest.raises(BaseMismatch):
         braiding(qline_f5.hopf.yd, other)
+    # a coaction and an action through Hopf algebras of different dimensions
+    with pytest.raises(ShapeMismatch):
+        twist(kc2_f3.comul, qline_f5.hopf.yd.module.action)
 
 
 def test_trivial_measuring_passes(qline_f5):

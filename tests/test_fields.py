@@ -128,6 +128,10 @@ def test_cyclotomic_polynomials_match_long_division():
 
 @pytest.mark.parametrize("field,n", [
     (Q, 2), (F5, 4), (F5, 2), (Z4, 4), (FieldSpec.prime_field(3), 2),
+    # Q(zeta_m) for odd m also holds -zeta_m, of order 2m
+    (FieldSpec.cyclotomic(1), 2), (FieldSpec.cyclotomic(3), 2),
+    (FieldSpec.cyclotomic(3), 6), (FieldSpec.cyclotomic(5), 10),
+    (FieldSpec.cyclotomic(3), 3), (FieldSpec.cyclotomic(8), 8), (FieldSpec.cyclotomic(2), 2),
 ])
 def test_root_of_unity_has_exact_order(field, n):
     z = root_of_unity(field, n)
@@ -137,10 +141,27 @@ def test_root_of_unity_has_exact_order(field, n):
 
 
 def test_root_of_unity_absent():
-    with pytest.raises(NoSuchRoot):
-        root_of_unity(Q, 4)
-    with pytest.raises(NoSuchRoot):
-        root_of_unity(FieldSpec.prime_field(3), 4)
+    for field, n in (
+        (Q, 4), (FieldSpec.prime_field(3), 4),
+        (FieldSpec.cyclotomic(3), 4), (FieldSpec.cyclotomic(1), 3), (Z4, 8),
+    ):
+        with pytest.raises(NoSuchRoot):
+            root_of_unity(field, n)
+
+
+def test_degree_is_computed_once_per_field(monkeypatch):
+    import hopfcleft.fields as fields
+
+    calls = []
+    phi = fields.euler_phi
+    monkeypatch.setattr(fields, "euler_phi", lambda n: calls.append(n) or phi(n))
+    z8 = FieldSpec.cyclotomic(8)
+    assert [z8.degree for _ in range(3)] == [4, 4, 4]
+    z8.zeta() * z8.zeta()
+    assert calls == [8]
+    # the cached degree is not part of the field's identity
+    assert z8 == FieldSpec.cyclotomic(8) and hash(z8) == hash(FieldSpec.cyclotomic(8))
+    assert repr(z8) == "FieldSpec(kind='cyclotomic', p=0, n=8)"
 
 
 def test_prime_field_rejects_composite():

@@ -5,6 +5,7 @@ from hopfcleft.fields import FieldSpec
 from hopfcleft.fixtures import cyclic_group_hopf, non_hopf_bialgebra
 from hopfcleft.hopf import (
     antipode,
+    braided_product,
     check_bialgebra,
     check_conv_naturality,
     check_hopf,
@@ -14,7 +15,7 @@ from hopfcleft.hopf import (
     iterated_comul,
     iterated_mul,
 )
-from hopfcleft.linalg import LinearMap, compose, tensor_map
+from hopfcleft.linalg import LinearMap, compose, compose_all, flip_map, tensor_map, tensor_maps
 
 
 @pytest.mark.parametrize("field,n", [
@@ -94,3 +95,32 @@ def test_conv_naturality_along_group_morphism(f3):
         psi, LinearMap.identity(c2.space), c2.antipode, LinearMap.identity(c2.space),
         c2.coalg, c2.alg, c2.coalg, c4.alg)
     assert report.ok, str(report)
+
+
+def _materialised_braided_product(f, a, b, c_ba):
+    """Reference (mul_A (x) mul_B)(id (x) c_{B,A} (x) id)(f (x) f), through
+    Kronecker products."""
+    middle = tensor_maps(LinearMap.identity(a.space), c_ba, LinearMap.identity(b.space))
+    return compose_all(tensor_map(a.mul, b.mul), middle, tensor_map(f, f))
+
+
+def test_braided_product_equals_the_materialised_product(boson8, qline_f3):
+    from hopfcleft.braided import trivial_measuring
+    from hopfcleft.cocycle import crossed_product
+    from hopfcleft.oracle import enumerate_cocycles
+
+    h = boson8.hopf
+    flip = flip_map(h.space, h.space)
+    # comul is an algebra morphism; comul plus x -> x (x) 1 is not
+    not_morphism = h.comul + tensor_map(LinearMap.identity(h.space), h.unit)
+    for f in (h.comul, not_morphism):
+        assert braided_product(f, h.alg, h.alg, flip) == _materialised_braided_product(
+            f, h.alg, h.alg, flip)
+    assert braided_product(h.comul, h.alg, h.alg, flip) == compose(h.comul, h.mul)
+    assert braided_product(not_morphism, h.alg, h.alg, flip) != compose(not_morphism, h.mul)
+    # a crossed product over the quantum line: the braiding is not a flip
+    c = enumerate_cocycles(trivial_measuring(qline_f3.hopf))[1]
+    b = crossed_product(c).comodule_algebra
+    c_hb = b.hopf.braid_with(b.carrier)
+    assert braided_product(b.coaction, b.algebra, b.hopf.alg, c_hb) == (
+        _materialised_braided_product(b.coaction, b.algebra, b.hopf.alg, c_hb))

@@ -4,8 +4,12 @@ from hopfcleft.braided import trivial_measuring
 from hopfcleft.cleft import crossed_to_cleft, functor_F
 from hopfcleft.cocycle import crossed_product
 from hopfcleft.errors import AxiomFailure
+from hopfcleft.fields import FieldSpec
+from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_grading
 from hopfcleft.hopf import check_hopf, iterated_comul
 from hopfcleft.lifting import (
+    GradedYDHopf,
+    bosonize,
     check_boson_grading,
     check_equivariant_pair,
     check_graded,
@@ -17,14 +21,76 @@ from hopfcleft.lifting import (
     phi_inverse,
     psi,
     sigma_gamma_restricts,
+    smash_comodule_algebra,
 )
-from hopfcleft.linalg import compose, permutation_map, tensor_map, tensor_maps
+from hopfcleft.linalg import (
+    LinearMap,
+    compose,
+    compose_all,
+    permutation_map,
+    tensor_map,
+    tensor_maps,
+)
 from hopfcleft.oracle import enumerate_cocycles, enumerate_zprime
 
 
 @pytest.fixture(scope="module")
 def f5_sigmas(boson8):
     return enumerate_zprime(boson8)
+
+
+def _permuted_smash_mul(e, action, h):
+    """Reference smash multiplication (e (x) h)(e' (x) h') = e (h1.e') (x) h2 h'
+    on E (x) H, through Kronecker products and a five-factor permutation."""
+    es, hs = e.space, h.space
+    id_e, id_h = LinearMap.identity(es), LinearMap.identity(hs)
+    return compose_all(
+        tensor_map(e.mul, id_h),
+        tensor_maps(id_e, action, h.mul),
+        permutation_map([es, hs, hs, es, hs], [0, 1, 3, 2, 4]),
+        tensor_maps(id_e, h.comul, id_e, id_h),
+    )
+
+
+def _permuted_cosmash(first, coaction_r, h):
+    """Reference (id (x) mul_H (x) id)(perm)(id (x) coaction_R (x) id)(first (x) comul_H)
+    for first: E -> E (x) R: e (x) h -> e0 (x) e1(-1) h1 (x) e1(0) (x) h2."""
+    es, hs, rs = first.source, h.space, coaction_r.source
+    id_e, id_h = LinearMap.identity(es), LinearMap.identity(hs)
+    return compose_all(
+        tensor_maps(id_e, h.mul, LinearMap.identity(rs), id_h),
+        permutation_map([es, hs, rs, hs, hs], [0, 1, 3, 2, 4]),
+        tensor_maps(id_e, coaction_r, id_h, id_h),
+        tensor_map(first, h.comul),
+    )
+
+
+@pytest.fixture(scope="module")
+def boson_q():
+    kc2 = cyclic_group_hopf(FieldSpec.rationals(), 2)
+    return bosonize(GradedYDHopf(quantum_line(kc2), quantum_line_grading()))
+
+
+@pytest.mark.parametrize("name", ["boson4", "boson8", "boson_q"])
+def test_bosonize_equals_the_permutation_chains(request, name):
+    b = request.getfixturevalue(name)
+    r, h = b.source.hopf, b.ambient
+    assert b.hopf.mul == _permuted_smash_mul(r.alg, r.yd.module.action, h)
+    assert b.hopf.comul == _permuted_cosmash(r.comul, r.yd.coaction, h)
+    assert b.hopf.unit == tensor_map(r.unit, h.unit)
+    assert b.hopf.counit == tensor_map(r.counit, h.counit)
+
+
+@pytest.mark.parametrize("name", ["boson4", "boson8"])
+def test_smash_comodule_algebra_equals_the_permutation_chains(request, name):
+    b = request.getfixturevalue(name)
+    r, h = b.source.hopf, b.ambient
+    # a cleft object over R with a nontrivial cocycle
+    e = functor_F(phi_inverse(enumerate_zprime(b)[1])).comodule_algebra
+    big = smash_comodule_algebra(b, e)
+    assert big.algebra.mul == _permuted_smash_mul(e.algebra, e.carrier.action, h)
+    assert big.algebra.unit == tensor_map(e.algebra.unit, h.unit)
+    assert big.coaction == _permuted_cosmash(e.coaction, r.yd.coaction, h)
 
 
 def test_quantum_line_is_graded(qline_f3, qline_f5):
@@ -114,6 +180,27 @@ def test_deform_equals_the_materialised_doi_chain(boson4, boson8, f5_sigmas):
     for b, sigmas in ((boson4, enumerate_zprime(boson4)), (boson8, f5_sigmas[1:2])):
         for s, reference in zip(sigmas, _materialised_doi_product(b, sigmas)):
             assert deform(b, s).mul == reference
+
+
+def test_check_hopf_builds_no_large_map(monkeypatch, boson8, f5_sigmas):
+    """Machine-independent size guard: checking the dim-8 bosonization and a
+    deformation multiplies in H (x) H without building mul (x) mul (2,304
+    entries here, 6,400 for the deformation) or comul (x) comul."""
+    deformed = deform(boson8, f5_sigmas[1])
+    largest = [0]
+    original = LinearMap.__init__
+
+    def counting_init(self, source, target, entries=None):
+        original(self, source, target, entries)
+        largest[0] = max(largest[0], len(self.entries))
+
+    for h in (boson8.hopf, deformed):
+        largest[0] = 0
+        monkeypatch.setattr(LinearMap, "__init__", counting_init)
+        report = check_hopf(h)
+        monkeypatch.undo()
+        assert report.ok, str(report)
+        assert largest[0] <= 1_000
 
 
 def test_deformed_square_of_the_generator(boson8, f5_sigmas):
