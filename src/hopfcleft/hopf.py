@@ -5,7 +5,7 @@ is made into a (co)algebra through a designated braiding; ``self_braiding``
 holds that map.  For a classical bialgebra it is the vector-space flip.
 ``braided_product`` multiplies in such a braided tensor product algebra term
 by term, so "comul is an algebra morphism" never builds mul (x) mul.
-Convolution inversion is an exact linear solve in the space Hom(C, A).
+Convolution inversion is one exact sparse linear solve in Hom(C, A).
 """
 
 from __future__ import annotations
@@ -13,14 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import NotHopf, NotInvertible, NoSolution, ShapeMismatch
+from .errors import NotHopf, NotInvertible, ShapeMismatch
 from .fields import FieldSpec
 from .linalg import (
     BasedSpace,
     LinearMap,
+    _rref,
     compose,
     compose_all,
-    solve_linear,
     tensor_map,
     tensor_space,
     unit_space,
@@ -266,33 +266,32 @@ def convolution_unit(c: CoalgebraData, a: AlgebraData) -> LinearMap:
 def convolution_inverse(f: LinearMap, c: CoalgebraData, a: AlgebraData) -> LinearMap:
     """The two-sided convolution inverse of f, found by one exact linear solve.
 
-    The right inverse is obtained from the linear system f * g = unit; the
-    left identity g * f = unit is then verified explicitly (right invertibility
-    alone would not be conclusive). Raises NotInvertible.
+    The rows (r, j) of the system f * g = unit are written in one pass: the
+    unknown g[i2,k2] has coefficient sum comul[(k1,k2),j] f[i1,k1] mul[r,(i1,i2)].
+    The left identity g * f = unit is then verified explicitly (right
+    invertibility alone would not be conclusive). Raises NotInvertible.
     """
+    if not (f.source.same_basis(c.space) and f.target.same_basis(a.space)):
+        raise ShapeMismatch("f is not a map C -> A")
     na, nc = a.space.dim, c.space.dim
-    field = a.field
-    hom = BasedSpace("hom", tuple(f"m{k}" for k in range(na * nc)), field)
-    col = BasedSpace("rhs", ("r",), field)
-    one = field.one()
-    entries = {}
-    for i in range(na):
-        for j in range(nc):
-            basis_map = LinearMap(c.space, a.space, {(i, j): one})
-            conv = convolution(f, basis_map, c, a)
-            for (r, s), v in conv.entries.items():
-                entries[(r * nc + s, i * nc + j)] = v
-    big = LinearMap(hom, hom, entries)
+    n = na * nc  # unknowns i2 * nc + k2; the right-hand side is column n
+    fcols, mcols = f.columns(), a.mul.columns()
     target = convolution_unit(c, a)
-    rhs = LinearMap(col, hom, {(r * nc + s, 0): v for (r, s), v in target.entries.items()})
-    try:
-        sol = solve_linear(big, rhs)
-    except NoSolution as exc:
-        raise NotInvertible("no right convolution inverse") from exc
-    g = LinearMap(
-        c.space, a.space,
-        {(k // nc, k % nc): v for (k, _), v in sol.entries.items()},
-    )
+    entries = {(r * nc + j, n): v for (r, j), v in target.entries.items()}
+    for (k, j), dv in c.comul.entries.items():
+        k1, k2 = divmod(k, nc)
+        for i1, fv in fcols.get(k1, ()):
+            w = dv * fv
+            for i2 in range(na):
+                col = i2 * nc + k2
+                for r, mv in mcols.get(i1 * na + i2, ()):
+                    key = (r * nc + j, col)
+                    entries[key] = w * mv if key not in entries else entries[key] + w * mv
+    reduced = _rref((key, v) for key, v in entries.items() if not v.is_zero())
+    if any(col >= n for col in reduced):
+        raise NotInvertible("no right convolution inverse")
+    g = LinearMap(c.space, a.space, {
+        divmod(col, nc): row[n] for col, row in reduced.items() if n in row})
     if convolution(g, f, c, a) != target:
         raise NotInvertible("right inverse is not a left inverse")
     return g

@@ -583,9 +583,15 @@ def hopf_to_definition(h: HopfAlgebraData, name: str = "H") -> DefinitionFile:
 
 def file_space(space: BasedSpace, name: str) -> BasedSpace:
     """``space`` renamed, with "_" for the tensor separator in its labels, so
-    that a basis built from tensor products can be written to a file."""
-    labels = tuple(lab.replace(TENSOR_SEP, "_") for lab in space.labels)
-    return BasedSpace(name, labels, space.field)
+    that a basis built from tensor products can be written to a file;
+    ValidationError if two labels collide."""
+    written: dict[str, str] = {}
+    for lab in space.labels:
+        flat = lab.replace(TENSOR_SEP, "_")
+        if written.setdefault(flat, lab) != lab:
+            raise ValidationError(
+                f"labels {written[flat]!r} and {lab!r} of {space.name} are both written as {flat!r}")
+    return BasedSpace(name, tuple(written), space.field)
 
 
 def role_tensor(name: str, role: str, spaces: tuple[BasedSpace, ...], f: LinearMap) -> Tensor:

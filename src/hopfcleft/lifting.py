@@ -25,7 +25,7 @@ from .braided import (
 )
 from .cleft import CleftExtension, cocycle_from_section
 from .cocycle import Cocycle, check_cocycle, crossed_product, pair_coalgebra
-from .errors import AxiomFailure, CorruptFixture, NotInvertible, TheoremViolation
+from .errors import AxiomFailure, CorruptFixture, NotInvertible, SearchSpaceTooLarge, TheoremViolation
 from .hopf import (
     AlgebraData,
     BialgebraData,
@@ -631,7 +631,7 @@ def _cleft_objects_isomorphic(
     into the other: s2(x1,y1) phi(x2 y2) = phi(x1) phi(y1) s1(x2,y2)."""
     field = b.space.field
     if field.kind != "prime":
-        raise CorruptFixture("isomorphism search needs a prime field")
+        raise SearchSpaceTooLarge("isomorphism search needs a prime field")
     hopf = b.hopf
     d = b.space.dim
     if s1.sigma == s2.sigma:
@@ -640,7 +640,7 @@ def _cleft_objects_isomorphic(
     free = [i for i in range(d) if i != unit_col]
     p = field.p
     if p ** len(free) > bound:
-        raise CorruptFixture(
+        raise SearchSpaceTooLarge(
             f"twisting search space {p}^{len(free)} exceeds the bound {bound}")
     # precompute, per basis pair, the sparse terms of both sides; plain
     # residue arithmetic keeps the sweep fast

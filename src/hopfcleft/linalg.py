@@ -11,6 +11,11 @@ vector. Linear maps are stored sparsely as {(row, col): Scalar}.
 ``id_L (x) f (x) id_R`` by re-indexing one tensor slot of the sparse entries,
 so the Kronecker product with the identities is never built; their cost is
 nnz(g) times the number of entries in a column (or row) of f.
+
+``solve_linear``, ``kernel_basis``, ``nullity``, ``equalizer`` and ``invert``
+run sparse Gauss-Jordan elimination (``_rref``) on the rows of the entries.
+The reduced row echelon form is unique, so solutions (free unknowns zero) and
+kernel bases do not depend on the order in which rows are eliminated.
 """
 
 from __future__ import annotations
@@ -209,13 +214,6 @@ class LinearMap:
         if not (self.source.same_basis(other.source) and self.target.same_basis(other.target)):
             raise ShapeMismatch("maps are not parallel")
 
-    def to_rows(self) -> list[list[Scalar]]:
-        zero = self.source.field.zero()
-        rows = [[zero] * self.source.dim for _ in range(self.target.dim)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
     def __str__(self) -> str:
         parts = [
             f"{self.target.labels[i]} <- {self.source.labels[j]}: {v}"
@@ -336,58 +334,63 @@ def flip_map(x: BasedSpace, y: BasedSpace) -> LinearMap:
     return LinearMap(tensor_space(x, y), tensor_space(y, x), entries)
 
 
-def _rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
-        if pivot is None:
+def _rref(entries) -> dict[int, dict]:
+    """Sparse Gauss-Jordan elimination of the ((row, col), value) entries of a
+    matrix (no zeros). Returns the reduced row echelon form as {pivot col:
+    row}, each row {col: value} without its leading 1 and zero in every other
+    pivot column; the form is unique, so it does not depend on the row order."""
+    rows: dict[int, dict] = {}
+    for (i, j), v in entries:
+        rows.setdefault(i, {})[j] = v
+    reduced: dict[int, dict] = {}
+    for row in rows.values():
+        for c in [c for c in row if c in reduced]:
+            _eliminate(row, c, reduced[c])
+        if not row:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+        p = min(row)
+        inv = row.pop(p).inverse()
+        row = {k: v * inv for k, v in row.items()}
+        for other in reduced.values():
+            if p in other:
+                _eliminate(other, p, row)
+        reduced[p] = row
+    return reduced
+
+
+def _eliminate(row: dict, c: int, pivot_row: dict):
+    """row -= row[c] * (e_c + pivot_row), dropping zeros."""
+    factor = row.pop(c)
+    zero = factor.field.zero()
+    for k, v in pivot_row.items():
+        new = row.pop(k, zero) - factor * v
+        if not new.is_zero():
+            row[k] = new
+
+
+def _kernel(f: LinearMap) -> list[dict]:
+    """The reduced-echelon kernel basis of f as sparse vectors {coord: value}."""
+    reduced = _rref(f.entries.items())
+    one = f.source.field.one()
+    return [
+        {c: one, **{p: -row[c] for p, row in reduced.items() if c in row}}
+        for c in range(f.source.dim) if c not in reduced
+    ]
 
 
 def kernel_basis(f: LinearMap) -> list[list[Scalar]]:
     """Reduced-echelon kernel basis (as coordinate vectors in f.source)."""
-    field = f.source.field
-    zero, one = field.zero(), field.one()
-    rows, pivots = _rref(f.to_rows())
-    free = [c for c in range(f.source.dim) if c not in pivots]
-    basis = []
-    for c in free:
-        vec = [zero] * f.source.dim
-        vec[c] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][c]
-        basis.append(vec)
-    return basis
+    zero = f.source.field.zero()
+    return [[vec.get(i, zero) for i in range(f.source.dim)] for vec in _kernel(f)]
 
 
 def equalizer(f: LinearMap, g: LinearMap) -> tuple[BasedSpace, LinearMap]:
     """Equalizer of parallel maps: (E, inclusion) with E = ker(f - g)."""
     f._check_parallel(g)
-    basis = kernel_basis(f - g)
+    basis = _kernel(f - g)
     labels = tuple(f"e{k}" for k in range(len(basis)))
     space = BasedSpace(f"eq({f.source.name})", labels, f.source.field)
-    entries = {}
-    for k, vec in enumerate(basis):
-        for i, v in enumerate(vec):
-            if not v.is_zero():
-                entries[(i, k)] = v
+    entries = {(i, k): v for k, vec in enumerate(basis) for i, v in vec.items()}
     return space, LinearMap(space, f.source, entries)
 
 
@@ -399,21 +402,12 @@ def solve_linear(a: LinearMap, b: LinearMap) -> LinearMap:
     """
     if not a.target.same_basis(b.target):
         raise ShapeMismatch("solve: targets differ")
-    field = a.source.field
-    zero = field.zero()
-    nb = b.source.dim
-    rows = [arow + brow for arow, brow in zip(a.to_rows(), b.to_rows())]
-    rows, pivots = _rref(rows)
     na = a.source.dim
-    for r, c in enumerate(pivots):
-        if c >= na:
-            raise NoSolution("inconsistent linear system")
-    entries = {}
-    for r, c in enumerate(pivots):
-        for j in range(nb):
-            v = rows[r][na + j]
-            if not v.is_zero():
-                entries[(c, j)] = v
+    rhs = [((i, na + j), v) for (i, j), v in b.entries.items()]
+    reduced = _rref([*a.entries.items(), *rhs])
+    if any(c >= na for c in reduced):
+        raise NoSolution("inconsistent linear system")
+    entries = {(c, j - na): v for c, row in reduced.items() for j, v in row.items() if j >= na}
     return LinearMap(b.source, a.source, entries)
 
 
@@ -422,15 +416,13 @@ def invert(f: LinearMap) -> LinearMap:
     if f.source.dim != f.target.dim:
         raise ShapeMismatch("only square maps can be inverted")
     g = solve_linear(f, LinearMap.identity(f.target))
-    g = LinearMap(f.target, f.source, g.entries)
     if compose(g, f) != LinearMap.identity(f.source):
         raise NoSolution("map is singular")
     return g
 
 
 def nullity(f: LinearMap) -> int:
-    _, pivots = _rref(f.to_rows())
-    return f.source.dim - len(pivots)
+    return f.source.dim - len(_rref(f.entries.items()))
 
 
 def factor_through_injection(iota: LinearMap, g: LinearMap) -> LinearMap:

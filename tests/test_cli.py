@@ -30,6 +30,30 @@ role measuring M: hopf=KC2 mul=A_mul nu=M_nu space=A unit=A_unit
 """
 
 
+# qline_kc2_f3.had with R relabelled a, a_1 and kC2 relabelled e, 1_e: the
+# bosonization's labels a.1_e and a_1.e are both written as a_1_e
+COLLIDING_LABELS = """\
+field: F_3
+space R: a a_1
+space kC2: e 1_e
+grade R_degrees@R: a=0 a_1=1
+tensor KC2_antipode antipode@kC2: (e, e, 1) (1_e, 1_e, 1)
+tensor KC2_comul comul@kC2: (e.e, e, 1) (1_e.1_e, 1_e, 1)
+tensor KC2_counit counit@kC2: (1, e, 1) (1, 1_e, 1)
+tensor KC2_mul mul@kC2: (e, e.e, 1) (e, 1_e.1_e, 1) (1_e, e.1_e, 1) (1_e, 1_e.e, 1)
+tensor KC2_unit unit@kC2: (e, 1, 1)
+tensor R_action action@kC2,R: (a, e.a, 1) (a, 1_e.a, 1) (a_1, e.a_1, 1) (a_1, 1_e.a_1, 2)
+tensor R_antipode antipode@R: (a, a, 1) (a_1, a_1, 2)
+tensor R_coaction coaction@kC2,R: (e.a, a, 1) (1_e.a_1, a_1, 1)
+tensor R_comul comul@R: (a.a, a, 1) (a.a_1, a_1, 1) (a_1.a, a_1, 1)
+tensor R_counit counit@R: (1, a, 1)
+tensor R_mul mul@R: (a, a.a, 1) (a_1, a.a_1, 1) (a_1, a_1.a, 1)
+tensor R_unit unit@R: (a, 1, 1)
+role hopf_algebra KC2: antipode=KC2_antipode comul=KC2_comul counit=KC2_counit mul=KC2_mul space=kC2 unit=KC2_unit
+role graded_yd_hopf R: action=R_action ambient=KC2 antipode=R_antipode coaction=R_coaction comul=R_comul counit=R_counit grading=R_degrees mul=R_mul space=R unit=R_unit
+"""
+
+
 @pytest.fixture(scope="module")
 def cocycle_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "classical_cocycle.had"
@@ -151,6 +175,19 @@ def test_bosonize_writes_a_hopf_file(runner, tmp_path):
     assert "bosonization: dim 4" in result.output
     again = run(runner, ["verify-hopf", str(out)])
     assert again.exit_code == 0, again.output
+
+
+def test_out_with_colliding_written_labels_exits_2(runner, tmp_path):
+    path = tmp_path / "colliding.had"
+    path.write_text(COLLIDING_LABELS)
+    assert run(runner, ["bosonize", str(path), "--role", "R"]).exit_code == 0
+    for args in (["bosonize"], ["deform", "--sigma-index", "1"]):
+        out = tmp_path / "out.had"
+        result = run(runner, [*args, str(path), "--role", "R", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert ("error: labels 'a.1_e' and 'a_1.e' of (R*kC2) are both written as 'a_1_e'"
+                in result.output)
+        assert not out.exists()
 
 
 def test_phi_inverse_and_gr_check(runner):

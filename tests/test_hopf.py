@@ -1,8 +1,15 @@
 import pytest
 
-from hopfcleft.errors import NotHopf, NotInvertible
-from hopfcleft.fields import FieldSpec
-from hopfcleft.fixtures import cyclic_group_hopf, non_hopf_bialgebra
+from hopfcleft.braided import trivial_measuring
+from hopfcleft.cocycle import pair_coalgebra
+from hopfcleft.errors import NoSolution, NotHopf, NotInvertible, ShapeMismatch
+from hopfcleft.fields import FieldSpec, Scalar
+from hopfcleft.fixtures import (
+    cyclic_group_hopf,
+    non_hopf_bialgebra,
+    quantum_line,
+    quantum_line_grading,
+)
 from hopfcleft.hopf import (
     antipode,
     braided_product,
@@ -15,7 +22,18 @@ from hopfcleft.hopf import (
     iterated_comul,
     iterated_mul,
 )
-from hopfcleft.linalg import LinearMap, compose, compose_all, flip_map, tensor_map, tensor_maps
+from hopfcleft.lifting import GradedYDHopf, bosonize
+from hopfcleft.linalg import (
+    BasedSpace,
+    LinearMap,
+    compose,
+    compose_all,
+    flip_map,
+    solve_linear,
+    tensor_map,
+    tensor_maps,
+)
+from hopfcleft.oracle import enumerate_zprime
 
 
 @pytest.mark.parametrize("field,n", [
@@ -60,6 +78,90 @@ def test_convolution_is_associative(kc4_f5):
     lhs = convolution(convolution(f, g, h.coalg, h.alg), k, h.coalg, h.alg)
     rhs = convolution(f, convolution(g, k, h.coalg, h.alg), h.coalg, h.alg)
     assert lhs == rhs
+
+
+@pytest.fixture(scope="module")
+def boson16_q():
+    """The dim-16 bosonization of the quantum line over kC8/Q."""
+    ambient = cyclic_group_hopf(FieldSpec.rationals(), 8)
+    return bosonize(GradedYDHopf(quantum_line(ambient), quantum_line_grading()))
+
+
+def _probe_convolution_inverse(f, c, a):
+    """Reference: the system f * g = unit assembled from the convolutions
+    f * e_ij with every one-entry map, over a flattened Hom(C, A)."""
+    na, nc = a.space.dim, c.space.dim
+    field = a.field
+    hom = BasedSpace("hom", tuple(f"m{k}" for k in range(na * nc)), field)
+    col = BasedSpace("rhs", ("r",), field)
+    entries = {}
+    for i in range(na):
+        for j in range(nc):
+            conv = convolution(f, LinearMap(c.space, a.space, {(i, j): field.one()}), c, a)
+            for (r, s), v in conv.entries.items():
+                entries[(r * nc + s, i * nc + j)] = v
+    target = convolution_unit(c, a)
+    rhs = LinearMap(col, hom, {(r * nc + s, 0): v for (r, s), v in target.entries.items()})
+    try:
+        sol = solve_linear(LinearMap(hom, hom, entries), rhs)
+    except NoSolution as exc:
+        raise NotInvertible("no right convolution inverse") from exc
+    g = LinearMap(c.space, a.space, {divmod(k, nc): v for (k, _), v in sol.entries.items()})
+    if convolution(g, f, c, a) != target:
+        raise NotInvertible("right inverse is not a left inverse")
+    return g
+
+
+def _inverse_or_message(f, c, a, solver):
+    try:
+        return solver(f, c, a)
+    except NotInvertible as exc:
+        return str(exc)
+
+
+def test_convolution_inverse_matches_the_probe_assembly(kc4_f5, boson8, boson16_q):
+    cases = [(h.space, h.coalg, h.alg) for h in (kc4_f5, boson8.hopf, boson16_q.hopf)]
+    for space, c, a in cases:
+        ident = LinearMap.identity(space)
+        first = LinearMap(space, space, {(0, 0): space.field.one()})
+        for f in (ident, first, LinearMap.zero(space, space)):
+            assert (_inverse_or_message(f, c, a, convolution_inverse)
+                    == _inverse_or_message(f, c, a, _probe_convolution_inverse))
+        with pytest.raises(NotInvertible):
+            convolution_inverse(first, c, a)
+    # a scalar cocycle sigma: H (x) H -> 1 over the pair coalgebra
+    sigma = enumerate_zprime(boson8)[1].sigma
+    pair = pair_coalgebra(boson8.braided())
+    unit_alg = trivial_measuring(boson8.braided()).algebra
+    inv = convolution_inverse(sigma, pair, unit_alg)
+    assert inv == _probe_convolution_inverse(sigma, pair, unit_alg)
+    assert convolution(sigma, inv, pair, unit_alg) == convolution_unit(pair, unit_alg)
+    b = non_hopf_bialgebra(FieldSpec.prime_field(3))
+    for solver in (convolution_inverse, _probe_convolution_inverse):
+        with pytest.raises(NotInvertible, match="no right convolution inverse"):
+            solver(LinearMap.identity(b.space), b.coalg, b.alg)
+        # a map of the wrong shape is refused before any solve
+        with pytest.raises(ShapeMismatch, match="f is not a map C -> A"):
+            solver(LinearMap.identity(boson8.space), kc4_f5.coalg, kc4_f5.alg)
+
+
+def test_convolution_inverse_multiplication_count(boson16_q, monkeypatch):
+    # machine-independent guard: the system is written from comul, f and mul
+    # in one pass (448 products when this test was written); probing f * e_ij for every one-entry map
+    # and solving densely took 83,408
+    h = boson16_q.hopf
+    calls = 0
+    original = Scalar.__mul__
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return original(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting_mul)
+    convolution_inverse(LinearMap.identity(h.space), h.coalg, h.alg)
+    monkeypatch.undo()
+    assert calls <= 5000
 
 
 def test_convolution_inverse_is_two_sided(kc4_f5):

@@ -3,13 +3,14 @@ import pytest
 from hopfcleft.braided import trivial_measuring
 from hopfcleft.cleft import crossed_to_cleft, functor_F
 from hopfcleft.cocycle import crossed_product
-from hopfcleft.errors import AxiomFailure
+from hopfcleft.errors import AxiomFailure, SearchSpaceTooLarge
 from hopfcleft.fields import FieldSpec
 from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_grading
 from hopfcleft.hopf import check_hopf, iterated_comul
 from hopfcleft.lifting import (
     GradedYDHopf,
     bosonize,
+    census_classes,
     check_boson_grading,
     check_equivariant_pair,
     check_graded,
@@ -155,6 +156,13 @@ def test_psi_rejects_non_equivariant_section(boson4):
         psi(boson4, crossed_to_cleft(
             smash_product(trivial_measuring(boson4.braided()))))
     assert psi(boson4, ce) is not None
+
+
+def test_census_twisting_space_over_the_bound_is_too_large(boson8, f5_sigmas):
+    # two distinct sigmas force one twisting sweep over 5^7 = 78,125 functionals
+    assert f5_sigmas[0].sigma != f5_sigmas[1].sigma
+    with pytest.raises(SearchSpaceTooLarge, match=r"twisting search space 5\^7 exceeds the bound"):
+        census_classes(boson8, [], bound=5 ** 7 - 1, sigmas=f5_sigmas[:2])
 
 
 def test_every_deformation_is_filtered_with_graded_top(boson8, f5_sigmas):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hopfcleft.errors import NoSolution, ShapeMismatch
 from hopfcleft.fields import FieldSpec
@@ -256,3 +256,127 @@ def test_tensor_space_rejects_colliding_joined_labels():
     right = based_space("R", ["b.c", "c"], F5)
     with pytest.raises(ValueError):
         tensor_space(left, right)
+
+
+# -- the sparse elimination against dense Gauss-Jordan ----------------------
+
+FIELDS = (F5, FieldSpec.rationals(), FieldSpec.cyclotomic(4))
+
+
+def _dense_rref(rows):
+    """Reference: dense in-place Gauss-Jordan, returning (rows, pivot columns)."""
+    if not rows:
+        return rows, []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _dense_rows(f):
+    zero = f.source.field.zero()
+    rows = [[zero] * f.source.dim for _ in range(f.target.dim)]
+    for (i, j), v in f.entries.items():
+        rows[i][j] = v
+    return rows
+
+
+def _dense_kernel_basis(f):
+    field = f.source.field
+    rows, pivots = _dense_rref(_dense_rows(f))
+    basis = []
+    for c in (c for c in range(f.source.dim) if c not in pivots):
+        vec = [field.zero()] * f.source.dim
+        vec[c] = field.one()
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][c]
+        basis.append(vec)
+    return basis
+
+
+def _dense_solve(a, b):
+    na = a.source.dim
+    rows = [ar + br for ar, br in zip(_dense_rows(a), _dense_rows(b))]
+    rows, pivots = _dense_rref(rows)
+    if any(c >= na for c in pivots):
+        raise NoSolution("inconsistent linear system")
+    entries = {
+        (c, j): rows[r][na + j]
+        for r, c in enumerate(pivots) for j in range(b.source.dim)
+        if not rows[r][na + j].is_zero()
+    }
+    return LinearMap(b.source, a.source, entries)
+
+
+def _scalars(field):
+    small = st.integers(min_value=-2, max_value=2)
+    if field.kind == "prime":
+        values = small
+    elif field.kind == "rationals":
+        values = st.builds(Fraction, small, st.integers(min_value=1, max_value=3))
+    else:
+        values = st.lists(small, min_size=2, max_size=2)
+    # many zeros, so that the maps are sparse and often rank deficient
+    return st.one_of(st.just(0), values).map(field.scalar)
+
+
+@st.composite
+def _systems(draw):
+    """(a, b) over one field: a: S -> T rectangular, sometimes a product
+    through a smaller space; b: B -> T either a . x (consistent) or random."""
+    field = draw(st.sampled_from(FIELDS))
+    scalar = _scalars(field)
+
+    def space(name):
+        n = draw(st.integers(min_value=1, max_value=5))
+        return based_space(name, [f"{name}{k}" for k in range(n)], field)
+
+    def random_map(source, target):
+        return LinearMap(source, target, {
+            (i, j): v for i in range(target.dim) for j in range(source.dim)
+            for v in [draw(scalar)] if not v.is_zero()})
+
+    s, t, rhs = space("s"), space("t"), space("b")
+    if draw(st.booleans()):
+        inner = based_space("k", [f"k{n}" for n in range(draw(st.integers(1, 2)))], field)
+        a = compose(random_map(inner, t), random_map(s, inner))
+    else:
+        a = random_map(s, t)
+    b = compose(a, random_map(rhs, s)) if draw(st.booleans()) else random_map(rhs, t)
+    return a, b
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_systems())
+def test_sparse_elimination_matches_dense_gauss_jordan(system):
+    a, b = system
+    try:
+        expected = _dense_solve(a, b)
+    except NoSolution:
+        with pytest.raises(NoSolution):
+            solve_linear(a, b)
+    else:
+        assert solve_linear(a, b) == expected
+    for f in (a, b):
+        dense = _dense_kernel_basis(f)
+        assert kernel_basis(f) == dense
+        assert nullity(f) == len(dense)
+        _, iota = equalizer(f, LinearMap.zero(f.source, f.target))
+        assert iota.entries == {
+            (i, k): v for k, vec in enumerate(dense) for i, v in enumerate(vec)
+            if not v.is_zero()}
