@@ -27,7 +27,7 @@ from .cocycle import (
     crossed_product,
     pair_coalgebra,
 )
-from .errors import FactorizationFailure, ShapeMismatch
+from .errors import FactorizationFailure, NoSolution, ShapeMismatch
 from .hopf import (
     convolution,
     convolution_inverse,
@@ -168,7 +168,7 @@ def coinvariant_measuring(ce: CleftExtension, coinv: Coinvariants | None = None)
     )
     try:
         nu = factor_through_injection(coinv.iota, through)
-    except Exception as exc:
+    except NoSolution as exc:
         raise FactorizationFailure(
             "induced measuring does not land in the coinvariants") from exc
     return Measuring(hopf, coinv.algebra, coinv.carrier, nu)
@@ -203,7 +203,7 @@ def cocycle_from_section(
     try:
         sigma = factor_through_injection(coinv.iota, sigma_tilde)
         pi = factor_through_injection(coinv.iota, pi_tilde)
-    except Exception as exc:
+    except NoSolution as exc:
         raise FactorizationFailure(
             "section cocycle does not land in the coinvariants") from exc
     cocycle, report = check_cocycle(m, sigma)
@@ -234,7 +234,7 @@ def iso_to_crossed(ce: CleftExtension) -> CheckReport:
     )
     try:
         alpha = factor_through_injection(coinv.iota, alpha_through)
-    except Exception as exc:
+    except NoSolution as exc:
         raise FactorizationFailure(
             "projection onto the coinvariants does not factor") from exc
     g = compose(tensor_map(alpha, LinearMap.identity(hopf.space)), b.coaction)

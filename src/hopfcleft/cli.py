@@ -498,7 +498,8 @@ def gr_check_cmd(file, role_name, fmt, bound, sigma_index):
 @_role_option
 @_fmt_option
 @click.option("--bound", default=200_000, show_default=True,
-              help="Maximum number of candidates an exhaustive sweep may visit.")
+              help="Maximum number of candidates a restricted-cocycle sweep may "
+                   "visit, and of values one twisting search may try.")
 @_command_errors
 def census(file, role_name, fmt, bound):
     """Enumerate restricted cocycles, run both cleft-object constructions and
@@ -564,6 +565,11 @@ def convolution_inverse_cmd(file, role_name, fmt, tensor_name):
     role = _find_role(df, ("hopf_algebra",), role_name)
     h = io.build(df, role.name)
     f = LinearMap.identity(h.space) if tensor_name is None else df.tensor_map(tensor_name)
+    if not (f.source.same_basis(h.space) and f.target.same_basis(h.space)):
+        raise ValidationError(
+            f"tensor {tensor_name!r} is a map {f.source.name} -> {f.target.name} "
+            f"({f.source.dim} -> {f.target.dim}); "
+            f"--tensor needs an H -> H map with H = {h.space.name}")
     inverse = convolution_inverse(f, h.coalg, h.alg)
     report = CheckReport(f"convolution inverse over {h.space.name}")
     report.add(CheckItem("two-sided convolution inverse exists", True))

@@ -606,8 +606,10 @@ def census_classes(
     sigmas: list[ScalarCocycleH] | None = None,
 ) -> list[list[int]]:
     """Partition the extended cocycles into comodule-algebra isomorphism
-    classes of their crossed products, by exhaustive search for a twisting
-    functional. Returns index groups into the input list."""
+    classes of their crossed products. Each member is compared with the first
+    member of every class so far by a complete search for a twisting
+    functional (see ``_cleft_objects_isomorphic``); ``bound`` caps the values
+    one comparison may try. Returns index groups into the input list."""
     if sigmas is None:
         sigmas = [phi(b, pi) for pi in cocycles]
     classes: list[list[int]] = []
@@ -628,86 +630,118 @@ def _cleft_objects_isomorphic(
 ) -> bool:
     """Two scalar crossed products are isomorphic as comodule algebras iff some
     convolution invertible functional phi with phi(1) = 1 twists one cocycle
-    into the other: s2(x1,y1) phi(x2 y2) = phi(x1) phi(y1) s1(x2,y2)."""
+    into the other: s2(x1,y1) phi(x2 y2) = phi(x1) phi(y1) s1(x2,y2).
+
+    The equation for each basis pair (x, y) is a quadratic form in the values
+    phi[k], and phi is found by backtracking: the unknowns are bound in degree
+    order (grouplikes first), each equation is checked as soon as its last
+    unknown is bound, and an unknown that some equation of its level contains
+    only linearly, with a nonzero coefficient, is solved for instead of
+    swept. The search is complete; every solution is tested for convolution
+    invertibility. Raises SearchSpaceTooLarge once more than ``bound`` values
+    have been tried."""
     field = b.space.field
     if field.kind != "prime":
         raise SearchSpaceTooLarge("isomorphism search needs a prime field")
-    hopf = b.hopf
-    d = b.space.dim
     if s1.sigma == s2.sigma:
         return True
-    unit_col = next(iter(hopf.unit.entries))[0]
-    free = [i for i in range(d) if i != unit_col]
+    hopf = b.hopf
+    d = b.space.dim
     p = field.p
-    if p ** len(free) > bound:
-        raise SearchSpaceTooLarge(
-            f"twisting search space {p}^{len(free)} exceeds the bound {bound}")
-    # precompute, per basis pair, the sparse terms of both sides; plain
-    # residue arithmetic keeps the sweep fast
+    unit_col = next(iter(hopf.unit.entries))[0]
+    order = sorted((i for i in range(d) if i != unit_col), key=lambda i: (b.degrees[i], i))
+    rank = {u: t for t, u in enumerate(order)}
+    rank[unit_col] = -1
+    # per level: (terms, solvable) for each equation whose last unknown is
+    # bound there; solvable = (coefficients of u, the terms without u) when
+    # the level's unknown u occurs only linearly
+    levels: list[list] = [[] for _ in order]
+    for terms in _twisting_equations(b, s1, s2, unit_col):
+        last = max(rank[a] for t in terms for a in t[:2])
+        if last < 0:
+            return False  # a nonzero constant: no phi satisfies it
+        u = order[last]
+        solvable = None
+        if all(t[:2] != (u, u) for t in terms):
+            solvable = ([(bb if a == u else a, c) for a, bb, c in terms if u in (a, bb)],
+                        [t for t in terms if u not in t[:2]])
+        levels[last].append((terms, solvable))
+    ph = [0] * d
+    ph[unit_col] = 1
+    unit_alg = _unit_algebra(b)
+    tried = 0
+
+    def holds(terms):
+        return sum(c * ph[a] * ph[bb] for a, bb, c in terms) % p == 0
+
+    def forced(equations):
+        """The one value an equation linear in the level's unknown allows."""
+        for _, solvable in equations:
+            if solvable is not None:
+                coeff = sum(c * ph[v] for v, c in solvable[0]) % p
+                if coeff:
+                    rest = sum(c * ph[a] * ph[bb] for a, bb, c in solvable[1])
+                    return (-rest * pow(coeff, -1, p) % p,)
+        return range(p)
+
+    def search(level):
+        nonlocal tried
+        if level == len(order):
+            phi_map = LinearMap(
+                b.space, s1.sigma.target,
+                {(0, i): field.scalar(ph[i]) for i in range(d) if ph[i]})
+            try:
+                convolution_inverse(phi_map, hopf.coalg, unit_alg)
+            except NotInvertible:
+                return False
+            return True
+        equations = levels[level]
+        for value in forced(equations):
+            tried += 1
+            if tried > bound:
+                raise SearchSpaceTooLarge(
+                    f"twisting search tried more than the bound of {bound} values")
+            ph[order[level]] = value
+            if all(holds(terms) for terms, _ in equations) and search(level + 1):
+                return True
+        return False
+
+    return search(0)
+
+
+def _twisting_equations(b: Bosonization, s1: ScalarCocycleH, s2: ScalarCocycleH, unit_col: int):
+    """The twisting equation of each basis pair (x, y) as residue terms
+    (a, b, c), read c phi[a] phi[b], with phi[unit_col] = 1 standing in for
+    the constant and linear terms. Vanishing equations are left out; plain
+    residue arithmetic keeps the search fast."""
+    hopf = b.hopf
+    d = b.space.dim
+    p = b.space.field.p
     com = hopf.comul
     mul = hopf.mul
     sig1 = {j: v.value for (_, j), v in s1.sigma.entries.items()}
     sig2 = {j: v.value for (_, j), v in s2.sigma.entries.items()}
-    pairs = []
+    equations = []
     for x in range(d):
         dx = list(com.column(x).items())
         for y in range(d):
             dy = list(com.column(y).items())
-            lhs_terms = []  # (product index k, coefficient): phi[k] * c
-            rhs_terms = []  # (a, b, coefficient): phi[a] phi[b] * c
+            eq: dict[tuple[int, int], int] = {}
             for xi, vx in dx:
                 x1, x2 = divmod(xi, d)
                 for yj, vy in dy:
                     y1, y2 = divmod(yj, d)
-                    c = vx.value * vy.value % p
+                    c = vx.value * vy.value
                     sv = sig2.get(x1 * d + y1)
                     if sv is not None:
                         for k, mv in mul.column(x2 * d + y2).items():
-                            lhs_terms.append((k, sv * c * mv.value % p))
+                            key = (unit_col, k)
+                            eq[key] = eq.get(key, 0) + sv * c * mv.value
                     sv = sig1.get(x2 * d + y2)
                     if sv is not None:
-                        rhs_terms.append((x1, y1, sv * c % p))
-            pairs.append((lhs_terms, rhs_terms))
-    # cheap, highly constraining pairs first so failing candidates exit early
-    pairs.sort(key=lambda t: len(t[0]) + len(t[1]))
-    for assignment in _iterate_assignments(p, len(free)):
-        ph = [1] * d
-        for slot, val in zip(free, assignment):
-            ph[slot] = val
-        ok = True
-        for lhs_terms, rhs_terms in pairs:
-            lhs = 0
-            for k, c in lhs_terms:
-                lhs += ph[k] * c
-            rhs = 0
-            for a, bb, c in rhs_terms:
-                rhs += ph[a] * ph[bb] * c
-            if (lhs - rhs) % p:
-                ok = False
-                break
-        if not ok:
-            continue
-        phi_map = LinearMap(
-            b.space, s1.sigma.target,
-            {(0, i): field.scalar(ph[i]) for i in range(d) if ph[i] % p},
-        )
-        try:
-            convolution_inverse(phi_map, hopf.coalg, _unit_algebra(b))
-        except NotInvertible:
-            continue
-        return True
-    return False
-
-
-def _iterate_assignments(p: int, n: int):
-    """All tuples in {0..p-1}^n in lexicographic order."""
-    assignment = [0] * n
-    while True:
-        yield tuple(assignment)
-        i = n - 1
-        while i >= 0 and assignment[i] == p - 1:
-            assignment[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        assignment[i] += 1
+                        key = (min(x1, y1), max(x1, y1))
+                        eq[key] = eq.get(key, 0) - sv * c
+            terms = [(a, bb, c % p) for (a, bb), c in eq.items() if c % p]
+            if terms:
+                equations.append(terms)
+    return equations

@@ -1,8 +1,9 @@
 """Brute-force enumeration oracles over small prime fields.
 
 These independently validate the closed-form constructions: cocycles are
-found by sweeping every scalar assignment and filtering with the full
-verifier, and convolution inverses are found by exhaustive two-sided search.
+found by sweeping every scalar assignment of the slots that unitality leaves
+free and filtering with the full verifier, and convolution inverses are found
+by exhaustive two-sided search.
 Enumeration order is lexicographic over the unknown assignments, so results
 are deterministic.
 """
@@ -55,10 +56,14 @@ class SearchSpace:
             current[i] += 1
 
 
-def _candidate_maps(source, target, space: SearchSpace):
+def _candidate_maps(source, target, space: SearchSpace, fixed=None):
+    """Every map with the swept unknowns of ``space`` and the ``fixed``
+    {slot: Scalar or None for zero} entries, in lexicographic order of the
+    unknowns."""
     field = space.field
+    held = {slot: v for slot, v in (fixed or {}).items() if v is not None}
     for values in space.assignments():
-        entries = {}
+        entries = dict(held)
         for slot, v in zip(space.unknowns, values):
             if v:
                 entries[slot] = field.scalar(v)
@@ -80,10 +85,11 @@ def enumerate_cocycles(
         slots = [(i, j) for i in range(target.dim) for j in range(source.dim)]
     else:
         slots = [(target.index(r), source.index(c)) for r, c in support]
-    space = SearchSpace(tuple(slots), target.field, bound)
-    found = []
     left_unit, right_unit, want = _unitality_filter(m)
-    for sigma in _candidate_maps(source, target, space):
+    fixed = _pinned_by_unitality(m.hopf.unit, want, slots)
+    space = SearchSpace(tuple(s for s in slots if s not in fixed), target.field, bound)
+    found = []
+    for sigma in _candidate_maps(source, target, space, fixed):
         # every cocycle is unital on both slots; filter before verifying
         if compose(sigma, left_unit) != want or compose(sigma, right_unit) != want:
             continue
@@ -99,6 +105,27 @@ def _unitality_filter(m: Measuring):
     right = tensor_map(id_h, m.hopf.unit)
     want = compose(m.algebra.unit, m.hopf.counit)
     return left, right, want
+
+
+def _pinned_by_unitality(unit: LinearMap, want: LinearMap, slots) -> dict:
+    """The slots of a map sigma: H (x) H -> A that unitality, sigma(1 (x) h) =
+    sigma(h (x) 1) = want(h), fixes outright, with their values (None for
+    zero). This needs the unit to be one basis vector with coefficient 1;
+    otherwise nothing is pinned. Sweeping only the other slots, with these
+    held fixed, visits the unital candidates of the full sweep in the same
+    order."""
+    if len(unit.entries) != 1:
+        return {}
+    (u, _), one = next(iter(unit.entries.items()))
+    if not one.is_one():
+        return {}
+    d = unit.target.dim
+    pinned = {}
+    for i, col in slots:
+        x, y = divmod(col, d)
+        if x == u or y == u:
+            pinned[(i, col)] = want.entries.get((i, y if x == u else x))
+    return pinned
 
 
 def oracle_convolution_inverse(
@@ -128,7 +155,6 @@ def enumerate_zprime(b, bound: int = DEFAULT_BOUND) -> list:
     field = rs.field
     source = tensor_space(rs, rs)
     slots = tuple((0, j) for j in range(source.dim))
-    space = SearchSpace(slots, field, bound)
     target = unit_space(field)
     spread = tensor_maps(
         LinearMap.identity(rs), g.hopf.yd.module.action, b.ambient.counit)
@@ -136,8 +162,10 @@ def enumerate_zprime(b, bound: int = DEFAULT_BOUND) -> list:
     left = tensor_map(g.hopf.unit, id_r)
     right = tensor_map(id_r, g.hopf.unit)
     want = g.hopf.counit
+    fixed = _pinned_by_unitality(g.hopf.unit, want, slots)
+    space = SearchSpace(tuple(s for s in slots if s not in fixed), field, bound)
     found = []
-    for pi_map in _candidate_maps(source, target, space):
+    for pi_map in _candidate_maps(source, target, space, fixed):
         # unitality of the restriction is necessary; filter before extending
         if compose(pi_map, left) != want or compose(pi_map, right) != want:
             continue

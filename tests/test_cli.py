@@ -267,3 +267,43 @@ def test_theorem_violation_exits_3(runner, monkeypatch):
     assert ("internal error: theorem violated: restricted cocycle lost ambient equivariance"
             in result.output)
     assert "check failed" not in result.output
+
+
+def test_internal_error_in_a_factorization_is_not_a_failed_check(
+        runner, tmp_path, cocycle_file, monkeypatch):
+    from hopfcleft import cleft
+    from hopfcleft.errors import ShapeMismatch
+
+    out = tmp_path / "crossed.had"
+    assert run(runner, ["crossed-product", cocycle_file, "--out", str(out)]).exit_code == 0
+
+    def broken(iota, g):
+        raise ShapeMismatch("forced")
+
+    monkeypatch.setattr(cleft, "factor_through_injection", broken)
+    result = run(runner, ["cocycle-from-cleft", str(out)])
+    assert result.exit_code == 2
+    assert "check failed" not in result.output
+    assert "forced" in result.output
+
+
+def test_convolution_inverse_of_a_non_endomorphism_names_the_tensor(runner):
+    result = run(runner, ["convolution-inverse", "kc2_q.had", "--tensor", "KC2_comul"],
+                 env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})
+    assert result.exit_code == 2
+    assert ("tensor 'KC2_comul' is a map kC2 -> (kC2*kC2) (2 -> 4); "
+            "--tensor needs an H -> H map with H = kC2") in result.output
+
+
+def test_census_finishes_on_the_quantum_line_over_kc4_f7(runner, tmp_path):
+    from hopfcleft import fixtures, io
+    from hopfcleft.fields import FieldSpec
+    from hopfcleft.lifting import GradedYDHopf
+
+    line = fixtures.quantum_line(fixtures.cyclic_group_hopf(FieldSpec.prime_field(7), 4))
+    path = tmp_path / "qline_kc4_f7.had"
+    io.save(io.graded_to_definition(
+        GradedYDHopf(line, fixtures.quantum_line_grading()), ambient_name="KC4"), str(path))
+    result = run(runner, ["census", str(path)])
+    assert result.exit_code == 0, result.output
+    assert "restricted cocycles: 7" in result.output

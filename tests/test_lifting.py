@@ -1,14 +1,17 @@
+import itertools
+
 import pytest
 
 from hopfcleft.braided import trivial_measuring
 from hopfcleft.cleft import crossed_to_cleft, functor_F
 from hopfcleft.cocycle import crossed_product
-from hopfcleft.errors import AxiomFailure, SearchSpaceTooLarge
+from hopfcleft.errors import AxiomFailure, NotInvertible, SearchSpaceTooLarge
 from hopfcleft.fields import FieldSpec
 from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_grading
-from hopfcleft.hopf import check_hopf, iterated_comul
+from hopfcleft.hopf import check_hopf, convolution_inverse, iterated_comul
 from hopfcleft.lifting import (
     GradedYDHopf,
+    _cleft_objects_isomorphic,
     bosonize,
     census_classes,
     check_boson_grading,
@@ -158,11 +161,74 @@ def test_psi_rejects_non_equivariant_section(boson4):
     assert psi(boson4, ce) is not None
 
 
-def test_census_twisting_space_over_the_bound_is_too_large(boson8, f5_sigmas):
-    # two distinct sigmas force one twisting sweep over 5^7 = 78,125 functionals
+def _sweep_isomorphic(b, s1, s2):
+    """Reference for _cleft_objects_isomorphic: try every functional phi with
+    phi(1) = 1, all p^(d-1) of them, against the twisting equations
+    s2(x1,y1) phi(x2 y2) = phi(x1) phi(y1) s1(x2,y2), and test each solution
+    for convolution invertibility."""
+    field, hopf, d = b.space.field, b.hopf, b.space.dim
+    p = field.p
+    if s1.sigma == s2.sigma:
+        return True
+    unit_col = next(iter(hopf.unit.entries))[0]
+    sig1 = {j: v.value for (_, j), v in s1.sigma.entries.items()}
+    sig2 = {j: v.value for (_, j), v in s2.sigma.entries.items()}
+    equations = []
+    for x in range(d):
+        for y in range(d):
+            eq = {}  # (a, b) -> c for the term c phi[a] phi[b]
+            for xi, vx in hopf.comul.column(x).items():
+                x1, x2 = divmod(xi, d)
+                for yj, vy in hopf.comul.column(y).items():
+                    y1, y2 = divmod(yj, d)
+                    c = vx.value * vy.value
+                    if x1 * d + y1 in sig2:
+                        for k, mv in hopf.mul.column(x2 * d + y2).items():
+                            key = (unit_col, k)
+                            eq[key] = eq.get(key, 0) + sig2[x1 * d + y1] * c * mv.value
+                    if x2 * d + y2 in sig1:
+                        eq[(x1, y1)] = eq.get((x1, y1), 0) - sig1[x2 * d + y2] * c
+            terms = [(a, bb, c) for (a, bb), c in eq.items() if c % p]
+            if terms:
+                equations.append(terms)
+    equations.sort(key=len)
+    unit_alg = trivial_measuring(b.braided()).algebra
+    for values in itertools.product(range(p), repeat=d - 1):
+        ph = values[:unit_col] + (1,) + values[unit_col:]
+        for eq in equations:
+            if sum(c * ph[a] * ph[bb] for a, bb, c in eq) % p:
+                break
+        else:
+            phi_map = LinearMap(b.space, s1.sigma.target,
+                                {(0, i): field.scalar(v) for i, v in enumerate(ph) if v})
+            try:
+                convolution_inverse(phi_map, hopf.coalg, unit_alg)
+            except NotInvertible:
+                continue
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name", ["boson4", "boson8"])
+def test_twisting_solver_agrees_with_the_exhaustive_sweep(request, name):
+    b = request.getfixturevalue(name)
+    sigmas = enumerate_zprime(b)
+    for s1 in sigmas:
+        for s2 in sigmas:
+            assert _cleft_objects_isomorphic(b, s1, s2, 10 ** 6) == _sweep_isomorphic(b, s1, s2)
+
+
+def test_census_comparisons_try_at_most_2pd_values(boson8, f5_sigmas):
+    p, d = boson8.space.field.p, boson8.space.dim
+    classes = census_classes(boson8, [], bound=2 * p * d, sigmas=f5_sigmas)
+    assert classes == [[0], [1, 4], [2, 3]]
+
+
+def test_census_twisting_search_over_the_bound_is_too_large(boson8, f5_sigmas):
+    # two distinct sigmas need a search that tries more than five values
     assert f5_sigmas[0].sigma != f5_sigmas[1].sigma
-    with pytest.raises(SearchSpaceTooLarge, match=r"twisting search space 5\^7 exceeds the bound"):
-        census_classes(boson8, [], bound=5 ** 7 - 1, sigmas=f5_sigmas[:2])
+    with pytest.raises(SearchSpaceTooLarge, match=r"more than the bound of 5 values"):
+        census_classes(boson8, [], bound=5, sigmas=f5_sigmas[:2])
 
 
 def test_every_deformation_is_filtered_with_graded_top(boson8, f5_sigmas):

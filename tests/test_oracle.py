@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from hopfcleft.braided import classical_hopf, trivial_measuring
@@ -5,7 +7,9 @@ from hopfcleft.errors import NotInvertible, SearchSpaceTooLarge
 from hopfcleft.fields import FieldSpec
 from hopfcleft.fixtures import classical_cyclic, cyclic_group_hopf, non_hopf_bialgebra
 from hopfcleft.hopf import convolution_inverse
-from hopfcleft.linalg import LinearMap
+from hopfcleft.cocycle import check_cocycle
+from hopfcleft.lifting import check_zprime
+from hopfcleft.linalg import LinearMap, compose, tensor_map, tensor_maps, tensor_space, unit_space
 from hopfcleft.oracle import (
     SearchSpace,
     enumerate_cocycles,
@@ -74,6 +78,56 @@ def test_support_restriction(qline_f3):
     restricted = enumerate_cocycles(
         m, support=[("1", "1.1"), ("1", "x.x")])
     assert [c.sigma for c in restricted] == [c.sigma for c in full]
+
+
+def _full_sweep(source, target, slots, unit, want, verify):
+    """Reference for the restricted sweeps: every assignment of all the slots,
+    in lexicographic order, filtered on unitality, sigma(1 (x) h) =
+    sigma(h (x) 1) = want(h), and then on ``verify(sigma)``."""
+    field = target.field
+    id_h = LinearMap.identity(unit.target)
+    left, right = tensor_map(unit, id_h), tensor_map(id_h, unit)
+    found = []
+    for values in itertools.product(range(field.p), repeat=len(slots)):
+        sigma = LinearMap(source, target,
+                          {slot: field.scalar(v) for slot, v in zip(slots, values) if v})
+        if compose(sigma, left) != want or compose(sigma, right) != want:
+            continue
+        result = verify(sigma)
+        if result is not None:
+            found.append(result)
+    return found
+
+
+@pytest.mark.parametrize("support", [None, [("1", "1.1"), ("1", "x.x"), ("1", "1.x")]])
+def test_cocycle_sweep_equals_the_unrestricted_sweep(qline_f3, support):
+    m = trivial_measuring(qline_f3.hopf)
+    source = tensor_space(m.hopf.space, m.hopf.space)
+    if support is None:
+        slots = [(i, j) for i in range(m.space.dim) for j in range(source.dim)]
+    else:
+        slots = [(m.space.index(r), source.index(c)) for r, c in support]
+    full = _full_sweep(source, m.space, slots, m.hopf.unit,
+                       compose(m.algebra.unit, m.hopf.counit),
+                       lambda sigma: check_cocycle(m, sigma)[0])
+    assert len(full) == 3
+    assert [c.sigma for c in enumerate_cocycles(m, support=support)] == [c.sigma for c in full]
+
+
+@pytest.mark.parametrize("name", ["boson4", "boson8"])
+def test_restricted_sweep_equals_the_unrestricted_sweep(request, name):
+    b = request.getfixturevalue(name)
+    r = b.source.hopf
+    source = tensor_space(r.space, r.space)
+    spread = tensor_maps(LinearMap.identity(r.space), r.yd.module.action, b.ambient.counit)
+
+    def verify(pi_map):
+        result = check_zprime(b, compose(pi_map, spread))
+        return result if result.in_zprime else None
+
+    full = _full_sweep(source, unit_space(r.space.field), [(0, j) for j in range(source.dim)],
+                       r.unit, r.counit, verify)
+    assert [s.sigma for s in enumerate_zprime(b)] == [s.sigma for s in full]
 
 
 def test_search_space_requires_prime_field():
