@@ -250,7 +250,8 @@ class Scalar:
     value: object
 
     def _check(self, other: "Scalar"):
-        if self.field != other.field:
+        # identity first: the dataclass __eq__ is far slower, and is implies ==
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     def is_zero(self) -> bool:

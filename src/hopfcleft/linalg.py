@@ -12,6 +12,15 @@ vector. Linear maps are stored sparsely as {(row, col): Scalar}.
 so the Kronecker product with the identities is never built; their cost is
 nnz(g) times the number of entries in a column (or row) of f.
 
+``tensor_map(f, g)`` returns a ``TensorMap`` that keeps its two factors. Its
+Kronecker entries are built, through ``LinearMap.__init__``, only when
+something reads them. ``compose``, ``apply_in_slot`` and
+``precompose_in_slot`` take a factored operand apart instead: h . (a (x) b)
+is two ``precompose_in_slot`` calls, (a (x) b) . g two ``apply_in_slot``
+calls, identity factors are skipped, and (a (x) b) . (c (x) d) with matching
+factor shapes stays factored as (a.c) (x) (b.d). A string diagram written as
+a chain of ``tensor_map(f, id)`` therefore runs as slot contractions.
+
 ``solve_linear``, ``kernel_basis``, ``nullity``, ``equalizer`` and ``invert``
 run sparse Gauss-Jordan elimination (``_rref``) on the rows of the entries.
 The reduced row echelon form is unique, so solutions (free unknowns zero) and
@@ -140,10 +149,11 @@ class LinearMap:
         self.target = target
         ents = {}
         if entries:
+            field = source.field
             for (i, j), v in entries.items():
                 if not (0 <= i < target.dim and 0 <= j < source.dim):
                     raise ShapeMismatch(f"entry ({i},{j}) out of range")
-                if v.field != source.field:
+                if v.field is not field and v.field != field:
                     raise FieldMismatch("entry field differs from space field")
                 if not v.is_zero():
                     ents[(i, j)] = v
@@ -222,10 +232,62 @@ class LinearMap:
         return f"LinearMap({self.source} -> {self.target}; " + "; ".join(parts) + ")"
 
 
+class TensorMap(LinearMap):
+    """f (x) g kept as its two factors. The Kronecker entries are built on
+    first read, through ``LinearMap.__init__``, and then kept."""
+
+    __slots__ = ("factors", "_entries")
+
+    def __init__(self, f: LinearMap, g: LinearMap):
+        self.source = tensor_space(f.source, g.source)
+        self.target = tensor_space(f.target, g.target)
+        self.factors = (f, g)
+        self._entries = None
+
+    @property
+    def entries(self) -> dict:
+        if self._entries is None:
+            f, g = self.factors
+            gs, gt = g.source.dim, g.target.dim
+            kron = {}
+            for (i1, j1), v1 in f.entries.items():
+                for (i2, j2), v2 in g.entries.items():
+                    kron[(i1 * gt + i2, j1 * gs + j2)] = v1 * v2
+            self._entries = LinearMap(self.source, self.target, kron).entries
+        return self._entries
+
+
+def _is_identity(f: LinearMap) -> bool:
+    if isinstance(f, TensorMap):
+        return all(_is_identity(x) for x in f.factors)
+    if len(f.entries) != f.source.dim or not f.source.same_basis(f.target):
+        return False
+    one = f.source.field.one()
+    return all(i == j and v == one for (i, j), v in f.entries.items())
+
+
+def _respace(m: LinearMap, source: BasedSpace, target: BasedSpace) -> LinearMap:
+    """m on the given (same-basis) spaces, so a result names the spaces its
+    operands name."""
+    if m.source == source and m.target == target:
+        return m
+    return LinearMap(source, target, m.entries)
+
+
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """Matrix product f.g (apply g first)."""
     if not f.source.same_basis(g.target):
         raise ShapeMismatch(f"cannot compose {f.source} after {g.target}")
+    if isinstance(g, TensorMap):
+        if isinstance(f, TensorMap) and all(
+            a.source.same_basis(b.target) for a, b in zip(f.factors, g.factors)
+        ):
+            return TensorMap(*(compose(a, b) for a, b in zip(f.factors, g.factors)))
+        unit = unit_space(g.source.field)
+        return _respace(precompose_in_slot(f, unit, g, unit), g.source, f.target)
+    if isinstance(f, TensorMap):
+        unit = unit_space(f.source.field)
+        return _respace(apply_in_slot(unit, f, unit, g), g.source, f.target)
     by_col = f.columns()
     entries: dict = {}
     for (k, j), gv in g.entries.items():
@@ -266,6 +328,12 @@ def apply_in_slot(left: BasedSpace, f: LinearMap, right: BasedSpace, g: LinearMa
     """(id_left (x) f (x) id_right) . g, without the Kronecker product."""
     if not g.target.same_basis(tensor_space(left, f.source, right)):
         raise ShapeMismatch(f"cannot apply {f.source} -> {f.target} in a slot of {g.target}")
+    if isinstance(f, TensorMap):
+        a, b = f.factors
+        g = apply_in_slot(left, a, tensor_space(b.source, right), g)
+        return apply_in_slot(tensor_space(left, a.target), b, right, g)
+    if _is_identity(f):
+        return _respace(g, g.source, tensor_space(left, f.target, right))
     entries = _through_slot(g.entries, 0, f.columns(), f.source.dim, f.target.dim, right.dim)
     return LinearMap(g.source, tensor_space(left, f.target, right), entries)
 
@@ -274,6 +342,12 @@ def precompose_in_slot(g: LinearMap, left: BasedSpace, f: LinearMap, right: Base
     """g . (id_left (x) f (x) id_right), without the Kronecker product."""
     if not g.source.same_basis(tensor_space(left, f.target, right)):
         raise ShapeMismatch(f"cannot precompose {f.source} -> {f.target} in a slot of {g.source}")
+    if isinstance(f, TensorMap):
+        a, b = f.factors
+        g = precompose_in_slot(g, left, a, tensor_space(b.target, right))
+        return precompose_in_slot(g, tensor_space(left, a.source), b, right)
+    if _is_identity(f):
+        return _respace(g, tensor_space(left, f.source, right), g.target)
     by_row: dict[int, list] = {}
     for (k, j), v in f.entries.items():
         by_row.setdefault(k, []).append((j, v))
@@ -282,17 +356,10 @@ def precompose_in_slot(g: LinearMap, left: BasedSpace, f: LinearMap, right: Base
 
 
 def tensor_map(f: LinearMap, g: LinearMap) -> LinearMap:
-    """Kronecker product consistent with the lexicographic tensor basis."""
+    """f (x) g on the lexicographic tensor basis, kept factored (TensorMap)."""
     if f.source.field != g.source.field:
         raise FieldMismatch("tensor of maps over different fields")
-    source = tensor_space(f.source, g.source)
-    target = tensor_space(f.target, g.target)
-    gs, gt = g.source.dim, g.target.dim
-    entries = {}
-    for (i1, j1), v1 in f.entries.items():
-        for (i2, j2), v2 in g.entries.items():
-            entries[(i1 * gt + i2, j1 * gs + j2)] = v1 * v2
-    return LinearMap(source, target, entries)
+    return TensorMap(f, g)
 
 
 def tensor_maps(*maps: LinearMap) -> LinearMap:

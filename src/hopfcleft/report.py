@@ -47,10 +47,10 @@ class CheckReport:
 
 def map_equal_item(name: str, lhs: LinearMap, rhs: LinearMap) -> CheckItem:
     """Compare two parallel maps; the witness is the first differing matrix entry."""
-    diff = lhs - rhs
-    if diff.is_zero():
+    lhs._check_parallel(rhs)
+    if lhs.entries == rhs.entries:
         return CheckItem(name, True)
-    (i, j) = min(diff.entries)
+    (i, j) = min((lhs - rhs).entries)
     witness = (
         f"at {lhs.source.labels[j]} -> {lhs.target.labels[i]}: "
         f"{lhs[(i, j)]} != {rhs[(i, j)]}"

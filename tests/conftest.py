@@ -3,6 +3,26 @@ import pytest
 from hopfcleft.fields import FieldSpec
 from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_grading
 from hopfcleft.lifting import GradedYDHopf, bosonize
+from hopfcleft.linalg import LinearMap, tensor_space
+
+
+def kron(*maps):
+    """Reference Kronecker product f1 (x) f2 (x) ... on the lexicographic
+    tensor basis, built entry by entry as a plain LinearMap. A chain composed
+    of these runs through the plain matrix product, never through the
+    factored maps or the slot kernel that the references check."""
+    first = maps[0]
+    result = LinearMap(first.source, first.target, first.entries)
+    for g in maps[1:]:
+        gs, gt = g.source.dim, g.target.dim
+        entries = {
+            (i1 * gt + i2, j1 * gs + j2): v1 * v2
+            for (i1, j1), v1 in result.entries.items()
+            for (i2, j2), v2 in g.entries.items()
+        }
+        result = LinearMap(
+            tensor_space(result.source, g.source), tensor_space(result.target, g.target), entries)
+    return result
 
 
 @pytest.fixture(scope="session")

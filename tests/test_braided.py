@@ -25,10 +25,10 @@ from hopfcleft.linalg import (
     compose_all,
     flip_map,
     permutation_map,
-    tensor_map,
-    tensor_maps,
     tensor_space,
 )
+
+from conftest import kron
 
 
 def test_quantum_line_is_yetter_drinfeld(qline_f5):
@@ -95,14 +95,14 @@ def _permuted_yd_tensor(x, y):
     h = base.space
     id_x, id_y = LinearMap.identity(x.space), LinearMap.identity(y.space)
     action = compose_all(
-        tensor_map(x.module.action, y.module.action),
+        kron(x.module.action, y.module.action),
         permutation_map([h, h, x.space, y.space], [0, 2, 1, 3]),
-        tensor_maps(base.comul, id_x, id_y),
+        kron(base.comul, id_x, id_y),
     )
     coaction = compose_all(
-        tensor_maps(base.mul, id_x, id_y),
+        kron(base.mul, id_x, id_y),
         permutation_map([h, x.space, h, y.space], [0, 2, 1, 3]),
-        tensor_map(x.coaction, y.coaction),
+        kron(x.coaction, y.coaction),
     )
     return action, coaction
 
@@ -110,9 +110,9 @@ def _permuted_yd_tensor(x, y):
 def _flipped_braiding(x, v):
     """Reference c(x (x) v) = x(-1).v (x) x(0) through Kronecker products."""
     return compose_all(
-        tensor_map(v.action, LinearMap.identity(x.space)),
-        tensor_map(LinearMap.identity(x.base.space), flip_map(x.space, v.space)),
-        tensor_map(x.coaction, LinearMap.identity(v.space)),
+        kron(v.action, LinearMap.identity(x.space)),
+        kron(LinearMap.identity(x.base.space), flip_map(x.space, v.space)),
+        kron(x.coaction, LinearMap.identity(v.space)),
     )
 
 

@@ -17,8 +17,10 @@ from hopfcleft.cocycle import (
 from hopfcleft.errors import ShapeMismatch
 from hopfcleft.fixtures import classical_cyclic
 from hopfcleft.hopf import convolution_inverse_or_none
-from hopfcleft.linalg import LinearMap, compose, tensor_map, tensor_maps, tensor_space
+from hopfcleft.linalg import LinearMap, compose, tensor_space
 from hopfcleft.oracle import enumerate_cocycles
+
+from conftest import kron
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +116,8 @@ def test_derived_relations_reported(braided_cocycles):
 def _materialised_braided_coalgebra(b, a, c_ba):
     """Reference comultiplication (id (x) c_{B,A} (x) id)(comul_B (x) comul_A),
     through the Kronecker product with the identities."""
-    middle = tensor_maps(LinearMap.identity(b.space), c_ba, LinearMap.identity(a.space))
-    return compose(middle, tensor_map(b.comul, a.comul))
+    middle = kron(LinearMap.identity(b.space), c_ba, LinearMap.identity(a.space))
+    return compose(middle, kron(b.comul, a.comul))
 
 
 @pytest.mark.parametrize("name", ["qline_f3", "boson4", "boson8"])
@@ -128,15 +130,15 @@ def test_braided_coalgebras_equal_the_materialised_chain(request, name):
     pair_comul = _materialised_braided_coalgebra(hopf.coalg, hopf.coalg, c_hh)
     pair = pair_coalgebra(hopf)
     assert pair.comul == pair_comul
-    assert pair.counit == tensor_map(hopf.counit, hopf.counit)
+    assert pair.counit == kron(hopf.counit, hopf.counit)
     # c_{H, H (x) H} = (id (x) c_{H,H})(c_{H,H} (x) id), a braiding axiom
-    c_h_hh = compose(tensor_map(id_h, c_hh), tensor_map(c_hh, id_h))
+    c_h_hh = compose(kron(id_h, c_hh), kron(c_hh, id_h))
     triple_comul = compose(
-        tensor_maps(id_h, c_h_hh, LinearMap.identity(pair.space)),
-        tensor_map(hopf.comul, pair_comul))
+        kron(id_h, c_h_hh, LinearMap.identity(pair.space)),
+        kron(hopf.comul, pair_comul))
     triple = triple_coalgebra(hopf)
     assert triple.comul == triple_comul
-    assert triple.counit == tensor_map(hopf.counit, pair.counit)
+    assert triple.counit == kron(hopf.counit, pair.counit)
 
 
 def test_triple_coalgebra_builds_no_large_map(monkeypatch, boson8):

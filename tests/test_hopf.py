@@ -31,9 +31,10 @@ from hopfcleft.linalg import (
     flip_map,
     solve_linear,
     tensor_map,
-    tensor_maps,
 )
 from hopfcleft.oracle import enumerate_zprime
+
+from conftest import kron
 
 
 @pytest.mark.parametrize("field,n", [
@@ -180,8 +181,8 @@ def test_antipode_order_divides_group_exponent(kc4_f5):
 def test_iterated_mul_comul_consistency(kc4_f5):
     h = kc4_f5
     id_h = LinearMap.identity(h.space)
-    assert iterated_mul(h.alg, 2) == compose(h.mul, tensor_map(h.mul, id_h))
-    assert iterated_comul(h.coalg, 2) == compose(tensor_map(h.comul, id_h), h.comul)
+    assert iterated_mul(h.alg, 2) == compose(h.mul, kron(h.mul, id_h))
+    assert iterated_comul(h.coalg, 2) == compose(kron(h.comul, id_h), h.comul)
 
 
 def test_conv_naturality_along_group_morphism(f3):
@@ -202,8 +203,8 @@ def test_conv_naturality_along_group_morphism(f3):
 def _materialised_braided_product(f, a, b, c_ba):
     """Reference (mul_A (x) mul_B)(id (x) c_{B,A} (x) id)(f (x) f), through
     Kronecker products."""
-    middle = tensor_maps(LinearMap.identity(a.space), c_ba, LinearMap.identity(b.space))
-    return compose_all(tensor_map(a.mul, b.mul), middle, tensor_map(f, f))
+    middle = kron(LinearMap.identity(a.space), c_ba, LinearMap.identity(b.space))
+    return compose_all(kron(a.mul, b.mul), middle, kron(f, f))
 
 
 def test_braided_product_equals_the_materialised_product(boson8, qline_f3):

@@ -4,9 +4,9 @@ import pytest
 
 from hopfcleft.braided import trivial_measuring
 from hopfcleft.cleft import crossed_to_cleft, functor_F
-from hopfcleft.cocycle import crossed_product
+from hopfcleft.cocycle import check_cocycle, crossed_product, pair_coalgebra, triple_coalgebra
 from hopfcleft.errors import AxiomFailure, NotInvertible, SearchSpaceTooLarge
-from hopfcleft.fields import FieldSpec
+from hopfcleft.fields import FieldSpec, Scalar
 from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_grading
 from hopfcleft.hopf import check_hopf, convolution_inverse, iterated_comul
 from hopfcleft.lifting import (
@@ -32,10 +32,13 @@ from hopfcleft.linalg import (
     compose,
     compose_all,
     permutation_map,
-    tensor_map,
     tensor_maps,
+    tensor_space,
+    unit_space,
 )
 from hopfcleft.oracle import enumerate_cocycles, enumerate_zprime
+
+from conftest import kron
 
 
 @pytest.fixture(scope="module")
@@ -49,10 +52,10 @@ def _permuted_smash_mul(e, action, h):
     es, hs = e.space, h.space
     id_e, id_h = LinearMap.identity(es), LinearMap.identity(hs)
     return compose_all(
-        tensor_map(e.mul, id_h),
-        tensor_maps(id_e, action, h.mul),
+        kron(e.mul, id_h),
+        kron(id_e, action, h.mul),
         permutation_map([es, hs, hs, es, hs], [0, 1, 3, 2, 4]),
-        tensor_maps(id_e, h.comul, id_e, id_h),
+        kron(id_e, h.comul, id_e, id_h),
     )
 
 
@@ -62,10 +65,10 @@ def _permuted_cosmash(first, coaction_r, h):
     es, hs, rs = first.source, h.space, coaction_r.source
     id_e, id_h = LinearMap.identity(es), LinearMap.identity(hs)
     return compose_all(
-        tensor_maps(id_e, h.mul, LinearMap.identity(rs), id_h),
+        kron(id_e, h.mul, LinearMap.identity(rs), id_h),
         permutation_map([es, hs, rs, hs, hs], [0, 1, 3, 2, 4]),
-        tensor_maps(id_e, coaction_r, id_h, id_h),
-        tensor_map(first, h.comul),
+        kron(id_e, coaction_r, id_h, id_h),
+        kron(first, h.comul),
     )
 
 
@@ -81,8 +84,8 @@ def test_bosonize_equals_the_permutation_chains(request, name):
     r, h = b.source.hopf, b.ambient
     assert b.hopf.mul == _permuted_smash_mul(r.alg, r.yd.module.action, h)
     assert b.hopf.comul == _permuted_cosmash(r.comul, r.yd.coaction, h)
-    assert b.hopf.unit == tensor_map(r.unit, h.unit)
-    assert b.hopf.counit == tensor_map(r.counit, h.counit)
+    assert b.hopf.unit == kron(r.unit, h.unit)
+    assert b.hopf.counit == kron(r.counit, h.counit)
 
 
 @pytest.mark.parametrize("name", ["boson4", "boson8"])
@@ -93,7 +96,7 @@ def test_smash_comodule_algebra_equals_the_permutation_chains(request, name):
     e = functor_F(phi_inverse(enumerate_zprime(b)[1])).comodule_algebra
     big = smash_comodule_algebra(b, e)
     assert big.algebra.mul == _permuted_smash_mul(e.algebra, e.carrier.action, h)
-    assert big.algebra.unit == tensor_map(e.algebra.unit, h.unit)
+    assert big.algebra.unit == kron(e.algebra.unit, h.unit)
     assert big.coaction == _permuted_cosmash(e.coaction, r.yd.coaction, h)
 
 
@@ -244,8 +247,8 @@ def _materialised_doi_product(b, sigmas):
     hopf = b.hopf
     hs = hopf.space
     com2 = iterated_comul(hopf.coalg, 2)
-    spread = compose(permutation_map([hs] * 6, [0, 3, 1, 4, 2, 5]), tensor_map(com2, com2))
-    return [compose(tensor_maps(s.sigma, hopf.mul, s.sigma_inv), spread) for s in sigmas]
+    spread = compose(permutation_map([hs] * 6, [0, 3, 1, 4, 2, 5]), kron(com2, com2))
+    return [compose(kron(s.sigma, hopf.mul, s.sigma_inv), spread) for s in sigmas]
 
 
 def test_deform_equals_the_materialised_doi_chain(boson4, boson8, f5_sigmas):
@@ -275,6 +278,83 @@ def test_check_hopf_builds_no_large_map(monkeypatch, boson8, f5_sigmas):
         monkeypatch.undo()
         assert report.ok, str(report)
         assert largest[0] <= 1_000
+
+
+@pytest.fixture(scope="module")
+def boson16_f17():
+    """The dim-16 bosonization of the quantum line over kC8/F_17, with its
+    pair and triple coalgebras built."""
+    ambient = cyclic_group_hopf(FieldSpec.prime_field(17), 8)
+    b = bosonize(GradedYDHopf(quantum_line(ambient), quantum_line_grading()))
+    triple_coalgebra(b.braided())
+    return b
+
+
+def _restricted_sigma(b, value: int) -> LinearMap:
+    """The unital map on R (x) R with (x, x) -> value, extended to H (x) H by
+    the restriction formula, as the restricted-cocycle sweep builds it."""
+    rs = b.source.space
+    field = rs.field
+    pi_map = LinearMap.from_labels(tensor_space(rs, rs), unit_space(field), [
+        ("1", "1.1", field.one()), ("1", "x.x", field.scalar(value))])
+    spread = tensor_maps(
+        LinearMap.identity(rs), b.source.hopf.yd.module.action, b.ambient.counit)
+    return compose(pi_map, spread)
+
+
+def test_check_zprime_multiplication_count(boson16_f17, monkeypatch):
+    # machine-independent guard: the cocycle relations run as slot
+    # contractions of factored tensor maps (55,075 products when this test
+    # was written); materialising every tensor_map as a Kronecker product
+    # took 106,869
+    sigma = _restricted_sigma(boson16_f17, 3)
+    calls = 0
+    original = Scalar.__mul__
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return original(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting_mul)
+    result = check_zprime(boson16_f17, sigma)
+    monkeypatch.undo()
+    assert result.in_zprime, str(result.report)
+    assert calls <= 60_000
+
+
+def test_checks_build_no_kronecker_product(boson16_f17, monkeypatch):
+    """Machine-independent size guard on the dim-16 bosonization: no map
+    built while checking is larger than the structure maps the check reads
+    or the relation sides it compares. Materialised, tensor_map(mul, id)
+    has 3,072 entries in check_hopf, and the cocycle chains reach 24,576
+    in check_cocycle."""
+    b = boson16_f17
+    hopf = b.braided()
+    sigma = _restricted_sigma(b, 3)
+    m = trivial_measuring(hopf)
+    ident = LinearMap.identity(b.space)
+    structure = [b.hopf.mul, b.hopf.comul, b.hopf.antipode, hopf.bialg.self_braiding]
+    # associativity compares two maps H (x) H (x) H -> H
+    assoc = compose(b.hopf.mul, kron(b.hopf.mul, ident))
+    coalgebras = [pair_coalgebra(hopf).comul, triple_coalgebra(hopf).comul, sigma]
+    largest = [0]
+    original = LinearMap.__init__
+
+    def counting_init(self, source, target, entries=None):
+        original(self, source, target, entries)
+        largest[0] = max(largest[0], len(self.entries))
+
+    for check, reads in (
+        (lambda: check_hopf(b.hopf), [*structure, assoc]),
+        (lambda: check_cocycle(m, sigma)[1], [*structure, *coalgebras]),
+    ):
+        largest[0] = 0
+        monkeypatch.setattr(LinearMap, "__init__", counting_init)
+        report = check()
+        monkeypatch.undo()
+        assert report.ok, str(report)
+        assert largest[0] <= max(len(f.entries) for f in reads)
 
 
 def test_deformed_square_of_the_generator(boson8, f5_sigmas):

@@ -8,6 +8,7 @@ from hopfcleft.fields import FieldSpec
 from hopfcleft.linalg import (
     BasedSpace,
     LinearMap,
+    TensorMap,
     apply_in_slot,
     based_space,
     compose,
@@ -21,10 +22,11 @@ from hopfcleft.linalg import (
     precompose_in_slot,
     solve_linear,
     tensor_map,
-    tensor_maps,
     tensor_space,
     unit_space,
 )
+
+from conftest import kron
 
 F5 = FieldSpec.prime_field(5)
 
@@ -214,9 +216,66 @@ def _slot_case(draw):
 @given(_slot_case())
 def test_slot_kernel_matches_the_kronecker_product(case):
     left, f, right, g, h = case
-    middle = tensor_maps(LinearMap.identity(left), f, LinearMap.identity(right))
+    middle = kron(LinearMap.identity(left), f, LinearMap.identity(right))
     assert apply_in_slot(left, f, right, g) == compose(middle, g)
     assert precompose_in_slot(h, left, f, right) == compose(h, middle)
+
+
+@st.composite
+def _factor(draw, field, spaces):
+    """A factor map X -> Y: sparse, an identity, or itself a tensor_map of two
+    (then nested), over atomic, tensor or unit spaces."""
+    kind = draw(st.sampled_from(["sparse", "sparse", "identity", "nested"]))
+    if kind == "identity":
+        x = draw(st.sampled_from(spaces))
+        return LinearMap.identity(x), LinearMap.identity(x)
+    if kind == "nested":
+        (f, kf), (g, kg) = (draw(_factor(field, spaces[:2])) for _ in range(2))
+        return tensor_map(f, g), kron(kf, kg)
+    x, y = (draw(st.sampled_from(spaces)) for _ in range(2))
+    f = draw(_sparse_map(x, y))
+    return f, f
+
+
+@st.composite
+def _factored_case(draw):
+    """(factored, reference): tensor_map(f, g) and kron of the same factors."""
+    field = draw(st.sampled_from([F5, Q]))
+    spaces = _slot_spaces(field)
+    (f, kf), (g, kg) = (draw(_factor(field, spaces)) for _ in range(2))
+    return field, spaces, tensor_map(f, g), kron(kf, kg)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_factored_case(), st.data())
+def test_factored_tensor_map_equals_the_kronecker_product(case, data):
+    field, spaces, factored, ref = case
+    assert factored == ref and ref == factored
+    assert hash(factored) == hash(ref)
+    assert str(factored) == str(ref)
+    outer = data.draw(st.sampled_from(spaces[1:3]))
+    g = data.draw(_sparse_map(outer, factored.source))
+    h = data.draw(_sparse_map(factored.target, outer))
+    assert compose(factored, g) == compose(ref, g)
+    assert compose(h, factored) == compose(h, ref)
+    left, right = (data.draw(st.sampled_from(spaces[:2])) for _ in range(2))
+    middle = kron(LinearMap.identity(left), ref, LinearMap.identity(right))
+    g2 = data.draw(_sparse_map(outer, middle.source))
+    h2 = data.draw(_sparse_map(middle.target, outer))
+    assert apply_in_slot(left, factored, right, g2) == compose(middle, g2)
+    assert precompose_in_slot(h2, left, factored, right) == compose(h2, middle)
+    # a factored map on either side of compose: with matching factor shapes
+    # the result stays factored, otherwise one side is taken apart
+    a, b = factored.factors
+    ka = data.draw(_sparse_map(a.target, data.draw(st.sampled_from(spaces))))
+    kb = data.draw(_sparse_map(b.target, data.draw(st.sampled_from(spaces))))
+    after = compose(tensor_map(ka, kb), factored)
+    assert after == compose(kron(ka, kb), ref)
+    assert isinstance(after, TensorMap)
+    regrouped = tensor_map(
+        LinearMap.identity(unit_space(field)), tensor_map(ka, kb))
+    assert compose(regrouped, factored) == compose(kron(ka, kb), ref)
 
 
 def test_slot_kernel_rejects_a_wrong_slot():

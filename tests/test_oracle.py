@@ -9,13 +9,15 @@ from hopfcleft.fixtures import classical_cyclic, cyclic_group_hopf, non_hopf_bia
 from hopfcleft.hopf import convolution_inverse
 from hopfcleft.cocycle import check_cocycle
 from hopfcleft.lifting import check_zprime
-from hopfcleft.linalg import LinearMap, compose, tensor_map, tensor_maps, tensor_space, unit_space
+from hopfcleft.linalg import LinearMap, compose, tensor_space, unit_space
 from hopfcleft.oracle import (
     SearchSpace,
     enumerate_cocycles,
     enumerate_zprime,
     oracle_convolution_inverse,
 )
+
+from conftest import kron
 
 
 def test_antipode_matches_exhaustive_inverse(kc2_f3):
@@ -86,7 +88,7 @@ def _full_sweep(source, target, slots, unit, want, verify):
     sigma(h (x) 1) = want(h), and then on ``verify(sigma)``."""
     field = target.field
     id_h = LinearMap.identity(unit.target)
-    left, right = tensor_map(unit, id_h), tensor_map(id_h, unit)
+    left, right = kron(unit, id_h), kron(id_h, unit)
     found = []
     for values in itertools.product(range(field.p), repeat=len(slots)):
         sigma = LinearMap(source, target,
@@ -119,7 +121,7 @@ def test_restricted_sweep_equals_the_unrestricted_sweep(request, name):
     b = request.getfixturevalue(name)
     r = b.source.hopf
     source = tensor_space(r.space, r.space)
-    spread = tensor_maps(LinearMap.identity(r.space), r.yd.module.action, b.ambient.counit)
+    spread = kron(LinearMap.identity(r.space), r.yd.module.action, b.ambient.counit)
 
     def verify(pi_map):
         result = check_zprime(b, compose(pi_map, spread))
