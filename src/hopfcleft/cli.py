@@ -149,7 +149,7 @@ _fmt_option = click.option(
     help="Report output shape.")
 _role_option = click.option("--role", "role_name", default=None, help="Role to use.")
 _bound_option = click.option(
-    "--bound", default=DEFAULT_BOUND, show_default=True,
+    "--bound", type=click.IntRange(min=1), default=DEFAULT_BOUND, show_default=True,
     help="Maximum number of candidates an exhaustive sweep may visit.")
 _out_option = click.option(
     "--out", "out_path", default=None, help="Write the result as a definition file.")
@@ -497,7 +497,7 @@ def gr_check_cmd(file, role_name, fmt, bound, sigma_index):
 @click.argument("file")
 @_role_option
 @_fmt_option
-@click.option("--bound", default=200_000, show_default=True,
+@click.option("--bound", type=click.IntRange(min=1), default=200_000, show_default=True,
               help="Maximum number of candidates a restricted-cocycle sweep may "
                    "visit, and of values one twisting search may try.")
 @_command_errors

@@ -11,7 +11,7 @@ bosonization as associated graded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from .braided import (
     BraidedBialgebra,
@@ -134,6 +134,9 @@ class Bosonization:
     # the classical wrapper of ``hopf``, built on first use by ``braided()``
     braided_cache: BraidedBialgebra | None = dc_field(
         default=None, init=False, repr=False, compare=False)
+    # the check_zprime verdict on each distinct sigma checked so far
+    zprime_cache: dict[LinearMap, ScalarCocycleH] = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def space(self) -> BasedSpace:
@@ -251,7 +254,20 @@ def _restricted_form(b: Bosonization, sigma: LinearMap) -> LinearMap:
 
 def check_zprime(b: Bosonization, sigma: LinearMap) -> ScalarCocycleH:
     """Classical cocycle verification plus the restriction condition, with the
-    derived consequences asserted whenever both hold."""
+    derived consequences asserted whenever both hold.
+
+    Each distinct sigma is verified once per bosonization: the verdict is kept
+    on ``b`` and shared with every later call on an equal map (equal maps have
+    the same basis labels, so the report text is the same too). Every call
+    gets its own report, carrying the caller's sigma."""
+    verdict = b.zprime_cache.get(sigma)
+    if verdict is None:
+        verdict = b.zprime_cache[sigma] = _check_zprime(b, sigma)
+    report = CheckReport(verdict.report.subject, list(verdict.report.items))
+    return replace(verdict, sigma=sigma, report=report)
+
+
+def _check_zprime(b: Bosonization, sigma: LinearMap) -> ScalarCocycleH:
     cls = trivial_measuring(b.braided())
     cocycle, report = check_cocycle(cls, sigma)
     in_z = cocycle is not None
@@ -558,7 +574,10 @@ def cleft_prime_census(b: Bosonization, bound: int = 200_000) -> CensusResult:
     bosonization, cross-check against the direct sweep of restricted scalar
     cocycles, verify that the crossed-product route and the product-algebra
     route give the same cleft object for every entry, and group the results
-    into comodule-algebra isomorphism classes."""
+    into comodule-algebra isomorphism classes. The extension, the direct
+    sweep and the section cocycle each end in ``check_zprime`` on an equal
+    map; the full check runs once per restricted cocycle and the later
+    routes share its verdict."""
     from .cleft import crossed_to_cleft
     from .oracle import enumerate_cocycles, enumerate_zprime
 

@@ -233,6 +233,16 @@ def test_oracle_bound_too_small_exits_2(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["oracle", "census", "gr-check"])
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_non_positive_bound_is_a_usage_error(runner, command, bound):
+    result = run(runner, [command, "qline_kc2_f3.had", "--bound", bound],
+                 env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})
+    assert result.exit_code == 2
+    assert "Invalid value for '--bound'" in result.output
+    assert "candidates exceed" not in result.output
+
+
 def test_convolution_inverse_prints_antipode(runner):
     result = run(runner, ["convolution-inverse", "kc2_q.had"],
                  env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})

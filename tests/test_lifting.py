@@ -1,7 +1,9 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
+from hopfcleft import cleft, lifting, oracle
 from hopfcleft.braided import trivial_measuring
 from hopfcleft.cleft import crossed_to_cleft, functor_F
 from hopfcleft.cocycle import check_cocycle, crossed_product, pair_coalgebra, triple_coalgebra
@@ -37,6 +39,7 @@ from hopfcleft.linalg import (
     unit_space,
 )
 from hopfcleft.oracle import enumerate_cocycles, enumerate_zprime
+from hopfcleft.report import CheckItem
 
 from conftest import kron
 
@@ -398,6 +401,84 @@ def test_non_cocycle_is_rejected_by_check_zprime(boson4):
                     {(0, j): field.one() for j in range(src.dim)})
     result = check_zprime(boson4, bad)
     assert not result.in_z and not result.in_zprime
+
+
+def _swept_and_rejected(b, monkeypatch):
+    """Every unital candidate the restricted-cocycle sweep checks on b, then
+    the zero map (not convolution-invertible) and a restricted cocycle with
+    its (1, 1) value changed (invertible, but not normalised)."""
+    swept = []
+    original = lifting.check_zprime
+
+    def record(bos, sigma):
+        swept.append(sigma)
+        return original(bos, sigma)
+
+    monkeypatch.setattr(lifting, "check_zprime", record)
+    found = enumerate_zprime(b)
+    monkeypatch.undo()
+    field = b.space.field
+    zero = LinearMap.zero(tensor_space(b.space, b.space), unit_space(field))
+    entries = dict(found[-1].sigma.entries)
+    entries[(0, 0)] = entries[(0, 0)] + field.one()
+    changed = LinearMap(zero.source, zero.target, entries)
+    return swept, [zero, changed]
+
+
+@pytest.mark.parametrize("name", ["boson4", "boson8"])
+def test_shared_zprime_verdict_equals_a_fresh_check(request, monkeypatch, name):
+    b = replace(request.getfixturevalue(name))  # same algebra, empty caches
+    swept, rejected = _swept_and_rejected(b, monkeypatch)
+    assert len(swept) == b.space.field.p
+    fresh = bosonize(b.source)
+    for sigma in [*swept, *rejected]:
+        first = check_zprime(b, sigma)
+        equal = LinearMap(sigma.source, sigma.target, dict(sigma.entries))
+        cached = len(b.zprime_cache)
+        shared = check_zprime(b, equal)
+        assert len(b.zprime_cache) == cached  # the second call was a hit
+        expected = check_zprime(fresh, sigma)
+        assert first.sigma is sigma and shared.sigma is equal
+        assert shared.in_z == expected.in_z
+        assert shared.in_zprime == expected.in_zprime
+        assert shared.sigma_inv == expected.sigma_inv
+        assert shared.report.lines() == expected.report.lines()
+    zero, changed = (check_zprime(b, sigma) for sigma in rejected)
+    assert not zero.in_z and not changed.in_z
+    # "convolution invertible" fails only for the zero map
+    assert not zero.report.items[0].ok and changed.report.items[0].ok
+
+
+def test_shared_zprime_report_is_not_shared(boson8):
+    b = replace(boson8)
+    sigma = _restricted_sigma(b, 1)
+    first = check_zprime(b, sigma)
+    first.report.add(CheckItem("appended by the first caller", True))
+    later = check_zprime(b, sigma)
+    later.report.add(CheckItem("appended by a later caller", True))
+    last = check_zprime(b, sigma)
+    assert last.report.lines() == first.report.lines()[:-1]
+    assert last.report.lines() == later.report.lines()[:-1]
+
+
+def test_census_check_cocycle_call_count(boson8, monkeypatch):
+    # the 5 cocycles on R are checked by the braided sweep, in phi and in
+    # the section-cocycle construction; the direct sweep and the section
+    # route share phi's check_zprime verdict (25 calls without sharing)
+    calls = 0
+    original = check_cocycle
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    for module in (lifting, oracle, cleft):
+        monkeypatch.setattr(module, "check_cocycle", counting)
+    result = cleft_prime_census(replace(boson8))
+    assert result.report.ok, str(result.report)
+    assert result.classes == [[0], [1, 4], [2, 3]]
+    assert calls <= 15
 
 
 def test_census_classes_f5(boson8):
