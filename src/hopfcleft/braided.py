@@ -33,13 +33,11 @@ from .hopf import (
 from .linalg import (
     BasedSpace,
     LinearMap,
-    apply_in_slot,
     compose,
     compose_all,
     equalizer,
+    flip_map,
     invert,
-    permutation_map,
-    precompose_in_slot,
     solve_linear,
     tensor_map,
     tensor_maps,
@@ -128,14 +126,14 @@ def check_yd(x: YDModule) -> CheckReport:
     report.extend(check_comodule(HComodule(base, x.space, x.coaction)))
     h, v = base.space, x.space
     lhs = compose(x.coaction, x.module.action)
-    id_h = LinearMap.identity(h)
+    id_h, id_v = LinearMap.identity(h), LinearMap.identity(v)
     spread = tensor_map(iterated_comul(base.coalg, 2), x.coaction)  # h1 h2 h3 x-1 x0
-    twist = compose(
-        permutation_map([h, h, h, h, v], [0, 3, 2, 1, 4]),
-        tensor_maps(id_h, id_h, base.antipode, id_h, LinearMap.identity(v)),
-    )
-    rhs = compose_all(
-        tensor_map(iterated_mul(base.alg, 2), x.module.action), twist, spread)
+    x_first = tensor_maps(id_h, flip_map(tensor_space(h, h), h), id_v)  # h1 x-1 h2 h3 x0
+    s_h3 = compose(tensor_map(base.antipode, id_h), flip_map(h, h))
+    h2_last = tensor_maps(id_h, id_h, s_h3, id_v)  # h1 x-1 S(h3) h2 x0
+    rhs = compose(
+        tensor_map(iterated_mul(base.alg, 2), x.module.action),
+        compose(h2_last, compose(x_first, spread)))
     report.add(map_equal_item("Yetter-Drinfeld compatibility", lhs, rhs))
     return report
 
@@ -245,8 +243,8 @@ def yd_tensor(x: YDModule, y: YDModule) -> YDModule:
     action, and the coaction x (x) y -> x_(-1) y_(-1) (x) x_(0) (x) y_(0),
     which is twist(coaction_X, mul) applied to x (x) y_(-1)."""
     module = ambient_module_tensor(x.module, y.module)
-    coaction = apply_in_slot(
-        unit_space(x.space.field), twist(x.coaction, x.base.mul), y.space,
+    coaction = compose(
+        tensor_map(twist(x.coaction, x.base.mul), LinearMap.identity(y.space)),
         tensor_map(LinearMap.identity(x.space), y.coaction))
     return YDModule(module, coaction)
 
@@ -255,8 +253,8 @@ def ambient_module_tensor(m: HModule, n: HModule) -> HModule:
     """Tensor product of modules over the (classical) ambient Hopf algebra:
     h.(m (x) n) = h1.m (x) h2.n, acting on n after twist(comul, action_M)."""
     c = twist(m.base.comul, m.action)  # h (x) m -> h1.m (x) h2
-    action = apply_in_slot(
-        m.space, n.action, unit_space(m.space.field),
+    action = compose(
+        tensor_map(LinearMap.identity(m.space), n.action),
         tensor_map(c, LinearMap.identity(n.space)))
     return HModule(m.base, tensor_space(m.space, n.space), action)
 
@@ -333,7 +331,9 @@ def braided_tensor_algebra(
     multiplication (mul_A (x) mul_B)(id (x) c_{B,A} (x) id). The bosonization
     is R (x) H with c_{H,R} = twist(comul_H, action_R)."""
     space = tensor_space(a.space, b.space)
-    mul = precompose_in_slot(tensor_map(a.mul, b.mul), a.space, c_ba, b.space)
+    mul = compose(
+        tensor_map(a.mul, b.mul),
+        tensor_maps(LinearMap.identity(a.space), c_ba, LinearMap.identity(b.space)))
     unit = tensor_map(a.unit, b.unit)
     return AlgebraData(space, mul, unit)
 
@@ -346,7 +346,9 @@ def braided_tensor_coalgebra(
     bosonization is R (x) H with c_{R,H} = twist(coaction_R, mul_H); the pair
     coalgebra is H (x) H with the self-braiding."""
     space = tensor_space(b.space, a.space)
-    comul = apply_in_slot(b.space, c_ba, a.space, tensor_map(b.comul, a.comul))
+    comul = compose(
+        tensor_maps(LinearMap.identity(b.space), c_ba, LinearMap.identity(a.space)),
+        tensor_map(b.comul, a.comul))
     counit = tensor_map(b.counit, a.counit)
     return CoalgebraData(space, comul, counit)
 
@@ -394,9 +396,10 @@ def check_measuring(m: Measuring) -> CheckReport:
         compose(m.nu, tensor_map(id_h, a.unit)),
         compose(a.unit, m.hopf.counit),
     ))
-    rel3_rhs = compose(
-        precompose_in_slot(
-            compose(a.mul, tensor_map(m.nu, m.nu)), h, m.hopf.braid_with(m.carrier), a.space),
+    rel3_rhs = compose_all(
+        a.mul,
+        tensor_map(m.nu, m.nu),
+        tensor_maps(id_h, m.hopf.braid_with(m.carrier), id_a),
         tensor_maps(m.hopf.comul, id_a, id_a),
     )
     report.add(map_equal_item(

@@ -49,6 +49,7 @@ from .lifting import (
 )
 from .linalg import LinearMap
 from .oracle import (
+    CENSUS_BOUND,
     DEFAULT_BOUND,
     enumerate_cocycles,
     enumerate_zprime,
@@ -497,7 +498,7 @@ def gr_check_cmd(file, role_name, fmt, bound, sigma_index):
 @click.argument("file")
 @_role_option
 @_fmt_option
-@click.option("--bound", type=click.IntRange(min=1), default=200_000, show_default=True,
+@click.option("--bound", type=click.IntRange(min=1), default=CENSUS_BOUND, show_default=True,
               help="Maximum number of candidates a restricted-cocycle sweep may "
                    "visit, and of values one twisting search may try.")
 @_command_errors

@@ -33,7 +33,6 @@ from .linalg import (
     LinearMap,
     compose,
     compose_all,
-    precompose_in_slot,
     tensor_map,
     tensor_maps,
     tensor_space,
@@ -78,9 +77,10 @@ def mu_sigma(m: Measuring, sigma: LinearMap) -> LinearMap:
     """The candidate multiplication on A (x) H induced by sigma."""
     a = m.algebra
     id_h = LinearMap.identity(m.hopf.space)
-    return precompose_in_slot(
-        compose(tensor_map(a.mul, id_h), tensor_map(a.mul, sigma_hat(m, sigma))),
-        a.space, c_nu(m), m.hopf.space,
+    return compose_all(
+        tensor_map(a.mul, id_h),
+        tensor_map(a.mul, sigma_hat(m, sigma)),
+        tensor_maps(LinearMap.identity(a.space), c_nu(m), id_h),
     )
 
 

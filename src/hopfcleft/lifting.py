@@ -40,15 +40,15 @@ from .hopf import (
 from .linalg import (
     BasedSpace,
     LinearMap,
-    apply_in_slot,
     compose,
     compose_all,
     flip_map,
-    permutation_map,
     tensor_map,
     tensor_maps,
+    tensor_space,
     unit_space,
 )
+from .oracle import CENSUS_BOUND, enumerate_cocycles, enumerate_zprime
 from .report import CheckItem, CheckReport, map_equal_item
 
 
@@ -285,7 +285,6 @@ def _check_zprime(b: Bosonization, sigma: LinearMap) -> ScalarCocycleH:
 
 def _zprime_derived(b: Bosonization, sigma: LinearMap, sigma_inv: LinearMap) -> CheckReport:
     g = b.source
-    hs = b.ambient.space
     report = CheckReport("derived restriction relations")
     id_hh = LinearMap.identity(b.space)
     id_r = LinearMap.identity(g.space)
@@ -388,8 +387,10 @@ def smash_comodule_algebra(b: Bosonization, e: ComoduleAlgebra) -> ComoduleAlgeb
     g = b.source
     h = g.ambient
     algebra = braided_tensor_algebra(e.algebra, h.alg, twist(h.comul, e.carrier.action))
-    coaction = apply_in_slot(
-        e.space, twist(g.hopf.yd.coaction, h.mul), h.space, tensor_map(e.coaction, h.comul))
+    coaction = compose(
+        tensor_maps(LinearMap.identity(e.space), twist(g.hopf.yd.coaction, h.mul),
+                    LinearMap.identity(h.space)),
+        tensor_map(e.coaction, h.comul))
     boson = b.braided()
     carrier = trivial_module(boson.ambient, algebra.space)
     return ComoduleAlgebra(boson, algebra, coaction=coaction, carrier=carrier)
@@ -459,14 +460,14 @@ def check_cprime_section(b: Bosonization, ce: CleftExtension) -> CheckReport:
         compose_all(gamma, jh, b.ambient.antipode),
         compose(gamma_inv, jh),
     ))
+    reverse = compose(  # h (x) x (x) h' -> h' (x) x (x) h
+        tensor_map(LinearMap.identity(hs), flip_map(hs, bigspace)),
+        flip_map(tensor_space(hs, bigspace), hs))
     report.add(map_equal_item(
         "inverse section reverses the sandwich",
         compose(gamma_inv, sandwich),
-        compose_all(
-            emul2,
-            tensor_maps(compose(gamma_inv, jh), gamma_inv, compose(gamma_inv, jh)),
-            permutation_map([hs, bigspace, hs], [2, 1, 0]),
-        ),
+        compose(emul2, compose(
+            tensor_maps(compose(gamma_inv, jh), gamma_inv, compose(gamma_inv, jh)), reverse)),
     ))
     return report
 
@@ -569,7 +570,7 @@ class CensusResult:
         return [self.sigmas[group[0]] for group in self.classes]
 
 
-def cleft_prime_census(b: Bosonization, bound: int = 200_000) -> CensusResult:
+def cleft_prime_census(b: Bosonization, bound: int = CENSUS_BOUND) -> CensusResult:
     """Enumerate all braided scalar cocycles on R, extend them to the
     bosonization, cross-check against the direct sweep of restricted scalar
     cocycles, verify that the crossed-product route and the product-algebra
@@ -579,7 +580,6 @@ def cleft_prime_census(b: Bosonization, bound: int = 200_000) -> CensusResult:
     map; the full check runs once per restricted cocycle and the later
     routes share its verdict."""
     from .cleft import crossed_to_cleft
-    from .oracle import enumerate_cocycles, enumerate_zprime
 
     report = CheckReport(f"restricted cocycle census on {b.space.name}")
     g = b.source
@@ -621,7 +621,7 @@ def cleft_prime_census(b: Bosonization, bound: int = 200_000) -> CensusResult:
 def census_classes(
     b: Bosonization,
     cocycles: list[Cocycle],
-    bound: int = 200_000,
+    bound: int = CENSUS_BOUND,
     sigmas: list[ScalarCocycleH] | None = None,
 ) -> list[list[int]]:
     """Partition the extended cocycles into comodule-algebra isomorphism

@@ -7,19 +7,20 @@ its joined basis labels ("a.b.c") are built on first access and cached, so
 large intermediate tensor powers cost nothing until a report names a basis
 vector. Linear maps are stored sparsely as {(row, col): Scalar}.
 
-``apply_in_slot`` and ``precompose_in_slot`` compose a map with
-``id_L (x) f (x) id_R`` by re-indexing one tensor slot of the sparse entries,
-so the Kronecker product with the identities is never built; their cost is
-nnz(g) times the number of entries in a column (or row) of f.
+``compose`` is the one contraction: every product runs through
+``_through_slot``, which re-indexes one tensor slot of sparse entries, so
+composing with ``id_L (x) f (x) id_R`` costs nnz times the number of entries
+in a column (or row) of f and never builds the Kronecker product with the
+identities; the plain product is the same kernel on a single slot.
 
 ``tensor_map(f, g)`` returns a ``TensorMap`` that keeps its two factors. Its
 Kronecker entries are built, through ``LinearMap.__init__``, only when
-something reads them. ``compose``, ``apply_in_slot`` and
-``precompose_in_slot`` take a factored operand apart instead: h . (a (x) b)
-is two ``precompose_in_slot`` calls, (a (x) b) . g two ``apply_in_slot``
-calls, identity factors are skipped, and (a (x) b) . (c (x) d) with matching
-factor shapes stays factored as (a.c) (x) (b.d). A string diagram written as
-a chain of ``tensor_map(f, id)`` therefore runs as slot contractions.
+something reads them. ``compose`` takes a factored operand apart instead:
+each factor is contracted in its own slot, identity factors are skipped, and
+(a (x) b) . (c (x) d) with matching factor shapes stays factored as
+(a.c) (x) (b.d). A string diagram written as a chain of ``tensor_map(f, id)``
+therefore runs as slot contractions; a slot application is
+``compose(tensor_maps(id_L, f, id_R), g)``.
 
 ``solve_linear``, ``kernel_basis``, ``nullity``, ``equalizer`` and ``invert``
 run sparse Gauss-Jordan elimination (``_rref``) on the rows of the entries.
@@ -266,16 +267,18 @@ def _is_identity(f: LinearMap) -> bool:
     return all(i == j and v == one for (i, j), v in f.entries.items())
 
 
-def _respace(m: LinearMap, source: BasedSpace, target: BasedSpace) -> LinearMap:
-    """m on the given (same-basis) spaces, so a result names the spaces its
-    operands name."""
-    if m.source == source and m.target == target:
-        return m
-    return LinearMap(source, target, m.entries)
+def _kron_nnz(f: LinearMap) -> int:
+    """The number of entries of f as a plain map; for a TensorMap the
+    product of its factors' counts, so its Kronecker entries are not built."""
+    if isinstance(f, TensorMap):
+        return prod(_kron_nnz(x) for x in f.factors)
+    return len(f.entries)
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
-    """Matrix product f.g (apply g first)."""
+    """Matrix product f.g (apply g first). Of two factored operands whose
+    factor shapes differ, the one with the larger Kronecker product is taken
+    apart and the other materialised."""
     if not f.source.same_basis(g.target):
         raise ShapeMismatch(f"cannot compose {f.source} after {g.target}")
     if isinstance(g, TensorMap):
@@ -283,19 +286,9 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
             a.source.same_basis(b.target) for a, b in zip(f.factors, g.factors)
         ):
             return TensorMap(*(compose(a, b) for a, b in zip(f.factors, g.factors)))
-        unit = unit_space(g.source.field)
-        return _respace(precompose_in_slot(f, unit, g, unit), g.source, f.target)
-    if isinstance(f, TensorMap):
-        unit = unit_space(f.source.field)
-        return _respace(apply_in_slot(unit, f, unit, g), g.source, f.target)
-    by_col = f.columns()
-    entries: dict = {}
-    for (k, j), gv in g.entries.items():
-        for i, fv in by_col.get(k, ()):
-            key = (i, j)
-            acc = entries.get(key)
-            entries[key] = fv * gv if acc is None else acc + fv * gv
-    return LinearMap(g.source, f.target, entries)
+        if not isinstance(f, TensorMap) or _kron_nnz(g) >= _kron_nnz(f):
+            return LinearMap(g.source, f.target, _contract(f.entries, 1, g, 1))
+    return LinearMap(g.source, f.target, _contract(g.entries, 0, f, 1))
 
 
 def compose_all(*maps: LinearMap) -> LinearMap:
@@ -303,6 +296,28 @@ def compose_all(*maps: LinearMap) -> LinearMap:
     for m in maps[1:]:
         result = compose(result, m)
     return result
+
+
+def _contract(entries: dict, axis: int, f: LinearMap, right: int) -> dict:
+    """The entries of a map m whose coordinate ``axis`` runs over
+    L (x) X (x) R, with R of dimension ``right``, contracted with f in the X
+    slot: on the rows (axis 0, X = f.source) this is (id_L (x) f (x) id_R) . m,
+    on the columns (axis 1, X = f.target) m . (id_L (x) f (x) id_R). A
+    TensorMap is applied factor by factor and identity factors are skipped,
+    so no Kronecker product is built."""
+    if isinstance(f, TensorMap):
+        a, b = f.factors
+        inner = b.source.dim if axis == 0 else b.target.dim
+        entries = _contract(entries, axis, a, inner * right)
+        return _contract(entries, axis, b, right)
+    if _is_identity(f):
+        return entries
+    if axis == 0:
+        return _through_slot(entries, 0, f.columns(), f.source.dim, f.target.dim, right)
+    by_row: dict[int, list] = {}
+    for (k, j), v in f.entries.items():
+        by_row.setdefault(k, []).append((j, v))
+    return _through_slot(entries, 1, by_row, f.target.dim, f.source.dim, right)
 
 
 def _through_slot(entries: dict, axis: int, moves: dict, mid: int, mid_new: int, right: int) -> dict:
@@ -324,37 +339,6 @@ def _through_slot(entries: dict, axis: int, moves: dict, mid: int, mid_new: int,
     return out
 
 
-def apply_in_slot(left: BasedSpace, f: LinearMap, right: BasedSpace, g: LinearMap) -> LinearMap:
-    """(id_left (x) f (x) id_right) . g, without the Kronecker product."""
-    if not g.target.same_basis(tensor_space(left, f.source, right)):
-        raise ShapeMismatch(f"cannot apply {f.source} -> {f.target} in a slot of {g.target}")
-    if isinstance(f, TensorMap):
-        a, b = f.factors
-        g = apply_in_slot(left, a, tensor_space(b.source, right), g)
-        return apply_in_slot(tensor_space(left, a.target), b, right, g)
-    if _is_identity(f):
-        return _respace(g, g.source, tensor_space(left, f.target, right))
-    entries = _through_slot(g.entries, 0, f.columns(), f.source.dim, f.target.dim, right.dim)
-    return LinearMap(g.source, tensor_space(left, f.target, right), entries)
-
-
-def precompose_in_slot(g: LinearMap, left: BasedSpace, f: LinearMap, right: BasedSpace) -> LinearMap:
-    """g . (id_left (x) f (x) id_right), without the Kronecker product."""
-    if not g.source.same_basis(tensor_space(left, f.target, right)):
-        raise ShapeMismatch(f"cannot precompose {f.source} -> {f.target} in a slot of {g.source}")
-    if isinstance(f, TensorMap):
-        a, b = f.factors
-        g = precompose_in_slot(g, left, a, tensor_space(b.target, right))
-        return precompose_in_slot(g, tensor_space(left, a.source), b, right)
-    if _is_identity(f):
-        return _respace(g, tensor_space(left, f.source, right), g.target)
-    by_row: dict[int, list] = {}
-    for (k, j), v in f.entries.items():
-        by_row.setdefault(k, []).append((j, v))
-    entries = _through_slot(g.entries, 1, by_row, f.target.dim, f.source.dim, right.dim)
-    return LinearMap(tensor_space(left, f.source, right), g.target, entries)
-
-
 def tensor_map(f: LinearMap, g: LinearMap) -> LinearMap:
     """f (x) g on the lexicographic tensor basis, kept factored (TensorMap)."""
     if f.source.field != g.source.field:
@@ -370,7 +354,10 @@ def tensor_maps(*maps: LinearMap) -> LinearMap:
 
 
 def permutation_map(factors, perm) -> LinearMap:
-    """Reorder tensor factors: output factor i is input factor perm[i]."""
+    """Reorder tensor factors: output factor i is input factor perm[i],
+    materialised entry by entry. The package builds its reorderings from
+    ``flip_map`` in tensor slots; this stays as the tests' reference and
+    because the benchmark's per-layer metrics name it."""
     factors = list(factors)
     dims = [s.dim for s in factors]
     source = tensor_space(*factors)

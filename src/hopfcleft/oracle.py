@@ -12,14 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braided import Measuring
+from .braided import Measuring, trivial_measuring
 from .cocycle import Cocycle, check_cocycle
 from .errors import NotInvertible, SearchSpaceTooLarge
 from .fields import FieldSpec
 from .hopf import AlgebraData, CoalgebraData, convolution, convolution_unit
-from .linalg import LinearMap, compose, tensor_map, tensor_space
+from .linalg import LinearMap, compose, tensor_map, tensor_maps, tensor_space
 
 DEFAULT_BOUND = 1_000_000
+# the census bounds its two restricted-cocycle sweeps and each twisting search
+CENSUS_BOUND = 200_000
 
 
 @dataclass(frozen=True)
@@ -79,32 +81,34 @@ def enumerate_cocycles(
     order. ``support`` optionally restricts the unknowns to the named
     (target label, source label) slots; a restricted sweep only claims
     completeness on that support."""
-    source = tensor_space(m.hopf.space, m.hopf.space)
-    target = m.space
-    if support is None:
-        slots = [(i, j) for i in range(target.dim) for j in range(source.dim)]
-    else:
-        slots = [(target.index(r), source.index(c)) for r, c in support]
-    left_unit, right_unit, want = _unitality_filter(m)
-    fixed = _pinned_by_unitality(m.hopf.unit, want, slots)
-    space = SearchSpace(tuple(s for s in slots if s not in fixed), target.field, bound)
     found = []
-    for sigma in _candidate_maps(source, target, space, fixed):
-        # every cocycle is unital on both slots; filter before verifying
-        if compose(sigma, left_unit) != want or compose(sigma, right_unit) != want:
-            continue
+    for sigma in _unital_candidates(m, bound, support):
         cocycle, _ = check_cocycle(m, sigma)
         if cocycle is not None:
             found.append(cocycle)
     return found
 
 
-def _unitality_filter(m: Measuring):
+def _unital_candidates(m: Measuring, bound: int, support=None):
+    """Every map sigma: H (x) H -> A on the ``support`` slots (all when None)
+    with sigma(1 (x) h) = sigma(h (x) 1) = eps(h) 1, in lexicographic order of
+    the swept slots. Every cocycle is unital on both slots, so the sweeps
+    filter here, before verifying."""
+    source = tensor_space(m.hopf.space, m.hopf.space)
+    target = m.space
+    if support is None:
+        slots = [(i, j) for i in range(target.dim) for j in range(source.dim)]
+    else:
+        slots = [(target.index(r), source.index(c)) for r, c in support]
     id_h = LinearMap.identity(m.hopf.space)
     left = tensor_map(m.hopf.unit, id_h)
     right = tensor_map(id_h, m.hopf.unit)
     want = compose(m.algebra.unit, m.hopf.counit)
-    return left, right, want
+    fixed = _pinned_by_unitality(m.hopf.unit, want, slots)
+    space = SearchSpace(tuple(s for s in slots if s not in fixed), target.field, bound)
+    for sigma in _candidate_maps(source, target, space, fixed):
+        if compose(sigma, left) == want and compose(sigma, right) == want:
+            yield sigma
 
 
 def _pinned_by_unitality(unit: LinearMap, want: LinearMap, slots) -> dict:
@@ -148,27 +152,13 @@ def enumerate_zprime(b, bound: int = DEFAULT_BOUND) -> list:
     restriction formula) and filtering with the full verifier. Returns
     ScalarCocycleH objects in deterministic order."""
     from .lifting import check_zprime
-    from .linalg import compose, tensor_maps, unit_space
 
     g = b.source
-    rs = g.space
-    field = rs.field
-    source = tensor_space(rs, rs)
-    slots = tuple((0, j) for j in range(source.dim))
-    target = unit_space(field)
     spread = tensor_maps(
-        LinearMap.identity(rs), g.hopf.yd.module.action, b.ambient.counit)
-    id_r = LinearMap.identity(rs)
-    left = tensor_map(g.hopf.unit, id_r)
-    right = tensor_map(id_r, g.hopf.unit)
-    want = g.hopf.counit
-    fixed = _pinned_by_unitality(g.hopf.unit, want, slots)
-    space = SearchSpace(tuple(s for s in slots if s not in fixed), field, bound)
+        LinearMap.identity(g.space), g.hopf.yd.module.action, b.ambient.counit)
     found = []
-    for pi_map in _candidate_maps(source, target, space, fixed):
-        # unitality of the restriction is necessary; filter before extending
-        if compose(pi_map, left) != want or compose(pi_map, right) != want:
-            continue
+    # the restriction pi: R (x) R -> k is a unital scalar map on R
+    for pi_map in _unital_candidates(trivial_measuring(g.hopf), bound):
         result = check_zprime(b, compose(pi_map, spread))
         if result.in_zprime:
             found.append(result)

@@ -1,6 +1,9 @@
 import pytest
 
+from hopfcleft import braided
 from hopfcleft.braided import (
+    HModule,
+    YDModule,
     braiding,
     braiding_inverse,
     check_braiding_axioms,
@@ -18,6 +21,7 @@ from hopfcleft.braided import (
 )
 from hopfcleft.errors import BaseMismatch, ShapeMismatch
 from hopfcleft.fixtures import cyclic_group_hopf
+from hopfcleft.hopf import iterated_comul, iterated_mul
 from hopfcleft.linalg import (
     LinearMap,
     based_space,
@@ -27,6 +31,7 @@ from hopfcleft.linalg import (
     permutation_map,
     tensor_space,
 )
+from hopfcleft.report import map_equal_item
 
 from conftest import kron
 
@@ -79,6 +84,38 @@ def test_unit_object_braids_trivially(qline_f5, kc4_f5):
     # c_{1, V} = id
     triv = trivial_yd(kc4_f5, one)
     assert braiding(triv, yd.module) == LinearMap.identity(yd.space)
+
+
+def test_yd_compatibility_equals_the_permutation_chain(qline_f5, monkeypatch):
+    """check_yd builds h1 x(-1) S(h3) (x) h2.x(0) with flips in tensor
+    slots: the map of the materialised permutation chain, so on a module that
+    is not Yetter-Drinfeld it reports the same witness."""
+    yd = qline_f5.hopf.yd
+    base, h, v = yd.base, yd.base.space, yd.space
+    # g.x gains a 1-component: still a module, but g no longer keeps degrees
+    extra = LinearMap.from_labels(yd.module.action.source, v, [("1", "g.x", v.field.one())])
+    broken = YDModule(HModule(base, v, yd.module.action + extra), yd.coaction)
+    id_h, id_v = LinearMap.identity(h), LinearMap.identity(v)
+    rhs = compose_all(
+        kron(iterated_mul(base.alg, 2), broken.module.action),
+        permutation_map([h, h, h, h, v], [0, 3, 2, 1, 4]),
+        kron(id_h, id_h, base.antipode, id_h, id_v),
+        kron(iterated_comul(base.coalg, 2), broken.coaction),
+    )
+    want = map_equal_item(
+        "Yetter-Drinfeld compatibility", compose(broken.coaction, broken.module.action), rhs)
+    compared = {}
+
+    def recording_item(name, lhs, rhs):
+        compared[name] = rhs
+        return map_equal_item(name, lhs, rhs)
+
+    monkeypatch.setattr(braided, "map_equal_item", recording_item)
+    report = check_yd(broken)
+    monkeypatch.undo()
+    assert compared[want.name] == rhs
+    (item,) = [i for i in report.items if i.name == want.name]
+    assert not item.ok and item == want
 
 
 def test_yd_tensor_is_yetter_drinfeld(qline_f5):

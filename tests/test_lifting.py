@@ -3,20 +3,21 @@ from dataclasses import replace
 
 import pytest
 
-from hopfcleft import cleft, lifting, oracle
+from hopfcleft import cleft, lifting, linalg, oracle
 from hopfcleft.braided import trivial_measuring
 from hopfcleft.cleft import crossed_to_cleft, functor_F
 from hopfcleft.cocycle import check_cocycle, crossed_product, pair_coalgebra, triple_coalgebra
 from hopfcleft.errors import AxiomFailure, NotInvertible, SearchSpaceTooLarge
 from hopfcleft.fields import FieldSpec, Scalar
 from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_grading
-from hopfcleft.hopf import check_hopf, convolution_inverse, iterated_comul
+from hopfcleft.hopf import check_hopf, convolution_inverse, iterated_comul, iterated_mul
 from hopfcleft.lifting import (
     GradedYDHopf,
     _cleft_objects_isomorphic,
     bosonize,
     census_classes,
     check_boson_grading,
+    check_cprime_section,
     check_equivariant_pair,
     check_graded,
     check_zprime,
@@ -30,6 +31,7 @@ from hopfcleft.lifting import (
     smash_comodule_algebra,
 )
 from hopfcleft.linalg import (
+    BasedSpace,
     LinearMap,
     compose,
     compose_all,
@@ -39,7 +41,7 @@ from hopfcleft.linalg import (
     unit_space,
 )
 from hopfcleft.oracle import enumerate_cocycles, enumerate_zprime
-from hopfcleft.report import CheckItem
+from hopfcleft.report import CheckItem, map_equal_item
 
 from conftest import kron
 
@@ -151,6 +153,42 @@ def test_section_square_commutes(boson4):
         back, section_report = sigma_gamma_restricts(boson4, ce)
         assert section_report.ok, str(section_report)
         assert back.sigma == s.sigma
+
+
+def test_section_reversal_equals_the_permutation_chain(boson4, monkeypatch):
+    """check_cprime_section reverses the sandwich h (x) x (x) h' with flips:
+    its right-hand side is the map of the materialised [2, 1, 0] permutation
+    chain, so with a broken inverse section it reports the same witness."""
+    pi = enumerate_cocycles(trivial_measuring(boson4.source.hopf))[1]
+    ce = psi(boson4, crossed_to_cleft(crossed_product(pi)))
+    gi = ce.gamma_inv
+    field = gi.source.field
+    extra = LinearMap(gi.source, gi.target, {(0, gi.source.dim - 1): field.one()})
+    broken = replace(ce, gamma_inv=gi + extra)
+    hs, bigspace = boson4.ambient.space, boson4.space
+    jh = lifting._embed_h(boson4)
+    sandwich = compose(
+        iterated_mul(boson4.hopf.alg, 2), kron(jh, LinearMap.identity(bigspace), jh))
+    inv_jh = compose(broken.gamma_inv, jh)
+    rhs = compose_all(
+        iterated_mul(ce.algebra, 2),
+        kron(inv_jh, broken.gamma_inv, inv_jh),
+        permutation_map([hs, bigspace, hs], [2, 1, 0]),
+    )
+    want = map_equal_item(
+        "inverse section reverses the sandwich", compose(broken.gamma_inv, sandwich), rhs)
+    compared = {}
+
+    def recording_item(name, lhs, rhs):
+        compared[name] = rhs
+        return map_equal_item(name, lhs, rhs)
+
+    monkeypatch.setattr(lifting, "map_equal_item", recording_item)
+    report = check_cprime_section(boson4, broken)
+    monkeypatch.undo()
+    assert compared[want.name] == rhs
+    (item,) = [i for i in report.items if i.name == want.name]
+    assert not item.ok and item == want
 
 
 def test_psi_rejects_non_equivariant_section(boson4):
@@ -326,12 +364,32 @@ def test_check_zprime_multiplication_count(boson16_f17, monkeypatch):
     assert calls <= 60_000
 
 
+def test_check_zprime_space_count(boson16_f17, monkeypatch):
+    # machine-independent guard: compose checks a shape once and contracts
+    # on dimensions, so a check builds few BasedSpaces (94 when this test was
+    # written); re-checking every slot with fresh tensor spaces built 418
+    sigma = _restricted_sigma(boson16_f17, 5)  # a value no other test checks
+    calls = 0
+    original = BasedSpace.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(BasedSpace, "__init__", counting_init)
+    result = check_zprime(boson16_f17, sigma)
+    monkeypatch.undo()
+    assert result.in_zprime, str(result.report)
+    assert calls <= 150
+
+
 def test_checks_build_no_kronecker_product(boson16_f17, monkeypatch):
     """Machine-independent size guard on the dim-16 bosonization: no map
-    built while checking is larger than the structure maps the check reads
-    or the relation sides it compares. Materialised, tensor_map(mul, id)
-    has 3,072 entries in check_hopf, and the cocycle chains reach 24,576
-    in check_cocycle."""
+    built while checking, and no intermediate of a slot contraction, is
+    larger than the structure maps the check reads or the relation sides it
+    compares. Materialised, tensor_map(mul, id) has 3,072 entries in
+    check_hopf, and the cocycle chains reach 24,576 in check_cocycle."""
     b = boson16_f17
     hopf = b.braided()
     sigma = _restricted_sigma(b, 3)
@@ -343,10 +401,16 @@ def test_checks_build_no_kronecker_product(boson16_f17, monkeypatch):
     coalgebras = [pair_coalgebra(hopf).comul, triple_coalgebra(hopf).comul, sigma]
     largest = [0]
     original = LinearMap.__init__
+    through_slot = linalg._through_slot
 
     def counting_init(self, source, target, entries=None):
         original(self, source, target, entries)
         largest[0] = max(largest[0], len(self.entries))
+
+    def counting_slot(*args):
+        out = through_slot(*args)
+        largest[0] = max(largest[0], len(out))
+        return out
 
     for check, reads in (
         (lambda: check_hopf(b.hopf), [*structure, assoc]),
@@ -354,6 +418,7 @@ def test_checks_build_no_kronecker_product(boson16_f17, monkeypatch):
     ):
         largest[0] = 0
         monkeypatch.setattr(LinearMap, "__init__", counting_init)
+        monkeypatch.setattr(linalg, "_through_slot", counting_slot)
         report = check()
         monkeypatch.undo()
         assert report.ok, str(report)

@@ -9,7 +9,6 @@ from hopfcleft.linalg import (
     BasedSpace,
     LinearMap,
     TensorMap,
-    apply_in_slot,
     based_space,
     compose,
     equalizer,
@@ -19,9 +18,9 @@ from hopfcleft.linalg import (
     kernel_basis,
     nullity,
     permutation_map,
-    precompose_in_slot,
     solve_linear,
     tensor_map,
+    tensor_maps,
     tensor_space,
     unit_space,
 )
@@ -217,8 +216,9 @@ def _slot_case(draw):
 def test_slot_kernel_matches_the_kronecker_product(case):
     left, f, right, g, h = case
     middle = kron(LinearMap.identity(left), f, LinearMap.identity(right))
-    assert apply_in_slot(left, f, right, g) == compose(middle, g)
-    assert precompose_in_slot(h, left, f, right) == compose(h, middle)
+    padded = tensor_maps(LinearMap.identity(left), f, LinearMap.identity(right))
+    assert compose(padded, g) == compose(middle, g)
+    assert compose(h, padded) == compose(h, middle)
 
 
 @st.composite
@@ -261,10 +261,11 @@ def test_factored_tensor_map_equals_the_kronecker_product(case, data):
     assert compose(h, factored) == compose(h, ref)
     left, right = (data.draw(st.sampled_from(spaces[:2])) for _ in range(2))
     middle = kron(LinearMap.identity(left), ref, LinearMap.identity(right))
+    padded = tensor_maps(LinearMap.identity(left), factored, LinearMap.identity(right))
     g2 = data.draw(_sparse_map(outer, middle.source))
     h2 = data.draw(_sparse_map(middle.target, outer))
-    assert apply_in_slot(left, factored, right, g2) == compose(middle, g2)
-    assert precompose_in_slot(h2, left, factored, right) == compose(h2, middle)
+    assert compose(padded, g2) == compose(middle, g2)
+    assert compose(h2, padded) == compose(h2, middle)
     # a factored map on either side of compose: with matching factor shapes
     # the result stays factored, otherwise one side is taken apart
     a, b = factored.factors
@@ -279,12 +280,12 @@ def test_factored_tensor_map_equals_the_kronecker_product(case, data):
 
 
 def test_slot_kernel_rejects_a_wrong_slot():
-    f = LinearMap.identity(V)
+    padded = tensor_maps(LinearMap.identity(U), LinearMap.identity(V), LinearMap.identity(W))
     g = LinearMap.identity(tensor_space(U, W))
     with pytest.raises(ShapeMismatch):
-        apply_in_slot(U, f, W, g)
+        compose(padded, g)
     with pytest.raises(ShapeMismatch):
-        precompose_in_slot(g, U, f, W)
+        compose(g, padded)
 
 
 def test_tensor_labels_are_the_eager_join():
