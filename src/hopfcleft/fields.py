@@ -4,14 +4,23 @@ A cyclotomic element is a residue polynomial modulo the n-th cyclotomic
 polynomial, stored as a tuple of rational coefficients of length phi(n).
 Every operation reduces eagerly to this canonical form, so scalar equality
 is equality of representations.
+
+Each field has one implementation of its arithmetic, ``FieldSpec.ops``: add,
+mul, neg, inverse and is-zero on raw canonical values (an ``int`` mod p, a
+``Fraction``, or a coefficient tuple), built once per field object. The
+sparse kernels of ``linalg`` and ``hopf`` fetch it once per call and run on
+raw values; ``Scalar``, the wrapped value the public API hands out, delegates
+its arithmetic to the same functions.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple
 
 from .errors import DivisionByZero, FieldMismatch, NoSuchRoot
 
@@ -136,6 +145,16 @@ def _rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+class FieldOps(NamedTuple):
+    """A field's arithmetic on raw canonical values."""
+
+    add: Callable
+    mul: Callable
+    neg: Callable
+    inverse: Callable  # raises DivisionByZero on zero
+    is_zero: Callable
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """One of Q, F_p (p prime) or Q(zeta_n)."""
@@ -195,8 +214,70 @@ class FieldSpec:
             coeffs = self._reduce([Fraction(c) for c in value])
         return Scalar(self, tuple(coeffs))
 
-    def _reduce(self, coeffs: list) -> list:
-        mod = list(cyclotomic_polynomial(self.n))
+    @cached_property
+    def ops(self) -> FieldOps:
+        """The raw arithmetic, built once per field object (like ``degree``,
+        not a dataclass field, so equality and hash ignore it)."""
+        if self.kind == PRIME:
+            p = self.p
+
+            def inverse(a):
+                if not a:
+                    raise DivisionByZero("inverse of zero")
+                return pow(a, -1, p)
+
+            return FieldOps(
+                lambda a, b: (a + b) % p, lambda a, b: a * b % p, lambda a: -a % p,
+                inverse, operator.not_)
+        if self.kind == RATIONALS:
+            def inverse(a):
+                if not a:
+                    raise DivisionByZero("inverse of zero")
+                return 1 / a
+
+            return FieldOps(operator.add, operator.mul, operator.neg, inverse, operator.not_)
+        return self._cyclotomic_ops()
+
+    def _cyclotomic_ops(self) -> FieldOps:
+        d = self.degree
+        modulus = self._modulus
+        reduce = self._reduce
+        zero = Fraction(0)
+
+        def mul(a, b):
+            prod = [zero] * (2 * d - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        if y:
+                            prod[i + j] += x * y
+            return reduce(prod)
+
+        def inverse(a):
+            # extended Euclid in Q[x] against the cyclotomic modulus
+            if not any(a):
+                raise DivisionByZero("inverse of zero")
+            r0, r1 = list(modulus), _poly_trim(list(a))
+            s0, s1 = [], [Fraction(1)]
+            while len(r1) > 1:
+                q, r = _poly_divmod(r0, r1)
+                s = list(s0)
+                s += [zero] * (len(q) + len(s1) - 1 - len(s))
+                for i, qc in enumerate(q):
+                    if qc:
+                        for j, sc in enumerate(s1):
+                            s[i + j] -= qc * sc
+                r0, r1, s0, s1 = r1, r, s1, _poly_trim(s)
+            lead = r1[0]
+            return reduce([c / lead for c in s1])
+
+        return FieldOps(
+            lambda a, b: tuple(x + y for x, y in zip(a, b)), mul,
+            lambda a: tuple(-x for x in a), inverse, lambda a: not any(a))
+
+    def _reduce(self, coeffs: list) -> tuple:
+        """The canonical coefficient tuple of a polynomial of any degree."""
+        mod = self._modulus
         d = self.degree
         coeffs = list(coeffs)
         for i in range(len(coeffs) - 1, d - 1, -1):
@@ -206,7 +287,11 @@ class FieldSpec:
                     coeffs[i - len(mod) + 1 + j] -= c * mod[j]
             coeffs.pop()
         coeffs += [Fraction(0)] * (d - len(coeffs))
-        return coeffs
+        return tuple(coeffs)
+
+    @cached_property
+    def _modulus(self) -> tuple[Fraction, ...]:
+        return cyclotomic_polynomial(self.n)
 
     def zeta(self) -> "Scalar":
         """The residue class of x in Q(zeta_n)."""
@@ -255,9 +340,7 @@ class Scalar:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     def is_zero(self) -> bool:
-        if self.field.kind == CYCLOTOMIC:
-            return all(c == 0 for c in self.value)
-        return self.value == 0
+        return self.field.ops.is_zero(self.value)
 
     def is_one(self) -> bool:
         return self == self.field.one()
@@ -265,19 +348,11 @@ class Scalar:
     def __add__(self, other: "Scalar") -> "Scalar":
         self._check(other)
         f = self.field
-        if f.kind == CYCLOTOMIC:
-            return Scalar(f, tuple(a + b for a, b in zip(self.value, other.value)))
-        if f.kind == PRIME:
-            return Scalar(f, (self.value + other.value) % f.p)
-        return Scalar(f, self.value + other.value)
+        return Scalar(f, f.ops.add(self.value, other.value))
 
     def __neg__(self) -> "Scalar":
         f = self.field
-        if f.kind == CYCLOTOMIC:
-            return Scalar(f, tuple(-c for c in self.value))
-        if f.kind == PRIME:
-            return Scalar(f, (-self.value) % f.p)
-        return Scalar(f, -self.value)
+        return Scalar(f, f.ops.neg(self.value))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
@@ -285,41 +360,11 @@ class Scalar:
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._check(other)
         f = self.field
-        if f.kind == CYCLOTOMIC:
-            d = f.degree
-            prod = [Fraction(0)] * (2 * d - 1)
-            for i, a in enumerate(self.value):
-                if a:
-                    for j, b in enumerate(other.value):
-                        if b:
-                            prod[i + j] += a * b
-            return Scalar(f, tuple(f._reduce(prod)))
-        if f.kind == PRIME:
-            return Scalar(f, (self.value * other.value) % f.p)
-        return Scalar(f, self.value * other.value)
+        return Scalar(f, f.ops.mul(self.value, other.value))
 
     def inverse(self) -> "Scalar":
         f = self.field
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero")
-        if f.kind == RATIONALS:
-            return Scalar(f, 1 / self.value)
-        if f.kind == PRIME:
-            return Scalar(f, pow(self.value, -1, f.p))
-        # extended Euclid in Q[x] against the cyclotomic modulus
-        r0, r1 = list(cyclotomic_polynomial(f.n)), _poly_trim(list(self.value))
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            s = list(s0)
-            s += [Fraction(0)] * (len(q) + len(s1) - 1 - len(s))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        s[i + j] -= qc * sc
-            r0, r1, s0, s1 = r1, r, s1, _poly_trim(s)
-        lead = r1[0]
-        return f.scalar([c / lead for c in s1])
+        return Scalar(f, f.ops.inverse(self.value))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         self._check(other)

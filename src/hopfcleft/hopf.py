@@ -6,11 +6,20 @@ holds that map.  For a classical bialgebra it is the vector-space flip.
 ``braided_product`` multiplies in such a braided tensor product algebra term
 by term, so "comul is an algebra morphism" never builds mul (x) mul.
 Convolution inversion is one exact sparse linear solve in Hom(C, A).
+
+``convolution``, ``convolution_inverse`` and ``braided_product`` are raw
+kernels in the sense of ``linalg``: they read their operands' sparse columns
+as raw values, use the field's ``ops`` fetched once per call, and build their
+result with the trusted ``LinearMap._from_raw``. ``convolution`` is driven by
+the support of f: for each nonzero column k1 of f it visits only the terms
+k1 (x) k2 of the comultiplication, through the left-leg index that each
+``CoalgebraData`` builds once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .errors import NotHopf, NotInvertible, ShapeMismatch
@@ -64,6 +73,18 @@ class CoalgebraData:
     @property
     def field(self) -> FieldSpec:
         return self.space.field
+
+    @cached_property
+    def comul_by_left_leg(self) -> dict[int, list]:
+        """The comultiplication indexed by its left tensor leg, with raw
+        values: k1 -> [(k2, j, comul[(k1 (x) k2), j])]. Built once per object;
+        not a dataclass field, so equality ignores it."""
+        d = self.space.dim
+        index: dict[int, list] = {}
+        for (k, j), v in self.comul.raw_entries().items():
+            k1, k2 = divmod(k, d)
+            index.setdefault(k1, []).append((k2, j, v))
+        return index
 
 
 @dataclass
@@ -192,21 +213,25 @@ def braided_product(
     if not f.target.same_basis(tensor_space(a.space, b.space)):
         raise ShapeMismatch("f is not a map into A (x) B")
     dx, da, db = f.source.dim, a.space.dim, b.space.dim
-    fcols, ccols, acols, bcols = f.columns(), c_ba.columns(), a.mul.columns(), b.mul.columns()
+    add, mul = f.source.field.ops.add, f.source.field.ops.mul
+    fcols, ccols = f._raw_columns(), c_ba._raw_columns()
+    acols, bcols = a.mul._raw_columns(), b.mul._raw_columns()
     entries: dict = {}
     for (x, fx), (y, fy) in product(fcols.items(), repeat=2):
         for (i, u), (k, w) in product(fx, fy):
             a1, b1 = divmod(i, db)
             a2, b2 = divmod(k, db)
+            uw = mul(u, w)
             for j, cv in ccols.get(b1 * da + a2, ()):
                 a3, b3 = divmod(j, db)
-                t = u * w * cv
+                t = mul(uw, cv)
                 in_a, in_b = acols.get(a1 * da + a3, ()), bcols.get(b3 * db + b2, ())
                 for (r, av), (s, bv) in product(in_a, in_b):
                     key = (r * db + s, x * dx + y)
+                    term = mul(mul(t, av), bv)
                     acc = entries.get(key)
-                    entries[key] = t * av * bv if acc is None else acc + t * av * bv
-    return LinearMap(tensor_space(f.source, f.source), f.target, entries)
+                    entries[key] = term if acc is None else add(acc, term)
+    return LinearMap._from_raw(tensor_space(f.source, f.source), f.target, entries)
 
 
 def iterated_mul(a: AlgebraData, n: int) -> LinearMap:
@@ -236,27 +261,34 @@ def iterated_comul(c: CoalgebraData, n: int) -> LinearMap:
 def convolution(f: LinearMap, g: LinearMap, c: CoalgebraData, a: AlgebraData) -> LinearMap:
     """f * g = mul (f (x) g) comul in Hom(C, A).
 
-    Evaluated column by column over the sparse comultiplication, so the
+    Driven by the support of f: each nonzero column k1 of f meets only the
+    comultiplication terms with left leg k1 (``comul_by_left_leg``), and of
+    those only the ones whose right leg is a nonzero column of g. The
     Kronecker product f (x) g is never materialized.
     """
     if not (f.source.same_basis(c.space) and f.target.same_basis(a.space)):
         raise ShapeMismatch("f is not a map C -> A")
     if not (g.source.same_basis(c.space) and g.target.same_basis(a.space)):
         raise ShapeMismatch("g is not a map C -> A")
-    d = c.space.dim
     da = a.space.dim
-    fcols, gcols, mcols = f.columns(), g.columns(), a.mul.columns()
+    add, mul = a.field.ops.add, a.field.ops.mul
+    gcols, mcols, by_left = g._raw_columns(), a.mul._raw_columns(), c.comul_by_left_leg
     entries: dict = {}
-    for (k, j), dv in c.comul.entries.items():
-        k1, k2 = divmod(k, d)
-        for i1, fv in fcols.get(k1, ()):
-            for i2, gv in gcols.get(k2, ()):
-                w = fv * gv * dv
-                for r, mv in mcols.get(i1 * da + i2, ()):
-                    key = (r, j)
-                    acc = entries.get(key)
-                    entries[key] = mv * w if acc is None else acc + mv * w
-    return LinearMap(c.space, a.space, entries)
+    for k1, fcol in f._raw_columns().items():
+        for k2, j, dv in by_left.get(k1, ()):
+            gcol = gcols.get(k2)
+            if gcol is None:
+                continue
+            for i1, fv in fcol:
+                fdv = mul(fv, dv)
+                base = i1 * da
+                for i2, gv in gcol:
+                    w = mul(fdv, gv)
+                    for r, mv in mcols.get(base + i2, ()):
+                        key = (r, j)
+                        acc = entries.get(key)
+                        entries[key] = mul(mv, w) if acc is None else add(acc, mul(mv, w))
+    return LinearMap._from_raw(c.space, a.space, entries)
 
 
 def convolution_unit(c: CoalgebraData, a: AlgebraData) -> LinearMap:
@@ -275,22 +307,25 @@ def convolution_inverse(f: LinearMap, c: CoalgebraData, a: AlgebraData) -> Linea
         raise ShapeMismatch("f is not a map C -> A")
     na, nc = a.space.dim, c.space.dim
     n = na * nc  # unknowns i2 * nc + k2; the right-hand side is column n
-    fcols, mcols = f.columns(), a.mul.columns()
+    ops = a.field.ops
+    add, mul = ops.add, ops.mul
+    mcols, by_left = a.mul._raw_columns(), c.comul_by_left_leg
     target = convolution_unit(c, a)
-    entries = {(r * nc + j, n): v for (r, j), v in target.entries.items()}
-    for (k, j), dv in c.comul.entries.items():
-        k1, k2 = divmod(k, nc)
-        for i1, fv in fcols.get(k1, ()):
-            w = dv * fv
-            for i2 in range(na):
-                col = i2 * nc + k2
-                for r, mv in mcols.get(i1 * na + i2, ()):
-                    key = (r * nc + j, col)
-                    entries[key] = w * mv if key not in entries else entries[key] + w * mv
-    reduced = _rref((key, v) for key, v in entries.items() if not v.is_zero())
+    entries = {(r * nc + j, n): v for (r, j), v in target.raw_entries().items()}
+    for k1, fcol in f._raw_columns().items():
+        for k2, j, dv in by_left.get(k1, ()):
+            for i1, fv in fcol:
+                w = mul(dv, fv)
+                for i2 in range(na):
+                    col = i2 * nc + k2
+                    for r, mv in mcols.get(i1 * na + i2, ()):
+                        key = (r * nc + j, col)
+                        acc = entries.get(key)
+                        entries[key] = mul(w, mv) if acc is None else add(acc, mul(w, mv))
+    reduced = _rref(((key, v) for key, v in entries.items() if not ops.is_zero(v)), ops)
     if any(col >= n for col in reduced):
         raise NotInvertible("no right convolution inverse")
-    g = LinearMap(c.space, a.space, {
+    g = LinearMap._from_raw(c.space, a.space, {
         divmod(col, nc): row[n] for col, row in reduced.items() if n in row})
     if convolution(g, f, c, a) != target:
         raise NotInvertible("right inverse is not a left inverse")

@@ -30,7 +30,7 @@ from .braided import (
     YDModule,
     classical_hopf,
 )
-from .errors import ParseError, ShapeMismatch, ValidationError
+from .errors import ParseError, ShapeMismatch, TheoremViolation, ValidationError
 from .fields import FieldSpec
 from .hopf import AlgebraData, BialgebraData, CoalgebraData, HopfAlgebraData
 from .linalg import TENSOR_SEP, BasedSpace, LinearMap, flip_map, tensor_space, unit_space
@@ -411,14 +411,15 @@ def save(df: DefinitionFile, path):
 
 
 def build(df: DefinitionFile, name: str):
-    """Construct the core object declared by the named role."""
+    """Construct the core object declared by the named role. A violated
+    theorem is a bug, not bad input, so it passes through unwrapped."""
     if name not in df.roles:
         raise ValidationError(f"unknown role {name!r}")
     role = df.roles[name]
     builder = _BUILDERS[role.kind]
     try:
         return builder(df, role)
-    except ValidationError:
+    except (ValidationError, TheoremViolation):
         raise
     except Exception as exc:
         raise ValidationError(f"role {name!r} ({role.kind}): {exc}") from exc

@@ -5,22 +5,33 @@ atomic factors and the basis is ordered lexicographically, leftmost factor
 most significant. A tensor space stores only its factors and its dimension;
 its joined basis labels ("a.b.c") are built on first access and cached, so
 large intermediate tensor powers cost nothing until a report names a basis
-vector. Linear maps are stored sparsely as {(row, col): Scalar}.
+vector. Linear maps are stored sparsely, as {(row, col): Scalar} and as the
+same dict of raw canonical values (``raw_entries``), each built from the
+other when first read.
+
+The kernels (``_contract``/``_through_slot``, the Kronecker entries of a
+``TensorMap`` and ``_rref``/``_eliminate`` here; ``convolution``,
+``convolution_inverse`` and ``braided_product`` in ``hopf``) run on raw
+values: they read their operands' ``raw_entries`` or ``_raw_columns``, use the
+field's ``ops`` fetched once per call, and hand their result to the trusted
+constructor ``LinearMap._from_raw``. It drops zeros and skips the range and
+field validation that ``LinearMap.__init__`` keeps for the ``io`` and public
+boundary; its Scalars are built only if something reads ``entries``, so a
+chain of kernels wraps nothing.
 
 ``compose`` is the one contraction: every product runs through
-``_through_slot``, which re-indexes one tensor slot of sparse entries, so
+``_through_slot``, which re-indexes one tensor slot of sparse raw entries, so
 composing with ``id_L (x) f (x) id_R`` costs nnz times the number of entries
 in a column (or row) of f and never builds the Kronecker product with the
 identities; the plain product is the same kernel on a single slot.
 
 ``tensor_map(f, g)`` returns a ``TensorMap`` that keeps its two factors. Its
-Kronecker entries are built, through ``LinearMap.__init__``, only when
-something reads them. ``compose`` takes a factored operand apart instead:
-each factor is contracted in its own slot, identity factors are skipped, and
-(a (x) b) . (c (x) d) with matching factor shapes stays factored as
-(a.c) (x) (b.d). A string diagram written as a chain of ``tensor_map(f, id)``
-therefore runs as slot contractions; a slot application is
-``compose(tensor_maps(id_L, f, id_R), g)``.
+Kronecker entries are built only when something reads them. ``compose``
+takes a factored operand apart instead: each factor is contracted in its own
+slot, identity factors are skipped, and (a (x) b) . (c (x) d) with matching
+factor shapes stays factored as (a.c) (x) (b.d). A string diagram written as
+a chain of ``tensor_map(f, id)`` therefore runs as slot contractions; a slot
+application is ``compose(tensor_maps(id_L, f, id_R), g)``.
 
 ``solve_linear``, ``kernel_basis``, ``nullity``, ``equalizer`` and ``invert``
 run sparse Gauss-Jordan elimination (``_rref``) on the rows of the entries.
@@ -141,9 +152,12 @@ def tensor_space(*spaces: BasedSpace) -> BasedSpace:
 
 
 class LinearMap:
-    """A based linear map, stored as a sparse (row, col) -> Scalar dict."""
+    """A based linear map, stored sparsely: ``entries`` is the (row, col) ->
+    Scalar dict, ``raw_entries()`` the same entries as raw values. A map
+    built from Scalars unwraps on first ``raw_entries()``; a kernel result
+    (``_from_raw``) wraps on first ``entries``. Neither dict holds a zero."""
 
-    __slots__ = ("source", "target", "entries")
+    __slots__ = ("source", "target", "_entries", "_raw")
 
     def __init__(self, source: BasedSpace, target: BasedSpace, entries=None):
         self.source = source
@@ -158,7 +172,35 @@ class LinearMap:
                     raise FieldMismatch("entry field differs from space field")
                 if not v.is_zero():
                     ents[(i, j)] = v
-        self.entries = ents
+        self._entries = ents
+        self._raw = None
+
+    @staticmethod
+    def _from_raw(source: BasedSpace, target: BasedSpace, raw: dict) -> "LinearMap":
+        """The trusted constructor of kernel results: {(row, col): raw value}
+        computed from validated maps, so indices and field are not checked
+        again. Zeros are dropped, because ``__eq__`` compares entry dicts;
+        the values are wrapped as Scalars only if ``entries`` is read."""
+        is_zero = source.field.ops.is_zero
+        m = object.__new__(LinearMap)
+        m.source, m.target = source, target
+        m._entries = None
+        m._raw = {k: v for k, v in raw.items() if not is_zero(v)}
+        return m
+
+    @property
+    def entries(self) -> dict:
+        if self._entries is None:
+            field = self.source.field
+            self._entries = {k: Scalar(field, v) for k, v in self.raw_entries().items()}
+        return self._entries
+
+    def raw_entries(self) -> dict:
+        """The entries as raw canonical values, for the kernels. Kept and
+        shared: callers read it and never change it."""
+        if self._raw is None:
+            self._raw = {k: v.value for k, v in self._entries.items()}
+        return self._raw
 
     @staticmethod
     def from_labels(source: BasedSpace, target: BasedSpace, triples) -> "LinearMap":
@@ -184,15 +226,15 @@ class LinearMap:
     def column(self, j: int) -> dict:
         return {i: v for (i, jj), v in self.entries.items() if jj == j}
 
-    def columns(self) -> dict[int, list]:
-        """The sparse columns: col -> [(row, value)]."""
+    def _raw_columns(self) -> dict[int, list]:
+        """The sparse columns with raw values, for the kernels: col -> [(row, value)]."""
         cols: dict[int, list] = {}
-        for (i, j), v in self.entries.items():
+        for (i, j), v in self.raw_entries().items():
             cols.setdefault(j, []).append((i, v))
         return cols
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.raw_entries()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearMap):
@@ -200,12 +242,12 @@ class LinearMap:
         return (
             self.source.same_basis(other.source)
             and self.target.same_basis(other.target)
-            and self.entries == other.entries
+            and self.raw_entries() == other.raw_entries()
         )
 
     def __hash__(self):
         # same_basis implies equal dimensions, so equal maps hash alike
-        return hash((self.source.dim, self.target.dim, frozenset(self.entries.items())))
+        return hash((self.source.dim, self.target.dim, frozenset(self.raw_entries().items())))
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         self._check_parallel(other)
@@ -235,36 +277,39 @@ class LinearMap:
 
 class TensorMap(LinearMap):
     """f (x) g kept as its two factors. The Kronecker entries are built on
-    first read, through ``LinearMap.__init__``, and then kept."""
+    first read and then kept."""
 
-    __slots__ = ("factors", "_entries")
+    __slots__ = ("factors",)
 
     def __init__(self, f: LinearMap, g: LinearMap):
         self.source = tensor_space(f.source, g.source)
         self.target = tensor_space(f.target, g.target)
         self.factors = (f, g)
-        self._entries = None
+        self._entries = self._raw = None
 
-    @property
-    def entries(self) -> dict:
-        if self._entries is None:
+    def raw_entries(self) -> dict:
+        if self._raw is None:
+            # products of nonzero field elements: no zero to drop
             f, g = self.factors
             gs, gt = g.source.dim, g.target.dim
-            kron = {}
-            for (i1, j1), v1 in f.entries.items():
-                for (i2, j2), v2 in g.entries.items():
-                    kron[(i1 * gt + i2, j1 * gs + j2)] = v1 * v2
-            self._entries = LinearMap(self.source, self.target, kron).entries
-        return self._entries
+            mul = self.source.field.ops.mul
+            g_entries = g.raw_entries().items()
+            self._raw = {
+                (i1 * gt + i2, j1 * gs + j2): mul(v1, v2)
+                for (i1, j1), v1 in f.raw_entries().items()
+                for (i2, j2), v2 in g_entries
+            }
+        return self._raw
 
 
 def _is_identity(f: LinearMap) -> bool:
     if isinstance(f, TensorMap):
         return all(_is_identity(x) for x in f.factors)
-    if len(f.entries) != f.source.dim or not f.source.same_basis(f.target):
+    raw = f.raw_entries()
+    if len(raw) != f.source.dim or not f.source.same_basis(f.target):
         return False
-    one = f.source.field.one()
-    return all(i == j and v == one for (i, j), v in f.entries.items())
+    one = f.source.field.one().value
+    return all(i == j and v == one for (i, j), v in raw.items())
 
 
 def _kron_nnz(f: LinearMap) -> int:
@@ -272,7 +317,7 @@ def _kron_nnz(f: LinearMap) -> int:
     product of its factors' counts, so its Kronecker entries are not built."""
     if isinstance(f, TensorMap):
         return prod(_kron_nnz(x) for x in f.factors)
-    return len(f.entries)
+    return len(f.raw_entries())
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
@@ -281,14 +326,15 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     apart and the other materialised."""
     if not f.source.same_basis(g.target):
         raise ShapeMismatch(f"cannot compose {f.source} after {g.target}")
+    ops = g.source.field.ops
     if isinstance(g, TensorMap):
         if isinstance(f, TensorMap) and all(
             a.source.same_basis(b.target) for a, b in zip(f.factors, g.factors)
         ):
             return TensorMap(*(compose(a, b) for a, b in zip(f.factors, g.factors)))
         if not isinstance(f, TensorMap) or _kron_nnz(g) >= _kron_nnz(f):
-            return LinearMap(g.source, f.target, _contract(f.entries, 1, g, 1))
-    return LinearMap(g.source, f.target, _contract(g.entries, 0, f, 1))
+            return LinearMap._from_raw(g.source, f.target, _contract(f.raw_entries(), 1, g, 1, ops))
+    return LinearMap._from_raw(g.source, f.target, _contract(g.raw_entries(), 0, f, 1, ops))
 
 
 def compose_all(*maps: LinearMap) -> LinearMap:
@@ -298,8 +344,8 @@ def compose_all(*maps: LinearMap) -> LinearMap:
     return result
 
 
-def _contract(entries: dict, axis: int, f: LinearMap, right: int) -> dict:
-    """The entries of a map m whose coordinate ``axis`` runs over
+def _contract(entries: dict, axis: int, f: LinearMap, right: int, ops) -> dict:
+    """The raw entries of a map m whose coordinate ``axis`` runs over
     L (x) X (x) R, with R of dimension ``right``, contracted with f in the X
     slot: on the rows (axis 0, X = f.source) this is (id_L (x) f (x) id_R) . m,
     on the columns (axis 1, X = f.target) m . (id_L (x) f (x) id_R). A
@@ -308,22 +354,25 @@ def _contract(entries: dict, axis: int, f: LinearMap, right: int) -> dict:
     if isinstance(f, TensorMap):
         a, b = f.factors
         inner = b.source.dim if axis == 0 else b.target.dim
-        entries = _contract(entries, axis, a, inner * right)
-        return _contract(entries, axis, b, right)
+        entries = _contract(entries, axis, a, inner * right, ops)
+        return _contract(entries, axis, b, right, ops)
     if _is_identity(f):
         return entries
     if axis == 0:
-        return _through_slot(entries, 0, f.columns(), f.source.dim, f.target.dim, right)
+        return _through_slot(entries, 0, f._raw_columns(), f.source.dim, f.target.dim, right, ops)
     by_row: dict[int, list] = {}
-    for (k, j), v in f.entries.items():
+    for (k, j), v in f.raw_entries().items():
         by_row.setdefault(k, []).append((j, v))
-    return _through_slot(entries, 1, by_row, f.target.dim, f.source.dim, right)
+    return _through_slot(entries, 1, by_row, f.target.dim, f.source.dim, right, ops)
 
 
-def _through_slot(entries: dict, axis: int, moves: dict, mid: int, mid_new: int, right: int) -> dict:
-    """Re-index coordinate ``axis`` (0: rows, 1: columns) of sparse entries
-    over L (x) X (x) R through ``moves`` (x -> [(y, value)]), giving the
-    entries over L (x) Y (x) R with each value multiplied in."""
+def _through_slot(
+    entries: dict, axis: int, moves: dict, mid: int, mid_new: int, right: int, ops
+) -> dict:
+    """Re-index coordinate ``axis`` (0: rows, 1: columns) of sparse raw
+    entries over L (x) X (x) R through ``moves`` (x -> [(y, raw value)]),
+    giving the entries over L (x) Y (x) R with each value multiplied in."""
+    add, mul = ops.add, ops.mul
     block = mid * right
     block_new = mid_new * right
     out: dict = {}
@@ -335,7 +384,7 @@ def _through_slot(entries: dict, axis: int, moves: dict, mid: int, mid_new: int,
             flat = base + y * right
             k = (flat, key[1]) if axis == 0 else (key[0], flat)
             acc = out.get(k)
-            out[k] = fv * gv if acc is None else acc + fv * gv
+            out[k] = mul(fv, gv) if acc is None else add(acc, mul(fv, gv))
     return out
 
 
@@ -388,54 +437,61 @@ def flip_map(x: BasedSpace, y: BasedSpace) -> LinearMap:
     return LinearMap(tensor_space(x, y), tensor_space(y, x), entries)
 
 
-def _rref(entries) -> dict[int, dict]:
-    """Sparse Gauss-Jordan elimination of the ((row, col), value) entries of a
-    matrix (no zeros). Returns the reduced row echelon form as {pivot col:
-    row}, each row {col: value} without its leading 1 and zero in every other
-    pivot column; the form is unique, so it does not depend on the row order."""
+def _rref(entries, ops) -> dict[int, dict]:
+    """Sparse Gauss-Jordan elimination of the ((row, col), raw value) entries
+    of a matrix (no zeros). Returns the reduced row echelon form as {pivot
+    col: row}, each row {col: raw value} without its leading 1 and zero in
+    every other pivot column; the form is unique, so it does not depend on
+    the row order."""
+    mul, inverse = ops.mul, ops.inverse
     rows: dict[int, dict] = {}
     for (i, j), v in entries:
         rows.setdefault(i, {})[j] = v
     reduced: dict[int, dict] = {}
     for row in rows.values():
         for c in [c for c in row if c in reduced]:
-            _eliminate(row, c, reduced[c])
+            _eliminate(row, c, reduced[c], ops)
         if not row:
             continue
         p = min(row)
-        inv = row.pop(p).inverse()
-        row = {k: v * inv for k, v in row.items()}
+        inv = inverse(row.pop(p))
+        row = {k: mul(v, inv) for k, v in row.items()}
         for other in reduced.values():
             if p in other:
-                _eliminate(other, p, row)
+                _eliminate(other, p, row, ops)
         reduced[p] = row
     return reduced
 
 
-def _eliminate(row: dict, c: int, pivot_row: dict):
+def _eliminate(row: dict, c: int, pivot_row: dict, ops):
     """row -= row[c] * (e_c + pivot_row), dropping zeros."""
-    factor = row.pop(c)
-    zero = factor.field.zero()
+    add, mul, is_zero = ops.add, ops.mul, ops.is_zero
+    factor = ops.neg(row.pop(c))
     for k, v in pivot_row.items():
-        new = row.pop(k, zero) - factor * v
-        if not new.is_zero():
+        old = row.get(k)
+        new = mul(factor, v) if old is None else add(old, mul(factor, v))
+        if is_zero(new):
+            del row[k]
+        else:
             row[k] = new
 
 
 def _kernel(f: LinearMap) -> list[dict]:
-    """The reduced-echelon kernel basis of f as sparse vectors {coord: value}."""
-    reduced = _rref(f.entries.items())
-    one = f.source.field.one()
+    """The reduced-echelon kernel basis of f as sparse raw vectors {coord: value}."""
+    ops = f.source.field.ops
+    reduced = _rref(f.raw_entries().items(), ops)
+    one, neg = f.source.field.one().value, ops.neg
     return [
-        {c: one, **{p: -row[c] for p, row in reduced.items() if c in row}}
+        {c: one, **{p: neg(row[c]) for p, row in reduced.items() if c in row}}
         for c in range(f.source.dim) if c not in reduced
     ]
 
 
 def kernel_basis(f: LinearMap) -> list[list[Scalar]]:
     """Reduced-echelon kernel basis (as coordinate vectors in f.source)."""
-    zero = f.source.field.zero()
-    return [[vec.get(i, zero) for i in range(f.source.dim)] for vec in _kernel(f)]
+    field = f.source.field
+    zero = field.zero().value
+    return [[Scalar(field, vec.get(i, zero)) for i in range(f.source.dim)] for vec in _kernel(f)]
 
 
 def equalizer(f: LinearMap, g: LinearMap) -> tuple[BasedSpace, LinearMap]:
@@ -445,7 +501,7 @@ def equalizer(f: LinearMap, g: LinearMap) -> tuple[BasedSpace, LinearMap]:
     labels = tuple(f"e{k}" for k in range(len(basis)))
     space = BasedSpace(f"eq({f.source.name})", labels, f.source.field)
     entries = {(i, k): v for k, vec in enumerate(basis) for i, v in vec.items()}
-    return space, LinearMap(space, f.source, entries)
+    return space, LinearMap._from_raw(space, f.source, entries)
 
 
 def solve_linear(a: LinearMap, b: LinearMap) -> LinearMap:
@@ -457,12 +513,12 @@ def solve_linear(a: LinearMap, b: LinearMap) -> LinearMap:
     if not a.target.same_basis(b.target):
         raise ShapeMismatch("solve: targets differ")
     na = a.source.dim
-    rhs = [((i, na + j), v) for (i, j), v in b.entries.items()]
-    reduced = _rref([*a.entries.items(), *rhs])
+    rhs = [((i, na + j), v) for (i, j), v in b.raw_entries().items()]
+    reduced = _rref([*a.raw_entries().items(), *rhs], a.source.field.ops)
     if any(c >= na for c in reduced):
         raise NoSolution("inconsistent linear system")
     entries = {(c, j - na): v for c, row in reduced.items() for j, v in row.items() if j >= na}
-    return LinearMap(b.source, a.source, entries)
+    return LinearMap._from_raw(b.source, a.source, entries)
 
 
 def invert(f: LinearMap) -> LinearMap:
@@ -476,7 +532,7 @@ def invert(f: LinearMap) -> LinearMap:
 
 
 def nullity(f: LinearMap) -> int:
-    return f.source.dim - len(_rref(f.entries.items()))
+    return f.source.dim - len(_rref(f.raw_entries().items(), f.source.field.ops))
 
 
 def factor_through_injection(iota: LinearMap, g: LinearMap) -> LinearMap:

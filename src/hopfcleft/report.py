@@ -48,7 +48,7 @@ class CheckReport:
 def map_equal_item(name: str, lhs: LinearMap, rhs: LinearMap) -> CheckItem:
     """Compare two parallel maps; the witness is the first differing matrix entry."""
     lhs._check_parallel(rhs)
-    if lhs.entries == rhs.entries:
+    if lhs.raw_entries() == rhs.raw_entries():
         return CheckItem(name, True)
     (i, j) = min((lhs - rhs).entries)
     witness = (

@@ -279,6 +279,22 @@ def test_theorem_violation_exits_3(runner, monkeypatch):
     assert "check failed" not in result.output
 
 
+def test_theorem_violation_inside_a_builder_exits_3(runner, monkeypatch):
+    """io.build wraps bad input as a validation error (exit 2), but a theorem
+    violated while building is still a bug (exit 3)."""
+    from hopfcleft import io
+    from hopfcleft.errors import TheoremViolation
+
+    def broken(df, role):
+        raise TheoremViolation("forced in a builder")
+
+    monkeypatch.setitem(io._BUILDERS, "hopf_algebra", broken)
+    result = run(runner, ["verify-hopf", "kc2_q.had"], env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})
+    assert result.exit_code == 3, result.output
+    assert "internal error: theorem violated: forced in a builder" in result.output
+    assert "error: role" not in result.output
+
+
 def test_internal_error_in_a_factorization_is_not_a_failed_check(
         runner, tmp_path, cocycle_file, monkeypatch):
     from hopfcleft import cleft

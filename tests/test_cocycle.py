@@ -2,7 +2,6 @@ from dataclasses import replace
 
 import pytest
 
-from hopfcleft import linalg
 from hopfcleft.braided import check_comodule_algebra, trivial_measuring
 from hopfcleft.cocycle import (
     check_cocycle,
@@ -21,7 +20,7 @@ from hopfcleft.hopf import convolution_inverse_or_none
 from hopfcleft.linalg import LinearMap, compose, tensor_space
 from hopfcleft.oracle import enumerate_cocycles
 
-from conftest import kron
+from conftest import kron, record_map_sizes
 
 
 @pytest.fixture(scope="module")
@@ -147,21 +146,7 @@ def test_triple_coalgebra_builds_no_large_map(monkeypatch, boson8):
     contraction computed, on the way to the dim-8 triple coalgebra
     (512 -> 262,144, 1,728 entries) stays small."""
     fresh = replace(boson8.braided())  # empty pair and triple caches
-    largest = [0]
-    original = LinearMap.__init__
-    through_slot = linalg._through_slot
-
-    def counting_init(self, source, target, entries=None):
-        original(self, source, target, entries)
-        largest[0] = max(largest[0], len(self.entries))
-
-    def counting_slot(*args):
-        out = through_slot(*args)
-        largest[0] = max(largest[0], len(out))
-        return out
-
-    monkeypatch.setattr(LinearMap, "__init__", counting_init)
-    monkeypatch.setattr(linalg, "_through_slot", counting_slot)
+    largest = record_map_sizes(monkeypatch)
     triple = triple_coalgebra(fresh)
     monkeypatch.undo()
     assert fresh.pair_cache is not None and fresh.triple_cache is triple

@@ -3,7 +3,7 @@ import pytest
 from hopfcleft.braided import trivial_measuring
 from hopfcleft.cocycle import pair_coalgebra
 from hopfcleft.errors import NoSolution, NotHopf, NotInvertible, ShapeMismatch
-from hopfcleft.fields import FieldSpec, Scalar
+from hopfcleft.fields import FieldSpec
 from hopfcleft.fixtures import (
     cyclic_group_hopf,
     non_hopf_bialgebra,
@@ -27,14 +27,13 @@ from hopfcleft.linalg import (
     BasedSpace,
     LinearMap,
     compose,
-    compose_all,
     flip_map,
     solve_linear,
     tensor_map,
 )
 from hopfcleft.oracle import enumerate_zprime
 
-from conftest import kron
+from conftest import count_field_muls, kron, ref_braided_product
 
 
 @pytest.mark.parametrize("field,n", [
@@ -148,21 +147,13 @@ def test_convolution_inverse_matches_the_probe_assembly(kc4_f5, boson8, boson16_
 
 def test_convolution_inverse_multiplication_count(boson16_q, monkeypatch):
     # machine-independent guard: the system is written from comul, f and mul
-    # in one pass (448 products when this test was written); probing f * e_ij for every one-entry map
-    # and solving densely took 83,408
+    # in one pass (471 field multiplications when this test was written);
+    # probing f * e_ij for every one-entry map and solving densely took 83,408
     h = boson16_q.hopf
-    calls = 0
-    original = Scalar.__mul__
-
-    def counting_mul(self, other):
-        nonlocal calls
-        calls += 1
-        return original(self, other)
-
-    monkeypatch.setattr(Scalar, "__mul__", counting_mul)
+    calls = count_field_muls(monkeypatch)
     convolution_inverse(LinearMap.identity(h.space), h.coalg, h.alg)
     monkeypatch.undo()
-    assert calls <= 5000
+    assert 0 < calls[0] <= 5000
 
 
 def test_convolution_inverse_is_two_sided(kc4_f5):
@@ -200,13 +191,6 @@ def test_conv_naturality_along_group_morphism(f3):
     assert report.ok, str(report)
 
 
-def _materialised_braided_product(f, a, b, c_ba):
-    """Reference (mul_A (x) mul_B)(id (x) c_{B,A} (x) id)(f (x) f), through
-    Kronecker products."""
-    middle = kron(LinearMap.identity(a.space), c_ba, LinearMap.identity(b.space))
-    return compose_all(kron(a.mul, b.mul), middle, kron(f, f))
-
-
 def test_braided_product_equals_the_materialised_product(boson8, qline_f3):
     from hopfcleft.braided import trivial_measuring
     from hopfcleft.cocycle import crossed_product
@@ -217,7 +201,7 @@ def test_braided_product_equals_the_materialised_product(boson8, qline_f3):
     # comul is an algebra morphism; comul plus x -> x (x) 1 is not
     not_morphism = h.comul + tensor_map(LinearMap.identity(h.space), h.unit)
     for f in (h.comul, not_morphism):
-        assert braided_product(f, h.alg, h.alg, flip) == _materialised_braided_product(
+        assert braided_product(f, h.alg, h.alg, flip) == ref_braided_product(
             f, h.alg, h.alg, flip)
     assert braided_product(h.comul, h.alg, h.alg, flip) == compose(h.comul, h.mul)
     assert braided_product(not_morphism, h.alg, h.alg, flip) != compose(not_morphism, h.mul)
@@ -226,4 +210,4 @@ def test_braided_product_equals_the_materialised_product(boson8, qline_f3):
     b = crossed_product(c).comodule_algebra
     c_hb = b.hopf.braid_with(b.carrier)
     assert braided_product(b.coaction, b.algebra, b.hopf.alg, c_hb) == (
-        _materialised_braided_product(b.coaction, b.algebra, b.hopf.alg, c_hb))
+        ref_braided_product(b.coaction, b.algebra, b.hopf.alg, c_hb))

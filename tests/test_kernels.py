@@ -1,0 +1,207 @@
+"""The raw-value kernels against the Scalar-only references in conftest.
+
+Every kernel result is compared with its reference over F_5, Q and Q(zeta_n)
+for n in {3, 4, 8}, and must store no zero entry: ``LinearMap.__eq__``
+compares entry dicts, so a stored zero would flip a verdict.
+"""
+
+import cmath
+from fractions import Fraction
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from hopfcleft.errors import NotInvertible
+from hopfcleft.fields import FieldSpec
+from hopfcleft.fixtures import cyclic_group_hopf
+from hopfcleft.hopf import (
+    AlgebraData,
+    CoalgebraData,
+    braided_product,
+    convolution,
+    convolution_inverse,
+)
+from hopfcleft.linalg import (
+    LinearMap,
+    based_space,
+    compose,
+    tensor_map,
+    tensor_maps,
+    tensor_space,
+    unit_space,
+)
+
+from conftest import (
+    kron,
+    ref_braided_product,
+    ref_compose,
+    ref_convolution,
+    ref_convolution_inverse,
+)
+
+FIELDS = (
+    FieldSpec.prime_field(5),
+    FieldSpec.rationals(),
+    *(FieldSpec.cyclotomic(n) for n in (3, 4, 8)),
+)
+KERNEL_SETTINGS = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def _values(field):
+    small = st.integers(min_value=-2, max_value=2)
+    if field.kind == "prime":
+        values = small
+    elif field.kind == "rationals":
+        values = st.builds(Fraction, small, st.integers(min_value=1, max_value=3))
+    else:
+        values = st.lists(small, min_size=field.degree, max_size=field.degree)
+    # many zeros: sparse maps, and sums that cancel
+    return st.one_of(st.just(0), values).map(field.scalar)
+
+
+def _space(data, field, name, max_dim=3):
+    dim = data.draw(st.integers(min_value=1, max_value=max_dim))
+    return based_space(name, [f"{name.lower()}{i}" for i in range(dim)], field)
+
+
+def _map(data, source, target):
+    values = data.draw(st.lists(
+        _values(source.field), min_size=source.dim * target.dim,
+        max_size=source.dim * target.dim))
+    return LinearMap(source, target, {
+        divmod(k, source.dim): v for k, v in enumerate(values) if not v.is_zero()})
+
+
+def _assert_matches(result, reference):
+    assert result == reference
+    assert result.entries == reference.entries
+    assert not any(v.is_zero() for v in result.entries.values())
+    is_zero = result.source.field.ops.is_zero
+    assert not any(is_zero(v) for v in result.raw_entries().values())
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def test_compose_equals_the_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    p, q, r, s, t = (_space(data, field, name) for name in "PQRST")
+    a, b = _map(data, p, q), _map(data, s, t)
+    ab, ab_ref = tensor_map(a, b), kron(a, b)
+    _assert_matches(ab, ab_ref)  # the Kronecker entries of a factored map
+    # plain operands
+    f, g = _map(data, q, r), _map(data, r, s)
+    _assert_matches(compose(g, f), ref_compose(g, f))
+    # a factored operand on either side
+    h = _map(data, tensor_space(q, t), r)
+    _assert_matches(compose(h, ab), ref_compose(h, ab_ref))
+    k = _map(data, r, tensor_space(p, s))
+    _assert_matches(compose(ab, k), ref_compose(ab_ref, k))
+    # two factored operands with matching factor shapes stay factored
+    c, d = _map(data, q, r), _map(data, t, p)
+    _assert_matches(compose(tensor_map(c, d), ab), ref_compose(kron(c, d), ab_ref))
+    # and with different factor shapes, (Q (x) T) (x) P after P (x) (S (x) P)
+    id_p = LinearMap.identity(p)
+    h = _map(data, tensor_space(q, t), r)
+    _assert_matches(
+        compose(tensor_map(h, id_p), tensor_map(a, tensor_map(b, id_p))),
+        ref_compose(kron(h, id_p), kron(a, b, id_p)))
+    # a slot application id_P (x) f (x) id_S
+    x = _map(data, r, tensor_space(p, q, s))
+    ids = [LinearMap.identity(p), LinearMap.identity(s)]
+    _assert_matches(
+        compose(tensor_maps(ids[0], f, ids[1]), x),
+        ref_compose(kron(ids[0], f, ids[1]), x))
+
+
+def _random_coalgebra(data, field):
+    c = _space(data, field, "C")
+    return CoalgebraData(c, _map(data, c, tensor_space(c, c)), _map(data, c, unit_space(field)))
+
+
+def _random_algebra(data, field, name="A", max_dim=3):
+    a = _space(data, field, name, max_dim)
+    return AlgebraData(a, _map(data, tensor_space(a, a), a), _map(data, unit_space(field), a))
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def test_convolution_equals_the_reference(data):
+    # structure constants need no axioms for f * g = mul (f (x) g) comul
+    field = data.draw(st.sampled_from(FIELDS))
+    c, a = _random_coalgebra(data, field), _random_algebra(data, field)
+    for _ in range(2):  # the second call reuses the comultiplication index
+        f, g = _map(data, c.space, a.space), _map(data, c.space, a.space)
+        _assert_matches(convolution(f, g, c, a), ref_convolution(f, g, c, a))
+
+
+def _inverse_or_message(solver, f, c, a):
+    try:
+        return solver(f, c, a)
+    except NotInvertible as exc:
+        return str(exc)
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def test_convolution_inverse_equals_the_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    if data.draw(st.booleans()):
+        # a group algebra: f is invertible when every f(g) is a unit
+        h = cyclic_group_hopf(field, data.draw(st.integers(min_value=1, max_value=3)))
+        c, a = h.coalg, h.alg
+    else:
+        c, a = _random_coalgebra(data, field), _random_algebra(data, field)
+    f = _map(data, c.space, a.space)
+    got = _inverse_or_message(convolution_inverse, f, c, a)
+    want = _inverse_or_message(ref_convolution_inverse, f, c, a)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        _assert_matches(got, want)
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def test_braided_product_equals_the_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    a, b = (_random_algebra(data, field, name, max_dim=2) for name in "AB")
+    x = _space(data, field, "X", max_dim=2)
+    f = _map(data, x, tensor_space(a.space, b.space))
+    c_ba = _map(data, tensor_space(b.space, a.space), tensor_space(a.space, b.space))
+    _assert_matches(braided_product(f, a, b, c_ba), ref_braided_product(f, a, b, c_ba))
+
+
+def _model(field, value):
+    """An independent model of a raw value: the residue mod p, the Fraction,
+    or the complex number sum c_k zeta^k with zeta = exp(2 pi i / n)."""
+    if field.kind == "cyclotomic":
+        zeta = cmath.exp(2j * cmath.pi / field.n)
+        return sum(complex(c) * zeta ** k for k, c in enumerate(value))
+    return value
+
+
+def _close(field, x, y):
+    if field.kind == "cyclotomic":
+        return abs(x - y) < 1e-9 * (1 + abs(x) + abs(y))
+    if field.kind == "prime":
+        return (x - y) % field.p == 0
+    return x == y
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_field_ops_agree_with_scalar_and_an_independent_model(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    x, y = data.draw(_values(field)), data.draw(_values(field))
+    ops = field.ops
+    a, b = x.value, y.value
+    assert ops.add(a, b) == (x + y).value
+    assert ops.mul(a, b) == (x * y).value
+    assert ops.neg(a) == (-x).value
+    assert ops.is_zero(a) == x.is_zero()
+    assert _close(field, _model(field, ops.add(a, b)), _model(field, a) + _model(field, b))
+    assert _close(field, _model(field, ops.mul(a, b)), _model(field, a) * _model(field, b))
+    assert _close(field, _model(field, ops.neg(a)), -_model(field, a))
+    if not x.is_zero():
+        assert ops.inverse(a) == x.inverse().value
+        assert _close(field, _model(field, ops.inverse(a)) * _model(field, a), 1)

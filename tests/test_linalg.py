@@ -25,7 +25,7 @@ from hopfcleft.linalg import (
     unit_space,
 )
 
-from conftest import kron
+from conftest import dense_rref, kron
 
 F5 = FieldSpec.prime_field(5)
 
@@ -323,30 +323,6 @@ def test_tensor_space_rejects_colliding_joined_labels():
 FIELDS = (F5, FieldSpec.rationals(), FieldSpec.cyclotomic(4))
 
 
-def _dense_rref(rows):
-    """Reference: dense in-place Gauss-Jordan, returning (rows, pivot columns)."""
-    if not rows:
-        return rows, []
-    pivots = []
-    r = 0
-    for c in range(len(rows[0])):
-        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
 def _dense_rows(f):
     zero = f.source.field.zero()
     rows = [[zero] * f.source.dim for _ in range(f.target.dim)]
@@ -357,7 +333,7 @@ def _dense_rows(f):
 
 def _dense_kernel_basis(f):
     field = f.source.field
-    rows, pivots = _dense_rref(_dense_rows(f))
+    rows, pivots = dense_rref(_dense_rows(f))
     basis = []
     for c in (c for c in range(f.source.dim) if c not in pivots):
         vec = [field.zero()] * f.source.dim
@@ -371,7 +347,7 @@ def _dense_kernel_basis(f):
 def _dense_solve(a, b):
     na = a.source.dim
     rows = [ar + br for ar, br in zip(_dense_rows(a), _dense_rows(b))]
-    rows, pivots = _dense_rref(rows)
+    rows, pivots = dense_rref(rows)
     if any(c >= na for c in pivots):
         raise NoSolution("inconsistent linear system")
     entries = {
