@@ -39,7 +39,7 @@ from .linalg import (
     LinearMap,
     compose,
     compose_all,
-    factor_through_injection,
+    solve_linear,
     tensor_map,
     tensor_maps,
 )
@@ -167,7 +167,7 @@ def coinvariant_measuring(ce: CleftExtension, coinv: Coinvariants | None = None)
         tensor_map(hopf.comul, coinv.iota),
     )
     try:
-        nu = factor_through_injection(coinv.iota, through)
+        nu = solve_linear(coinv.iota, through)
     except NoSolution as exc:
         raise FactorizationFailure(
             "induced measuring does not land in the coinvariants") from exc
@@ -201,8 +201,8 @@ def cocycle_from_section(
         pair, b.algebra,
     )
     try:
-        sigma = factor_through_injection(coinv.iota, sigma_tilde)
-        pi = factor_through_injection(coinv.iota, pi_tilde)
+        sigma = solve_linear(coinv.iota, sigma_tilde)
+        pi = solve_linear(coinv.iota, pi_tilde)
     except NoSolution as exc:
         raise FactorizationFailure(
             "section cocycle does not land in the coinvariants") from exc
@@ -233,7 +233,7 @@ def iso_to_crossed(ce: CleftExtension) -> CheckReport:
         b.coaction,
     )
     try:
-        alpha = factor_through_injection(coinv.iota, alpha_through)
+        alpha = solve_linear(coinv.iota, alpha_through)
     except NoSolution as exc:
         raise FactorizationFailure(
             "projection onto the coinvariants does not factor") from exc

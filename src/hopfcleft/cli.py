@@ -335,8 +335,8 @@ def cocycle_from_cleft(file, role_name, fmt):
     m, cocycle, cocycle_report = cocycle_from_section(ce)
     report.extend(cocycle_report)
     notes = [f"coinvariants: {m.space.name} (dim {m.space.dim})"]
-    for (i, j) in sorted(cocycle.sigma.entries):
-        v = df.field.format(cocycle.sigma.entries[(i, j)])
+    for (i, j), v in sorted(cocycle.sigma.entries.items()):
+        v = df.field.format(v)
         notes.append(
             f"sigma({cocycle.sigma.source.labels[j]}) = {v} {cocycle.sigma.target.labels[i]}")
     _finish(report, fmt, notes)
@@ -575,8 +575,8 @@ def convolution_inverse_cmd(file, role_name, fmt, tensor_name):
     report = CheckReport(f"convolution inverse over {h.space.name}")
     report.add(CheckItem("two-sided convolution inverse exists", True))
     notes = []
-    for (i, j) in sorted(inverse.entries):
-        v = df.field.format(inverse.entries[(i, j)])
+    for (i, j), v in sorted(inverse.entries.items()):
+        v = df.field.format(v)
         notes.append(f"{h.space.labels[j]} -> {v} {h.space.labels[i]}")
     _finish(report, fmt, notes)
 
@@ -596,12 +596,10 @@ def coinvariants_cmd(file, role_name, fmt):
     report.add(CheckItem("coinvariants carry an induced algebra", True))
     notes = [f"dimension: {coinv.algebra.space.dim}"]
     src = coinv.iota.source
+    entries = sorted(coinv.iota.entries.items())
     for j in range(src.dim):
-        terms = []
-        for (i, jj) in sorted(coinv.iota.entries):
-            if jj == j:
-                v = df.field.format(coinv.iota.entries[(i, jj)])
-                terms.append(f"{v} {coinv.iota.target.labels[i]}")
+        terms = [f"{df.field.format(v)} {coinv.iota.target.labels[i]}"
+                 for (i, jj), v in entries if jj == j]
         notes.append(f"{src.labels[j]} = " + " + ".join(terms))
     _finish(report, fmt, notes)
 

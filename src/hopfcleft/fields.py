@@ -9,8 +9,9 @@ Each field has one implementation of its arithmetic, ``FieldSpec.ops``: add,
 mul, neg, inverse and is-zero on raw canonical values (an ``int`` mod p, a
 ``Fraction``, or a coefficient tuple), built once per field object. The
 sparse kernels of ``linalg`` and ``hopf`` fetch it once per call and run on
-raw values; ``Scalar``, the wrapped value the public API hands out, delegates
-its arithmetic to the same functions.
+raw values, and a ``LinearMap`` stores raw values only. ``Scalar``, the
+wrapped value of the ``io`` and public boundary (file scalars, a map's
+``entries`` view), delegates its arithmetic to the same functions.
 """
 
 from __future__ import annotations

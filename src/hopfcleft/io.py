@@ -388,9 +388,8 @@ def serialize(df: DefinitionFile) -> str:
         t = df.tensors[name]
         src, tgt = t.map.source, t.map.target
         parts = []
-        for (i, j) in sorted(t.map.entries):
-            v = df.field.format(t.map.entries[(i, j)])
-            parts.append(f"({tgt.labels[i]}, {src.labels[j]}, {v})")
+        for (i, j), v in sorted(t.map.entries.items()):
+            parts.append(f"({tgt.labels[i]}, {src.labels[j]}, {df.field.format(v)})")
         head = f"tensor {name} {t.role}@{','.join(t.space_names)}:"
         lines.append(head + (" " + " ".join(parts) if parts else ""))
     for name in sorted(df.roles):
@@ -602,4 +601,5 @@ def role_tensor(name: str, role: str, spaces: tuple[BasedSpace, ...], f: LinearM
     source, target = _role_shape(role, spaces, spaces[0].field)
     if (source.dim, target.dim) != (f.source.dim, f.target.dim):
         raise ShapeMismatch(f"tensor {name!r} does not have the shape of a {role}")
-    return Tensor(name, role, tuple(s.name for s in spaces), LinearMap(source, target, f.entries))
+    return Tensor(name, role, tuple(s.name for s in spaces),
+                  LinearMap._from_raw(source, target, f.raw_entries()))

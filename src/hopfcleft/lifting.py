@@ -95,18 +95,14 @@ def check_graded(g: GradedYDHopf) -> CheckReport:
     degs = [g.grading[lab] for lab in g.space.labels]
     table = {g.space.labels: degs}
     zero_labels = [lab for lab in g.space.labels if g.grading[lab] == 0]
-    unit_rows = sorted(i for (i, _) in r.unit.entries)
-    connected = (
-        len(zero_labels) == 1
-        and unit_rows == [g.space.index(zero_labels[0])]
-        and r.unit.entries[(unit_rows[0], 0)].is_one()
-    )
+    connected = len(zero_labels) == 1 and r.unit.raw_entries() == {
+        (g.space.index(zero_labels[0]), 0): g.space.field.one().value}
     report.add(CheckItem(
         "degree zero is spanned by the unit", connected,
         None if connected else f"degree-zero labels {zero_labels}"))
 
     def homogeneous(name, f, shift=0):
-        for (i, j), _ in f.entries.items():
+        for i, j in f.raw_entries():
             di = _entry_degrees(f.target, table, i)
             dj = _entry_degrees(f.source, table, j)
             if di != dj + shift:
@@ -200,13 +196,13 @@ def check_boson_grading(b: Bosonization) -> CheckReport:
         return degs[flat // d] + degs[flat % d]
 
     bad = next(
-        ((i, j) for (i, j), _ in b.hopf.mul.entries.items() if degs[i] != split2(j)),
+        ((i, j) for i, j in b.hopf.mul.raw_entries() if degs[i] != split2(j)),
         None)
     report.add(CheckItem(
         "multiplication adds degrees", bad is None,
         None if bad is None else f"entry {bad}"))
     bad = next(
-        ((i, j) for (i, j), _ in b.hopf.comul.entries.items() if split2(i) != degs[j]),
+        ((i, j) for i, j in b.hopf.comul.raw_entries() if split2(i) != degs[j]),
         None)
     report.add(CheckItem(
         "comultiplication splits degrees", bad is None,
@@ -482,9 +478,10 @@ def sigma_gamma_restricts(b: Bosonization, ce: CleftExtension) -> tuple[ScalarCo
     if m.space.dim != 1:
         raise AxiomFailure("the input must be a cleft object (trivial coinvariants)")
     # identify the one-dimensional coinvariants with the monoidal unit
-    unit_entry = next(iter(m.algebra.unit.entries.values()))
-    ident = LinearMap(
-        m.space, unit_space(b.space.field), {(0, 0): unit_entry.inverse()})
+    unit_entry = next(iter(m.algebra.unit.raw_entries().values()))
+    field = b.space.field
+    ident = LinearMap._from_raw(
+        m.space, unit_space(field), {(0, 0): field.ops.inverse(unit_entry)})
     sigma = compose(ident, cocycle.sigma)
     result = check_zprime(b, sigma)
     if not result.in_zprime:
@@ -531,22 +528,22 @@ def gr_check(b: Bosonization, deformed: HopfAlgebraData) -> CheckReport:
     labels = b.space.labels
     orig = b.hopf.mul
     new = deformed.mul
+    new_cols, orig_cols = new._raw_columns(), orig._raw_columns()
     filtered_ok = True
     top_ok = True
     witness_f = witness_t = None
     for col in range(d * d):
         top = degs[col // d] + degs[col % d]
-        new_col = new.column(col)
-        for i, v in new_col.items():
+        new_col = new_cols.get(col, ())
+        for i, _ in new_col:
             if degs[i] > top:
                 filtered_ok = False
                 witness_f = f"{labels[i]} in {labels[col // d]} * {labels[col % d]}"
                 break
         if not filtered_ok:
             break
-        orig_col = orig.column(col)
-        top_new = {i: v for i, v in new_col.items() if degs[i] == top}
-        if top_new != orig_col:
+        top_new = {i: v for i, v in new_col if degs[i] == top}
+        if top_new != dict(orig_cols.get(col, ())):
             top_ok = False
             witness_t = f"{labels[col // d]} * {labels[col % d]}"
             break
@@ -667,7 +664,7 @@ def _cleft_objects_isomorphic(
     hopf = b.hopf
     d = b.space.dim
     p = field.p
-    unit_col = next(iter(hopf.unit.entries))[0]
+    unit_col = next(iter(hopf.unit.raw_entries()))[0]
     order = sorted((i for i in range(d) if i != unit_col), key=lambda i: (b.degrees[i], i))
     rank = {u: t for t, u in enumerate(order)}
     rank[unit_col] = -1
@@ -706,9 +703,8 @@ def _cleft_objects_isomorphic(
     def search(level):
         nonlocal tried
         if level == len(order):
-            phi_map = LinearMap(
-                b.space, s1.sigma.target,
-                {(0, i): field.scalar(ph[i]) for i in range(d) if ph[i]})
+            phi_map = LinearMap._from_raw(
+                b.space, s1.sigma.target, {(0, i): ph[i] for i in range(d)})
             try:
                 convolution_inverse(phi_map, hopf.coalg, unit_alg)
             except NotInvertible:
@@ -736,26 +732,26 @@ def _twisting_equations(b: Bosonization, s1: ScalarCocycleH, s2: ScalarCocycleH,
     hopf = b.hopf
     d = b.space.dim
     p = b.space.field.p
-    com = hopf.comul
-    mul = hopf.mul
-    sig1 = {j: v.value for (_, j), v in s1.sigma.entries.items()}
-    sig2 = {j: v.value for (_, j), v in s2.sigma.entries.items()}
+    com = hopf.comul._raw_columns()
+    mul = hopf.mul._raw_columns()
+    sig1 = {j: v for (_, j), v in s1.sigma.raw_entries().items()}
+    sig2 = {j: v for (_, j), v in s2.sigma.raw_entries().items()}
     equations = []
     for x in range(d):
-        dx = list(com.column(x).items())
+        dx = com.get(x, ())
         for y in range(d):
-            dy = list(com.column(y).items())
+            dy = com.get(y, ())
             eq: dict[tuple[int, int], int] = {}
             for xi, vx in dx:
                 x1, x2 = divmod(xi, d)
                 for yj, vy in dy:
                     y1, y2 = divmod(yj, d)
-                    c = vx.value * vy.value
+                    c = vx * vy
                     sv = sig2.get(x1 * d + y1)
                     if sv is not None:
-                        for k, mv in mul.column(x2 * d + y2).items():
+                        for k, mv in mul.get(x2 * d + y2, ()):
                             key = (unit_col, k)
-                            eq[key] = eq.get(key, 0) + sv * c * mv.value
+                            eq[key] = eq.get(key, 0) + sv * c * mv
                     sv = sig1.get(x2 * d + y2)
                     if sv is not None:
                         key = (min(x1, y1), max(x1, y1))

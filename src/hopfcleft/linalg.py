@@ -5,9 +5,9 @@ atomic factors and the basis is ordered lexicographically, leftmost factor
 most significant. A tensor space stores only its factors and its dimension;
 its joined basis labels ("a.b.c") are built on first access and cached, so
 large intermediate tensor powers cost nothing until a report names a basis
-vector. Linear maps are stored sparsely, as {(row, col): Scalar} and as the
-same dict of raw canonical values (``raw_entries``), each built from the
-other when first read.
+vector. A linear map keeps one sparse store, {(row, col): raw canonical
+value} without zeros (``raw_entries``); ``entries`` is a view of it as
+Scalars, built on each read and never kept.
 
 The kernels (``_contract``/``_through_slot``, the Kronecker entries of a
 ``TensorMap`` and ``_rref``/``_eliminate`` here; ``convolution``,
@@ -16,8 +16,7 @@ values: they read their operands' ``raw_entries`` or ``_raw_columns``, use the
 field's ``ops`` fetched once per call, and hand their result to the trusted
 constructor ``LinearMap._from_raw``. It drops zeros and skips the range and
 field validation that ``LinearMap.__init__`` keeps for the ``io`` and public
-boundary; its Scalars are built only if something reads ``entries``, so a
-chain of kernels wraps nothing.
+boundary, where Scalars come in and are unwrapped once.
 
 ``compose`` is the one contraction: every product runs through
 ``_through_slot``, which re-indexes one tensor slot of sparse raw entries, so
@@ -152,17 +151,17 @@ def tensor_space(*spaces: BasedSpace) -> BasedSpace:
 
 
 class LinearMap:
-    """A based linear map, stored sparsely: ``entries`` is the (row, col) ->
-    Scalar dict, ``raw_entries()`` the same entries as raw values. A map
-    built from Scalars unwraps on first ``raw_entries()``; a kernel result
-    (``_from_raw``) wraps on first ``entries``. Neither dict holds a zero."""
+    """A based linear map with one sparse store, ``raw_entries()``: the
+    (row, col) -> raw canonical value dict, holding no zero. ``entries`` is
+    the same dict with Scalar values, built on each read."""
 
-    __slots__ = ("source", "target", "_entries", "_raw")
+    __slots__ = ("source", "target", "_raw")
 
     def __init__(self, source: BasedSpace, target: BasedSpace, entries=None):
+        """Validate (row, col) -> Scalar entries and store their values."""
         self.source = source
         self.target = target
-        ents = {}
+        raw = {}
         if entries:
             field = source.field
             for (i, j), v in entries.items():
@@ -171,35 +170,30 @@ class LinearMap:
                 if v.field is not field and v.field != field:
                     raise FieldMismatch("entry field differs from space field")
                 if not v.is_zero():
-                    ents[(i, j)] = v
-        self._entries = ents
-        self._raw = None
+                    raw[(i, j)] = v.value
+        self._raw = raw
 
     @staticmethod
     def _from_raw(source: BasedSpace, target: BasedSpace, raw: dict) -> "LinearMap":
         """The trusted constructor of kernel results: {(row, col): raw value}
         computed from validated maps, so indices and field are not checked
-        again. Zeros are dropped, because ``__eq__`` compares entry dicts;
-        the values are wrapped as Scalars only if ``entries`` is read."""
+        again. Zeros are dropped, because ``__eq__`` compares entry dicts."""
         is_zero = source.field.ops.is_zero
         m = object.__new__(LinearMap)
         m.source, m.target = source, target
-        m._entries = None
         m._raw = {k: v for k, v in raw.items() if not is_zero(v)}
         return m
 
     @property
     def entries(self) -> dict:
-        if self._entries is None:
-            field = self.source.field
-            self._entries = {k: Scalar(field, v) for k, v in self.raw_entries().items()}
-        return self._entries
+        """The entries as Scalars: a new dict on each read, so a caller that
+        needs it more than once reads it once."""
+        field = self.source.field
+        return {k: Scalar(field, v) for k, v in self.raw_entries().items()}
 
     def raw_entries(self) -> dict:
-        """The entries as raw canonical values, for the kernels. Kept and
-        shared: callers read it and never change it."""
-        if self._raw is None:
-            self._raw = {k: v.value for k, v in self._entries.items()}
+        """The store itself, for the kernels: callers read it and never
+        change it."""
         return self._raw
 
     @staticmethod
@@ -221,10 +215,8 @@ class LinearMap:
         return LinearMap(source, target, {})
 
     def __getitem__(self, key) -> Scalar:
-        return self.entries.get(key, self.source.field.zero())
-
-    def column(self, j: int) -> dict:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
+        v = self.raw_entries().get(key)
+        return self.source.field.zero() if v is None else Scalar(self.source.field, v)
 
     def _raw_columns(self) -> dict[int, list]:
         """The sparse columns with raw values, for the kernels: col -> [(row, value)]."""
@@ -251,14 +243,16 @@ class LinearMap:
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         self._check_parallel(other)
-        entries = dict(self.entries)
-        zero = self.source.field.zero()
-        for k, v in other.entries.items():
-            entries[k] = entries.get(k, zero) + v
-        return LinearMap(self.source, self.target, entries)
+        add = self.source.field.ops.add
+        raw = dict(self.raw_entries())
+        for k, v in other.raw_entries().items():
+            raw[k] = add(raw[k], v) if k in raw else v
+        return LinearMap._from_raw(self.source, self.target, raw)
 
     def __neg__(self) -> "LinearMap":
-        return LinearMap(self.source, self.target, {k: -v for k, v in self.entries.items()})
+        neg = self.source.field.ops.neg
+        return LinearMap._from_raw(
+            self.source, self.target, {k: neg(v) for k, v in self.raw_entries().items()})
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
         return self + (-other)
@@ -277,7 +271,7 @@ class LinearMap:
 
 class TensorMap(LinearMap):
     """f (x) g kept as its two factors. The Kronecker entries are built on
-    first read and then kept."""
+    first read and then kept as the store."""
 
     __slots__ = ("factors",)
 
@@ -285,7 +279,7 @@ class TensorMap(LinearMap):
         self.source = tensor_space(f.source, g.source)
         self.target = tensor_space(f.target, g.target)
         self.factors = (f, g)
-        self._entries = self._raw = None
+        self._raw = None
 
     def raw_entries(self) -> dict:
         if self._raw is None:
@@ -534,7 +528,3 @@ def invert(f: LinearMap) -> LinearMap:
 def nullity(f: LinearMap) -> int:
     return f.source.dim - len(_rref(f.raw_entries().items(), f.source.field.ops))
 
-
-def factor_through_injection(iota: LinearMap, g: LinearMap) -> LinearMap:
-    """The unique h with iota.h = g, for injective iota; NoSolution if g misses the image."""
-    return solve_linear(iota, g)

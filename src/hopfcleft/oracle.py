@@ -118,17 +118,19 @@ def _pinned_by_unitality(unit: LinearMap, want: LinearMap, slots) -> dict:
     otherwise nothing is pinned. Sweeping only the other slots, with these
     held fixed, visits the unital candidates of the full sweep in the same
     order."""
-    if len(unit.entries) != 1:
+    unit_entries = unit.entries
+    if len(unit_entries) != 1:
         return {}
-    (u, _), one = next(iter(unit.entries.items()))
+    (u, _), one = next(iter(unit_entries.items()))
     if not one.is_one():
         return {}
     d = unit.target.dim
+    want_entries = want.entries
     pinned = {}
     for i, col in slots:
         x, y = divmod(col, d)
         if x == u or y == u:
-            pinned[(i, col)] = want.entries.get((i, y if x == u else x))
+            pinned[(i, col)] = want_entries.get((i, y if x == u else x))
     return pinned
 
 

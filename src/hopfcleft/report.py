@@ -46,11 +46,14 @@ class CheckReport:
 
 
 def map_equal_item(name: str, lhs: LinearMap, rhs: LinearMap) -> CheckItem:
-    """Compare two parallel maps; the witness is the first differing matrix entry."""
+    """Compare two parallel maps; the witness is the first differing matrix
+    entry. Raw values are canonical and no zero is stored, so the entries
+    differ exactly at the keys of the items on one side only."""
     lhs._check_parallel(rhs)
-    if lhs.raw_entries() == rhs.raw_entries():
+    left, right = lhs.raw_entries(), rhs.raw_entries()
+    if left == right:
         return CheckItem(name, True)
-    (i, j) = min((lhs - rhs).entries)
+    (i, j) = min(k for k, _ in left.items() ^ right.items())
     witness = (
         f"at {lhs.source.labels[j]} -> {lhs.target.labels[i]}: "
         f"{lhs[(i, j)]} != {rhs[(i, j)]}"

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from hopfcleft.errors import NotInvertible
 from hopfcleft.fields import FieldSpec
@@ -6,6 +7,18 @@ from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_gra
 from hopfcleft.lifting import GradedYDHopf, bosonize
 from hopfcleft import linalg
 from hopfcleft.linalg import LinearMap, TensorMap, tensor_space
+from hopfcleft.report import CheckItem
+
+# no per-example deadline: the exact arithmetic is slow on a slow host, and a
+# deadline turns that into a flaky failure; no example database, so a run
+# leaves no saved examples in the checkout
+settings.register_profile("hopfcleft", deadline=None, database=None)
+settings.load_profile("hopfcleft")
+
+
+def column(m, j: int) -> dict:
+    """Column j of m as {row: Scalar}."""
+    return {i: v for (i, jj), v in m.entries.items() if jj == j}
 
 
 def kron(*maps):
@@ -49,6 +62,21 @@ def ref_compose(f, g):
 def ref_convolution(f, g, c, a):
     """Reference f * g = mul (f (x) g) comul."""
     return ref_compose(a.mul, ref_compose(kron(f, g), c.comul))
+
+
+def ref_map_equal_item(name, lhs, rhs):
+    """Reference for ``report.map_equal_item``: the witness is the least key
+    of the Scalar difference lhs - rhs, built entry by entry."""
+    left, right = lhs.entries, rhs.entries
+    zero = lhs.source.field.zero()
+    diff = {k: left.get(k, zero) - right.get(k, zero) for k in left.keys() | right.keys()}
+    differing = [k for k, v in diff.items() if not v.is_zero()]
+    if not differing:
+        return CheckItem(name, True)
+    (i, j) = min(differing)
+    return CheckItem(name, False, (
+        f"at {lhs.source.labels[j]} -> {lhs.target.labels[i]}: "
+        f"{left.get((i, j), zero)} != {right.get((i, j), zero)}"))
 
 
 def dense_rref(rows):

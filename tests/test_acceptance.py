@@ -54,6 +54,8 @@ from hopfcleft.oracle import (
 )
 from hopfcleft.linalg import tensor_space
 
+from conftest import column
+
 
 @contextmanager
 def criterion(number, budget_seconds):
@@ -181,7 +183,7 @@ def test_criterion_7_deformations_are_filtered(boson8):
             low = {}
             for col in range(space.dim * space.dim):
                 top = degs[col // space.dim] + degs[col % space.dim]
-                for i, v in deformed.mul.column(col).items():
+                for i, v in column(deformed.mul, col).items():
                     if degs[i] < top and not v.is_zero():
                         pair = f"{space.labels[col // space.dim]}*{space.labels[col % space.dim]}"
                         low.setdefault(pair, []).append(

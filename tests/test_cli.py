@@ -162,6 +162,76 @@ def test_crossed_product_output_round_trips(runner, tmp_path, cocycle_file):
     assert "dimension: 1" in coinv.output
 
 
+# complete standard output of the commands that print map entries, as the
+# reports stood when these pins were recorded
+CLEFT_CHECKS = """\
+  coaction coassociativity: pass
+  coaction counitality: pass
+  coaction is an algebra morphism: pass
+  coaction of the unit: pass
+  section is a comodule morphism: pass
+  gamma * gamma_inv = unit: pass
+  gamma_inv * gamma = unit: pass
+  coaction of the inverse section: pass
+  convolution invertible: pass
+  (5) cocycle relation: pass
+  (6) twisted action relation: pass
+  (7) normalization: pass
+  (9) twisted module condition: pass
+  (10) inverse variant: pass
+  (11) inverse variant: pass
+  (12) sigma is unital on the left: pass
+  (12) sigma is unital on the right: pass
+  (13) sigma_inv is unital on the left: pass
+  (13) sigma_inv is unital on the right: pass
+"""
+PINNED_STDOUT = {
+    "cocycle-from-cleft": "cleft extension B over H:\n" + CLEFT_CHECKS + """\
+coinvariants: eq(B) (dim 1)
+sigma(1.1) = 1 e0
+sigma(1.g) = 1 e0
+sigma(g.1) = 1 e0
+sigma(g.g) = -1 e0
+""",
+    "coinvariants": """\
+coinvariants of B:
+  coinvariants carry an induced algebra: pass
+dimension: 1
+e0 = 1 1
+""",
+    "kc2_q.had": """\
+convolution inverse over kC2:
+  two-sided convolution inverse exists: pass
+1 -> 1 1
+g -> 1 g
+""",
+    "kc4_zeta4.had": """\
+convolution inverse over kC4:
+  two-sided convolution inverse exists: pass
+1 -> [1, 0] 1
+g3 -> [1, 0] g
+g2 -> [1, 0] g2
+g -> [1, 0] g3
+""",
+}
+
+
+@pytest.mark.parametrize("command", ["cocycle-from-cleft", "coinvariants"])
+def test_cleft_entry_reports_are_pinned(runner, tmp_path, cocycle_file, command):
+    out = tmp_path / "crossed.had"
+    assert run(runner, ["crossed-product", cocycle_file, "--out", str(out)]).exit_code == 0
+    result = run(runner, [command, str(out)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == PINNED_STDOUT[command]
+
+
+@pytest.mark.parametrize("name", ["kc2_q.had", "kc4_zeta4.had"])
+def test_convolution_inverse_report_is_pinned(runner, name):
+    result = run(runner, ["convolution-inverse", name], env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})
+    assert result.exit_code == 0, result.output
+    assert result.stdout == PINNED_STDOUT[name]
+
+
 def test_round_trip_command(runner, cocycle_file):
     result = run(runner, ["round-trip", cocycle_file])
     assert result.exit_code == 0, result.output
@@ -306,7 +376,7 @@ def test_internal_error_in_a_factorization_is_not_a_failed_check(
     def broken(iota, g):
         raise ShapeMismatch("forced")
 
-    monkeypatch.setattr(cleft, "factor_through_injection", broken)
+    monkeypatch.setattr(cleft, "solve_linear", broken)
     result = run(runner, ["cocycle-from-cleft", str(out)])
     assert result.exit_code == 2
     assert "check failed" not in result.output

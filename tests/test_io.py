@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hopfcleft.errors import ParseError, ValidationError
 from hopfcleft.fields import FieldSpec
+from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_grading
 from hopfcleft.hopf import HopfAlgebraData, check_hopf
 from hopfcleft.io import (
     build,
@@ -26,6 +27,29 @@ def data_text(name):
 def test_shipped_files_are_canonical(name):
     text = data_text(name)
     assert serialize(parse(text)) == text
+
+
+def _qline_definition(p, n):
+    line = quantum_line(cyclic_group_hopf(FieldSpec.prime_field(p), n))
+    return graded_to_definition(GradedYDHopf(line, quantum_line_grading()), ambient_name=f"KC{n}")
+
+
+GENERATED = {
+    "kc2_q.had": lambda: hopf_to_definition(
+        cyclic_group_hopf(FieldSpec.rationals(), 2), name="KC2"),
+    "kc4_zeta4.had": lambda: hopf_to_definition(
+        cyclic_group_hopf(FieldSpec.cyclotomic(4), 4), name="KC4"),
+    "qline_kc2_f3.had": lambda: _qline_definition(3, 2),
+    "qline_kc4_f5.had": lambda: _qline_definition(5, 4),
+}
+
+
+@pytest.mark.parametrize("name", DATA_FILES)
+def test_generated_definitions_serialize_to_the_shipped_files(name):
+    """Full-byte pin of serialize on definitions built from the fixtures,
+    whose tensors role_tensor re-homes: each shipped file is the serialized
+    definition of its fixture."""
+    assert serialize(GENERATED[name]()) == data_text(name)
 
 
 @pytest.mark.parametrize("name", DATA_FILES)
@@ -180,7 +204,7 @@ def _mutated_file(draw):
     return "\n".join(lines)
 
 
-@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+@settings(derandomize=True, max_examples=400,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_mutated_file())
 def test_parse_fuzz_fails_only_with_input_errors(text):

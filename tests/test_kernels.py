@@ -1,17 +1,19 @@
 """The raw-value kernels against the Scalar-only references in conftest.
 
 Every kernel result is compared with its reference over F_5, Q and Q(zeta_n)
-for n in {3, 4, 8}, and must store no zero entry: ``LinearMap.__eq__``
-compares entry dicts, so a stored zero would flip a verdict.
+for n in {3, 4, 8}. Both must keep the one-store invariants: no stored zero
+(``LinearMap.__eq__`` compares entry dicts, so one would flip a verdict), and
+``entries`` a Scalar view of ``raw_entries()`` that leaves the store in place.
 """
 
 import cmath
+import itertools
 from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hopfcleft.errors import NotInvertible
-from hopfcleft.fields import FieldSpec
+from hopfcleft.fields import FieldSpec, Scalar
 from hopfcleft.fixtures import cyclic_group_hopf
 from hopfcleft.hopf import (
     AlgebraData,
@@ -29,6 +31,7 @@ from hopfcleft.linalg import (
     tensor_space,
     unit_space,
 )
+from hopfcleft.report import map_equal_item
 
 from conftest import (
     kron,
@@ -36,6 +39,7 @@ from conftest import (
     ref_compose,
     ref_convolution,
     ref_convolution_inverse,
+    ref_map_equal_item,
 )
 
 FIELDS = (
@@ -44,7 +48,7 @@ FIELDS = (
     *(FieldSpec.cyclotomic(n) for n in (3, 4, 8)),
 )
 KERNEL_SETTINGS = settings(
-    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 
 
 def _values(field):
@@ -72,12 +76,23 @@ def _map(data, source, target):
         divmod(k, source.dim): v for k, v in enumerate(values) if not v.is_zero()})
 
 
+def _assert_one_store(m):
+    field = m.source.field
+    raw = m.raw_entries()
+    assert not any(field.ops.is_zero(v) for v in raw.values())
+    assert m.entries == {k: Scalar(field, v) for k, v in raw.items()}
+    assert m.raw_entries() is raw  # reading the view kept the store
+    keys = itertools.product(range(m.target.dim), range(m.source.dim))
+    absent = next((k for k in keys if k not in raw), None)
+    if absent is not None:
+        assert m[absent] == field.zero()
+
+
 def _assert_matches(result, reference):
     assert result == reference
     assert result.entries == reference.entries
-    assert not any(v.is_zero() for v in result.entries.values())
-    is_zero = result.source.field.ops.is_zero
-    assert not any(is_zero(v) for v in result.raw_entries().values())
+    _assert_one_store(result)
+    _assert_one_store(reference)
 
 
 @KERNEL_SETTINGS
@@ -91,6 +106,11 @@ def test_compose_equals_the_reference(data):
     # plain operands
     f, g = _map(data, q, r), _map(data, r, s)
     _assert_matches(compose(g, f), ref_compose(g, f))
+    # sums and negatives, against entrywise Scalar arithmetic
+    f2 = _map(data, q, r)
+    keys = f.entries.keys() | f2.entries.keys()
+    _assert_matches(f + f2, LinearMap(q, r, {k: f[k] + f2[k] for k in keys}))
+    _assert_matches(-f, LinearMap(q, r, {k: -v for k, v in f.entries.items()}))
     # a factored operand on either side
     h = _map(data, tensor_space(q, t), r)
     _assert_matches(compose(h, ab), ref_compose(h, ab_ref))
@@ -171,6 +191,24 @@ def test_braided_product_equals_the_reference(data):
     _assert_matches(braided_product(f, a, b, c_ba), ref_braided_product(f, a, b, c_ba))
 
 
+@KERNEL_SETTINGS
+@given(st.data())
+def test_map_equal_item_equals_the_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    p, q = _space(data, field, "P"), _space(data, field, "Q")
+    lhs = _map(data, p, q)
+    # rhs keeps or redraws each entry of lhs: keys on one side only, keys on
+    # both sides with different values, and often no difference at all
+    values = _values(field)
+    rhs_entries = {}
+    for key in itertools.product(range(q.dim), range(p.dim)):
+        v = lhs[key] if data.draw(st.booleans()) else data.draw(values)
+        if not v.is_zero():
+            rhs_entries[key] = v
+    rhs = LinearMap(p, q, rhs_entries)
+    assert map_equal_item("relation", lhs, rhs) == ref_map_equal_item("relation", lhs, rhs)
+
+
 def _model(field, value):
     """An independent model of a raw value: the residue mod p, the Fraction,
     or the complex number sum c_k zeta^k with zeta = exp(2 pi i / n)."""
@@ -188,7 +226,7 @@ def _close(field, x, y):
     return x == y
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.data())
 def test_field_ops_agree_with_scalar_and_an_independent_model(data):
     field = data.draw(st.sampled_from(FIELDS))

@@ -43,7 +43,7 @@ from hopfcleft.linalg import (
 from hopfcleft.oracle import enumerate_cocycles, enumerate_zprime
 from hopfcleft.report import CheckItem, map_equal_item
 
-from conftest import count_field_muls, kron, record_map_sizes
+from conftest import column, count_field_muls, kron, record_map_sizes
 
 
 @pytest.fixture(scope="module")
@@ -221,13 +221,13 @@ def _sweep_isomorphic(b, s1, s2):
     for x in range(d):
         for y in range(d):
             eq = {}  # (a, b) -> c for the term c phi[a] phi[b]
-            for xi, vx in hopf.comul.column(x).items():
+            for xi, vx in column(hopf.comul, x).items():
                 x1, x2 = divmod(xi, d)
-                for yj, vy in hopf.comul.column(y).items():
+                for yj, vy in column(hopf.comul, y).items():
                     y1, y2 = divmod(yj, d)
                     c = vx.value * vy.value
                     if x1 * d + y1 in sig2:
-                        for k, mv in hopf.mul.column(x2 * d + y2).items():
+                        for k, mv in column(hopf.mul, x2 * d + y2).items():
                             key = (unit_col, k)
                             eq[key] = eq.get(key, 0) + sig2[x1 * d + y1] * c * mv.value
                     if x2 * d + y2 in sig1:
@@ -394,6 +394,36 @@ def test_checks_build_no_kronecker_product(boson16_f17, monkeypatch):
         assert largest[0] <= max(len(f.entries) for f in reads)
 
 
+def test_census_readers_scan_each_map_once(boson8, f5_sigmas, monkeypatch):
+    """Machine-independent guard: the twisting equations and gr_check read
+    each map they use once, as sparse columns, instead of rescanning all its
+    entries for every basis vector (152 and 128 full scans per call when
+    columns were looked up one at a time)."""
+    b = boson8
+    deformed = deform(b, f5_sigmas[1])
+    unit_col = next(iter(b.hopf.unit.raw_entries()))[0]
+    counts = {"entries": 0, "_raw_columns": 0}
+    view, raw_columns = LinearMap.entries, LinearMap._raw_columns
+
+    def counting_view(self):
+        counts["entries"] += 1
+        return view.fget(self)
+
+    def counting_columns(self):
+        counts["_raw_columns"] += 1
+        return raw_columns(self)
+
+    monkeypatch.setattr(LinearMap, "entries", property(counting_view))
+    monkeypatch.setattr(LinearMap, "_raw_columns", counting_columns)
+    equations = lifting._twisting_equations(b, f5_sigmas[1], f5_sigmas[2], unit_col)
+    assert max(counts.values()) <= 4, counts  # comul, mul and the two cocycles
+    counts.update(entries=0, _raw_columns=0)
+    report = gr_check(b, deformed)
+    assert max(counts.values()) <= 2, counts  # the undeformed and deformed products
+    monkeypatch.undo()
+    assert equations and report.ok
+
+
 def test_deformed_square_of_the_generator(boson8, f5_sigmas):
     # x^2 = 0 in the bosonization deforms to lambda(1 - g^2), lambda the
     # cocycle value on (x, x)
@@ -403,7 +433,7 @@ def test_deformed_square_of_the_generator(boson8, f5_sigmas):
     for k, s in enumerate(f5_sigmas):
         deformed = deform(boson8, s)
         entries = {
-            space.labels[i]: v for i, v in deformed.mul.column(col).items()}
+            space.labels[i]: v for i, v in column(deformed.mul, col).items()}
         if k == 0:
             assert entries == {}
         else:
@@ -414,7 +444,7 @@ def test_deformed_square_of_the_generator(boson8, f5_sigmas):
 def test_undeformed_square_vanishes(boson8):
     space = boson8.space
     col = space.index("x.1") * space.dim + space.index("x.1")
-    assert boson8.hopf.mul.column(col) == {}
+    assert column(boson8.hopf.mul, col) == {}
 
 
 def test_deform_requires_verified_cocycle(boson8, f5_sigmas):

@@ -12,7 +12,6 @@ from hopfcleft.linalg import (
     based_space,
     compose,
     equalizer,
-    factor_through_injection,
     flip_map,
     invert,
     kernel_basis,
@@ -148,7 +147,7 @@ def test_solve_linear_no_solution():
 def test_factor_through_injection():
     iota = LinearMap(U, V, {(0, 0): F5.one(), (2, 1): F5.scalar(2)})
     g = LinearMap(W, V, {(0, 0): F5.scalar(3), (2, 1): F5.scalar(4)})
-    h = factor_through_injection(iota, g)
+    h = solve_linear(iota, g)
     assert compose(iota, h) == g
 
 
@@ -211,7 +210,7 @@ def _slot_case(draw):
     return left, f, right, g, h
 
 
-@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@settings(derandomize=True, max_examples=80)
 @given(_slot_case())
 def test_slot_kernel_matches_the_kronecker_product(case):
     left, f, right, g, h = case
@@ -246,7 +245,7 @@ def _factored_case(draw):
     return field, spaces, tensor_map(f, g), kron(kf, kg)
 
 
-@settings(derandomize=True, database=None, max_examples=80, deadline=None,
+@settings(derandomize=True, max_examples=80,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_factored_case(), st.data())
 def test_factored_tensor_map_equals_the_kronecker_product(case, data):
@@ -396,7 +395,7 @@ def _systems(draw):
     return a, b
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+@settings(derandomize=True, max_examples=300,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_systems())
 def test_sparse_elimination_matches_dense_gauss_jordan(system):
