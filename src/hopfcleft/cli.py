@@ -10,6 +10,7 @@ definition file.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -139,6 +140,13 @@ def _command_errors(func):
         except (HopfcleftError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
+        finally:
+            # the process exits next. Interpreter shutdown runs full garbage
+            # collections that walk every object left from the imports and
+            # the command, a large share of a short job; they skip a frozen
+            # heap. Nothing may rely on them: files are closed by `with`
+            # blocks, never left for the collector.
+            gc.freeze()
 
     wrapper.__name__ = func.__name__
     wrapper.__doc__ = func.__doc__

@@ -5,10 +5,17 @@ polynomial, stored as a tuple of rational coefficients of length phi(n).
 Every operation reduces eagerly to this canonical form, so scalar equality
 is equality of representations.
 
+A raw rational, in Q or as a coefficient of Q(zeta_n), is an ``int`` when it
+is integral and a ``Fraction`` with denominator > 1 otherwise. Structure
+constants are mostly integers, and int arithmetic skips the gcd and object
+construction of every ``Fraction`` operation. An int and an equal
+``Fraction`` compare, hash and print alike, so the choice never shows in a
+report.
+
 Each field has one implementation of its arithmetic, ``FieldSpec.ops``: add,
 mul, neg, inverse and is-zero on raw canonical values (an ``int`` mod p, a
-``Fraction``, or a coefficient tuple), built once per field object. The
-sparse kernels of ``linalg`` and ``hopf`` fetch it once per call and run on
+rational, or a coefficient tuple of rationals), built once per field object.
+The sparse kernels of ``linalg`` and ``hopf`` fetch it once per call and run on
 raw values, and a ``LinearMap`` stores raw values only. ``Scalar``, the
 wrapped value of the ``io`` and public boundary (file scalars, a map's
 ``entries`` view), delegates its arithmetic to the same functions.
@@ -139,11 +146,47 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str) -> int | Fraction:
     text = text.strip()
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"bad rational literal {text!r}")
-    return Fraction(text)
+    return _canonical(Fraction(text)) if "/" in text else int(text)
+
+
+def _canonical(x: int | Fraction) -> int | Fraction:
+    """The raw form of a rational: an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _canonical_tuple(coeffs) -> tuple:
+    """The raw form of a cyclotomic coefficient sequence; an all-int one
+    (the common case) passes through unchanged."""
+    for c in coeffs:
+        if type(c) is not int:
+            return tuple(c.numerator if c.denominator == 1 else c for c in coeffs)
+    return tuple(coeffs)
+
+
+def _as_rational(value) -> int | Fraction:
+    """The raw rational of an int, a Fraction or anything Fraction accepts."""
+    return int(value) if isinstance(value, int) else _canonical(Fraction(value))
+
+
+def _rational_add(a, b):
+    c = a + b
+    return c.numerator if c.denominator == 1 else c
+
+
+def _rational_mul(a, b):
+    c = a * b
+    return c.numerator if c.denominator == 1 else c
+
+
+def _rational_inverse(a):
+    # through Fraction, so 1/a of an int is never a float
+    if not a:
+        raise DivisionByZero("inverse of zero")
+    return _canonical(Fraction(a.denominator, a.numerator))
 
 
 class FieldOps(NamedTuple):
@@ -201,7 +244,7 @@ class FieldSpec:
     def scalar(self, value) -> "Scalar":
         """Build a canonical scalar from an int, Fraction or coefficient list."""
         if self.kind == RATIONALS:
-            return Scalar(self, Fraction(value))
+            return Scalar(self, _as_rational(value))
         if self.kind == PRIME:
             if isinstance(value, Fraction):
                 if value.denominator % self.p == 0:
@@ -210,15 +253,19 @@ class FieldSpec:
             return Scalar(self, value % self.p)
         d = self.degree
         if isinstance(value, (int, Fraction)):
-            coeffs = [Fraction(value)] + [Fraction(0)] * (d - 1)
+            coeffs = [_as_rational(value)] + [0] * (d - 1)
         else:
-            coeffs = self._reduce([Fraction(c) for c in value])
+            coeffs = self._reduce([_as_rational(c) for c in value])
         return Scalar(self, tuple(coeffs))
 
     @cached_property
     def ops(self) -> FieldOps:
         """The raw arithmetic, built once per field object (like ``degree``,
-        not a dataclass field, so equality and hash ignore it)."""
+        not a dataclass field, so equality and hash ignore it). Raw values
+        are an ``int`` in 0..p-1 for F_p; for Q a rational, an ``int`` when
+        integral and a ``Fraction`` with denominator > 1 otherwise; for
+        Q(zeta_n) a tuple of phi(n) such rationals. Every function returns
+        this form and never a float."""
         if self.kind == PRIME:
             p = self.p
 
@@ -231,28 +278,36 @@ class FieldSpec:
                 lambda a, b: (a + b) % p, lambda a, b: a * b % p, lambda a: -a % p,
                 inverse, operator.not_)
         if self.kind == RATIONALS:
-            def inverse(a):
-                if not a:
-                    raise DivisionByZero("inverse of zero")
-                return 1 / a
-
-            return FieldOps(operator.add, operator.mul, operator.neg, inverse, operator.not_)
+            return FieldOps(
+                _rational_add, _rational_mul, operator.neg, _rational_inverse, operator.not_)
         return self._cyclotomic_ops()
 
     def _cyclotomic_ops(self) -> FieldOps:
         d = self.degree
         modulus = self._modulus
         reduce = self._reduce
-        zero = Fraction(0)
+        # x^k mod Phi_n for d <= k < 2d - 1 as sparse (index, int) terms, so
+        # reducing a product is one pass over its high coefficients
+        high = [
+            [(t, r) for t, r in enumerate(reduce([0] * k + [1])) if r]
+            for k in range(d, 2 * d - 1)]
+
+        def add(a, b):
+            return _canonical_tuple(tuple(map(operator.add, a, b)))
 
         def mul(a, b):
-            prod = [zero] * (2 * d - 1)
+            prod = [0] * (2 * d - 1)
             for i, x in enumerate(a):
                 if x:
                     for j, y in enumerate(b):
                         if y:
                             prod[i + j] += x * y
-            return reduce(prod)
+            out = prod[:d]
+            for c, terms in zip(prod[d:], high):
+                if c:
+                    for t, r in terms:
+                        out[t] += c * r
+            return _canonical_tuple(out)
 
         def inverse(a):
             # extended Euclid in Q[x] against the cyclotomic modulus
@@ -263,21 +318,20 @@ class FieldSpec:
             while len(r1) > 1:
                 q, r = _poly_divmod(r0, r1)
                 s = list(s0)
-                s += [zero] * (len(q) + len(s1) - 1 - len(s))
+                s += [0] * (len(q) + len(s1) - 1 - len(s))
                 for i, qc in enumerate(q):
                     if qc:
                         for j, sc in enumerate(s1):
                             s[i + j] -= qc * sc
                 r0, r1, s0, s1 = r1, r, s1, _poly_trim(s)
             lead = r1[0]
-            return reduce([c / lead for c in s1])
+            return reduce([Fraction(c, lead) for c in s1])
 
-        return FieldOps(
-            lambda a, b: tuple(x + y for x, y in zip(a, b)), mul,
-            lambda a: tuple(-x for x in a), inverse, lambda a: not any(a))
+        return FieldOps(add, mul, lambda a: tuple(-x for x in a), inverse, lambda a: not any(a))
 
     def _reduce(self, coeffs: list) -> tuple:
-        """The canonical coefficient tuple of a polynomial of any degree."""
+        """The canonical coefficient tuple of a polynomial of any degree with
+        int or Fraction coefficients."""
         mod = self._modulus
         d = self.degree
         coeffs = list(coeffs)
@@ -287,12 +341,14 @@ class FieldSpec:
                 for j in range(len(mod)):
                     coeffs[i - len(mod) + 1 + j] -= c * mod[j]
             coeffs.pop()
-        coeffs += [Fraction(0)] * (d - len(coeffs))
-        return tuple(coeffs)
+        coeffs += [0] * (d - len(coeffs))
+        return _canonical_tuple(coeffs)
 
     @cached_property
-    def _modulus(self) -> tuple[Fraction, ...]:
-        return cyclotomic_polynomial(self.n)
+    def _modulus(self) -> tuple[int, ...]:
+        # Phi_n is monic with integer coefficients: reducing an integral
+        # polynomial by it stays integral
+        return tuple(c.numerator for c in cyclotomic_polynomial(self.n))
 
     def zeta(self) -> "Scalar":
         """The residue class of x in Q(zeta_n)."""

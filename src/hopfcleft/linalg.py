@@ -7,7 +7,10 @@ its joined basis labels ("a.b.c") are built on first access and cached, so
 large intermediate tensor powers cost nothing until a report names a basis
 vector. A linear map keeps one sparse store, {(row, col): raw canonical
 value} without zeros (``raw_entries``); ``entries`` is a view of it as
-Scalars, built on each read and never kept.
+Scalars, built on each read and never kept. Maps never change after
+construction, so the kernels' column and row groupings of the store
+(``_raw_columns``, ``_raw_rows``) are built on first use and kept: a structure
+map is grouped once, however often it is composed or convolved.
 
 The kernels (``_contract``/``_through_slot``, the Kronecker entries of a
 ``TensorMap`` and ``_rref``/``_eliminate`` here; ``convolution``,
@@ -155,7 +158,7 @@ class LinearMap:
     (row, col) -> raw canonical value dict, holding no zero. ``entries`` is
     the same dict with Scalar values, built on each read."""
 
-    __slots__ = ("source", "target", "_raw")
+    __slots__ = ("source", "target", "_raw", "_cols", "_rows")
 
     def __init__(self, source: BasedSpace, target: BasedSpace, entries=None):
         """Validate (row, col) -> Scalar entries and store their values."""
@@ -172,6 +175,7 @@ class LinearMap:
                 if not v.is_zero():
                     raw[(i, j)] = v.value
         self._raw = raw
+        self._cols = self._rows = None
 
     @staticmethod
     def _from_raw(source: BasedSpace, target: BasedSpace, raw: dict) -> "LinearMap":
@@ -182,6 +186,7 @@ class LinearMap:
         m = object.__new__(LinearMap)
         m.source, m.target = source, target
         m._raw = {k: v for k, v in raw.items() if not is_zero(v)}
+        m._cols = m._rows = None
         return m
 
     @property
@@ -219,11 +224,24 @@ class LinearMap:
         return self.source.field.zero() if v is None else Scalar(self.source.field, v)
 
     def _raw_columns(self) -> dict[int, list]:
-        """The sparse columns with raw values, for the kernels: col -> [(row, value)]."""
-        cols: dict[int, list] = {}
-        for (i, j), v in self.raw_entries().items():
-            cols.setdefault(j, []).append((i, v))
-        return cols
+        """The sparse columns with raw values, for the kernels: col -> [(row,
+        value)]. Built on first use and kept; callers never change it."""
+        if self._cols is None:
+            cols: dict[int, list] = {}
+            for (i, j), v in self.raw_entries().items():
+                cols.setdefault(j, []).append((i, v))
+            self._cols = cols
+        return self._cols
+
+    def _raw_rows(self) -> dict[int, list]:
+        """The sparse rows with raw values: row -> [(col, value)], kept like
+        ``_raw_columns``."""
+        if self._rows is None:
+            rows: dict[int, list] = {}
+            for (i, j), v in self.raw_entries().items():
+                rows.setdefault(i, []).append((j, v))
+            self._rows = rows
+        return self._rows
 
     def is_zero(self) -> bool:
         return not self.raw_entries()
@@ -279,7 +297,7 @@ class TensorMap(LinearMap):
         self.source = tensor_space(f.source, g.source)
         self.target = tensor_space(f.target, g.target)
         self.factors = (f, g)
-        self._raw = None
+        self._raw = self._cols = self._rows = None
 
     def raw_entries(self) -> dict:
         if self._raw is None:
@@ -354,10 +372,7 @@ def _contract(entries: dict, axis: int, f: LinearMap, right: int, ops) -> dict:
         return entries
     if axis == 0:
         return _through_slot(entries, 0, f._raw_columns(), f.source.dim, f.target.dim, right, ops)
-    by_row: dict[int, list] = {}
-    for (k, j), v in f.raw_entries().items():
-        by_row.setdefault(k, []).append((j, v))
-    return _through_slot(entries, 1, by_row, f.target.dim, f.source.dim, right, ops)
+    return _through_slot(entries, 1, f._raw_rows(), f.target.dim, f.source.dim, right, ops)
 
 
 def _through_slot(

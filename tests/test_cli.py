@@ -1,5 +1,9 @@
 import hashlib
+import inspect
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -403,3 +407,52 @@ def test_census_finishes_on_the_quantum_line_over_kc4_f7(runner, tmp_path):
     result = run(runner, ["census", str(path)])
     assert result.exit_code == 0, result.output
     assert "restricted cocycles: 7" in result.output
+
+
+def _separate_streams_runner():
+    # click < 8.2 mixes stderr into stdout unless told not to; later
+    # versions always keep both and no longer take the flag
+    if "mix_stderr" in inspect.signature(CliRunner).parameters:
+        return CliRunner(mix_stderr=False)
+    return CliRunner()
+
+
+QLINE_KC2_F3 = resources.files(hopfcleft).joinpath("data", "qline_kc2_f3.had").read_text()
+
+
+@pytest.mark.parametrize("args,files,code", [
+    (["bosonize", "qline.had", "--role", "R", "--out", "boson.had"],
+     {"qline.had": QLINE_KC2_F3}, 0),
+    (["verify-cocycle", "bad.had"],
+     {"bad.had": CLASSICAL_COCYCLE.replace("(1, 1.g, 1)", "(1, 1.g, 2)")}, 1),
+    (["verify-hopf", "malformed.had"], {"malformed.had": "field: Q\n: foo\n"}, 2),
+], ids=["exit0-out", "exit1-check", "exit2-malformed"])
+def test_child_process_matches_the_in_process_run(tmp_path, monkeypatch, args, files, code):
+    """``python -m hopfcleft.cli`` in a child process gives the exit code,
+    stdout and stderr bytes and written files of the in-process run: the
+    real interpreter exit (with its frozen heap) flushes and closes alike."""
+    runs = []
+    for where in ("child", "in_process"):
+        work = tmp_path / where
+        work.mkdir()
+        for name, text in files.items():
+            (work / name).write_text(text)
+        if where == "child":
+            package_root = os.path.dirname(os.path.dirname(hopfcleft.__file__))
+            path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "hopfcleft.cli", *args], cwd=work, capture_output=True,
+                env=dict(os.environ, PYTHONPATH=path), timeout=300)
+            streams = (proc.returncode, proc.stdout, proc.stderr)
+        else:
+            monkeypatch.chdir(work)
+            result = _separate_streams_runner().invoke(main, args)
+            streams = (result.exit_code, result.stdout_bytes, result.stderr_bytes)
+        written = {p.name: p.read_bytes() for p in work.iterdir() if p.name not in files}
+        runs.append((*streams, written))
+    assert runs[0] == runs[1]
+    exit_code, stdout, stderr, written = runs[0]
+    assert exit_code == code
+    assert stdout if code < 2 else stderr  # the report, or the error
+    assert list(written) == (["boson.had"] if code == 0 else [])
+    assert all(written.values())

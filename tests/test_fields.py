@@ -2,7 +2,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hopfcleft.errors import DivisionByZero, NoSuchRoot
 from hopfcleft.fields import FieldSpec, Scalar, cyclotomic_polynomial, root_of_unity
@@ -179,3 +179,74 @@ def test_field_mismatch_rejected():
 def test_scalar_is_hashable():
     assert len({F5.scalar(2), F5.scalar(7), F5.scalar(3)}) == 2
     assert isinstance(Q.one(), Scalar)
+
+
+RAW_FIELDS = [Q] + [FieldSpec.cyclotomic(n) for n in (1, 2, 3, 4, 8, 12)]
+
+
+def assert_raw_form(field, value):
+    """A raw rational is an int when integral and a Fraction with
+    denominator > 1 otherwise; a cyclotomic value is a tuple of them."""
+    if field.kind == "cyclotomic":
+        assert type(value) is tuple and len(value) == field.degree, value
+        coeffs = value
+    else:
+        coeffs = (value,)
+    for c in coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (value, type(c))
+
+
+# numerator and denominator, written unreduced: "4/2" and "-3/3" are integral
+rational_pairs = st.tuples(st.integers(-6, 6), st.integers(1, 4))
+
+
+def _rational_text(pair):
+    n, d = pair
+    return f"{n}/{d}" if d > 1 else str(n)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_raw_values_are_ints_when_integral(data):
+    field = data.draw(st.sampled_from(RAW_FIELDS))
+    # a cyclotomic literal may be longer than phi(n), so parsing reduces it
+    sizes = ((0, 2 * field.degree + 1) if field.kind == "cyclotomic" else (1, 1))
+    values = []
+    for _ in range(3):
+        pairs = data.draw(st.lists(rational_pairs, min_size=sizes[0], max_size=sizes[1]))
+        texts = [_rational_text(p) for p in pairs]
+        fractions = [Fraction(n, d) for n, d in pairs]  # Fraction(4, 2) is Fraction(2, 1)
+        if field.kind == "cyclotomic":
+            parsed = field.parse("[" + ", ".join(texts) + "]")
+            built = field.scalar(fractions)
+        else:
+            parsed = field.parse(texts[0])
+            built = field.scalar(fractions[0])
+        assert parsed == built
+        assert_raw_form(field, parsed.value)
+        assert_raw_form(field, built.value)
+        values.append(parsed.value)
+    ops = field.ops
+    a, b, c = values
+    for result in (ops.add(a, b), ops.mul(a, b), ops.neg(a), ops.add(ops.mul(a, b), c)):
+        assert_raw_form(field, result)
+    for x in values:
+        if not ops.is_zero(x):
+            inv = ops.inverse(x)
+            assert_raw_form(field, inv)
+            assert_raw_form(field, ops.mul(inv, x))
+            assert ops.mul(inv, x) == field.one().value
+
+
+def test_rational_inverse_is_a_fraction_never_a_float():
+    ops = Q.ops
+    assert ops.inverse(2) == Fraction(1, 2) and type(ops.inverse(2)) is Fraction
+    assert ops.inverse(-1) == -1 and type(ops.inverse(-1)) is int
+    assert type(ops.inverse(Fraction(1, 3))) is int
+    # integral results of Fraction arithmetic come back as ints
+    assert type(ops.mul(Fraction(2, 3), Fraction(3, 2))) is int
+    assert type(ops.add(Fraction(1, 2), Fraction(1, 2))) is int
+    assert type(Q.scalar(Fraction(4, 2)).value) is int
+    assert type(Q.parse("-6/3").value) is int
+    inverse = FieldSpec.cyclotomic(4).ops.inverse((2, 0))
+    assert inverse == (Fraction(1, 2), 0) and [type(c) for c in inverse] == [Fraction, int]

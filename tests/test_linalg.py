@@ -166,6 +166,18 @@ def test_entries_drop_zeros():
     assert not f.is_zero()
 
 
+@settings(max_examples=20)
+@given(maps_between(U, V), maps_between(V, W))
+def test_column_and_row_groupings_are_built_once(f, g):
+    """The kernels' groupings of a map's store are kept on the map, so a
+    structure map composed or convolved many times is grouped once."""
+    for m in (f, tensor_map(f, g)):
+        cols, rows = m._raw_columns(), m._raw_rows()
+        assert m._raw_columns() is cols and m._raw_rows() is rows
+        assert {(i, j): v for j, col in cols.items() for i, v in col} == m.raw_entries()
+        assert {(i, j): v for i, row in rows.items() for j, v in row} == m.raw_entries()
+
+
 def test_from_labels_sums_duplicates():
     triples = [("v0", "u0", F5.scalar(2)), ("v0", "u0", F5.scalar(3))]
     assert LinearMap.from_labels(U, V, triples).is_zero()
