@@ -17,7 +17,6 @@ ambient K = k, for which the braiding degenerates to the flip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 
 from .errors import BaseMismatch, CorruptFixture, InducedStructureFailure, NoSolution, ShapeMismatch
 from .fields import FieldSpec
@@ -47,39 +46,35 @@ from .linalg import (
 from .report import CheckReport, map_equal_item
 
 
-@dataclass
 class HModule:
     """A left module over a (classical) Hopf algebra."""
 
-    base: HopfAlgebraData
-    space: BasedSpace
-    action: LinearMap  # base.space (x) space -> space
-
-    def __post_init__(self):
-        want = tensor_space(self.base.space, self.space)
-        if not self.action.source.same_basis(want) or not self.action.target.same_basis(self.space):
+    def __init__(self, base: HopfAlgebraData, space: BasedSpace, action: LinearMap):
+        self.base = base
+        self.space = space
+        self.action = action  # base.space (x) space -> space
+        want = tensor_space(base.space, space)
+        if not action.source.same_basis(want) or not action.target.same_basis(space):
             raise ShapeMismatch("action must map H (x) M -> M")
 
 
-@dataclass
 class HComodule:
     """A left comodule over a (classical) Hopf algebra."""
 
-    base: HopfAlgebraData
-    space: BasedSpace
-    coaction: LinearMap  # space -> base.space (x) space
-
-    def __post_init__(self):
-        if not self.coaction.target.same_basis(tensor_space(self.base.space, self.space)):
+    def __init__(self, base: HopfAlgebraData, space: BasedSpace, coaction: LinearMap):
+        self.base = base
+        self.space = space
+        self.coaction = coaction  # space -> base.space (x) space
+        if not coaction.target.same_basis(tensor_space(base.space, space)):
             raise ShapeMismatch("coaction must map M -> H (x) M")
 
 
-@dataclass
 class YDModule:
     """A left-left Yetter-Drinfeld module: module + left comodule, compatible."""
 
-    module: HModule
-    coaction: LinearMap  # space -> H (x) space
+    def __init__(self, module: HModule, coaction: LinearMap):
+        self.module = module
+        self.coaction = coaction  # space -> H (x) space
 
     @property
     def base(self) -> HopfAlgebraData:
@@ -259,7 +254,6 @@ def ambient_module_tensor(m: HModule, n: HModule) -> HModule:
     return HModule(m.base, tensor_space(m.space, n.space), action)
 
 
-@dataclass
 class BraidedBialgebra:
     """A bialgebra object H-bar of the Yetter-Drinfeld category over ``ambient``.
 
@@ -268,16 +262,16 @@ class BraidedBialgebra:
     ``antipode`` is present when the object is a Hopf algebra.
     """
 
-    ambient: HopfAlgebraData
-    yd: YDModule
-    bialg: BialgebraData
-    antipode: LinearMap | None = None
-    # the braided coalgebras on H (x) H and H (x) H (x) H, built on first use
-    # by cocycle.pair_coalgebra and cocycle.triple_coalgebra
-    pair_cache: CoalgebraData | None = dc_field(
-        default=None, init=False, repr=False, compare=False)
-    triple_cache: CoalgebraData | None = dc_field(
-        default=None, init=False, repr=False, compare=False)
+    def __init__(self, ambient: HopfAlgebraData, yd: YDModule, bialg: BialgebraData,
+                 antipode: LinearMap | None = None):
+        self.ambient = ambient
+        self.yd = yd
+        self.bialg = bialg
+        self.antipode = antipode
+        # the braided coalgebras on H (x) H and H (x) H (x) H, built on first
+        # use by cocycle.pair_coalgebra and cocycle.triple_coalgebra
+        self.pair_cache: CoalgebraData | None = None
+        self.triple_cache: CoalgebraData | None = None
 
     @property
     def space(self) -> BasedSpace:
@@ -353,15 +347,16 @@ def braided_tensor_coalgebra(
     return CoalgebraData(space, comul, counit)
 
 
-@dataclass
 class Measuring:
     """An algebra A in the ambient-module category with nu: H-bar (x) A -> A
     satisfying the measuring relations."""
 
-    hopf: BraidedBialgebra
-    algebra: AlgebraData
-    carrier: HModule  # ambient module structure on A
-    nu: LinearMap
+    def __init__(self, hopf: BraidedBialgebra, algebra: AlgebraData, carrier: HModule,
+                 nu: LinearMap):
+        self.hopf = hopf
+        self.algebra = algebra
+        self.carrier = carrier  # ambient module structure on A
+        self.nu = nu
 
     @property
     def space(self) -> BasedSpace:
@@ -425,14 +420,15 @@ def trivial_measuring(hopf: BraidedBialgebra) -> Measuring:
     return Measuring(hopf, algebra, carrier, hopf.counit)
 
 
-@dataclass
 class ComoduleAlgebra:
     """A right H-bar-comodule algebra B in the ambient-module category."""
 
-    hopf: BraidedBialgebra
-    algebra: AlgebraData
-    carrier: HModule  # ambient module structure on B
-    coaction: LinearMap  # B -> B (x) H-bar
+    def __init__(self, hopf: BraidedBialgebra, algebra: AlgebraData, carrier: HModule,
+                 coaction: LinearMap):
+        self.hopf = hopf
+        self.algebra = algebra
+        self.carrier = carrier  # ambient module structure on B
+        self.coaction = coaction  # B -> B (x) H-bar
 
     @property
     def space(self) -> BasedSpace:
@@ -467,11 +463,11 @@ def check_comodule_algebra(b: ComoduleAlgebra) -> CheckReport:
     return report
 
 
-@dataclass
 class Coinvariants:
-    algebra: AlgebraData
-    iota: LinearMap  # inclusion into the ambient comodule algebra
-    carrier: HModule  # ambient module structure restricted to the coinvariants
+    def __init__(self, algebra: AlgebraData, iota: LinearMap, carrier: HModule):
+        self.algebra = algebra
+        self.iota = iota  # inclusion into the ambient comodule algebra
+        self.carrier = carrier  # ambient module structure restricted to the coinvariants
 
 
 def coinvariants(b: ComoduleAlgebra) -> Coinvariants:

@@ -10,8 +10,6 @@ on concrete matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .braided import (
     ComoduleAlgebra,
     Measuring,
@@ -46,11 +44,12 @@ from .linalg import (
 from .report import CheckItem, CheckReport, map_equal_item
 
 
-@dataclass
 class CleftExtension:
-    comodule_algebra: ComoduleAlgebra
-    gamma: LinearMap  # H -> B, comodule morphism
-    gamma_inv: LinearMap  # two-sided convolution inverse of gamma
+    def __init__(self, comodule_algebra: ComoduleAlgebra, gamma: LinearMap,
+                 gamma_inv: LinearMap):
+        self.comodule_algebra = comodule_algebra
+        self.gamma = gamma  # H -> B, comodule morphism
+        self.gamma_inv = gamma_inv  # two-sided convolution inverse of gamma
 
     @property
     def hopf(self):

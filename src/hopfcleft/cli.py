@@ -14,6 +14,7 @@ import gc
 import json
 import os
 import sys
+from itertools import islice
 
 import click
 
@@ -55,6 +56,7 @@ from .oracle import (
     enumerate_cocycles,
     enumerate_zprime,
     oracle_convolution_inverse,
+    zprime_sweep,
 )
 from .report import CheckItem, CheckReport
 
@@ -394,8 +396,11 @@ def _boson_and_sigma(df, role_name, index, bound):
     role = _find_role(df, ("graded_yd_hopf",), role_name)
     g = io.build(df, role.name)
     b = bosonize(g)
-    sigmas = enumerate_zprime(b, bound)
+    sweep = zprime_sweep(b, bound)
+    # stop at the selected cocycle; only an index out of range needs the count
+    sigmas = list(islice(sweep, max(index + 1, 0)))
     if not 0 <= index < len(sigmas):
+        sigmas += sweep
         raise ValidationError(
             f"--sigma-index {index} out of range; {len(sigmas)} restricted cocycles exist")
     return b, sigmas[index]

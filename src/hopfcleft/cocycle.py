@@ -10,8 +10,6 @@ belongs to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .braided import (
     BraidedBialgebra,
     ComoduleAlgebra,
@@ -40,12 +38,13 @@ from .linalg import (
 from .report import CheckItem, CheckReport, map_equal_item
 
 
-@dataclass
 class Cocycle:
-    measuring: Measuring
-    sigma: LinearMap  # H (x) H -> A
-    sigma_inv: LinearMap  # convolution inverse over the braided pair coalgebra
-    verified: bool = False
+    def __init__(self, measuring: Measuring, sigma: LinearMap, sigma_inv: LinearMap,
+                 verified: bool = False):
+        self.measuring = measuring
+        self.sigma = sigma  # H (x) H -> A
+        self.sigma_inv = sigma_inv  # convolution inverse over the braided pair coalgebra
+        self.verified = verified
 
     @property
     def hopf(self) -> BraidedBialgebra:
@@ -210,10 +209,10 @@ def sigma_recovery(m: Measuring, sigma: LinearMap) -> LinearMap:
     )
 
 
-@dataclass
 class CrossedProduct:
-    cocycle: Cocycle
-    comodule_algebra: ComoduleAlgebra
+    def __init__(self, cocycle: Cocycle, comodule_algebra: ComoduleAlgebra):
+        self.cocycle = cocycle
+        self.comodule_algebra = comodule_algebra
 
     @property
     def algebra(self) -> AlgebraData:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
@@ -189,6 +188,10 @@ def _rational_inverse(a):
     return _canonical(Fraction(a.denominator, a.numerator))
 
 
+def _immutable(self, name, *_):
+    raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+
 class FieldOps(NamedTuple):
     """A field's arithmetic on raw canonical values."""
 
@@ -199,23 +202,33 @@ class FieldOps(NamedTuple):
     is_zero: Callable
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    """One of Q, F_p (p prime) or Q(zeta_n)."""
+    """One of Q, F_p (p prime) or Q(zeta_n). Immutable; equal and hashed by
+    (kind, p, n)."""
 
-    kind: str
-    p: int = 0
-    n: int = 0
-
-    def __post_init__(self):
-        if self.kind == PRIME:
-            if self.p >= MAX_PRIME:
-                raise ValueError(f"characteristic {self.p} exceeds the supported {MAX_PRIME - 1}")
-            if not _is_prime(self.p):
-                raise ValueError(f"{self.p} is not prime")
-        if self.kind == CYCLOTOMIC and not 1 <= self.n <= MAX_CYCLOTOMIC_INDEX:
+    def __init__(self, kind: str, p: int = 0, n: int = 0):
+        if kind == PRIME:
+            if p >= MAX_PRIME:
+                raise ValueError(f"characteristic {p} exceeds the supported {MAX_PRIME - 1}")
+            if not _is_prime(p):
+                raise ValueError(f"{p} is not prime")
+        if kind == CYCLOTOMIC and not 1 <= n <= MAX_CYCLOTOMIC_INDEX:
             raise ValueError(
-                f"cyclotomic index must lie in 1..{MAX_CYCLOTOMIC_INDEX}, got {self.n}")
+                f"cyclotomic index must lie in 1..{MAX_CYCLOTOMIC_INDEX}, got {n}")
+        vars(self).update(kind=kind, p=p, n=n)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldSpec:
+            return NotImplemented
+        return self is other or (self.kind, self.p, self.n) == (other.kind, other.p, other.n)
+
+    def __hash__(self):
+        return hash((self.kind, self.p, self.n))
+
+    def __repr__(self) -> str:
+        return f"FieldSpec(kind={self.kind!r}, p={self.p!r}, n={self.n!r})"
 
     @staticmethod
     def rationals() -> "FieldSpec":
@@ -232,7 +245,7 @@ class FieldSpec:
     @cached_property
     def degree(self) -> int:
         """Degree over Q for cyclotomic fields, 1 otherwise (computed once per
-        field object; not a dataclass field, so equality and hash ignore it)."""
+        field object; equality and hash read only kind, p and n)."""
         return euler_phi(self.n) if self.kind == CYCLOTOMIC else 1
 
     def zero(self) -> "Scalar":
@@ -260,12 +273,12 @@ class FieldSpec:
 
     @cached_property
     def ops(self) -> FieldOps:
-        """The raw arithmetic, built once per field object (like ``degree``,
-        not a dataclass field, so equality and hash ignore it). Raw values
-        are an ``int`` in 0..p-1 for F_p; for Q a rational, an ``int`` when
-        integral and a ``Fraction`` with denominator > 1 otherwise; for
-        Q(zeta_n) a tuple of phi(n) such rationals. Every function returns
-        this form and never a float."""
+        """The raw arithmetic, built once per field object and, like
+        ``degree``, ignored by equality and hash. Raw values are an ``int``
+        in 0..p-1 for F_p; for Q a rational, an ``int`` when integral and a
+        ``Fraction`` with denominator > 1 otherwise; for Q(zeta_n) a tuple of
+        phi(n) such rationals. Every function returns this form and never a
+        float."""
         if self.kind == PRIME:
             p = self.p
 
@@ -384,15 +397,31 @@ class FieldSpec:
         return f"Q(zeta_{self.n})"
 
 
-@dataclass(frozen=True)
 class Scalar:
-    """An exact field element in canonical form. Immutable and hashable."""
+    """An exact field element in canonical form. Immutable; equal and hashed
+    by (field, value)."""
 
-    field: FieldSpec
-    value: object
+    __slots__ = ("field", "value")
+
+    def __init__(self, field: FieldSpec, value):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "value", value)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return (self.field, self.value) == (other.field, other.value)
+
+    def __hash__(self):
+        return hash((self.field, self.value))
+
+    def __repr__(self) -> str:
+        return f"Scalar(field={self.field!r}, value={self.value!r})"
 
     def _check(self, other: "Scalar"):
-        # identity first: the dataclass __eq__ is far slower, and is implies ==
+        # identity first: FieldSpec.__eq__ is slower, and is implies ==
         if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 

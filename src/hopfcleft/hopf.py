@@ -18,7 +18,6 @@ k1 (x) k2 of the comultiplication, through the left-leg index that each
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
@@ -37,18 +36,16 @@ from .linalg import (
 from .report import CheckReport, map_equal_item
 
 
-@dataclass
 class AlgebraData:
-    space: BasedSpace
-    mul: LinearMap  # space (x) space -> space
-    unit: LinearMap  # 1 -> space
-
-    def __post_init__(self):
-        if not self.mul.source.same_basis(tensor_space(self.space, self.space)):
+    def __init__(self, space: BasedSpace, mul: LinearMap, unit: LinearMap):
+        self.space = space
+        self.mul = mul  # space (x) space -> space
+        self.unit = unit  # 1 -> space
+        if not mul.source.same_basis(tensor_space(space, space)):
             raise ShapeMismatch("mul source is not space (x) space")
-        if not self.mul.target.same_basis(self.space):
+        if not mul.target.same_basis(space):
             raise ShapeMismatch("mul target is not the carrier space")
-        if self.unit.source.dim != 1 or not self.unit.target.same_basis(self.space):
+        if unit.source.dim != 1 or not unit.target.same_basis(space):
             raise ShapeMismatch("unit must map the monoidal unit into the carrier")
 
     @property
@@ -56,18 +53,16 @@ class AlgebraData:
         return self.space.field
 
 
-@dataclass
 class CoalgebraData:
-    space: BasedSpace
-    comul: LinearMap  # space -> space (x) space
-    counit: LinearMap  # space -> 1
-
-    def __post_init__(self):
-        if not self.comul.target.same_basis(tensor_space(self.space, self.space)):
+    def __init__(self, space: BasedSpace, comul: LinearMap, counit: LinearMap):
+        self.space = space
+        self.comul = comul  # space -> space (x) space
+        self.counit = counit  # space -> 1
+        if not comul.target.same_basis(tensor_space(space, space)):
             raise ShapeMismatch("comul target is not space (x) space")
-        if not self.comul.source.same_basis(self.space):
+        if not comul.source.same_basis(space):
             raise ShapeMismatch("comul source is not the carrier space")
-        if self.counit.target.dim != 1 or not self.counit.source.same_basis(self.space):
+        if counit.target.dim != 1 or not counit.source.same_basis(space):
             raise ShapeMismatch("counit must map the carrier to the monoidal unit")
 
     @property
@@ -77,8 +72,8 @@ class CoalgebraData:
     @cached_property
     def comul_by_left_leg(self) -> dict[int, list]:
         """The comultiplication indexed by its left tensor leg, with raw
-        values: k1 -> [(k2, j, comul[(k1 (x) k2), j])]. Built once per object;
-        not a dataclass field, so equality ignores it."""
+        values: k1 -> [(k2, j, comul[(k1 (x) k2), j])]. Built once per
+        object."""
         d = self.space.dim
         index: dict[int, list] = {}
         for (k, j), v in self.comul.raw_entries().items():
@@ -87,14 +82,12 @@ class CoalgebraData:
         return index
 
 
-@dataclass
 class BialgebraData:
-    alg: AlgebraData
-    coalg: CoalgebraData
-    self_braiding: LinearMap  # H (x) H -> H (x) H, used on the tensor square
-
-    def __post_init__(self):
-        if not self.alg.space.same_basis(self.coalg.space):
+    def __init__(self, alg: AlgebraData, coalg: CoalgebraData, self_braiding: LinearMap):
+        self.alg = alg
+        self.coalg = coalg
+        self.self_braiding = self_braiding  # H (x) H -> H (x) H, used on the tensor square
+        if not alg.space.same_basis(coalg.space):
             raise ShapeMismatch("algebra and coalgebra live on different spaces")
 
     @property
@@ -118,10 +111,10 @@ class BialgebraData:
         return self.coalg.counit
 
 
-@dataclass
 class HopfAlgebraData:
-    bialg: BialgebraData
-    antipode: LinearMap  # space -> space
+    def __init__(self, bialg: BialgebraData, antipode: LinearMap):
+        self.bialg = bialg
+        self.antipode = antipode  # space -> space
 
     @property
     def space(self) -> BasedSpace:

@@ -20,7 +20,6 @@ roles sorted by name, entries sorted by row then column index).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
 
 from .braided import (
     BraidedBialgebra,
@@ -83,34 +82,28 @@ ROLE_KINDS = {
 }
 
 
-@dataclass
 class Tensor:
-    name: str
-    role: str
-    space_names: tuple[str, ...]
-    map: LinearMap
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return (self.name, self.role, self.space_names, self.map) == (
-            other.name, other.role, other.space_names, other.map)
+    def __init__(self, name: str, role: str, space_names: tuple[str, ...], map: LinearMap):
+        self.name = name
+        self.role = role
+        self.space_names = space_names
+        self.map = map
 
 
-@dataclass
 class Role:
-    kind: str
-    name: str
-    bindings: dict[str, str]
+    def __init__(self, kind: str, name: str, bindings: dict[str, str]):
+        self.kind = kind
+        self.name = name
+        self.bindings = bindings
 
 
-@dataclass
 class DefinitionFile:
-    field: FieldSpec
-    spaces: dict[str, BasedSpace] = dc_field(default_factory=dict)
-    grades: dict[str, tuple[str, dict[str, int]]] = dc_field(default_factory=dict)
-    tensors: dict[str, Tensor] = dc_field(default_factory=dict)
-    roles: dict[str, Role] = dc_field(default_factory=dict)
+    def __init__(self, field: FieldSpec):
+        self.field = field
+        self.spaces: dict[str, BasedSpace] = {}
+        self.grades: dict[str, tuple[str, dict[str, int]]] = {}
+        self.tensors: dict[str, Tensor] = {}
+        self.roles: dict[str, Role] = {}
 
     def tensor_map(self, name: str) -> LinearMap:
         if name not in self.tensors:

@@ -11,8 +11,6 @@ bosonization as associated graded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
-
 from .braided import (
     BraidedBialgebra,
     ComoduleAlgebra,
@@ -52,15 +50,16 @@ from .oracle import CENSUS_BOUND, enumerate_cocycles, enumerate_zprime
 from .report import CheckItem, CheckReport, map_equal_item
 
 
-@dataclass
 class GradedYDHopf:
     """A Hopf algebra in the Yetter-Drinfeld category with a connected
     grading on its basis. Cosemisimplicity of the ambient is recorded as an
     assumption, never verified."""
 
-    hopf: BraidedBialgebra
-    grading: dict[str, int]
-    ambient_cosemisimple_assumed: bool = True
+    def __init__(self, hopf: BraidedBialgebra, grading: dict[str, int],
+                 ambient_cosemisimple_assumed: bool = True):
+        self.hopf = hopf
+        self.grading = grading
+        self.ambient_cosemisimple_assumed = ambient_cosemisimple_assumed
 
     @property
     def ambient(self) -> HopfAlgebraData:
@@ -122,17 +121,16 @@ def check_graded(g: GradedYDHopf) -> CheckReport:
     return report
 
 
-@dataclass
 class Bosonization:
-    source: GradedYDHopf
-    hopf: HopfAlgebraData  # classical Hopf algebra on R (x) H
-    degrees: list[int]  # degree of each basis label of the product space
-    # the classical wrapper of ``hopf``, built on first use by ``braided()``
-    braided_cache: BraidedBialgebra | None = dc_field(
-        default=None, init=False, repr=False, compare=False)
-    # the check_zprime verdict on each distinct sigma checked so far
-    zprime_cache: dict[LinearMap, ScalarCocycleH] = dc_field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, source: GradedYDHopf, hopf: HopfAlgebraData, degrees: list[int]):
+        self.source = source
+        self.hopf = hopf  # classical Hopf algebra on R (x) H
+        self.degrees = degrees  # degree of each basis label of the product space
+        # per-object caches, empty on every new object: the classical wrapper
+        # of ``hopf``, built on first use by ``braided()``, and the
+        # check_zprime verdict on each distinct sigma checked so far
+        self.braided_cache: BraidedBialgebra | None = None
+        self.zprime_cache: dict[LinearMap, ScalarCocycleH] = {}
 
     @property
     def space(self) -> BasedSpace:
@@ -210,18 +208,20 @@ def check_boson_grading(b: Bosonization) -> CheckReport:
     return report
 
 
-@dataclass
 class ScalarCocycleH:
     """A scalar-valued candidate cocycle on the bosonization, with the
     classical cocycle property (in_z) and the restriction property that it is
     determined by its values on R (x) 1 pairs (in_zprime) decided separately."""
 
-    bosonization: Bosonization
-    sigma: LinearMap
-    sigma_inv: LinearMap | None
-    in_z: bool
-    in_zprime: bool
-    report: CheckReport
+    def __init__(self, bosonization: Bosonization, sigma: LinearMap,
+                 sigma_inv: LinearMap | None, in_z: bool, in_zprime: bool,
+                 report: CheckReport):
+        self.bosonization = bosonization
+        self.sigma = sigma
+        self.sigma_inv = sigma_inv
+        self.in_z = in_z
+        self.in_zprime = in_zprime
+        self.report = report
 
 
 def _embed_r(b: Bosonization) -> LinearMap:
@@ -260,7 +260,8 @@ def check_zprime(b: Bosonization, sigma: LinearMap) -> ScalarCocycleH:
     if verdict is None:
         verdict = b.zprime_cache[sigma] = _check_zprime(b, sigma)
     report = CheckReport(verdict.report.subject, list(verdict.report.items))
-    return replace(verdict, sigma=sigma, report=report)
+    return ScalarCocycleH(
+        b, sigma, verdict.sigma_inv, verdict.in_z, verdict.in_zprime, report)
 
 
 def _check_zprime(b: Bosonization, sigma: LinearMap) -> ScalarCocycleH:
@@ -554,14 +555,15 @@ def gr_check(b: Bosonization, deformed: HopfAlgebraData) -> CheckReport:
     return report
 
 
-@dataclass
 class CensusResult:
     """The restricted-cocycle census of a bosonization over a prime field."""
 
-    report: CheckReport
-    cocycles: list[Cocycle]  # braided scalar cocycles on R, enumeration order
-    sigmas: list[ScalarCocycleH]  # their extensions to the bosonization
-    classes: list[list[int]]  # crossed-product isomorphism classes (indices)
+    def __init__(self, report: CheckReport, cocycles: list[Cocycle],
+                 sigmas: list[ScalarCocycleH], classes: list[list[int]]):
+        self.report = report
+        self.cocycles = cocycles  # braided scalar cocycles on R, enumeration order
+        self.sigmas = sigmas  # their extensions to the bosonization
+        self.classes = classes  # crossed-product isomorphism classes (indices)
 
     def representatives(self) -> list[ScalarCocycleH]:
         return [self.sigmas[group[0]] for group in self.classes]

@@ -56,24 +56,28 @@ class BasedSpace:
 
     An atomic space is given its labels; a tensor space (``factors``
     non-empty, labels None) joins its factors' labels on first access.
+    ``index`` looks labels up in a label -> position dict built on first use.
     """
 
-    __slots__ = ("name", "field", "factors", "dim", "_labels")
+    __slots__ = ("name", "field", "factors", "dim", "_labels", "_positions", "_has_sep")
 
     def __init__(self, name: str, labels, field: FieldSpec, factors: tuple = ()):
         self.name = name
         self.field = field
         self.factors = factors
+        self._positions = None
         if labels is None:
             self._labels = None
             self.dim = prod(f.dim for f in factors)
-            # joined labels can only collide when a factor label contains
+            # joined labels can only collide when an atomic label contains
             # the separator (file labels never do)
-            if any(TENSOR_SEP in lab for f in factors for lab in f.labels):
+            self._has_sep = any(f._has_sep for f in factors)
+            if self._has_sep:
                 labels = self.labels
         else:
             labels = self._labels = tuple(labels)
             self.dim = len(labels)
+            self._has_sep = any(TENSOR_SEP in lab for lab in labels)
         if labels is not None and len(set(labels)) != len(labels):
             raise ValueError(f"duplicate basis labels in {name}")
 
@@ -87,7 +91,13 @@ class BasedSpace:
         return self._labels
 
     def index(self, label: str) -> int:
-        return self.labels.index(label)
+        """The position of ``label``; ValueError when it is no basis label."""
+        if self._positions is None:
+            self._positions = {lab: i for i, lab in enumerate(self.labels)}
+        try:
+            return self._positions[label]
+        except KeyError:
+            raise ValueError(f"{label!r} is not a basis label of {self.name}") from None
 
     def same_basis(self, other: "BasedSpace") -> bool:
         """Structural compatibility: same field and basis labels."""

@@ -10,8 +10,6 @@ are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .braided import Measuring, trivial_measuring
 from .cocycle import Cocycle, check_cocycle
 from .errors import NotInvertible, SearchSpaceTooLarge
@@ -24,20 +22,19 @@ DEFAULT_BOUND = 1_000_000
 CENSUS_BOUND = 200_000
 
 
-@dataclass(frozen=True)
 class SearchSpace:
     """A finite family of scalar maps: unknowns indexed by (row, col) slots."""
 
-    unknowns: tuple[tuple[int, int], ...]
-    field: FieldSpec
-    bound: int = DEFAULT_BOUND
-
-    def __post_init__(self):
-        if self.field.kind != "prime":
+    def __init__(self, unknowns: tuple[tuple[int, int], ...], field: FieldSpec,
+                 bound: int = DEFAULT_BOUND):
+        self.unknowns = unknowns
+        self.field = field
+        self.bound = bound
+        if field.kind != "prime":
             raise SearchSpaceTooLarge("exhaustive search requires a prime field")
-        if self.count() > self.bound:
+        if self.count() > bound:
             raise SearchSpaceTooLarge(
-                f"{self.field.p}^{len(self.unknowns)} candidates exceed the bound {self.bound}")
+                f"{field.p}^{len(unknowns)} candidates exceed the bound {bound}")
 
     def count(self) -> int:
         return self.field.p ** len(self.unknowns)
@@ -149,19 +146,25 @@ def oracle_convolution_inverse(
 
 
 def enumerate_zprime(b, bound: int = DEFAULT_BOUND) -> list:
-    """Complete list of restricted scalar cocycles on a bosonization, found by
-    sweeping the values on R x R pairs (which determine the whole map by the
-    restriction formula) and filtering with the full verifier. Returns
-    ScalarCocycleH objects in deterministic order."""
+    """Complete list of restricted scalar cocycles on a bosonization: the
+    whole of ``zprime_sweep``."""
+    return list(zprime_sweep(b, bound))
+
+
+def zprime_sweep(b, bound: int = DEFAULT_BOUND):
+    """The restricted scalar cocycles on a bosonization, found by sweeping the
+    values on R x R pairs (which determine the whole map by the restriction
+    formula) and filtering with the full verifier. Yields ScalarCocycleH
+    objects in deterministic order, verifying each candidate only when the
+    consumer asks for the next result; SearchSpaceTooLarge comes with the
+    first request, before any candidate is checked."""
     from .lifting import check_zprime
 
     g = b.source
     spread = tensor_maps(
         LinearMap.identity(g.space), g.hopf.yd.module.action, b.ambient.counit)
-    found = []
     # the restriction pi: R (x) R -> k is a unital scalar map on R
     for pi_map in _unital_candidates(trivial_measuring(g.hopf), bound):
         result = check_zprime(b, compose(pi_map, spread))
         if result.in_zprime:
-            found.append(result)
-    return found
+            yield result

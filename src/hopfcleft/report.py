@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .linalg import LinearMap
 
 
-@dataclass
 class CheckItem:
-    name: str
-    ok: bool
-    witness: str | None = None
+    """One named verdict; equal to another item with the same name, verdict
+    and witness."""
+
+    def __init__(self, name: str, ok: bool, witness: str | None = None):
+        self.name = name
+        self.ok = ok
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is not CheckItem:
+            return NotImplemented
+        return (self.name, self.ok, self.witness) == (other.name, other.ok, other.witness)
 
     def line(self) -> str:
         status = "pass" if self.ok else "FAIL"
@@ -19,10 +25,10 @@ class CheckItem:
         return f"{self.name}: {status}{tail}"
 
 
-@dataclass
 class CheckReport:
-    subject: str
-    items: list[CheckItem] = field(default_factory=list)
+    def __init__(self, subject: str, items: list[CheckItem] | None = None):
+        self.subject = subject
+        self.items = [] if items is None else items
 
     @property
     def ok(self) -> bool:

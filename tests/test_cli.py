@@ -280,6 +280,29 @@ def test_sigma_index_out_of_range_exits_2(runner):
     assert result.exit_code == 2
 
 
+def test_sigma_index_sweep_stops_at_the_selected_cocycle(runner, monkeypatch):
+    """kC4/F_5 has five restricted cocycles, each from one swept candidate:
+    index 0 verifies one candidate; an index out of range sweeps them all,
+    so its message keeps the count."""
+    from hopfcleft import lifting
+
+    checked = []
+    original = lifting._check_zprime
+    monkeypatch.setattr(lifting, "_check_zprime", lambda b, s: checked.append(s) or original(b, s))
+    env = {"HOPFCLEFT_FIXTURE_DIR": DATA_DIR}
+    result = run(runner, ["phi-inverse", "qline_kc4_f5.had", "--sigma-index", "0"], env=env)
+    assert result.exit_code == 0, result.output
+    assert len(checked) == 1
+    for index in ("5", "-1"):
+        checked.clear()
+        result = run(runner, ["phi-inverse", "qline_kc4_f5.had", "--sigma-index", index],
+                     env=env)
+        assert result.exit_code == 2
+        assert result.output == (
+            f"error: --sigma-index {index} out of range; 5 restricted cocycles exist\n")
+        assert len(checked) == 5
+
+
 def test_psi_command(runner):
     result = run(runner, ["psi", "qline_kc2_f3.had", "--sigma-index", "1"],
                  env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})

@@ -164,6 +164,50 @@ def test_degree_is_computed_once_per_field(monkeypatch):
     assert repr(z8) == "FieldSpec(kind='cyclotomic', p=0, n=8)"
 
 
+def test_field_spec_is_an_immutable_value():
+    for make in (FieldSpec.rationals, lambda: FieldSpec.prime_field(5),
+                 lambda: FieldSpec.cyclotomic(8)):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert FieldSpec.prime_field(5) != FieldSpec.prime_field(7)
+    assert FieldSpec.cyclotomic(5) != FieldSpec.prime_field(5)
+    assert F5 != ("prime", 5, 0)
+    f = FieldSpec.prime_field(5)
+    for mutate in (lambda: setattr(f, "p", 7), lambda: setattr(f, "extra", 1),
+                   lambda: delattr(f, "p")):
+        with pytest.raises(AttributeError):
+            mutate()
+    assert f.p == 5 and f == F5
+
+
+def test_field_ops_are_built_once_and_ignored_by_equality(monkeypatch):
+    calls = []
+    build = FieldSpec._cyclotomic_ops
+    monkeypatch.setattr(FieldSpec, "_cyclotomic_ops", lambda f: calls.append(f) or build(f))
+    a, b = FieldSpec.cyclotomic(8), FieldSpec.cyclotomic(8)
+    assert a.ops is a.ops
+    a.zeta() * a.zeta() + a.one()
+    assert calls == [a]
+    # b has built nothing, a has its arithmetic: still equal, same hash
+    assert a == b and hash(a) == hash(b)
+    assert b.ops is not a.ops and calls == [a, b]
+
+
+def test_scalar_is_an_immutable_value_of_its_field():
+    a, b = F5.scalar(3), FieldSpec.prime_field(5).scalar(8)
+    assert a is not b and a == b and hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        a.value = 4
+    with pytest.raises(AttributeError):
+        a.field = Q
+    assert a.value == 3 and a.field == F5
+    # the raw values agree; equality still tells the fields apart
+    assert Q.scalar(3).value == F5.scalar(3).value == FieldSpec.prime_field(7).scalar(3).value
+    assert Q.scalar(3) != F5.scalar(3)
+    assert FieldSpec.prime_field(7).scalar(3) != F5.scalar(3)
+    assert F5.scalar(3) != 3
+
+
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         FieldSpec.prime_field(6)

@@ -1,18 +1,19 @@
 import itertools
-from dataclasses import replace
 
 import pytest
 
 from hopfcleft import cleft, lifting, oracle
 from hopfcleft.braided import trivial_measuring
-from hopfcleft.cleft import crossed_to_cleft, functor_F
+from hopfcleft.cleft import CleftExtension, crossed_to_cleft, functor_F
 from hopfcleft.cocycle import check_cocycle, crossed_product, pair_coalgebra, triple_coalgebra
 from hopfcleft.errors import AxiomFailure, NotInvertible, SearchSpaceTooLarge
 from hopfcleft.fields import FieldSpec
 from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_grading
 from hopfcleft.hopf import check_hopf, convolution_inverse, iterated_comul, iterated_mul
 from hopfcleft.lifting import (
+    Bosonization,
     GradedYDHopf,
+    ScalarCocycleH,
     _cleft_objects_isomorphic,
     bosonize,
     census_classes,
@@ -49,6 +50,11 @@ from conftest import column, count_field_muls, kron, record_map_sizes
 @pytest.fixture(scope="module")
 def f5_sigmas(boson8):
     return enumerate_zprime(boson8)
+
+
+def _empty_caches(b):
+    """The same bosonization as a new object, with empty caches."""
+    return Bosonization(b.source, b.hopf, b.degrees)
 
 
 def _permuted_smash_mul(e, action, h):
@@ -164,7 +170,7 @@ def test_section_reversal_equals_the_permutation_chain(boson4, monkeypatch):
     gi = ce.gamma_inv
     field = gi.source.field
     extra = LinearMap(gi.source, gi.target, {(0, gi.source.dim - 1): field.one()})
-    broken = replace(ce, gamma_inv=gi + extra)
+    broken = CleftExtension(ce.comodule_algebra, ce.gamma, gi + extra)
     hs, bigspace = boson4.ambient.space, boson4.space
     jh = lifting._embed_h(boson4)
     sandwich = compose(
@@ -448,9 +454,8 @@ def test_undeformed_square_vanishes(boson8):
 
 
 def test_deform_requires_verified_cocycle(boson8, f5_sigmas):
-    from dataclasses import replace
-
-    stale = replace(f5_sigmas[1], in_z=False)
+    s = f5_sigmas[1]
+    stale = ScalarCocycleH(s.bosonization, s.sigma, s.sigma_inv, False, s.in_zprime, s.report)
     with pytest.raises(AxiomFailure):
         deform(boson8, stale)
 
@@ -491,7 +496,7 @@ def _swept_and_rejected(b, monkeypatch):
 
 @pytest.mark.parametrize("name", ["boson4", "boson8"])
 def test_shared_zprime_verdict_equals_a_fresh_check(request, monkeypatch, name):
-    b = replace(request.getfixturevalue(name))  # same algebra, empty caches
+    b = _empty_caches(request.getfixturevalue(name))
     swept, rejected = _swept_and_rejected(b, monkeypatch)
     assert len(swept) == b.space.field.p
     fresh = bosonize(b.source)
@@ -514,7 +519,7 @@ def test_shared_zprime_verdict_equals_a_fresh_check(request, monkeypatch, name):
 
 
 def test_shared_zprime_report_is_not_shared(boson8):
-    b = replace(boson8)
+    b = _empty_caches(boson8)
     sigma = _restricted_sigma(b, 1)
     first = check_zprime(b, sigma)
     first.report.add(CheckItem("appended by the first caller", True))
@@ -539,7 +544,7 @@ def test_census_check_cocycle_call_count(boson8, monkeypatch):
 
     for module in (lifting, oracle, cleft):
         monkeypatch.setattr(module, "check_cocycle", counting)
-    result = cleft_prime_census(replace(boson8))
+    result = cleft_prime_census(_empty_caches(boson8))
     assert result.report.ok, str(result.report)
     assert result.classes == [[0], [1, 4], [2, 3]]
     assert calls <= 15

@@ -307,6 +307,43 @@ def test_tensor_labels_are_the_eager_join():
     assert uvw.index("u1.v2.w0") == uvw.labels.index("u1.v2.w0")
 
 
+def test_index_reads_the_labels_once(monkeypatch):
+    uvw = tensor_space(U, V, W)
+    labels = uvw.labels
+    reads = []
+    getter = BasedSpace.labels.fget
+    monkeypatch.setattr(BasedSpace, "labels", property(lambda s: reads.append(s) or getter(s)))
+    assert [uvw.index(lab) for lab in labels] == list(range(uvw.dim))
+    assert [uvw.index(lab) for lab in reversed(labels)] == list(reversed(range(uvw.dim)))
+    assert reads == [uvw]
+    # an unknown label is a ValueError, as from tuple.index
+    for missing in ("u0.v0", "u0.v0.w9", "1"):
+        with pytest.raises(ValueError):
+            uvw.index(missing)
+
+
+class _CountedLabel(str):
+    """A label that counts the separator searches made in it."""
+
+    searches = 0
+
+    def __contains__(self, part):
+        _CountedLabel.searches += 1
+        return super().__contains__(part)
+
+
+def test_separator_search_is_once_per_atomic_space(monkeypatch):
+    monkeypatch.setattr(_CountedLabel, "searches", 0)
+    a = based_space("A", [_CountedLabel(f"a{k}") for k in range(4)], F5)
+    b = based_space("B", [_CountedLabel(f"b{k}") for k in range(3)], F5)
+    assert _CountedLabel.searches == 7
+    for _ in range(5):
+        ab = tensor_space(a, b)
+        tensor_space(ab, a, b)
+    assert _CountedLabel.searches == 7
+    assert ab.labels == tuple(f"{x}.{y}" for x in a.labels for y in b.labels)
+
+
 def test_same_basis_between_tensor_and_atomic_spaces():
     uvw = tensor_space(U, V, W)
     flat = BasedSpace("flat", uvw.labels, F5)
