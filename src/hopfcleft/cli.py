@@ -1,11 +1,14 @@
 """Command-line driver.
 
-Every command reads definition files (see io.py for the format), prints a
-deterministic report in text or JSON and exits with 0 when all checks pass,
-1 when an axiom or verification fails, 2 on input errors and 3 when an
-identity guaranteed by a proved statement fails (a bug here, not in the
-input). Constructive commands additionally write their result as a
-definition file.
+Every command has one shape, declared by ``_file_command``: a definition
+FILE (see io.py for the format), ``--role`` to pick a role when the file
+declares several of a kind, ``--report text|json``, then the command's own
+options. The command's body starts from the loaded file; it prints a
+deterministic report and exits with 0 when all checks pass, 1 when an
+axiom or verification fails, 2 on input errors and 3 when an identity
+guaranteed by a proved statement fails (a bug here, not in the input).
+Constructive commands additionally write their result as a definition file
+with ``--out``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .errors import (
 from .hopf import check_hopf, convolution_inverse
 from .lifting import (
     bosonize,
-    check_cprime_section,
     check_graded,
     cleft_prime_census,
     deform,
@@ -65,20 +67,14 @@ FIXTURE_DIR_VAR = "HOPFCLEFT_FIXTURE_DIR"
 _CHECK_ERRORS = (AxiomFailure, NotHopf, NotInvertible, FactorizationFailure)
 
 
-def _resolve(path: str) -> str:
-    """Look the file up directly, then in the fixture directory."""
-    if os.path.exists(path):
-        return path
+def _load(path: str) -> io.DefinitionFile:
+    """Load the file found directly, else the one in the fixture directory."""
     fixture_dir = os.environ.get(FIXTURE_DIR_VAR)
-    if fixture_dir:
+    if fixture_dir and not os.path.exists(path):
         candidate = os.path.join(fixture_dir, path)
         if os.path.exists(candidate):
-            return candidate
-    return path
-
-
-def _load(path: str) -> io.DefinitionFile:
-    return io.load(_resolve(path))
+            path = candidate
+    return io.load(path)
 
 
 def _find_role(df: io.DefinitionFile, kinds: tuple[str, ...], name: str | None) -> io.Role:
@@ -99,69 +95,32 @@ def _find_role(df: io.DefinitionFile, kinds: tuple[str, ...], name: str | None) 
     return matches[0]
 
 
-def _report_dict(report: CheckReport) -> dict:
-    return {
-        "subject": report.subject,
-        "ok": report.ok,
-        "items": [
-            {"name": i.name, "ok": i.ok, "witness": i.witness} for i in report.items
-        ],
-    }
-
-
-def _emit(report: CheckReport, fmt: str, extra_lines: list[str] | None = None):
+def _finish(report: CheckReport, fmt: str, notes: list[str] | None = None):
+    """Print the report and its notes, then exit 0 if every check passed."""
     if fmt == "json":
-        payload = _report_dict(report)
-        if extra_lines:
-            payload["notes"] = extra_lines
+        payload = {"subject": report.subject, "ok": report.ok, "items": [
+            {"name": i.name, "ok": i.ok, "witness": i.witness} for i in report.items]}
+        if notes:
+            payload["notes"] = notes
         click.echo(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for line in report.lines():
+        for line in report.lines() + (notes or []):
             click.echo(line)
-        for line in extra_lines or []:
-            click.echo(line)
-
-
-def _finish(report: CheckReport, fmt: str, extra_lines: list[str] | None = None):
-    _emit(report, fmt, extra_lines)
     sys.exit(0 if report.ok else 1)
 
 
-def _command_errors(func):
-    """Map exceptions onto the documented exit codes."""
-
-    def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except TheoremViolation as exc:
-            click.echo(f"internal error: theorem violated: {exc}", err=True)
-            sys.exit(3)
-        except _CHECK_ERRORS as exc:
-            click.echo(f"check failed: {exc}", err=True)
-            sys.exit(1)
-        except (HopfcleftError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        finally:
-            # the process exits next. Interpreter shutdown runs full garbage
-            # collections that walk every object left from the imports and
-            # the command, a large share of a short job; they skip a frozen
-            # heap. Nothing may rely on them: files are closed by `with`
-            # blocks, never left for the collector.
-            gc.freeze()
-
-    wrapper.__name__ = func.__name__
-    wrapper.__doc__ = func.__doc__
-    return wrapper
-
-
-_fmt_option = click.option(
-    "--report", "fmt", type=click.Choice(["text", "json"]), default="text",
-    help="Report output shape.")
-_role_option = click.option("--role", "role_name", default=None, help="Role to use.")
+_FILE_PARAMS = (
+    click.argument("file"),
+    click.option("--role", "role_name", default=None, help="Role to use."),
+    click.option("--report", "fmt", type=click.Choice(["text", "json"]), default="text",
+                 help="Report output shape."),
+)
 _bound_option = click.option(
     "--bound", type=click.IntRange(min=1), default=DEFAULT_BOUND, show_default=True,
     help="Maximum number of candidates an exhaustive sweep may visit.")
+_sigma_index_option = click.option(
+    "--sigma-index", default=0, show_default=True,
+    help="Index into the deterministic enumeration of restricted cocycles.")
 _out_option = click.option(
     "--out", "out_path", default=None, help="Write the result as a definition file.")
 
@@ -173,14 +132,44 @@ def main():
     cleft extensions and liftings."""
 
 
-@main.command("verify-hopf")
-@click.argument("file")
-@_role_option
-@_fmt_option
-@_command_errors
-def verify_hopf(file, role_name, fmt):
+def _file_command(name: str, *options):
+    """Declare the command ``name``: FILE, --role and --report, then
+    ``options`` in order. Its callback loads FILE, calls the decorated body
+    with the definition file in its place and the other parameters by name,
+    and maps exceptions onto the documented exit codes."""
+
+    def decorate(body):
+        def callback(file, **params):
+            try:
+                return body(_load(file), **params)
+            except TheoremViolation as exc:
+                click.echo(f"internal error: theorem violated: {exc}", err=True)
+                sys.exit(3)
+            except _CHECK_ERRORS as exc:
+                click.echo(f"check failed: {exc}", err=True)
+                sys.exit(1)
+            except (HopfcleftError, OSError) as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(2)
+            finally:
+                # the process exits next. Interpreter shutdown runs full
+                # garbage collections that walk every object left from the
+                # imports and the command, a large share of a short job;
+                # they skip a frozen heap. Nothing may rely on them: files
+                # are closed by `with` blocks, never left for the collector.
+                gc.freeze()
+
+        callback.__doc__ = body.__doc__
+        for param in reversed(_FILE_PARAMS + options):
+            callback = param(callback)
+        return main.command(name)(callback)
+
+    return decorate
+
+
+@_file_command("verify-hopf")
+def verify_hopf(df, role_name, fmt):
     """Check all Hopf algebra axioms for a hopf_algebra or graded_yd_hopf role."""
-    df = _load(file)
     role = _find_role(df, ("hopf_algebra", "graded_yd_hopf"), role_name)
     obj = io.build(df, role.name)
     if role.kind == "hopf_algebra":
@@ -190,14 +179,9 @@ def verify_hopf(file, role_name, fmt):
     _finish(report, fmt)
 
 
-@main.command("verify-yd")
-@click.argument("file")
-@_role_option
-@_fmt_option
-@_command_errors
-def verify_yd(file, role_name, fmt):
+@_file_command("verify-yd")
+def verify_yd(df, role_name, fmt):
     """Check the Yetter-Drinfeld axioms and the braiding axioms."""
-    df = _load(file)
     role = _find_role(df, ("yd_module", "graded_yd_hopf"), role_name)
     obj = io.build(df, role.name)
     yd = obj if role.kind == "yd_module" else obj.hopf.yd
@@ -206,35 +190,27 @@ def verify_yd(file, role_name, fmt):
     _finish(report, fmt)
 
 
-@main.command("verify-measuring")
-@click.argument("file")
-@_role_option
-@_fmt_option
-@_command_errors
-def verify_measuring(file, role_name, fmt):
+@_file_command("verify-measuring")
+def verify_measuring(df, role_name, fmt):
     """Check the measuring conditions for a measuring role."""
-    df = _load(file)
     role = _find_role(df, ("measuring",), role_name)
     _finish(check_measuring(io.build(df, role.name)), fmt)
 
 
-def _cocycle_parts(df, role_name):
+def _checked_cocycle(df, role_name, fmt):
+    """Check the cocycle role; a failed check ends the command with its report."""
     role = _find_role(df, ("cocycle",), role_name)
     m = io.build(df, role.bindings["measuring"])
-    sigma = df.tensor_map(role.bindings["sigma"])
-    return m, sigma
+    cocycle, report = check_cocycle(m, df.tensor_map(role.bindings["sigma"]))
+    if cocycle is None:
+        _finish(report, fmt)
+    return cocycle, report
 
 
-@main.command("verify-cocycle")
-@click.argument("file")
-@_role_option
-@_fmt_option
-@_command_errors
-def verify_cocycle(file, role_name, fmt):
+@_file_command("verify-cocycle")
+def verify_cocycle(df, role_name, fmt):
     """Check convolution invertibility and the cocycle relations."""
-    df = _load(file)
-    m, sigma = _cocycle_parts(df, role_name)
-    _, report = check_cocycle(m, sigma)
+    _, report = _checked_cocycle(df, role_name, fmt)
     _finish(report, fmt)
 
 
@@ -274,32 +250,17 @@ def _crossed_output(cp, out_path) -> list[str]:
     return notes
 
 
-@main.command("crossed-product")
-@click.argument("file")
-@_role_option
-@_fmt_option
-@_out_option
-@_command_errors
-def crossed_product_cmd(file, role_name, fmt, out_path):
+@_file_command("crossed-product", _out_option)
+def crossed_product_cmd(df, role_name, fmt, out_path):
     """Build and verify the crossed product of a cocycle role."""
-    df = _load(file)
-    m, sigma = _cocycle_parts(df, role_name)
-    cocycle, report = check_cocycle(m, sigma)
-    if cocycle is None:
-        _finish(report, fmt)
+    cocycle, report = _checked_cocycle(df, role_name, fmt)
     cp = crossed_product(cocycle)
     _finish(report, fmt, _crossed_output(cp, out_path))
 
 
-@main.command("smash")
-@click.argument("file")
-@_role_option
-@_fmt_option
-@_out_option
-@_command_errors
-def smash(file, role_name, fmt, out_path):
+@_file_command("smash", _out_option)
+def smash(df, role_name, fmt, out_path):
     """Build the smash product of a measuring role (trivial cocycle)."""
-    df = _load(file)
     role = _find_role(df, ("measuring",), role_name)
     m = io.build(df, role.name)
     cocycle, report = check_cocycle(m, trivial_sigma(m))
@@ -309,19 +270,10 @@ def smash(file, role_name, fmt, out_path):
     _finish(report, fmt, _crossed_output(cp, out_path))
 
 
-@main.command("cleft-from-cocycle")
-@click.argument("file")
-@_role_option
-@_fmt_option
-@_out_option
-@_command_errors
-def cleft_from_cocycle(file, role_name, fmt, out_path):
+@_file_command("cleft-from-cocycle", _out_option)
+def cleft_from_cocycle(df, role_name, fmt, out_path):
     """Crossed product with its canonical section, verified as a cleft extension."""
-    df = _load(file)
-    m, sigma = _cocycle_parts(df, role_name)
-    cocycle, report = check_cocycle(m, sigma)
-    if cocycle is None:
-        _finish(report, fmt)
+    cocycle, report = _checked_cocycle(df, role_name, fmt)
     ce = functor_F(cocycle)
     cleft_report = check_cleft(ce)
     report.extend(cleft_report)
@@ -329,14 +281,9 @@ def cleft_from_cocycle(file, role_name, fmt, out_path):
     _finish(report, fmt, notes)
 
 
-@main.command("cocycle-from-cleft")
-@click.argument("file")
-@_role_option
-@_fmt_option
-@_command_errors
-def cocycle_from_cleft(file, role_name, fmt):
+@_file_command("cocycle-from-cleft")
+def cocycle_from_cleft(df, role_name, fmt):
     """Extract and verify the cocycle of a cleft extension role."""
-    df = _load(file)
     role = _find_role(df, ("cleft_extension",), role_name)
     ce = io.build(df, role.name)
     report = check_cleft(ce)
@@ -352,31 +299,17 @@ def cocycle_from_cleft(file, role_name, fmt):
     _finish(report, fmt, notes)
 
 
-@main.command("round-trip")
-@click.argument("file")
-@_role_option
-@_fmt_option
-@_command_errors
-def round_trip(file, role_name, fmt):
+@_file_command("round-trip")
+def round_trip(df, role_name, fmt):
     """Cocycle -> cleft extension -> cocycle recovers the input exactly."""
-    df = _load(file)
-    m, sigma = _cocycle_parts(df, role_name)
-    cocycle, report = check_cocycle(m, sigma)
-    if cocycle is None:
-        _finish(report, fmt)
+    cocycle, report = _checked_cocycle(df, role_name, fmt)
     report.extend(round_trip_check(cocycle))
     _finish(report, fmt)
 
 
-@main.command("bosonize")
-@click.argument("file")
-@_role_option
-@_fmt_option
-@_out_option
-@_command_errors
-def bosonize_cmd(file, role_name, fmt, out_path):
+@_file_command("bosonize", _out_option)
+def bosonize_cmd(df, role_name, fmt, out_path):
     """Build and verify the bosonization of a graded_yd_hopf role."""
-    df = _load(file)
     role = _find_role(df, ("graded_yd_hopf",), role_name)
     g = io.build(df, role.name)
     report = check_graded(g)
@@ -406,23 +339,10 @@ def _boson_and_sigma(df, role_name, index, bound):
     return b, sigmas[index]
 
 
-_sigma_index_option = click.option(
-    "--sigma-index", default=0, show_default=True,
-    help="Index into the deterministic enumeration of restricted cocycles.")
-
-
-@main.command("phi")
-@click.argument("file")
-@_role_option
-@_fmt_option
-@_command_errors
-def phi_cmd(file, role_name, fmt):
+@_file_command("phi")
+def phi_cmd(df, role_name, fmt):
     """Extend a braided scalar cocycle on R to the bosonization."""
-    df = _load(file)
-    m, sigma = _cocycle_parts(df, role_name)
-    cocycle, report = check_cocycle(m, sigma)
-    if cocycle is None:
-        _finish(report, fmt)
+    cocycle, report = _checked_cocycle(df, role_name, fmt)
     grole = _find_role(df, ("graded_yd_hopf",), None)
     b = bosonize(io.build(df, grole.name))
     result = phi(b, cocycle)
@@ -430,16 +350,9 @@ def phi_cmd(file, role_name, fmt):
     _finish(report, fmt)
 
 
-@main.command("phi-inverse")
-@click.argument("file")
-@_role_option
-@_fmt_option
-@_bound_option
-@_sigma_index_option
-@_command_errors
-def phi_inverse_cmd(file, role_name, fmt, bound, sigma_index):
+@_file_command("phi-inverse", _bound_option, _sigma_index_option)
+def phi_inverse_cmd(df, role_name, fmt, bound, sigma_index):
     """Restrict a scalar cocycle on the bosonization back to the braided factor."""
-    df = _load(file)
     b, s = _boson_and_sigma(df, role_name, sigma_index, bound)
     pi = phi_inverse(s)
     report = s.report
@@ -449,39 +362,26 @@ def phi_inverse_cmd(file, role_name, fmt, bound, sigma_index):
     _finish(report, fmt)
 
 
-@main.command("psi")
-@click.argument("file")
-@_role_option
-@_fmt_option
-@_bound_option
-@_sigma_index_option
-@_command_errors
-def psi_cmd(file, role_name, fmt, bound, sigma_index):
+@_file_command("psi", _bound_option, _sigma_index_option)
+def psi_cmd(df, role_name, fmt, bound, sigma_index):
     """Induce an H-cleft object from the R-cleft object of a restricted cocycle."""
-    df = _load(file)
     b, s = _boson_and_sigma(df, role_name, sigma_index, bound)
     r_cleft = functor_F(phi_inverse(s))
     ce = psi(b, r_cleft)
     report = check_cleft(ce)
-    report.extend(check_cprime_section(b, ce))
-    back, back_report = sigma_gamma_restricts(b, ce)
-    report.extend(back_report)
+    back, section_report = sigma_gamma_restricts(b, ce)
+    # the report lists the section conditions twice: once as checked on the
+    # induced section, once as the premise of restricting its cocycle
+    report.extend(section_report)
+    report.extend(section_report)
     report.add(CheckItem(
         "section cocycle recovers sigma", back.sigma == s.sigma))
     _finish(report, fmt)
 
 
-@main.command("deform")
-@click.argument("file")
-@_role_option
-@_fmt_option
-@_bound_option
-@_sigma_index_option
-@_out_option
-@_command_errors
-def deform_cmd(file, role_name, fmt, bound, sigma_index, out_path):
+@_file_command("deform", _bound_option, _sigma_index_option, _out_option)
+def deform_cmd(df, role_name, fmt, bound, sigma_index, out_path):
     """Deform the bosonization by a restricted cocycle."""
-    df = _load(file)
     b, s = _boson_and_sigma(df, role_name, sigma_index, bound)
     deformed = deform(b, s)
     report = CheckReport(f"deformation of {b.space.name}")
@@ -493,32 +393,20 @@ def deform_cmd(file, role_name, fmt, bound, sigma_index, out_path):
     _finish(report, fmt, notes)
 
 
-@main.command("gr-check")
-@click.argument("file")
-@_role_option
-@_fmt_option
-@_bound_option
-@_sigma_index_option
-@_command_errors
-def gr_check_cmd(file, role_name, fmt, bound, sigma_index):
+@_file_command("gr-check", _bound_option, _sigma_index_option)
+def gr_check_cmd(df, role_name, fmt, bound, sigma_index):
     """Deform, then verify the associated graded product is undeformed."""
-    df = _load(file)
     b, s = _boson_and_sigma(df, role_name, sigma_index, bound)
     _finish(gr_check(b, deform(b, s)), fmt)
 
 
-@main.command("census")
-@click.argument("file")
-@_role_option
-@_fmt_option
-@click.option("--bound", type=click.IntRange(min=1), default=CENSUS_BOUND, show_default=True,
-              help="Maximum number of candidates a restricted-cocycle sweep may "
-                   "visit, and of values one twisting search may try.")
-@_command_errors
-def census(file, role_name, fmt, bound):
+@_file_command("census", click.option(
+    "--bound", type=click.IntRange(min=1), default=CENSUS_BOUND, show_default=True,
+    help="Maximum number of candidates a restricted-cocycle sweep may "
+         "visit, and of values one twisting search may try."))
+def census(df, role_name, fmt, bound):
     """Enumerate restricted cocycles, run both cleft-object constructions and
     classify the results up to comodule algebra isomorphism."""
-    df = _load(file)
     role = _find_role(df, ("graded_yd_hopf",), role_name)
     b = bosonize(io.build(df, role.name))
     result = cleft_prime_census(b, bound)
@@ -529,15 +417,9 @@ def census(file, role_name, fmt, bound):
     _finish(result.report, fmt, notes)
 
 
-@main.command("oracle")
-@click.argument("file")
-@_role_option
-@_fmt_option
-@_bound_option
-@_command_errors
-def oracle(file, role_name, fmt, bound):
+@_file_command("oracle", _bound_option)
+def oracle(df, role_name, fmt, bound):
     """Exhaustive-search cross-checks of the closed-form constructions."""
-    df = _load(file)
     report = CheckReport(f"oracle sweeps over {df.field}")
     notes = []
     for role in sorted(df.roles.values(), key=lambda r: r.name):
@@ -566,16 +448,11 @@ def oracle(file, role_name, fmt, bound):
     _finish(report, fmt, notes)
 
 
-@main.command("convolution-inverse")
-@click.argument("file")
-@_role_option
-@_fmt_option
-@click.option("--tensor", "tensor_name", default=None,
-              help="Invert this H -> H tensor instead of the identity.")
-@_command_errors
-def convolution_inverse_cmd(file, role_name, fmt, tensor_name):
+@_file_command("convolution-inverse", click.option(
+    "--tensor", "tensor_name", default=None,
+    help="Invert this H -> H tensor instead of the identity."))
+def convolution_inverse_cmd(df, role_name, fmt, tensor_name):
     """Convolution inverse in Hom(H, H); the identity's inverse is the antipode."""
-    df = _load(file)
     role = _find_role(df, ("hopf_algebra",), role_name)
     h = io.build(df, role.name)
     f = LinearMap.identity(h.space) if tensor_name is None else df.tensor_map(tensor_name)
@@ -594,14 +471,9 @@ def convolution_inverse_cmd(file, role_name, fmt, tensor_name):
     _finish(report, fmt, notes)
 
 
-@main.command("coinvariants")
-@click.argument("file")
-@_role_option
-@_fmt_option
-@_command_errors
-def coinvariants_cmd(file, role_name, fmt):
+@_file_command("coinvariants")
+def coinvariants_cmd(df, role_name, fmt):
     """Compute the coinvariant subalgebra of a cleft_extension role."""
-    df = _load(file)
     role = _find_role(df, ("cleft_extension",), role_name)
     ce = io.build(df, role.name)
     coinv = coinvariants(ce.comodule_algebra)

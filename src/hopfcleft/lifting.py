@@ -52,14 +52,12 @@ from .report import CheckItem, CheckReport, map_equal_item
 
 class GradedYDHopf:
     """A Hopf algebra in the Yetter-Drinfeld category with a connected
-    grading on its basis. Cosemisimplicity of the ambient is recorded as an
-    assumption, never verified."""
+    grading on its basis. Cosemisimplicity of the ambient is assumed, never
+    verified."""
 
-    def __init__(self, hopf: BraidedBialgebra, grading: dict[str, int],
-                 ambient_cosemisimple_assumed: bool = True):
+    def __init__(self, hopf: BraidedBialgebra, grading: dict[str, int]):
         self.hopf = hopf
         self.grading = grading
-        self.ambient_cosemisimple_assumed = ambient_cosemisimple_assumed
 
     @property
     def ambient(self) -> HopfAlgebraData:

@@ -114,18 +114,6 @@ class BasedSpace:
     def atomic_factors(self) -> tuple["BasedSpace", ...]:
         return self.factors if self.factors else (self,)
 
-    def _key(self) -> tuple:
-        # a tensor space's labels are determined by its factors
-        return (self.name, self.field, self.factors, None if self.factors else self._labels)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BasedSpace):
-            return NotImplemented
-        return self is other or self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __repr__(self) -> str:
         return f"BasedSpace({self.name!r}, dim={self.dim}, field={self.field})"
 

@@ -10,6 +10,8 @@ are deterministic.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .braided import Measuring, trivial_measuring
 from .cocycle import Cocycle, check_cocycle
 from .errors import NotInvertible, SearchSpaceTooLarge
@@ -41,18 +43,7 @@ class SearchSpace:
 
     def assignments(self):
         """All value tuples in lexicographic order."""
-        p = self.field.p
-        n = len(self.unknowns)
-        current = [0] * n
-        while True:
-            yield tuple(current)
-            i = n - 1
-            while i >= 0 and current[i] == p - 1:
-                current[i] = 0
-                i -= 1
-            if i < 0:
-                return
-            current[i] += 1
+        return product(range(self.field.p), repeat=len(self.unknowns))
 
 
 def _candidate_maps(source, target, space: SearchSpace, fixed=None):

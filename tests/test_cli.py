@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import inspect
 import json
@@ -5,10 +6,13 @@ import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
+from hopfcleft import cli
 from hopfcleft.cli import main
 
 import hopfcleft
@@ -309,6 +313,28 @@ def test_psi_command(runner):
     assert result.exit_code == 0, result.output
 
 
+def test_psi_checks_the_section_condition_once(runner, monkeypatch):
+    """The report lists the section conditions twice, from one check."""
+    from hopfcleft import cli, lifting
+
+    calls = []
+    original = lifting.check_cprime_section
+
+    def counted(b, ce):
+        calls.append(ce)
+        return original(b, ce)
+
+    # count the calls made from either module
+    monkeypatch.setattr(lifting, "check_cprime_section", counted)
+    monkeypatch.setattr(cli, "check_cprime_section", counted, raising=False)
+    result = run(runner, ["psi", "qline_kc2_f3.had", "--sigma-index", "1"],
+                 env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+    assert result.output.count(
+        "  (9) section is multiplicative against the group part: pass\n") == 2
+
+
 def test_census_f3(runner):
     result = run(runner, ["census", "qline_kc2_f3.had"],
                  env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})
@@ -479,3 +505,62 @@ def test_child_process_matches_the_in_process_run(tmp_path, monkeypatch, args, f
     assert stdout if code < 2 else stderr  # the report, or the error
     assert list(written) == (["boson.had"] if code == 0 else [])
     assert all(written.values())
+
+
+_BOUND = ("bound", ["--bound"], 1_000_000)
+_SIGMA_INDEX = ("sigma_index", ["--sigma-index"], 0)
+_OUT = ("out_path", ["--out"], None)
+# each command's own options, after FILE, --role and --report
+COMMAND_OPTIONS = {
+    "verify-hopf": [],
+    "verify-yd": [],
+    "verify-measuring": [],
+    "verify-cocycle": [],
+    "crossed-product": [_OUT],
+    "smash": [_OUT],
+    "cleft-from-cocycle": [_OUT],
+    "cocycle-from-cleft": [],
+    "round-trip": [],
+    "bosonize": [_OUT],
+    "phi": [],
+    "phi-inverse": [_BOUND, _SIGMA_INDEX],
+    "psi": [_BOUND, _SIGMA_INDEX],
+    "deform": [_BOUND, _SIGMA_INDEX, _OUT],
+    "gr-check": [_BOUND, _SIGMA_INDEX],
+    "census": [("bound", ["--bound"], 200_000)],
+    "oracle": [_BOUND],
+    "convolution-inverse": [("tensor_name", ["--tensor"], None)],
+    "coinvariants": [],
+}
+
+
+def test_every_command_takes_file_role_and_report_then_its_own_options():
+    assert list(main.commands) == list(COMMAND_OPTIONS)
+    for name, own in COMMAND_OPTIONS.items():
+        file, *options = main.commands[name].params
+        assert isinstance(file, click.Argument) and file.name == "file", name
+        assert [(p.name, p.opts, p.default) for p in options] == [
+            ("role_name", ["--role"], None), ("fmt", ["--report"], "text"), *own], name
+
+
+@pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+def test_every_command_rejects_a_missing_or_malformed_file(tmp_path, command):
+    runner = _separate_streams_runner()
+    result = runner.invoke(main, [command, "no_such_file.had"])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: ") and "no_such_file.had" in result.stderr
+    path = tmp_path / "malformed.had"
+    path.write_text("field: Q\n: foo\n")
+    result = runner.invoke(main, [command, str(path)])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: line 2: missing line keyword before ':'\n"
+
+
+def test_the_file_argument_is_declared_once():
+    """Every command gets FILE, --role and --report from one declaration;
+    a second one would fork the command shape."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    declared = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "click.argument"]
+    assert [ast.unparse(node) for node in declared] == ["click.argument('file')"]
