@@ -10,13 +10,13 @@ tensor product of two objects is built from a twist: ``braided_tensor_algebra``
 and ``braided_tensor_coalgebra`` apply it inside one tensor slot (the
 bosonization R (x) H takes c_{H,R} = twist(comul_H, action_R) and c_{R,H} =
 twist(coaction_R, mul_H)), and so do the Yetter-Drinfeld and module tensor
-products. A bialgebra object of the Yetter-Drinfeld category is represented
-by ``BraidedBialgebra``; the classical case is recovered by taking the trivial
-ambient K = k, for which the braiding degenerates to the flip.
+products. A bialgebra object of the Yetter-Drinfeld category is a
+``hopf.BialgebraData`` with its ``yd``; a classical one lives over the trivial
+ambient K = k (``trivial_ambient``, ``trivial_yd``), for which the braiding
+degenerates to the flip.
 """
 
 from __future__ import annotations
-
 
 from .errors import BaseMismatch, CorruptFixture, InducedStructureFailure, NoSolution, ShapeMismatch
 from .fields import FieldSpec
@@ -24,7 +24,6 @@ from .hopf import (
     AlgebraData,
     BialgebraData,
     CoalgebraData,
-    HopfAlgebraData,
     braided_product,
     iterated_comul,
     iterated_mul,
@@ -49,7 +48,7 @@ from .report import CheckReport, map_equal_item
 class HModule:
     """A left module over a (classical) Hopf algebra."""
 
-    def __init__(self, base: HopfAlgebraData, space: BasedSpace, action: LinearMap):
+    def __init__(self, base: BialgebraData, space: BasedSpace, action: LinearMap):
         self.base = base
         self.space = space
         self.action = action  # base.space (x) space -> space
@@ -61,7 +60,7 @@ class HModule:
 class HComodule:
     """A left comodule over a (classical) Hopf algebra."""
 
-    def __init__(self, base: HopfAlgebraData, space: BasedSpace, coaction: LinearMap):
+    def __init__(self, base: BialgebraData, space: BasedSpace, coaction: LinearMap):
         self.base = base
         self.space = space
         self.coaction = coaction  # space -> base.space (x) space
@@ -77,7 +76,7 @@ class YDModule:
         self.coaction = coaction  # space -> H (x) space
 
     @property
-    def base(self) -> HopfAlgebraData:
+    def base(self) -> BialgebraData:
         return self.module.base
 
     @property
@@ -213,22 +212,22 @@ def check_braiding_axioms(
     return report
 
 
-def trivial_ambient(field: FieldSpec) -> HopfAlgebraData:
+def trivial_ambient(field: FieldSpec) -> BialgebraData:
     """The ground field as a Hopf algebra; its modules are plain vector spaces."""
     one = unit_space(field)
     ident = LinearMap.identity(one)
     alg = AlgebraData(one, ident, ident)
     coalg = CoalgebraData(one, ident, ident)
-    return HopfAlgebraData(BialgebraData(alg, coalg, ident), ident)
+    return BialgebraData(alg, coalg, ident, ident)
 
 
-def trivial_module(base: HopfAlgebraData, space: BasedSpace) -> HModule:
+def trivial_module(base: BialgebraData, space: BasedSpace) -> HModule:
     """The module with action eps (x) id (for the trivial ambient: the identity)."""
     action = tensor_map(base.counit, LinearMap.identity(space))
     return HModule(base, space, action)
 
 
-def trivial_yd(base: HopfAlgebraData, space: BasedSpace) -> YDModule:
+def trivial_yd(base: BialgebraData, space: BasedSpace) -> YDModule:
     coaction = tensor_map(base.unit, LinearMap.identity(space))
     return YDModule(trivial_module(base, space), coaction)
 
@@ -252,70 +251,6 @@ def ambient_module_tensor(m: HModule, n: HModule) -> HModule:
         tensor_map(LinearMap.identity(m.space), n.action),
         tensor_map(c, LinearMap.identity(n.space)))
     return HModule(m.base, tensor_space(m.space, n.space), action)
-
-
-class BraidedBialgebra:
-    """A bialgebra object H-bar of the Yetter-Drinfeld category over ``ambient``.
-
-    ``bialg.self_braiding`` is the Yetter-Drinfeld self-braiding c_{H,H};
-    for the trivial ambient this is the flip and the bialgebra is classical.
-    ``antipode`` is present when the object is a Hopf algebra.
-    """
-
-    def __init__(self, ambient: HopfAlgebraData, yd: YDModule, bialg: BialgebraData,
-                 antipode: LinearMap | None = None):
-        self.ambient = ambient
-        self.yd = yd
-        self.bialg = bialg
-        self.antipode = antipode
-        # the braided coalgebras on H (x) H and H (x) H (x) H, built on first
-        # use by cocycle.pair_coalgebra and cocycle.triple_coalgebra
-        self.pair_cache: CoalgebraData | None = None
-        self.triple_cache: CoalgebraData | None = None
-
-    @property
-    def space(self) -> BasedSpace:
-        return self.bialg.space
-
-    @property
-    def mul(self) -> LinearMap:
-        return self.bialg.mul
-
-    @property
-    def unit(self) -> LinearMap:
-        return self.bialg.unit
-
-    @property
-    def comul(self) -> LinearMap:
-        return self.bialg.comul
-
-    @property
-    def counit(self) -> LinearMap:
-        return self.bialg.counit
-
-    @property
-    def alg(self) -> AlgebraData:
-        return self.bialg.alg
-
-    @property
-    def coalg(self) -> CoalgebraData:
-        return self.bialg.coalg
-
-    def hopf_data(self) -> HopfAlgebraData:
-        if self.antipode is None:
-            raise ValueError("no antipode available")
-        return HopfAlgebraData(self.bialg, self.antipode)
-
-    def braid_with(self, v: HModule) -> LinearMap:
-        """c_{H,V} for a module V in the ambient category."""
-        return braiding(self.yd, v)
-
-
-def classical_hopf(hopf: HopfAlgebraData) -> BraidedBialgebra:
-    """Wrap an ordinary Hopf algebra as an object over the trivial ambient."""
-    ambient = trivial_ambient(hopf.space.field)
-    yd = trivial_yd(ambient, hopf.space)
-    return BraidedBialgebra(ambient, yd, hopf.bialg, hopf.antipode)
 
 
 def braided_tensor_algebra(
@@ -351,7 +286,7 @@ class Measuring:
     """An algebra A in the ambient-module category with nu: H-bar (x) A -> A
     satisfying the measuring relations."""
 
-    def __init__(self, hopf: BraidedBialgebra, algebra: AlgebraData, carrier: HModule,
+    def __init__(self, hopf: BialgebraData, algebra: AlgebraData, carrier: HModule,
                  nu: LinearMap):
         self.hopf = hopf
         self.algebra = algebra
@@ -370,7 +305,7 @@ def c_nu(m: Measuring) -> LinearMap:
     id_a = LinearMap.identity(m.space)
     return compose_all(
         tensor_map(m.nu, id_h),
-        tensor_map(id_h, m.hopf.braid_with(m.carrier)),
+        tensor_map(id_h, braiding(m.hopf.yd, m.carrier)),
         tensor_map(m.hopf.comul, id_a),
     )
 
@@ -394,7 +329,7 @@ def check_measuring(m: Measuring) -> CheckReport:
     rel3_rhs = compose_all(
         a.mul,
         tensor_map(m.nu, m.nu),
-        tensor_maps(id_h, m.hopf.braid_with(m.carrier), id_a),
+        tensor_maps(id_h, braiding(m.hopf.yd, m.carrier), id_a),
         tensor_maps(m.hopf.comul, id_a, id_a),
     )
     report.add(map_equal_item(
@@ -410,7 +345,7 @@ def check_measuring(m: Measuring) -> CheckReport:
     return report
 
 
-def trivial_measuring(hopf: BraidedBialgebra) -> Measuring:
+def trivial_measuring(hopf: BialgebraData) -> Measuring:
     """The monoidal unit as a measuring, with nu = counit."""
     field = hopf.space.field
     one = unit_space(field)
@@ -423,7 +358,7 @@ def trivial_measuring(hopf: BraidedBialgebra) -> Measuring:
 class ComoduleAlgebra:
     """A right H-bar-comodule algebra B in the ambient-module category."""
 
-    def __init__(self, hopf: BraidedBialgebra, algebra: AlgebraData, carrier: HModule,
+    def __init__(self, hopf: BialgebraData, algebra: AlgebraData, carrier: HModule,
                  coaction: LinearMap):
         self.hopf = hopf
         self.algebra = algebra
@@ -453,7 +388,7 @@ def check_comodule_algebra(b: ComoduleAlgebra) -> CheckReport:
     report.add(map_equal_item(
         "coaction is an algebra morphism",
         compose(b.coaction, b.algebra.mul),
-        braided_product(b.coaction, b.algebra, h.alg, h.braid_with(b.carrier)),
+        braided_product(b.coaction, b.algebra, h.alg, braiding(h.yd, b.carrier)),
     ))
     report.add(map_equal_item(
         "coaction of the unit",

@@ -112,7 +112,7 @@ def check_cleft(ce: CleftExtension) -> CheckReport:
             compose(b.coaction, ce.gamma_inv),
             compose_all(
                 tensor_map(ce.gamma_inv, h.antipode),
-                h.bialg.self_braiding,
+                h.self_braiding,
                 h.comul,
             ),
         ))
@@ -195,7 +195,7 @@ def cocycle_from_section(
         compose_all(
             b.algebra.mul,
             tensor_map(ce.gamma_inv, ce.gamma_inv),
-            hopf.bialg.self_braiding,
+            hopf.self_braiding,
         ),
         pair, b.algebra,
     )

@@ -21,7 +21,7 @@ from itertools import islice
 
 import click
 
-from . import io
+from . import __version__, io
 from .braided import (
     check_braiding_axioms,
     check_measuring,
@@ -126,7 +126,7 @@ _out_option = click.option(
 
 
 @click.group()
-@click.version_option()
+@click.version_option(version=__version__)
 def main():
     """Exact verification and construction for Hopf-algebra cocycles,
     cleft extensions and liftings."""
@@ -229,7 +229,7 @@ def _crossed_output(cp, out_path) -> list[str]:
         io.role_tensor("B_unit", "unit", (product_space,), b.algebra.unit),
     ]
     if hopf.ambient.space.dim == 1:
-        df = io.hopf_to_definition(hopf.hopf_data(), "H")
+        df = io.hopf_to_definition(hopf, "H")
         df.spaces["B"] = product_space
         pair = (df.spaces[hopf.space.name], product_space)
         tensors.append(io.role_tensor("B_coaction", "right_coaction", pair, b.coaction))

@@ -4,14 +4,13 @@ All convolutions on the tensor square (and cube) of the braided bialgebra
 use the braided coalgebra structure obtained from the one-sided braiding,
 never the plain componentwise one. These pair and triple coalgebras depend
 only on the bialgebra, so each is built once by
-``braided.braided_tensor_coalgebra`` and kept on the ``BraidedBialgebra`` it
+``braided.braided_tensor_coalgebra`` and kept on the ``BialgebraData`` it
 belongs to.
 """
 
 from __future__ import annotations
 
 from .braided import (
-    BraidedBialgebra,
     ComoduleAlgebra,
     Measuring,
     ambient_module_tensor,
@@ -22,6 +21,7 @@ from .braided import (
 from .errors import AxiomFailure, NotInvertible, ShapeMismatch
 from .hopf import (
     AlgebraData,
+    BialgebraData,
     CoalgebraData,
     check_algebra,
     convolution,
@@ -47,19 +47,19 @@ class Cocycle:
         self.verified = verified
 
     @property
-    def hopf(self) -> BraidedBialgebra:
+    def hopf(self) -> BialgebraData:
         return self.measuring.hopf
 
 
-def pair_coalgebra(hopf: BraidedBialgebra) -> CoalgebraData:
+def pair_coalgebra(hopf: BialgebraData) -> CoalgebraData:
     """The braided coalgebra on H (x) H used for every convolution here."""
     if hopf.pair_cache is None:
         hopf.pair_cache = braided_tensor_coalgebra(
-            hopf.coalg, hopf.coalg, hopf.bialg.self_braiding)
+            hopf.coalg, hopf.coalg, hopf.self_braiding)
     return hopf.pair_cache
 
 
-def triple_coalgebra(hopf: BraidedBialgebra) -> CoalgebraData:
+def triple_coalgebra(hopf: BialgebraData) -> CoalgebraData:
     """The braided coalgebra on H (x) H (x) H (for the derived relations)."""
     if hopf.triple_cache is None:
         c = braiding(hopf.yd, ambient_module_tensor(hopf.yd.module, hopf.yd.module))

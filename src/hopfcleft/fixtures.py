@@ -6,25 +6,13 @@ over a cyclic group, and a bialgebra that is not Hopf.
 
 from __future__ import annotations
 
-from .braided import (
-    BraidedBialgebra,
-    HModule,
-    YDModule,
-    braiding,
-    classical_hopf,
-)
+from .braided import HModule, YDModule, braiding
 from .fields import FieldSpec
-from .hopf import (
-    AlgebraData,
-    BialgebraData,
-    CoalgebraData,
-    HopfAlgebraData,
-    antipode,
-)
-from .linalg import BasedSpace, LinearMap, based_space, flip_map, unit_space
+from .hopf import AlgebraData, BialgebraData, CoalgebraData, antipode
+from .linalg import LinearMap, based_space, flip_map, tensor_space, unit_space
 
 
-def cyclic_group_hopf(field: FieldSpec, n: int, name: str | None = None) -> HopfAlgebraData:
+def cyclic_group_hopf(field: FieldSpec, n: int, name: str | None = None) -> BialgebraData:
     """The group algebra of the cyclic group of order n, as a Hopf algebra."""
     name = name or f"kC{n}"
     labels = ["1"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)]
@@ -32,13 +20,13 @@ def cyclic_group_hopf(field: FieldSpec, n: int, name: str | None = None) -> Hopf
     one_s = field.one()
     unit1 = unit_space(field)
     mul = LinearMap.from_labels(
-        _tensor2(space), space,
+        tensor_space(space, space), space,
         [(labels[(i + j) % n], labels[i] + "." + labels[j], one_s)
          for i in range(n) for j in range(n)],
     ) if n > 1 else LinearMap.identity(space)
     unit = LinearMap.from_labels(unit1, space, [("1", "1", one_s)])
     comul = LinearMap.from_labels(
-        space, _tensor2(space),
+        space, tensor_space(space, space),
         [(lab + "." + lab, lab, one_s) for lab in labels],
     ) if n > 1 else LinearMap.identity(space)
     counit = LinearMap.from_labels(space, unit1, [("1", lab, one_s) for lab in labels])
@@ -46,13 +34,7 @@ def cyclic_group_hopf(field: FieldSpec, n: int, name: str | None = None) -> Hopf
         space, space, [(labels[(-i) % n], labels[i], one_s) for i in range(n)])
     alg = AlgebraData(space, mul, unit)
     coalg = CoalgebraData(space, comul, counit)
-    return HopfAlgebraData(BialgebraData(alg, coalg, flip_map(space, space)), s_map)
-
-
-def _tensor2(space: BasedSpace) -> BasedSpace:
-    from .linalg import tensor_space
-
-    return tensor_space(space, space)
+    return BialgebraData(alg, coalg, flip_map(space, space), s_map)
 
 
 def non_hopf_bialgebra(field: FieldSpec) -> BialgebraData:
@@ -62,12 +44,12 @@ def non_hopf_bialgebra(field: FieldSpec) -> BialgebraData:
     one_s = field.one()
     unit1 = unit_space(field)
     mul = LinearMap.from_labels(
-        _tensor2(space), space,
+        tensor_space(space, space), space,
         [("1", "1.1", one_s), ("e", "1.e", one_s), ("e", "e.1", one_s), ("e", "e.e", one_s)],
     )
     unit = LinearMap.from_labels(unit1, space, [("1", "1", one_s)])
     comul = LinearMap.from_labels(
-        space, _tensor2(space), [("1.1", "1", one_s), ("e.e", "e", one_s)])
+        space, tensor_space(space, space), [("1.1", "1", one_s), ("e.e", "e", one_s)])
     counit = LinearMap.from_labels(space, unit1, [("1", "1", one_s), ("1", "e", one_s)])
     return BialgebraData(
         AlgebraData(space, mul, unit),
@@ -76,7 +58,7 @@ def non_hopf_bialgebra(field: FieldSpec) -> BialgebraData:
     )
 
 
-def quantum_line(ambient: HopfAlgebraData, name: str = "R") -> BraidedBialgebra:
+def quantum_line(ambient: BialgebraData, name: str = "R") -> BialgebraData:
     """The quantum line R = k[x]/(x^2) as a Hopf algebra in the Yetter-Drinfeld
     category over a cyclic group algebra: x is g-homogeneous and g.x = -x."""
     field = ambient.space.field
@@ -90,8 +72,6 @@ def quantum_line(ambient: HopfAlgebraData, name: str = "R") -> BraidedBialgebra:
     for i, hlab in enumerate(ambient.space.labels):
         triples.append(("1", hlab + ".1", one_s))
         triples.append(("x", hlab + ".x", q ** i))
-    from .linalg import tensor_space
-
     action = LinearMap.from_labels(tensor_space(ambient.space, space), space, triples)
     glab = ambient.space.labels[1 % n]
     coaction = LinearMap.from_labels(
@@ -101,27 +81,25 @@ def quantum_line(ambient: HopfAlgebraData, name: str = "R") -> BraidedBialgebra:
     yd = YDModule(HModule(ambient, space, action), coaction)
 
     mul = LinearMap.from_labels(
-        _tensor2(space), space,
+        tensor_space(space, space), space,
         [("1", "1.1", one_s), ("x", "1.x", one_s), ("x", "x.1", one_s)],
     )
     unit = LinearMap.from_labels(zero1, space, [("1", "1", one_s)])
     comul = LinearMap.from_labels(
-        space, _tensor2(space),
+        space, tensor_space(space, space),
         [("1.1", "1", one_s), ("x.1", "x", one_s), ("1.x", "x", one_s)],
     )
     counit = LinearMap.from_labels(space, zero1, [("1", "1", one_s)])
-    bialg = BialgebraData(
+    line = BialgebraData(
         AlgebraData(space, mul, unit),
         CoalgebraData(space, comul, counit),
         braiding(yd, yd.module),
+        yd=yd,
     )
-    return BraidedBialgebra(ambient, yd, bialg, antipode(bialg))
+    line.antipode = antipode(line)
+    return line
 
 
 def quantum_line_grading() -> dict[str, int]:
     return {"1": 0, "x": 1}
 
-
-def classical_cyclic(field: FieldSpec, n: int) -> BraidedBialgebra:
-    """kC_n wrapped as a braided object over the trivial ambient."""
-    return classical_hopf(cyclic_group_hopf(field, n))

@@ -1,8 +1,9 @@
 """Algebras, coalgebras, bialgebras and Hopf algebras by structure constants.
 
-A bialgebra here lives in a category where the tensor square of the carrier
-is made into a (co)algebra through a designated braiding; ``self_braiding``
-holds that map.  For a classical bialgebra it is the vector-space flip.
+One record, ``BialgebraData``, holds every bialgebra, classical or braided,
+Hopf or not. The tensor square of its carrier is made into a (co)algebra
+through a designated braiding; ``self_braiding`` holds that map. For a
+classical bialgebra, the one over the trivial ambient, it is the flip.
 ``braided_product`` multiplies in such a braided tensor product algebra term
 by term, so "comul is an algebra morphism" never builds mul (x) mul.
 Convolution inversion is one exact sparse linear solve in Hom(C, A).
@@ -83,12 +84,41 @@ class CoalgebraData:
 
 
 class BialgebraData:
-    def __init__(self, alg: AlgebraData, coalg: CoalgebraData, self_braiding: LinearMap):
+    """A bialgebra H-bar in the Yetter-Drinfeld category over an ambient Hopf
+    algebra K, with ``antipode`` set when it is a Hopf algebra.
+
+    ``yd`` is the Yetter-Drinfeld structure of H-bar over K, so ``ambient``
+    is ``yd.base``, and ``self_braiding`` is c_{H,H} = ``braiding(yd,
+    yd.module)``. A classical bialgebra is the one over the trivial ambient
+    K = k: it is built without ``yd``, gets the trivial Yetter-Drinfeld
+    structure on first use, and its self-braiding is the flip.
+    """
+
+    def __init__(self, alg: AlgebraData, coalg: CoalgebraData, self_braiding: LinearMap,
+                 antipode: LinearMap | None = None, yd=None):
         self.alg = alg
         self.coalg = coalg
         self.self_braiding = self_braiding  # H (x) H -> H (x) H, used on the tensor square
+        self.antipode = antipode  # space -> space
+        if yd is not None:
+            self.yd = yd
+        # the braided coalgebras on H (x) H and H (x) H (x) H, built on first
+        # use by cocycle.pair_coalgebra and cocycle.triple_coalgebra
+        self.pair_cache: CoalgebraData | None = None
+        self.triple_cache: CoalgebraData | None = None
         if not alg.space.same_basis(coalg.space):
             raise ShapeMismatch("algebra and coalgebra live on different spaces")
+
+    @cached_property
+    def yd(self):
+        """The trivial Yetter-Drinfeld structure over k, unless one was given."""
+        from .braided import trivial_ambient, trivial_yd  # braided imports this module
+
+        return trivial_yd(trivial_ambient(self.space.field), self.space)
+
+    @property
+    def ambient(self) -> BialgebraData:
+        return self.yd.base
 
     @property
     def space(self) -> BasedSpace:
@@ -109,40 +139,6 @@ class BialgebraData:
     @property
     def counit(self) -> LinearMap:
         return self.coalg.counit
-
-
-class HopfAlgebraData:
-    def __init__(self, bialg: BialgebraData, antipode: LinearMap):
-        self.bialg = bialg
-        self.antipode = antipode  # space -> space
-
-    @property
-    def space(self) -> BasedSpace:
-        return self.bialg.space
-
-    @property
-    def alg(self) -> AlgebraData:
-        return self.bialg.alg
-
-    @property
-    def coalg(self) -> CoalgebraData:
-        return self.bialg.coalg
-
-    @property
-    def mul(self) -> LinearMap:
-        return self.bialg.mul
-
-    @property
-    def unit(self) -> LinearMap:
-        return self.bialg.unit
-
-    @property
-    def comul(self) -> LinearMap:
-        return self.bialg.comul
-
-    @property
-    def counit(self) -> LinearMap:
-        return self.bialg.counit
 
 
 def check_algebra(a: AlgebraData) -> CheckReport:
@@ -340,8 +336,8 @@ def antipode(b: BialgebraData) -> LinearMap:
         raise NotHopf("identity is not convolution invertible") from exc
 
 
-def check_hopf(h: HopfAlgebraData) -> CheckReport:
-    report = check_bialgebra(h.bialg)
+def check_hopf(h: BialgebraData) -> CheckReport:
+    report = check_bialgebra(h)
     report.subject = f"Hopf algebra on {h.space.name}"
     ident = LinearMap.identity(h.space)
     eta_eps = convolution_unit(h.coalg, h.alg)

@@ -22,16 +22,19 @@ from __future__ import annotations
 import re
 
 from .braided import (
-    BraidedBialgebra,
     ComoduleAlgebra,
     HModule,
     Measuring,
     YDModule,
-    classical_hopf,
+    braiding,
+    trivial_module,
 )
+from .cleft import make_cleft
+from .cocycle import check_cocycle
 from .errors import ParseError, ShapeMismatch, TheoremViolation, ValidationError
 from .fields import FieldSpec
-from .hopf import AlgebraData, BialgebraData, CoalgebraData, HopfAlgebraData
+from .hopf import AlgebraData, BialgebraData, CoalgebraData, antipode
+from .lifting import GradedYDHopf
 from .linalg import TENSOR_SEP, BasedSpace, LinearMap, flip_map, tensor_space, unit_space
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_'-]+$")
@@ -417,65 +420,41 @@ def build(df: DefinitionFile, name: str):
         raise ValidationError(f"role {name!r} ({role.kind}): {exc}") from exc
 
 
-def _build_hopf(df, role) -> HopfAlgebraData:
+def _build_hopf(df, role, yd: YDModule | None = None) -> BialgebraData:
+    """The bialgebra of a hopf_algebra role, or of a graded_yd_hopf role over
+    its Yetter-Drinfeld structure ``yd``, with the bound antipode or else the
+    solved one."""
     b = role.bindings
     space = df.space(b["space"])
-    bialg = BialgebraData(
-        AlgebraData(space, df.tensor_map(b["mul"]), df.tensor_map(b["unit"])),
-        CoalgebraData(space, df.tensor_map(b["comul"]), df.tensor_map(b["counit"])),
-        flip_map(space, space),
-    )
-    if "antipode" in b:
-        return HopfAlgebraData(bialg, df.tensor_map(b["antipode"]))
-    from .hopf import antipode
-
-    return HopfAlgebraData(bialg, antipode(bialg))
+    alg = AlgebraData(space, df.tensor_map(b["mul"]), df.tensor_map(b["unit"]))
+    coalg = CoalgebraData(space, df.tensor_map(b["comul"]), df.tensor_map(b["counit"]))
+    self_braiding = flip_map(space, space) if yd is None else braiding(yd, yd.module)
+    hopf = BialgebraData(alg, coalg, self_braiding, yd=yd)
+    hopf.antipode = df.tensor_map(b["antipode"]) if "antipode" in b else antipode(hopf)
+    return hopf
 
 
 def _build_yd(df, role) -> YDModule:
     b = role.bindings
     ambient = build(df, b["ambient"])
-    if not isinstance(ambient, HopfAlgebraData):
-        raise ValidationError(f"role {role.name!r}: ambient must be a hopf_algebra")
     space = df.space(b["space"])
     module = HModule(ambient, space, df.tensor_map(b["action"]))
     return YDModule(module, df.tensor_map(b["coaction"]))
 
 
-def _build_graded(df, role):
-    from .braided import braiding
-    from .lifting import GradedYDHopf
-
-    b = role.bindings
-    yd = _build_yd(df, role)
-    space = yd.space
-    bialg = BialgebraData(
-        AlgebraData(space, df.tensor_map(b["mul"]), df.tensor_map(b["unit"])),
-        CoalgebraData(space, df.tensor_map(b["comul"]), df.tensor_map(b["counit"])),
-        braiding(yd, yd.module),
-    )
-    if "antipode" in b:
-        antipode_map = df.tensor_map(b["antipode"])
-    else:
-        from .hopf import antipode
-
-        antipode_map = antipode(bialg)
-    hopf = BraidedBialgebra(yd.base, yd, bialg, antipode_map)
-    _, grading = df.grades[b["grading"]]
+def _build_graded(df, role) -> GradedYDHopf:
+    hopf = _build_hopf(df, role, _build_yd(df, role))
+    _, grading = df.grades[role.bindings["grading"]]
     return GradedYDHopf(hopf, grading)
 
 
-def _algebra_over_hopf(df, b) -> tuple[BraidedBialgebra, AlgebraData, HModule]:
-    """The parts a measuring and a cleft extension share: the braided
-    bialgebra of the ``hopf=`` binding (a hopf_algebra over the trivial
-    ambient, or the one a graded_yd_hopf wraps), the algebra on ``space=``
-    and its ambient carrier (trivial unless ``carrier_action=`` is bound)."""
-    from .braided import trivial_module
-
+def _algebra_over_hopf(df, b) -> tuple[BialgebraData, AlgebraData, HModule]:
+    """The parts a measuring and a cleft extension share: the bialgebra of
+    the ``hopf=`` binding (a hopf_algebra over the trivial ambient, or the one
+    a graded_yd_hopf grades), the algebra on ``space=`` and its ambient
+    carrier (trivial unless ``carrier_action=`` is bound)."""
     hopf = build(df, b["hopf"])
-    if isinstance(hopf, HopfAlgebraData):
-        hopf = classical_hopf(hopf)
-    elif not isinstance(hopf, BraidedBialgebra):
+    if isinstance(hopf, GradedYDHopf):
         hopf = hopf.hopf
     space = df.space(b["space"])
     algebra = AlgebraData(space, df.tensor_map(b["mul"]), df.tensor_map(b["unit"]))
@@ -491,8 +470,6 @@ def _build_measuring(df, role) -> Measuring:
 
 
 def _build_cocycle(df, role):
-    from .cocycle import check_cocycle
-
     b = role.bindings
     m = build(df, b["measuring"])
     sigma = df.tensor_map(b["sigma"])
@@ -505,8 +482,6 @@ def _build_cocycle(df, role):
 
 
 def _build_cleft(df, role):
-    from .cleft import make_cleft
-
     b = role.bindings
     hopf, algebra, carrier = _algebra_over_hopf(df, b)
     comod = ComoduleAlgebra(hopf, algebra, carrier, df.tensor_map(b["coaction"]))
@@ -558,7 +533,7 @@ def graded_to_definition(g, ambient_name: str = "K", name: str = "R") -> Definit
     return df
 
 
-def hopf_to_definition(h: HopfAlgebraData, name: str = "H") -> DefinitionFile:
+def hopf_to_definition(h: BialgebraData, name: str = "H") -> DefinitionFile:
     """A classical Hopf algebra as a definition file with one hopf_algebra role.
     A composite carrier (a bosonization or its deformation) is written as the
     space ``name`` with dot-free labels, see ``file_space``."""

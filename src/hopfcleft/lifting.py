@@ -12,22 +12,20 @@ bosonization as associated graded.
 from __future__ import annotations
 
 from .braided import (
-    BraidedBialgebra,
     ComoduleAlgebra,
+    ambient_module_tensor,
     braided_tensor_algebra,
     braided_tensor_coalgebra,
-    classical_hopf,
     trivial_measuring,
     trivial_module,
     twist,
 )
-from .cleft import CleftExtension, cocycle_from_section
+from .cleft import CleftExtension, cocycle_from_section, crossed_to_cleft
 from .cocycle import Cocycle, check_cocycle, crossed_product, pair_coalgebra
 from .errors import AxiomFailure, CorruptFixture, NotInvertible, SearchSpaceTooLarge, TheoremViolation
 from .hopf import (
     AlgebraData,
     BialgebraData,
-    HopfAlgebraData,
     antipode,
     check_hopf,
     convolution,
@@ -55,20 +53,17 @@ class GradedYDHopf:
     grading on its basis. Cosemisimplicity of the ambient is assumed, never
     verified."""
 
-    def __init__(self, hopf: BraidedBialgebra, grading: dict[str, int]):
+    def __init__(self, hopf: BialgebraData, grading: dict[str, int]):
         self.hopf = hopf
         self.grading = grading
 
     @property
-    def ambient(self) -> HopfAlgebraData:
+    def ambient(self) -> BialgebraData:
         return self.hopf.ambient
 
     @property
     def space(self) -> BasedSpace:
         return self.hopf.space
-
-    def degree(self, label: str) -> int:
-        return self.grading[label]
 
 
 def _entry_degrees(space: BasedSpace, table: dict[tuple, list[int]], flat: int) -> int:
@@ -120,14 +115,16 @@ def check_graded(g: GradedYDHopf) -> CheckReport:
 
 
 class Bosonization:
-    def __init__(self, source: GradedYDHopf, hopf: HopfAlgebraData, degrees: list[int]):
+    """The bosonization of ``source``: ``hopf`` is the classical Hopf algebra
+    on R (x) H, which keeps its own pair and triple coalgebras, and
+    ``ambient`` is H, the ambient of R."""
+
+    def __init__(self, source: GradedYDHopf, hopf: BialgebraData, degrees: list[int]):
         self.source = source
         self.hopf = hopf  # classical Hopf algebra on R (x) H
         self.degrees = degrees  # degree of each basis label of the product space
-        # per-object caches, empty on every new object: the classical wrapper
-        # of ``hopf``, built on first use by ``braided()``, and the
-        # check_zprime verdict on each distinct sigma checked so far
-        self.braided_cache: BraidedBialgebra | None = None
+        # the check_zprime verdict on each distinct sigma checked so far,
+        # empty on every new object
         self.zprime_cache: dict[LinearMap, ScalarCocycleH] = {}
 
     @property
@@ -135,15 +132,8 @@ class Bosonization:
         return self.hopf.space
 
     @property
-    def ambient(self) -> HopfAlgebraData:
+    def ambient(self) -> BialgebraData:
         return self.source.ambient
-
-    def braided(self) -> BraidedBialgebra:
-        """The bosonization as a classical object over the trivial ambient.
-        Returns the same object on every call so downstream caches hit."""
-        if self.braided_cache is None:
-            self.braided_cache = classical_hopf(self.hopf)
-        return self.braided_cache
 
 
 def bosonize(g: GradedYDHopf) -> Bosonization:
@@ -160,16 +150,15 @@ def bosonize(g: GradedYDHopf) -> Bosonization:
     h = g.ambient
     alg = braided_tensor_algebra(r.alg, h.alg, twist(h.comul, r.yd.module.action))
     coalg = braided_tensor_coalgebra(r.coalg, h.coalg, twist(r.yd.coaction, h.mul))
-    bialg = BialgebraData(alg, coalg, flip_map(alg.space, alg.space))
+    hopf = BialgebraData(alg, coalg, flip_map(alg.space, alg.space))
     s_closed = convolution(
         tensor_map(compose(r.unit, r.counit), h.antipode),
-        tensor_map(r.hopf_data().antipode, compose(h.unit, h.counit)),
+        tensor_map(r.antipode, compose(h.unit, h.counit)),
         coalg, alg,
     )
-    s_solved = antipode(bialg)
-    if s_closed != s_solved:
+    if s_closed != antipode(hopf):
         raise AxiomFailure("closed-form antipode disagrees with the convolution inverse")
-    hopf = HopfAlgebraData(bialg, s_closed)
+    hopf.antipode = s_closed
     hopf_report = check_hopf(hopf)
     if not hopf_report.ok:
         raise AxiomFailure(f"bosonization fails: {hopf_report.first_failure()}")
@@ -263,7 +252,7 @@ def check_zprime(b: Bosonization, sigma: LinearMap) -> ScalarCocycleH:
 
 
 def _check_zprime(b: Bosonization, sigma: LinearMap) -> ScalarCocycleH:
-    cls = trivial_measuring(b.braided())
+    cls = trivial_measuring(b.hopf)
     cocycle, report = check_cocycle(cls, sigma)
     in_z = cocycle is not None
     sigma_inv = cocycle.sigma_inv if in_z else None
@@ -304,7 +293,7 @@ def _zprime_derived(b: Bosonization, sigma: LinearMap, sigma_inv: LinearMap) -> 
 
 
 def _unit_algebra(b: Bosonization):
-    return trivial_measuring(b.braided()).algebra
+    return trivial_measuring(b.hopf).algebra
 
 
 def phi(b: Bosonization, pi: Cocycle) -> ScalarCocycleH:
@@ -335,8 +324,6 @@ def check_equivariant_pair(g: GradedYDHopf, f: LinearMap) -> CheckReport:
     """f : R (x) R -> unit is an ambient-module morphism: f(h.(r (x) r')) =
     eps(h) f(r (x) r'), with the diagonal ambient action."""
     report = CheckReport("ambient equivariance")
-    from .braided import ambient_module_tensor
-
     pair = ambient_module_tensor(g.hopf.yd.module, g.hopf.yd.module)
     report.add(map_equal_item(
         "equivariance",
@@ -386,9 +373,8 @@ def smash_comodule_algebra(b: Bosonization, e: ComoduleAlgebra) -> ComoduleAlgeb
         tensor_maps(LinearMap.identity(e.space), twist(g.hopf.yd.coaction, h.mul),
                     LinearMap.identity(h.space)),
         tensor_map(e.coaction, h.comul))
-    boson = b.braided()
-    carrier = trivial_module(boson.ambient, algebra.space)
-    return ComoduleAlgebra(boson, algebra, coaction=coaction, carrier=carrier)
+    carrier = trivial_module(b.hopf.ambient, algebra.space)
+    return ComoduleAlgebra(b.hopf, algebra, coaction=coaction, carrier=carrier)
 
 
 def psi(b: Bosonization, ce: CleftExtension) -> CleftExtension:
@@ -408,7 +394,7 @@ def psi(b: Bosonization, ce: CleftExtension) -> CleftExtension:
     big = smash_comodule_algebra(b, e)
     id_h = LinearMap.identity(h.space)
     gamma = tensor_map(ce.gamma, id_h)
-    boson = b.braided()
+    boson = b.hopf
     gamma_inv = convolution(
         tensor_map(compose(e.algebra.unit, g.hopf.counit), h.antipode),
         tensor_map(ce.gamma_inv, compose(h.unit, h.counit)),
@@ -489,7 +475,7 @@ def sigma_gamma_restricts(b: Bosonization, ce: CleftExtension) -> tuple[ScalarCo
     return result, section_report
 
 
-def deform(b: Bosonization, s: ScalarCocycleH) -> HopfAlgebraData:
+def deform(b: Bosonization, s: ScalarCocycleH) -> BialgebraData:
     """The cocycle deformation: the same coalgebra with Doi's twisted product
 
         x ._sigma y = sigma(x1, y1) x2 y2 sigma^-1(x3, y3).
@@ -501,23 +487,22 @@ def deform(b: Bosonization, s: ScalarCocycleH) -> HopfAlgebraData:
         raise AxiomFailure("deformation requires a verified cocycle")
     hopf = b.hopf
     hs = hopf.space
-    pair = pair_coalgebra(b.braided())
+    pair = pair_coalgebra(hopf)
     left = convolution(compose(hopf.unit, s.sigma), hopf.mul, pair, hopf.alg)
     mul = convolution(left, compose(hopf.unit, s.sigma_inv), pair, hopf.alg)
     alg = AlgebraData(hs, mul, hopf.unit)
-    bialg = BialgebraData(alg, hopf.coalg, flip_map(hs, hs))
+    deformed = BialgebraData(alg, hopf.coalg, flip_map(hs, hs))
     try:
-        s_map = antipode(bialg)
+        deformed.antipode = antipode(deformed)
     except NotInvertible as exc:
         raise AxiomFailure("deformed bialgebra has no antipode") from exc
-    deformed = HopfAlgebraData(bialg, s_map)
     report = check_hopf(deformed)
     if not report.ok:
         raise AxiomFailure(f"deformation fails Hopf axioms: {report.first_failure()}")
     return deformed
 
 
-def gr_check(b: Bosonization, deformed: HopfAlgebraData) -> CheckReport:
+def gr_check(b: Bosonization, deformed: BialgebraData) -> CheckReport:
     """Componentwise comparison of the deformed product with the graded one:
     products never exceed the degree sum, and the top-degree component is the
     undeformed product exactly."""
@@ -576,8 +561,6 @@ def cleft_prime_census(b: Bosonization, bound: int = CENSUS_BOUND) -> CensusResu
     sweep and the section cocycle each end in ``check_zprime`` on an equal
     map; the full check runs once per restricted cocycle and the later
     routes share its verdict."""
-    from .cleft import crossed_to_cleft
-
     report = CheckReport(f"restricted cocycle census on {b.space.name}")
     g = b.source
     m = trivial_measuring(g.hopf)

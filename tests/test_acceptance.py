@@ -31,7 +31,7 @@ from hopfcleft.cocycle import (
     pair_coalgebra,
     sigma_recovery,
 )
-from hopfcleft.fixtures import classical_cyclic, cyclic_group_hopf
+from hopfcleft.fixtures import cyclic_group_hopf
 from hopfcleft.hopf import check_hopf, convolution_inverse, convolution_inverse_or_none
 from hopfcleft.lifting import (
     check_cprime_section,
@@ -125,7 +125,7 @@ def test_criterion_4_sigma_recovery(qline_f3, qline_f5, f3):
         measurings = [
             trivial_measuring(qline_f3.hopf),
             trivial_measuring(qline_f5.hopf),
-            trivial_measuring(classical_cyclic(f3, 2)),
+            trivial_measuring(cyclic_group_hopf(f3, 2)),
         ]
         total = 0
         for m in measurings:
@@ -139,7 +139,7 @@ def test_criterion_5_round_trip_and_iso(qline_f3, f3):
     with criterion(5, 10.0):
         measurings = [
             trivial_measuring(qline_f3.hopf),
-            trivial_measuring(classical_cyclic(f3, 2)),
+            trivial_measuring(cyclic_group_hopf(f3, 2)),
         ]
         for m in measurings:
             for c in enumerate_cocycles(m):
@@ -203,7 +203,7 @@ def test_criterion_8_derived_relation_suites(qline_f3, qline_f5, f3, boson4):
             m = trivial_measuring(g.hopf)
             for c in enumerate_cocycles(m):
                 assert check_derived_relations(c).ok
-        m = trivial_measuring(classical_cyclic(f3, 2))
+        m = trivial_measuring(cyclic_group_hopf(f3, 2))
         for c in enumerate_cocycles(m):
             assert check_derived_relations(c).ok
             # inverse-section coaction formula (convolution inverse of a
@@ -256,4 +256,4 @@ def test_criterion_10_oracle_agreement(kc2_f3, kc4_f5, qline_f3, qline_f5,
             for s in direct:
                 assert check_zprime(b, s.sigma).in_zprime
         # classical sweep agrees with the closed-form count
-        assert len(enumerate_cocycles(trivial_measuring(classical_cyclic(f3, 2)))) == 2
+        assert len(enumerate_cocycles(trivial_measuring(cyclic_group_hopf(f3, 2)))) == 2

@@ -3,6 +3,7 @@ import pytest
 from hopfcleft import braided
 from hopfcleft.braided import (
     HModule,
+    Measuring,
     YDModule,
     braiding,
     braiding_inverse,
@@ -10,7 +11,6 @@ from hopfcleft.braided import (
     check_comodule_algebra,
     check_measuring,
     check_yd,
-    classical_hopf,
     coinvariants,
     trivial_ambient,
     trivial_measuring,
@@ -19,9 +19,10 @@ from hopfcleft.braided import (
     twist,
     yd_tensor,
 )
+from hopfcleft.cocycle import pair_coalgebra
 from hopfcleft.errors import BaseMismatch, ShapeMismatch
 from hopfcleft.fixtures import cyclic_group_hopf
-from hopfcleft.hopf import iterated_comul, iterated_mul
+from hopfcleft.hopf import check_coalgebra, iterated_comul, iterated_mul
 from hopfcleft.linalg import (
     LinearMap,
     based_space,
@@ -29,6 +30,7 @@ from hopfcleft.linalg import (
     compose_all,
     flip_map,
     permutation_map,
+    tensor_map,
     tensor_space,
 )
 from hopfcleft.report import map_equal_item
@@ -69,8 +71,30 @@ def test_braiding_inverse(qline_f5):
 
 
 def test_trivial_ambient_braiding_is_flip(kc2_f3):
-    b = classical_hopf(kc2_f3)
-    assert b.bialg.self_braiding == flip_map(kc2_f3.space, kc2_f3.space)
+    b = kc2_f3
+    assert b.self_braiding == flip_map(kc2_f3.space, kc2_f3.space)
+
+
+def test_a_classical_hopf_algebra_is_braided_over_the_trivial_ambient(f5):
+    """A classical Hopf algebra is used as it is wherever a braided one is:
+    its Yetter-Drinfeld structure over K = k is the trivial one, built on
+    first use, and its self-braiding is the flip."""
+    h = cyclic_group_hopf(f5, 4)
+    assert h.ambient.space.dim == 1
+    ident = LinearMap.identity(h.space).raw_entries()
+    # coaction unit (x) id: h -> 1 (x) h, action counit (x) id: 1 (x) h -> h
+    assert h.yd.coaction.target.dim == h.yd.module.action.source.dim == h.space.dim
+    assert h.yd.coaction.raw_entries() == ident
+    assert h.yd.module.action.raw_entries() == ident
+    assert h.yd is h.yd and h.yd.module.space is h.space
+    flip = flip_map(h.space, h.space)
+    assert h.self_braiding == braiding(h.yd, h.yd.module) == flip
+    unit_measuring = trivial_measuring(h)
+    assert check_measuring(unit_measuring).ok
+    nu = tensor_map(h.counit, LinearMap.identity(h.space))  # x (x) a -> eps(x) a
+    assert check_measuring(Measuring(h, h.alg, trivial_module(h.ambient, h.space), nu)).ok
+    pair = pair_coalgebra(h)
+    assert pair is pair_coalgebra(h) and check_coalgebra(pair).ok
 
 
 def test_unit_object_braids_trivially(qline_f5, kc4_f5):
@@ -164,7 +188,7 @@ def test_yd_tensor_and_braiding_equal_the_permutation_chains(qline_f3, qline_f5)
             assert xy.coaction == coaction
             assert braiding(x, y.module) == _flipped_braiding(x, y.module)
         # over the trivial ambient the braiding is the flip
-        classical = classical_hopf(g.ambient)
+        classical = g.ambient
         plain = trivial_module(classical.ambient, yd.space)
         assert braiding(classical.yd, plain) == flip_map(classical.space, yd.space)
 
@@ -184,7 +208,7 @@ def test_trivial_measuring_passes(qline_f5):
 
 
 def test_classical_trivial_measuring_passes(kc4_f5):
-    report = check_measuring(trivial_measuring(classical_hopf(kc4_f5)))
+    report = check_measuring(trivial_measuring(kc4_f5))
     assert report.ok, str(report)
 
 
@@ -198,7 +222,7 @@ def test_regular_comodule_algebra_and_coinvariants(kc4_f5):
     # H coacting on itself by comultiplication: coinvariants are the scalars
     from hopfcleft.braided import ComoduleAlgebra
 
-    b = classical_hopf(kc4_f5)
+    b = kc4_f5
     carrier = trivial_module(b.ambient, b.space)
     comod = ComoduleAlgebra(b, kc4_f5.alg, carrier, kc4_f5.comul)
     report = check_comodule_algebra(comod)
@@ -212,7 +236,7 @@ def test_group_like_coaction_coinvariants(kc2_f3):
     from hopfcleft.braided import ComoduleAlgebra
 
     h = cyclic_group_hopf(kc2_f3.space.field, 2)
-    b = classical_hopf(h)
+    b = h
     carrier = trivial_module(b.ambient, h.space)
     comod = ComoduleAlgebra(b, h.alg, carrier, h.comul)
     assert coinvariants(comod).algebra.space.dim == 1

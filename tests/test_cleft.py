@@ -1,6 +1,6 @@
 import pytest
 
-from hopfcleft.braided import classical_hopf, coinvariants, trivial_measuring
+from hopfcleft.braided import coinvariants, trivial_measuring
 from hopfcleft.cleft import (
     check_cleft,
     crossed_to_cleft,
@@ -14,7 +14,7 @@ from hopfcleft.cleft import (
 )
 from hopfcleft.cocycle import crossed_product
 from hopfcleft.errors import NotInvertible, ShapeMismatch
-from hopfcleft.fixtures import classical_cyclic
+from hopfcleft.fixtures import cyclic_group_hopf
 from hopfcleft.linalg import LinearMap
 from hopfcleft.oracle import enumerate_cocycles
 
@@ -26,7 +26,7 @@ def braided_cocycles(qline_f3):
 
 @pytest.fixture(scope="module")
 def classical_cocycles(f3):
-    return enumerate_cocycles(trivial_measuring(classical_cyclic(f3, 2)))
+    return enumerate_cocycles(trivial_measuring(cyclic_group_hopf(f3, 2)))
 
 
 def test_crossed_to_cleft_passes_all_checks(braided_cocycles):
@@ -63,7 +63,7 @@ def test_iso_to_crossed(braided_cocycles):
 
 
 def test_normalize_section_fixes_unit(kc4_f5):
-    b = classical_hopf(kc4_f5)
+    b = kc4_f5
     m = trivial_measuring(b)
     from hopfcleft.cocycle import smash_product
 
@@ -85,7 +85,7 @@ def compose_unit(ce):
 
 
 def test_make_cleft_rejects_wrong_shape(kc4_f5, kc2_f3):
-    b = classical_hopf(kc4_f5)
+    b = kc4_f5
     from hopfcleft.cocycle import smash_product
 
     ce = crossed_to_cleft(smash_product(trivial_measuring(b)))
@@ -94,7 +94,7 @@ def test_make_cleft_rejects_wrong_shape(kc4_f5, kc2_f3):
 
 
 def test_make_cleft_rejects_non_invertible_section(kc4_f5):
-    b = classical_hopf(kc4_f5)
+    b = kc4_f5
     from hopfcleft.cocycle import smash_product
 
     ce = crossed_to_cleft(smash_product(trivial_measuring(b)))

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -505,6 +506,30 @@ def test_child_process_matches_the_in_process_run(tmp_path, monkeypatch, args, f
     assert stdout if code < 2 else stderr  # the report, or the error
     assert list(written) == (["boson.had"] if code == 0 else [])
     assert all(written.values())
+
+
+def test_version_without_installed_metadata(runner):
+    """--version reads the package's own version, so it works from a source
+    tree on PYTHONPATH as well as from an installed package."""
+    result = run(runner, ["--version"])
+    assert result.exit_code == 0
+    assert hopfcleft.__version__ in result.output
+
+
+def test_version_in_a_child_process():
+    package_root = os.path.dirname(os.path.dirname(hopfcleft.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfcleft.cli", "--version"], capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hopfcleft.__version__.encode() in proc.stdout
+
+
+def test_version_matches_pyproject():
+    # a regex, not tomllib, which Python 3.10 lacks
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)[1] == hopfcleft.__version__
 
 
 _BOUND = ("bound", ["--bound"], 1_000_000)

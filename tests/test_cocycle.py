@@ -1,6 +1,6 @@
 import pytest
 
-from hopfcleft.braided import BraidedBialgebra, check_comodule_algebra, trivial_measuring
+from hopfcleft.braided import braiding, check_comodule_algebra, trivial_measuring
 from hopfcleft.cocycle import (
     Cocycle,
     check_cocycle,
@@ -14,8 +14,8 @@ from hopfcleft.cocycle import (
     triple_coalgebra,
 )
 from hopfcleft.errors import ShapeMismatch
-from hopfcleft.fixtures import classical_cyclic
-from hopfcleft.hopf import convolution_inverse_or_none
+from hopfcleft.fixtures import cyclic_group_hopf
+from hopfcleft.hopf import BialgebraData, convolution_inverse_or_none
 from hopfcleft.linalg import LinearMap, compose, tensor_space
 from hopfcleft.oracle import enumerate_cocycles
 
@@ -43,7 +43,7 @@ def test_braided_cocycle_count_is_frozen(braided_cocycles):
 
 
 def test_classical_cocycle_count_is_frozen(f3):
-    m = trivial_measuring(classical_cyclic(f3, 2))
+    m = trivial_measuring(cyclic_group_hopf(f3, 2))
     cocycles = enumerate_cocycles(m)
     # sigma(g, g) = lambda must be nonzero for convolution invertibility
     assert len(cocycles) == 2
@@ -123,10 +123,10 @@ def _materialised_braided_coalgebra(b, a, c_ba):
 @pytest.mark.parametrize("name", ["qline_f3", "boson4", "boson8"])
 def test_braided_coalgebras_equal_the_materialised_chain(request, name):
     obj = request.getfixturevalue(name)
-    hopf = obj.hopf if name == "qline_f3" else obj.braided()
+    hopf = obj.hopf
     h = hopf.space
     id_h = LinearMap.identity(h)
-    c_hh = hopf.braid_with(hopf.yd.module)
+    c_hh = braiding(hopf.yd, hopf.yd.module)
     pair_comul = _materialised_braided_coalgebra(hopf.coalg, hopf.coalg, c_hh)
     pair = pair_coalgebra(hopf)
     assert pair.comul == pair_comul
@@ -145,8 +145,8 @@ def test_triple_coalgebra_builds_no_large_map(monkeypatch, boson8):
     """Machine-independent size guard: the largest map built, or slot
     contraction computed, on the way to the dim-8 triple coalgebra
     (512 -> 262,144, 1,728 entries) stays small."""
-    h = boson8.braided()
-    fresh = BraidedBialgebra(h.ambient, h.yd, h.bialg, h.antipode)  # empty pair and triple caches
+    h = boson8.hopf
+    fresh = BialgebraData(h.alg, h.coalg, h.self_braiding, h.antipode, h.yd)  # empty pair and triple caches
     largest = record_map_sizes(monkeypatch)
     triple = triple_coalgebra(fresh)
     monkeypatch.undo()

@@ -1,6 +1,6 @@
 import pytest
 
-from hopfcleft.braided import trivial_measuring
+from hopfcleft.braided import braiding, trivial_measuring
 from hopfcleft.cocycle import pair_coalgebra
 from hopfcleft.errors import NoSolution, NotHopf, NotInvertible, ShapeMismatch
 from hopfcleft.fields import FieldSpec
@@ -51,7 +51,7 @@ def test_cyclic_group_hopf_axioms(field, n):
 
 
 def test_antipode_solved_from_bialgebra(kc4_f5):
-    assert antipode(kc4_f5.bialg) == kc4_f5.antipode
+    assert antipode(kc4_f5) == kc4_f5.antipode
 
 
 def test_non_hopf_bialgebra(f3):
@@ -131,8 +131,8 @@ def test_convolution_inverse_matches_the_probe_assembly(kc4_f5, boson8, boson16_
             convolution_inverse(first, c, a)
     # a scalar cocycle sigma: H (x) H -> 1 over the pair coalgebra
     sigma = enumerate_zprime(boson8)[1].sigma
-    pair = pair_coalgebra(boson8.braided())
-    unit_alg = trivial_measuring(boson8.braided()).algebra
+    pair = pair_coalgebra(boson8.hopf)
+    unit_alg = trivial_measuring(boson8.hopf).algebra
     inv = convolution_inverse(sigma, pair, unit_alg)
     assert inv == _probe_convolution_inverse(sigma, pair, unit_alg)
     assert convolution(sigma, inv, pair, unit_alg) == convolution_unit(pair, unit_alg)
@@ -208,6 +208,6 @@ def test_braided_product_equals_the_materialised_product(boson8, qline_f3):
     # a crossed product over the quantum line: the braiding is not a flip
     c = enumerate_cocycles(trivial_measuring(qline_f3.hopf))[1]
     b = crossed_product(c).comodule_algebra
-    c_hb = b.hopf.braid_with(b.carrier)
+    c_hb = braiding(b.hopf.yd, b.carrier)
     assert braided_product(b.coaction, b.algebra, b.hopf.alg, c_hb) == (
         ref_braided_product(b.coaction, b.algebra, b.hopf.alg, c_hb))

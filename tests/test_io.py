@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hopfcleft.errors import ParseError, ValidationError
 from hopfcleft.fields import FieldSpec
 from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_grading
-from hopfcleft.hopf import HopfAlgebraData, check_hopf
+from hopfcleft.hopf import BialgebraData, check_hopf
 from hopfcleft.io import (
     build,
     graded_to_definition,
@@ -125,6 +125,11 @@ def test_role_reference_validation():
     ])
     with pytest.raises(ValidationError):
         parse(text)
+    # ambient= must name a hopf_algebra role, not a role of another kind
+    graded_ambient = data_text("qline_kc2_f3.had") + (
+        "role yd_module V: action=R_action ambient=R coaction=R_coaction space=R\n")
+    with pytest.raises(ValidationError, match=r"ambient='R' must be one of \('hopf_algebra',\)"):
+        parse(graded_ambient)
 
 
 def test_missing_required_binding_rejected():
@@ -153,7 +158,7 @@ def test_hopf_round_trip_through_definition(kc4_f5):
     df = hopf_to_definition(kc4_f5)
     again = parse(serialize(df))
     rebuilt = build(again, "H")
-    assert isinstance(rebuilt, HopfAlgebraData)
+    assert isinstance(rebuilt, BialgebraData)
     assert rebuilt.mul == kc4_f5.mul
     assert rebuilt.antipode == kc4_f5.antipode
 

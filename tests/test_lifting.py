@@ -2,14 +2,20 @@ import itertools
 
 import pytest
 
-from hopfcleft import cleft, lifting, oracle
+from hopfcleft import cleft, cocycle, lifting, oracle
 from hopfcleft.braided import trivial_measuring
 from hopfcleft.cleft import CleftExtension, crossed_to_cleft, functor_F
 from hopfcleft.cocycle import check_cocycle, crossed_product, pair_coalgebra, triple_coalgebra
 from hopfcleft.errors import AxiomFailure, NotInvertible, SearchSpaceTooLarge
 from hopfcleft.fields import FieldSpec
 from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_grading
-from hopfcleft.hopf import check_hopf, convolution_inverse, iterated_comul, iterated_mul
+from hopfcleft.hopf import (
+    BialgebraData,
+    check_hopf,
+    convolution_inverse,
+    iterated_comul,
+    iterated_mul,
+)
 from hopfcleft.lifting import (
     Bosonization,
     GradedYDHopf,
@@ -53,8 +59,12 @@ def f5_sigmas(boson8):
 
 
 def _empty_caches(b):
-    """The same bosonization as a new object, with empty caches."""
-    return Bosonization(b.source, b.hopf, b.degrees)
+    """The same bosonization as a new object, with empty caches: its own
+    verdict cache, and a new record of its Hopf algebra for the pair and
+    triple coalgebras."""
+    h = b.hopf
+    return Bosonization(b.source, BialgebraData(h.alg, h.coalg, h.self_braiding, h.antipode),
+                        b.degrees)
 
 
 def _permuted_smash_mul(e, action, h):
@@ -207,7 +217,7 @@ def test_psi_rejects_non_equivariant_section(boson4):
 
     with pytest.raises(CorruptFixture):
         psi(boson4, crossed_to_cleft(
-            smash_product(trivial_measuring(boson4.braided()))))
+            smash_product(trivial_measuring(boson4.hopf))))
     assert psi(boson4, ce) is not None
 
 
@@ -242,7 +252,7 @@ def _sweep_isomorphic(b, s1, s2):
             if terms:
                 equations.append(terms)
     equations.sort(key=len)
-    unit_alg = trivial_measuring(b.braided()).algebra
+    unit_alg = trivial_measuring(b.hopf).algebra
     for values in itertools.product(range(p), repeat=d - 1):
         ph = values[:unit_col] + (1,) + values[unit_col:]
         for eq in equations:
@@ -325,7 +335,7 @@ def boson16_f17():
     pair and triple coalgebras built."""
     ambient = cyclic_group_hopf(FieldSpec.prime_field(17), 8)
     b = bosonize(GradedYDHopf(quantum_line(ambient), quantum_line_grading()))
-    triple_coalgebra(b.braided())
+    triple_coalgebra(b.hopf)
     return b
 
 
@@ -381,11 +391,11 @@ def test_checks_build_no_kronecker_product(boson16_f17, monkeypatch):
     compares. Materialised, tensor_map(mul, id) has 3,072 entries in
     check_hopf, and the cocycle chains reach 24,576 in check_cocycle."""
     b = boson16_f17
-    hopf = b.braided()
+    hopf = b.hopf
     sigma = _restricted_sigma(b, 3)
     m = trivial_measuring(hopf)
     ident = LinearMap.identity(b.space)
-    structure = [b.hopf.mul, b.hopf.comul, b.hopf.antipode, hopf.bialg.self_braiding]
+    structure = [b.hopf.mul, b.hopf.comul, b.hopf.antipode, hopf.self_braiding]
     # associativity compares two maps H (x) H (x) H -> H
     assoc = compose(b.hopf.mul, kron(b.hopf.mul, ident))
     coalgebras = [pair_coalgebra(hopf).comul, triple_coalgebra(hopf).comul, sigma]
@@ -548,6 +558,24 @@ def test_census_check_cocycle_call_count(boson8, monkeypatch):
     assert result.report.ok, str(result.report)
     assert result.classes == [[0], [1, 4], [2, 3]]
     assert calls <= 15
+
+
+def test_census_builds_the_pair_and_triple_coalgebras_once(boson8, monkeypatch):
+    """They are kept on the bosonization's Hopf algebra, so the many
+    convolutions of one census share one build of each."""
+    b = _empty_caches(boson8)
+    builds = []
+    original = cocycle.braided_tensor_coalgebra
+
+    def counting(first, *args):
+        if first is b.hopf.coalg:
+            builds.append(args[0].space.dim)
+        return original(first, *args)
+
+    monkeypatch.setattr(cocycle, "braided_tensor_coalgebra", counting)
+    result = cleft_prime_census(b)
+    assert result.report.ok, str(result.report)
+    assert builds == [8, 64]  # H (x) H, then H (x) (H (x) H)
 
 
 def test_census_classes_f5(boson8):

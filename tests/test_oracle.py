@@ -2,10 +2,10 @@ import itertools
 
 import pytest
 
-from hopfcleft.braided import classical_hopf, trivial_measuring
+from hopfcleft.braided import trivial_measuring
 from hopfcleft.errors import NotInvertible, SearchSpaceTooLarge
 from hopfcleft.fields import FieldSpec
-from hopfcleft.fixtures import classical_cyclic, cyclic_group_hopf, non_hopf_bialgebra
+from hopfcleft.fixtures import cyclic_group_hopf, non_hopf_bialgebra
 from hopfcleft.hopf import convolution_inverse
 from hopfcleft.cocycle import check_cocycle
 from hopfcleft.lifting import check_zprime
@@ -39,7 +39,7 @@ def test_exhaustive_search_confirms_non_invertibility(f3):
 
 
 def test_classical_cocycle_count_kc2_f3(f3):
-    found = enumerate_cocycles(trivial_measuring(classical_cyclic(f3, 2)))
+    found = enumerate_cocycles(trivial_measuring(cyclic_group_hopf(f3, 2)))
     # sigma(g, g) must be a nonzero scalar; two choices in F_3
     assert len(found) == 2
     target = found[0].sigma.target
@@ -149,7 +149,7 @@ def test_search_space_bound(f5):
 
 def test_non_prime_field_rejected_by_enumeration(kc2_q):
     with pytest.raises(SearchSpaceTooLarge):
-        enumerate_cocycles(trivial_measuring(classical_hopf(kc2_q)))
+        enumerate_cocycles(trivial_measuring(kc2_q))
 
 
 def test_search_space_assignment_order(f3):
