@@ -43,6 +43,7 @@ from .hopf import check_hopf, convolution_inverse
 from .lifting import (
     bosonize,
     check_graded,
+    check_graded_yd_hopf,
     cleft_prime_census,
     deform,
     gr_check,
@@ -172,11 +173,7 @@ def verify_hopf(df, role_name, fmt):
     """Check all Hopf algebra axioms for a hopf_algebra or graded_yd_hopf role."""
     role = _find_role(df, ("hopf_algebra", "graded_yd_hopf"), role_name)
     obj = io.build(df, role.name)
-    if role.kind == "hopf_algebra":
-        report = check_hopf(obj)
-    else:
-        report = check_graded(obj)
-    _finish(report, fmt)
+    _finish(check_hopf(obj) if role.kind == "hopf_algebra" else check_graded_yd_hopf(obj), fmt)
 
 
 @_file_command("verify-yd")
@@ -216,35 +213,21 @@ def verify_cocycle(df, role_name, fmt):
 
 def _crossed_output(cp, out_path) -> list[str]:
     """Write a crossed product as a definition file with a cleft_extension
-    role when the ambient is trivial, plain tensors otherwise."""
+    role when the ambient is trivial, else only the role's mul and unit
+    tensors."""
     hopf = cp.cocycle.measuring.hopf
     b = cp.comodule_algebra
     space = b.space
     notes = [f"crossed product space: {space.name} (dim {space.dim})"]
     if out_path is None:
         return notes
-    product_space = io.file_space(space, "B")
-    tensors = [
-        io.role_tensor("B_mul", "mul", (product_space,), b.algebra.mul),
-        io.role_tensor("B_unit", "unit", (product_space,), b.algebra.unit),
-    ]
+    maps = {"mul": b.algebra.mul, "unit": b.algebra.unit}
+    df, refs, over = io.DefinitionFile(space.field), None, None
     if hopf.ambient.space.dim == 1:
         df = io.hopf_to_definition(hopf, "H")
-        df.spaces["B"] = product_space
-        pair = (df.spaces[hopf.space.name], product_space)
-        tensors.append(io.role_tensor("B_coaction", "right_coaction", pair, b.coaction))
-        tensors.append(io.role_tensor("B_section", "section", pair, crossed_to_cleft(cp).gamma))
-        for t in tensors:
-            df.tensors[t.name] = t
-        df.roles["B"] = io.Role("cleft_extension", "B", {
-            "hopf": "H", "space": "B", "mul": "B_mul", "unit": "B_unit",
-            "coaction": "B_coaction", "section": "B_section",
-        })
-    else:
-        df = io.DefinitionFile(space.field)
-        df.spaces["B"] = product_space
-        for t in tensors:
-            df.tensors[t.name] = t
+        maps.update(coaction=b.coaction, section=crossed_to_cleft(cp).gamma)
+        refs, over = {"hopf": "H"}, df.space(df.roles["H"].bindings["space"])
+    io.add_role(df, "cleft_extension", "B", io.file_space(space, "B"), maps, refs, over)
     io.save(df, out_path)
     notes.append(f"wrote {out_path}")
     return notes

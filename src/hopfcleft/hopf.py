@@ -108,6 +108,9 @@ class BialgebraData:
         self.triple_cache: CoalgebraData | None = None
         if not alg.space.same_basis(coalg.space):
             raise ShapeMismatch("algebra and coalgebra live on different spaces")
+        if antipode is not None and not (
+                antipode.source.same_basis(alg.space) and antipode.target.same_basis(alg.space)):
+            raise ShapeMismatch("antipode must map the carrier to itself")
 
     @cached_property
     def yd(self):

@@ -15,6 +15,9 @@ cyclotomic coefficient lists. "#" starts a comment. parse followed by
 serialize is the identity on canonical text; serialize after parse
 canonicalizes any valid file deterministically (spaces, grades, tensors and
 roles sorted by name, entries sorted by row then column index).
+
+The schema is two tables, ``TENSOR_SHAPES`` and ``ROLE_KINDS``; the parser,
+the binding validator and the writer ``add_role`` read only these.
 """
 
 from __future__ import annotations
@@ -40,49 +43,55 @@ from .linalg import TENSOR_SEP, BasedSpace, LinearMap, flip_map, tensor_space, u
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_'-]+$")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
-# tensor role -> number of space names it takes; its shape is _role_shape
-TENSOR_ROLES = {
-    "mul": 1,
-    "unit": 1,
-    "comul": 1,
-    "counit": 1,
-    "antipode": 1,
-    "action": 2,
-    "coaction": 2,
-    "right_coaction": 2,
-    "section": 2,
-    "cocycle": 2,
-    "measuring": 2,
-    "map": 2,
+# tensor role -> (number of spaces, source, target): source and target list
+# the positions of their tensor factors among the spaces, () the ground field
+TENSOR_SHAPES = {
+    "mul": (1, (0, 0), (0,)),
+    "unit": (1, (), (0,)),
+    "comul": (1, (0,), (0, 0)),
+    "counit": (1, (0,), ()),
+    "antipode": (1, (0,), (0,)),
+    "action": (2, (0, 1), (1,)),
+    "coaction": (2, (1,), (0, 1)),
+    "right_coaction": (2, (1,), (1, 0)),
+    "section": (2, (0,), (1,)),
+    "cocycle": (2, (0, 0), (1,)),
+    "measuring": (2, (0, 1), (1,)),
+    "map": (2, (0,), (1,)),  # bound by no role key
 }
 
+# role kind -> key -> what the key binds: "space", "grade", a tensor role, or
+# a tuple of role kinds; a key ending in "?" is optional
 ROLE_KINDS = {
     "hopf_algebra": {
-        "required": ("space", "mul", "unit", "comul", "counit"),
-        "optional": ("antipode",),
+        "space": "space", "mul": "mul", "unit": "unit", "comul": "comul",
+        "counit": "counit", "antipode?": "antipode",
     },
     "yd_module": {
-        "required": ("ambient", "space", "action", "coaction"),
-        "optional": (),
+        "ambient": ("hopf_algebra",), "space": "space", "action": "action",
+        "coaction": "coaction",
     },
     "graded_yd_hopf": {
-        "required": ("ambient", "space", "action", "coaction",
-                     "mul", "unit", "comul", "counit", "grading"),
-        "optional": ("antipode",),
+        "ambient": ("hopf_algebra",), "space": "space", "action": "action",
+        "coaction": "coaction", "mul": "mul", "unit": "unit", "comul": "comul",
+        "counit": "counit", "grading": "grade", "antipode?": "antipode",
     },
     "measuring": {
-        "required": ("hopf", "space", "mul", "unit", "nu"),
-        "optional": ("carrier_action",),
+        "hopf": ("hopf_algebra", "graded_yd_hopf"), "space": "space", "mul": "mul",
+        "unit": "unit", "nu": "measuring", "carrier_action?": "action",
     },
-    "cocycle": {
-        "required": ("measuring", "sigma"),
-        "optional": (),
-    },
+    "cocycle": {"measuring": ("measuring",), "sigma": "cocycle"},
     "cleft_extension": {
-        "required": ("hopf", "space", "mul", "unit", "coaction", "section"),
-        "optional": ("carrier_action",),
+        "hopf": ("hopf_algebra", "graded_yd_hopf"), "space": "space", "mul": "mul",
+        "unit": "unit", "coaction": "right_coaction", "section": "section",
+        "carrier_action?": "action",
     },
 }
+
+
+def role_keys(kind: str) -> dict[str, tuple[str | tuple[str, ...], bool]]:
+    """key -> (what it binds, whether it is optional) for a role kind."""
+    return {k.rstrip("?"): (binds, k.endswith("?")) for k, binds in ROLE_KINDS[kind].items()}
 
 
 class Tensor:
@@ -94,10 +103,11 @@ class Tensor:
 
 
 class Role:
-    def __init__(self, kind: str, name: str, bindings: dict[str, str]):
+    def __init__(self, kind: str, name: str, bindings: dict[str, str], line: int | None = None):
         self.kind = kind
         self.name = name
         self.bindings = bindings
+        self.line = line  # where the file declares it
 
 
 class DefinitionFile:
@@ -119,32 +129,10 @@ class DefinitionFile:
         return self.spaces[name]
 
 
-def _role_shape(role: str, spaces: list[BasedSpace], f: FieldSpec):
-    one = unit_space(f)
-    s = spaces
-    if role == "mul":
-        return tensor_space(s[0], s[0]), s[0]
-    if role == "unit":
-        return one, s[0]
-    if role == "comul":
-        return s[0], tensor_space(s[0], s[0])
-    if role == "counit":
-        return s[0], one
-    if role == "antipode":
-        return s[0], s[0]
-    if role == "action":
-        return tensor_space(s[0], s[1]), s[1]
-    if role == "coaction":
-        return s[1], tensor_space(s[0], s[1])
-    if role == "right_coaction":
-        return s[1], tensor_space(s[1], s[0])
-    if role in ("section", "map"):
-        return s[0], s[1]
-    if role == "cocycle":
-        return tensor_space(s[0], s[0]), s[1]
-    if role == "measuring":
-        return tensor_space(s[0], s[1]), s[1]
-    raise ValidationError(f"unknown tensor role {role!r}")
+def _role_shape(role: str, spaces, f: FieldSpec):
+    """The (source, target) of a tensor of ``role`` on ``spaces``."""
+    return tuple(tensor_space(*(spaces[i] for i in side)) if side else unit_space(f)
+                 for side in TENSOR_SHAPES[role][1:])
 
 
 def parse_field(text: str) -> FieldSpec:
@@ -282,12 +270,12 @@ def _parse_tensor(df, words, body, line_no):
     if name in df.tensors:
         raise ParseError(f"duplicate tensor {name!r}", line_no)
     role, _, space_part = words[2].partition("@")
-    if role not in TENSOR_ROLES:
+    if role not in TENSOR_SHAPES:
         raise ParseError(f"unknown tensor role {role!r}", line_no)
     space_names = tuple(space_part.split(","))
-    if len(space_names) != TENSOR_ROLES[role]:
+    if len(space_names) != TENSOR_SHAPES[role][0]:
         raise ParseError(
-            f"role {role!r} takes {TENSOR_ROLES[role]} space name(s)", line_no)
+            f"role {role!r} takes {TENSOR_SHAPES[role][0]} space name(s)", line_no)
     try:
         spaces = [df.space(n) for n in space_names]
         source, target = _role_shape(role, spaces, df.field)
@@ -327,47 +315,53 @@ def _parse_role(df, words, body, line_no):
         if key in bindings:
             raise ParseError(f"duplicate role key {key!r}", line_no)
         bindings[key] = value
-    allowed = ROLE_KINDS[kind]
+    keys = role_keys(kind)
     for key in bindings:
-        if key not in allowed["required"] and key not in allowed["optional"]:
+        if key not in keys:
             raise ParseError(f"unknown key {key!r} for role kind {kind!r}", line_no)
-    missing = [k for k in allowed["required"] if k not in bindings]
+    missing = [k for k, (_, optional) in keys.items() if not optional and k not in bindings]
     if missing:
         raise ParseError(f"role {name!r} is missing keys {missing}", line_no)
-    df.roles[name] = Role(kind, name, bindings)
-
-
-# which role kinds each cross-reference key may point at
-_REFERENCE_KINDS = {
-    "ambient": ("hopf_algebra",),
-    "hopf": ("hopf_algebra", "graded_yd_hopf"),
-    "measuring": ("measuring",),
-}
+    df.roles[name] = Role(kind, name, bindings, line_no)
 
 
 def _validate_roles(df: DefinitionFile):
-    """Every binding resolves to an object of the right kind; done after
-    parsing so declaration order does not matter. Semantic checks (axioms,
-    invertibility) are left to the commands so that a well-shaped but corrupt
-    structure is a check failure, not a parse failure."""
+    """Every binding resolves to an object of the kind its key binds; done
+    after parsing so declaration order does not matter. Semantic checks
+    (axioms, invertibility) are left to the commands so that a well-shaped
+    but corrupt structure is a check failure, not a parse failure."""
     for role in df.roles.values():
+        keys = role_keys(role.kind)
         for key, value in role.bindings.items():
-            if key == "space":
-                df.space(value)
-            elif key == "grading":
-                if value not in df.grades:
-                    raise ValidationError(
-                        f"role {role.name!r}: unknown grade {value!r}")
-            elif key in _REFERENCE_KINDS:
-                if value not in df.roles:
-                    raise ValidationError(
-                        f"role {role.name!r}: unknown role {value!r}")
-                kinds = _REFERENCE_KINDS[key]
-                if df.roles[value].kind not in kinds:
-                    raise ValidationError(
-                        f"role {role.name!r}: {key}={value!r} must be one of {kinds}")
-            else:
-                df.tensor_map(value)
+            try:
+                _validate_binding(df, role, key, value, keys[key][0])
+            except ValidationError as exc:
+                raise ValidationError(f"line {role.line}: {exc}") from exc
+
+
+def _validate_binding(df, role, key, value, binds):
+    if binds == "space":
+        df.space(value)
+    elif binds == "grade":
+        if value not in df.grades:
+            raise ValidationError(f"role {role.name!r}: unknown grade {value!r}")
+    elif isinstance(binds, tuple):
+        if value not in df.roles:
+            raise ValidationError(f"role {role.name!r}: unknown role {value!r}")
+        if df.roles[value].kind not in binds:
+            raise ValidationError(
+                f"role {role.name!r}: {key}={value!r} must be one of {binds}")
+    else:
+        df.tensor_map(value)
+        found = df.tensors[value].role
+        if found != binds:
+            raise ParseError(
+                f"role {role.name!r}: {key}={value!r} is {_a(found)} {found} tensor, "
+                f"not {_a(binds)} {binds}", role.line)
+
+
+def _a(word: str) -> str:
+    return "an" if word[0] in "aeio" else "a"
 
 
 def serialize(df: DefinitionFile) -> str:
@@ -429,16 +423,16 @@ def _build_hopf(df, role, yd: YDModule | None = None) -> BialgebraData:
     alg = AlgebraData(space, df.tensor_map(b["mul"]), df.tensor_map(b["unit"]))
     coalg = CoalgebraData(space, df.tensor_map(b["comul"]), df.tensor_map(b["counit"]))
     self_braiding = flip_map(space, space) if yd is None else braiding(yd, yd.module)
-    hopf = BialgebraData(alg, coalg, self_braiding, yd=yd)
-    hopf.antipode = df.tensor_map(b["antipode"]) if "antipode" in b else antipode(hopf)
+    bound = df.tensor_map(b["antipode"]) if "antipode" in b else None
+    hopf = BialgebraData(alg, coalg, self_braiding, bound, yd=yd)
+    if bound is None:
+        hopf.antipode = antipode(hopf)
     return hopf
 
 
 def _build_yd(df, role) -> YDModule:
     b = role.bindings
-    ambient = build(df, b["ambient"])
-    space = df.space(b["space"])
-    module = HModule(ambient, space, df.tensor_map(b["action"]))
+    module = HModule(build(df, b["ambient"]), df.space(b["space"]), df.tensor_map(b["action"]))
     return YDModule(module, df.tensor_map(b["coaction"]))
 
 
@@ -471,9 +465,7 @@ def _build_measuring(df, role) -> Measuring:
 
 def _build_cocycle(df, role):
     b = role.bindings
-    m = build(df, b["measuring"])
-    sigma = df.tensor_map(b["sigma"])
-    cocycle, report = check_cocycle(m, sigma)
+    cocycle, report = check_cocycle(build(df, b["measuring"]), df.tensor_map(b["sigma"]))
     if cocycle is None:
         raise ValidationError(
             f"role {role.name!r}: sigma fails the cocycle check "
@@ -500,36 +492,13 @@ _BUILDERS = {
 
 def graded_to_definition(g, ambient_name: str = "K", name: str = "R") -> DefinitionFile:
     """A graded braided Hopf algebra (with its ambient) as a definition file."""
-    df = hopf_to_definition(g.hopf.ambient, ambient_name)
-    space = g.space
-    df.spaces[space.name] = space
-    df.grades[f"{name}_degrees"] = (space.name, dict(g.grading))
-    pair = (g.hopf.ambient.space.name, space.name)
-    for t in [
-        Tensor(f"{name}_mul", "mul", (space.name,), g.hopf.mul),
-        Tensor(f"{name}_unit", "unit", (space.name,), g.hopf.unit),
-        Tensor(f"{name}_comul", "comul", (space.name,), g.hopf.comul),
-        Tensor(f"{name}_counit", "counit", (space.name,), g.hopf.counit),
-        Tensor(f"{name}_action", "action", pair, g.hopf.yd.module.action),
-        Tensor(f"{name}_coaction", "coaction", pair, g.hopf.yd.coaction),
-    ]:
-        df.tensors[t.name] = t
-    bindings = {
-        "ambient": ambient_name,
-        "space": space.name,
-        "mul": f"{name}_mul",
-        "unit": f"{name}_unit",
-        "comul": f"{name}_comul",
-        "counit": f"{name}_counit",
-        "action": f"{name}_action",
-        "coaction": f"{name}_coaction",
-        "grading": f"{name}_degrees",
-    }
-    if g.hopf.antipode is not None:
-        df.tensors[f"{name}_antipode"] = Tensor(
-            f"{name}_antipode", "antipode", (space.name,), g.hopf.antipode)
-        bindings["antipode"] = f"{name}_antipode"
-    df.roles[name] = Role("graded_yd_hopf", name, bindings)
+    df = hopf_to_definition(g.ambient, ambient_name)
+    df.grades[f"{name}_degrees"] = (g.space.name, dict(g.grading))
+    maps = {key: getattr(g.hopf, key) for key in ("mul", "unit", "comul", "counit", "antipode")}
+    maps.update(action=g.hopf.yd.module.action, coaction=g.hopf.yd.coaction)
+    add_role(df, "graded_yd_hopf", name, g.space, maps,
+             {"ambient": ambient_name, "grading": f"{name}_degrees"},
+             over=df.space(df.roles[ambient_name].bindings["space"]))
     return df
 
 
@@ -539,14 +508,34 @@ def hopf_to_definition(h: BialgebraData, name: str = "H") -> DefinitionFile:
     space ``name`` with dot-free labels, see ``file_space``."""
     space = file_space(h.space, name) if h.space.factors else h.space
     df = DefinitionFile(space.field)
-    df.spaces[space.name] = space
-    bindings = {"space": space.name}
-    for role in ("mul", "unit", "comul", "counit", "antipode"):
-        t = role_tensor(f"{name}_{role}", role, (space,), getattr(h, role))
-        df.tensors[t.name] = t
-        bindings[role] = t.name
-    df.roles[name] = Role("hopf_algebra", name, bindings)
+    maps = {key: getattr(h, key) for key in ("mul", "unit", "comul", "counit", "antipode")}
+    add_role(df, "hopf_algebra", name, space, maps, {})
     return df
+
+
+def add_role(df: DefinitionFile, kind: str, name: str, space: BasedSpace,
+             maps: dict[str, LinearMap | None], refs: dict[str, str] | None,
+             over: BasedSpace | None = None):
+    """Write ``space`` and each map of ``maps`` but None as the tensor NAME_KEY
+    of the role its key binds in ``kind``, on ``space`` (after ``over`` for
+    a role on two spaces), relabelling its entries. With ``refs``, the other
+    bindings, also declare the role NAME."""
+    df.spaces[space.name] = space
+    keys = role_keys(kind)
+    bindings = {"space": space.name}
+    for key, f in maps.items():
+        if f is None:
+            continue
+        role = keys[key][0]
+        tensor = bindings[key] = f"{name}_{key}"
+        spaces = (space,) if TENSOR_SHAPES[role][0] == 1 else (over, space)
+        source, target = _role_shape(role, spaces, space.field)
+        if (source.dim, target.dim) != (f.source.dim, f.target.dim):
+            raise ShapeMismatch(f"tensor {tensor!r} does not have the shape of a {role}")
+        df.tensors[tensor] = Tensor(tensor, role, tuple(s.name for s in spaces),
+                                    LinearMap._from_raw(source, target, f.raw_entries()))
+    if refs is not None:
+        df.roles[name] = Role(kind, name, {**bindings, **refs})
 
 
 def file_space(space: BasedSpace, name: str) -> BasedSpace:
@@ -560,14 +549,3 @@ def file_space(space: BasedSpace, name: str) -> BasedSpace:
             raise ValidationError(
                 f"labels {written[flat]!r} and {lab!r} of {space.name} are both written as {flat!r}")
     return BasedSpace(name, tuple(written), space.field)
-
-
-def role_tensor(name: str, role: str, spaces: tuple[BasedSpace, ...], f: LinearMap) -> Tensor:
-    """The tensor NAME ROLE@SPACES holding the entries of f. Its source and
-    target are the shape the role takes on ``spaces``, which relabels f's own
-    basis; the dimensions must agree."""
-    source, target = _role_shape(role, spaces, spaces[0].field)
-    if (source.dim, target.dim) != (f.source.dim, f.target.dim):
-        raise ShapeMismatch(f"tensor {name!r} does not have the shape of a {role}")
-    return Tensor(name, role, tuple(s.name for s in spaces),
-                  LinearMap._from_raw(source, target, f.raw_entries()))

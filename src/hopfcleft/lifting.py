@@ -18,7 +18,9 @@ from .braided import (
     braided_tensor_coalgebra,
     trivial_measuring,
     trivial_module,
+    trivial_yd,
     twist,
+    yd_tensor,
 )
 from .cleft import CleftExtension, cocycle_from_section, crossed_to_cleft
 from .cocycle import Cocycle, check_cocycle, crossed_product, pair_coalgebra
@@ -114,6 +116,28 @@ def check_graded(g: GradedYDHopf) -> CheckReport:
     return report
 
 
+def check_graded_yd_hopf(g: GradedYDHopf) -> CheckReport:
+    """R as a Hopf algebra in the Yetter-Drinfeld category: the Hopf axioms
+    over its self-braiding, its five structure maps as morphisms of ambient
+    modules and comodules, then ``check_graded``."""
+    r, yd = g.hopf, g.hopf.yd
+    report = check_hopf(r)
+    report.subject = f"Hopf algebra on {g.space.name} in the Yetter-Drinfeld category"
+    id_k = LinearMap.identity(g.ambient.space)
+    pair, one = yd_tensor(yd, yd), trivial_yd(g.ambient, unit_space(g.space.field))
+    for name, f, x, y in (("mul", r.mul, pair, yd), ("unit", r.unit, one, yd),
+                          ("comul", r.comul, yd, pair), ("counit", r.counit, yd, one),
+                          ("antipode", r.antipode, yd, yd)):
+        report.add(map_equal_item(
+            f"{name} is an ambient-module morphism",
+            compose(f, x.module.action), compose(y.module.action, tensor_map(id_k, f))))
+        report.add(map_equal_item(
+            f"{name} is an ambient-comodule morphism",
+            compose(tensor_map(id_k, f), x.coaction), compose(y.coaction, f)))
+    report.extend(check_graded(g))
+    return report
+
+
 class Bosonization:
     """The bosonization of ``source``: ``hopf`` is the classical Hopf algebra
     on R (x) H, which keeps its own pair and triple coalgebras, and
@@ -143,9 +167,9 @@ def bosonize(g: GradedYDHopf) -> Bosonization:
     c_{R,H} = twist(coaction_R, mul_H), r (x) h -> r(-1) h (x) r(0). The
     closed-form antipode is asserted against the convolution inverse of the
     identity."""
-    grading_report = check_graded(g)
-    if not grading_report.ok:
-        raise AxiomFailure(f"invalid graded input: {grading_report.first_failure()}")
+    input_report = check_graded_yd_hopf(g)
+    if not input_report.ok:
+        raise AxiomFailure(f"invalid graded input: {input_report.first_failure()}")
     r = g.hopf
     h = g.ambient
     alg = braided_tensor_algebra(r.alg, h.alg, twist(h.comul, r.yd.module.action))
@@ -223,16 +247,17 @@ def _embed_h(b: Bosonization) -> LinearMap:
     return tensor_map(g.hopf.unit, LinearMap.identity(b.ambient.space))
 
 
+def _spread(b: Bosonization) -> LinearMap:
+    """(r (x) h) (x) (r' (x) h') -> r (x) h.r' eps(h'), from pairs on the
+    bosonization to R (x) R."""
+    g = b.source
+    return tensor_maps(LinearMap.identity(g.space), g.hopf.yd.module.action, b.ambient.counit)
+
+
 def _restricted_form(b: Bosonization, sigma: LinearMap) -> LinearMap:
     """The map (r (x) h, r' (x) h') -> sigma(r (x) 1, (h.r') (x) 1) eps(h')."""
-    g = b.source
-    id_r = LinearMap.identity(g.space)
     j = _embed_r(b)
-    return compose_all(
-        sigma,
-        tensor_map(j, j),
-        tensor_maps(id_r, g.hopf.yd.module.action, b.ambient.counit),
-    )
+    return compose_all(sigma, tensor_map(j, j), _spread(b))
 
 
 def check_zprime(b: Bosonization, sigma: LinearMap) -> ScalarCocycleH:
@@ -307,8 +332,7 @@ def phi(b: Bosonization, pi: Cocycle) -> ScalarCocycleH:
     equiv = check_equivariant_pair(g, pi.sigma)
     if not equiv.ok:
         raise AxiomFailure(f"pi is not an ambient-module morphism: {equiv.first_failure()}")
-    id_r = LinearMap.identity(g.space)
-    spread = tensor_maps(id_r, g.hopf.yd.module.action, b.ambient.counit)
+    spread = _spread(b)
     sigma = compose(pi.sigma, spread)
     closed_inv = compose(pi.sigma_inv, spread)
     result = check_zprime(b, sigma)
@@ -352,11 +376,7 @@ def phi_inverse(s: ScalarCocycleH) -> Cocycle:
         raise TheoremViolation("restricted cocycle lost ambient equivariance")
     if compose(s.sigma_inv, tensor_map(j, j)) != cocycle.sigma_inv:
         raise TheoremViolation("restricted inverse disagrees with the solved one")
-    back = compose(
-        pi_map,
-        tensor_maps(LinearMap.identity(g.space), g.hopf.yd.module.action, b.ambient.counit),
-    )
-    if back != s.sigma:
+    if compose(pi_map, _spread(b)) != s.sigma:
         raise TheoremViolation("extension of the restriction does not recover sigma")
     return cocycle
 

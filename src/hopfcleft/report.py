@@ -19,6 +19,9 @@ class CheckItem:
             return NotImplemented
         return (self.name, self.ok, self.witness) == (other.name, other.ok, other.witness)
 
+    def __repr__(self) -> str:
+        return f"CheckItem(name={self.name!r}, ok={self.ok!r}, witness={self.witness!r})"
+
     def line(self) -> str:
         status = "pass" if self.ok else "FAIL"
         tail = f"  [{self.witness}]" if self.witness else ""

@@ -19,6 +19,7 @@ from hopfcleft.cli import main
 import hopfcleft
 
 DATA_DIR = str(resources.files(hopfcleft).joinpath("data"))
+QLINE_KC2_F3 = resources.files(hopfcleft).joinpath("data", "qline_kc2_f3.had").read_text()
 
 CLASSICAL_COCYCLE = """\
 field: Q
@@ -239,6 +240,136 @@ def test_convolution_inverse_report_is_pinned(runner, name):
     result = run(runner, ["convolution-inverse", name], env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})
     assert result.exit_code == 0, result.output
     assert result.stdout == PINNED_STDOUT[name]
+
+
+# a braided cocycle: a measuring over the graded Hopf algebra R of
+# qline_kc2_f3.had on a one-dimensional algebra, with sigma = eps (x) eps
+BRAIDED_COCYCLE = QLINE_KC2_F3 + """\
+space A: 1
+tensor A_mul mul@A: (1, 1, 1)
+tensor A_unit unit@A: (1, 1, 1)
+tensor M_nu measuring@R,A: (1, 1, 1)
+tensor SIG cocycle@R,A: (1, 1.1, 1)
+role measuring M: hopf=R mul=A_mul nu=M_nu space=A unit=A_unit
+role cocycle C: measuring=M sigma=SIG
+"""
+
+# complete bytes of the --out files, as written when these pins were
+# recorded: a cleft_extension role over a classical Hopf algebra, plain
+# tensors over a nontrivial ambient
+CLASSICAL_CROSSED_OUT = """\
+field: Q
+space B: 1 g
+space H: 1 g
+tensor B_coaction right_coaction@H,B: (1.1, 1, 1) (g.g, g, 1)
+tensor B_mul mul@B: (1, 1.1, 1) (1, g.g, -1) (g, 1.g, 1) (g, g.1, 1)
+tensor B_section section@H,B: (1, 1, 1) (g, g, 1)
+tensor B_unit unit@B: (1, 1, 1)
+tensor H_antipode antipode@H: (1, 1, 1) (g, g, 1)
+tensor H_comul comul@H: (1.1, 1, 1) (g.g, g, 1)
+tensor H_counit counit@H: (1, 1, 1) (1, g, 1)
+tensor H_mul mul@H: (1, 1.1, 1) (1, g.g, 1) (g, 1.g, 1) (g, g.1, 1)
+tensor H_unit unit@H: (1, 1, 1)
+role cleft_extension B: coaction=B_coaction hopf=H mul=B_mul section=B_section space=B unit=B_unit
+role hopf_algebra H: antipode=H_antipode comul=H_comul counit=H_counit mul=H_mul space=H unit=H_unit
+"""
+BRAIDED_CROSSED_OUT = """\
+field: F_3
+space B: 1 x
+tensor B_mul mul@B: (1, 1.1, 1) (x, 1.x, 1) (x, x.1, 1)
+tensor B_unit unit@B: (1, 1, 1)
+"""
+WRITTEN_FILES = {
+    ("classical", "crossed-product"): CLASSICAL_CROSSED_OUT,
+    ("classical", "cleft-from-cocycle"): CLASSICAL_CROSSED_OUT,
+    # the smash product has the trivial cocycle: g * g = 1
+    ("classical", "smash"): CLASSICAL_CROSSED_OUT.replace("(1, g.g, -1)", "(1, g.g, 1)"),
+    ("braided", "crossed-product"): BRAIDED_CROSSED_OUT,
+    ("braided", "cleft-from-cocycle"): BRAIDED_CROSSED_OUT,
+    ("braided", "smash"): BRAIDED_CROSSED_OUT,
+}
+
+
+@pytest.mark.parametrize("source,command", list(WRITTEN_FILES))
+def test_written_crossed_products_are_pinned(runner, tmp_path, source, command):
+    path = tmp_path / "cocycle.had"
+    path.write_text(CLASSICAL_COCYCLE if source == "classical" else BRAIDED_COCYCLE)
+    out = tmp_path / "out.had"
+    result = run(runner, [command, str(path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_text() == WRITTEN_FILES[source, command]
+
+
+def _tensor_roles(text):
+    return dict(re.findall(r"^tensor (\S+) (\w+)@", text, re.MULTILINE))
+
+
+def test_binding_matrix(runner, tmp_path):
+    """Every tensor binding of qline_kc2_f3.had swapped for every other
+    tensor of the file. A tensor of another role is refused at its role's
+    line. Every tensor of the same role lives on the other space there, so
+    the builder refuses its shape; a same-role copy on the same space
+    reaches the axiom checks and passes them."""
+    lines = QLINE_KC2_F3.splitlines()
+    tensors = _tensor_roles(QLINE_KC2_F3)
+    path = tmp_path / "swapped.had"
+    swaps = 0
+    for number, line in enumerate(lines, start=1):
+        if not line.startswith("role "):
+            continue
+        role = line.split()[2].rstrip(":")
+        for key, bound in re.findall(r"(\w+)=(\w+)", line):
+            if bound not in tensors:
+                continue
+            copy = next(t for t in lines if t.startswith(f"tensor {bound} "))
+            for other in [*tensors, "COPY"]:
+                if other == bound:
+                    continue
+                text = QLINE_KC2_F3.replace(line, line.replace(f"{key}={bound}", f"{key}={other}"))
+                path.write_text(text + copy.replace(bound, "COPY", 1) + "\n")
+                result = _separate_streams_runner().invoke(
+                    main, ["verify-hopf", str(path), "--role", role])
+                swaps += 1
+                if other == "COPY":
+                    assert result.exit_code == 0, result.output
+                    continue
+                found, want = tensors[other], tensors[bound]
+                assert result.exit_code == 2, (key, other)
+                if found != want:
+                    a, b = ("an" if w[0] in "aeio" else "a" for w in (found, want))
+                    assert result.stderr == (
+                        f"error: line {number}: role {role!r}: {key}={other!r} is {a} {found} "
+                        f"tensor, not {b} {want}\n")
+                else:
+                    assert result.stderr.startswith(f"error: role {role!r} ("), result.stderr
+    assert swaps == 12 * 12
+
+
+# three corruptions of R in qline_kc2_f3.had that keep the grading: each
+# breaks a Hopf axiom in the Yetter-Drinfeld category
+CORRUPTED_R = [
+    ("(x, x, 2)", "(x, x, 1)", "id * S = unit", "at x -> x: 2 != 0"),
+    (" (x.1, x, 1)", "", "right counit", "at x -> x: 0 != 1"),
+    ("(x, g.x, 2)", "(x, g.x, 1)", "comul is an algebra morphism", "at x.x -> x.x: 0 != 2"),
+]
+
+
+@pytest.mark.parametrize("old,new,relation,witness", CORRUPTED_R)
+def test_a_corrupt_graded_role_fails_verify_hopf_and_bosonize(tmp_path, old, new, relation, witness):
+    assert old in QLINE_KC2_F3
+    path = tmp_path / "corrupt.had"
+    path.write_text(QLINE_KC2_F3.replace(old, new, 1))
+    runner = _separate_streams_runner()
+    result = runner.invoke(main, ["verify-hopf", str(path), "--role", "R"])
+    assert result.exit_code == 1
+    assert f"  {relation}: FAIL  [{witness}]\n" in result.stdout
+    # bosonize reports the first failure of the same check, by name and witness
+    result = runner.invoke(main, ["bosonize", str(path), "--role", "R"])
+    assert result.exit_code == 1
+    assert result.stderr == (
+        f"check failed: invalid graded input: CheckItem(name={relation!r}, ok=False, "
+        f"witness={witness!r})\n")
+    assert "object at" not in result.stderr
 
 
 def test_round_trip_command(runner, cocycle_file):
@@ -465,9 +596,6 @@ def _separate_streams_runner():
     if "mix_stderr" in inspect.signature(CliRunner).parameters:
         return CliRunner(mix_stderr=False)
     return CliRunner()
-
-
-QLINE_KC2_F3 = resources.files(hopfcleft).joinpath("data", "qline_kc2_f3.had").read_text()
 
 
 @pytest.mark.parametrize("args,files,code", [

@@ -1,4 +1,6 @@
+import re
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -8,10 +10,13 @@ from hopfcleft.fields import FieldSpec
 from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_grading
 from hopfcleft.hopf import BialgebraData, check_hopf
 from hopfcleft.io import (
+    ROLE_KINDS,
+    TENSOR_SHAPES,
     build,
     graded_to_definition,
     hopf_to_definition,
     parse,
+    role_keys,
     serialize,
 )
 from hopfcleft.lifting import GradedYDHopf, check_graded
@@ -47,7 +52,7 @@ GENERATED = {
 @pytest.mark.parametrize("name", DATA_FILES)
 def test_generated_definitions_serialize_to_the_shipped_files(name):
     """Full-byte pin of serialize on definitions built from the fixtures,
-    whose tensors role_tensor re-homes: each shipped file is the serialized
+    whose tensors add_role re-homes: each shipped file is the serialized
     definition of its fixture."""
     assert serialize(GENERATED[name]()) == data_text(name)
 
@@ -132,6 +137,33 @@ def test_role_reference_validation():
         parse(graded_ambient)
 
 
+def test_a_binding_must_name_a_tensor_of_its_role():
+    text = data_text("qline_kc2_f3.had").replace("antipode=R_antipode", "antipode=KC2_mul")
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.line == 18
+    assert str(exc.value) == (
+        "line 18: role 'R': antipode='KC2_mul' is a mul tensor, not an antipode")
+    text = data_text("qline_kc2_f3.had").replace("mul=KC2_mul", "mul=R_action")
+    with pytest.raises(ParseError, match=(
+            r"^line 17: role 'KC2': mul='R_action' is an action tensor, not a mul$")):
+        parse(text)
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("antipode=R_antipode", "antipode=R_nothing", "line 18: unknown tensor 'R_nothing'"),
+    ("space=R", "space=S", "line 18: unknown space 'S'"),
+    ("grading=R_degrees", "grading=G", "line 18: role 'R': unknown grade 'G'"),
+    ("ambient=KC2", "ambient=K", "line 18: role 'R': unknown role 'K'"),
+    ("ambient=KC2", "ambient=R",
+     "line 18: role 'R': ambient='R' must be one of ('hopf_algebra',)"),
+])
+def test_binding_errors_carry_the_line_of_their_role(old, new, message):
+    with pytest.raises(ValidationError) as exc:
+        parse(data_text("qline_kc2_f3.had").replace(old, new))
+    assert str(exc.value) == message
+
+
 def test_missing_required_binding_rejected():
     with pytest.raises(ParseError):
         parse("field: Q\nspace H: 1\nrole hopf_algebra X: space=H")
@@ -152,6 +184,59 @@ def test_corrupt_but_well_shaped_structure_parses():
     df = parse(text)
     obj = build(df, "X")
     assert not check_hopf(obj).ok
+
+
+def test_a_failing_sigma_names_its_relation():
+    """The cocycle check's first failure is printed with its relation and
+    witness, never as an object address."""
+    text = "\n".join([
+        "field: Q",
+        "space A: 1",
+        "space H: 1 g",
+        "tensor A_mul mul@A: (1, 1, 1)",
+        "tensor A_unit unit@A: (1, 1, 1)",
+        "tensor H_comul comul@H: (1.1, 1, 1) (g.g, g, 1)",
+        "tensor H_counit counit@H: (1, 1, 1) (1, g, 1)",
+        "tensor H_mul mul@H: (1, 1.1, 1) (1, g.g, 1) (g, 1.g, 1) (g, g.1, 1)",
+        "tensor H_unit unit@H: (1, 1, 1)",
+        "tensor M_nu measuring@H,A: (1, 1, 1) (1, g, 1)",
+        "tensor SIG cocycle@H,A: (1, 1.1, 1) (1, 1.g, 2) (1, g.1, 1) (1, g.g, -1)",
+        "role cocycle C: measuring=M sigma=SIG",
+        "role hopf_algebra KC2: comul=H_comul counit=H_counit mul=H_mul space=H unit=H_unit",
+        "role measuring M: hopf=KC2 mul=A_mul nu=M_nu space=A unit=A_unit",
+    ])
+    with pytest.raises(ValidationError) as exc:
+        build(parse(text), "C")
+    message = str(exc.value)
+    assert message.startswith("role 'C': sigma fails the cocycle check (CheckItem(name='")
+    assert re.search(r"name='\(\d+\) [^']+', ok=False, witness='at [^']+'\)\)$", message)
+    assert "object at" not in message
+
+
+def _readme_role_table() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## The definition-file format", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+
+
+def _binds_cell(binds) -> str:
+    if binds in ("space", "grade"):
+        return f"a {binds}"
+    if isinstance(binds, tuple):
+        return " or ".join(f"`{kind}`" for kind in binds) + " role"
+    return f"`{binds}` tensor"
+
+
+def test_readme_role_table_is_the_schema():
+    """The README's table of role keys is the io schema, row for row: each
+    role kind's keys in order, what each binds and which are optional."""
+    expected = [
+        [f"`{kind}`", f"`{key}`", _binds_cell(binds), "optional" if optional else "required"]
+        for kind in ROLE_KINDS for key, (binds, optional) in role_keys(kind).items()]
+    assert _readme_role_table() == expected
+    bound = {binds for kind in ROLE_KINDS for binds, _ in role_keys(kind).values()}
+    assert set(TENSOR_SHAPES) - bound == {"map"}
 
 
 def test_hopf_round_trip_through_definition(kc4_f5):
