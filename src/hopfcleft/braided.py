@@ -5,7 +5,7 @@ Yetter-Drinfeld modules over K braid from the left against plain K-modules:
 
     c(x (x) v) = x_(-1).v (x) x_(0)
 
-This braiding is ``twist(coaction_X, action_V)``. Every structure on a
+This braiding is ``hopf.twist(coaction_X, action_V)``. Every structure on a
 tensor product of two objects is built from a twist: ``braided_tensor_algebra``
 and ``braided_tensor_coalgebra`` apply it inside one tensor slot (the
 bosonization R (x) H takes c_{H,R} = twist(comul_H, action_R) and c_{R,H} =
@@ -27,6 +27,7 @@ from .hopf import (
     braided_product,
     iterated_comul,
     iterated_mul,
+    twist,
 )
 from .linalg import (
     BasedSpace,
@@ -132,30 +133,6 @@ def check_yd(x: YDModule) -> CheckReport:
     return report
 
 
-def twist(coaction: LinearMap, action: LinearMap) -> LinearMap:
-    """x (x) v -> x_(-1).v (x) x_(0) : X (x) V -> V (x) X, for a left coaction
-    X -> K (x) X and a left action K (x) V -> V, evaluated over the sparse
-    entries. Every braiding here is one: c_{X,V} of ``braiding`` and the
-    c_{H,R}, c_{R,H} of the bosonization."""
-    dx, dv = coaction.source.dim, action.target.dim
-    if coaction.target.dim * dv != action.source.dim * dx:
-        raise ShapeMismatch("coaction and action act through different Hopf algebras")
-    by_k: dict[int, list] = {}  # k -> [(v, k.v row, value)]
-    for (w, kv), av in action.entries.items():
-        k, v = divmod(kv, dv)
-        by_k.setdefault(k, []).append((v, w, av))
-    entries: dict = {}
-    for (kx, x), cv in coaction.entries.items():
-        k, x0 = divmod(kx, dx)
-        for v, w, av in by_k.get(k, ()):
-            key = (w * dx + x0, x * dv + v)
-            acc = entries.get(key)
-            entries[key] = cv * av if acc is None else acc + cv * av
-    return LinearMap(
-        tensor_space(coaction.source, action.target),
-        tensor_space(action.target, coaction.source), entries)
-
-
 def braiding(x: YDModule, v: HModule) -> LinearMap:
     """c(x (x) v) = x_(-1).v (x) x_(0), an isomorphism X (x) V -> V (x) X."""
     if x.base is not v.base and not x.base.space.same_basis(v.base.space):
@@ -218,7 +195,7 @@ def trivial_ambient(field: FieldSpec) -> BialgebraData:
     ident = LinearMap.identity(one)
     alg = AlgebraData(one, ident, ident)
     coalg = CoalgebraData(one, ident, ident)
-    return BialgebraData(alg, coalg, ident, ident)
+    return BialgebraData(alg, coalg, ident)
 
 
 def trivial_module(base: BialgebraData, space: BasedSpace) -> HModule:

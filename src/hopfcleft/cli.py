@@ -29,7 +29,7 @@ from .braided import (
     coinvariants,
 )
 from .cleft import crossed_to_cleft, functor_F, round_trip_check, check_cleft, cocycle_from_section
-from .cocycle import check_cocycle, crossed_product, smash_product, trivial_sigma
+from .cocycle import check_cocycle, crossed_product, trivial_sigma
 from .errors import (
     AxiomFailure,
     FactorizationFailure,
@@ -249,8 +249,7 @@ def smash(df, role_name, fmt, out_path):
     cocycle, report = check_cocycle(m, trivial_sigma(m))
     if cocycle is None:
         _finish(report, fmt)
-    cp = smash_product(m)
-    _finish(report, fmt, _crossed_output(cp, out_path))
+    _finish(report, fmt, _crossed_output(crossed_product(cocycle), out_path))
 
 
 @_file_command("cleft-from-cocycle", _out_option)

@@ -6,10 +6,10 @@ over a cyclic group, and a bialgebra that is not Hopf.
 
 from __future__ import annotations
 
-from .braided import HModule, YDModule, braiding
+from .braided import HModule, YDModule
 from .fields import FieldSpec
 from .hopf import AlgebraData, BialgebraData, CoalgebraData, antipode
-from .linalg import LinearMap, based_space, flip_map, tensor_space, unit_space
+from .linalg import LinearMap, based_space, tensor_space, unit_space
 
 
 def cyclic_group_hopf(field: FieldSpec, n: int, name: str | None = None) -> BialgebraData:
@@ -34,7 +34,7 @@ def cyclic_group_hopf(field: FieldSpec, n: int, name: str | None = None) -> Bial
         space, space, [(labels[(-i) % n], labels[i], one_s) for i in range(n)])
     alg = AlgebraData(space, mul, unit)
     coalg = CoalgebraData(space, comul, counit)
-    return BialgebraData(alg, coalg, flip_map(space, space), s_map)
+    return BialgebraData(alg, coalg, s_map)
 
 
 def non_hopf_bialgebra(field: FieldSpec) -> BialgebraData:
@@ -51,11 +51,7 @@ def non_hopf_bialgebra(field: FieldSpec) -> BialgebraData:
     comul = LinearMap.from_labels(
         space, tensor_space(space, space), [("1.1", "1", one_s), ("e.e", "e", one_s)])
     counit = LinearMap.from_labels(space, unit1, [("1", "1", one_s), ("1", "e", one_s)])
-    return BialgebraData(
-        AlgebraData(space, mul, unit),
-        CoalgebraData(space, comul, counit),
-        flip_map(space, space),
-    )
+    return BialgebraData(AlgebraData(space, mul, unit), CoalgebraData(space, comul, counit))
 
 
 def quantum_line(ambient: BialgebraData, name: str = "R") -> BialgebraData:
@@ -93,7 +89,6 @@ def quantum_line(ambient: BialgebraData, name: str = "R") -> BialgebraData:
     line = BialgebraData(
         AlgebraData(space, mul, unit),
         CoalgebraData(space, comul, counit),
-        braiding(yd, yd.module),
         yd=yd,
     )
     line.antipode = antipode(line)

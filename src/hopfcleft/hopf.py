@@ -2,7 +2,8 @@
 
 One record, ``BialgebraData``, holds every bialgebra, classical or braided,
 Hopf or not. The tensor square of its carrier is made into a (co)algebra
-through a designated braiding; ``self_braiding`` holds that map. For a
+through the braiding of its Yetter-Drinfeld structure; ``self_braiding``
+holds that map, derived from ``yd`` by ``twist`` and never passed in. For a
 classical bialgebra, the one over the trivial ambient, it is the flip.
 ``braided_product`` multiplies in such a braided tensor product algebra term
 by term, so "comul is an algebra morphism" never builds mul (x) mul.
@@ -66,10 +67,6 @@ class CoalgebraData:
         if counit.target.dim != 1 or not counit.source.same_basis(space):
             raise ShapeMismatch("counit must map the carrier to the monoidal unit")
 
-    @property
-    def field(self) -> FieldSpec:
-        return self.space.field
-
     @cached_property
     def comul_by_left_leg(self) -> dict[int, list]:
         """The comultiplication indexed by its left tensor leg, with raw
@@ -88,17 +85,16 @@ class BialgebraData:
     algebra K, with ``antipode`` set when it is a Hopf algebra.
 
     ``yd`` is the Yetter-Drinfeld structure of H-bar over K, so ``ambient``
-    is ``yd.base``, and ``self_braiding`` is c_{H,H} = ``braiding(yd,
-    yd.module)``. A classical bialgebra is the one over the trivial ambient
-    K = k: it is built without ``yd``, gets the trivial Yetter-Drinfeld
-    structure on first use, and its self-braiding is the flip.
+    is ``yd.base``, and ``self_braiding`` holds c_{H,H} = ``braiding(yd,
+    yd.module)``, derived from ``yd``. A classical bialgebra is the one over
+    the trivial ambient K = k: it is built without ``yd``, gets the trivial
+    Yetter-Drinfeld structure on first use, and its self-braiding is the flip.
     """
 
-    def __init__(self, alg: AlgebraData, coalg: CoalgebraData, self_braiding: LinearMap,
+    def __init__(self, alg: AlgebraData, coalg: CoalgebraData,
                  antipode: LinearMap | None = None, yd=None):
         self.alg = alg
         self.coalg = coalg
-        self.self_braiding = self_braiding  # H (x) H -> H (x) H, used on the tensor square
         self.antipode = antipode  # space -> space
         if yd is not None:
             self.yd = yd
@@ -118,6 +114,11 @@ class BialgebraData:
         from .braided import trivial_ambient, trivial_yd  # braided imports this module
 
         return trivial_yd(trivial_ambient(self.space.field), self.space)
+
+    @cached_property
+    def self_braiding(self) -> LinearMap:
+        """c_{H,H} = ``braiding(yd, yd.module)``, used on the tensor square."""
+        return twist(self.yd.coaction, self.yd.module.action)
 
     @property
     def ambient(self) -> BialgebraData:
@@ -224,6 +225,31 @@ def braided_product(
                     acc = entries.get(key)
                     entries[key] = term if acc is None else add(acc, term)
     return LinearMap._from_raw(tensor_space(f.source, f.source), f.target, entries)
+
+
+def twist(coaction: LinearMap, action: LinearMap) -> LinearMap:
+    """x (x) v -> x_(-1).v (x) x_(0) : X (x) V -> V (x) X, for a left coaction
+    X -> K (x) X and a left action K (x) V -> V, evaluated over the sparse
+    entries. Every braiding is one: the ``self_braiding`` of a bialgebra,
+    c_{X,V} of ``braided.braiding`` and the c_{H,R}, c_{R,H} of the
+    bosonization."""
+    dx, dv = coaction.source.dim, action.target.dim
+    if coaction.target.dim * dv != action.source.dim * dx:
+        raise ShapeMismatch("coaction and action act through different Hopf algebras")
+    by_k: dict[int, list] = {}  # k -> [(v, k.v row, value)]
+    for (w, kv), av in action.entries.items():
+        k, v = divmod(kv, dv)
+        by_k.setdefault(k, []).append((v, w, av))
+    entries: dict = {}
+    for (kx, x), cv in coaction.entries.items():
+        k, x0 = divmod(kx, dx)
+        for v, w, av in by_k.get(k, ()):
+            key = (w * dx + x0, x * dv + v)
+            acc = entries.get(key)
+            entries[key] = cv * av if acc is None else acc + cv * av
+    return LinearMap(
+        tensor_space(coaction.source, action.target),
+        tensor_space(action.target, coaction.source), entries)
 
 
 def iterated_mul(a: AlgebraData, n: int) -> LinearMap:

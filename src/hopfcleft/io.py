@@ -29,7 +29,6 @@ from .braided import (
     HModule,
     Measuring,
     YDModule,
-    braiding,
     trivial_module,
 )
 from .cleft import make_cleft
@@ -38,7 +37,7 @@ from .errors import ParseError, ShapeMismatch, TheoremViolation, ValidationError
 from .fields import FieldSpec
 from .hopf import AlgebraData, BialgebraData, CoalgebraData, antipode
 from .lifting import GradedYDHopf
-from .linalg import TENSOR_SEP, BasedSpace, LinearMap, flip_map, tensor_space, unit_space
+from .linalg import TENSOR_SEP, BasedSpace, LinearMap, tensor_space, unit_space
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_'-]+$")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
@@ -326,8 +325,9 @@ def _parse_role(df, words, body, line_no):
 
 
 def _validate_roles(df: DefinitionFile):
-    """Every binding resolves to an object of the kind its key binds; done
-    after parsing so declaration order does not matter. Semantic checks
+    """Every binding resolves to an object of the kind its key binds, then
+    every tensor binding to one on the role's spaces; done after parsing so
+    declaration order does not matter. Semantic checks
     (axioms, invertibility) are left to the commands so that a well-shaped
     but corrupt structure is a check failure, not a parse failure."""
     for role in df.roles.values():
@@ -337,6 +337,8 @@ def _validate_roles(df: DefinitionFile):
                 _validate_binding(df, role, key, value, keys[key][0])
             except ValidationError as exc:
                 raise ValidationError(f"line {role.line}: {exc}") from exc
+    for role in df.roles.values():
+        _validate_spaces(df, role)
 
 
 def _validate_binding(df, role, key, value, binds):
@@ -358,6 +360,25 @@ def _validate_binding(df, role, key, value, binds):
             raise ParseError(
                 f"role {role.name!r}: {key}={value!r} is {_a(found)} {found} tensor, "
                 f"not {_a(binds)} {binds}", role.line)
+
+
+def _validate_spaces(df, role):
+    """Each tensor binding lies on the role's space, after the space of the
+    role that ambient= or hopf= names when it is on two spaces. The
+    constructors check carrier_action and sigma."""
+    b = role.bindings
+    ref = df.roles.get(b.get("ambient", b.get("hopf")))
+    keys = role_keys(role.kind)
+    for key, value in b.items():
+        binds = keys[key][0]
+        if binds not in TENSOR_SHAPES or key in ("carrier_action", "sigma"):
+            continue
+        want = (b["space"],) if TENSOR_SHAPES[binds][0] == 1 else (ref.bindings["space"], b["space"])
+        lies_on = df.tensors[value].space_names
+        if lies_on != want:
+            raise ParseError(
+                f"role {role.name!r}: {key}={value!r} is on {','.join(lies_on)}, "
+                f"not on {','.join(want)}", role.line)
 
 
 def _a(word: str) -> str:
@@ -422,9 +443,8 @@ def _build_hopf(df, role, yd: YDModule | None = None) -> BialgebraData:
     space = df.space(b["space"])
     alg = AlgebraData(space, df.tensor_map(b["mul"]), df.tensor_map(b["unit"]))
     coalg = CoalgebraData(space, df.tensor_map(b["comul"]), df.tensor_map(b["counit"]))
-    self_braiding = flip_map(space, space) if yd is None else braiding(yd, yd.module)
     bound = df.tensor_map(b["antipode"]) if "antipode" in b else None
-    hopf = BialgebraData(alg, coalg, self_braiding, bound, yd=yd)
+    hopf = BialgebraData(alg, coalg, bound, yd=yd)
     if bound is None:
         hopf.antipode = antipode(hopf)
     return hopf

@@ -6,7 +6,8 @@ algebra and coalgebra of R and H with the twists c_{H,R}(h (x) r) =
 h1.r (x) h2 and c_{R,H}(r (x) h) = r(-1) h (x) r(0). Scalar two-cocycles on the
 bosonization that are trivial on the H-part (the restricted ones) correspond
 bijectively to braided scalar cocycles on R, and their deformations have the
-bosonization as associated graded.
+bosonization as associated graded. Every degree is read off R's grading by
+``_degrees``, which tells R's factors apart from the ambient's by identity.
 """
 
 from __future__ import annotations
@@ -68,26 +69,21 @@ class GradedYDHopf:
         return self.hopf.space
 
 
-def _entry_degrees(space: BasedSpace, table: dict[tuple, list[int]], flat: int) -> int:
-    """Total degree of a flat tensor index, summing per-factor degrees."""
-    total = 0
-    rest = flat
-    factors = space.atomic_factors()
-    for f in reversed(factors):
-        idx = rest % f.dim
-        rest //= f.dim
-        degs = table.get(f.labels)
-        if degs is not None:
-            total += degs[idx]
-    return total
+def _degrees(space: BasedSpace, g: GradedYDHopf) -> list[int]:
+    """The degree of each basis vector of ``space``, a tensor product of R
+    with other spaces: the sum of the degrees of its R factors. R's factors
+    are told apart from the others by identity, never by their labels."""
+    degrees = [0]
+    for f in space.atomic_factors():
+        own = [g.grading[lab] for lab in f.labels] if f is g.space else [0] * f.dim
+        degrees = [d + e for d in degrees for e in own]
+    return degrees
 
 
 def check_graded(g: GradedYDHopf) -> CheckReport:
     """Connectedness and exact homogeneity of all six structure morphisms."""
     report = CheckReport(f"grading on {g.space.name}")
     r = g.hopf
-    degs = [g.grading[lab] for lab in g.space.labels]
-    table = {g.space.labels: degs}
     zero_labels = [lab for lab in g.space.labels if g.grading[lab] == 0]
     connected = len(zero_labels) == 1 and r.unit.raw_entries() == {
         (g.space.index(zero_labels[0]), 0): g.space.field.one().value}
@@ -95,14 +91,13 @@ def check_graded(g: GradedYDHopf) -> CheckReport:
         "degree zero is spanned by the unit", connected,
         None if connected else f"degree-zero labels {zero_labels}"))
 
-    def homogeneous(name, f, shift=0):
+    def homogeneous(name, f):
+        rows, cols = _degrees(f.target, g), _degrees(f.source, g)
         for i, j in f.raw_entries():
-            di = _entry_degrees(f.target, table, i)
-            dj = _entry_degrees(f.source, table, j)
-            if di != dj + shift:
+            if rows[i] != cols[j]:
                 report.add(CheckItem(
                     name, False,
-                    f"{f.target.labels[i]} <- {f.source.labels[j]}: {di} != {dj}"))
+                    f"{f.target.labels[i]} <- {f.source.labels[j]}: {rows[i]} != {cols[j]}"))
                 return
         report.add(CheckItem(name, True))
 
@@ -143,10 +138,10 @@ class Bosonization:
     on R (x) H, which keeps its own pair and triple coalgebras, and
     ``ambient`` is H, the ambient of R."""
 
-    def __init__(self, source: GradedYDHopf, hopf: BialgebraData, degrees: list[int]):
+    def __init__(self, source: GradedYDHopf, hopf: BialgebraData):
         self.source = source
         self.hopf = hopf  # classical Hopf algebra on R (x) H
-        self.degrees = degrees  # degree of each basis label of the product space
+        self.degrees = _degrees(hopf.space, source)  # of each basis vector of R (x) H
         # the check_zprime verdict on each distinct sigma checked so far,
         # empty on every new object
         self.zprime_cache: dict[LinearMap, ScalarCocycleH] = {}
@@ -174,7 +169,7 @@ def bosonize(g: GradedYDHopf) -> Bosonization:
     h = g.ambient
     alg = braided_tensor_algebra(r.alg, h.alg, twist(h.comul, r.yd.module.action))
     coalg = braided_tensor_coalgebra(r.coalg, h.coalg, twist(r.yd.coaction, h.mul))
-    hopf = BialgebraData(alg, coalg, flip_map(alg.space, alg.space))
+    hopf = BialgebraData(alg, coalg)
     s_closed = convolution(
         tensor_map(compose(r.unit, r.counit), h.antipode),
         tensor_map(r.antipode, compose(h.unit, h.counit)),
@@ -186,8 +181,7 @@ def bosonize(g: GradedYDHopf) -> Bosonization:
     hopf_report = check_hopf(hopf)
     if not hopf_report.ok:
         raise AxiomFailure(f"bosonization fails: {hopf_report.first_failure()}")
-    degrees = [g.grading[rl] for rl in r.space.labels for _ in h.space.labels]
-    b = Bosonization(g, hopf, degrees)
+    b = Bosonization(g, hopf)
     grading = check_boson_grading(b)
     if not grading.ok:
         raise AxiomFailure(f"bosonization grading fails: {grading.first_failure()}")
@@ -198,20 +192,15 @@ def check_boson_grading(b: Bosonization) -> CheckReport:
     """The product grading is a Hopf algebra grading: multiplication adds
     degrees and comultiplication splits them, both exactly."""
     report = CheckReport(f"Hopf grading on {b.space.name}")
-    d = b.space.dim
-    degs = b.degrees
-
-    def split2(flat):
-        return degs[flat // d] + degs[flat % d]
-
+    degs, pairs = b.degrees, _degrees(b.hopf.mul.source, b.source)
     bad = next(
-        ((i, j) for i, j in b.hopf.mul.raw_entries() if degs[i] != split2(j)),
+        ((i, j) for i, j in b.hopf.mul.raw_entries() if degs[i] != pairs[j]),
         None)
     report.add(CheckItem(
         "multiplication adds degrees", bad is None,
         None if bad is None else f"entry {bad}"))
     bad = next(
-        ((i, j) for i, j in b.hopf.comul.raw_entries() if split2(i) != degs[j]),
+        ((i, j) for i, j in b.hopf.comul.raw_entries() if pairs[i] != degs[j]),
         None)
     report.add(CheckItem(
         "comultiplication splits degrees", bad is None,
@@ -506,12 +495,11 @@ def deform(b: Bosonization, s: ScalarCocycleH) -> BialgebraData:
     if not s.in_z:
         raise AxiomFailure("deformation requires a verified cocycle")
     hopf = b.hopf
-    hs = hopf.space
     pair = pair_coalgebra(hopf)
     left = convolution(compose(hopf.unit, s.sigma), hopf.mul, pair, hopf.alg)
     mul = convolution(left, compose(hopf.unit, s.sigma_inv), pair, hopf.alg)
-    alg = AlgebraData(hs, mul, hopf.unit)
-    deformed = BialgebraData(alg, hopf.coalg, flip_map(hs, hs))
+    alg = AlgebraData(hopf.space, mul, hopf.unit)
+    deformed = BialgebraData(alg, hopf.coalg)
     try:
         deformed.antipode = antipode(deformed)
     except NotInvertible as exc:
@@ -536,8 +524,7 @@ def gr_check(b: Bosonization, deformed: BialgebraData) -> CheckReport:
     filtered_ok = True
     top_ok = True
     witness_f = witness_t = None
-    for col in range(d * d):
-        top = degs[col // d] + degs[col % d]
+    for col, top in enumerate(_degrees(orig.source, b.source)):
         new_col = new_cols.get(col, ())
         for i, _ in new_col:
             if degs[i] > top:
@@ -614,23 +601,18 @@ def cleft_prime_census(b: Bosonization, bound: int = CENSUS_BOUND) -> CensusResu
             break
     report.add(CheckItem(
         "both routes agree and every deformation has the graded top", route_ok, witness))
-    classes = census_classes(b, cocycles, bound, sigmas=sigmas)
+    classes = census_classes(b, sigmas, bound)
     return CensusResult(report, cocycles, sigmas, classes)
 
 
 def census_classes(
-    b: Bosonization,
-    cocycles: list[Cocycle],
-    bound: int = CENSUS_BOUND,
-    sigmas: list[ScalarCocycleH] | None = None,
+    b: Bosonization, sigmas: list[ScalarCocycleH], bound: int = CENSUS_BOUND
 ) -> list[list[int]]:
     """Partition the extended cocycles into comodule-algebra isomorphism
     classes of their crossed products. Each member is compared with the first
     member of every class so far by a complete search for a twisting
     functional (see ``_cleft_objects_isomorphic``); ``bound`` caps the values
     one comparison may try. Returns index groups into the input list."""
-    if sigmas is None:
-        sigmas = [phi(b, pi) for pi in cocycles]
     classes: list[list[int]] = []
     for idx, s in enumerate(sigmas):
         placed = False

@@ -313,8 +313,6 @@ class TensorMap(LinearMap):
 
 
 def _is_identity(f: LinearMap) -> bool:
-    if isinstance(f, TensorMap):
-        return all(_is_identity(x) for x in f.factors)
     raw = f.raw_entries()
     if len(raw) != f.source.dim or not f.source.same_basis(f.target):
         return False

@@ -63,6 +63,10 @@ role hopf_algebra KC2: antipode=KC2_antipode comul=KC2_comul counit=KC2_counit m
 role graded_yd_hopf R: action=R_action ambient=KC2 antipode=R_antipode coaction=R_coaction comul=R_comul counit=R_counit grading=R_degrees mul=R_mul space=R unit=R_unit
 """
 
+# qline_kc2_f3.had with R's x relabelled g, so R is labelled 1 g like kC2:
+# degrees are read off R's own factors, so this is the same graded input
+RELABELLED_R = re.sub(r"\bx\b", "g", QLINE_KC2_F3)
+
 
 @pytest.fixture(scope="module")
 def cocycle_file(tmp_path_factory):
@@ -300,18 +304,20 @@ def test_written_crossed_products_are_pinned(runner, tmp_path, source, command):
     assert out.read_text() == WRITTEN_FILES[source, command]
 
 
-def _tensor_roles(text):
-    return dict(re.findall(r"^tensor (\S+) (\w+)@", text, re.MULTILINE))
+def _tensors(text):
+    """name -> (tensor role, spaces) for each tensor line of ``text``."""
+    return {name: (role, spaces) for name, role, spaces in
+            re.findall(r"^tensor (\S+) (\w+)@(\S+):", text, re.MULTILINE)}
 
 
 def test_binding_matrix(runner, tmp_path):
     """Every tensor binding of qline_kc2_f3.had swapped for every other
     tensor of the file. A tensor of another role is refused at its role's
-    line. Every tensor of the same role lives on the other space there, so
-    the builder refuses its shape; a same-role copy on the same space
-    reaches the axiom checks and passes them."""
+    line. Every tensor of the same role lives on other spaces there, and is
+    refused at the same line; a same-role copy on the same spaces reaches
+    the axiom checks and passes them."""
     lines = QLINE_KC2_F3.splitlines()
-    tensors = _tensor_roles(QLINE_KC2_F3)
+    tensors = _tensors(QLINE_KC2_F3)
     path = tmp_path / "swapped.had"
     swaps = 0
     for number, line in enumerate(lines, start=1):
@@ -333,7 +339,7 @@ def test_binding_matrix(runner, tmp_path):
                 if other == "COPY":
                     assert result.exit_code == 0, result.output
                     continue
-                found, want = tensors[other], tensors[bound]
+                (found, lies_on), (want, on) = tensors[other], tensors[bound]
                 assert result.exit_code == 2, (key, other)
                 if found != want:
                     a, b = ("an" if w[0] in "aeio" else "a" for w in (found, want))
@@ -341,7 +347,9 @@ def test_binding_matrix(runner, tmp_path):
                         f"error: line {number}: role {role!r}: {key}={other!r} is {a} {found} "
                         f"tensor, not {b} {want}\n")
                 else:
-                    assert result.stderr.startswith(f"error: role {role!r} ("), result.stderr
+                    assert result.stderr == (
+                        f"error: line {number}: role {role!r}: {key}={other!r} is on "
+                        f"{lies_on}, not on {on}\n")
     assert swaps == 12 * 12
 
 
@@ -398,6 +406,20 @@ def test_out_with_colliding_written_labels_exits_2(runner, tmp_path):
         assert ("error: labels 'a.1_e' and 'a_1.e' of (R*kC2) are both written as 'a_1_e'"
                 in result.output)
         assert not out.exists()
+
+
+def test_r_labelled_like_its_ambient_is_accepted(runner, tmp_path):
+    assert "space R: 1 g\nspace kC2: 1 g\n" in RELABELLED_R
+    path = tmp_path / "relabelled.had"
+    path.write_text(RELABELLED_R)
+    for command in ("verify-hopf", "bosonize"):
+        result = run(runner, [command, str(path), "--role", "R"])
+        assert result.exit_code == 0, result.output
+        assert "FAIL" not in result.output
+    result = run(runner, ["census", str(path)])
+    assert result.exit_code == 0, result.output
+    shipped = run(runner, ["census", "qline_kc2_f3.had"], env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})
+    assert result.output == shipped.output
 
 
 def test_phi_inverse_and_gr_check(runner):
@@ -465,6 +487,28 @@ def test_psi_checks_the_section_condition_once(runner, monkeypatch):
     assert len(calls) == 1
     assert result.output.count(
         "  (9) section is multiplicative against the group part: pass\n") == 2
+
+
+def test_smash_checks_the_cocycle_once(runner, tmp_path, monkeypatch):
+    """The smash product is built from the trivial cocycle the report
+    checked, not from a second check of it."""
+    from hopfcleft import cli, cocycle
+
+    calls = []
+    original = cocycle.check_cocycle
+
+    def counted(m, sigma):
+        calls.append(sigma)
+        return original(m, sigma)
+
+    # count the calls made from either module
+    monkeypatch.setattr(cocycle, "check_cocycle", counted)
+    monkeypatch.setattr(cli, "check_cocycle", counted)
+    path = tmp_path / "cocycle.had"
+    path.write_text(CLASSICAL_COCYCLE)
+    result = run(runner, ["smash", str(path)])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
 
 
 def test_census_f3(runner):

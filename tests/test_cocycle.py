@@ -146,7 +146,7 @@ def test_triple_coalgebra_builds_no_large_map(monkeypatch, boson8):
     contraction computed, on the way to the dim-8 triple coalgebra
     (512 -> 262,144, 1,728 entries) stays small."""
     h = boson8.hopf
-    fresh = BialgebraData(h.alg, h.coalg, h.self_braiding, h.antipode, h.yd)  # empty pair and triple caches
+    fresh = BialgebraData(h.alg, h.coalg, h.antipode, h.yd)  # empty pair and triple caches
     largest = record_map_sizes(monkeypatch)
     triple = triple_coalgebra(fresh)
     monkeypatch.undo()

@@ -63,8 +63,7 @@ def _empty_caches(b):
     verdict cache, and a new record of its Hopf algebra for the pair and
     triple coalgebras."""
     h = b.hopf
-    return Bosonization(b.source, BialgebraData(h.alg, h.coalg, h.self_braiding, h.antipode),
-                        b.degrees)
+    return Bosonization(b.source, BialgebraData(h.alg, h.coalg, h.antipode))
 
 
 def _permuted_smash_mul(e, action, h):
@@ -125,6 +124,13 @@ def test_quantum_line_is_graded(qline_f3, qline_f5):
     for g in (qline_f3, qline_f5):
         report = check_graded(g)
         assert report.ok, str(report)
+
+
+def test_degrees_come_from_r_factors_only(qline_f3):
+    """A space with R's labels is not R: its factors have degree 0."""
+    g = qline_f3
+    twin = BasedSpace("T", g.space.labels, g.space.field)
+    assert lifting._degrees(tensor_space(twin, g.space, g.space), g) == [0, 1, 1, 2] * 2
 
 
 def test_bosonization_is_hopf(boson4, boson8):
@@ -280,7 +286,7 @@ def test_twisting_solver_agrees_with_the_exhaustive_sweep(request, name):
 
 def test_census_comparisons_try_at_most_2pd_values(boson8, f5_sigmas):
     p, d = boson8.space.field.p, boson8.space.dim
-    classes = census_classes(boson8, [], bound=2 * p * d, sigmas=f5_sigmas)
+    classes = census_classes(boson8, f5_sigmas, bound=2 * p * d)
     assert classes == [[0], [1, 4], [2, 3]]
 
 
@@ -288,7 +294,7 @@ def test_census_twisting_search_over_the_bound_is_too_large(boson8, f5_sigmas):
     # two distinct sigmas need a search that tries more than five values
     assert f5_sigmas[0].sigma != f5_sigmas[1].sigma
     with pytest.raises(SearchSpaceTooLarge, match=r"more than the bound of 5 values"):
-        census_classes(boson8, [], bound=5, sigmas=f5_sigmas[:2])
+        census_classes(boson8, f5_sigmas[:2], bound=5)
 
 
 def test_every_deformation_is_filtered_with_graded_top(boson8, f5_sigmas):
