@@ -44,6 +44,7 @@ from .lifting import (
     bosonize,
     check_graded,
     check_graded_yd_hopf,
+    check_zprime,
     cleft_prime_census,
     deform,
     gr_check,
@@ -110,6 +111,13 @@ def _finish(report: CheckReport, fmt: str, notes: list[str] | None = None):
     sys.exit(0 if report.ok else 1)
 
 
+def _fail(line: str, code: int, fmt: str):
+    click.echo(line, err=True)
+    if fmt == "json":
+        click.echo(json.dumps({"error": line, "ok": False}, indent=2, sort_keys=True))
+    sys.exit(code)
+
+
 _FILE_PARAMS = (
     click.argument("file"),
     click.option("--role", "role_name", default=None, help="Role to use."),
@@ -137,21 +145,19 @@ def _file_command(name: str, *options):
     """Declare the command ``name``: FILE, --role and --report, then
     ``options`` in order. Its callback loads FILE, calls the decorated body
     with the definition file in its place and the other parameters by name,
-    and maps exceptions onto the documented exit codes."""
+    and maps exceptions onto the documented exit codes, with the error line
+    on stderr and, under ``--report json``, as a JSON object on stdout."""
 
     def decorate(body):
         def callback(file, **params):
             try:
                 return body(_load(file), **params)
             except TheoremViolation as exc:
-                click.echo(f"internal error: theorem violated: {exc}", err=True)
-                sys.exit(3)
+                _fail(f"internal error: theorem violated: {exc}", 3, params["fmt"])
             except _CHECK_ERRORS as exc:
-                click.echo(f"check failed: {exc}", err=True)
-                sys.exit(1)
+                _fail(f"check failed: {exc}", 1, params["fmt"])
             except (HopfcleftError, OSError) as exc:
-                click.echo(f"error: {exc}", err=True)
-                sys.exit(2)
+                _fail(f"error: {exc}", 2, params["fmt"])
             finally:
                 # the process exits next. Interpreter shutdown runs full
                 # garbage collections that walk every object left from the
@@ -327,8 +333,8 @@ def phi_cmd(df, role_name, fmt):
     cocycle, report = _checked_cocycle(df, role_name, fmt)
     grole = _find_role(df, ("graded_yd_hopf",), None)
     b = bosonize(io.build(df, grole.name))
-    result = phi(b, cocycle)
-    report.extend(result.report)
+    _, restricted = check_zprime(b, phi(b, cocycle).sigma)
+    report.extend(restricted)
     _finish(report, fmt)
 
 
@@ -336,8 +342,8 @@ def phi_cmd(df, role_name, fmt):
 def phi_inverse_cmd(df, role_name, fmt, bound, sigma_index):
     """Restrict a scalar cocycle on the bosonization back to the braided factor."""
     b, s = _boson_and_sigma(df, role_name, sigma_index, bound)
-    pi = phi_inverse(s)
-    report = s.report
+    _, report = check_zprime(b, s.sigma)
+    pi = phi_inverse(b, s)
     report.add(CheckItem("restriction is a braided cocycle", pi.verified))
     again = phi(b, pi)
     report.add(CheckItem("phi of the restriction recovers sigma", again.sigma == s.sigma))
@@ -348,7 +354,7 @@ def phi_inverse_cmd(df, role_name, fmt, bound, sigma_index):
 def psi_cmd(df, role_name, fmt, bound, sigma_index):
     """Induce an H-cleft object from the R-cleft object of a restricted cocycle."""
     b, s = _boson_and_sigma(df, role_name, sigma_index, bound)
-    r_cleft = functor_F(phi_inverse(s))
+    r_cleft = functor_F(phi_inverse(b, s))
     ce = psi(b, r_cleft)
     report = check_cleft(ce)
     back, section_report = sigma_gamma_restricts(b, ce)

@@ -41,6 +41,7 @@ from .linalg import TENSOR_SEP, BasedSpace, LinearMap, tensor_space, unit_space
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_'-]+$")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_DEGREE_RE = re.compile(r"[0-9]+")  # a connected grading has no negative degree
 
 # tensor role -> (number of spaces, source, target): source and target list
 # the positions of their tensor factors among the spaces, () the ground field
@@ -252,10 +253,11 @@ def _parse_grade(df, words, body, line_no):
         lab, _, deg = item.partition("=")
         if lab not in space.labels:
             raise ParseError(f"unknown basis label {lab!r}", line_no)
-        try:
-            grading[lab] = int(deg)
-        except ValueError as exc:
-            raise ParseError(f"bad degree {deg!r}", line_no) from exc
+        if lab in grading:
+            raise ParseError(f"duplicate degree for label {lab!r}", line_no)
+        if not _DEGREE_RE.fullmatch(deg):
+            raise ParseError(f"bad degree {deg!r}", line_no)
+        grading[lab] = int(deg)
     missing = [lab for lab in space.labels if lab not in grading]
     if missing:
         raise ParseError(f"labels without a degree: {missing}", line_no)
@@ -364,14 +366,22 @@ def _validate_binding(df, role, key, value, binds):
 
 def _validate_spaces(df, role):
     """Each tensor binding lies on the role's space, after the space of the
-    role that ambient= or hopf= names when it is on two spaces. The
-    constructors check carrier_action and sigma."""
+    role that ambient= or hopf= names when it is on two spaces; a cocycle
+    role's spaces are those of its measuring. A graded_yd_hopf needs a space
+    other than its ambient's, since its degrees are read off its own tensor
+    factors. The constructor checks carrier_action."""
     b = role.bindings
+    if role.kind == "cocycle":
+        b = df.roles[b["measuring"]].bindings
     ref = df.roles.get(b.get("ambient", b.get("hopf")))
+    if role.kind == "graded_yd_hopf" and b["space"] == ref.bindings["space"]:
+        raise ParseError(
+            f"role {role.name!r}: space={b['space']!r} is the space of its ambient "
+            f"{b['ambient']!r}; R needs a space of its own", role.line)
     keys = role_keys(role.kind)
-    for key, value in b.items():
+    for key, value in role.bindings.items():
         binds = keys[key][0]
-        if binds not in TENSOR_SHAPES or key in ("carrier_action", "sigma"):
+        if binds not in TENSOR_SHAPES or key == "carrier_action":
             continue
         want = (b["space"],) if TENSOR_SHAPES[binds][0] == 1 else (ref.bindings["space"], b["space"])
         lies_on = df.tensors[value].space_names

@@ -6,8 +6,11 @@ algebra and coalgebra of R and H with the twists c_{H,R}(h (x) r) =
 h1.r (x) h2 and c_{R,H}(r (x) h) = r(-1) h (x) r(0). Scalar two-cocycles on the
 bosonization that are trivial on the H-part (the restricted ones) correspond
 bijectively to braided scalar cocycles on R, and their deformations have the
-bosonization as associated graded. Every degree is read off R's grading by
-``_degrees``, which tells R's factors apart from the ambient's by identity.
+bosonization as associated graded. A restricted cocycle is the classical
+``Cocycle`` over the trivial measuring of the bosonization that
+``check_zprime`` returns: one also determined by its values on R (x) R,
+relation (8). Every degree is read off R's grading by ``_degrees``, which
+tells R's factors apart from the ambient's by identity.
 """
 
 from __future__ import annotations
@@ -91,24 +94,26 @@ def check_graded(g: GradedYDHopf) -> CheckReport:
         "degree zero is spanned by the unit", connected,
         None if connected else f"degree-zero labels {zero_labels}"))
 
-    def homogeneous(name, f):
-        rows, cols = _degrees(f.target, g), _degrees(f.source, g)
-        for i, j in f.raw_entries():
-            if rows[i] != cols[j]:
-                report.add(CheckItem(
-                    name, False,
-                    f"{f.target.labels[i]} <- {f.source.labels[j]}: {rows[i]} != {cols[j]}"))
-                return
-        report.add(CheckItem(name, True))
-
-    homogeneous("multiplication is graded", r.mul)
-    homogeneous("comultiplication is graded", r.comul)
-    homogeneous("counit is graded", r.counit)
-    homogeneous("ambient action preserves degree", r.yd.module.action)
-    homogeneous("ambient coaction preserves degree", r.yd.coaction)
+    report.add(_homogeneous("multiplication is graded", r.mul, g))
+    report.add(_homogeneous("comultiplication is graded", r.comul, g))
+    report.add(_homogeneous("counit is graded", r.counit, g))
+    report.add(_homogeneous("ambient action preserves degree", r.yd.module.action, g))
+    report.add(_homogeneous("ambient coaction preserves degree", r.yd.coaction, g))
     if r.antipode is not None:
-        homogeneous("antipode is graded", r.antipode)
+        report.add(_homogeneous("antipode is graded", r.antipode, g))
     return report
+
+
+def _homogeneous(name: str, f: LinearMap, g: GradedYDHopf) -> CheckItem:
+    """f maps each basis vector into the span of vectors of its own degree,
+    the degrees read off R's grading by ``_degrees``."""
+    rows, cols = _degrees(f.target, g), _degrees(f.source, g)
+    for i, j in f.raw_entries():
+        if rows[i] != cols[j]:
+            return CheckItem(
+                name, False,
+                f"{f.target.labels[i]} <- {f.source.labels[j]}: {rows[i]} != {cols[j]}")
+    return CheckItem(name, True)
 
 
 def check_graded_yd_hopf(g: GradedYDHopf) -> CheckReport:
@@ -144,7 +149,7 @@ class Bosonization:
         self.degrees = _degrees(hopf.space, source)  # of each basis vector of R (x) H
         # the check_zprime verdict on each distinct sigma checked so far,
         # empty on every new object
-        self.zprime_cache: dict[LinearMap, ScalarCocycleH] = {}
+        self.zprime_cache: dict[LinearMap, tuple[Cocycle | None, CheckReport]] = {}
 
     @property
     def space(self) -> BasedSpace:
@@ -192,36 +197,9 @@ def check_boson_grading(b: Bosonization) -> CheckReport:
     """The product grading is a Hopf algebra grading: multiplication adds
     degrees and comultiplication splits them, both exactly."""
     report = CheckReport(f"Hopf grading on {b.space.name}")
-    degs, pairs = b.degrees, _degrees(b.hopf.mul.source, b.source)
-    bad = next(
-        ((i, j) for i, j in b.hopf.mul.raw_entries() if degs[i] != pairs[j]),
-        None)
-    report.add(CheckItem(
-        "multiplication adds degrees", bad is None,
-        None if bad is None else f"entry {bad}"))
-    bad = next(
-        ((i, j) for i, j in b.hopf.comul.raw_entries() if pairs[i] != degs[j]),
-        None)
-    report.add(CheckItem(
-        "comultiplication splits degrees", bad is None,
-        None if bad is None else f"entry {bad}"))
+    report.add(_homogeneous("multiplication adds degrees", b.hopf.mul, b.source))
+    report.add(_homogeneous("comultiplication splits degrees", b.hopf.comul, b.source))
     return report
-
-
-class ScalarCocycleH:
-    """A scalar-valued candidate cocycle on the bosonization, with the
-    classical cocycle property (in_z) and the restriction property that it is
-    determined by its values on R (x) 1 pairs (in_zprime) decided separately."""
-
-    def __init__(self, bosonization: Bosonization, sigma: LinearMap,
-                 sigma_inv: LinearMap | None, in_z: bool, in_zprime: bool,
-                 report: CheckReport):
-        self.bosonization = bosonization
-        self.sigma = sigma
-        self.sigma_inv = sigma_inv
-        self.in_z = in_z
-        self.in_zprime = in_zprime
-        self.report = report
 
 
 def _embed_r(b: Bosonization) -> LinearMap:
@@ -249,36 +227,33 @@ def _restricted_form(b: Bosonization, sigma: LinearMap) -> LinearMap:
     return compose_all(sigma, tensor_map(j, j), _spread(b))
 
 
-def check_zprime(b: Bosonization, sigma: LinearMap) -> ScalarCocycleH:
-    """Classical cocycle verification plus the restriction condition, with the
-    derived consequences asserted whenever both hold.
+def check_zprime(b: Bosonization, sigma: LinearMap) -> tuple[Cocycle | None, CheckReport]:
+    """``check_cocycle`` over the trivial measuring of the bosonization, then
+    the restriction condition (8), with the derived consequences asserted
+    whenever both hold. The cocycle is returned only when the whole report is
+    ok: it is then a restricted cocycle.
 
     Each distinct sigma is verified once per bosonization: the verdict is kept
     on ``b`` and shared with every later call on an equal map (equal maps have
     the same basis labels, so the report text is the same too). Every call
-    gets its own report, carrying the caller's sigma."""
+    gets its own report, and a cocycle carrying the caller's sigma."""
     verdict = b.zprime_cache.get(sigma)
     if verdict is None:
         verdict = b.zprime_cache[sigma] = _check_zprime(b, sigma)
-    report = CheckReport(verdict.report.subject, list(verdict.report.items))
-    return ScalarCocycleH(
-        b, sigma, verdict.sigma_inv, verdict.in_z, verdict.in_zprime, report)
+    cocycle, report = verdict
+    if cocycle is not None:
+        cocycle = Cocycle(cocycle.measuring, sigma, cocycle.sigma_inv, verified=True)
+    return cocycle, CheckReport(report.subject, list(report.items))
 
 
-def _check_zprime(b: Bosonization, sigma: LinearMap) -> ScalarCocycleH:
-    cls = trivial_measuring(b.hopf)
-    cocycle, report = check_cocycle(cls, sigma)
-    in_z = cocycle is not None
-    sigma_inv = cocycle.sigma_inv if in_z else None
+def _check_zprime(b: Bosonization, sigma: LinearMap) -> tuple[Cocycle | None, CheckReport]:
+    cocycle, report = check_cocycle(trivial_measuring(b.hopf), sigma)
     report.subject = f"scalar cocycle on {b.space.name}"
-    restricted = _restricted_form(b, sigma)
-    item = map_equal_item("(8) determined by values on R x R", sigma, restricted)
+    item = map_equal_item("(8) determined by values on R x R", sigma, _restricted_form(b, sigma))
     report.add(item)
-    in_zprime = in_z and item.ok
-    if in_zprime:
-        report.extend(_zprime_derived(b, sigma, sigma_inv))
-        in_zprime = report.ok
-    return ScalarCocycleH(b, sigma, sigma_inv, in_z, in_zprime, report)
+    if cocycle is not None and item.ok:
+        report.extend(_zprime_derived(b, sigma, cocycle.sigma_inv))
+    return (cocycle if report.ok else None), report
 
 
 def _zprime_derived(b: Bosonization, sigma: LinearMap, sigma_inv: LinearMap) -> CheckReport:
@@ -306,11 +281,7 @@ def _zprime_derived(b: Bosonization, sigma: LinearMap, sigma_inv: LinearMap) -> 
     return report
 
 
-def _unit_algebra(b: Bosonization):
-    return trivial_measuring(b.hopf).algebra
-
-
-def phi(b: Bosonization, pi: Cocycle) -> ScalarCocycleH:
+def phi(b: Bosonization, pi: Cocycle) -> Cocycle:
     """Extend a braided scalar cocycle on R to the bosonization:
     sigma(r (x) h, r' (x) h') = pi(r, h.r') eps(h')."""
     g = b.source
@@ -324,10 +295,10 @@ def phi(b: Bosonization, pi: Cocycle) -> ScalarCocycleH:
     spread = _spread(b)
     sigma = compose(pi.sigma, spread)
     closed_inv = compose(pi.sigma_inv, spread)
-    result = check_zprime(b, sigma)
-    if not result.in_zprime:
+    result, report = check_zprime(b, sigma)
+    if result is None:
         raise TheoremViolation(
-            f"extension of a verified cocycle rejected: {result.report.first_failure()}")
+            f"extension of a verified cocycle rejected: {report.first_failure()}")
     if result.sigma_inv != closed_inv:
         raise TheoremViolation("closed-form inverse disagrees with the solved one")
     return result
@@ -346,12 +317,12 @@ def check_equivariant_pair(g: GradedYDHopf, f: LinearMap) -> CheckReport:
     return report
 
 
-def phi_inverse(s: ScalarCocycleH) -> Cocycle:
-    """Restrict a scalar cocycle on the bosonization to R (x) R; the result is
-    a verified braided cocycle and extending it back recovers s exactly."""
-    if not s.in_zprime:
+def phi_inverse(b: Bosonization, s: Cocycle) -> Cocycle:
+    """Restrict a verified scalar cocycle on the bosonization that satisfies
+    (8) to R (x) R; the result is a verified braided cocycle and extending it
+    back recovers s exactly."""
+    if not s.verified or _restricted_form(b, s.sigma) != s.sigma:
         raise AxiomFailure("only restricted cocycles can be pulled back")
-    b = s.bosonization
     g = b.source
     j = _embed_r(b)
     pi_map = compose(s.sigma, tensor_map(j, j))
@@ -462,7 +433,7 @@ def check_cprime_section(b: Bosonization, ce: CleftExtension) -> CheckReport:
     return report
 
 
-def sigma_gamma_restricts(b: Bosonization, ce: CleftExtension) -> tuple[ScalarCocycleH, CheckReport]:
+def sigma_gamma_restricts(b: Bosonization, ce: CleftExtension) -> tuple[Cocycle, CheckReport]:
     """The canonical cocycle of a section satisfying (9) is itself restricted."""
     section_report = check_cprime_section(b, ce)
     if not section_report.ok:
@@ -477,14 +448,14 @@ def sigma_gamma_restricts(b: Bosonization, ce: CleftExtension) -> tuple[ScalarCo
     ident = LinearMap._from_raw(
         m.space, unit_space(field), {(0, 0): field.ops.inverse(unit_entry)})
     sigma = compose(ident, cocycle.sigma)
-    result = check_zprime(b, sigma)
-    if not result.in_zprime:
+    result, report = check_zprime(b, sigma)
+    if result is None:
         raise TheoremViolation(
-            f"section cocycle is not restricted: {result.report.first_failure()}")
+            f"section cocycle is not restricted: {report.first_failure()}")
     return result, section_report
 
 
-def deform(b: Bosonization, s: ScalarCocycleH) -> BialgebraData:
+def deform(b: Bosonization, s: Cocycle) -> BialgebraData:
     """The cocycle deformation: the same coalgebra with Doi's twisted product
 
         x ._sigma y = sigma(x1, y1) x2 y2 sigma^-1(x3, y3).
@@ -492,7 +463,7 @@ def deform(b: Bosonization, s: ScalarCocycleH) -> BialgebraData:
     This is the convolution sigma * mul * sigma^-1 in Hom(H (x) H, H) over
     the pair coalgebra of the bosonization (sigma and its inverse land in H
     through the unit), evaluated as two sparse convolutions."""
-    if not s.in_z:
+    if not s.verified:
         raise AxiomFailure("deformation requires a verified cocycle")
     hopf = b.hopf
     pair = pair_coalgebra(hopf)
@@ -549,13 +520,13 @@ class CensusResult:
     """The restricted-cocycle census of a bosonization over a prime field."""
 
     def __init__(self, report: CheckReport, cocycles: list[Cocycle],
-                 sigmas: list[ScalarCocycleH], classes: list[list[int]]):
+                 sigmas: list[Cocycle], classes: list[list[int]]):
         self.report = report
         self.cocycles = cocycles  # braided scalar cocycles on R, enumeration order
         self.sigmas = sigmas  # their extensions to the bosonization
         self.classes = classes  # crossed-product isomorphism classes (indices)
 
-    def representatives(self) -> list[ScalarCocycleH]:
+    def representatives(self) -> list[Cocycle]:
         return [self.sigmas[group[0]] for group in self.classes]
 
 
@@ -606,7 +577,7 @@ def cleft_prime_census(b: Bosonization, bound: int = CENSUS_BOUND) -> CensusResu
 
 
 def census_classes(
-    b: Bosonization, sigmas: list[ScalarCocycleH], bound: int = CENSUS_BOUND
+    b: Bosonization, sigmas: list[Cocycle], bound: int = CENSUS_BOUND
 ) -> list[list[int]]:
     """Partition the extended cocycles into comodule-algebra isomorphism
     classes of their crossed products. Each member is compared with the first
@@ -627,7 +598,7 @@ def census_classes(
 
 
 def _cleft_objects_isomorphic(
-    b: Bosonization, s1: ScalarCocycleH, s2: ScalarCocycleH, bound: int
+    b: Bosonization, s1: Cocycle, s2: Cocycle, bound: int
 ) -> bool:
     """Two scalar crossed products are isomorphic as comodule algebras iff some
     convolution invertible functional phi with phi(1) = 1 twists one cocycle
@@ -669,7 +640,7 @@ def _cleft_objects_isomorphic(
         levels[last].append((terms, solvable))
     ph = [0] * d
     ph[unit_col] = 1
-    unit_alg = _unit_algebra(b)
+    unit_alg = s1.measuring.algebra
     tried = 0
 
     def holds(terms):
@@ -709,7 +680,7 @@ def _cleft_objects_isomorphic(
     return search(0)
 
 
-def _twisting_equations(b: Bosonization, s1: ScalarCocycleH, s2: ScalarCocycleH, unit_col: int):
+def _twisting_equations(b: Bosonization, s1: Cocycle, s2: Cocycle, unit_col: int):
     """The twisting equation of each basis pair (x, y) as residue terms
     (a, b, c), read c phi[a] phi[b], with phi[unit_col] = 1 standing in for
     the constant and linear terms. Vanishing equations are left out; plain

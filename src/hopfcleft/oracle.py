@@ -145,9 +145,9 @@ def enumerate_zprime(b, bound: int = DEFAULT_BOUND) -> list:
 def zprime_sweep(b, bound: int = DEFAULT_BOUND):
     """The restricted scalar cocycles on a bosonization, found by sweeping the
     values on R x R pairs (which determine the whole map by the restriction
-    formula) and filtering with the full verifier. Yields ScalarCocycleH
-    objects in deterministic order, verifying each candidate only when the
-    consumer asks for the next result; SearchSpaceTooLarge comes with the
+    formula) and filtering with the full verifier. Yields their verified
+    ``Cocycle``s in deterministic order, verifying each candidate only when
+    the consumer asks for the next result; SearchSpaceTooLarge comes with the
     first request, before any candidate is checked."""
     from .lifting import check_zprime
 
@@ -156,6 +156,6 @@ def zprime_sweep(b, bound: int = DEFAULT_BOUND):
         LinearMap.identity(g.space), g.hopf.yd.module.action, b.ambient.counit)
     # the restriction pi: R (x) R -> k is a unital scalar map on R
     for pi_map in _unital_candidates(trivial_measuring(g.hopf), bound):
-        result = check_zprime(b, compose(pi_map, spread))
-        if result.in_zprime:
-            yield result
+        cocycle, _ = check_zprime(b, compose(pi_map, spread))
+        if cocycle is not None:
+            yield cocycle

@@ -159,7 +159,7 @@ def test_criterion_6_phi_psi_commuting_square(boson4, boson8):
             assert len(braided) == len(restricted)
             for pi, s in zip(braided, restricted):
                 assert phi(b, pi).sigma == s.sigma
-                assert phi_inverse(s).sigma == pi.sigma
+                assert phi_inverse(b, s).sigma == pi.sigma
                 # crossed product of the braided cocycle, pushed through psi,
                 # carries the extended cocycle back
                 ce = psi(b, crossed_to_cleft(crossed_product(pi)))
@@ -211,8 +211,8 @@ def test_criterion_8_derived_relation_suites(qline_f3, qline_f5, f3, boson4):
             assert check_cleft(functor_F(c)).ok
         # restriction relations and section relations on the bosonization
         for s in enumerate_zprime(boson4):
-            assert s.report.ok
-            ce = psi(boson4, functor_F(phi_inverse(s)))
+            assert check_zprime(boson4, s.sigma)[1].ok
+            ce = psi(boson4, functor_F(phi_inverse(boson4, s)))
             assert check_cprime_section(boson4, ce).ok
 
 
@@ -254,6 +254,6 @@ def test_criterion_10_oracle_agreement(kc2_f3, kc4_f5, qline_f3, qline_f5,
             direct = enumerate_zprime(b)
             assert [phi(b, pi).sigma for pi in braided] == [s.sigma for s in direct]
             for s in direct:
-                assert check_zprime(b, s.sigma).in_zprime
+                assert check_zprime(b, s.sigma)[1].ok
         # classical sweep agrees with the closed-form count
         assert len(enumerate_cocycles(trivial_measuring(cyclic_group_hopf(f3, 2)))) == 2

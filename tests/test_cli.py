@@ -422,6 +422,39 @@ def test_r_labelled_like_its_ambient_is_accepted(runner, tmp_path):
     assert result.output == shipped.output
 
 
+# qline_kc2_f3.had on kC2 alone: R's space dropped, x renamed g, and R's
+# tensors, grade and space= moved onto kC2
+R_ON_ITS_AMBIENT = re.sub(
+    r"@(kC2,)?R\b", lambda m: "@kC2,kC2" if m[1] else "@kC2",
+    RELABELLED_R.replace("space R: 1 g\n", "").replace("space=R", "space=kC2"))
+
+
+def test_r_on_its_ambients_space_is_an_input_error(tmp_path):
+    """Degrees are read off R's own tensor factors, so an R on its ambient's
+    space would count every factor as R's: refused at its role's line."""
+    assert "@R" not in R_ON_ITS_AMBIENT and "space R" not in R_ON_ITS_AMBIENT
+    path = tmp_path / "r_on_kc2.had"
+    path.write_text(R_ON_ITS_AMBIENT)
+    runner = _separate_streams_runner()
+    for command in ("bosonize", "verify-hopf"):
+        result = runner.invoke(main, [command, str(path), "--role", "R"])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == (
+            "error: line 17: role 'R': space='kC2' is the space of its ambient 'KC2'; "
+            "R needs a space of its own\n")
+
+
+def test_sigma_on_other_spaces_is_refused_at_its_role(tmp_path):
+    """sigma lies on the spaces of its measuring's hopf= and space=; A2 has
+    A's labels, which the cocycle constructor's shape check accepted."""
+    text = CLASSICAL_COCYCLE.replace("space H: 1 g\n", "space H: 1 g\nspace A2: 1\n")
+    path = tmp_path / "lookalike.had"
+    path.write_text(text.replace("SIG cocycle@H,A:", "SIG cocycle@H,A2:"))
+    result = _separate_streams_runner().invoke(main, ["verify-cocycle", str(path)])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: line 14: role 'C': sigma='SIG' is on H,A2, not on H,A\n"
+
+
 def test_phi_inverse_and_gr_check(runner):
     env = {"HOPFCLEFT_FIXTURE_DIR": DATA_DIR}
     for idx in range(3):
@@ -751,6 +784,41 @@ def test_every_command_rejects_a_missing_or_malformed_file(tmp_path, command):
     result = runner.invoke(main, [command, str(path)])
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == "error: line 2: missing line keyword before ':'\n"
+    # with a JSON report, the error line is also a JSON object on stdout
+    as_json = runner.invoke(main, [command, str(path), "--report", "json"])
+    assert (as_json.exit_code, as_json.stderr) == (2, result.stderr)
+    assert as_json.stdout == json.dumps(
+        {"error": result.stderr.rstrip("\n"), "ok": False}, indent=2, sort_keys=True) + "\n"
+
+
+def test_a_json_report_of_a_failed_check_or_theorem_is_its_error_line(tmp_path, monkeypatch):
+    """Exits 1 and 3 raised as exceptions print, under --report json, the
+    stderr line as {"error": ..., "ok": false} on stdout; stderr and the exit
+    code are those of the text run, which prints nothing on stdout."""
+    from hopfcleft import io
+    from hopfcleft.errors import TheoremViolation
+
+    corrupt = tmp_path / "corrupt.had"
+    corrupt.write_text(QLINE_KC2_F3.replace(*CORRUPTED_R[0][:2], 1))
+    shipped = os.path.join(DATA_DIR, "kc2_q.had")
+
+    def broken(df, role):
+        raise TheoremViolation("forced in a builder")
+
+    runner = _separate_streams_runner()
+    for args, code, stderr in (
+        (["bosonize", str(corrupt), "--role", "R"], 1, "check failed: invalid graded input: "),
+        (["verify-hopf", shipped], 3, "internal error: theorem violated: forced in a builder"),
+    ):
+        if code == 3:
+            monkeypatch.setitem(io._BUILDERS, "hopf_algebra", broken)
+        text = runner.invoke(main, args)
+        as_json = runner.invoke(main, [*args, "--report", "json"])
+        assert (text.exit_code, text.stdout) == (code, "")
+        assert text.stderr.startswith(stderr) and text.stderr.count("\n") == 1
+        assert (as_json.exit_code, as_json.stderr) == (code, text.stderr)
+        assert as_json.stdout == json.dumps(
+            {"error": text.stderr.rstrip("\n"), "ok": False}, indent=2, sort_keys=True) + "\n"
 
 
 def test_the_file_argument_is_declared_once():

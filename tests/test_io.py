@@ -107,6 +107,20 @@ def test_parse_errors_carry_line_numbers(text, bad_line):
     assert exc.value.line == bad_line
 
 
+@pytest.mark.parametrize("degrees,message", [
+    ("1=0 x=1 x=2", "duplicate degree for label 'x'"),
+    ("1=0 x=-1", "bad degree '-1'"),
+    ("1=0 x=1_0", "bad degree '1_0'"),
+    ("1=0 x=\u0661", "bad degree '\u0661'"),  # Arabic-Indic one, which int() reads
+])
+def test_a_degree_is_given_once_in_ascii_digits(degrees, message):
+    text = data_text("qline_kc2_f3.had")
+    assert "grade R_degrees@R: 1=0 x=1\n" in text
+    with pytest.raises(ParseError) as exc:
+        parse(text.replace("1=0 x=1", degrees, 1))
+    assert str(exc.value) == f"line 4: {message}"
+
+
 def test_unknown_label_in_entry_is_an_error():
     with pytest.raises(ParseError):
         parse("field: F_5\nspace H: 1 g\ntensor T unit@H: (h, 1, 1)")

@@ -1,11 +1,18 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
 from hopfcleft import cleft, cocycle, lifting, oracle
 from hopfcleft.braided import trivial_measuring
 from hopfcleft.cleft import CleftExtension, crossed_to_cleft, functor_F
-from hopfcleft.cocycle import check_cocycle, crossed_product, pair_coalgebra, triple_coalgebra
+from hopfcleft.cocycle import (
+    Cocycle,
+    check_cocycle,
+    crossed_product,
+    pair_coalgebra,
+    triple_coalgebra,
+)
 from hopfcleft.errors import AxiomFailure, NotInvertible, SearchSpaceTooLarge
 from hopfcleft.fields import FieldSpec
 from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_grading
@@ -19,7 +26,6 @@ from hopfcleft.hopf import (
 from hopfcleft.lifting import (
     Bosonization,
     GradedYDHopf,
-    ScalarCocycleH,
     _cleft_objects_isomorphic,
     bosonize,
     census_classes,
@@ -113,7 +119,7 @@ def test_smash_comodule_algebra_equals_the_permutation_chains(request, name):
     b = request.getfixturevalue(name)
     r, h = b.source.hopf, b.ambient
     # a cleft object over R with a nontrivial cocycle
-    e = functor_F(phi_inverse(enumerate_zprime(b)[1])).comodule_algebra
+    e = functor_F(phi_inverse(b, enumerate_zprime(b)[1])).comodule_algebra
     big = smash_comodule_algebra(b, e)
     assert big.algebra.mul == _permuted_smash_mul(e.algebra, e.carrier.action, h)
     assert big.algebra.unit == kron(e.algebra.unit, h.unit)
@@ -160,7 +166,7 @@ def test_phi_inverse_is_a_two_sided_inverse(boson8, f5_sigmas):
     g = boson8.source
     braided = enumerate_cocycles(trivial_measuring(g.hopf))
     for pi, s in zip(braided, f5_sigmas):
-        back = phi_inverse(s)
+        back = phi_inverse(boson8, s)
         assert back.sigma == pi.sigma
         assert phi(boson8, back).sigma == s.sigma
 
@@ -214,8 +220,8 @@ def test_section_reversal_equals_the_permutation_chain(boson4, monkeypatch):
 
 
 def test_psi_rejects_non_equivariant_section(boson4):
-    s = phi(boson4, phi_inverse(enumerate_zprime(boson4)[1]))
-    ce = functor_F(phi_inverse(s))
+    s = phi(boson4, phi_inverse(boson4, enumerate_zprime(boson4)[1]))
+    ce = functor_F(phi_inverse(boson4, s))
     # this one is equivariant; a section over the wrong factor must be refused
     from hopfcleft.errors import CorruptFixture
 
@@ -364,9 +370,9 @@ def test_check_zprime_multiplication_count(boson16_f17, monkeypatch):
     # Kronecker product took 106,869
     sigma = _restricted_sigma(boson16_f17, 3)
     calls = count_field_muls(monkeypatch)
-    result = check_zprime(boson16_f17, sigma)
+    result, report = check_zprime(boson16_f17, sigma)
     monkeypatch.undo()
-    assert result.in_zprime, str(result.report)
+    assert result is not None, str(report)
     assert 0 < calls[0] <= 60_000
 
 
@@ -384,9 +390,9 @@ def test_check_zprime_space_count(boson16_f17, monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(BasedSpace, "__init__", counting_init)
-    result = check_zprime(boson16_f17, sigma)
+    result, report = check_zprime(boson16_f17, sigma)
     monkeypatch.undo()
-    assert result.in_zprime, str(result.report)
+    assert result is not None, str(report)
     assert calls <= 150
 
 
@@ -446,21 +452,24 @@ def test_census_readers_scan_each_map_once(boson8, f5_sigmas, monkeypatch):
     assert equations and report.ok
 
 
-def test_deformed_square_of_the_generator(boson8, f5_sigmas):
+def test_deformed_square_of_the_generator(boson4, boson8, f5_sigmas):
     # x^2 = 0 in the bosonization deforms to lambda(1 - g^2), lambda the
-    # cocycle value on (x, x)
-    space = boson8.space
-    col = space.index("x.1") * space.dim + space.index("x.1")
-    field = space.field
-    for k, s in enumerate(f5_sigmas):
-        deformed = deform(boson8, s)
-        entries = {
-            space.labels[i]: v for i, v in column(deformed.mul, col).items()}
-        if k == 0:
-            assert entries == {}
-        else:
+    # cocycle value on (x, x); over kC2, g^2 = 1 and x^2 stays 0
+    for b, sigmas, g_squared in ((boson4, enumerate_zprime(boson4), "1"),
+                                 (boson8, f5_sigmas, "g2")):
+        space = b.space
+        col = space.index("x.1") * space.dim + space.index("x.1")
+        field = space.field
+        assert len(sigmas) == field.p
+        for k, s in enumerate(sigmas):
+            deformed = deform(b, s)
+            entries = {
+                space.labels[i]: v for i, v in column(deformed.mul, col).items()}
+            expected = {}
+            for label, value in (("1.1", k), (f"1.{g_squared}", -k)):
+                expected[label] = (expected.get(label, 0) + value) % field.p
             assert entries == {
-                "1.1": field.scalar(k), "1.g2": field.scalar(-k)}
+                label: field.scalar(value) for label, value in expected.items() if value}
 
 
 def test_undeformed_square_vanishes(boson8):
@@ -471,9 +480,41 @@ def test_undeformed_square_vanishes(boson8):
 
 def test_deform_requires_verified_cocycle(boson8, f5_sigmas):
     s = f5_sigmas[1]
-    stale = ScalarCocycleH(s.bosonization, s.sigma, s.sigma_inv, False, s.in_zprime, s.report)
+    stale = Cocycle(s.measuring, s.sigma, s.sigma_inv)
     with pytest.raises(AxiomFailure):
         deform(boson8, stale)
+
+
+def _pulled_back_group_coboundary(b, phi_values):
+    """sigma(r (x) g^i, r' (x) g^j) = eps(r) eps(r') phi_i phi_j / phi_(i+j),
+    the coboundary of a functional phi on the cyclic group pulled back along
+    the Hopf projection onto H: a cocycle, restricted only when phi is a
+    character."""
+    field = b.space.field
+    n = b.ambient.space.dim
+    labels = b.ambient.space.labels  # 1, g, g2, ...: index i is g^i
+    value = [field.scalar(v) for v in phi_values]
+    entries = [("1", f"1.{labels[i]}.1.{labels[j]}",
+                value[i] * value[j] * value[(i + j) % n].inverse())
+               for i in range(n) for j in range(n)]
+    return LinearMap.from_labels(tensor_space(b.space, b.space), unit_space(field), entries)
+
+
+def test_a_cocycle_that_fails_the_restriction_is_refused(boson8, f5_sigmas):
+    """A classical cocycle on the bosonization that is not determined by its
+    values on R x R passes check_cocycle, fails (8) in check_zprime and is
+    refused by phi_inverse; so is an unverified copy of a restricted one."""
+    sigma = _pulled_back_group_coboundary(boson8, [1, 2, 1, 1])
+    classical, _ = check_cocycle(trivial_measuring(boson8.hopf), sigma)
+    assert classical is not None
+    result, report = check_zprime(boson8, sigma)
+    assert result is None and _cocycle_items_ok(report)
+    assert [i.name for i in report.items if not i.ok] == [RESTRICTION]
+    s = f5_sigmas[1]
+    for refused in (classical, Cocycle(s.measuring, s.sigma, s.sigma_inv)):
+        with pytest.raises(AxiomFailure, match="only restricted cocycles"):
+            phi_inverse(boson8, refused)
+    assert phi_inverse(boson8, s).verified
 
 
 def test_non_cocycle_is_rejected_by_check_zprime(boson4):
@@ -484,8 +525,18 @@ def test_non_cocycle_is_rejected_by_check_zprime(boson4):
     src = tensor_space(space, space)
     bad = LinearMap(src, unit_space(field),
                     {(0, j): field.one() for j in range(src.dim)})
-    result = check_zprime(boson4, bad)
-    assert not result.in_z and not result.in_zprime
+    result, report = check_zprime(boson4, bad)
+    assert result is None and not _cocycle_items_ok(report)
+
+
+RESTRICTION = "(8) determined by values on R x R"
+
+
+def _cocycle_items_ok(report):
+    """Whether the cocycle check passed: every item before the restriction
+    condition (8)."""
+    names = [i.name for i in report.items]
+    return all(i.ok for i in report.items[:names.index(RESTRICTION)])
 
 
 def _swept_and_rejected(b, monkeypatch):
@@ -517,33 +568,37 @@ def test_shared_zprime_verdict_equals_a_fresh_check(request, monkeypatch, name):
     assert len(swept) == b.space.field.p
     fresh = bosonize(b.source)
     for sigma in [*swept, *rejected]:
-        first = check_zprime(b, sigma)
+        first, _ = check_zprime(b, sigma)
         equal = LinearMap(sigma.source, sigma.target, dict(sigma.entries))
         cached = len(b.zprime_cache)
-        shared = check_zprime(b, equal)
+        shared, shared_report = check_zprime(b, equal)
         assert len(b.zprime_cache) == cached  # the second call was a hit
-        expected = check_zprime(fresh, sigma)
-        assert first.sigma is sigma and shared.sigma is equal
-        assert shared.in_z == expected.in_z
-        assert shared.in_zprime == expected.in_zprime
-        assert shared.sigma_inv == expected.sigma_inv
-        assert shared.report.lines() == expected.report.lines()
-    zero, changed = (check_zprime(b, sigma) for sigma in rejected)
-    assert not zero.in_z and not changed.in_z
+        expected, expected_report = check_zprime(fresh, sigma)
+        assert (first is None) == (shared is None) == (expected is None)
+        if shared is not None:
+            assert first.sigma is sigma and shared.sigma is equal
+            assert shared.sigma_inv == expected.sigma_inv
+        assert _cocycle_items_ok(shared_report) == _cocycle_items_ok(expected_report)
+        assert shared_report.ok == expected_report.ok
+        assert shared_report.lines() == expected_report.lines()
+    (zero, zero_report), (changed, changed_report) = (
+        check_zprime(b, sigma) for sigma in rejected)
+    assert zero is None and changed is None
+    assert not _cocycle_items_ok(zero_report) and not _cocycle_items_ok(changed_report)
     # "convolution invertible" fails only for the zero map
-    assert not zero.report.items[0].ok and changed.report.items[0].ok
+    assert not zero_report.items[0].ok and changed_report.items[0].ok
 
 
 def test_shared_zprime_report_is_not_shared(boson8):
     b = _empty_caches(boson8)
     sigma = _restricted_sigma(b, 1)
-    first = check_zprime(b, sigma)
-    first.report.add(CheckItem("appended by the first caller", True))
-    later = check_zprime(b, sigma)
-    later.report.add(CheckItem("appended by a later caller", True))
-    last = check_zprime(b, sigma)
-    assert last.report.lines() == first.report.lines()[:-1]
-    assert last.report.lines() == later.report.lines()[:-1]
+    _, first = check_zprime(b, sigma)
+    first.add(CheckItem("appended by the first caller", True))
+    _, later = check_zprime(b, sigma)
+    later.add(CheckItem("appended by a later caller", True))
+    _, last = check_zprime(b, sigma)
+    assert last.lines() == first.lines()[:-1]
+    assert last.lines() == later.lines()[:-1]
 
 
 def test_census_check_cocycle_call_count(boson8, monkeypatch):
@@ -589,6 +644,14 @@ def test_census_classes_f5(boson8):
     assert result.report.ok, str(result.report)
     assert result.classes == [[0], [1, 4], [2, 3]]
     assert len(result.representatives()) == 3
+
+
+def test_readme_library_example_prints_the_census_classes(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {"__name__": "readme_example"})
+    assert capsys.readouterr().out == "[[0], [1, 4], [2, 3]]\n"
 
 
 def test_census_classes_f3(boson4):
