@@ -58,23 +58,15 @@ class HModule:
             raise ShapeMismatch("action must map H (x) M -> M")
 
 
-class HComodule:
-    """A left comodule over a (classical) Hopf algebra."""
-
-    def __init__(self, base: BialgebraData, space: BasedSpace, coaction: LinearMap):
-        self.base = base
-        self.space = space
-        self.coaction = coaction  # space -> base.space (x) space
-        if not coaction.target.same_basis(tensor_space(base.space, space)):
-            raise ShapeMismatch("coaction must map M -> H (x) M")
-
-
 class YDModule:
     """A left-left Yetter-Drinfeld module: module + left comodule, compatible."""
 
     def __init__(self, module: HModule, coaction: LinearMap):
         self.module = module
         self.coaction = coaction  # space -> H (x) space
+        want = tensor_space(module.base.space, module.space)
+        if not coaction.source.same_basis(module.space) or not coaction.target.same_basis(want):
+            raise ShapeMismatch("coaction must map M -> H (x) M")
 
     @property
     def base(self) -> BialgebraData:
@@ -99,7 +91,8 @@ def check_module(m: HModule) -> CheckReport:
     return report
 
 
-def check_comodule(c: HComodule) -> CheckReport:
+def check_comodule(c: YDModule) -> CheckReport:
+    """The left comodule axioms of a Yetter-Drinfeld module's coaction."""
     report = CheckReport(f"left comodule {c.space.name} over {c.base.space.name}")
     ident = LinearMap.identity(c.space)
     report.add(map_equal_item(
@@ -118,16 +111,16 @@ def check_yd(x: YDModule) -> CheckReport:
     base = x.base
     report = check_module(x.module)
     report.subject = f"Yetter-Drinfeld module {x.space.name}"
-    report.extend(check_comodule(HComodule(base, x.space, x.coaction)))
+    report.extend(check_comodule(x))
     h, v = base.space, x.space
     lhs = compose(x.coaction, x.module.action)
     id_h, id_v = LinearMap.identity(h), LinearMap.identity(v)
-    spread = tensor_map(iterated_comul(base.coalg, 2), x.coaction)  # h1 h2 h3 x-1 x0
+    spread = tensor_map(iterated_comul(base.coalg), x.coaction)  # h1 h2 h3 x-1 x0
     x_first = tensor_maps(id_h, flip_map(tensor_space(h, h), h), id_v)  # h1 x-1 h2 h3 x0
     s_h3 = compose(tensor_map(base.antipode, id_h), flip_map(h, h))
     h2_last = tensor_maps(id_h, id_h, s_h3, id_v)  # h1 x-1 S(h3) h2 x0
     rhs = compose(
-        tensor_map(iterated_mul(base.alg, 2), x.module.action),
+        tensor_map(iterated_mul(base.alg), x.module.action),
         compose(h2_last, compose(x_first, spread)))
     report.add(map_equal_item("Yetter-Drinfeld compatibility", lhs, rhs))
     return report
@@ -341,6 +334,8 @@ class ComoduleAlgebra:
         self.algebra = algebra
         self.carrier = carrier  # ambient module structure on B
         self.coaction = coaction  # B -> B (x) H-bar
+        # the coinvariants, built on first use by ``coinvariants``
+        self.coinvariants_cache: Coinvariants | None = None
 
     @property
     def space(self) -> BasedSpace:
@@ -384,7 +379,9 @@ class Coinvariants:
 
 def coinvariants(b: ComoduleAlgebra) -> Coinvariants:
     """The equalizer of (coaction, id (x) unit), with its induced algebra
-    structure and restricted ambient action."""
+    structure and restricted ambient action, built once per comodule algebra."""
+    if b.coinvariants_cache is not None:
+        return b.coinvariants_cache
     id_b = LinearMap.identity(b.space)
     other = tensor_map(id_b, b.hopf.unit)
     space, iota = equalizer(b.coaction, other)
@@ -400,4 +397,5 @@ def coinvariants(b: ComoduleAlgebra) -> Coinvariants:
             "induced structure does not factor through the coinvariants") from exc
     algebra = AlgebraData(space, mul, unit)
     carrier = HModule(b.hopf.ambient, space, action)
-    return Coinvariants(algebra, iota, carrier)
+    b.coinvariants_cache = Coinvariants(algebra, iota, carrier)
+    return b.coinvariants_cache

@@ -2,10 +2,11 @@
 
 A cleft extension is a comodule algebra B with a convolution invertible
 comodule morphism (section) gamma from the braided Hopf algebra into B.
-Every verified cocycle yields a cleft extension on the crossed product, and
-every cleft extension factors its canonical cocycle through the coinvariants;
-the two constructions are mutually inverse and both directions are checked
-on concrete matrices.
+The functor F, ``crossed_to_cleft``, sends a verified cocycle to its crossed
+product with the canonical section; the functor G, ``cocycle_from_section``,
+factors the canonical cocycle of a cleft extension through its coinvariants.
+The two are mutually inverse and both directions are checked on concrete
+matrices.
 """
 
 from __future__ import annotations
@@ -16,16 +17,9 @@ from .braided import (
     braiding,
     check_comodule_algebra,
     coinvariants,
-    Coinvariants,
 )
-from .cocycle import (
-    Cocycle,
-    CrossedProduct,
-    check_cocycle,
-    crossed_product,
-    pair_coalgebra,
-)
-from .errors import FactorizationFailure, NoSolution, ShapeMismatch
+from .cocycle import Cocycle, check_cocycle, crossed_product, pair_coalgebra
+from .errors import FactorizationFailure, NoSolution, ShapeMismatch, TheoremViolation
 from .hopf import (
     convolution,
     convolution_inverse,
@@ -124,43 +118,50 @@ def is_cleft_object(ce: CleftExtension) -> bool:
     return coinvariants(ce.comodule_algebra).algebra.space.dim == 1
 
 
-def crossed_to_cleft(cp: CrossedProduct) -> CleftExtension:
-    """The canonical section unit_A (x) id on a crossed product, with the
-    closed-form convolution inverse built from sigma_inv and the antipode."""
-    c = cp.cocycle
+def closed_form_cleft(b: ComoduleAlgebra, gamma: LinearMap,
+                      gamma_inv: LinearMap) -> CleftExtension:
+    """The cleft extension of a section whose convolution inverse a theorem
+    gives in closed form. Both sides are checked; a failure is a violated
+    theorem, not bad input."""
+    coalg = b.hopf.coalg
+    unit = convolution_unit(coalg, b.algebra)
+    if convolution(gamma, gamma_inv, coalg, b.algebra) != unit:
+        raise TheoremViolation("closed-form inverse section fails on the right")
+    if convolution(gamma_inv, gamma, coalg, b.algebra) != unit:
+        raise TheoremViolation("closed-form inverse section fails on the left")
+    return CleftExtension(b, gamma, gamma_inv)
+
+
+def crossed_to_cleft(c: Cocycle) -> CleftExtension:
+    """The functor F: the crossed product of a verified cocycle with its
+    canonical section unit_A (x) id, and the closed-form convolution inverse
+    of the section built from sigma_inv and the antipode."""
+    b = crossed_product(c)
     m = c.measuring
     hopf = m.hopf
     if hopf.antipode is None:
         raise ShapeMismatch("crossed-to-cleft needs a Hopf algebra, not just a bialgebra")
     id_h = LinearMap.identity(hopf.space)
     gamma = tensor_map(m.algebra.unit, id_h)
-    c_ha = braiding(hopf.yd, m.carrier)
     gamma_inv = compose_all(
-        c_ha,
+        braiding(hopf.yd, m.carrier),
         tensor_map(id_h, c.sigma_inv),
         tensor_maps(hopf.antipode, hopf.antipode, id_h),
-        iterated_comul(hopf.coalg, 2),
+        iterated_comul(hopf.coalg),
     )
-    ce = CleftExtension(cp.comodule_algebra, gamma, gamma_inv)
-    unit = convolution_unit(hopf.coalg, ce.algebra)
-    if convolution(gamma, gamma_inv, hopf.coalg, ce.algebra) != unit:
-        raise FactorizationFailure("closed-form inverse section fails on the right")
-    if convolution(gamma_inv, gamma, hopf.coalg, ce.algebra) != unit:
-        raise FactorizationFailure("closed-form inverse section fails on the left")
-    return ce
+    return closed_form_cleft(b, gamma, gamma_inv)
 
 
-def coinvariant_measuring(ce: CleftExtension, coinv: Coinvariants | None = None) -> Measuring:
+def coinvariant_measuring(ce: CleftExtension) -> Measuring:
     """The measuring on the coinvariants induced by the section:
     iota nu = mul^2 (gamma (x) id (x) gamma_inv)(id (x) c_{H,B})(comul (x) iota)."""
     b = ce.comodule_algebra
     hopf = ce.hopf
-    if coinv is None:
-        coinv = coinvariants(b)
+    coinv = coinvariants(b)
     c_hb = braiding(hopf.yd, b.carrier)
     id_h = LinearMap.identity(hopf.space)
     through = compose_all(
-        iterated_mul(b.algebra, 2),
+        iterated_mul(b.algebra),
         tensor_maps(ce.gamma, LinearMap.identity(b.space), ce.gamma_inv),
         tensor_map(id_h, c_hb),
         tensor_map(hopf.comul, coinv.iota),
@@ -173,17 +174,15 @@ def coinvariant_measuring(ce: CleftExtension, coinv: Coinvariants | None = None)
     return Measuring(hopf, coinv.algebra, coinv.carrier, nu)
 
 
-def cocycle_from_section(
-    ce: CleftExtension, coinv: Coinvariants | None = None
-) -> tuple[Measuring, Cocycle, CheckReport]:
-    """The cocycle of a cleft extension: sigma~ = (mul(gamma (x) gamma)) *
-    (gamma_inv mul_H) factors through the coinvariants; the factored map is a
-    cocycle for the induced measuring (verified)."""
+def cocycle_from_section(ce: CleftExtension) -> tuple[Measuring, Cocycle, CheckReport]:
+    """The functor G, the cocycle of a cleft extension: sigma~ =
+    (mul(gamma (x) gamma)) * (gamma_inv mul_H) factors through the
+    coinvariants; the factored map is a cocycle for the induced measuring
+    (verified)."""
     b = ce.comodule_algebra
     hopf = ce.hopf
-    if coinv is None:
-        coinv = coinvariants(b)
-    m = coinvariant_measuring(ce, coinv)
+    coinv = coinvariants(b)
+    m = coinvariant_measuring(ce)
     pair = pair_coalgebra(hopf)
     sigma_tilde = convolution(
         compose(b.algebra.mul, tensor_map(ce.gamma, ce.gamma)),
@@ -222,7 +221,7 @@ def iso_to_crossed(ce: CleftExtension) -> CheckReport:
     b = ce.comodule_algebra
     hopf = ce.hopf
     coinv = coinvariants(b)
-    m, cocycle, _ = cocycle_from_section(ce, coinv)
+    m, cocycle, _ = cocycle_from_section(ce)
     cp = crossed_product(cocycle)
     report = CheckReport(f"crossed product model of {b.space.name}")
     f = compose(b.algebra.mul, tensor_map(coinv.iota, ce.gamma))
@@ -251,7 +250,7 @@ def iso_to_crossed(ce: CleftExtension) -> CheckReport:
     report.add(map_equal_item(
         "f is a comodule morphism",
         compose(b.coaction, f),
-        compose(tensor_map(f, LinearMap.identity(hopf.space)), cp.comodule_algebra.coaction),
+        compose(tensor_map(f, LinearMap.identity(hopf.space)), cp.coaction),
     ))
     report.add(map_equal_item(
         "f restricts to the section",
@@ -261,24 +260,13 @@ def iso_to_crossed(ce: CleftExtension) -> CheckReport:
     return report
 
 
-def functor_F(c: Cocycle) -> CleftExtension:
-    """Cocycle to cleft extension: the crossed product with its canonical section."""
-    return crossed_to_cleft(crossed_product(c))
-
-
-def functor_G(ce: CleftExtension) -> tuple[Measuring, Cocycle]:
-    """Cleft extension to cocycle: coinvariants with the section cocycle."""
-    m, cocycle, _ = cocycle_from_section(ce)
-    return m, cocycle
-
-
 def round_trip_check(c: Cocycle) -> CheckReport:
     """G(F(A, sigma)) recovers (A, sigma) on the nose, after identifying the
     coinvariants of the crossed product with A via (id (x) counit) iota."""
     report = CheckReport("cocycle round trip")
-    ce = functor_F(c)
+    ce = crossed_to_cleft(c)
     coinv = coinvariants(ce.comodule_algebra)
-    m2, c2, _ = cocycle_from_section(ce, coinv)
+    m2, c2, _ = cocycle_from_section(ce)
     m = c.measuring
     hopf = m.hopf
     # the identification of the recovered coinvariants with A

@@ -28,8 +28,8 @@ from .braided import (
     check_yd,
     coinvariants,
 )
-from .cleft import crossed_to_cleft, functor_F, round_trip_check, check_cleft, cocycle_from_section
-from .cocycle import check_cocycle, crossed_product, trivial_sigma
+from .cleft import crossed_to_cleft, round_trip_check, check_cleft, cocycle_from_section
+from .cocycle import check_cocycle, trivial_sigma
 from .errors import (
     AxiomFailure,
     FactorizationFailure,
@@ -111,11 +111,31 @@ def _finish(report: CheckReport, fmt: str, notes: list[str] | None = None):
     sys.exit(0 if report.ok else 1)
 
 
+def _json_error(line: str):
+    click.echo(json.dumps({"error": line, "ok": False}, indent=2, sort_keys=True))
+
+
 def _fail(line: str, code: int, fmt: str):
     click.echo(line, err=True)
     if fmt == "json":
-        click.echo(json.dumps({"error": line, "ok": False}, indent=2, sort_keys=True))
+        _json_error(line)
     sys.exit(code)
+
+
+class _FileCommand(click.Command):
+    """A command whose usage errors, when its arguments ask for a JSON
+    report, also print the JSON error object; click still prints the usage
+    text on stderr and exits 2."""
+
+    def make_context(self, info_name, args, parent=None, **extra):
+        as_json = "--report=json" in args or any(
+            a == "--report" and b == "json" for a, b in zip(args, args[1:]))
+        try:
+            return super().make_context(info_name, args, parent=parent, **extra)
+        except click.UsageError as exc:
+            if as_json:
+                _json_error(f"error: {exc.format_message()}")
+            raise
 
 
 _FILE_PARAMS = (
@@ -169,7 +189,7 @@ def _file_command(name: str, *options):
         callback.__doc__ = body.__doc__
         for param in reversed(_FILE_PARAMS + options):
             callback = param(callback)
-        return main.command(name)(callback)
+        return main.command(name, cls=_FileCommand)(callback)
 
     return decorate
 
@@ -217,12 +237,12 @@ def verify_cocycle(df, role_name, fmt):
     _finish(report, fmt)
 
 
-def _crossed_output(cp, out_path) -> list[str]:
-    """Write a crossed product as a definition file with a cleft_extension
-    role when the ambient is trivial, else only the role's mul and unit
-    tensors."""
-    hopf = cp.cocycle.measuring.hopf
-    b = cp.comodule_algebra
+def _crossed_output(ce, out_path) -> list[str]:
+    """Write the crossed product of a cleft extension as a definition file
+    with a cleft_extension role when the ambient is trivial, else only the
+    role's mul and unit tensors."""
+    hopf = ce.hopf
+    b = ce.comodule_algebra
     space = b.space
     notes = [f"crossed product space: {space.name} (dim {space.dim})"]
     if out_path is None:
@@ -231,7 +251,7 @@ def _crossed_output(cp, out_path) -> list[str]:
     df, refs, over = io.DefinitionFile(space.field), None, None
     if hopf.ambient.space.dim == 1:
         df = io.hopf_to_definition(hopf, "H")
-        maps.update(coaction=b.coaction, section=crossed_to_cleft(cp).gamma)
+        maps.update(coaction=b.coaction, section=ce.gamma)
         refs, over = {"hopf": "H"}, df.space(df.roles["H"].bindings["space"])
     io.add_role(df, "cleft_extension", "B", io.file_space(space, "B"), maps, refs, over)
     io.save(df, out_path)
@@ -243,8 +263,7 @@ def _crossed_output(cp, out_path) -> list[str]:
 def crossed_product_cmd(df, role_name, fmt, out_path):
     """Build and verify the crossed product of a cocycle role."""
     cocycle, report = _checked_cocycle(df, role_name, fmt)
-    cp = crossed_product(cocycle)
-    _finish(report, fmt, _crossed_output(cp, out_path))
+    _finish(report, fmt, _crossed_output(crossed_to_cleft(cocycle), out_path))
 
 
 @_file_command("smash", _out_option)
@@ -255,18 +274,16 @@ def smash(df, role_name, fmt, out_path):
     cocycle, report = check_cocycle(m, trivial_sigma(m))
     if cocycle is None:
         _finish(report, fmt)
-    _finish(report, fmt, _crossed_output(crossed_product(cocycle), out_path))
+    _finish(report, fmt, _crossed_output(crossed_to_cleft(cocycle), out_path))
 
 
 @_file_command("cleft-from-cocycle", _out_option)
 def cleft_from_cocycle(df, role_name, fmt, out_path):
     """Crossed product with its canonical section, verified as a cleft extension."""
     cocycle, report = _checked_cocycle(df, role_name, fmt)
-    ce = functor_F(cocycle)
-    cleft_report = check_cleft(ce)
-    report.extend(cleft_report)
-    notes = _crossed_output(crossed_product(cocycle), out_path)
-    _finish(report, fmt, notes)
+    ce = crossed_to_cleft(cocycle)
+    report.extend(check_cleft(ce))
+    _finish(report, fmt, _crossed_output(ce, out_path))
 
 
 @_file_command("cocycle-from-cleft")
@@ -354,8 +371,7 @@ def phi_inverse_cmd(df, role_name, fmt, bound, sigma_index):
 def psi_cmd(df, role_name, fmt, bound, sigma_index):
     """Induce an H-cleft object from the R-cleft object of a restricted cocycle."""
     b, s = _boson_and_sigma(df, role_name, sigma_index, bound)
-    r_cleft = functor_F(phi_inverse(b, s))
-    ce = psi(b, r_cleft)
+    ce = psi(b, crossed_to_cleft(phi_inverse(b, s)))
     report = check_cleft(ce)
     back, section_report = sigma_gamma_restricts(b, ce)
     # the report lists the section conditions twice: once as checked on the

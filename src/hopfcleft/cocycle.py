@@ -209,17 +209,7 @@ def sigma_recovery(m: Measuring, sigma: LinearMap) -> LinearMap:
     )
 
 
-class CrossedProduct:
-    def __init__(self, cocycle: Cocycle, comodule_algebra: ComoduleAlgebra):
-        self.cocycle = cocycle
-        self.comodule_algebra = comodule_algebra
-
-    @property
-    def algebra(self) -> AlgebraData:
-        return self.comodule_algebra.algebra
-
-
-def crossed_product(c: Cocycle) -> CrossedProduct:
+def crossed_product(c: Cocycle) -> ComoduleAlgebra:
     """The comodule algebra A #_sigma H with coaction id (x) comul."""
     if not c.verified:
         raise ValueError("cocycle must be verified before forming the crossed product")
@@ -242,11 +232,10 @@ def crossed_product(c: Cocycle) -> CrossedProduct:
     )
     coaction = tensor_map(id_a, hopf.comul)
     carrier = ambient_module_tensor(m.carrier, hopf.yd.module)
-    comod_alg = ComoduleAlgebra(hopf, algebra, carrier, coaction)
-    return CrossedProduct(c, comod_alg)
+    return ComoduleAlgebra(hopf, algebra, carrier, coaction)
 
 
-def smash_product(m: Measuring) -> CrossedProduct:
+def smash_product(m: Measuring) -> ComoduleAlgebra:
     """The crossed product of the trivial cocycle (requires a module algebra)."""
     cocycle, report = check_cocycle(m, trivial_sigma(m))
     if cocycle is None:

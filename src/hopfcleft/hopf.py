@@ -252,28 +252,14 @@ def twist(coaction: LinearMap, action: LinearMap) -> LinearMap:
         tensor_space(action.target, coaction.source), entries)
 
 
-def iterated_mul(a: AlgebraData, n: int) -> LinearMap:
-    """The n-times multiplication A^(n+1) -> A, left-nested."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    result = a.mul
-    power = a.space
-    for _ in range(n - 1):
-        result = compose(result, tensor_map(a.mul, LinearMap.identity(power)))
-        power = tensor_space(a.space, power)
-    return result
+def iterated_mul(a: AlgebraData) -> LinearMap:
+    """The double multiplication A (x) A (x) A -> A, left-nested: (ab)c."""
+    return compose(a.mul, tensor_map(a.mul, LinearMap.identity(a.space)))
 
 
-def iterated_comul(c: CoalgebraData, n: int) -> LinearMap:
-    """The n-times comultiplication C -> C^(n+1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    result = c.comul
-    power = c.space
-    for _ in range(n - 1):
-        result = compose(tensor_map(c.comul, LinearMap.identity(power)), result)
-        power = tensor_space(c.space, power)
-    return result
+def iterated_comul(c: CoalgebraData) -> LinearMap:
+    """The double comultiplication C -> C (x) C (x) C, (comul (x) id) comul."""
+    return compose(tensor_map(c.comul, LinearMap.identity(c.space)), c.comul)
 
 
 def convolution(f: LinearMap, g: LinearMap, c: CoalgebraData, a: AlgebraData) -> LinearMap:

@@ -26,9 +26,16 @@ from .braided import (
     twist,
     yd_tensor,
 )
-from .cleft import CleftExtension, cocycle_from_section, crossed_to_cleft
-from .cocycle import Cocycle, check_cocycle, crossed_product, pair_coalgebra
-from .errors import AxiomFailure, CorruptFixture, NotInvertible, SearchSpaceTooLarge, TheoremViolation
+from .cleft import CleftExtension, closed_form_cleft, cocycle_from_section, crossed_to_cleft
+from .cocycle import Cocycle, check_cocycle, pair_coalgebra
+from .errors import (
+    AxiomFailure,
+    CorruptFixture,
+    NotInvertible,
+    SearchSpaceTooLarge,
+    ShapeMismatch,
+    TheoremViolation,
+)
 from .hopf import (
     AlgebraData,
     BialgebraData,
@@ -36,7 +43,6 @@ from .hopf import (
     check_hopf,
     convolution,
     convolution_inverse,
-    convolution_unit,
     iterated_mul,
 )
 from .linalg import (
@@ -57,9 +63,14 @@ from .report import CheckItem, CheckReport, map_equal_item
 class GradedYDHopf:
     """A Hopf algebra in the Yetter-Drinfeld category with a connected
     grading on its basis. Cosemisimplicity of the ambient is assumed, never
-    verified."""
+    verified. R's space must be its own: ``_degrees`` tells R's factors from
+    the ambient's by identity."""
 
     def __init__(self, hopf: BialgebraData, grading: dict[str, int]):
+        if any(f is hopf.space for f in hopf.ambient.space.atomic_factors()):
+            raise ShapeMismatch(
+                f"space {hopf.space.name!r} is the space of its ambient; "
+                "R needs a space of its own")
         self.hopf = hopf
         self.grading = grading
 
@@ -372,20 +383,12 @@ def psi(b: Bosonization, ce: CleftExtension) -> CleftExtension:
     if not equivariant:
         raise AxiomFailure("section is not an ambient-module morphism")
     big = smash_comodule_algebra(b, e)
-    id_h = LinearMap.identity(h.space)
-    gamma = tensor_map(ce.gamma, id_h)
-    boson = b.hopf
     gamma_inv = convolution(
         tensor_map(compose(e.algebra.unit, g.hopf.counit), h.antipode),
         tensor_map(ce.gamma_inv, compose(h.unit, h.counit)),
-        boson.coalg, big.algebra,
+        b.hopf.coalg, big.algebra,
     )
-    unit = convolution_unit(boson.coalg, big.algebra)
-    if convolution(gamma, gamma_inv, boson.coalg, big.algebra) != unit:
-        raise TheoremViolation("closed-form inverse section fails on the right")
-    if convolution(gamma_inv, gamma, boson.coalg, big.algebra) != unit:
-        raise TheoremViolation("closed-form inverse section fails on the left")
-    return CleftExtension(big, gamma, gamma_inv)
+    return closed_form_cleft(big, tensor_map(ce.gamma, LinearMap.identity(h.space)), gamma_inv)
 
 
 def check_cprime_section(b: Bosonization, ce: CleftExtension) -> CheckReport:
@@ -398,8 +401,8 @@ def check_cprime_section(b: Bosonization, ce: CleftExtension) -> CheckReport:
     report = CheckReport(f"restricted section on {ce.space.name}")
     jh = _embed_h(b)
     gamma, gamma_inv = ce.gamma, ce.gamma_inv
-    mul2 = iterated_mul(boson.alg, 2)
-    emul2 = iterated_mul(ce.algebra, 2)
+    mul2 = iterated_mul(boson.alg)
+    emul2 = iterated_mul(ce.algebra)
     id_big = LinearMap.identity(bigspace)
     sandwich = compose(mul2, tensor_maps(jh, id_big, jh))
     item = map_equal_item(
@@ -559,7 +562,7 @@ def cleft_prime_census(b: Bosonization, bound: int = CENSUS_BOUND) -> CensusResu
     route_ok = True
     witness = None
     for pi, s in zip(cocycles, sigmas):
-        ce = psi(b, crossed_to_cleft(crossed_product(pi)))
+        ce = psi(b, crossed_to_cleft(pi))
         back, _ = sigma_gamma_restricts(b, ce)
         if back.sigma != s.sigma:
             route_ok = False

@@ -60,34 +60,24 @@ def _candidate_maps(source, target, space: SearchSpace, fixed=None):
         yield LinearMap(source, target, entries)
 
 
-def enumerate_cocycles(
-    m: Measuring,
-    bound: int = DEFAULT_BOUND,
-    support: list[tuple[str, str]] | None = None,
-) -> list[Cocycle]:
+def enumerate_cocycles(m: Measuring, bound: int = DEFAULT_BOUND) -> list[Cocycle]:
     """Every map H (x) H -> A passing the full cocycle check, in deterministic
-    order. ``support`` optionally restricts the unknowns to the named
-    (target label, source label) slots; a restricted sweep only claims
-    completeness on that support."""
+    order."""
     found = []
-    for sigma in _unital_candidates(m, bound, support):
+    for sigma in _unital_candidates(m, bound):
         cocycle, _ = check_cocycle(m, sigma)
         if cocycle is not None:
             found.append(cocycle)
     return found
 
 
-def _unital_candidates(m: Measuring, bound: int, support=None):
-    """Every map sigma: H (x) H -> A on the ``support`` slots (all when None)
-    with sigma(1 (x) h) = sigma(h (x) 1) = eps(h) 1, in lexicographic order of
-    the swept slots. Every cocycle is unital on both slots, so the sweeps
-    filter here, before verifying."""
+def _unital_candidates(m: Measuring, bound: int):
+    """Every map sigma: H (x) H -> A with sigma(1 (x) h) = sigma(h (x) 1) =
+    eps(h) 1, in lexicographic order of the swept slots. Every cocycle is
+    unital on both slots, so the sweeps filter here, before verifying."""
     source = tensor_space(m.hopf.space, m.hopf.space)
     target = m.space
-    if support is None:
-        slots = [(i, j) for i in range(target.dim) for j in range(source.dim)]
-    else:
-        slots = [(target.index(r), source.index(c)) for r, c in support]
+    slots = [(i, j) for i in range(target.dim) for j in range(source.dim)]
     id_h = LinearMap.identity(m.hopf.space)
     left = tensor_map(m.hopf.unit, id_h)
     right = tensor_map(id_h, m.hopf.unit)

@@ -19,7 +19,6 @@ from hopfcleft.braided import (
 from hopfcleft.cleft import (
     check_cleft,
     crossed_to_cleft,
-    functor_F,
     iso_to_crossed,
     round_trip_check,
 )
@@ -27,7 +26,6 @@ from hopfcleft.cocycle import (
     check_cocycle,
     check_derived_relations,
     check_mu_sigma_associativity,
-    crossed_product,
     pair_coalgebra,
     sigma_recovery,
 )
@@ -144,7 +142,7 @@ def test_criterion_5_round_trip_and_iso(qline_f3, f3):
         for m in measurings:
             for c in enumerate_cocycles(m):
                 assert round_trip_check(c).ok
-                ce = functor_F(c)
+                ce = crossed_to_cleft(c)
                 assert check_cleft(ce).ok
                 assert iso_to_crossed(ce).ok
 
@@ -162,7 +160,7 @@ def test_criterion_6_phi_psi_commuting_square(boson4, boson8):
                 assert phi_inverse(b, s).sigma == pi.sigma
                 # crossed product of the braided cocycle, pushed through psi,
                 # carries the extended cocycle back
-                ce = psi(b, crossed_to_cleft(crossed_product(pi)))
+                ce = psi(b, crossed_to_cleft(pi))
                 back, _ = sigma_gamma_restricts(b, ce)
                 assert back.sigma == s.sigma
 
@@ -208,11 +206,11 @@ def test_criterion_8_derived_relation_suites(qline_f3, qline_f5, f3, boson4):
             assert check_derived_relations(c).ok
             # inverse-section coaction formula (convolution inverse of a
             # comodule morphism) is part of the full cleft check
-            assert check_cleft(functor_F(c)).ok
+            assert check_cleft(crossed_to_cleft(c)).ok
         # restriction relations and section relations on the bosonization
         for s in enumerate_zprime(boson4):
             assert check_zprime(boson4, s.sigma)[1].ok
-            ce = psi(boson4, functor_F(phi_inverse(boson4, s)))
+            ce = psi(boson4, crossed_to_cleft(phi_inverse(boson4, s)))
             assert check_cprime_section(boson4, ce).ok
 
 

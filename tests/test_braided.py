@@ -121,10 +121,10 @@ def test_yd_compatibility_equals_the_permutation_chain(qline_f5, monkeypatch):
     broken = YDModule(HModule(base, v, yd.module.action + extra), yd.coaction)
     id_h, id_v = LinearMap.identity(h), LinearMap.identity(v)
     rhs = compose_all(
-        kron(iterated_mul(base.alg, 2), broken.module.action),
+        kron(iterated_mul(base.alg), broken.module.action),
         permutation_map([h, h, h, h, v], [0, 3, 2, 1, 4]),
         kron(id_h, id_h, base.antipode, id_h, id_v),
-        kron(iterated_comul(base.coalg, 2), broken.coaction),
+        kron(iterated_comul(base.coalg), broken.coaction),
     )
     want = map_equal_item(
         "Yetter-Drinfeld compatibility", compose(broken.coaction, broken.module.action), rhs)
@@ -200,6 +200,14 @@ def test_braiding_requires_common_ambient(qline_f5, kc2_f3):
     # a coaction and an action through Hopf algebras of different dimensions
     with pytest.raises(ShapeMismatch):
         twist(kc2_f3.comul, qline_f5.hopf.yd.module.action)
+
+
+def test_a_misshapen_coaction_is_refused_when_the_yd_module_is_built(qline_f5):
+    yd = qline_f5.hopf.yd
+    with pytest.raises(ShapeMismatch, match="coaction must map M -> H"):
+        YDModule(yd.module, LinearMap.identity(yd.space))
+    with pytest.raises(ShapeMismatch, match="coaction must map M -> H"):
+        YDModule(yd.module, compose(yd.coaction, yd.module.action))
 
 
 def test_trivial_measuring_passes(qline_f5):

@@ -1,19 +1,20 @@
 import pytest
 
+from hopfcleft import cleft
 from hopfcleft.braided import coinvariants, trivial_measuring
 from hopfcleft.cleft import (
     check_cleft,
+    closed_form_cleft,
+    cocycle_from_section,
     crossed_to_cleft,
-    functor_F,
-    functor_G,
     is_cleft_object,
     iso_to_crossed,
     make_cleft,
     normalize_section,
     round_trip_check,
 )
-from hopfcleft.cocycle import crossed_product
-from hopfcleft.errors import NotInvertible, ShapeMismatch
+from hopfcleft.cocycle import check_cocycle, crossed_product, trivial_sigma
+from hopfcleft.errors import NotInvertible, ShapeMismatch, TheoremViolation
 from hopfcleft.fixtures import cyclic_group_hopf
 from hopfcleft.linalg import LinearMap
 from hopfcleft.oracle import enumerate_cocycles
@@ -31,7 +32,7 @@ def classical_cocycles(f3):
 
 def test_crossed_to_cleft_passes_all_checks(braided_cocycles):
     for c in braided_cocycles:
-        ce = crossed_to_cleft(crossed_product(c))
+        ce = crossed_to_cleft(c)
         report = check_cleft(ce)
         assert report.ok, str(report)
 
@@ -39,7 +40,7 @@ def test_crossed_to_cleft_passes_all_checks(braided_cocycles):
 def test_crossed_product_sections_are_cleft_objects(braided_cocycles):
     # the measuring algebra is the base field, so coinvariants are trivial
     for c in braided_cocycles:
-        assert is_cleft_object(functor_F(c))
+        assert is_cleft_object(crossed_to_cleft(c))
 
 
 def test_round_trip_on_every_enumerated_cocycle(braided_cocycles, classical_cocycles):
@@ -50,7 +51,7 @@ def test_round_trip_on_every_enumerated_cocycle(braided_cocycles, classical_cocy
 
 def test_functor_G_recovers_sigma_values(classical_cocycles):
     for c in classical_cocycles:
-        m2, c2 = functor_G(functor_F(c))
+        m2, c2, _ = cocycle_from_section(crossed_to_cleft(c))
         assert m2.space.dim == 1
         # both sigma live on a 1-dim target; compare entry by entry
         assert set(c2.sigma.entries.values()) == set(c.sigma.entries.values())
@@ -58,16 +59,14 @@ def test_functor_G_recovers_sigma_values(classical_cocycles):
 
 def test_iso_to_crossed(braided_cocycles):
     for c in braided_cocycles:
-        report = iso_to_crossed(functor_F(c))
+        report = iso_to_crossed(crossed_to_cleft(c))
         assert report.ok, str(report)
 
 
 def test_normalize_section_fixes_unit(kc4_f5):
     b = kc4_f5
     m = trivial_measuring(b)
-    from hopfcleft.cocycle import smash_product
-
-    ce = crossed_to_cleft(smash_product(m))
+    ce = crossed_to_cleft(check_cocycle(m, trivial_sigma(m))[0])
     # perturb the section by a unit scalar so gamma(1) = 2, then renormalize
     two = kc4_f5.space.field.scalar(2)
     scaled = LinearMap(ce.gamma.source, ce.gamma.target,
@@ -85,19 +84,15 @@ def compose_unit(ce):
 
 
 def test_make_cleft_rejects_wrong_shape(kc4_f5, kc2_f3):
-    b = kc4_f5
-    from hopfcleft.cocycle import smash_product
-
-    ce = crossed_to_cleft(smash_product(trivial_measuring(b)))
+    m = trivial_measuring(kc4_f5)
+    ce = crossed_to_cleft(check_cocycle(m, trivial_sigma(m))[0])
     with pytest.raises(ShapeMismatch):
         make_cleft(ce.comodule_algebra, LinearMap.identity(kc2_f3.space))
 
 
 def test_make_cleft_rejects_non_invertible_section(kc4_f5):
-    b = kc4_f5
-    from hopfcleft.cocycle import smash_product
-
-    ce = crossed_to_cleft(smash_product(trivial_measuring(b)))
+    m = trivial_measuring(kc4_f5)
+    ce = crossed_to_cleft(check_cocycle(m, trivial_sigma(m))[0])
     zero = LinearMap(ce.gamma.source, ce.gamma.target, {})
     with pytest.raises(NotInvertible):
         make_cleft(ce.comodule_algebra, zero)
@@ -105,6 +100,27 @@ def test_make_cleft_rejects_non_invertible_section(kc4_f5):
 
 def test_coinvariants_of_crossed_product_match_base(braided_cocycles):
     for c in braided_cocycles:
-        cp = crossed_product(c)
-        coinv = coinvariants(cp.comodule_algebra)
+        coinv = coinvariants(crossed_product(c))
         assert coinv.algebra.space.dim == c.measuring.space.dim
+
+
+def test_a_failed_closed_form_section_is_a_theorem_violation(braided_cocycles, boson4,
+                                                             monkeypatch):
+    """The closed-form inverse of the canonical section and of psi's section
+    is guaranteed by a theorem: a failure of either is a TheoremViolation,
+    never a failed check."""
+    from hopfcleft.lifting import phi_inverse, psi
+    from hopfcleft.oracle import enumerate_zprime
+
+    c = braided_cocycles[1]
+    ce = crossed_to_cleft(c)
+    r_cleft = crossed_to_cleft(phi_inverse(boson4, enumerate_zprime(boson4)[1]))
+    assert closed_form_cleft(ce.comodule_algebra, ce.gamma, ce.gamma_inv).gamma is ce.gamma
+
+    def zero(f, g, c, a):
+        return LinearMap(c.space, a.space, {})
+
+    monkeypatch.setattr(cleft, "convolution", zero)
+    for build in (lambda: crossed_to_cleft(c), lambda: psi(boson4, r_cleft)):
+        with pytest.raises(TheoremViolation, match="closed-form inverse section fails"):
+            build()

@@ -645,6 +645,59 @@ def test_internal_error_in_a_factorization_is_not_a_failed_check(
     assert "forced" in result.output
 
 
+def test_a_failed_closed_form_section_exits_3(runner, tmp_path, cocycle_file, monkeypatch):
+    """The canonical section's closed-form inverse is a theorem: its failure
+    is an internal error (exit 3), not a failed check."""
+    from hopfcleft import cleft
+    from hopfcleft.linalg import LinearMap
+
+    monkeypatch.setattr(cleft, "convolution", lambda f, g, c, a: LinearMap(c.space, a.space, {}))
+    out = tmp_path / "crossed.had"
+    result = run(runner, ["crossed-product", cocycle_file, "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert ("internal error: theorem violated: closed-form inverse section fails on the right"
+            in result.output)
+    assert "check failed" not in result.output and not out.exists()
+
+
+def test_cleft_from_cocycle_builds_the_crossed_product_once(runner, tmp_path, cocycle_file,
+                                                            monkeypatch):
+    import hopfcleft.cocycle
+
+    calls = []
+    original = hopfcleft.cocycle.crossed_product
+
+    def counted(c):
+        calls.append(c)
+        return original(c)
+
+    # count the calls made from every module that imported it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hopfcleft") and getattr(module, "crossed_product", None) is original:
+            monkeypatch.setattr(module, "crossed_product", counted)
+    out = tmp_path / "cleft.had"
+    result = run(runner, ["cleft-from-cocycle", cocycle_file, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("report", [["--report", "json"], ["--report=json"]])
+def test_a_usage_error_under_a_json_report_prints_its_error_object(report):
+    """Click's own usage errors keep their stderr text and exit 2; asked
+    for a JSON report, they also print the JSON error object on stdout."""
+    runner = _separate_streams_runner()
+    args = ["census", "qline_kc2_f3.had", "--bound", "0"]
+    env = {"HOPFCLEFT_FIXTURE_DIR": DATA_DIR}
+    text = runner.invoke(main, args, env=env)
+    result = runner.invoke(main, [*args, *report], env=env)
+    message = "Invalid value for '--bound': 0 is not in the range x>=1."
+    assert (text.exit_code, text.stdout) == (2, "")
+    assert text.stderr.endswith(f"Error: {message}\n")
+    assert (result.exit_code, result.stderr) == (2, text.stderr)
+    assert result.stdout == json.dumps(
+        {"error": f"error: {message}", "ok": False}, indent=2, sort_keys=True) + "\n"
+
+
 def test_convolution_inverse_of_a_non_endomorphism_names_the_tensor(runner):
     result = run(runner, ["convolution-inverse", "kc2_q.had", "--tensor", "KC2_comul"],
                  env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})

@@ -79,8 +79,7 @@ def test_sigma_recovery(braided_measuring, braided_cocycles):
 
 def test_crossed_product_is_comodule_algebra(braided_cocycles):
     for c in braided_cocycles:
-        cp = crossed_product(c)
-        report = check_comodule_algebra(cp.comodule_algebra)
+        report = check_comodule_algebra(crossed_product(c))
         assert report.ok, str(report)
 
 

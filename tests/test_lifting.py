@@ -4,16 +4,16 @@ from pathlib import Path
 import pytest
 
 from hopfcleft import cleft, cocycle, lifting, oracle
-from hopfcleft.braided import trivial_measuring
-from hopfcleft.cleft import CleftExtension, crossed_to_cleft, functor_F
+from hopfcleft.braided import HModule, YDModule, trivial_measuring
+from hopfcleft.cleft import CleftExtension, crossed_to_cleft
 from hopfcleft.cocycle import (
     Cocycle,
     check_cocycle,
-    crossed_product,
     pair_coalgebra,
+    trivial_sigma,
     triple_coalgebra,
 )
-from hopfcleft.errors import AxiomFailure, NotInvertible, SearchSpaceTooLarge
+from hopfcleft.errors import AxiomFailure, NotInvertible, SearchSpaceTooLarge, ShapeMismatch
 from hopfcleft.fields import FieldSpec
 from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_grading
 from hopfcleft.hopf import (
@@ -119,7 +119,7 @@ def test_smash_comodule_algebra_equals_the_permutation_chains(request, name):
     b = request.getfixturevalue(name)
     r, h = b.source.hopf, b.ambient
     # a cleft object over R with a nontrivial cocycle
-    e = functor_F(phi_inverse(b, enumerate_zprime(b)[1])).comodule_algebra
+    e = crossed_to_cleft(phi_inverse(b, enumerate_zprime(b)[1])).comodule_algebra
     big = smash_comodule_algebra(b, e)
     assert big.algebra.mul == _permuted_smash_mul(e.algebra, e.carrier.action, h)
     assert big.algebra.unit == kron(e.algebra.unit, h.unit)
@@ -137,6 +137,17 @@ def test_degrees_come_from_r_factors_only(qline_f3):
     g = qline_f3
     twin = BasedSpace("T", g.space.labels, g.space.field)
     assert lifting._degrees(tensor_space(twin, g.space, g.space), g) == [0, 1, 1, 2] * 2
+
+
+def test_r_on_its_ambients_space_is_refused(kc2_f3):
+    """Degrees are told apart by identity, so R on the ambient's own space
+    would count every factor as R's; the constructor refuses it."""
+    h = kc2_f3
+    # kC2 over itself: regular action, coaction by comultiplication
+    yd = YDModule(HModule(h, h.space, h.mul), h.comul)
+    on_ambient = BialgebraData(h.alg, h.coalg, h.antipode, yd=yd)
+    with pytest.raises(ShapeMismatch, match="R needs a space of its own"):
+        GradedYDHopf(on_ambient, {"1": 0, "g": 1})
 
 
 def test_bosonization_is_hopf(boson4, boson8):
@@ -177,7 +188,7 @@ def test_section_square_commutes(boson4):
     g = boson4.source
     for pi in enumerate_cocycles(trivial_measuring(g.hopf)):
         s = phi(boson4, pi)
-        ce = psi(boson4, crossed_to_cleft(crossed_product(pi)))
+        ce = psi(boson4, crossed_to_cleft(pi))
         back, section_report = sigma_gamma_restricts(boson4, ce)
         assert section_report.ok, str(section_report)
         assert back.sigma == s.sigma
@@ -188,7 +199,7 @@ def test_section_reversal_equals_the_permutation_chain(boson4, monkeypatch):
     its right-hand side is the map of the materialised [2, 1, 0] permutation
     chain, so with a broken inverse section it reports the same witness."""
     pi = enumerate_cocycles(trivial_measuring(boson4.source.hopf))[1]
-    ce = psi(boson4, crossed_to_cleft(crossed_product(pi)))
+    ce = psi(boson4, crossed_to_cleft(pi))
     gi = ce.gamma_inv
     field = gi.source.field
     extra = LinearMap(gi.source, gi.target, {(0, gi.source.dim - 1): field.one()})
@@ -196,10 +207,10 @@ def test_section_reversal_equals_the_permutation_chain(boson4, monkeypatch):
     hs, bigspace = boson4.ambient.space, boson4.space
     jh = lifting._embed_h(boson4)
     sandwich = compose(
-        iterated_mul(boson4.hopf.alg, 2), kron(jh, LinearMap.identity(bigspace), jh))
+        iterated_mul(boson4.hopf.alg), kron(jh, LinearMap.identity(bigspace), jh))
     inv_jh = compose(broken.gamma_inv, jh)
     rhs = compose_all(
-        iterated_mul(ce.algebra, 2),
+        iterated_mul(ce.algebra),
         kron(inv_jh, broken.gamma_inv, inv_jh),
         permutation_map([hs, bigspace, hs], [2, 1, 0]),
     )
@@ -221,15 +232,13 @@ def test_section_reversal_equals_the_permutation_chain(boson4, monkeypatch):
 
 def test_psi_rejects_non_equivariant_section(boson4):
     s = phi(boson4, phi_inverse(boson4, enumerate_zprime(boson4)[1]))
-    ce = functor_F(phi_inverse(boson4, s))
+    ce = crossed_to_cleft(phi_inverse(boson4, s))
     # this one is equivariant; a section over the wrong factor must be refused
     from hopfcleft.errors import CorruptFixture
 
-    from hopfcleft.cocycle import smash_product
-
+    m = trivial_measuring(boson4.hopf)
     with pytest.raises(CorruptFixture):
-        psi(boson4, crossed_to_cleft(
-            smash_product(trivial_measuring(boson4.hopf))))
+        psi(boson4, crossed_to_cleft(check_cocycle(m, trivial_sigma(m))[0]))
     assert psi(boson4, ce) is not None
 
 
@@ -315,7 +324,7 @@ def _materialised_doi_product(b, sigmas):
     x1 y1 x2 y2 x3 y3, built from Kronecker products and a factor permutation."""
     hopf = b.hopf
     hs = hopf.space
-    com2 = iterated_comul(hopf.coalg, 2)
+    com2 = iterated_comul(hopf.coalg)
     spread = compose(permutation_map([hs] * 6, [0, 3, 1, 4, 2, 5]), kron(com2, com2))
     return [compose(kron(s.sigma, hopf.mul, s.sigma_inv), spread) for s in sigmas]
 
