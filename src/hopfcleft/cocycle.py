@@ -234,10 +234,3 @@ def crossed_product(c: Cocycle) -> ComoduleAlgebra:
     carrier = ambient_module_tensor(m.carrier, hopf.yd.module)
     return ComoduleAlgebra(hopf, algebra, carrier, coaction)
 
-
-def smash_product(m: Measuring) -> ComoduleAlgebra:
-    """The crossed product of the trivial cocycle (requires a module algebra)."""
-    cocycle, report = check_cocycle(m, trivial_sigma(m))
-    if cocycle is None:
-        raise AxiomFailure(f"trivial cocycle rejected: {report.first_failure()}")
-    return crossed_product(cocycle)

@@ -329,9 +329,11 @@ def _parse_role(df, words, body, line_no):
 def _validate_roles(df: DefinitionFile):
     """Every binding resolves to an object of the kind its key binds, then
     every tensor binding to one on the role's spaces; done after parsing so
-    declaration order does not matter. Semantic checks
-    (axioms, invertibility) are left to the commands so that a well-shaped
-    but corrupt structure is a check failure, not a parse failure."""
+    declaration order does not matter. The axioms are left to the commands,
+    so a well-shaped structure that breaks one is a check failure (exit 1).
+    What a role needs to be built is not: when a ``hopf_algebra`` bound
+    without ``antipode=`` has no antipode, or a section has no convolution
+    inverse, ``build`` raises an input error (exit 2)."""
     for role in df.roles.values():
         keys = role_keys(role.kind)
         for key, value in role.bindings.items():

@@ -54,12 +54,14 @@ TENSOR_SEP = "."
 class BasedSpace:
     """A vector space over ``field`` with a named, ordered basis.
 
-    An atomic space is given its labels; a tensor space (``factors``
-    non-empty, labels None) joins its factors' labels on first access.
-    ``index`` looks labels up in a label -> position dict built on first use.
+    An atomic space is given its labels, none of which may contain
+    ``TENSOR_SEP``, so the joined labels of a product are unique; a tensor
+    space (``factors`` non-empty, labels None) joins its factors' labels on
+    first access. ``index`` looks labels up in a label -> position dict built
+    on first use.
     """
 
-    __slots__ = ("name", "field", "factors", "dim", "_labels", "_positions", "_has_sep")
+    __slots__ = ("name", "field", "factors", "dim", "_labels", "_positions")
 
     def __init__(self, name: str, labels, field: FieldSpec, factors: tuple = ()):
         self.name = name
@@ -69,16 +71,13 @@ class BasedSpace:
         if labels is None:
             self._labels = None
             self.dim = prod(f.dim for f in factors)
-            # joined labels can only collide when an atomic label contains
-            # the separator (file labels never do)
-            self._has_sep = any(f._has_sep for f in factors)
-            if self._has_sep:
-                labels = self.labels
-        else:
-            labels = self._labels = tuple(labels)
-            self.dim = len(labels)
-            self._has_sep = any(TENSOR_SEP in lab for lab in labels)
-        if labels is not None and len(set(labels)) != len(labels):
+            return
+        labels = self._labels = tuple(labels)
+        self.dim = len(labels)
+        joined = next((lab for lab in labels if TENSOR_SEP in lab), None)
+        if joined is not None:
+            raise ValueError(f"basis label {joined!r} of {name} contains {TENSOR_SEP!r}")
+        if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate basis labels in {name}")
 
     @property

@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from importlib import resources
@@ -882,3 +883,51 @@ def test_the_file_argument_is_declared_once():
         node for node in ast.walk(tree)
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "click.argument"]
     assert [ast.unparse(node) for node in declared] == ["click.argument('file')"]
+
+
+def test_readme_command_lines_exit_0(runner, tmp_path, monkeypatch):
+    """Every line of the README's command-line block exits 0: the shipped
+    files are found under $HOPFCLEFT_FIXTURE_DIR, my_cocycle.had is the
+    classical cocycle, and later lines read the files earlier ones wrote."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert len(lines) == 8 and all(line.startswith("hopfcleft ") for line in lines)
+    (tmp_path / "my_cocycle.had").write_text(CLASSICAL_COCYCLE)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        result = run(runner, shlex.split(line)[1:], env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})
+        assert result.exit_code == 0, (line, result.output)
+
+
+NO_ANTIPODE = """\
+field: Q
+space M: 1 e
+tensor M_comul comul@M: (1.1, 1, 1) (e.e, e, 1)
+tensor M_counit counit@M: (1, 1, 1) (1, e, 1)
+tensor M_mul mul@M: (1, 1.1, 1) (e, 1.e, 1) (e, e.1, 1) (e, e.e, 1)
+tensor M_unit unit@M: (1, 1, 1)
+role hopf_algebra X: comul=M_comul counit=M_counit mul=M_mul space=M unit=M_unit
+"""
+
+
+def test_a_structure_that_cannot_be_inverted_is_an_input_error(runner, tmp_path):
+    """Building a role solves for what it needs: the antipode of a
+    hopf_algebra bound without one (here the monoid bialgebra kM2, e^2 = e)
+    and the inverse of a section. When there is none, the build fails and
+    the command exits 2 without a report."""
+    path = tmp_path / "km2.had"
+    path.write_text(NO_ANTIPODE)
+    result = run(runner, ["verify-hopf", str(path)])
+    assert (result.exit_code, result.output) == (
+        2, "error: role 'X' (hopf_algebra): identity is not convolution invertible\n")
+    crossed = tmp_path / "crossed.had"
+    cocycle = tmp_path / "cocycle.had"
+    cocycle.write_text(CLASSICAL_COCYCLE)
+    assert run(runner, ["crossed-product", str(cocycle), "--out", str(crossed)]).exit_code == 0
+    # the section 1 -> 1 # 1, g -> 0
+    crossed.write_text(re.sub(
+        r"^(tensor \w+ section@\S+).*$", r"\1 (1, 1, 1)", crossed.read_text(), flags=re.M))
+    result = run(runner, ["cocycle-from-cleft", str(crossed)])
+    assert (result.exit_code, result.output) == (
+        2, "error: role 'B' (cleft_extension): no right convolution inverse\n")

@@ -9,7 +9,6 @@ from hopfcleft.cocycle import (
     mu_sigma,
     pair_coalgebra,
     sigma_recovery,
-    smash_product,
     trivial_sigma,
     triple_coalgebra,
 )
@@ -84,8 +83,8 @@ def test_crossed_product_is_comodule_algebra(braided_cocycles):
 
 
 def test_smash_product_multiplication(qline_f3, braided_measuring):
-    cp = smash_product(braided_measuring)
     m = braided_measuring
+    cp = crossed_product(check_cocycle(m, trivial_sigma(m))[0])
     assert cp.algebra.mul == mu_sigma(m, trivial_sigma(m))
 
 

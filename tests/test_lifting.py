@@ -1,4 +1,5 @@
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from hopfcleft.errors import AxiomFailure, NotInvertible, SearchSpaceTooLarge, S
 from hopfcleft.fields import FieldSpec
 from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_grading
 from hopfcleft.hopf import (
+    AlgebraData,
     BialgebraData,
     check_hopf,
     convolution_inverse,
@@ -54,7 +56,7 @@ from hopfcleft.linalg import (
     unit_space,
 )
 from hopfcleft.oracle import enumerate_cocycles, enumerate_zprime
-from hopfcleft.report import CheckItem, map_equal_item
+from hopfcleft.report import CheckItem, CheckReport, map_equal_item
 
 from conftest import column, count_field_muls, kron, record_map_sizes
 
@@ -312,11 +314,108 @@ def test_census_twisting_search_over_the_bound_is_too_large(boson8, f5_sigmas):
         census_classes(boson8, f5_sigmas[:2], bound=5)
 
 
-def test_every_deformation_is_filtered_with_graded_top(boson8, f5_sigmas):
-    for s in f5_sigmas:
-        deformed = deform(boson8, s)
-        report = gr_check(boson8, deformed)
-        assert report.ok, str(report)
+def _column_walk_gr_check(b, deformed):
+    """Reference gr_check: walk the columns of the deformed and undeformed
+    products side by side; in the first column with an entry above the
+    degree sum the filtration fails, and in the first one whose top-degree
+    part differs from the undeformed product the top-degree item fails."""
+    report = CheckReport(f"graded comparison on {b.space.name}")
+    d = b.space.dim
+    degs = b.degrees
+    labels = b.space.labels
+    orig = b.hopf.mul
+    new = deformed.mul
+    new_cols, orig_cols = new._raw_columns(), orig._raw_columns()
+    filtered_ok = True
+    top_ok = True
+    witness_f = witness_t = None
+    for col, top in enumerate(lifting._degrees(orig.source, b.source)):
+        new_col = new_cols.get(col, ())
+        for i, _ in new_col:
+            if degs[i] > top:
+                filtered_ok = False
+                witness_f = f"{labels[i]} in {labels[col // d]} * {labels[col % d]}"
+                break
+        if not filtered_ok:
+            break
+        top_new = {i: v for i, v in new_col if degs[i] == top}
+        if top_new != dict(orig_cols.get(col, ())):
+            top_ok = False
+            witness_t = f"{labels[col // d]} * {labels[col % d]}"
+            break
+    report.add(CheckItem("products respect the filtration", filtered_ok, witness_f))
+    if filtered_ok:
+        report.add(CheckItem(
+            "top-degree component is the undeformed product", top_ok, witness_t))
+    return report
+
+
+def _perturbed(b, mul, changes):
+    """A bialgebra for gr_check: the bosonization's coalgebra with the
+    product ``mul`` plus ``value`` at each ((row, col), value) of
+    ``changes``."""
+    add = b.space.field.ops.add
+    raw = dict(mul.raw_entries())
+    for key, value in changes:
+        raw[key] = add(raw.get(key, 0), value)
+    product = LinearMap._from_raw(mul.source, mul.target, raw)
+    return BialgebraData(AlgebraData(b.space, product, b.hopf.unit), b.hopf.coalg)
+
+
+def _assert_gr_check_agrees(b, deformed):
+    report, reference = gr_check(b, deformed), _column_walk_gr_check(b, deformed)
+    assert (report.subject, report.items) == (reference.subject, reference.items)
+    return report
+
+
+def test_every_deformation_is_filtered_with_graded_top(boson4, boson8, f5_sigmas):
+    for b, sigmas in ((boson4, enumerate_zprime(boson4)), (boson8, f5_sigmas)):
+        for s in sigmas:
+            report = _assert_gr_check_agrees(b, deform(b, s))
+            assert report.ok, str(report)
+
+
+@pytest.mark.parametrize("name", ["boson4", "boson8"])
+def test_gr_check_agrees_with_the_column_walk_on_perturbed_products(request, name):
+    b = request.getfixturevalue(name)
+    p, d = b.space.field.p, b.space.dim
+    rng = random.Random(2020)
+    outcomes = set()
+    for s in enumerate_zprime(b):
+        mul = deform(b, s).mul
+        for _ in range(60):
+            changes = [((rng.randrange(d), rng.randrange(d * d)), rng.randrange(1, p))
+                       for _ in range(rng.randint(1, 3))]
+            failure = _assert_gr_check_agrees(b, _perturbed(b, mul, changes)).first_failure()
+            outcomes.add(failure and failure.name)
+    assert outcomes == {None, "products respect the filtration",
+                        "top-degree component is the undeformed product"}
+
+
+@pytest.mark.parametrize("name", ["boson4", "boson8"])
+def test_gr_check_reports_the_first_failing_column(request, name):
+    b = request.getfixturevalue(name)
+    d, degs, labels = b.space.dim, b.degrees, b.space.labels
+    tops = lifting._degrees(b.hopf.mul.source, b.source)
+    first, *_, last = [col for col in range(d * d) if tops[col] == 0]
+    low, high = degs.index(0), degs.index(1)  # a top-degree row and one above
+    pair = f"{labels[first // d]} * {labels[first % d]}"
+    mul = b.hopf.mul
+    # a top-degree mismatch before a later entry above the degree sum
+    report = _assert_gr_check_agrees(b, _perturbed(b, mul, [((low, first), 1), ((high, last), 1)]))
+    assert report.items == [
+        CheckItem("products respect the filtration", True),
+        CheckItem("top-degree component is the undeformed product", False, pair)]
+    # an entry above the degree sum before a later top-degree mismatch, and
+    # both in one column
+    for second in (last, first):
+        report = _assert_gr_check_agrees(
+            b, _perturbed(b, mul, [((high, first), 1), ((low, second), 1)]))
+        assert report.items == [CheckItem(
+            "products respect the filtration", False, f"{labels[high]} in {pair}")]
+    # two entries above the degree sum in one column
+    highs = [i for i in range(d) if degs[i] == 1]
+    _assert_gr_check_agrees(b, _perturbed(b, mul, [((highs[-1], first), 1), ((high, first), 1)]))
 
 
 def _materialised_doi_product(b, sigmas):
@@ -456,7 +555,7 @@ def test_census_readers_scan_each_map_once(boson8, f5_sigmas, monkeypatch):
     assert max(counts.values()) <= 4, counts  # comul, mul and the two cocycles
     counts.update(entries=0, _raw_columns=0)
     report = gr_check(b, deformed)
-    assert max(counts.values()) <= 2, counts  # the undeformed and deformed products
+    assert max(counts.values()) <= 2, counts  # at most the two products
     monkeypatch.undo()
     assert equations and report.ok
 

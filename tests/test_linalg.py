@@ -346,24 +346,29 @@ def test_separator_search_is_once_per_atomic_space(monkeypatch):
 
 def test_same_basis_between_tensor_and_atomic_spaces():
     uvw = tensor_space(U, V, W)
-    flat = BasedSpace("flat", uvw.labels, F5)
-    assert uvw.same_basis(flat) and flat.same_basis(uvw)
+    # an atomic space never has the joined labels of a product
+    with pytest.raises(ValueError):
+        BasedSpace("flat", uvw.labels, F5)
+    again = tensor_space(tensor_space(U, V), W)
+    assert again is not uvw and uvw.same_basis(again) and again.same_basis(uvw)
     other = BasedSpace("other", tuple(f"x{k}" for k in range(uvw.dim)), F5)
     assert not uvw.same_basis(other) and not other.same_basis(uvw)
     assert not uvw.same_basis(tensor_space(V, U, W))
-    assert not uvw.same_basis(BasedSpace("flat", uvw.labels, Q))
+    over_q = (based_space(s.name, s.labels, Q) for s in (U, V, W))
+    assert not uvw.same_basis(tensor_space(*over_q))
     # maps that compare equal hash alike
     f = LinearMap(uvw, U, {(1, 3): F5.one()})
-    g = LinearMap(flat, U, {(1, 3): F5.one()})
+    g = LinearMap(again, U, {(1, 3): F5.one()})
     assert f == g and hash(f) == hash(g)
 
 
 def test_tensor_space_rejects_colliding_joined_labels():
-    # "a" + "b.c" and "a.b" + "c" both join to "a.b.c"
-    left = based_space("P", ["a", "a.b"], F5)
-    right = based_space("R", ["b.c", "c"], F5)
-    with pytest.raises(ValueError):
-        tensor_space(left, right)
+    # "a" + "b.c" and "a.b" + "c" would both join to "a.b.c": an atomic
+    # label holding the separator is refused, so joined labels are unique
+    with pytest.raises(ValueError, match=r"'a\.b' of P contains '\.'"):
+        based_space("P", ["a", "a.b"], F5)
+    with pytest.raises(ValueError, match=r"'b\.c' of R contains '\.'"):
+        based_space("R", ["b.c", "c"], F5)
 
 
 # -- the sparse elimination against dense Gauss-Jordan ----------------------
