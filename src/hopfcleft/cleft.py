@@ -67,18 +67,6 @@ def make_cleft(b: ComoduleAlgebra, gamma: LinearMap) -> CleftExtension:
     return CleftExtension(b, gamma, gamma_inv)
 
 
-def normalize_section(ce: CleftExtension) -> CleftExtension:
-    """Replace gamma by gamma' = mul (gamma_inv (x) gamma)(unit (x) id), which
-    is again a section and satisfies gamma'(1) = 1."""
-    b = ce.comodule_algebra
-    h = ce.hopf
-    gamma = compose(
-        b.algebra.mul, tensor_map(compose(ce.gamma_inv, h.unit), ce.gamma))
-    gamma_inv = compose(
-        b.algebra.mul, tensor_map(ce.gamma_inv, compose(ce.gamma, h.unit)))
-    return CleftExtension(b, gamma, gamma_inv)
-
-
 def check_cleft(ce: CleftExtension) -> CheckReport:
     """All defining properties: comodule algebra axioms, the section being a
     comodule morphism, two-sided convolution invertibility, and the induced
@@ -111,11 +99,6 @@ def check_cleft(ce: CleftExtension) -> CheckReport:
             ),
         ))
     return report
-
-
-def is_cleft_object(ce: CleftExtension) -> bool:
-    """A cleft extension is a cleft object when the coinvariants are trivial."""
-    return coinvariants(ce.comodule_algebra).algebra.space.dim == 1
 
 
 def closed_form_cleft(b: ComoduleAlgebra, gamma: LinearMap,

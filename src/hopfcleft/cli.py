@@ -209,7 +209,7 @@ def verify_yd(df, role_name, fmt):
     obj = io.build(df, role.name)
     yd = obj if role.kind == "yd_module" else obj.hopf.yd
     report = check_yd(yd)
-    report.extend(check_braiding_axioms(yd, yd, yd.module, yd.module))
+    report.extend(check_braiding_axioms(yd, yd.module))
     _finish(report, fmt)
 
 

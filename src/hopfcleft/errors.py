@@ -13,10 +13,6 @@ class DivisionByZero(HopfcleftError):
     pass
 
 
-class NoSuchRoot(HopfcleftError):
-    pass
-
-
 class ShapeMismatch(HopfcleftError):
     pass
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
-from .errors import DivisionByZero, FieldMismatch, NoSuchRoot
+from .errors import DivisionByZero, FieldMismatch
 
 RATIONALS = "rationals"
 PRIME = "prime"
@@ -363,14 +363,6 @@ class FieldSpec:
         # polynomial by it stays integral
         return tuple(c.numerator for c in cyclotomic_polynomial(self.n))
 
-    def zeta(self) -> "Scalar":
-        """The residue class of x in Q(zeta_n)."""
-        if self.kind != CYCLOTOMIC:
-            raise NoSuchRoot("zeta only exists in cyclotomic fields")
-        if self.degree == 1:  # Q(zeta_1) = Q(zeta_2) = Q
-            return self.scalar(1 if self.n == 1 else -1)
-        return self.scalar([0, 1])
-
     def parse(self, text: str) -> "Scalar":
         """Parse the file-format notation: 'a/b', integer, or '[c0,c1,...]'."""
         text = text.strip()
@@ -470,31 +462,3 @@ class Scalar:
 
     def __str__(self) -> str:
         return self.field.format(self)
-
-
-def root_of_unity(field: FieldSpec, n: int) -> Scalar:
-    """A primitive n-th root of unity, when the field has one."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n == 1:
-        return field.one()
-    if field.kind == RATIONALS:
-        if n == 2:
-            return field.scalar(-1)
-        raise NoSuchRoot(f"Q has no primitive {n}-th root of unity")
-    if field.kind == PRIME:
-        if (field.p - 1) % n != 0:
-            raise NoSuchRoot(f"F_{field.p} has no primitive {n}-th root of unity")
-        e = (field.p - 1) // n
-        for a in range(2, field.p):
-            z = pow(a, e, field.p)
-            if all(pow(z, k, field.p) != 1 for k in range(1, n)):
-                return field.scalar(z)
-        raise NoSuchRoot(f"F_{field.p} has no primitive {n}-th root of unity")
-    # the roots of unity of Q(zeta_m) form a cyclic group of order lcm(2, m),
-    # generated by zeta_m (m even) or -zeta_m (m odd)
-    m = field.n
-    order, generator = (m, field.zeta()) if m % 2 == 0 else (2 * m, -field.zeta())
-    if order % n != 0:
-        raise NoSuchRoot(f"{field} has no primitive {n}-th root of unity")
-    return generator ** (order // n)

@@ -1,7 +1,9 @@
-"""Concrete structure-constant fixtures used by tests, the CLI and the census.
+"""Concrete structure-constant fixtures: cyclic group algebras and the
+quantum line over a cyclic group.
 
-All fixtures are small (dim <= 16): cyclic group algebras, the quantum line
-over a cyclic group, and a bialgebra that is not Hopf.
+The tests and the benchmark's input generator build their inputs from these
+(so does the README's library example). The CLI never imports this module:
+its commands read definition files.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ from .hopf import AlgebraData, BialgebraData, CoalgebraData, antipode
 from .linalg import LinearMap, based_space, tensor_space, unit_space
 
 
-def cyclic_group_hopf(field: FieldSpec, n: int, name: str | None = None) -> BialgebraData:
+def cyclic_group_hopf(field: FieldSpec, n: int) -> BialgebraData:
     """The group algebra of the cyclic group of order n, as a Hopf algebra."""
-    name = name or f"kC{n}"
     labels = ["1"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)]
-    space = based_space(name, labels, field)
+    space = based_space(f"kC{n}", labels, field)
     one_s = field.one()
     unit1 = unit_space(field)
     mul = LinearMap.from_labels(
@@ -37,30 +38,13 @@ def cyclic_group_hopf(field: FieldSpec, n: int, name: str | None = None) -> Bial
     return BialgebraData(alg, coalg, s_map)
 
 
-def non_hopf_bialgebra(field: FieldSpec) -> BialgebraData:
-    """The monoid algebra of {1, e} with e^2 = e and e grouplike: a bialgebra
-    whose identity map is not convolution invertible."""
-    space = based_space("kM2", ["1", "e"], field)
-    one_s = field.one()
-    unit1 = unit_space(field)
-    mul = LinearMap.from_labels(
-        tensor_space(space, space), space,
-        [("1", "1.1", one_s), ("e", "1.e", one_s), ("e", "e.1", one_s), ("e", "e.e", one_s)],
-    )
-    unit = LinearMap.from_labels(unit1, space, [("1", "1", one_s)])
-    comul = LinearMap.from_labels(
-        space, tensor_space(space, space), [("1.1", "1", one_s), ("e.e", "e", one_s)])
-    counit = LinearMap.from_labels(space, unit1, [("1", "1", one_s), ("1", "e", one_s)])
-    return BialgebraData(AlgebraData(space, mul, unit), CoalgebraData(space, comul, counit))
-
-
-def quantum_line(ambient: BialgebraData, name: str = "R") -> BialgebraData:
+def quantum_line(ambient: BialgebraData) -> BialgebraData:
     """The quantum line R = k[x]/(x^2) as a Hopf algebra in the Yetter-Drinfeld
     category over a cyclic group algebra: x is g-homogeneous and g.x = -x."""
     field = ambient.space.field
     q = field.scalar(-1)
     n = ambient.space.dim
-    space = based_space(name, ["1", "x"], field)
+    space = based_space("R", ["1", "x"], field)
     one_s = field.one()
     zero1 = unit_space(field)
     # action: g^i . 1 = 1, g^i . x = (-1)^i x

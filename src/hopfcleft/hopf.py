@@ -30,7 +30,6 @@ from .linalg import (
     LinearMap,
     _rref,
     compose,
-    compose_all,
     tensor_map,
     tensor_space,
     unit_space,
@@ -336,13 +335,6 @@ def convolution_inverse(f: LinearMap, c: CoalgebraData, a: AlgebraData) -> Linea
     return g
 
 
-def convolution_inverse_or_none(f: LinearMap, c: CoalgebraData, a: AlgebraData):
-    try:
-        return convolution_inverse(f, c, a)
-    except NotInvertible:
-        return None
-
-
 def antipode(b: BialgebraData) -> LinearMap:
     """The convolution inverse of the identity; raises NotHopf if absent."""
     try:
@@ -360,40 +352,4 @@ def check_hopf(h: BialgebraData) -> CheckReport:
         "id * S = unit", convolution(ident, h.antipode, h.coalg, h.alg), eta_eps))
     report.add(map_equal_item(
         "S * id = unit", convolution(h.antipode, ident, h.coalg, h.alg), eta_eps))
-    return report
-
-
-def check_conv_naturality(
-    psi: LinearMap,
-    f: LinearMap,
-    g: LinearMap,
-    phi: LinearMap,
-    c: CoalgebraData,
-    a: AlgebraData,
-    c_src: CoalgebraData,
-    a_dst: AlgebraData,
-) -> CheckReport:
-    """psi (f * g) phi = (psi f phi) * (psi g phi), for an algebra morphism psi
-    and a coalgebra morphism phi; on invertible f also checks the inverse rule."""
-    report = CheckReport("convolution naturality")
-    report.add(map_equal_item(
-        "psi is an algebra morphism",
-        compose(psi, a.mul),
-        compose(a_dst.mul, tensor_map(psi, psi)),
-    ))
-    report.add(map_equal_item(
-        "phi is a coalgebra morphism",
-        compose(c.comul, phi),
-        compose(tensor_map(phi, phi), c_src.comul),
-    ))
-    lhs = compose_all(psi, convolution(f, g, c, a), phi)
-    rhs = convolution(compose_all(psi, f, phi), compose_all(psi, g, phi), c_src, a_dst)
-    report.add(map_equal_item("psi (f*g) phi = (psi f phi)*(psi g phi)", lhs, rhs))
-    f_inv = convolution_inverse_or_none(f, c, a)
-    if f_inv is not None:
-        report.add(map_equal_item(
-            "inverse transports: (psi f phi)^-1 = psi f^-1 phi",
-            convolution_inverse(compose_all(psi, f, phi), c_src, a_dst),
-            compose_all(psi, f_inv, phi),
-        ))
     return report

@@ -100,8 +100,9 @@ def check_graded(g: GradedYDHopf) -> CheckReport:
     report = CheckReport(f"grading on {g.space.name}")
     r = g.hopf
     zero_labels = [lab for lab in g.space.labels if g.grading[lab] == 0]
-    connected = len(zero_labels) == 1 and r.unit.raw_entries() == {
-        (g.space.index(zero_labels[0]), 0): g.space.field.one().value}
+    # the unit is a nonzero multiple of the one degree-zero basis vector
+    connected = len(zero_labels) == 1 and list(r.unit.raw_entries()) == [
+        (g.space.index(zero_labels[0]), 0)]
     report.add(CheckItem(
         "degree zero is spanned by the unit", connected,
         None if connected else f"degree-zero labels {zero_labels}"))
@@ -323,7 +324,7 @@ def check_equivariant_pair(g: GradedYDHopf, f: LinearMap) -> CheckReport:
     report.add(map_equal_item(
         "equivariance",
         compose(f, pair.action),
-        compose(tensor_map(g.ambient.counit, f), LinearMap.identity(pair.action.source)),
+        tensor_map(g.ambient.counit, f),
     ))
     return report
 
@@ -519,9 +520,6 @@ class CensusResult:
         self.sigmas = sigmas  # their extensions to the bosonization
         self.classes = classes  # crossed-product isomorphism classes (indices)
 
-    def representatives(self) -> list[Cocycle]:
-        return [self.sigmas[group[0]] for group in self.classes]
-
 
 def cleft_prime_census(b: Bosonization, bound: int = CENSUS_BOUND) -> CensusResult:
     """Enumerate all braided scalar cocycles on R, extend them to the
@@ -613,26 +611,25 @@ def _cleft_objects_isomorphic(
     hopf = b.hopf
     d = b.space.dim
     p = field.p
-    unit_col = next(iter(hopf.unit.raw_entries()))[0]
-    order = sorted((i for i in range(d) if i != unit_col), key=lambda i: (b.degrees[i], i))
+    # phi[d] = 1 is the constant slot; phi(1) = 1 is one more equation,
+    # sum_k u_k phi[k] - 1 = 0 over the unit's coordinates u
+    unit = [(d, k, v) for (k, _), v in hopf.unit.raw_entries().items()]
+    order = sorted(range(d), key=lambda i: (b.degrees[i], i))
     rank = {u: t for t, u in enumerate(order)}
-    rank[unit_col] = -1
+    rank[d] = -1
     # per level: (terms, solvable) for each equation whose last unknown is
     # bound there; solvable = (coefficients of u, the terms without u) when
     # the level's unknown u occurs only linearly
     levels: list[list] = [[] for _ in order]
-    for terms in _twisting_equations(b, s1, s2, unit_col):
+    for terms in [[*unit, (d, d, p - 1)], *_twisting_equations(b, s1, s2)]:
         last = max(rank[a] for t in terms for a in t[:2])
-        if last < 0:
-            return False  # a nonzero constant: no phi satisfies it
         u = order[last]
         solvable = None
         if all(t[:2] != (u, u) for t in terms):
             solvable = ([(bb if a == u else a, c) for a, bb, c in terms if u in (a, bb)],
                         [t for t in terms if u not in t[:2]])
         levels[last].append((terms, solvable))
-    ph = [0] * d
-    ph[unit_col] = 1
+    ph = [0] * d + [1]
     unit_alg = s1.measuring.algebra
     tried = 0
 
@@ -673,11 +670,11 @@ def _cleft_objects_isomorphic(
     return search(0)
 
 
-def _twisting_equations(b: Bosonization, s1: Cocycle, s2: Cocycle, unit_col: int):
+def _twisting_equations(b: Bosonization, s1: Cocycle, s2: Cocycle):
     """The twisting equation of each basis pair (x, y) as residue terms
-    (a, b, c), read c phi[a] phi[b], with phi[unit_col] = 1 standing in for
-    the constant and linear terms. Vanishing equations are left out; plain
-    residue arithmetic keeps the search fast."""
+    (a, b, c), read c phi[a] phi[b], with the constant slot phi[d] = 1
+    (d the dimension) standing in for the linear terms. Vanishing equations
+    are left out; plain residue arithmetic keeps the search fast."""
     hopf = b.hopf
     d = b.space.dim
     p = b.space.field.p
@@ -699,7 +696,7 @@ def _twisting_equations(b: Bosonization, s1: Cocycle, s2: Cocycle, unit_col: int
                     sv = sig2.get(x1 * d + y1)
                     if sv is not None:
                         for k, mv in mul.get(x2 * d + y2, ()):
-                            key = (unit_col, k)
+                            key = (d, k)
                             eq[key] = eq.get(key, 0) + sv * c * mv
                     sv = sig1.get(x2 * d + y2)
                     if sv is not None:

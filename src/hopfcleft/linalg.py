@@ -35,9 +35,9 @@ factor shapes stays factored as (a.c) (x) (b.d). A string diagram written as
 a chain of ``tensor_map(f, id)`` therefore runs as slot contractions; a slot
 application is ``compose(tensor_maps(id_L, f, id_R), g)``.
 
-``solve_linear``, ``kernel_basis``, ``nullity``, ``equalizer`` and ``invert``
-run sparse Gauss-Jordan elimination (``_rref``) on the rows of the entries.
-The reduced row echelon form is unique, so solutions (free unknowns zero) and
+``solve_linear``, ``equalizer`` (through ``_kernel``) and ``invert`` run
+sparse Gauss-Jordan elimination (``_rref``) on the rows of the entries. The
+reduced row echelon form is unique, so solutions (free unknowns zero) and
 kernel bases do not depend on the order in which rows are eliminated.
 """
 
@@ -212,10 +212,6 @@ class LinearMap:
         one = space.field.one()
         return LinearMap(space, space, {(i, i): one for i in range(space.dim)})
 
-    @staticmethod
-    def zero(source: BasedSpace, target: BasedSpace) -> "LinearMap":
-        return LinearMap(source, target, {})
-
     def __getitem__(self, key) -> Scalar:
         v = self.raw_entries().get(key)
         return self.source.field.zero() if v is None else Scalar(self.source.field, v)
@@ -239,9 +235,6 @@ class LinearMap:
                 rows.setdefault(i, []).append((j, v))
             self._rows = rows
         return self._rows
-
-    def is_zero(self) -> bool:
-        return not self.raw_entries()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearMap):
@@ -491,13 +484,6 @@ def _kernel(f: LinearMap) -> list[dict]:
     ]
 
 
-def kernel_basis(f: LinearMap) -> list[list[Scalar]]:
-    """Reduced-echelon kernel basis (as coordinate vectors in f.source)."""
-    field = f.source.field
-    zero = field.zero().value
-    return [[Scalar(field, vec.get(i, zero)) for i in range(f.source.dim)] for vec in _kernel(f)]
-
-
 def equalizer(f: LinearMap, g: LinearMap) -> tuple[BasedSpace, LinearMap]:
     """Equalizer of parallel maps: (E, inclusion) with E = ker(f - g)."""
     f._check_parallel(g)
@@ -533,8 +519,3 @@ def invert(f: LinearMap) -> LinearMap:
     if compose(g, f) != LinearMap.identity(f.source):
         raise NoSolution("map is singular")
     return g
-
-
-def nullity(f: LinearMap) -> int:
-    return f.source.dim - len(_rref(f.raw_entries().items(), f.source.field.ops))
-

@@ -1,13 +1,26 @@
 import pytest
 from hypothesis import settings
 
+from hopfcleft.braided import HModule, YDModule, braiding
 from hopfcleft.errors import NotInvertible
 from hopfcleft.fields import FieldSpec
 from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_grading
+from hopfcleft.hopf import AlgebraData, BialgebraData, CoalgebraData, convolution_inverse
 from hopfcleft.lifting import GradedYDHopf, bosonize
 from hopfcleft import linalg
-from hopfcleft.linalg import LinearMap, TensorMap, tensor_space
-from hopfcleft.report import CheckItem
+from hopfcleft.linalg import (
+    LinearMap,
+    TensorMap,
+    based_space,
+    compose,
+    compose_all,
+    invert,
+    tensor_map,
+    tensor_maps,
+    tensor_space,
+    unit_space,
+)
+from hopfcleft.report import CheckItem, map_equal_item
 
 # no per-example deadline: the exact arithmetic is slow on a slow host, and a
 # deadline turns that into a flaky failure; no example database, so a run
@@ -137,6 +150,90 @@ def ref_braided_product(f, a, b, c_ba):
     return ref_compose(kron(a.mul, b.mul), ref_compose(middle, kron(f, f)))
 
 
+def convolution_inverse_or_none(f, c, a):
+    """The convolution inverse of f, or None when f has none."""
+    try:
+        return convolution_inverse(f, c, a)
+    except NotInvertible:
+        return None
+
+
+def non_hopf_bialgebra(field: FieldSpec) -> BialgebraData:
+    """The monoid algebra of {1, e} with e^2 = e and e grouplike: a bialgebra
+    whose identity map is not convolution invertible."""
+    space = based_space("kM2", ["1", "e"], field)
+    one_s = field.one()
+    unit1 = unit_space(field)
+    mul = LinearMap.from_labels(
+        tensor_space(space, space), space,
+        [("1", "1.1", one_s), ("e", "1.e", one_s), ("e", "e.1", one_s), ("e", "e.e", one_s)],
+    )
+    unit = LinearMap.from_labels(unit1, space, [("1", "1", one_s)])
+    comul = LinearMap.from_labels(
+        space, tensor_space(space, space), [("1.1", "1", one_s), ("e.e", "e", one_s)])
+    counit = LinearMap.from_labels(space, unit1, [("1", "1", one_s), ("1", "e", one_s)])
+    return BialgebraData(AlgebraData(space, mul, unit), CoalgebraData(space, comul, counit))
+
+
+def degree_zero_projection(g) -> LinearMap:
+    """The projection R -> R of a graded R onto its degree-zero part. The
+    ambient action and coaction preserve degree, so it is a morphism of
+    Yetter-Drinfeld modules, and it is not the identity."""
+    one = g.space.field.one()
+    return LinearMap(g.space, g.space, {
+        (i, i): one for i, lab in enumerate(g.space.labels) if g.grading[lab] == 0})
+
+
+def braiding_naturality_item(x, v, f, h) -> CheckItem:
+    """Naturality of the braiding c = c_{X,V} in both slots, c (f (x) h) =
+    (h (x) f) c, for a Yetter-Drinfeld morphism f: X -> X and a module
+    morphism h: V -> V."""
+    c = braiding(x, v)
+    return map_equal_item(
+        "naturality", compose(c, tensor_map(f, h)), compose(tensor_map(h, f), c))
+
+
+def change_of_basis(g, new_bases: dict, grading: dict) -> GradedYDHopf:
+    """The graded Hopf algebra ``g`` and its ambient written in other bases.
+    ``new_bases`` maps an atomic space of g (R or the ambient's) to (labels,
+    columns): column j holds the old coordinates of the j-th new basis
+    vector. Each structure map m becomes P^-1 m P, with P on each side the
+    tensor product of the factors' changes of basis; ``grading`` gives the
+    degrees of R's new basis."""
+    field = g.space.field
+    moves = {}  # old atomic space -> (new space, P: new -> old)
+    for old, (labels, columns) in new_bases.items():
+        new = based_space(old.name, labels, field)
+        moves[old] = (new, LinearMap(new, old, {
+            (i, j): field.scalar(v)
+            for j, col in enumerate(columns) for i, v in enumerate(col) if v}))
+
+    def new_space(space):
+        return tensor_space(*(moves.get(f, (f,))[0] for f in space.atomic_factors()))
+
+    def rewrite(m):
+        p_source = tensor_maps(*(
+            moves[f][1] if f in moves else LinearMap.identity(f)
+            for f in m.source.atomic_factors()))
+        p_target_inv = tensor_maps(*(
+            invert(moves[f][1]) if f in moves else LinearMap.identity(f)
+            for f in m.target.atomic_factors()))
+        out = compose_all(p_target_inv, m, p_source)
+        return LinearMap(new_space(m.source), new_space(m.target), out.entries)
+
+    def bialgebra(b, space, yd=None):
+        return BialgebraData(
+            AlgebraData(space, rewrite(b.mul), rewrite(b.unit)),
+            CoalgebraData(space, rewrite(b.comul), rewrite(b.counit)),
+            rewrite(b.antipode), yd=yd)
+
+    r = g.hopf
+    ambient = bialgebra(g.ambient, new_space(g.ambient.space))
+    space = new_space(r.space)
+    yd = YDModule(HModule(ambient, space, rewrite(r.yd.module.action)), rewrite(r.yd.coaction))
+    return GradedYDHopf(bialgebra(r, space, yd), grading)
+
+
 def count_field_muls(monkeypatch) -> list:
     """Count every multiplication of field elements until ``monkeypatch``
     is undone: each field's ``ops`` reads as a copy whose raw ``mul``
@@ -261,3 +358,33 @@ def boson4(qline_f3):
 @pytest.fixture(scope="session")
 def boson8(qline_f5):
     return bosonize(qline_f5)
+
+
+def _rebased(line):
+    """The line with its ambient on b0 = 1 + g, b_i = g^i: its unit is
+    b0 - b1, not a basis vector."""
+    k = line.ambient.space
+    columns = [[1, 1] + [0] * (k.dim - 2)] + [
+        [int(i == j) for i in range(k.dim)] for j in range(1, k.dim)]
+    labels = [f"b{j}" for j in range(k.dim)]
+    return change_of_basis(line, {k: (labels, columns)}, line.grading)
+
+
+def _rescaled(line):
+    """The line with R on e = 2 * 1 and x: R's unit is 2^-1 e."""
+    return change_of_basis(line, {line.space: (["e", "x"], [[2, 0], [0, 1]])}, {"e": 0, "x": 1})
+
+
+@pytest.fixture(scope="session")
+def boson4_rebased(qline_f3):
+    return bosonize(_rebased(qline_f3))
+
+
+@pytest.fixture(scope="session")
+def qline_f5_rebased(qline_f5):
+    return _rebased(qline_f5)
+
+
+@pytest.fixture(scope="session")
+def qline_f5_rescaled(qline_f5):
+    return _rescaled(qline_f5)

@@ -30,7 +30,7 @@ from hopfcleft.cocycle import (
     sigma_recovery,
 )
 from hopfcleft.fixtures import cyclic_group_hopf
-from hopfcleft.hopf import check_hopf, convolution_inverse, convolution_inverse_or_none
+from hopfcleft.hopf import check_hopf, convolution_inverse
 from hopfcleft.lifting import (
     check_cprime_section,
     check_zprime,
@@ -42,7 +42,7 @@ from hopfcleft.lifting import (
     psi,
     sigma_gamma_restricts,
 )
-from hopfcleft.linalg import LinearMap, unit_space
+from hopfcleft.linalg import LinearMap, compose, unit_space
 from hopfcleft.oracle import (
     SearchSpace,
     _candidate_maps,
@@ -52,7 +52,12 @@ from hopfcleft.oracle import (
 )
 from hopfcleft.linalg import tensor_space
 
-from conftest import column
+from conftest import (
+    braiding_naturality_item,
+    column,
+    convolution_inverse_or_none,
+    degree_zero_projection,
+)
 
 
 @contextmanager
@@ -88,11 +93,16 @@ def test_criterion_2_braiding_axioms(qline_f3, qline_f5, kc4_f5):
         for g in (qline_f3, qline_f5):
             yd = g.hopf.yd
             assert check_yd(yd).ok
-            for v in (yd.module, trivial_module(yd.base, yd.base.space)):
-                report = check_braiding_axioms(
-                    yd, yd, v, v,
-                    LinearMap.identity(yd.space), LinearMap.identity(v.space))
+            proj = degree_zero_projection(g)
+            # the ambient as a trivial module: every linear map is a module
+            # morphism, here h -> eps(h) 1
+            base = yd.base
+            for v, h in ((yd.module, proj),
+                         (trivial_module(base, base.space), compose(base.unit, base.counit))):
+                report = check_braiding_axioms(yd, v)
                 assert report.ok, str(report)
+                item = braiding_naturality_item(yd, v, proj, h)
+                assert item.ok, item.line()
         yd = qline_f5.hopf.yd
         one = unit_space(kc4_f5.space.field)
         assert braiding(yd, trivial_module(kc4_f5, one)) == LinearMap.identity(yd.space)

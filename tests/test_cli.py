@@ -721,6 +721,36 @@ def test_census_finishes_on_the_quantum_line_over_kc4_f7(runner, tmp_path):
     assert "restricted cocycles: 7" in result.output
 
 
+@pytest.mark.parametrize("name,unit", [
+    ("qline_f5_rebased", "tensor KC4_unit unit@kC4: (b0, 1, 1) (b1, 1, 4)"),
+    ("qline_f5_rescaled", "tensor R_unit unit@R: (e, 1, 3)"),
+], ids=["rebased", "rescaled"])
+def test_a_unit_off_the_basis_gives_the_standard_census(runner, tmp_path, request, name, unit):
+    """phi(1) = 1 in the twisting search and connectedness are statements
+    about the unit, not about a basis vector. The kC4/F_5 line with its
+    ambient on b0 = 1 + g, b_i = g^i, or with R on e = 2 * 1 and x, has the
+    census classes of the shipped presentation, and the commands that read
+    one restricted cocycle pass on it."""
+    from hopfcleft import io
+
+    path = str(tmp_path / f"{name}.had")
+    io.save(io.graded_to_definition(request.getfixturevalue(name), ambient_name="KC4"), path)
+    assert unit in Path(path).read_text().splitlines()
+    standard = run(runner, ["census", "qline_kc4_f5.had"], env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})
+    result = run(runner, ["census", path])
+    assert result.exit_code == 0, result.output
+
+    def classes(output):
+        return [line for line in output.splitlines() if line.startswith("class ")]
+
+    assert classes(result.output) == classes(standard.output) == [
+        "class 0: cocycle indices [0]", "class 1: cocycle indices [1, 4]",
+        "class 2: cocycle indices [2, 3]"]
+    for command in ("psi", "gr-check", "phi-inverse", "deform"):
+        result = run(runner, [command, path, "--sigma-index", "1"])
+        assert result.exit_code == 0, (command, result.output)
+
+
 def _separate_streams_runner():
     # click < 8.2 mixes stderr into stdout unless told not to; later
     # versions always keep both and no longer take the flag

@@ -14,11 +14,11 @@ from hopfcleft.cocycle import (
 )
 from hopfcleft.errors import ShapeMismatch
 from hopfcleft.fixtures import cyclic_group_hopf
-from hopfcleft.hopf import BialgebraData, convolution_inverse_or_none
+from hopfcleft.hopf import BialgebraData
 from hopfcleft.linalg import LinearMap, compose, tensor_space
 from hopfcleft.oracle import enumerate_cocycles
 
-from conftest import kron, record_map_sizes
+from conftest import convolution_inverse_or_none, kron, record_map_sizes
 
 
 @pytest.fixture(scope="module")

