@@ -111,6 +111,12 @@ def _finish(report: CheckReport, fmt: str, notes: list[str] | None = None):
     sys.exit(0 if report.ok else 1)
 
 
+def _terms(m: LinearMap, field) -> list[tuple[int, str]]:
+    """(column, "value row-label") of each entry of ``m``, by row then column."""
+    return [(j, f"{field.format(v)} {m.target.labels[i]}")
+            for (i, j), v in sorted(m.raw_entries().items())]
+
+
 def _json_error(line: str):
     click.echo(json.dumps({"error": line, "ok": False}, indent=2, sort_keys=True))
 
@@ -296,11 +302,9 @@ def cocycle_from_cleft(df, role_name, fmt):
         _finish(report, fmt)
     m, cocycle, cocycle_report = cocycle_from_section(ce)
     report.extend(cocycle_report)
-    notes = [f"coinvariants: {m.space.name} (dim {m.space.dim})"]
-    for (i, j), v in sorted(cocycle.sigma.entries.items()):
-        v = df.field.format(v)
-        notes.append(
-            f"sigma({cocycle.sigma.source.labels[j]}) = {v} {cocycle.sigma.target.labels[i]}")
+    labels = cocycle.sigma.source.labels
+    notes = [f"coinvariants: {m.space.name} (dim {m.space.dim})"] + [
+        f"sigma({labels[j]}) = {term}" for j, term in _terms(cocycle.sigma, df.field)]
     _finish(report, fmt, notes)
 
 
@@ -468,10 +472,7 @@ def convolution_inverse_cmd(df, role_name, fmt, tensor_name):
     inverse = convolution_inverse(f, h.coalg, h.alg)
     report = CheckReport(f"convolution inverse over {h.space.name}")
     report.add(CheckItem("two-sided convolution inverse exists", True))
-    notes = []
-    for (i, j), v in sorted(inverse.entries.items()):
-        v = df.field.format(v)
-        notes.append(f"{h.space.labels[j]} -> {v} {h.space.labels[i]}")
+    notes = [f"{h.space.labels[j]} -> {term}" for j, term in _terms(inverse, df.field)]
     _finish(report, fmt, notes)
 
 
@@ -485,11 +486,9 @@ def coinvariants_cmd(df, role_name, fmt):
     report.add(CheckItem("coinvariants carry an induced algebra", True))
     notes = [f"dimension: {coinv.algebra.space.dim}"]
     src = coinv.iota.source
-    entries = sorted(coinv.iota.entries.items())
+    terms = _terms(coinv.iota, df.field)
     for j in range(src.dim):
-        terms = [f"{df.field.format(v)} {coinv.iota.target.labels[i]}"
-                 for (i, jj), v in entries if jj == j]
-        notes.append(f"{src.labels[j]} = " + " + ".join(terms))
+        notes.append(f"{src.labels[j]} = " + " + ".join(t for jj, t in terms if jj == j))
     _finish(report, fmt, notes)
 
 

@@ -16,9 +16,13 @@ Each field has one implementation of its arithmetic, ``FieldSpec.ops``: add,
 mul, neg, inverse and is-zero on raw canonical values (an ``int`` mod p, a
 rational, or a coefficient tuple of rationals), built once per field object.
 The sparse kernels of ``linalg`` and ``hopf`` fetch it once per call and run on
-raw values, and a ``LinearMap`` stores raw values only. ``Scalar``, the
-wrapped value of the ``io`` and public boundary (file scalars, a map's
-``entries`` view), delegates its arithmetic to the same functions.
+raw values, and a ``LinearMap`` stores raw values only.
+
+``FieldSpec.value`` is the one normalizer: every value that enters a map
+passes through it, and ``parse`` and ``format`` read and print raw values.
+``Scalar`` is a view at the boundary: a raw value with its field, for a map's
+``entries`` and ``m[i, j]`` views and the public API, delegating its
+arithmetic to the same functions.
 """
 
 from __future__ import annotations
@@ -149,7 +153,10 @@ def _rational(text: str) -> int | Fraction:
     text = text.strip()
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"bad rational literal {text!r}")
-    return _canonical(Fraction(text)) if "/" in text else int(text)
+    num, _, den = text.partition("/")
+    if den and not int(den):
+        raise ValueError(f"zero denominator in {text!r}")
+    return _canonical(Fraction(int(num), int(den))) if den else int(num)
 
 
 def _canonical(x: int | Fraction) -> int | Fraction:
@@ -164,11 +171,6 @@ def _canonical_tuple(coeffs) -> tuple:
         if type(c) is not int:
             return tuple(c.numerator if c.denominator == 1 else c for c in coeffs)
     return tuple(coeffs)
-
-
-def _as_rational(value) -> int | Fraction:
-    """The raw rational of an int, a Fraction or anything Fraction accepts."""
-    return int(value) if isinstance(value, int) else _canonical(Fraction(value))
 
 
 def _rational_add(a, b):
@@ -254,22 +256,39 @@ class FieldSpec:
     def one(self) -> "Scalar":
         return self.scalar(1)
 
-    def scalar(self, value) -> "Scalar":
-        """Build a canonical scalar from an int, Fraction or coefficient list."""
+    def scalar(self, x) -> "Scalar":
+        """``x`` wrapped as a Scalar of this field, for the public boundary."""
+        return Scalar(self, self.value(x))
+
+    def value(self, x):
+        """The raw canonical value of an int, a Fraction, a Scalar of this
+        field or (Q(zeta_n) only) a list or tuple of coefficients of powers
+        of zeta: the one normalizer of values entering a map. ValueError
+        names anything else; DivisionByZero when p divides a denominator."""
+        if x.__class__ is Scalar:
+            if x.field is not self and x.field != self:
+                raise FieldMismatch(f"{x.field} vs {self}")
+            return x.value
+        if self.kind == CYCLOTOMIC and isinstance(x, (list, tuple)):
+            coeffs = [self._rational_value(c, x) for c in x]
+            # coefficients of 1, zeta, ..., zeta^(phi(n) - 1) are canonical
+            return tuple(coeffs) if len(coeffs) == self.degree else self._reduce(coeffs)
+        r = x if x.__class__ is int else self._rational_value(x, x)
         if self.kind == RATIONALS:
-            return Scalar(self, _as_rational(value))
+            return r
         if self.kind == PRIME:
-            if isinstance(value, Fraction):
-                if value.denominator % self.p == 0:
+            if r.__class__ is Fraction:
+                if r.denominator % self.p == 0:
                     raise DivisionByZero(f"denominator divisible by {self.p}")
-                value = value.numerator * pow(value.denominator, -1, self.p)
-            return Scalar(self, value % self.p)
-        d = self.degree
-        if isinstance(value, (int, Fraction)):
-            coeffs = [_as_rational(value)] + [0] * (d - 1)
-        else:
-            coeffs = self._reduce([_as_rational(c) for c in value])
-        return Scalar(self, tuple(coeffs))
+                r = r.numerator * pow(r.denominator, -1, self.p)
+            return r % self.p
+        return (r,) + (0,) * (self.degree - 1)
+
+    def _rational_value(self, c, x) -> int | Fraction:
+        """The raw rational of an int or a Fraction ``c``, part of ``x``."""
+        if isinstance(c, (int, Fraction)):
+            return int(c) if isinstance(c, int) else _canonical(c)
+        raise ValueError(f"{x!r} is not a value of {self}")
 
     @cached_property
     def ops(self) -> FieldOps:
@@ -363,23 +382,23 @@ class FieldSpec:
         # polynomial by it stays integral
         return tuple(c.numerator for c in cyclotomic_polynomial(self.n))
 
-    def parse(self, text: str) -> "Scalar":
-        """Parse the file-format notation: 'a/b', integer, or '[c0,c1,...]'."""
+    def parse(self, text: str):
+        """The raw value of the file-format notation: 'a/b', an integer, or
+        '[c0, c1, ...]' with a rational literal in every slot; ValueError
+        when it is malformed or names no value of this field."""
         text = text.strip()
         if text.startswith("["):
             if not text.endswith("]"):
                 raise ValueError(f"bad scalar literal {text!r}")
-            inner = text[1:-1].strip()
-            parts = [p for p in inner.split(",") if p.strip()] if inner else []
-            return self.scalar([_rational(p) for p in parts])
-        return self.scalar(_rational(text))
+            inner = text[1:-1]
+            return self.value([_rational(c) for c in inner.split(",")] if inner.strip() else [])
+        return self.value(_rational(text))
 
-    def format(self, s: "Scalar") -> str:
-        if self.kind == RATIONALS:
-            return str(s.value)
-        if self.kind == PRIME:
-            return str(s.value)
-        return "[" + ", ".join(str(c) for c in s.value) + "]"
+    def format(self, value) -> str:
+        """The file-format notation of a raw value."""
+        if self.kind == CYCLOTOMIC:
+            return "[" + ", ".join(str(c) for c in value) + "]"
+        return str(value)
 
     def __str__(self) -> str:
         if self.kind == RATIONALS:
@@ -420,9 +439,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.field.ops.is_zero(self.value)
 
-    def is_one(self) -> bool:
-        return self == self.field.one()
-
     def __add__(self, other: "Scalar") -> "Scalar":
         self._check(other)
         f = self.field
@@ -461,4 +477,4 @@ class Scalar:
         return result
 
     def __str__(self) -> str:
-        return self.field.format(self)
+        return self.field.format(self.value)

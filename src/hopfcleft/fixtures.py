@@ -18,21 +18,20 @@ def cyclic_group_hopf(field: FieldSpec, n: int) -> BialgebraData:
     """The group algebra of the cyclic group of order n, as a Hopf algebra."""
     labels = ["1"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)]
     space = based_space(f"kC{n}", labels, field)
-    one_s = field.one()
     unit1 = unit_space(field)
     mul = LinearMap.from_labels(
         tensor_space(space, space), space,
-        [(labels[(i + j) % n], labels[i] + "." + labels[j], one_s)
+        [(labels[(i + j) % n], labels[i] + "." + labels[j], 1)
          for i in range(n) for j in range(n)],
     ) if n > 1 else LinearMap.identity(space)
-    unit = LinearMap.from_labels(unit1, space, [("1", "1", one_s)])
+    unit = LinearMap.from_labels(unit1, space, [("1", "1", 1)])
     comul = LinearMap.from_labels(
         space, tensor_space(space, space),
-        [(lab + "." + lab, lab, one_s) for lab in labels],
+        [(lab + "." + lab, lab, 1) for lab in labels],
     ) if n > 1 else LinearMap.identity(space)
-    counit = LinearMap.from_labels(space, unit1, [("1", lab, one_s) for lab in labels])
+    counit = LinearMap.from_labels(space, unit1, [("1", lab, 1) for lab in labels])
     s_map = LinearMap.from_labels(
-        space, space, [(labels[(-i) % n], labels[i], one_s) for i in range(n)])
+        space, space, [(labels[(-i) % n], labels[i], 1) for i in range(n)])
     alg = AlgebraData(space, mul, unit)
     coalg = CoalgebraData(space, comul, counit)
     return BialgebraData(alg, coalg, s_map)
@@ -42,39 +41,26 @@ def quantum_line(ambient: BialgebraData) -> BialgebraData:
     """The quantum line R = k[x]/(x^2) as a Hopf algebra in the Yetter-Drinfeld
     category over a cyclic group algebra: x is g-homogeneous and g.x = -x."""
     field = ambient.space.field
-    q = field.scalar(-1)
     n = ambient.space.dim
     space = based_space("R", ["1", "x"], field)
-    one_s = field.one()
     zero1 = unit_space(field)
     # action: g^i . 1 = 1, g^i . x = (-1)^i x
-    triples = []
-    for i, hlab in enumerate(ambient.space.labels):
-        triples.append(("1", hlab + ".1", one_s))
-        triples.append(("x", hlab + ".x", q ** i))
-    action = LinearMap.from_labels(tensor_space(ambient.space, space), space, triples)
+    action = LinearMap.from_labels(tensor_space(ambient.space, space), space, [
+        t for i, h in enumerate(ambient.space.labels)
+        for t in (("1", h + ".1", 1), ("x", h + ".x", (-1) ** i))])
     glab = ambient.space.labels[1 % n]
     coaction = LinearMap.from_labels(
-        space, tensor_space(ambient.space, space),
-        [("1.1", "1", one_s), (glab + ".x", "x", one_s)],
-    )
+        space, tensor_space(ambient.space, space), [("1.1", "1", 1), (glab + ".x", "x", 1)])
     yd = YDModule(HModule(ambient, space, action), coaction)
 
     mul = LinearMap.from_labels(
-        tensor_space(space, space), space,
-        [("1", "1.1", one_s), ("x", "1.x", one_s), ("x", "x.1", one_s)],
-    )
-    unit = LinearMap.from_labels(zero1, space, [("1", "1", one_s)])
+        tensor_space(space, space), space, [("1", "1.1", 1), ("x", "1.x", 1), ("x", "x.1", 1)])
+    unit = LinearMap.from_labels(zero1, space, [("1", "1", 1)])
     comul = LinearMap.from_labels(
-        space, tensor_space(space, space),
-        [("1.1", "1", one_s), ("x.1", "x", one_s), ("1.x", "x", one_s)],
-    )
-    counit = LinearMap.from_labels(space, zero1, [("1", "1", one_s)])
+        space, tensor_space(space, space), [("1.1", "1", 1), ("x.1", "x", 1), ("1.x", "x", 1)])
+    counit = LinearMap.from_labels(space, zero1, [("1", "1", 1)])
     line = BialgebraData(
-        AlgebraData(space, mul, unit),
-        CoalgebraData(space, comul, counit),
-        yd=yd,
-    )
+        AlgebraData(space, mul, unit), CoalgebraData(space, comul, counit), yd=yd)
     line.antipode = antipode(line)
     return line
 

@@ -10,11 +10,14 @@ A definition file is line oriented:
 
 Composite basis labels join atomic labels with ".", matching the tensor
 basis order; the one-dimensional ground space has the single label "1".
-Scalars use the field notation: integers, "a/b" fractions, or "[c0, c1]"
-cyclotomic coefficient lists. "#" starts a comment. parse followed by
-serialize is the identity on canonical text; serialize after parse
-canonicalizes any valid file deterministically (spaces, grades, tensors and
-roles sorted by name, entries sorted by row then column index).
+Values use the field notation: integers, "a/b" fractions, or "[c0, c1]"
+cyclotomic coefficient lists with a rational literal in every slot.
+``FieldSpec.parse`` reads each into a raw value and ``FieldSpec.format``
+prints one back, so no ``Scalar`` is built between a file and its maps.
+"#" starts a comment. parse followed by serialize is the identity on
+canonical text; serialize after parse canonicalizes any valid file
+deterministically (spaces, grades, tensors and roles sorted by name, entries
+sorted by row then column index).
 
 The schema is two tables, ``TENSOR_SHAPES`` and ``ROLE_KINDS``; the parser,
 the binding validator and the writer ``add_role`` read only these.
@@ -148,34 +151,32 @@ def parse_field(text: str) -> FieldSpec:
     raise ValueError(f"unknown field {text!r}")
 
 
+# one tensor entry: "(" and what follows it up to the first ")" (group 2 is
+# empty when no ")" follows), or any other character that is not whitespace;
+# each quantifier stops at the one character its successor needs, so a scan
+# never backtracks
+_ENTRY_RE = re.compile(r"\(([^)]*)(\)?)|[^\s(]")
+
+
 def _split_entries(body: str, line_no: int) -> list[list[str]]:
-    """Split '(a, b, c) (d, e, f)' into token lists."""
+    """Split '(a, b, c) (d, e, f)' into token lists, on the commas outside
+    [...] (cyclotomic literals hold commas in their coefficient lists)."""
     out = []
-    i, n = 0, len(body)
-    while i < n:
-        if body[i].isspace():
-            i += 1
-            continue
-        if body[i] != "(":
+    for m in _ENTRY_RE.finditer(body):
+        if m[1] is None:
             raise ParseError("expected '(' in tensor entries", line_no)
-        j = body.find(")", i)
-        if j < 0:
+        if not m[2]:
             raise ParseError("unbalanced '(' in tensor entries", line_no)
-        # split on top-level commas only; cyclotomic literals contain commas
-        # inside their [...] coefficient lists
-        tokens, depth, start = [], 0, i + 1
-        for k in range(i + 1, j):
-            ch = body[k]
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                tokens.append(body[start:k].strip())
-                start = k + 1
-        tokens.append(body[start:j].strip())
+        tokens, held, depth = [], [], 0
+        for piece in m[1].split(","):
+            held.append(piece)
+            depth += piece.count("[") - piece.count("]")
+            if not depth:
+                tokens.append(",".join(held).strip())
+                held = []
+        if held:
+            tokens.append(",".join(held).strip())
         out.append(tokens)
-        i = j + 1
     return out
 
 
@@ -411,7 +412,7 @@ def serialize(df: DefinitionFile) -> str:
         t = df.tensors[name]
         src, tgt = t.map.source, t.map.target
         parts = []
-        for (i, j), v in sorted(t.map.entries.items()):
+        for (i, j), v in sorted(t.map.raw_entries().items()):
             parts.append(f"({tgt.labels[i]}, {src.labels[j]}, {df.field.format(v)})")
         head = f"tensor {name} {t.role}@{','.join(t.space_names)}:"
         lines.append(head + (" " + " ".join(parts) if parts else ""))

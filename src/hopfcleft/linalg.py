@@ -6,8 +6,9 @@ most significant. A tensor space stores only its factors and its dimension;
 its joined basis labels ("a.b.c") are built on first access and cached, so
 large intermediate tensor powers cost nothing until a report names a basis
 vector. A linear map keeps one sparse store, {(row, col): raw canonical
-value} without zeros (``raw_entries``); ``entries`` is a view of it as
-Scalars, built on each read and never kept. Maps never change after
+value} without zeros (``raw_entries``). Every value enters it through
+``FieldSpec.value``; ``entries`` and ``m[i, j]`` are Scalar views of it for
+the boundary, built on each read and never kept. Maps never change after
 construction, so the kernels' column and row groupings of the store
 (``_raw_columns``, ``_raw_rows``) are built on first use and kept: a structure
 map is grouped once, however often it is composed or convolved.
@@ -17,9 +18,9 @@ The kernels (``_contract``/``_through_slot``, the Kronecker entries of a
 ``convolution_inverse`` and ``braided_product`` in ``hopf``) run on raw
 values: they read their operands' ``raw_entries`` or ``_raw_columns``, use the
 field's ``ops`` fetched once per call, and hand their result to the trusted
-constructor ``LinearMap._from_raw``. It drops zeros and skips the range and
-field validation that ``LinearMap.__init__`` keeps for the ``io`` and public
-boundary, where Scalars come in and are unwrapped once.
+constructor ``LinearMap._from_raw``. It drops zeros and skips the range check
+and the ``FieldSpec.value`` normalization that ``LinearMap.__init__`` keeps for
+the ``io`` and public boundary.
 
 ``compose`` is the one contraction: every product runs through
 ``_through_slot``, which re-indexes one tensor slot of sparse raw entries, so
@@ -43,6 +44,7 @@ kernel bases do not depend on the order in which rows are eliminated.
 
 from __future__ import annotations
 
+from itertools import product
 from math import prod
 
 from .errors import FieldMismatch, NoSolution, ShapeMismatch
@@ -158,19 +160,20 @@ class LinearMap:
     __slots__ = ("source", "target", "_raw", "_cols", "_rows")
 
     def __init__(self, source: BasedSpace, target: BasedSpace, entries=None):
-        """Validate (row, col) -> Scalar entries and store their values."""
+        """Validate (row, col) -> value entries and store their raw values,
+        ``FieldSpec.value`` of each, without zeros."""
         self.source = source
         self.target = target
         raw = {}
         if entries:
             field = source.field
+            value, is_zero = field.value, field.ops.is_zero
             for (i, j), v in entries.items():
                 if not (0 <= i < target.dim and 0 <= j < source.dim):
                     raise ShapeMismatch(f"entry ({i},{j}) out of range")
-                if v.field is not field and v.field != field:
-                    raise FieldMismatch("entry field differs from space field")
-                if not v.is_zero():
-                    raw[(i, j)] = v.value
+                v = value(v)
+                if not is_zero(v):
+                    raw[(i, j)] = v
         self._raw = raw
         self._cols = self._rows = None
 
@@ -200,17 +203,18 @@ class LinearMap:
 
     @staticmethod
     def from_labels(source: BasedSpace, target: BasedSpace, triples) -> "LinearMap":
-        """Build from (row_label, col_label, Scalar) triples, summing duplicates."""
+        """Build from (row_label, col_label, value) triples, summing duplicates."""
+        value, add = source.field.value, source.field.ops.add
         entries = {}
         for row, col, v in triples:
             key = (target.index(row), source.index(col))
-            entries[key] = entries.get(key, source.field.zero()) + v
+            v = value(v)
+            entries[key] = add(entries[key], v) if key in entries else v
         return LinearMap(source, target, entries)
 
     @staticmethod
     def identity(space: BasedSpace) -> "LinearMap":
-        one = space.field.one()
-        return LinearMap(space, space, {(i, i): one for i in range(space.dim)})
+        return LinearMap(space, space, {(i, i): 1 for i in range(space.dim)})
 
     def __getitem__(self, key) -> Scalar:
         v = self.raw_entries().get(key)
@@ -271,8 +275,8 @@ class LinearMap:
 
     def __str__(self) -> str:
         parts = [
-            f"{self.target.labels[i]} <- {self.source.labels[j]}: {v}"
-            for (i, j), v in sorted(self.entries.items())
+            f"{self.target.labels[i]} <- {self.source.labels[j]}: {self.source.field.format(v)}"
+            for (i, j), v in sorted(self.raw_entries().items())
         ]
         return f"LinearMap({self.source} -> {self.target}; " + "; ".join(parts) + ")"
 
@@ -308,7 +312,7 @@ def _is_identity(f: LinearMap) -> bool:
     raw = f.raw_entries()
     if len(raw) != f.source.dim or not f.source.same_basis(f.target):
         return False
-    one = f.source.field.one().value
+    one = f.source.field.value(1)
     return all(i == j and v == one for (i, j), v in raw.items())
 
 
@@ -404,33 +408,23 @@ def permutation_map(factors, perm) -> LinearMap:
     materialised entry by entry. The package builds its reorderings from
     ``flip_map`` in tensor slots; this stays as the tests' reference and
     because the benchmark's per-layer metrics name it."""
-    factors = list(factors)
     dims = [s.dim for s in factors]
-    source = tensor_space(*factors)
-    target = tensor_space(*[factors[p] for p in perm])
-    one = source.field.one()
     entries = {}
-    for flat in range(source.dim):
-        idx = []
-        rest = flat
-        for d in reversed(dims):
-            idx.append(rest % d)
-            rest //= d
-        idx.reverse()
+    # product() runs through the multi-indices in the order of the flat basis
+    for flat, idx in enumerate(product(*map(range, dims))):
         out = 0
         for p in perm:
             out = out * dims[p] + idx[p]
-        entries[(out, flat)] = one
-    return LinearMap(source, target, entries)
+        entries[(out, flat)] = 1
+    return LinearMap(tensor_space(*factors), tensor_space(*[factors[p] for p in perm]), entries)
 
 
 def flip_map(x: BasedSpace, y: BasedSpace) -> LinearMap:
     """The symmetric vector-space flip x (tensor) y -> y (tensor) x."""
-    one = x.field.one()
     entries = {}
     for i in range(x.dim):
         for j in range(y.dim):
-            entries[(j * x.dim + i, i * y.dim + j)] = one
+            entries[(j * x.dim + i, i * y.dim + j)] = 1
     return LinearMap(tensor_space(x, y), tensor_space(y, x), entries)
 
 
@@ -477,7 +471,7 @@ def _kernel(f: LinearMap) -> list[dict]:
     """The reduced-echelon kernel basis of f as sparse raw vectors {coord: value}."""
     ops = f.source.field.ops
     reduced = _rref(f.raw_entries().items(), ops)
-    one, neg = f.source.field.one().value, ops.neg
+    one, neg = f.source.field.value(1), ops.neg
     return [
         {c: one, **{p: neg(row[c]) for p, row in reduced.items() if c in row}}
         for c in range(f.source.dim) if c not in reduced

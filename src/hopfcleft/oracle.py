@@ -48,15 +48,10 @@ class SearchSpace:
 
 def _candidate_maps(source, target, space: SearchSpace, fixed=None):
     """Every map with the swept unknowns of ``space`` and the ``fixed``
-    {slot: Scalar or None for zero} entries, in lexicographic order of the
-    unknowns."""
-    field = space.field
-    held = {slot: v for slot, v in (fixed or {}).items() if v is not None}
+    {slot: raw value} entries, in lexicographic order of the unknowns."""
     for values in space.assignments():
-        entries = dict(held)
-        for slot, v in zip(space.unknowns, values):
-            if v:
-                entries[slot] = field.scalar(v)
+        entries = dict(fixed or {})
+        entries.update(zip(space.unknowns, values))
         yield LinearMap(source, target, entries)
 
 
@@ -91,24 +86,24 @@ def _unital_candidates(m: Measuring, bound: int):
 
 def _pinned_by_unitality(unit: LinearMap, want: LinearMap, slots) -> dict:
     """The slots of a map sigma: H (x) H -> A that unitality, sigma(1 (x) h) =
-    sigma(h (x) 1) = want(h), fixes outright, with their values (None for
-    zero). This needs the unit to be one basis vector with coefficient 1;
-    otherwise nothing is pinned. Sweeping only the other slots, with these
+    sigma(h (x) 1) = want(h), fixes outright, with their values. This needs
+    the unit to be one basis vector with coefficient 1; otherwise nothing is
+    pinned. Sweeping only the other slots, with these
     held fixed, visits the unital candidates of the full sweep in the same
     order."""
-    unit_entries = unit.entries
+    unit_entries = unit.raw_entries()
     if len(unit_entries) != 1:
         return {}
     (u, _), one = next(iter(unit_entries.items()))
-    if not one.is_one():
+    if one != unit.target.field.value(1):
         return {}
     d = unit.target.dim
-    want_entries = want.entries
+    want_entries = want.raw_entries()
     pinned = {}
     for i, col in slots:
         x, y = divmod(col, d)
         if x == u or y == u:
-            pinned[(i, col)] = want_entries.get((i, y if x == u else x))
+            pinned[(i, col)] = want_entries.get((i, y if x == u else x), 0)
     return pinned
 
 

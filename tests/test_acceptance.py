@@ -195,7 +195,7 @@ def test_criterion_7_deformations_are_filtered(boson8):
                     if degs[i] < top and not v.is_zero():
                         pair = f"{space.labels[col // space.dim]}*{space.labels[col % space.dim]}"
                         low.setdefault(pair, []).append(
-                            f"{field.format(v)} {space.labels[i]}")
+                            f"{field.format(v.value)} {space.labels[i]}")
             corrections[k] = low
             if k == 0:
                 assert low == {}

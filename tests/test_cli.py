@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib
 import inspect
 import json
 import os
@@ -152,6 +153,22 @@ def test_malformed_line_exits_2_with_its_line_number(runner, tmp_path, text, mes
     result = run(runner, ["verify-hopf", str(path)])
     assert result.exit_code == 2
     assert message in result.output
+
+
+@pytest.mark.parametrize("literal", ["[1,, 0]", "[,1]", "[1,]", "[,]"])
+def test_an_empty_slot_in_a_cyclotomic_literal_exits_2(tmp_path, literal):
+    """An empty coefficient slot is a malformed literal, not a dropped zero
+    or a shifted coefficient."""
+    shipped = resources.files(hopfcleft).joinpath("data", "kc4_zeta4.had").read_text()
+    path = tmp_path / "empty_slot.had"
+    path.write_text(shipped.replace("(g, g3, [1, 0])", f"(g, g3, {literal})", 1))
+    runner = _separate_streams_runner()
+    text = runner.invoke(main, ["verify-hopf", str(path)])
+    assert (text.exit_code, text.stdout) == (2, "")
+    assert text.stderr == f"error: line 3: bad scalar literal {literal!r}\n"
+    as_json = runner.invoke(main, ["verify-hopf", str(path), "--report", "json"])
+    assert (as_json.exit_code, as_json.stderr) == (2, text.stderr)
+    assert json.loads(as_json.stdout) == {"error": text.stderr.rstrip("\n"), "ok": False}
 
 
 def test_missing_file_exits_2(runner):
@@ -813,6 +830,24 @@ def test_version_in_a_child_process():
         env=dict(os.environ, PYTHONPATH=path), timeout=300)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert hopfcleft.__version__.encode() in proc.stdout
+
+
+def test_the_installed_script_entry_runs():
+    """The ``[project.scripts]`` entry that installing makes the
+    ``hopfcleft`` command resolves to ``cli.main``; a child process runs it
+    as the generated script does (program name set, exit with its result)."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    entry = re.search(r'^hopfcleft = "([^"]+)"$', text, re.MULTILINE)[1]
+    module, _, attr = entry.partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
+    package_root = os.path.dirname(os.path.dirname(hopfcleft.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    script = f"import sys; from {module} import {attr}; sys.argv[0] = 'hopfcleft'; sys.exit({attr}())"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "--version"], capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == f"hopfcleft, version {hopfcleft.__version__}\n".encode()
 
 
 def test_version_matches_pyproject():

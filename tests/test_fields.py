@@ -1,10 +1,11 @@
+import re
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcleft.errors import DivisionByZero
+from hopfcleft.errors import DivisionByZero, FieldMismatch
 from hopfcleft.fields import CYCLOTOMIC, PRIME, RATIONALS, FieldSpec, Scalar, cyclotomic_polynomial
 
 Q = FieldSpec.rationals()
@@ -75,7 +76,7 @@ def test_powers(a, k):
 
 @given(any_scalar)
 def test_parse_format_round_trip(a):
-    assert a.field.parse(a.field.format(a)) == a
+    assert a.field.parse(a.field.format(a.value)) == a.value
 
 
 def test_scalar_canonical_form():
@@ -166,9 +167,9 @@ def root_of_unity(field: FieldSpec, n: int) -> Scalar:
 ])
 def test_root_of_unity_has_exact_order(field, n):
     z = root_of_unity(field, n)
-    assert (z ** n).is_one()
+    assert z ** n == field.one()
     for k in range(1, n):
-        assert not (z ** k).is_one()
+        assert z ** k != field.one()
 
 
 def test_root_of_unity_absent():
@@ -245,8 +246,6 @@ def test_prime_field_rejects_composite():
 
 
 def test_field_mismatch_rejected():
-    from hopfcleft.errors import FieldMismatch
-
     with pytest.raises(FieldMismatch):
         Q.one() + F5.one()
 
@@ -297,10 +296,10 @@ def test_raw_values_are_ints_when_integral(data):
         else:
             parsed = field.parse(texts[0])
             built = field.scalar(fractions[0])
-        assert parsed == built
-        assert_raw_form(field, parsed.value)
+        assert parsed == built.value
+        assert_raw_form(field, parsed)
         assert_raw_form(field, built.value)
-        values.append(parsed.value)
+        values.append(parsed)
     ops = field.ops
     a, b, c = values
     for result in (ops.add(a, b), ops.mul(a, b), ops.neg(a), ops.add(ops.mul(a, b), c)):
@@ -322,6 +321,49 @@ def test_rational_inverse_is_a_fraction_never_a_float():
     assert type(ops.mul(Fraction(2, 3), Fraction(3, 2))) is int
     assert type(ops.add(Fraction(1, 2), Fraction(1, 2))) is int
     assert type(Q.scalar(Fraction(4, 2)).value) is int
-    assert type(Q.parse("-6/3").value) is int
+    assert type(Q.parse("-6/3")) is int
     inverse = FieldSpec.cyclotomic(4).ops.inverse((2, 0))
     assert inverse == (Fraction(1, 2), 0) and [type(c) for c in inverse] == [Fraction, int]
+
+
+def test_value_is_the_one_normalizer():
+    """value gives the raw canonical form that a map stores, from an int, a
+    Fraction, a coefficient sequence (Q(zeta_n) only) or a Scalar of the
+    same field; parse returns the same raw values and format prints them."""
+    assert F5.value(7) == 2 and F5.value(-1) == 4 and F5.value(Fraction(1, 2)) == 3
+    assert Q.value(Fraction(4, 2)) == 2 and type(Q.value(Fraction(4, 2))) is int
+    assert Q.value(True) == 1 and type(Q.value(True)) is int
+    # zeta_4^2 = -1: a longer coefficient list is reduced, a shorter one padded
+    assert Z4.value([0, 0, 1]) == (-1, 0) and Z4.value([3]) == (3, 0) and Z4.value([]) == (0, 0)
+    assert Z4.value(Fraction(1, 2)) == (Fraction(1, 2), 0) and Z4.value((1, 2)) == (1, 2)
+    assert Z4.value([Fraction(2, 1), 0]) == (2, 0) and type(Z4.value([Fraction(2, 1), 0])[0]) is int
+    for field, x in ((F5, F5.scalar(3)), (Q, Q.scalar(Fraction(1, 3))), (Z4, Z4.scalar([0, 1]))):
+        assert field.value(x) == x.value and field.scalar(x) == x
+        assert field.parse(field.format(x.value)) == x.value
+    assert Z4.parse("[1, 0, 1]") == (0, 0) and Z4.parse("[ ]") == (0, 0)
+    assert Z4.format((Fraction(-1, 2), 1)) == "[-1/2, 1]" and F5.format(3) == "3"
+    with pytest.raises(FieldMismatch):
+        F5.value(FieldSpec.prime_field(7).scalar(3))
+    with pytest.raises(FieldMismatch):
+        Q.value(F5.one())
+    with pytest.raises(DivisionByZero):
+        F5.value(Fraction(1, 5))
+
+
+@pytest.mark.parametrize("field,x,named", [
+    (Q, 1.5, "1.5"), (F5, 2.0, "2.0"), (Z4, 0.5, "0.5"), (Z4, [1, 0.5], "[1, 0.5]"),
+    (Q, [1, 0], "[1, 0]"), (F5, (1,), "(1,)"), (Q, "1/2", "'1/2'"), (F5, None, "None"),
+    (Z4, [[1], 0], "[[1], 0]"),
+])
+def test_value_rejects_what_is_no_value_of_its_field(field, x, named):
+    with pytest.raises(ValueError, match=re.escape(f"{named} is not a value of {field}")):
+        field.value(x)
+
+
+@pytest.mark.parametrize("field,text", [
+    (Q, "1/0"), (F5, "0/0"), (Z4, "[1/0, 1]"), (F5, "[1]"), (Q, "[1, 0]"), (Q, "1.5"),
+    (Z4, "[1,, 0]"), (Z4, "[,1]"), (Z4, "[1,]"), (Z4, "[,]"), (Z4, "[1, 0"), (Q, ""),
+])
+def test_parse_raises_value_error_for_every_malformed_literal(field, text):
+    with pytest.raises(ValueError):
+        field.parse(text)

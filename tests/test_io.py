@@ -1,4 +1,5 @@
 import re
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_gra
 from hopfcleft.hopf import BialgebraData, check_hopf
 from hopfcleft.io import (
     ROLE_KINDS,
+    _split_entries,
     TENSOR_SHAPES,
     build,
     graded_to_definition,
@@ -100,6 +102,9 @@ def test_empty_file_with_field_is_valid():
     ("field: F_1000000000000000003\n", 1),    # beyond the proven primality range
     ("field: Q(zeta_1000000007)\n", 1),       # cyclotomic index over the cap
     ("field: Q\nspace H: 1 g\ntensor T unit@H: (1, 1, 1e999999999)", 3),  # not a literal
+    # every slot of a cyclotomic literal holds a rational literal
+    *[pytest.param(data_text("kc4_zeta4.had").replace("(g, g3, [1, 0])", f"(g, g3, {lit})", 1),
+                   3, id=f"kc4_zeta4 {lit}") for lit in ("[1,, 0]", "[,1]", "[1,]", "[,]")],
 ])
 def test_parse_errors_carry_line_numbers(text, bad_line):
     with pytest.raises(ParseError) as exc:
@@ -318,3 +323,70 @@ def test_parse_fuzz_fails_only_with_input_errors(text):
         return
     canon = serialize(df)
     assert serialize(parse(canon)) == canon
+
+
+def _walk_entries(body: str, line_no: int) -> list[list[str]]:
+    """The character walker that split tensor entries before the regex scan,
+    kept as the reference of ``_split_entries``."""
+    out = []
+    i, n = 0, len(body)
+    while i < n:
+        if body[i].isspace():
+            i += 1
+            continue
+        if body[i] != "(":
+            raise ParseError("expected '(' in tensor entries", line_no)
+        j = body.find(")", i)
+        if j < 0:
+            raise ParseError("unbalanced '(' in tensor entries", line_no)
+        tokens, depth, start = [], 0, i + 1
+        for k in range(i + 1, j):
+            ch = body[k]
+            if ch == "[":
+                depth += 1
+            elif ch == "]":
+                depth -= 1
+            elif ch == "," and depth == 0:
+                tokens.append(body[start:k].strip())
+                start = k + 1
+        tokens.append(body[start:j].strip())
+        out.append(tokens)
+        i = j + 1
+    return out
+
+
+_WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+_ENTRY_TEXT = st.lists(st.sampled_from(
+    ["(", "[", "]", ",", " ", "g", "1.g", "x_1", "1", "-1/2", "[1, 0]"]), max_size=12).map("".join)
+# entries with and without their ")", whitespace of every kind str.isspace
+# accepts, and stray characters
+_ENTRY_BODIES = st.lists(st.one_of(
+    _ENTRY_TEXT.map(lambda text: f"({text})"), _ENTRY_TEXT.map(lambda text: f"({text}"),
+    st.sampled_from(_WHITESPACE), st.sampled_from(["(", ")", "[", "]", ",", "g", "1"]),
+), max_size=8).map("".join)
+
+
+def _split_or_error(split, body):
+    try:
+        return split(body, 7)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=400)
+@given(_ENTRY_BODIES)
+def test_split_entries_equals_the_character_walker(body):
+    """Same token lists and the same two errors as the walker, on bodies of
+    parentheses, brackets, commas, whitespace, labels and literals."""
+    assert _split_or_error(_split_entries, body) == _split_or_error(_walk_entries, body)
+
+
+def test_split_entries_examples():
+    assert _split_entries(" (g, g3, [1, 0])\t(1, 1.1, -1/2) ", 1) == [
+        ["g", "g3", "[1, 0]"], ["1", "1.1", "-1/2"]]
+    # brackets count across the entry: a comma splits only at depth zero
+    assert _split_entries("(a], [b, c)", 1) == [["a], [b", "c"]]
+    assert _split_entries("((a, b)", 1) == [["(a", "b"]]
+    for body, message in (("(a, b) c", "expected '('"), ("(a, b) (c", "unbalanced '('")):
+        with pytest.raises(ParseError, match=rf"^line 4: {re.escape(message)} in tensor entries$"):
+            _split_entries(body, 4)

@@ -194,6 +194,22 @@ def test_from_labels_sums_duplicates():
     assert not LinearMap.from_labels(U, V, triples).raw_entries()
 
 
+def test_maps_store_the_normalized_value_of_each_entry():
+    """__init__ and from_labels store FieldSpec.value of each entry, so a raw
+    value and a Scalar of the field give the same map; zeros are dropped."""
+    raw = LinearMap(U, V, {(0, 0): 6, (1, 1): Fraction(1, 2), (2, 0): 5})
+    wrapped = LinearMap(U, V, {(0, 0): F5.scalar(1), (1, 1): F5.scalar(3)})
+    assert raw == wrapped and raw.raw_entries() == {(0, 0): 1, (1, 1): 3}
+    triples = [("v0", "u0", 6), ("v1", "u1", F5.scalar(3)), ("v2", "u0", 2), ("v2", "u0", 3)]
+    assert LinearMap.from_labels(U, V, triples) == wrapped
+    z4 = FieldSpec.cyclotomic(4)
+    x = based_space("X", ["x0", "x1"], z4)
+    assert LinearMap.identity(x).raw_entries() == {(0, 0): (1, 0), (1, 1): (1, 0)}
+    assert LinearMap(x, x, {(0, 1): [0, 0, 1]}).raw_entries() == {(0, 1): (-1, 0)}
+    with pytest.raises(ValueError, match="0.5 is not a value of F_5"):
+        LinearMap(U, V, {(0, 0): 0.5})
+
+
 def test_based_space_requires_distinct_labels():
     with pytest.raises(Exception):
         BasedSpace("bad", ("a", "a"), F5)

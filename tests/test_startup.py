@@ -69,6 +69,50 @@ def test_package_imports_are_deferred_only_to_break_a_cycle():
     assert deferred == DEFERRED_IMPORTS
 
 
+# the functions outside fields.py that see a Scalar: the two views of a map,
+# twist (whose Scalar products the benchmark counts) and the report witness
+# that prints the m[i, j] view
+SCALAR_SITES = {
+    "linalg.LinearMap.entries", "linalg.LinearMap.__getitem__", "hopf.twist",
+    "report.map_equal_item",
+}
+
+
+def _scalar_sites(node, scope: str, maps: set, sites: set):
+    """Add to ``sites`` the scope of every reference to ``Scalar``, read of
+    ``.entries``, call of ``.scalar()``, ``.zero()`` or ``.one()``, and
+    subscript of a parameter annotated ``LinearMap`` (the ``m[i, j]`` view)
+    under ``node``; ``maps`` holds the names of those parameters."""
+    if isinstance(node, ast.ClassDef):
+        scope, maps = f"{scope}.{node.name}", set()
+    elif isinstance(node, ast.FunctionDef):
+        scope = f"{scope}.{node.name}"
+        args = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+        maps = {a.arg for a in args if getattr(a.annotation, "id", None) == "LinearMap"}
+    if (
+        getattr(node, "id", None) == "Scalar"
+        or getattr(node, "attr", None) == "Scalar"
+        or isinstance(node, ast.Attribute) and node.attr == "entries"
+        and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Call) and getattr(node.func, "attr", None) in {"scalar", "zero", "one"}
+        or isinstance(node, ast.Subscript) and getattr(node.value, "id", None) in maps
+    ):
+        sites.add(scope)
+    for child in ast.iter_child_nodes(node):
+        _scalar_sites(child, scope, maps, sites)
+
+
+def test_scalar_stays_at_the_boundary():
+    """Values enter the engine raw, through FieldSpec.value; a Scalar is met
+    only in fields.py and at the exact sites above. Import statements hold
+    no Name node, so they are not sites."""
+    sites: set = set()
+    for mod in MODULES:
+        module = mod.__name__.rpartition(".")[2]
+        if module != "fields":
+            _scalar_sites(ast.parse(Path(mod.__file__).read_text()), module, set(), sites)
+    assert sites == SCALAR_SITES
+
 
 ROOT = Path(__file__).resolve().parents[1]
 
