@@ -146,7 +146,7 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
 
 # only the documented forms: Fraction would also take exponents such as
 # "1e999999999", whose expansion does not finish
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _rational(text: str) -> int | Fraction:

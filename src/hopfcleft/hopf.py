@@ -5,23 +5,26 @@ Hopf or not. The tensor square of its carrier is made into a (co)algebra
 through the braiding of its Yetter-Drinfeld structure; ``self_braiding``
 holds that map, derived from ``yd`` by ``twist`` and never passed in. For a
 classical bialgebra, the one over the trivial ambient, it is the flip.
-``braided_product`` multiplies in such a braided tensor product algebra term
-by term, so "comul is an algebra morphism" never builds mul (x) mul.
-Convolution inversion is one exact sparse linear solve in Hom(C, A).
+``braided_product`` multiplies in such a braided tensor product algebra as
+one composition of the engine's maps: it builds f (x) f, but never
+mul (x) mul, so "comul is an algebra morphism" applies each multiplication
+in its own slot. Convolution inversion is one exact sparse linear solve in
+Hom(C, A).
 
-``convolution``, ``convolution_inverse`` and ``braided_product`` are raw
-kernels in the sense of ``linalg``: they read their operands' sparse columns
-as raw values, use the field's ``ops`` fetched once per call, and build their
-result with the trusted ``LinearMap._from_raw``. ``convolution`` is driven by
-the support of f: for each nonzero column k1 of f it visits only the terms
-k1 (x) k2 of the comultiplication, through the left-leg index that each
-``CoalgebraData`` builds once.
+``convolution`` and ``convolution_inverse`` are the raw kernels outside
+``linalg``: they read their operands' sparse columns as raw values, use the
+field's ``ops`` fetched once per call, and build their result with the
+trusted ``LinearMap._from_raw``. ``convolution`` is driven by the support of
+f: for each nonzero column k1 of f it visits only the terms k1 (x) k2 of the
+comultiplication, through the left-leg index that each ``CoalgebraData``
+builds once. A ``compose`` chain would run them about twice as slowly.
+``twist`` is a loop over entries too, kept on ``Scalar`` values because the
+benchmark counts its multiplications.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 
 from .errors import NotHopf, NotInvertible, ShapeMismatch
 from .fields import FieldSpec
@@ -31,6 +34,7 @@ from .linalg import (
     _rref,
     compose,
     tensor_map,
+    tensor_maps,
     tensor_space,
     unit_space,
 )
@@ -199,31 +203,12 @@ def braided_product(
     """x (x) y -> f(x) f(y) for f: X -> A (x) B, in the braided tensor
     product algebra with multiplication (mul_A (x) mul_B)(id (x) c_{B,A} (x) id).
 
-    Each pair of terms of two sparse columns of f is multiplied one slot at a
-    time (braid the inner B (x) A pair, multiply in A, multiply in B), so
-    neither f (x) f nor mul_A (x) mul_B is built."""
+    The composition builds f (x) f and applies the braiding and then
+    mul_A (x) mul_B one slot at a time, so mul_A (x) mul_B is never built."""
     if not f.target.same_basis(tensor_space(a.space, b.space)):
         raise ShapeMismatch("f is not a map into A (x) B")
-    dx, da, db = f.source.dim, a.space.dim, b.space.dim
-    add, mul = f.source.field.ops.add, f.source.field.ops.mul
-    fcols, ccols = f._raw_columns(), c_ba._raw_columns()
-    acols, bcols = a.mul._raw_columns(), b.mul._raw_columns()
-    entries: dict = {}
-    for (x, fx), (y, fy) in product(fcols.items(), repeat=2):
-        for (i, u), (k, w) in product(fx, fy):
-            a1, b1 = divmod(i, db)
-            a2, b2 = divmod(k, db)
-            uw = mul(u, w)
-            for j, cv in ccols.get(b1 * da + a2, ()):
-                a3, b3 = divmod(j, db)
-                t = mul(uw, cv)
-                in_a, in_b = acols.get(a1 * da + a3, ()), bcols.get(b3 * db + b2, ())
-                for (r, av), (s, bv) in product(in_a, in_b):
-                    key = (r * db + s, x * dx + y)
-                    term = mul(mul(t, av), bv)
-                    acc = entries.get(key)
-                    entries[key] = term if acc is None else add(acc, term)
-    return LinearMap._from_raw(tensor_space(f.source, f.source), f.target, entries)
+    middle = tensor_maps(LinearMap.identity(a.space), c_ba, LinearMap.identity(b.space))
+    return compose(tensor_map(a.mul, b.mul), compose(middle, tensor_map(f, f)))
 
 
 def twist(coaction: LinearMap, action: LinearMap) -> LinearMap:

@@ -142,10 +142,10 @@ def parse_field(text: str) -> FieldSpec:
     text = text.strip()
     if text == "Q":
         return FieldSpec.rationals()
-    m = re.fullmatch(r"F_(\d+)", text)
+    m = re.fullmatch(r"F_([0-9]+)", text)
     if m:
         return FieldSpec.prime_field(int(m.group(1)))
-    m = re.fullmatch(r"Q\(zeta_(\d+)\)", text)
+    m = re.fullmatch(r"Q\(zeta_([0-9]+)\)", text)
     if m:
         return FieldSpec.cyclotomic(int(m.group(1)))
     raise ValueError(f"unknown field {text!r}")
@@ -252,8 +252,10 @@ def _parse_grade(df, words, body, line_no):
     grading = {}
     for item in body.split():
         lab, _, deg = item.partition("=")
-        if lab not in space.labels:
-            raise ParseError(f"unknown basis label {lab!r}", line_no)
+        try:
+            space.index(lab)
+        except ValueError:
+            raise ParseError(f"unknown basis label {lab!r}", line_no) from None
         if lab in grading:
             raise ParseError(f"duplicate degree for label {lab!r}", line_no)
         if not _DEGREE_RE.fullmatch(deg):

@@ -27,7 +27,7 @@ from .braided import (
     yd_tensor,
 )
 from .cleft import CleftExtension, closed_form_cleft, cocycle_from_section, crossed_to_cleft
-from .cocycle import Cocycle, check_cocycle, pair_coalgebra
+from .cocycle import Cocycle, check_cocycle, pair_coalgebra, sigma_hat
 from .errors import (
     AxiomFailure,
     CorruptFixture,
@@ -671,38 +671,30 @@ def _cleft_objects_isomorphic(
 
 
 def _twisting_equations(b: Bosonization, s1: Cocycle, s2: Cocycle):
-    """The twisting equation of each basis pair (x, y) as residue terms
-    (a, b, c), read c phi[a] phi[b], with the constant slot phi[d] = 1
-    (d the dimension) standing in for the linear terms. Vanishing equations
-    are left out; plain residue arithmetic keeps the search fast."""
+    """The twisting equation of each basis pair (x, y), in the order of the
+    columns x d + y of H (x) H (d the dimension), as residue terms (a, b, c),
+    read c phi[a] phi[b], with the constant slot phi[d] = 1 standing in for
+    the linear terms. The linear part s2(x1, y1) x2 y2 is ``sigma_hat`` of
+    s2, and the quadratic part s1(x2, y2) x1 (x) y1 is (id (x) s1) applied to
+    the pair comultiplication, which for the classical bosonization is
+    (id (x) flip (x) id)(comul (x) comul). Vanishing equations are left out;
+    plain residue arithmetic keeps the search fast."""
     hopf = b.hopf
     d = b.space.dim
     p = b.space.field.p
-    com = hopf.comul._raw_columns()
-    mul = hopf.mul._raw_columns()
-    sig1 = {j: v for (_, j), v in s1.sigma.raw_entries().items()}
-    sig2 = {j: v for (_, j), v in s2.sigma.raw_entries().items()}
+    pair = pair_coalgebra(hopf)
+    quadratic = compose(tensor_map(LinearMap.identity(pair.space), s1.sigma), pair.comul)
+    eqs: dict[int, dict] = {}
+    for (k, xy), v in sigma_hat(s2.measuring, s2.sigma).raw_entries().items():
+        eqs.setdefault(xy, {})[(d, k)] = v
+    for (x1y1, xy), v in quadratic.raw_entries().items():
+        x1, y1 = divmod(x1y1, d)
+        eq = eqs.setdefault(xy, {})
+        key = (min(x1, y1), max(x1, y1))
+        eq[key] = eq.get(key, 0) - v
     equations = []
-    for x in range(d):
-        dx = com.get(x, ())
-        for y in range(d):
-            dy = com.get(y, ())
-            eq: dict[tuple[int, int], int] = {}
-            for xi, vx in dx:
-                x1, x2 = divmod(xi, d)
-                for yj, vy in dy:
-                    y1, y2 = divmod(yj, d)
-                    c = vx * vy
-                    sv = sig2.get(x1 * d + y1)
-                    if sv is not None:
-                        for k, mv in mul.get(x2 * d + y2, ()):
-                            key = (d, k)
-                            eq[key] = eq.get(key, 0) + sv * c * mv
-                    sv = sig1.get(x2 * d + y2)
-                    if sv is not None:
-                        key = (min(x1, y1), max(x1, y1))
-                        eq[key] = eq.get(key, 0) - sv * c
-            terms = [(a, bb, c % p) for (a, bb), c in eq.items() if c % p]
-            if terms:
-                equations.append(terms)
+    for xy in sorted(eqs):
+        terms = [(a, bb, c % p) for (a, bb), c in eqs[xy].items() if c % p]
+        if terms:
+            equations.append(terms)
     return equations

@@ -5,7 +5,8 @@ atomic factors and the basis is ordered lexicographically, leftmost factor
 most significant. A tensor space stores only its factors and its dimension;
 its joined basis labels ("a.b.c") are built on first access and cached, so
 large intermediate tensor powers cost nothing until a report names a basis
-vector. A linear map keeps one sparse store, {(row, col): raw canonical
+vector; ``index`` reads a product label one factor at a time and never
+builds them. A linear map keeps one sparse store, {(row, col): raw canonical
 value} without zeros (``raw_entries``). Every value enters it through
 ``FieldSpec.value``; ``entries`` and ``m[i, j]`` are Scalar views of it for
 the boundary, built on each read and never kept. Maps never change after
@@ -14,13 +15,14 @@ construction, so the kernels' column and row groupings of the store
 map is grouped once, however often it is composed or convolved.
 
 The kernels (``_contract``/``_through_slot``, the Kronecker entries of a
-``TensorMap`` and ``_rref``/``_eliminate`` here; ``convolution``,
-``convolution_inverse`` and ``braided_product`` in ``hopf``) run on raw
-values: they read their operands' ``raw_entries`` or ``_raw_columns``, use the
-field's ``ops`` fetched once per call, and hand their result to the trusted
-constructor ``LinearMap._from_raw``. It drops zeros and skips the range check
-and the ``FieldSpec.value`` normalization that ``LinearMap.__init__`` keeps for
-the ``io`` and public boundary.
+``TensorMap`` and ``_rref``/``_eliminate`` here; ``convolution`` and
+``convolution_inverse`` in ``hopf``; every other product of maps is a
+``compose`` chain) run on raw values: they read their operands'
+``raw_entries`` or ``_raw_columns``, use the field's ``ops`` fetched once per
+call, and hand their result to the trusted constructor
+``LinearMap._from_raw``. It drops zeros and skips the range check and the
+``FieldSpec.value`` normalization that ``LinearMap.__init__`` keeps for the
+``io`` and public boundary.
 
 ``compose`` is the one contraction: every product runs through
 ``_through_slot``, which re-indexes one tensor slot of sparse raw entries, so
@@ -59,8 +61,8 @@ class BasedSpace:
     An atomic space is given its labels, none of which may contain
     ``TENSOR_SEP``, so the joined labels of a product are unique; a tensor
     space (``factors`` non-empty, labels None) joins its factors' labels on
-    first access. ``index`` looks labels up in a label -> position dict built
-    on first use.
+    first access. ``index`` looks atomic labels up in a label -> position
+    dict built on first use.
     """
 
     __slots__ = ("name", "field", "factors", "dim", "_labels", "_positions")
@@ -92,12 +94,22 @@ class BasedSpace:
         return self._labels
 
     def index(self, label: str) -> int:
-        """The position of ``label``; ValueError when it is no basis label."""
-        if self._positions is None:
-            self._positions = {lab: i for i, lab in enumerate(self.labels)}
+        """The position of ``label``; ValueError when it is no basis label. A
+        product label is split at ``TENSOR_SEP`` and each piece looked up in
+        its factor, so a product's joined labels are never built here."""
         try:
+            if self.factors:
+                pieces = label.split(TENSOR_SEP)
+                if len(pieces) != len(self.factors):
+                    raise KeyError(label)
+                flat = 0
+                for f, piece in zip(self.factors, pieces):
+                    flat = flat * f.dim + f.index(piece)
+                return flat
+            if self._positions is None:
+                self._positions = {lab: i for i, lab in enumerate(self.labels)}
             return self._positions[label]
-        except KeyError:
+        except (KeyError, ValueError):
             raise ValueError(f"{label!r} is not a basis label of {self.name}") from None
 
     def same_basis(self, other: "BasedSpace") -> bool:

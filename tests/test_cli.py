@@ -142,17 +142,34 @@ def test_parse_error_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+# a declared space of 3,000 labels: its product with itself is never joined
+LARGE_SPACE = "field: F_5\nspace H: " + " ".join(f"a{k}" for k in range(3000)) + "\n"
+
+
 @pytest.mark.parametrize("text,message", [
     ("field: Q\n: foo\n", "line 2: missing line keyword"),
     ("field: F_1000000000000000003\n", "line 1: characteristic"),
     ("field: Q(zeta_1000000007)\n", "line 1: cyclotomic index"),
+    # only ASCII digits are digits, though int() reads other scripts' too
+    pytest.param("field: F_\u0665\n", "line 1: unknown field 'F_\u0665'",
+                 id="arabic-indic prime"),
+    pytest.param("field: Q(zeta_\u0664)\n", "line 1: unknown field 'Q(zeta_\u0664)'",
+                 id="arabic-indic index"),
+    pytest.param("field: Q\nspace H: 1 g\ntensor T unit@H: (g, 1, \u0661/\u0662)\n",
+                 "line 3: bad scalar literal '\u0661/\u0662'", id="arabic-indic literal"),
+    pytest.param(LARGE_SPACE + "tensor m mul@H: (a0, a0.a0, 1) (a1, a0.b1, 1)\n",
+                 "line 3: unknown basis label in entry (a1, a0.b1)", id="large space"),
 ])
-def test_malformed_line_exits_2_with_its_line_number(runner, tmp_path, text, message):
+def test_malformed_line_exits_2_with_its_line_number(tmp_path, text, message):
     path = tmp_path / "malformed.had"
-    path.write_text(text)
-    result = run(runner, ["verify-hopf", str(path)])
-    assert result.exit_code == 2
-    assert message in result.output
+    path.write_text(text, encoding="utf-8")
+    runner = _separate_streams_runner()
+    result = runner.invoke(main, ["verify-hopf", str(path)])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.startswith(f"error: {message}") and result.stderr.count("\n") == 1
+    as_json = runner.invoke(main, ["verify-hopf", str(path), "--report", "json"])
+    assert (as_json.exit_code, as_json.stderr) == (2, result.stderr)
+    assert json.loads(as_json.stdout) == {"error": result.stderr.rstrip("\n"), "ok": False}
 
 
 @pytest.mark.parametrize("literal", ["[1,, 0]", "[,1]", "[1,]", "[,]"])

@@ -363,6 +363,8 @@ def test_value_rejects_what_is_no_value_of_its_field(field, x, named):
 @pytest.mark.parametrize("field,text", [
     (Q, "1/0"), (F5, "0/0"), (Z4, "[1/0, 1]"), (F5, "[1]"), (Q, "[1, 0]"), (Q, "1.5"),
     (Z4, "[1,, 0]"), (Z4, "[,1]"), (Z4, "[1,]"), (Z4, "[,]"), (Z4, "[1, 0"), (Q, ""),
+    # digits of other scripts, which int() reads: the format's are ASCII
+    (Q, "\u0661/\u0662"), (F5, "\u0663"), (Z4, "[\u0661, 0]"), (Q, "1/\uff12"),
 ])
 def test_parse_raises_value_error_for_every_malformed_literal(field, text):
     with pytest.raises(ValueError):

@@ -102,6 +102,10 @@ def test_empty_file_with_field_is_valid():
     ("field: F_1000000000000000003\n", 1),    # beyond the proven primality range
     ("field: Q(zeta_1000000007)\n", 1),       # cyclotomic index over the cap
     ("field: Q\nspace H: 1 g\ntensor T unit@H: (1, 1, 1e999999999)", 3),  # not a literal
+    # Arabic-Indic digits, which int() reads: the format's digits are ASCII
+    pytest.param("field: F_\u0665\n", 1, id="arabic-indic prime"),
+    pytest.param("field: Q\nspace H: 1 g\ntensor T unit@H: (1, 1, \u0661/\u0662)", 3,
+                 id="arabic-indic literal"),
     # every slot of a cyclotomic literal holds a rational literal
     *[pytest.param(data_text("kc4_zeta4.had").replace("(g, g3, [1, 0])", f"(g, g3, {lit})", 1),
                    3, id=f"kc4_zeta4 {lit}") for lit in ("[1,, 0]", "[,1]", "[1,]", "[,]")],
@@ -124,6 +128,26 @@ def test_a_degree_is_given_once_in_ascii_digits(degrees, message):
     with pytest.raises(ParseError) as exc:
         parse(text.replace("1=0 x=1", degrees, 1))
     assert str(exc.value) == f"line 4: {message}"
+
+
+def test_a_large_space_parses_without_joining_its_products():
+    """An entry's product labels are looked up one factor at a time, and a
+    grade line's labels through the space's position dict, so a file that
+    declares n labels costs about n, not n^2: joining the 9,000,000 labels
+    of H (x) H here would take seconds and hundreds of megabytes."""
+    n = 3000
+    labels = [f"a{k}" for k in range(n)]
+    text = "\n".join([
+        "field: F_5",
+        "space H: " + " ".join(labels),
+        "grade G@H: " + " ".join(f"{lab}=1" for lab in labels),
+        f"tensor m mul@H: (a0, a0.a0, 1) (a1, a{n - 1}.a2, 3)",
+    ])
+    df = parse(text)
+    m = df.tensors["m"].map
+    assert m.source._labels is None
+    assert m.raw_entries() == {(0, 0): 1, (1, (n - 1) * n + 2): 3}
+    assert df.grades["G"] == ("H", dict.fromkeys(labels, 1))
 
 
 def test_unknown_label_in_entry_is_an_error():

@@ -560,12 +560,94 @@ def test_census_readers_scan_each_map_once(boson8, f5_sigmas, monkeypatch):
     monkeypatch.setattr(LinearMap, "entries", property(counting_view))
     monkeypatch.setattr(LinearMap, "_raw_columns", counting_columns)
     equations = lifting._twisting_equations(b, f5_sigmas[1], f5_sigmas[2])
-    assert max(counts.values()) <= 4, counts  # comul, mul and the two cocycles
+    assert max(counts.values()) <= 4, counts  # the two cocycles and mul
     counts.update(entries=0, _raw_columns=0)
     report = gr_check(b, deformed)
     assert max(counts.values()) <= 2, counts  # at most the two products
     monkeypatch.undo()
     assert equations and report.ok
+
+
+def _loop_twisting_equations(b, s1, s2):
+    """Reference twisting equations, written out over the comultiplication:
+    for each basis pair (x, y), sum over the terms x1 (x) x2 and y1 (x) y2 of
+    s2(x1, y1) phi(x2 y2) - phi(x1) phi(y1) s1(x2, y2), as residue terms
+    (a, b, c) with the constant slot phi[d] = 1."""
+    hopf = b.hopf
+    d = b.space.dim
+    p = b.space.field.p
+    com = hopf.comul._raw_columns()
+    mul = hopf.mul._raw_columns()
+    sig1 = {j: v for (_, j), v in s1.sigma.raw_entries().items()}
+    sig2 = {j: v for (_, j), v in s2.sigma.raw_entries().items()}
+    equations = []
+    for x in range(d):
+        for y in range(d):
+            eq: dict[tuple[int, int], int] = {}
+            for xi, vx in com.get(x, ()):
+                x1, x2 = divmod(xi, d)
+                for yj, vy in com.get(y, ()):
+                    y1, y2 = divmod(yj, d)
+                    c = vx * vy
+                    sv = sig2.get(x1 * d + y1)
+                    if sv is not None:
+                        for k, mv in mul.get(x2 * d + y2, ()):
+                            key = (d, k)
+                            eq[key] = eq.get(key, 0) + sv * c * mv
+                    sv = sig1.get(x2 * d + y2)
+                    if sv is not None:
+                        key = (min(x1, y1), max(x1, y1))
+                        eq[key] = eq.get(key, 0) - sv * c
+            terms = [(a, bb, c % p) for (a, bb), c in eq.items() if c % p]
+            if terms:
+                equations.append(terms)
+    return equations
+
+
+def _quantum_line_bosonization(n: int, p: int) -> Bosonization:
+    ambient = cyclic_group_hopf(FieldSpec.prime_field(p), n)
+    return bosonize(GradedYDHopf(quantum_line(ambient), quantum_line_grading()))
+
+
+@pytest.mark.parametrize("name", ["boson4", "boson8", "kC2/F_7"])
+def test_twisting_equations_equal_the_loop_over_the_comultiplication(request, name):
+    """The equations built from sigma_hat and the pair comultiplication are
+    the reference's, equation for equation in the order of the basis pairs;
+    the search only sums the terms of an equation, so their order within it
+    is free."""
+    b = _quantum_line_bosonization(2, 7) if name == "kC2/F_7" else request.getfixturevalue(name)
+    sigmas = enumerate_zprime(b)
+    assert len(sigmas) == b.space.field.p
+    for s1, s2 in itertools.permutations(sigmas, 2):
+        equations = lifting._twisting_equations(b, s1, s2)
+        reference = _loop_twisting_equations(b, s1, s2)
+        assert equations and [sorted(eq) for eq in equations] == [sorted(eq) for eq in reference]
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (2, 7), (2, 11), (4, 3), (4, 5)])
+def test_census_class_count_of_the_quantum_line(n, p):
+    """ROADMAP oracle 1 on every quantum line the census benchmark runs: p
+    restricted cocycles, the trivial one alone in class 0, and
+    1 + (p - 1)/|S| classes, S = {l^2 : l in F_p^x, l^n = 1}.
+
+    For n = N = 2 the count is p, Masuoka's count of the cleft objects of the
+    Taft algebra. For n > N it is derived as follows. A restricted cocycle is
+    fixed by mu = sigma(x, x), which takes each value of F_p once, and its
+    crossed product is generated by u = u_g and y = u_x with u^n = 1,
+    u y = -y u and y^2 = mu. By Doi's criterion an isomorphism of crossed
+    products is a twist by a convolution invertible functional phi: it sends
+    u to l u with l = phi(g), so l^n = 1, and y to l y + phi(x) 1, where
+    u y = -y u forces phi(x) = 0 (p is odd). It then respects y^2 = mu
+    exactly when the source's mu is l^2 times the target's, and each such l
+    defines one. So the classes are {0} and the orbits of S on F_p^x, each
+    of size |S|."""
+    squares = {pow(l, 2, p) for l in range(1, p) if pow(l, n, p) == 1}
+    result = cleft_prime_census(_quantum_line_bosonization(n, p))
+    assert result.report.ok, str(result.report)
+    assert len(result.sigmas) == p
+    assert result.classes[0] == [0]
+    assert len(result.classes) == 1 + (p - 1) // len(squares)
+    assert all(len(group) == len(squares) for group in result.classes[1:])
 
 
 def test_deformed_square_of_the_generator(boson4, boson8, f5_sigmas):

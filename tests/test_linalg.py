@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -335,18 +336,24 @@ def test_tensor_labels_are_the_eager_join():
 
 
 def test_index_reads_the_labels_once(monkeypatch):
-    uvw = tensor_space(U, V, W)
-    labels = uvw.labels
+    """A product label is looked up one factor at a time: each atomic
+    factor's labels are read once, and the product's are never joined."""
+    u, v, w = (based_space(s.name, s.labels, F5) for s in (U, V, W))
+    uvw = tensor_space(u, v, w)
+    labels = [f"{a}.{b}.{c}" for a in u.labels for b in v.labels for c in w.labels]
     reads = []
     getter = BasedSpace.labels.fget
     monkeypatch.setattr(BasedSpace, "labels", property(lambda s: reads.append(s) or getter(s)))
     assert [uvw.index(lab) for lab in labels] == list(range(uvw.dim))
     assert [uvw.index(lab) for lab in reversed(labels)] == list(reversed(range(uvw.dim)))
-    assert reads == [uvw]
+    assert reads == [u, v, w]
+    assert uvw._labels is None
     # an unknown label is a ValueError, as from tuple.index
-    for missing in ("u0.v0", "u0.v0.w9", "1"):
-        with pytest.raises(ValueError):
+    for missing in ("u0.v0", "u0.v0.w9", "1", "u0.v0.w0.u0", ""):
+        message = f"{missing!r} is not a basis label of (U*V*W)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             uvw.index(missing)
+    assert uvw._labels is None
 
 
 class _CountedLabel(str):

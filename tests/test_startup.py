@@ -209,3 +209,50 @@ def test_every_package_function_is_reached_outside_the_tests():
                 grew = True
     unreached = [qualname for qualname, *_ in pending]
     assert not unreached, "reached only from the tests: " + ", ".join(unreached)
+
+
+def test_every_top_level_import_is_used():
+    """No linter runs on the package, so an import that a deletion left
+    behind is caught here: each name a module imports at top level is read
+    somewhere in that module (``from __future__ import annotations`` binds
+    no name)."""
+    for mod in MODULES:
+        tree = ast.parse(Path(mod.__file__).read_text())
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert sorted(imported - used) == [], mod.__name__
+
+
+# the only functions outside linalg.py that loop over a map's sparse columns
+# or rows: the two convolution kernels, which a compose chain would run about
+# twice as slowly, and gr_check's one scan of a difference of products
+RAW_LOOP_SITES = {"hopf.convolution", "hopf.convolution_inverse", "lifting.gr_check"}
+
+
+def _attribute_sites(node, scope: str, attrs: set, sites: set):
+    """Add to ``sites`` the scope of every attribute named in ``attrs``
+    under ``node``."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        scope = f"{scope}.{node.name}"
+    if isinstance(node, ast.Attribute) and node.attr in attrs:
+        sites.add(scope)
+    for child in ast.iter_child_nodes(node):
+        _attribute_sites(child, scope, attrs, sites)
+
+
+def test_raw_loops_run_only_in_the_convolution_kernels_and_gr_check():
+    """``compose`` is the one contraction: outside linalg.py a map's kernel
+    groupings ``_raw_columns()`` and ``_raw_rows()`` are read only at the
+    sites above, and every other product of maps is a composition."""
+    sites: set = set()
+    for mod in MODULES:
+        module = mod.__name__.rpartition(".")[2]
+        if module != "linalg":
+            tree = ast.parse(Path(mod.__file__).read_text())
+            _attribute_sites(tree, module, {"_raw_columns", "_raw_rows"}, sites)
+    assert sites == RAW_LOOP_SITES
