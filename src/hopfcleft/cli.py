@@ -113,7 +113,7 @@ def _finish(report: CheckReport, fmt: str, notes: list[str] | None = None):
 
 def _terms(m: LinearMap, field) -> list[tuple[int, str]]:
     """(column, "value row-label") of each entry of ``m``, by row then column."""
-    return [(j, f"{field.format(v)} {m.target.labels[i]}")
+    return [(j, f"{field.format(v)} {m.target.label(i)}")
             for (i, j), v in sorted(m.raw_entries().items())]
 
 
@@ -302,9 +302,9 @@ def cocycle_from_cleft(df, role_name, fmt):
         _finish(report, fmt)
     m, cocycle, cocycle_report = cocycle_from_section(ce)
     report.extend(cocycle_report)
-    labels = cocycle.sigma.source.labels
+    label = cocycle.sigma.source.label
     notes = [f"coinvariants: {m.space.name} (dim {m.space.dim})"] + [
-        f"sigma({labels[j]}) = {term}" for j, term in _terms(cocycle.sigma, df.field)]
+        f"sigma({label(j)}) = {term}" for j, term in _terms(cocycle.sigma, df.field)]
     _finish(report, fmt, notes)
 
 
@@ -472,7 +472,7 @@ def convolution_inverse_cmd(df, role_name, fmt, tensor_name):
     inverse = convolution_inverse(f, h.coalg, h.alg)
     report = CheckReport(f"convolution inverse over {h.space.name}")
     report.add(CheckItem("two-sided convolution inverse exists", True))
-    notes = [f"{h.space.labels[j]} -> {term}" for j, term in _terms(inverse, df.field)]
+    notes = [f"{h.space.label(j)} -> {term}" for j, term in _terms(inverse, df.field)]
     _finish(report, fmt, notes)
 
 
@@ -488,7 +488,7 @@ def coinvariants_cmd(df, role_name, fmt):
     src = coinv.iota.source
     terms = _terms(coinv.iota, df.field)
     for j in range(src.dim):
-        notes.append(f"{src.labels[j]} = " + " + ".join(t for jj, t in terms if jj == j))
+        notes.append(f"{src.label(j)} = " + " + ".join(t for jj, t in terms if jj == j))
     _finish(report, fmt, notes)
 
 

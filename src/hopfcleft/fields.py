@@ -19,10 +19,10 @@ The sparse kernels of ``linalg`` and ``hopf`` fetch it once per call and run on
 raw values, and a ``LinearMap`` stores raw values only.
 
 ``FieldSpec.value`` is the one normalizer: every value that enters a map
-passes through it, and ``parse`` and ``format`` read and print raw values.
-``Scalar`` is a view at the boundary: a raw value with its field, for a map's
-``entries`` and ``m[i, j]`` views and the public API, delegating its
-arithmetic to the same functions.
+passes through it, and ``parse`` and ``format`` read and print raw values, so
+every report prints a map entry straight from the store. ``Scalar`` is a raw
+value with its field, kept for a map's ``entries`` view and ``hopf.twist``,
+whose arithmetic the benchmark counts; it delegates to the same functions.
 """
 
 from __future__ import annotations
@@ -250,16 +250,6 @@ class FieldSpec:
         field object; equality and hash read only kind, p and n)."""
         return euler_phi(self.n) if self.kind == CYCLOTOMIC else 1
 
-    def zero(self) -> "Scalar":
-        return self.scalar(0)
-
-    def one(self) -> "Scalar":
-        return self.scalar(1)
-
-    def scalar(self, x) -> "Scalar":
-        """``x`` wrapped as a Scalar of this field, for the public boundary."""
-        return Scalar(self, self.value(x))
-
     def value(self, x):
         """The raw canonical value of an int, a Fraction, a Scalar of this
         field or (Q(zeta_n) only) a list or tuple of coefficients of powers
@@ -436,9 +426,6 @@ class Scalar:
         if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
-    def is_zero(self) -> bool:
-        return self.field.ops.is_zero(self.value)
-
     def __add__(self, other: "Scalar") -> "Scalar":
         self._check(other)
         f = self.field
@@ -467,7 +454,7 @@ class Scalar:
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
             return self.inverse() ** (-k)
-        result = self.field.one()
+        result = Scalar(self.field, self.field.value(1))
         base = self
         while k:
             if k & 1:

@@ -9,7 +9,8 @@ A definition file is line oriented:
     role hopf_algebra KC4: space=H mul=Hmul unit=Hunit comul=Hcm counit=Hcu antipode=HS
 
 Composite basis labels join atomic labels with ".", matching the tensor
-basis order; the one-dimensional ground space has the single label "1".
+basis order; the one-dimensional ground space has the single label "1". The
+writer spells each composite label from its factors (``BasedSpace.label``).
 Values use the field notation: integers, "a/b" fractions, or "[c0, c1]"
 cyclotomic coefficient lists with a rational literal in every slot.
 ``FieldSpec.parse`` reads each into a raw value and ``FieldSpec.format``
@@ -415,7 +416,7 @@ def serialize(df: DefinitionFile) -> str:
         src, tgt = t.map.source, t.map.target
         parts = []
         for (i, j), v in sorted(t.map.raw_entries().items()):
-            parts.append(f"({tgt.labels[i]}, {src.labels[j]}, {df.field.format(v)})")
+            parts.append(f"({tgt.label(i)}, {src.label(j)}, {df.field.format(v)})")
         head = f"tensor {name} {t.role}@{','.join(t.space_names)}:"
         lines.append(head + (" " + " ".join(parts) if parts else ""))
     for name in sorted(df.roles):

@@ -125,7 +125,7 @@ def _homogeneous(name: str, f: LinearMap, g: GradedYDHopf) -> CheckItem:
         if rows[i] != cols[j]:
             return CheckItem(
                 name, False,
-                f"{f.target.labels[i]} <- {f.source.labels[j]}: {rows[i]} != {cols[j]}")
+                f"{f.target.label(i)} <- {f.source.label(j)}: {rows[i]} != {cols[j]}")
     return CheckItem(name, True)
 
 
@@ -163,6 +163,9 @@ class Bosonization:
         # the check_zprime verdict on each distinct sigma checked so far,
         # empty on every new object
         self.zprime_cache: dict[LinearMap, tuple[Cocycle | None, CheckReport]] = {}
+        # the two parts of the twisting equations, kept per sigma likewise
+        self.sigma_hats: dict[LinearMap, LinearMap] = {}
+        self.quadratic_parts: dict[LinearMap, LinearMap] = {}
 
     @property
     def space(self) -> BasedSpace:
@@ -491,16 +494,16 @@ def gr_check(b: Bosonization, deformed: BialgebraData) -> CheckReport:
     report = CheckReport(f"graded comparison on {b.space.name}")
     filtered = "products respect the filtration"
     top = "top-degree component is the undeformed product"
-    d, degs, labels = b.space.dim, b.degrees, b.space.labels
+    d, degs, label = b.space.dim, b.degrees, b.space.label
     tops = _degrees(b.hopf.mul.source, b.source)
     diff = (deformed.mul - b.hopf.mul)._raw_columns()
     for col in sorted(diff):
         high = [i for i, _ in diff[col] if degs[i] >= tops[col]]
         if high:
-            pair = f"{labels[col // d]} * {labels[col % d]}"
+            pair = f"{label(col // d)} * {label(col % d)}"
             over = [i for i in high if degs[i] > tops[col]]
             if over:
-                report.add(CheckItem(filtered, False, f"{labels[over[0]]} in {pair}"))
+                report.add(CheckItem(filtered, False, f"{label(over[0])} in {pair}"))
             else:
                 report.add(CheckItem(filtered, True))
                 report.add(CheckItem(top, False, pair))
@@ -677,17 +680,21 @@ def _twisting_equations(b: Bosonization, s1: Cocycle, s2: Cocycle):
     the linear terms. The linear part s2(x1, y1) x2 y2 is ``sigma_hat`` of
     s2, and the quadratic part s1(x2, y2) x1 (x) y1 is (id (x) s1) applied to
     the pair comultiplication, which for the classical bosonization is
-    (id (x) flip (x) id)(comul (x) comul). Vanishing equations are left out;
-    plain residue arithmetic keeps the search fast."""
-    hopf = b.hopf
+    (id (x) flip (x) id)(comul (x) comul). Each part is built once per sigma
+    on ``b``. Vanishing equations are left out; plain residue arithmetic
+    keeps the search fast."""
     d = b.space.dim
     p = b.space.field.p
-    pair = pair_coalgebra(hopf)
-    quadratic = compose(tensor_map(LinearMap.identity(pair.space), s1.sigma), pair.comul)
+    if s2.sigma not in b.sigma_hats:
+        b.sigma_hats[s2.sigma] = sigma_hat(s2.measuring, s2.sigma)
+    if s1.sigma not in b.quadratic_parts:
+        pair = pair_coalgebra(b.hopf)
+        b.quadratic_parts[s1.sigma] = compose(
+            tensor_map(LinearMap.identity(pair.space), s1.sigma), pair.comul)
     eqs: dict[int, dict] = {}
-    for (k, xy), v in sigma_hat(s2.measuring, s2.sigma).raw_entries().items():
+    for (k, xy), v in b.sigma_hats[s2.sigma].raw_entries().items():
         eqs.setdefault(xy, {})[(d, k)] = v
-    for (x1y1, xy), v in quadratic.raw_entries().items():
+    for (x1y1, xy), v in b.quadratic_parts[s1.sigma].raw_entries().items():
         x1, y1 = divmod(x1y1, d)
         eq = eqs.setdefault(xy, {})
         key = (min(x1, y1), max(x1, y1))

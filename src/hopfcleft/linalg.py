@@ -2,17 +2,17 @@
 
 Tensor products are flattened (strict monoidal): a tensor space remembers its
 atomic factors and the basis is ordered lexicographically, leftmost factor
-most significant. A tensor space stores only its factors and its dimension;
-its joined basis labels ("a.b.c") are built on first access and cached, so
-large intermediate tensor powers cost nothing until a report names a basis
-vector; ``index`` reads a product label one factor at a time and never
-builds them. A linear map keeps one sparse store, {(row, col): raw canonical
-value} without zeros (``raw_entries``). Every value enters it through
-``FieldSpec.value``; ``entries`` and ``m[i, j]`` are Scalar views of it for
-the boundary, built on each read and never kept. Maps never change after
-construction, so the kernels' column and row groupings of the store
-(``_raw_columns``, ``_raw_rows``) are built on first use and kept: a structure
-map is grouped once, however often it is composed or convolved.
+most significant. A tensor space stores only its factors and its dimension,
+never its joined basis labels ("a.b.c"): ``label(i)`` spells one label from
+the factors' labels and ``index`` looks one up a factor at a time, so a report
+that names a basis vector of a large tensor power costs one label. A linear
+map keeps one sparse store, {(row, col): raw canonical value} without zeros
+(``raw_entries``). Every value enters it through ``FieldSpec.value``;
+``entries`` is a Scalar view of it for the benchmark, built on each read and
+never kept. Maps never change after construction, so the kernels' column and
+row groupings of the store (``_raw_columns``, ``_raw_rows``) are built on
+first use and kept: a structure map is grouped once, however often it is
+composed or convolved.
 
 The kernels (``_contract``/``_through_slot``, the Kronecker entries of a
 ``TensorMap`` and ``_rref``/``_eliminate`` here; ``convolution`` and
@@ -60,9 +60,9 @@ class BasedSpace:
 
     An atomic space is given its labels, none of which may contain
     ``TENSOR_SEP``, so the joined labels of a product are unique; a tensor
-    space (``factors`` non-empty, labels None) joins its factors' labels on
-    first access. ``index`` looks atomic labels up in a label -> position
-    dict built on first use.
+    space (``factors`` non-empty, labels None) keeps no labels and spells
+    each from its factors' labels. ``index`` looks atomic labels up in a
+    label -> position dict built on first use.
     """
 
     __slots__ = ("name", "field", "factors", "dim", "_labels", "_positions")
@@ -86,12 +86,21 @@ class BasedSpace:
 
     @property
     def labels(self) -> tuple[str, ...]:
+        """All labels; a product spells them again on each read."""
         if self._labels is None:
-            labels = [""]
-            for s in self.factors:
-                labels = [a + TENSOR_SEP + b if a else b for a in labels for b in s.labels]
-            self._labels = tuple(labels)
+            return tuple(map(self.label, range(self.dim)))
         return self._labels
+
+    def label(self, i: int) -> str:
+        """The label of basis vector ``i``: a product's is its atomic
+        factors' labels joined by ``TENSOR_SEP``, the inverse of ``index``."""
+        if self._labels is not None:
+            return self._labels[i]
+        pieces = []
+        for f in reversed(self.factors):
+            i, k = divmod(i, f.dim)
+            pieces.append(f._labels[k])
+        return TENSOR_SEP.join(reversed(pieces))
 
     def index(self, label: str) -> int:
         """The position of ``label``; ValueError when it is no basis label. A
@@ -113,16 +122,16 @@ class BasedSpace:
             raise ValueError(f"{label!r} is not a basis label of {self.name}") from None
 
     def same_basis(self, other: "BasedSpace") -> bool:
-        """Structural compatibility: same field and basis labels."""
+        """Same field and basis labels, compared factor by factor: a product
+        label holds ``TENSOR_SEP`` and an atomic one cannot."""
         if self is other:
             return True
         if self.field != other.field or self.dim != other.dim:
             return False
-        if self.factors and len(self.factors) == len(other.factors) and all(
-            a.same_basis(b) for a, b in zip(self.factors, other.factors)
-        ):
-            return True
-        return self.labels == other.labels
+        if not (self.factors or other.factors):
+            return self._labels == other._labels
+        return len(self.factors) == len(other.factors) and all(
+            a.same_basis(b) for a, b in zip(self.factors, other.factors))
 
     def atomic_factors(self) -> tuple["BasedSpace", ...]:
         return self.factors if self.factors else (self,)
@@ -228,10 +237,6 @@ class LinearMap:
     def identity(space: BasedSpace) -> "LinearMap":
         return LinearMap(space, space, {(i, i): 1 for i in range(space.dim)})
 
-    def __getitem__(self, key) -> Scalar:
-        v = self.raw_entries().get(key)
-        return self.source.field.zero() if v is None else Scalar(self.source.field, v)
-
     def _raw_columns(self) -> dict[int, list]:
         """The sparse columns with raw values, for the kernels: col -> [(row,
         value)]. Built on first use and kept; callers never change it."""
@@ -287,7 +292,7 @@ class LinearMap:
 
     def __str__(self) -> str:
         parts = [
-            f"{self.target.labels[i]} <- {self.source.labels[j]}: {self.source.field.format(v)}"
+            f"{self.target.label(i)} <- {self.source.label(j)}: {self.source.field.format(v)}"
             for (i, j), v in sorted(self.raw_entries().items())
         ]
         return f"LinearMap({self.source} -> {self.target}; " + "; ".join(parts) + ")"

@@ -63,8 +63,7 @@ def map_equal_item(name: str, lhs: LinearMap, rhs: LinearMap) -> CheckItem:
     if left == right:
         return CheckItem(name, True)
     (i, j) = min(k for k, _ in left.items() ^ right.items())
-    witness = (
-        f"at {lhs.source.labels[j]} -> {lhs.target.labels[i]}: "
-        f"{lhs[(i, j)]} != {rhs[(i, j)]}"
-    )
+    field = lhs.source.field
+    lv, rv = (field.format(side.get((i, j), field.value(0))) for side in (left, right))
+    witness = f"at {lhs.source.label(j)} -> {lhs.target.label(i)}: {lv} != {rv}"
     return CheckItem(name, False, witness)

@@ -3,7 +3,7 @@ from hypothesis import settings
 
 from hopfcleft.braided import HModule, YDModule, braiding
 from hopfcleft.errors import NotInvertible
-from hopfcleft.fields import FieldSpec
+from hopfcleft.fields import FieldSpec, Scalar
 from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_grading
 from hopfcleft.hopf import AlgebraData, BialgebraData, CoalgebraData, convolution_inverse
 from hopfcleft.lifting import GradedYDHopf, bosonize
@@ -27,6 +27,32 @@ from hopfcleft.report import CheckItem, map_equal_item
 # leaves no saved examples in the checkout
 settings.register_profile("hopfcleft", deadline=None, database=None)
 settings.load_profile("hopfcleft")
+
+
+# -- Scalar construction for the tests --------------------------------------
+# The package builds no Scalar from a value; these stand in for the tests.
+
+
+def scalar_of(field, x) -> Scalar:
+    """``x`` (anything ``FieldSpec.value`` takes) as a Scalar of ``field``."""
+    return Scalar(field, field.value(x))
+
+
+def zero_scalar(field) -> Scalar:
+    return scalar_of(field, 0)
+
+
+def one_scalar(field) -> Scalar:
+    return scalar_of(field, 1)
+
+
+def scalar_is_zero(x: Scalar) -> bool:
+    return x.field.ops.is_zero(x.value)
+
+
+def entry_at(m, i: int, j: int) -> Scalar:
+    """The (i, j) entry of ``m`` as a Scalar, zero when it is not stored."""
+    return scalar_of(m.source.field, m.raw_entries().get((i, j), 0))
 
 
 def column(m, j: int) -> dict:
@@ -61,7 +87,7 @@ def kron(*maps):
 
 def ref_compose(f, g):
     """Reference matrix product f.g, entry by entry."""
-    zero = f.source.field.zero()
+    zero = zero_scalar(f.source.field)
     g_rows: dict = {}
     for (k, j), v in g.entries.items():
         g_rows.setdefault(k, []).append((j, v))
@@ -81,9 +107,9 @@ def ref_map_equal_item(name, lhs, rhs):
     """Reference for ``report.map_equal_item``: the witness is the least key
     of the Scalar difference lhs - rhs, built entry by entry."""
     left, right = lhs.entries, rhs.entries
-    zero = lhs.source.field.zero()
+    zero = zero_scalar(lhs.source.field)
     diff = {k: left.get(k, zero) - right.get(k, zero) for k in left.keys() | right.keys()}
-    differing = [k for k, v in diff.items() if not v.is_zero()]
+    differing = [k for k, v in diff.items() if not scalar_is_zero(v)]
     if not differing:
         return CheckItem(name, True)
     (i, j) = min(differing)
@@ -100,14 +126,14 @@ def dense_rref(rows):
     pivots = []
     r = 0
     for c in range(len(rows[0])):
-        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        pivot = next((i for i in range(r, len(rows)) if not scalar_is_zero(rows[i][c])), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = rows[r][c].inverse()
         rows[r] = [v * inv for v in rows[r]]
         for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
+            if i != r and not scalar_is_zero(rows[i][c]):
                 factor = rows[i][c]
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
@@ -126,10 +152,10 @@ def ref_convolution_inverse(f, c, a):
     field = a.field
     n = na * nc  # unknown g[i, j] is column i * nc + j; the right-hand side is column n
     unit = ref_compose(a.unit, c.counit)
-    rows = [[field.zero()] * (n + 1) for _ in range(n)]
+    rows = [[zero_scalar(field)] * (n + 1) for _ in range(n)]
     for i in range(na):
         for j in range(nc):
-            e_ij = LinearMap(c.space, a.space, {(i, j): field.one()})
+            e_ij = LinearMap(c.space, a.space, {(i, j): one_scalar(field)})
             for (r, s), v in ref_convolution(f, e_ij, c, a).entries.items():
                 rows[r * nc + s][i * nc + j] = v
     for (r, s), v in unit.entries.items():
@@ -162,7 +188,7 @@ def non_hopf_bialgebra(field: FieldSpec) -> BialgebraData:
     """The monoid algebra of {1, e} with e^2 = e and e grouplike: a bialgebra
     whose identity map is not convolution invertible."""
     space = based_space("kM2", ["1", "e"], field)
-    one_s = field.one()
+    one_s = one_scalar(field)
     unit1 = unit_space(field)
     mul = LinearMap.from_labels(
         tensor_space(space, space), space,
@@ -179,7 +205,7 @@ def degree_zero_projection(g) -> LinearMap:
     """The projection R -> R of a graded R onto its degree-zero part. The
     ambient action and coaction preserve degree, so it is a morphism of
     Yetter-Drinfeld modules, and it is not the identity."""
-    one = g.space.field.one()
+    one = one_scalar(g.space.field)
     return LinearMap(g.space, g.space, {
         (i, i): one for i, lab in enumerate(g.space.labels) if g.grading[lab] == 0})
 
@@ -205,7 +231,7 @@ def change_of_basis(g, new_bases: dict, grading: dict) -> GradedYDHopf:
     for old, (labels, columns) in new_bases.items():
         new = based_space(old.name, labels, field)
         moves[old] = (new, LinearMap(new, old, {
-            (i, j): field.scalar(v)
+            (i, j): scalar_of(field, v)
             for j, col in enumerate(columns) for i, v in enumerate(col) if v}))
 
     def new_space(space):

@@ -57,6 +57,7 @@ from conftest import (
     column,
     convolution_inverse_or_none,
     degree_zero_projection,
+    scalar_is_zero,
 )
 
 
@@ -192,7 +193,7 @@ def test_criterion_7_deformations_are_filtered(boson8):
             for col in range(space.dim * space.dim):
                 top = degs[col // space.dim] + degs[col % space.dim]
                 for i, v in column(deformed.mul, col).items():
-                    if degs[i] < top and not v.is_zero():
+                    if degs[i] < top and not scalar_is_zero(v):
                         pair = f"{space.labels[col // space.dim]}*{space.labels[col % space.dim]}"
                         low.setdefault(pair, []).append(
                             f"{field.format(v.value)} {space.labels[i]}")

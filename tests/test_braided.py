@@ -35,7 +35,14 @@ from hopfcleft.linalg import (
 )
 from hopfcleft.report import map_equal_item
 
-from conftest import braiding_naturality_item, degree_zero_projection, kron
+from conftest import (
+    braiding_naturality_item,
+    degree_zero_projection,
+    entry_at,
+    kron,
+    one_scalar,
+    scalar_of,
+)
 
 
 def test_quantum_line_is_yetter_drinfeld(qline_f5):
@@ -64,7 +71,7 @@ def test_braiding_is_natural_along_the_degree_zero_projection(name, request):
     assert compose(tensor_map(id_k, proj), yd.coaction) == compose(yd.coaction, proj)
     item = braiding_naturality_item(yd, yd.module, proj, proj)
     assert item.ok, item.line()
-    one = g.space.field.one()
+    one = one_scalar(g.space.field)
     swap = LinearMap(g.space, g.space, {(0, 1): one, (1, 0): one})
     assert not braiding_naturality_item(yd, yd.module, swap, swap).ok
 
@@ -74,10 +81,10 @@ def test_braiding_on_quantum_line_is_a_sign(qline_f5):
     c = braiding(yd, yd.module)
     sq = tensor_space(yd.space, yd.space)
     # c(x (x) x) = g.x (x) x = -x (x) x; all other basis tensors flip plainly
-    minus = yd.space.field.scalar(-1)
+    minus = scalar_of(yd.space.field, -1)
     xx = sq.index("x.x")
-    assert c[(xx, xx)] == minus
-    assert c[(sq.index("1.x"), sq.index("x.1"))] == yd.space.field.one()
+    assert entry_at(c, xx, xx) == minus
+    assert entry_at(c, sq.index("1.x"), sq.index("x.1")) == one_scalar(yd.space.field)
 
 
 def test_braiding_inverse(qline_f5):
@@ -134,7 +141,7 @@ def test_yd_compatibility_equals_the_permutation_chain(qline_f5, monkeypatch):
     yd = qline_f5.hopf.yd
     base, h, v = yd.base, yd.base.space, yd.space
     # g.x gains a 1-component: still a module, but g no longer keeps degrees
-    extra = LinearMap.from_labels(yd.module.action.source, v, [("1", "g.x", v.field.one())])
+    extra = LinearMap.from_labels(yd.module.action.source, v, [("1", "g.x", one_scalar(v.field))])
     broken = YDModule(HModule(base, v, yd.module.action + extra), yd.coaction)
     id_h, id_v = LinearMap.identity(h), LinearMap.identity(v)
     rhs = compose_all(

@@ -18,6 +18,8 @@ from hopfcleft.fixtures import cyclic_group_hopf
 from hopfcleft.linalg import LinearMap, compose, tensor_map
 from hopfcleft.oracle import enumerate_cocycles
 
+from conftest import scalar_of
+
 
 @pytest.fixture(scope="module")
 def braided_cocycles(qline_f3):
@@ -84,7 +86,7 @@ def test_normalize_section_fixes_unit(kc4_f5):
     m = trivial_measuring(b)
     ce = crossed_to_cleft(check_cocycle(m, trivial_sigma(m))[0])
     # perturb the section by a unit scalar so gamma(1) = 2, then renormalize
-    two = kc4_f5.space.field.scalar(2)
+    two = scalar_of(kc4_f5.space.field, 2)
     scaled = LinearMap(ce.gamma.source, ce.gamma.target,
                        {k: two * v for k, v in ce.gamma.entries.items()})
     perturbed = make_cleft(ce.comodule_algebra, scaled)

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hopfcleft.errors import DivisionByZero, FieldMismatch
 from hopfcleft.fields import CYCLOTOMIC, PRIME, RATIONALS, FieldSpec, Scalar, cyclotomic_polynomial
 
+from conftest import one_scalar, scalar_is_zero, scalar_of, zero_scalar
+
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime_field(5)
 Z4 = FieldSpec.cyclotomic(4)
@@ -16,10 +18,10 @@ rational_scalars = st.builds(
     Fraction,
     st.integers(min_value=-50, max_value=50),
     st.integers(min_value=1, max_value=50),
-).map(Q.scalar)
-prime_scalars = st.integers(min_value=0, max_value=4).map(F5.scalar)
+).map(lambda x: scalar_of(Q, x))
+prime_scalars = st.integers(min_value=0, max_value=4).map(lambda x: scalar_of(F5, x))
 cyclo_scalars = st.lists(
-    st.integers(min_value=-5, max_value=5), min_size=2, max_size=2).map(Z4.scalar)
+    st.integers(min_value=-5, max_value=5), min_size=2, max_size=2).map(lambda x: scalar_of(Z4, x))
 any_scalar = st.one_of(rational_scalars, prime_scalars, cyclo_scalars)
 
 
@@ -46,30 +48,30 @@ def test_associativity_and_distributivity(triple):
 @given(any_scalar)
 def test_additive_inverse_and_units(a):
     f = a.field
-    assert a + (-a) == f.zero()
-    assert a + f.zero() == a
-    assert a * f.one() == a
-    assert a - a == f.zero()
+    assert a + (-a) == zero_scalar(f)
+    assert a + zero_scalar(f) == a
+    assert a * one_scalar(f) == a
+    assert a - a == zero_scalar(f)
 
 
 @given(any_scalar)
 def test_multiplicative_inverse(a):
-    if a.is_zero():
+    if scalar_is_zero(a):
         with pytest.raises(DivisionByZero):
             a.inverse()
     else:
-        assert a * a.inverse() == a.field.one()
-        assert a.inverse() * a == a.field.one()
+        assert a * a.inverse() == one_scalar(a.field)
+        assert a.inverse() * a == one_scalar(a.field)
 
 
 @given(any_scalar, st.integers(min_value=-4, max_value=6))
 def test_powers(a, k):
-    if a.is_zero() and k < 0:
+    if scalar_is_zero(a) and k < 0:
         return
-    expected = a.field.one()
+    expected = one_scalar(a.field)
     for _ in range(abs(k)):
         expected = expected * a
-    if k < 0 and not a.is_zero():
+    if k < 0 and not scalar_is_zero(a):
         expected = expected.inverse()
     assert a ** k == expected
 
@@ -80,13 +82,13 @@ def test_parse_format_round_trip(a):
 
 
 def test_scalar_canonical_form():
-    assert F5.scalar(7) == F5.scalar(2)
-    assert F5.scalar(Fraction(1, 2)) == F5.scalar(3)
-    assert Q.scalar(2) + Q.scalar(Fraction(1, 2)) == Q.scalar(Fraction(5, 2))
+    assert scalar_of(F5, 7) == scalar_of(F5, 2)
+    assert scalar_of(F5, Fraction(1, 2)) == scalar_of(F5, 3)
+    assert scalar_of(Q, 2) + scalar_of(Q, Fraction(1, 2)) == scalar_of(Q, Fraction(5, 2))
     # zeta_4^2 = -1 reduces modulo x^2 + 1
-    z = Z4.scalar([0, 1])
-    assert z * z == Z4.scalar(-1)
-    assert z ** 4 == Z4.one()
+    z = scalar_of(Z4, [0, 1])
+    assert z * z == scalar_of(Z4, -1)
+    assert z ** 4 == one_scalar(Z4)
 
 
 def test_cyclotomic_polynomials():
@@ -132,10 +134,10 @@ def root_of_unity(field: FieldSpec, n: int) -> Scalar:
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
-        return field.one()
+        return one_scalar(field)
     if field.kind == RATIONALS:
         if n == 2:
-            return field.scalar(-1)
+            return scalar_of(field, -1)
         raise ValueError(f"Q has no primitive {n}-th root of unity")
     if field.kind == PRIME:
         if (field.p - 1) % n != 0:
@@ -144,14 +146,14 @@ def root_of_unity(field: FieldSpec, n: int) -> Scalar:
         for a in range(2, field.p):
             z = pow(a, e, field.p)
             if all(pow(z, k, field.p) != 1 for k in range(1, n)):
-                return field.scalar(z)
+                return scalar_of(field, z)
         raise ValueError(f"F_{field.p} has no primitive {n}-th root of unity")
     assert field.kind == CYCLOTOMIC
     # the roots of unity of Q(zeta_m) form a cyclic group of order lcm(2, m),
     # generated by zeta_m (m even) or -zeta_m (m odd); zeta_m is the residue
     # class of x, which is 1 in Q(zeta_1) and -1 in Q(zeta_2)
     m = field.n
-    zeta = field.scalar([0, 1])
+    zeta = scalar_of(field, [0, 1])
     order, generator = (m, zeta) if m % 2 == 0 else (2 * m, -zeta)
     if order % n != 0:
         raise ValueError(f"{field} has no primitive {n}-th root of unity")
@@ -167,9 +169,9 @@ def root_of_unity(field: FieldSpec, n: int) -> Scalar:
 ])
 def test_root_of_unity_has_exact_order(field, n):
     z = root_of_unity(field, n)
-    assert z ** n == field.one()
+    assert z ** n == one_scalar(field)
     for k in range(1, n):
-        assert z ** k != field.one()
+        assert z ** k != one_scalar(field)
 
 
 def test_root_of_unity_absent():
@@ -189,7 +191,7 @@ def test_degree_is_computed_once_per_field(monkeypatch):
     monkeypatch.setattr(fields, "euler_phi", lambda n: calls.append(n) or phi(n))
     z8 = FieldSpec.cyclotomic(8)
     assert [z8.degree for _ in range(3)] == [4, 4, 4]
-    z8.scalar([0, 1]) * z8.scalar([0, 1])
+    scalar_of(z8, [0, 1]) * scalar_of(z8, [0, 1])
     assert calls == [8]
     # the cached degree is not part of the field's identity
     assert z8 == FieldSpec.cyclotomic(8) and hash(z8) == hash(FieldSpec.cyclotomic(8))
@@ -218,7 +220,7 @@ def test_field_ops_are_built_once_and_ignored_by_equality(monkeypatch):
     monkeypatch.setattr(FieldSpec, "_cyclotomic_ops", lambda f: calls.append(f) or build(f))
     a, b = FieldSpec.cyclotomic(8), FieldSpec.cyclotomic(8)
     assert a.ops is a.ops
-    a.scalar([0, 1]) * a.scalar([0, 1]) + a.one()
+    scalar_of(a, [0, 1]) * scalar_of(a, [0, 1]) + one_scalar(a)
     assert calls == [a]
     # b has built nothing, a has its arithmetic: still equal, same hash
     assert a == b and hash(a) == hash(b)
@@ -226,7 +228,7 @@ def test_field_ops_are_built_once_and_ignored_by_equality(monkeypatch):
 
 
 def test_scalar_is_an_immutable_value_of_its_field():
-    a, b = F5.scalar(3), FieldSpec.prime_field(5).scalar(8)
+    a, b = scalar_of(F5, 3), scalar_of(FieldSpec.prime_field(5), 8)
     assert a is not b and a == b and hash(a) == hash(b)
     with pytest.raises(AttributeError):
         a.value = 4
@@ -234,10 +236,11 @@ def test_scalar_is_an_immutable_value_of_its_field():
         a.field = Q
     assert a.value == 3 and a.field == F5
     # the raw values agree; equality still tells the fields apart
-    assert Q.scalar(3).value == F5.scalar(3).value == FieldSpec.prime_field(7).scalar(3).value
-    assert Q.scalar(3) != F5.scalar(3)
-    assert FieldSpec.prime_field(7).scalar(3) != F5.scalar(3)
-    assert F5.scalar(3) != 3
+    assert (scalar_of(Q, 3).value == scalar_of(F5, 3).value
+            == scalar_of(FieldSpec.prime_field(7), 3).value)
+    assert scalar_of(Q, 3) != scalar_of(F5, 3)
+    assert scalar_of(FieldSpec.prime_field(7), 3) != scalar_of(F5, 3)
+    assert scalar_of(F5, 3) != 3
 
 
 def test_prime_field_rejects_composite():
@@ -247,12 +250,12 @@ def test_prime_field_rejects_composite():
 
 def test_field_mismatch_rejected():
     with pytest.raises(FieldMismatch):
-        Q.one() + F5.one()
+        one_scalar(Q) + one_scalar(F5)
 
 
 def test_scalar_is_hashable():
-    assert len({F5.scalar(2), F5.scalar(7), F5.scalar(3)}) == 2
-    assert isinstance(Q.one(), Scalar)
+    assert len({scalar_of(F5, 2), scalar_of(F5, 7), scalar_of(F5, 3)}) == 2
+    assert isinstance(one_scalar(Q), Scalar)
 
 
 RAW_FIELDS = [Q] + [FieldSpec.cyclotomic(n) for n in (1, 2, 3, 4, 8, 12)]
@@ -292,10 +295,10 @@ def test_raw_values_are_ints_when_integral(data):
         fractions = [Fraction(n, d) for n, d in pairs]  # Fraction(4, 2) is Fraction(2, 1)
         if field.kind == "cyclotomic":
             parsed = field.parse("[" + ", ".join(texts) + "]")
-            built = field.scalar(fractions)
+            built = scalar_of(field, fractions)
         else:
             parsed = field.parse(texts[0])
-            built = field.scalar(fractions[0])
+            built = scalar_of(field, fractions[0])
         assert parsed == built.value
         assert_raw_form(field, parsed)
         assert_raw_form(field, built.value)
@@ -309,7 +312,7 @@ def test_raw_values_are_ints_when_integral(data):
             inv = ops.inverse(x)
             assert_raw_form(field, inv)
             assert_raw_form(field, ops.mul(inv, x))
-            assert ops.mul(inv, x) == field.one().value
+            assert ops.mul(inv, x) == one_scalar(field).value
 
 
 def test_rational_inverse_is_a_fraction_never_a_float():
@@ -320,7 +323,7 @@ def test_rational_inverse_is_a_fraction_never_a_float():
     # integral results of Fraction arithmetic come back as ints
     assert type(ops.mul(Fraction(2, 3), Fraction(3, 2))) is int
     assert type(ops.add(Fraction(1, 2), Fraction(1, 2))) is int
-    assert type(Q.scalar(Fraction(4, 2)).value) is int
+    assert type(scalar_of(Q, Fraction(4, 2)).value) is int
     assert type(Q.parse("-6/3")) is int
     inverse = FieldSpec.cyclotomic(4).ops.inverse((2, 0))
     assert inverse == (Fraction(1, 2), 0) and [type(c) for c in inverse] == [Fraction, int]
@@ -337,15 +340,16 @@ def test_value_is_the_one_normalizer():
     assert Z4.value([0, 0, 1]) == (-1, 0) and Z4.value([3]) == (3, 0) and Z4.value([]) == (0, 0)
     assert Z4.value(Fraction(1, 2)) == (Fraction(1, 2), 0) and Z4.value((1, 2)) == (1, 2)
     assert Z4.value([Fraction(2, 1), 0]) == (2, 0) and type(Z4.value([Fraction(2, 1), 0])[0]) is int
-    for field, x in ((F5, F5.scalar(3)), (Q, Q.scalar(Fraction(1, 3))), (Z4, Z4.scalar([0, 1]))):
-        assert field.value(x) == x.value and field.scalar(x) == x
+    for field, v in ((F5, 3), (Q, Fraction(1, 3)), (Z4, [0, 1])):
+        x = scalar_of(field, v)
+        assert field.value(x) == x.value and scalar_of(field, x) == x
         assert field.parse(field.format(x.value)) == x.value
     assert Z4.parse("[1, 0, 1]") == (0, 0) and Z4.parse("[ ]") == (0, 0)
     assert Z4.format((Fraction(-1, 2), 1)) == "[-1/2, 1]" and F5.format(3) == "3"
     with pytest.raises(FieldMismatch):
-        F5.value(FieldSpec.prime_field(7).scalar(3))
+        F5.value(scalar_of(FieldSpec.prime_field(7), 3))
     with pytest.raises(FieldMismatch):
-        Q.value(F5.one())
+        Q.value(one_scalar(F5))
     with pytest.raises(DivisionByZero):
         F5.value(Fraction(1, 5))
 

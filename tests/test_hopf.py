@@ -34,6 +34,7 @@ from conftest import (
     count_field_muls,
     kron,
     non_hopf_bialgebra,
+    one_scalar,
     ref_braided_product,
 )
 
@@ -99,7 +100,7 @@ def _probe_convolution_inverse(f, c, a):
     entries = {}
     for i in range(na):
         for j in range(nc):
-            conv = convolution(f, LinearMap(c.space, a.space, {(i, j): field.one()}), c, a)
+            conv = convolution(f, LinearMap(c.space, a.space, {(i, j): one_scalar(field)}), c, a)
             for (r, s), v in conv.entries.items():
                 entries[(r * nc + s, i * nc + j)] = v
     target = convolution_unit(c, a)
@@ -125,7 +126,7 @@ def test_convolution_inverse_matches_the_probe_assembly(kc4_f5, boson8, boson16_
     cases = [(h.space, h.coalg, h.alg) for h in (kc4_f5, boson8.hopf, boson16_q.hopf)]
     for space, c, a in cases:
         ident = LinearMap.identity(space)
-        first = LinearMap(space, space, {(0, 0): space.field.one()})
+        first = LinearMap(space, space, {(0, 0): one_scalar(space.field)})
         for f in (ident, first, LinearMap(space, space)):
             assert (_inverse_or_message(f, c, a, convolution_inverse)
                     == _inverse_or_message(f, c, a, _probe_convolution_inverse))
@@ -210,7 +211,7 @@ def test_conv_naturality_along_group_morphism(f3):
     f5 = FieldSpec.prime_field(5)
     c2 = cyclic_group_hopf(f5, 2)
     c4 = cyclic_group_hopf(f5, 4)
-    one = f5.one()
+    one = one_scalar(f5)
     # bialgebra morphism g -> g2
     psi = LinearMap.from_labels(
         c2.space, c4.space, [("1", "1", one), ("g2", "g", one)])

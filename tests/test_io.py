@@ -134,7 +134,9 @@ def test_a_large_space_parses_without_joining_its_products():
     """An entry's product labels are looked up one factor at a time, and a
     grade line's labels through the space's position dict, so a file that
     declares n labels costs about n, not n^2: joining the 9,000,000 labels
-    of H (x) H here would take seconds and hundreds of megabytes."""
+    of H (x) H here would take seconds and hundreds of megabytes. Writing
+    the file back spells each entry's two labels from the factors, so it
+    joins none either."""
     n = 3000
     labels = [f"a{k}" for k in range(n)]
     text = "\n".join([
@@ -148,6 +150,8 @@ def test_a_large_space_parses_without_joining_its_products():
     assert m.source._labels is None
     assert m.raw_entries() == {(0, 0): 1, (1, (n - 1) * n + 2): 3}
     assert df.grades["G"] == ("H", dict.fromkeys(labels, 1))
+    assert serialize(df) == text + "\n"
+    assert m.source._labels is None
 
 
 def test_unknown_label_in_entry_is_an_error():

@@ -10,6 +10,7 @@ import cmath
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hopfcleft.errors import NotInvertible
@@ -31,15 +32,19 @@ from hopfcleft.linalg import (
     tensor_space,
     unit_space,
 )
-from hopfcleft.report import map_equal_item
+from hopfcleft.report import CheckItem, map_equal_item
 
 from conftest import (
+    entry_at,
     kron,
     ref_braided_product,
     ref_compose,
     ref_convolution,
     ref_convolution_inverse,
     ref_map_equal_item,
+    scalar_is_zero,
+    scalar_of,
+    zero_scalar,
 )
 
 FIELDS = (
@@ -60,7 +65,7 @@ def _values(field):
     else:
         values = st.lists(small, min_size=field.degree, max_size=field.degree)
     # many zeros: sparse maps, and sums that cancel
-    return st.one_of(st.just(0), values).map(field.scalar)
+    return st.one_of(st.just(0), values).map(lambda x: scalar_of(field, x))
 
 
 def _space(data, field, name, max_dim=3):
@@ -73,7 +78,7 @@ def _map(data, source, target):
         _values(source.field), min_size=source.dim * target.dim,
         max_size=source.dim * target.dim))
     return LinearMap(source, target, {
-        divmod(k, source.dim): v for k, v in enumerate(values) if not v.is_zero()})
+        divmod(k, source.dim): v for k, v in enumerate(values) if not scalar_is_zero(v)})
 
 
 def _assert_one_store(m):
@@ -85,7 +90,7 @@ def _assert_one_store(m):
     keys = itertools.product(range(m.target.dim), range(m.source.dim))
     absent = next((k for k in keys if k not in raw), None)
     if absent is not None:
-        assert m[absent] == field.zero()
+        assert entry_at(m, *absent) == zero_scalar(field)
 
 
 def _assert_matches(result, reference):
@@ -109,7 +114,7 @@ def test_compose_equals_the_reference(data):
     # sums and negatives, against entrywise Scalar arithmetic
     f2 = _map(data, q, r)
     keys = f.entries.keys() | f2.entries.keys()
-    _assert_matches(f + f2, LinearMap(q, r, {k: f[k] + f2[k] for k in keys}))
+    _assert_matches(f + f2, LinearMap(q, r, {k: entry_at(f, *k) + entry_at(f2, *k) for k in keys}))
     _assert_matches(-f, LinearMap(q, r, {k: -v for k, v in f.entries.items()}))
     # a factored operand on either side
     h = _map(data, tensor_space(q, t), r)
@@ -202,11 +207,50 @@ def test_map_equal_item_equals_the_reference(data):
     values = _values(field)
     rhs_entries = {}
     for key in itertools.product(range(q.dim), range(p.dim)):
-        v = lhs[key] if data.draw(st.booleans()) else data.draw(values)
-        if not v.is_zero():
+        v = entry_at(lhs, *key) if data.draw(st.booleans()) else data.draw(values)
+        if not scalar_is_zero(v):
             rhs_entries[key] = v
     rhs = LinearMap(p, q, rhs_entries)
     assert map_equal_item("relation", lhs, rhs) == ref_map_equal_item("relation", lhs, rhs)
+
+
+_F5, _Q, _Z4 = FieldSpec.prime_field(5), FieldSpec.rationals(), FieldSpec.cyclotomic(4)
+
+
+def _product_source():
+    u = based_space("U", ["u0", "u1"], _F5)
+    return tensor_space(u, based_space("V", ["v0", "v1", "v2"], _F5))
+
+
+# (source, left, right, witness): the first differing entry is stored on both
+# sides, then on one side only, where the other side prints its zero
+WITNESSES = {
+    "F_5 both": (_F5, {(0, 1): 2, (1, 0): 1}, {(0, 1): 3}, "at b -> x: 2 != 3"),
+    "F_5 one side": (_F5, {(1, 0): 4}, {}, "at a -> y: 4 != 0"),
+    "Q both": (_Q, {(0, 0): Fraction(1, 2)}, {(0, 0): -3}, "at a -> x: 1/2 != -3"),
+    "Q one side": (_Q, {}, {(1, 1): Fraction(-1, 3)}, "at b -> y: 0 != -1/3"),
+    "Q(zeta_4) both": (_Z4, {(1, 0): [0, 1]}, {(1, 0): [1, 1]}, "at a -> y: [0, 1] != [1, 1]"),
+    "Q(zeta_4) one side": (_Z4, {}, {(0, 1): [2, -1]}, "at b -> x: [0, 0] != [2, -1]"),
+    "product both": (_product_source, {(1, 4): 1}, {(1, 4): 2}, "at u1.v1 -> y: 1 != 2"),
+    "product one side": (_product_source, {(0, 5): 3, (1, 2): 1}, {(1, 2): 1},
+                         "at u1.v2 -> x: 3 != 0"),
+}
+
+
+@pytest.mark.parametrize("case", WITNESSES)
+def test_map_equal_item_prints_the_witness_from_the_raw_entries(case):
+    """The witness names the first differing entry by its two labels and
+    prints both values as the file format does, zero for an entry one side
+    does not store; a product's labels are spelled one at a time, never all
+    joined."""
+    source, left, right, witness = WITNESSES[case]
+    source = source() if callable(source) else based_space("S", ["a", "b"], source)
+    target = based_space("T", ["x", "y"], source.field)
+    lhs, rhs = LinearMap(source, target, left), LinearMap(source, target, right)
+    assert map_equal_item("relation", lhs, rhs) == CheckItem("relation", False, witness)
+    assert map_equal_item("relation", lhs, lhs) == CheckItem("relation", True)
+    if source.factors:
+        assert source._labels is None
 
 
 def _model(field, value):
@@ -236,10 +280,10 @@ def test_field_ops_agree_with_scalar_and_an_independent_model(data):
     assert ops.add(a, b) == (x + y).value
     assert ops.mul(a, b) == (x * y).value
     assert ops.neg(a) == (-x).value
-    assert ops.is_zero(a) == x.is_zero()
+    assert ops.is_zero(a) == scalar_is_zero(x)
     assert _close(field, _model(field, ops.add(a, b)), _model(field, a) + _model(field, b))
     assert _close(field, _model(field, ops.mul(a, b)), _model(field, a) * _model(field, b))
     assert _close(field, _model(field, ops.neg(a)), -_model(field, a))
-    if not x.is_zero():
+    if not scalar_is_zero(x):
         assert ops.inverse(a) == x.inverse().value
         assert _close(field, _model(field, ops.inverse(a)) * _model(field, a), 1)

@@ -58,7 +58,7 @@ from hopfcleft.linalg import (
 from hopfcleft.oracle import enumerate_cocycles, enumerate_zprime
 from hopfcleft.report import CheckItem, CheckReport, map_equal_item
 
-from conftest import column, count_field_muls, kron, record_map_sizes
+from conftest import column, count_field_muls, kron, one_scalar, record_map_sizes, scalar_of
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +204,7 @@ def test_section_reversal_equals_the_permutation_chain(boson4, monkeypatch):
     ce = psi(boson4, crossed_to_cleft(pi))
     gi = ce.gamma_inv
     field = gi.source.field
-    extra = LinearMap(gi.source, gi.target, {(0, gi.source.dim - 1): field.one()})
+    extra = LinearMap(gi.source, gi.target, {(0, gi.source.dim - 1): one_scalar(field)})
     broken = CleftExtension(ce.comodule_algebra, ce.gamma, gi + extra)
     hs, bigspace = boson4.ambient.space, boson4.space
     jh = lifting._embed_h(boson4)
@@ -290,7 +290,7 @@ def _sweep_isomorphic(b, s1, s2):
                 break
         else:
             phi_map = LinearMap(b.space, s1.sigma.target,
-                                {(0, i): field.scalar(v) for i, v in enumerate(ph[:d]) if v})
+                                {(0, i): scalar_of(field, v) for i, v in enumerate(ph[:d]) if v})
             try:
                 convolution_inverse(phi_map, hopf.coalg, unit_alg)
             except NotInvertible:
@@ -474,7 +474,7 @@ def _restricted_sigma(b, value: int) -> LinearMap:
     rs = b.source.space
     field = rs.field
     pi_map = LinearMap.from_labels(tensor_space(rs, rs), unit_space(field), [
-        ("1", "1.1", field.one()), ("1", "x.x", field.scalar(value))])
+        ("1", "1.1", one_scalar(field)), ("1", "x.x", scalar_of(field, value))])
     spread = tensor_maps(
         LinearMap.identity(rs), b.source.hopf.yd.module.action, b.ambient.counit)
     return compose(pi_map, spread)
@@ -624,6 +624,25 @@ def test_twisting_equations_equal_the_loop_over_the_comultiplication(request, na
         assert equations and [sorted(eq) for eq in equations] == [sorted(eq) for eq in reference]
 
 
+def test_a_census_builds_each_twisting_part_once(monkeypatch):
+    """The twisting equations of a comparison take sigma_hat of the new
+    cocycle and the quadratic part of the class representative; each is
+    built once per sigma, not once per comparison. Over kC4/F_5 the census
+    makes 8 comparisons: 4 cocycles are compared and 3 representatives
+    compared with."""
+    b = _quantum_line_bosonization(4, 5)
+    sigmas = enumerate_zprime(b)
+    linear, quadratic = [], []
+    hat, tensor = lifting.sigma_hat, lifting.tensor_map
+    # inside census_classes only the quadratic part calls lifting.tensor_map
+    monkeypatch.setattr(lifting, "sigma_hat", lambda m, s: linear.append(s) or hat(m, s))
+    monkeypatch.setattr(lifting, "tensor_map", lambda f, g: quadratic.append(g) or tensor(f, g))
+    classes = census_classes(b, sigmas)
+    assert classes == [[0], [1, 4], [2, 3]]
+    assert linear == [s.sigma for s in sigmas[1:]]
+    assert quadratic == [sigmas[c[0]].sigma for c in classes]
+
+
 @pytest.mark.parametrize("n,p", [(2, 3), (2, 7), (2, 11), (4, 3), (4, 5)])
 def test_census_class_count_of_the_quantum_line(n, p):
     """ROADMAP oracle 1 on every quantum line the census benchmark runs: p
@@ -667,7 +686,7 @@ def test_deformed_square_of_the_generator(boson4, boson8, f5_sigmas):
             for label, value in (("1.1", k), (f"1.{g_squared}", -k)):
                 expected[label] = (expected.get(label, 0) + value) % field.p
             assert entries == {
-                label: field.scalar(value) for label, value in expected.items() if value}
+                label: scalar_of(field, value) for label, value in expected.items() if value}
 
 
 def test_undeformed_square_vanishes(boson8):
@@ -691,7 +710,7 @@ def _pulled_back_group_coboundary(b, phi_values):
     field = b.space.field
     n = b.ambient.space.dim
     labels = b.ambient.space.labels  # 1, g, g2, ...: index i is g^i
-    value = [field.scalar(v) for v in phi_values]
+    value = [scalar_of(field, v) for v in phi_values]
     entries = [("1", f"1.{labels[i]}.1.{labels[j]}",
                 value[i] * value[j] * value[(i + j) % n].inverse())
                for i in range(n) for j in range(n)]
@@ -722,7 +741,7 @@ def test_non_cocycle_is_rejected_by_check_zprime(boson4):
     field = space.field
     src = tensor_space(space, space)
     bad = LinearMap(src, unit_space(field),
-                    {(0, j): field.one() for j in range(src.dim)})
+                    {(0, j): one_scalar(field) for j in range(src.dim)})
     result, report = check_zprime(boson4, bad)
     assert result is None and not _cocycle_items_ok(report)
 
@@ -754,7 +773,7 @@ def _swept_and_rejected(b, monkeypatch):
     field = b.space.field
     zero = LinearMap(tensor_space(b.space, b.space), unit_space(field))
     entries = dict(found[-1].sigma.entries)
-    entries[(0, 0)] = entries[(0, 0)] + field.one()
+    entries[(0, 0)] = entries[(0, 0)] + one_scalar(field)
     changed = LinearMap(zero.source, zero.target, entries)
     return swept, [zero, changed]
 

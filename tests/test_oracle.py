@@ -17,7 +17,7 @@ from hopfcleft.oracle import (
     oracle_convolution_inverse,
 )
 
-from conftest import kron, non_hopf_bialgebra
+from conftest import entry_at, kron, non_hopf_bialgebra, scalar_of
 
 
 def test_antipode_matches_exhaustive_inverse(kc2_f3):
@@ -44,7 +44,7 @@ def test_classical_cocycle_count_kc2_f3(f3):
     assert len(found) == 2
     target = found[0].sigma.target
     gg = found[0].sigma.source.index("g.g")
-    values = [int(c.sigma[(0, gg)].value) for c in found]
+    values = [int(entry_at(c.sigma, 0, gg).value) for c in found]
     assert values == [1, 2]
 
 
@@ -84,7 +84,7 @@ def _full_sweep(source, target, slots, unit, want, verify):
     found = []
     for values in itertools.product(range(field.p), repeat=len(slots)):
         sigma = LinearMap(source, target,
-                          {slot: field.scalar(v) for slot, v in zip(slots, values) if v})
+                          {slot: scalar_of(field, v) for slot, v in zip(slots, values) if v})
         if compose(sigma, left) != want or compose(sigma, right) != want:
             continue
         result = verify(sigma)
