@@ -1,25 +1,26 @@
 """Command-line driver.
 
-Every command has one shape, declared by ``_file_command``: a definition
-FILE (see io.py for the format), ``--role`` to pick a role when the file
-declares several of a kind, ``--report text|json``, then the command's own
-options. The command's body starts from the loaded file; it prints a
-deterministic report and exits with 0 when all checks pass, 1 when an
-axiom or verification fails, 2 on input errors and 3 when an identity
+Every command has one shape, declared by ``_file_command`` in the table
+``main.commands`` and parsed with argparse: a definition FILE (see io.py
+for the format), ``--role`` to pick a role when the file declares several
+of a kind, ``--report text|json``, then the command's own options. The
+command's body starts from the loaded file; it prints a deterministic
+report and exits with 0 when all checks pass, 1 when an axiom or
+verification fails, 2 on input and usage errors and 3 when an identity
 guaranteed by a proved statement fails (a bug here, not in the input).
-Constructive commands additionally write their result as a definition file
-with ``--out``.
+Constructive commands additionally write their result with ``--out``.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import gc
 import json
 import os
 import sys
 from itertools import islice
-
-import click
+from types import SimpleNamespace
 
 from . import __version__, io
 from .braided import (
@@ -104,10 +105,9 @@ def _finish(report: CheckReport, fmt: str, notes: list[str] | None = None):
             {"name": i.name, "ok": i.ok, "witness": i.witness} for i in report.items]}
         if notes:
             payload["notes"] = notes
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for line in report.lines() + (notes or []):
-            click.echo(line)
+        print(*report.lines(), *(notes or []), sep="\n")
     sys.exit(0 if report.ok else 1)
 
 
@@ -117,54 +117,96 @@ def _terms(m: LinearMap, field) -> list[tuple[int, str]]:
             for (i, j), v in sorted(m.raw_entries().items())]
 
 
-def _json_error(line: str):
-    click.echo(json.dumps({"error": line, "ok": False}, indent=2, sort_keys=True))
-
-
-def _fail(line: str, code: int, fmt: str):
-    click.echo(line, err=True)
+def _fail(line: str, code: int, fmt: str, text: str | None = None):
+    """Print ``text`` or ``line`` on stderr, and ``line`` as a JSON object under ``fmt`` json."""
+    print(text or line, file=sys.stderr)
     if fmt == "json":
-        _json_error(line)
+        print(json.dumps({"error": line, "ok": False}, indent=2, sort_keys=True))
     sys.exit(code)
 
 
-class _FileCommand(click.Command):
-    """A command whose usage errors, when its arguments ask for a JSON
-    report, also print the JSON error object; click still prints the usage
-    text on stderr and exits 2."""
-
-    def make_context(self, info_name, args, parent=None, **extra):
-        as_json = "--report=json" in args or any(
-            a == "--report" and b == "json" for a, b in zip(args, args[1:]))
-        try:
-            return super().make_context(info_name, args, parent=parent, **extra)
-        except click.UsageError as exc:
-            if as_json:
-                _json_error(f"error: {exc.format_message()}")
-            raise
+def _usage_error(args: list[str], prog: str, usage: str, message: str):
+    """Refuse the command line ``args`` with ``message`` under ``prog``'s usage."""
+    as_json = "--report=json" in args or any(
+        a == "--report" and b == "json" for a, b in zip(args, args[1:]))
+    _fail(f"error: {message}", 2, "json" if as_json else "text",
+          f"Usage: {prog} {usage}\nTry '{prog} --help' for help.\n\nError: {message}")
 
 
-_FILE_PARAMS = (
-    click.argument("file"),
-    click.option("--role", "role_name", default=None, help="Role to use."),
-    click.option("--report", "fmt", type=click.Choice(["text", "json"]), default="text",
-                 help="Report output shape."),
+def _report_shape(value: str) -> str:
+    if value not in ("text", "json"):
+        raise ValueError(f"{value!r} is not one of 'text', 'json'.")
+    return value
+
+
+def _integer(value: str, least: int | None = None) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        raise ValueError(f"{value!r} is not a valid integer.") from None
+    if least is not None and number < least:
+        raise ValueError(f"{number} is not in the range x>={least}.")
+    return number
+
+
+# (flag, dest, default, converter of a given value or None, help) of each option
+_COMMON_OPTIONS = (
+    ("--role", "role_name", None, None, "Role to use."),
+    ("--report", "fmt", "text", _report_shape, "Report output shape: text or json."),
 )
-_bound_option = click.option(
-    "--bound", type=click.IntRange(min=1), default=DEFAULT_BOUND, show_default=True,
-    help="Maximum number of candidates an exhaustive sweep may visit.")
-_sigma_index_option = click.option(
-    "--sigma-index", default=0, show_default=True,
-    help="Index into the deterministic enumeration of restricted cocycles.")
-_out_option = click.option(
-    "--out", "out_path", default=None, help="Write the result as a definition file.")
+_positive = functools.partial(_integer, least=1)
+_bound_option = ("--bound", "bound", DEFAULT_BOUND, _positive, "Maximum number of "
+                 "candidates an exhaustive sweep may visit (default: %(default)s).")
+_sigma_index_option = ("--sigma-index", "sigma_index", 0, _integer, "Index into the "
+                       "deterministic enumeration of restricted cocycles (default: %(default)s).")
+_out_option = ("--out", "out_path", None, None, "Write the result as a definition file.")
 
 
-@click.group()
-@click.version_option(version=__version__)
-def main():
-    """Exact verification and construction for Hopf-algebra cocycles,
-    cleft extensions and liftings."""
+def main(args=None, prog_name=None, **extra):
+    """Run the command that ``args`` (by default ``sys.argv[1:]``) name with its parameters
+    by name; ``prog_name`` names the program in usage lines and ``extra`` is ignored."""
+    args = sys.argv[1:] if args is None else list(args)
+    spec = getattr(sys.modules["__main__"], "__spec__", None)  # set under python -m
+    prog = prog_name or (f"python -m {spec.name}" if spec else os.path.basename(sys.argv[0]))
+    # the first word names the command: the flags before it are the program's
+    at, name = next(((i, a) for i, a in enumerate(args) if a[:1] != "-"), (len(args), None))
+    if at and args[0] in ("--version", "--help"):
+        print(f"{prog}, version {__version__}" if args[0] == "--version" else "\n  ".join([
+            f"Usage: {prog} [--version] [--help] COMMAND [ARGS]...\n\nCommands:",
+            *(f"{n:20} {c.help}" for n, c in main.commands.items())]))
+        sys.exit(0)
+    if at or name not in main.commands:
+        _usage_error(args, prog, "[OPTIONS] COMMAND [ARGS]...", f"No such option '{args[0]}'."
+                     if at else f"No such command '{name}'." if args else "Missing command.")
+    command = main.commands[name]
+    parser = argparse.ArgumentParser(f"{prog} {name}", "%(prog)s [OPTIONS] FILE", command.help,
+                                     add_help=False, allow_abbrev=False, exit_on_error=False)
+    parser.add_argument("file", metavar="FILE", nargs="?", help="Definition file.")
+    for flag, dest, default, _, text in command.params:
+        parser.add_argument(flag, dest=dest, default=default, metavar=flag[2:].upper(), help=text)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    refuse = functools.partial(_usage_error, args, parser.prog, "[OPTIONS] FILE")
+    try:
+        values, extras = parser.parse_known_args(args[at + 1:])
+    except argparse.ArgumentError as exc:  # an option without its value, or --help with one
+        needs = "does not take a value" if exc.argument_name == "--help" else "requires an argument"
+        refuse(f"Option '{exc.argument_name}' {needs}.")
+    if extras:
+        refuse(f"No such option '{extras[0]}'." if extras[0].startswith("-") else
+               f"Got unexpected extra argument{'s' * (len(extras) > 1)} ({' '.join(extras)})")
+    for flag, dest, _, convert, _ in command.params:
+        try:
+            if convert:
+                setattr(values, dest, convert(getattr(values, dest)))
+        except ValueError as exc:
+            refuse(f"Invalid value for '{flag}': {exc}")
+    if values.file is None:
+        refuse("Missing argument 'FILE'.")
+    sys.exit(command.callback(**vars(values)))  # a body exits; one that returns exits 0
+
+
+# the command table by name, and the entry point and name that click's test runner reads
+main.commands, main.main, main.name = {}, main, "main"
 
 
 def _file_command(name: str, *options):
@@ -192,10 +234,9 @@ def _file_command(name: str, *options):
                 # are closed by `with` blocks, never left for the collector.
                 gc.freeze()
 
-        callback.__doc__ = body.__doc__
-        for param in reversed(_FILE_PARAMS + options):
-            callback = param(callback)
-        return main.command(name, cls=_FileCommand)(callback)
+        main.commands[name] = SimpleNamespace(callback=callback, params=_COMMON_OPTIONS + options,
+                                              help=" ".join(body.__doc__.split()))
+        return body
 
     return decorate
 
@@ -408,10 +449,10 @@ def gr_check_cmd(df, role_name, fmt, bound, sigma_index):
     _finish(gr_check(b, deform(b, s)), fmt)
 
 
-@_file_command("census", click.option(
-    "--bound", type=click.IntRange(min=1), default=CENSUS_BOUND, show_default=True,
-    help="Maximum number of candidates a restricted-cocycle sweep may "
-         "visit, and of values one twisting search may try."))
+@_file_command("census", (
+    "--bound", "bound", CENSUS_BOUND, _positive,
+    "Maximum number of candidates a restricted-cocycle sweep may visit, and of "
+    "values one twisting search may try (default: %(default)s)."))
 def census(df, role_name, fmt, bound):
     """Enumerate restricted cocycles, run both cleft-object constructions and
     classify the results up to comodule algebra isomorphism."""
@@ -456,9 +497,8 @@ def oracle(df, role_name, fmt, bound):
     _finish(report, fmt, notes)
 
 
-@_file_command("convolution-inverse", click.option(
-    "--tensor", "tensor_name", default=None,
-    help="Invert this H -> H tensor instead of the identity."))
+@_file_command("convolution-inverse", (
+    "--tensor", "tensor_name", None, None, "Invert this H -> H tensor instead of the identity."))
 def convolution_inverse_cmd(df, role_name, fmt, tensor_name):
     """Convolution inverse in Hom(H, H); the identity's inverse is the antipode."""
     role = _find_role(df, ("hopf_algebra",), role_name)

@@ -11,7 +11,6 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import click
 import pytest
 from click.testing import CliRunner
 
@@ -733,6 +732,48 @@ def test_a_usage_error_under_a_json_report_prints_its_error_object(report):
         {"error": f"error: {message}", "ok": False}, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("args,message", [
+    (["census", "qline_kc2_f3.had", "--foo"], "No such option '--foo'."),
+    (["census"], "Missing argument 'FILE'."),
+    (["census", "qline_kc2_f3.had", "--report", "xml"],
+     "Invalid value for '--report': 'xml' is not one of 'text', 'json'."),
+    (["psi", "qline_kc2_f3.had", "--sigma-index", "x"],
+     "Invalid value for '--sigma-index': 'x' is not a valid integer."),
+    (["census", "qline_kc2_f3.had", "--bou", "5"], "No such option '--bou'."),
+    (["census", "qline_kc2_f3.had", "--bound", "0"],
+     "Invalid value for '--bound': 0 is not in the range x>=1."),
+    (["census", "qline_kc2_f3.had", "--bound", "-5"],
+     "Invalid value for '--bound': -5 is not in the range x>=1."),
+], ids=["unknown-option", "missing-file", "report-xml", "sigma-index-x", "abbreviation",
+        "bound-0", "bound-negative"])
+def test_every_usage_error_takes_one_path(args, message):
+    """A usage error exits 2 with the command's usage line and ``Error:
+    <message>`` on stderr and nothing on stdout; asked for a JSON report,
+    in either spelling, it also prints the JSON error object on stdout.
+    Options are never abbreviated."""
+    runner = _separate_streams_runner()
+    env = {"HOPFCLEFT_FIXTURE_DIR": DATA_DIR}
+    text = runner.invoke(main, args, env=env)
+    assert (text.exit_code, text.stdout) == (2, "")
+    assert text.stderr.startswith(f"Usage: main {args[0]} [OPTIONS] FILE\n")
+    assert text.stderr.endswith(f"\nError: {message}\n")
+    for report in (["--report", "json"], ["--report=json"]):
+        # before the options, so that a --report given in args is the one that counts
+        result = runner.invoke(main, [args[0], *report, *args[1:]], env=env)
+        assert (result.exit_code, result.stderr) == (2, text.stderr)
+        assert result.stdout == json.dumps(
+            {"error": f"error: {message}", "ok": False}, indent=2, sort_keys=True) + "\n"
+
+
+def test_help_lists_every_command_and_the_census_bound():
+    result = _separate_streams_runner().invoke(main, ["--help"])
+    assert result.exit_code == 0
+    assert all(re.search(rf"^\s+{name}\s", result.stdout, re.M) for name in COMMAND_OPTIONS)
+    result = _separate_streams_runner().invoke(main, ["census", "--help"])
+    assert result.exit_code == 0
+    assert "--bound" in result.stdout and "200000" in result.stdout
+
+
 def test_convolution_inverse_of_a_non_endomorphism_names_the_tensor(runner):
     result = run(runner, ["convolution-inverse", "kc2_q.had", "--tensor", "KC2_comul"],
                  env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})
@@ -873,9 +914,9 @@ def test_version_matches_pyproject():
     assert re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)[1] == hopfcleft.__version__
 
 
-_BOUND = ("bound", ["--bound"], 1_000_000)
-_SIGMA_INDEX = ("sigma_index", ["--sigma-index"], 0)
-_OUT = ("out_path", ["--out"], None)
+_BOUND = ("bound", "--bound", 1_000_000)
+_SIGMA_INDEX = ("sigma_index", "--sigma-index", 0)
+_OUT = ("out_path", "--out", None)
 # each command's own options, after FILE, --role and --report
 COMMAND_OPTIONS = {
     "verify-hopf": [],
@@ -893,20 +934,29 @@ COMMAND_OPTIONS = {
     "psi": [_BOUND, _SIGMA_INDEX],
     "deform": [_BOUND, _SIGMA_INDEX, _OUT],
     "gr-check": [_BOUND, _SIGMA_INDEX],
-    "census": [("bound", ["--bound"], 200_000)],
+    "census": [("bound", "--bound", 200_000)],
     "oracle": [_BOUND],
-    "convolution-inverse": [("tensor_name", ["--tensor"], None)],
+    "convolution-inverse": [("tensor_name", "--tensor", None)],
     "coinvariants": [],
 }
 
 
-def test_every_command_takes_file_role_and_report_then_its_own_options():
+def test_every_command_takes_file_role_and_report_then_its_own_options(monkeypatch):
+    """The command table gives every command FILE, --role and --report, then
+    its own options; ``main`` calls the command's callback with each of them
+    by dest, in that order, at its default when the command line omits it."""
     assert list(main.commands) == list(COMMAND_OPTIONS)
     for name, own in COMMAND_OPTIONS.items():
-        file, *options = main.commands[name].params
-        assert isinstance(file, click.Argument) and file.name == "file", name
-        assert [(p.name, p.opts, p.default) for p in options] == [
-            ("role_name", ["--role"], None), ("fmt", ["--report"], "text"), *own], name
+        shape = [("role_name", "--role", None), ("fmt", "--report", "text"), *own]
+        params = main.commands[name].params
+        assert [(dest, flag, default) for flag, dest, default, *_ in params] == shape, name
+        calls = []
+        monkeypatch.setattr(main.commands[name], "callback", lambda **kw: calls.append(kw))
+        with pytest.raises(SystemExit) as exited:
+            main([name, "f.had"], prog_name="hopfcleft")
+        assert exited.value.code is None, name
+        assert list(calls[0].items()) == [
+            ("file", "f.had"), *((dest, default) for dest, _, default in shape)], name
 
 
 @pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
@@ -960,11 +1010,15 @@ def test_a_json_report_of_a_failed_check_or_theorem_is_its_error_line(tmp_path, 
 def test_the_file_argument_is_declared_once():
     """Every command gets FILE, --role and --report from one declaration;
     a second one would fork the command shape."""
+    for command in main.commands.values():
+        assert all(p is q for p, q in zip(command.params, cli._COMMON_OPTIONS))
     tree = ast.parse(Path(cli.__file__).read_text())
     declared = [
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "click.argument"]
-    assert [ast.unparse(node) for node in declared] == ["click.argument('file')"]
+        node for node in ast.walk(tree) if isinstance(node, ast.Call)
+        and "FILE" in [getattr(arg, "value", None)
+                       for arg in (*node.args, *(kw.value for kw in node.keywords))]]
+    assert [ast.unparse(node) for node in declared] == [
+        "parser.add_argument('file', metavar='FILE', nargs='?', help='Definition file.')"]
 
 
 def test_readme_command_lines_exit_0(runner, tmp_path, monkeypatch):

@@ -6,8 +6,12 @@ whole package, so whatever the import builds is paid by every command: a
 import ast
 import importlib
 import inspect
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import hopfcleft
@@ -16,6 +20,22 @@ MODULES = [
     importlib.import_module(f"{hopfcleft.__name__}.{info.name}")
     for info in pkgutil.iter_modules(hopfcleft.__path__)
 ]
+
+
+def test_the_cli_imports_only_the_package_and_the_standard_library():
+    """``import hopfcleft.cli`` in a fresh interpreter adds no module from
+    outside the package and the standard library: the command line is
+    parsed with argparse, not with a third-party parser such as click."""
+    package_root = os.path.dirname(os.path.dirname(hopfcleft.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    script = ("import json, sys; before = set(sys.modules); import hopfcleft.cli; "
+              "print(json.dumps(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300, check=True)
+    added = json.loads(proc.stdout)
+    assert "hopfcleft.cli" in added
+    top = {name.partition(".")[0] for name in added}
+    assert sorted(top - {hopfcleft.__name__} - sys.stdlib_module_names) == []
 
 
 def test_no_module_imports_dataclasses():
@@ -142,7 +162,8 @@ def _definitions(mod):
     its bases, decorators, attributes and dunder methods; a function or
     method reaches its decorators and body. A command body is called by the
     command line, and a method that overrides one of a base class from
-    outside the package (``click.Command``) is called by that base."""
+    outside the package (such as a standard-library class) is called by
+    that base."""
     module = mod.__name__.rpartition(".")[2]
     for node in ast.parse(Path(mod.__file__).read_text()).body:
         if isinstance(node, ast.FunctionDef):
@@ -167,12 +188,12 @@ def _definitions(mod):
 def test_every_package_function_is_reached_outside_the_tests():
     """Each top-level function and class and each non-dunder method of the
     package is reached from outside the tests. The roots are the modules'
-    top-level statements, the command bodies and click overrides, the
-    benchmark (``bench/*.py`` and the words of ``BENCHMARK.json``), the
-    README's Python examples and the theorem checks above; a definition is
-    reached when a reached one references its name, and a static method
-    only when it is read off its class, ``self`` or ``cls``. Test-only code
-    belongs in the tests.
+    top-level statements, the command bodies, the overrides of methods of
+    bases outside the package, the benchmark (``bench/*.py`` and the words
+    of ``BENCHMARK.json``), the README's Python examples and the theorem
+    checks above; a definition is reached when a reached one references its
+    name, and a static method only when it is read off its class, ``self``
+    or ``cls``. Test-only code belongs in the tests.
 
     The scan matches names, not types: a method that shares its name with
     another class's method is reached by every attribute of that name."""
