@@ -22,16 +22,10 @@ import sys
 from itertools import islice
 from types import SimpleNamespace
 
-from . import __version__, io
-from .braided import (
-    check_braiding_axioms,
-    check_measuring,
-    check_yd,
-    coinvariants,
-)
-from .cleft import crossed_to_cleft, round_trip_check, check_cleft, cocycle_from_section
-from .cocycle import check_cocycle, trivial_sigma
+from . import __version__, _lazy, io
 from .errors import (
+    CENSUS_BOUND,
+    DEFAULT_BOUND,
     AxiomFailure,
     FactorizationFailure,
     HopfcleftError,
@@ -41,29 +35,13 @@ from .errors import (
     ValidationError,
 )
 from .hopf import check_hopf, convolution_inverse
-from .lifting import (
-    bosonize,
-    check_graded,
-    check_graded_yd_hopf,
-    check_zprime,
-    cleft_prime_census,
-    deform,
-    gr_check,
-    phi,
-    phi_inverse,
-    psi,
-    sigma_gamma_restricts,
-)
 from .linalg import LinearMap
-from .oracle import (
-    CENSUS_BOUND,
-    DEFAULT_BOUND,
-    enumerate_cocycles,
-    enumerate_zprime,
-    oracle_convolution_inverse,
-    zprime_sweep,
-)
 from .report import CheckItem, CheckReport
+
+# executed on a command's first call into them: verify-hopf and
+# convolution-inverse on a hopf_algebra role never compile most of these
+_braided, _cleft, _cocycle, _lifting, _oracle = map(
+    _lazy, ("braided", "cleft", "cocycle", "lifting", "oracle"))
 
 FIXTURE_DIR_VAR = "HOPFCLEFT_FIXTURE_DIR"
 
@@ -127,9 +105,12 @@ def _fail(line: str, code: int, fmt: str, text: str | None = None):
 
 def _usage_error(args: list[str], prog: str, usage: str, message: str):
     """Refuse the command line ``args`` with ``message`` under ``prog``'s usage."""
-    as_json = "--report=json" in args or any(
-        a == "--report" and b == "json" for a, b in zip(args, args[1:]))
-    _fail(f"error: {message}", 2, "json" if as_json else "text",
+    # argparse keeps the last --report: the error object follows the last
+    # one that names a report shape
+    values = [b if a == "--report" else a.partition("=")[2]
+              for a, b in zip(args, [*args[1:], ""]) if a.partition("=")[0] == "--report"]
+    shapes = [v for v in values if v in ("text", "json")]
+    _fail(f"error: {message}", 2, "json" if shapes[-1:] == ["json"] else "text",
           f"Usage: {prog} {usage}\nTry '{prog} --help' for help.\n\nError: {message}")
 
 
@@ -246,7 +227,8 @@ def verify_hopf(df, role_name, fmt):
     """Check all Hopf algebra axioms for a hopf_algebra or graded_yd_hopf role."""
     role = _find_role(df, ("hopf_algebra", "graded_yd_hopf"), role_name)
     obj = io.build(df, role.name)
-    _finish(check_hopf(obj) if role.kind == "hopf_algebra" else check_graded_yd_hopf(obj), fmt)
+    check = check_hopf if role.kind == "hopf_algebra" else _lifting.check_graded_yd_hopf
+    _finish(check(obj), fmt)
 
 
 @_file_command("verify-yd")
@@ -255,8 +237,8 @@ def verify_yd(df, role_name, fmt):
     role = _find_role(df, ("yd_module", "graded_yd_hopf"), role_name)
     obj = io.build(df, role.name)
     yd = obj if role.kind == "yd_module" else obj.hopf.yd
-    report = check_yd(yd)
-    report.extend(check_braiding_axioms(yd, yd.module))
+    report = _braided.check_yd(yd)
+    report.extend(_braided.check_braiding_axioms(yd, yd.module))
     _finish(report, fmt)
 
 
@@ -264,14 +246,14 @@ def verify_yd(df, role_name, fmt):
 def verify_measuring(df, role_name, fmt):
     """Check the measuring conditions for a measuring role."""
     role = _find_role(df, ("measuring",), role_name)
-    _finish(check_measuring(io.build(df, role.name)), fmt)
+    _finish(_braided.check_measuring(io.build(df, role.name)), fmt)
 
 
 def _checked_cocycle(df, role_name, fmt):
     """Check the cocycle role; a failed check ends the command with its report."""
     role = _find_role(df, ("cocycle",), role_name)
     m = io.build(df, role.bindings["measuring"])
-    cocycle, report = check_cocycle(m, df.tensor_map(role.bindings["sigma"]))
+    cocycle, report = _cocycle.check_cocycle(m, df.tensor_map(role.bindings["sigma"]))
     if cocycle is None:
         _finish(report, fmt)
     return cocycle, report
@@ -310,7 +292,7 @@ def _crossed_output(ce, out_path) -> list[str]:
 def crossed_product_cmd(df, role_name, fmt, out_path):
     """Build and verify the crossed product of a cocycle role."""
     cocycle, report = _checked_cocycle(df, role_name, fmt)
-    _finish(report, fmt, _crossed_output(crossed_to_cleft(cocycle), out_path))
+    _finish(report, fmt, _crossed_output(_cleft.crossed_to_cleft(cocycle), out_path))
 
 
 @_file_command("smash", _out_option)
@@ -318,18 +300,18 @@ def smash(df, role_name, fmt, out_path):
     """Build the smash product of a measuring role (trivial cocycle)."""
     role = _find_role(df, ("measuring",), role_name)
     m = io.build(df, role.name)
-    cocycle, report = check_cocycle(m, trivial_sigma(m))
+    cocycle, report = _cocycle.check_cocycle(m, _cocycle.trivial_sigma(m))
     if cocycle is None:
         _finish(report, fmt)
-    _finish(report, fmt, _crossed_output(crossed_to_cleft(cocycle), out_path))
+    _finish(report, fmt, _crossed_output(_cleft.crossed_to_cleft(cocycle), out_path))
 
 
 @_file_command("cleft-from-cocycle", _out_option)
 def cleft_from_cocycle(df, role_name, fmt, out_path):
     """Crossed product with its canonical section, verified as a cleft extension."""
     cocycle, report = _checked_cocycle(df, role_name, fmt)
-    ce = crossed_to_cleft(cocycle)
-    report.extend(check_cleft(ce))
+    ce = _cleft.crossed_to_cleft(cocycle)
+    report.extend(_cleft.check_cleft(ce))
     _finish(report, fmt, _crossed_output(ce, out_path))
 
 
@@ -338,10 +320,10 @@ def cocycle_from_cleft(df, role_name, fmt):
     """Extract and verify the cocycle of a cleft extension role."""
     role = _find_role(df, ("cleft_extension",), role_name)
     ce = io.build(df, role.name)
-    report = check_cleft(ce)
+    report = _cleft.check_cleft(ce)
     if not report.ok:
         _finish(report, fmt)
-    m, cocycle, cocycle_report = cocycle_from_section(ce)
+    m, cocycle, cocycle_report = _cleft.cocycle_from_section(ce)
     report.extend(cocycle_report)
     label = cocycle.sigma.source.label
     notes = [f"coinvariants: {m.space.name} (dim {m.space.dim})"] + [
@@ -353,7 +335,7 @@ def cocycle_from_cleft(df, role_name, fmt):
 def round_trip(df, role_name, fmt):
     """Cocycle -> cleft extension -> cocycle recovers the input exactly."""
     cocycle, report = _checked_cocycle(df, role_name, fmt)
-    report.extend(round_trip_check(cocycle))
+    report.extend(_cleft.round_trip_check(cocycle))
     _finish(report, fmt)
 
 
@@ -362,10 +344,10 @@ def bosonize_cmd(df, role_name, fmt, out_path):
     """Build and verify the bosonization of a graded_yd_hopf role."""
     role = _find_role(df, ("graded_yd_hopf",), role_name)
     g = io.build(df, role.name)
-    report = check_graded(g)
+    report = _lifting.check_graded(g)
     if not report.ok:
         _finish(report, fmt)
-    b = bosonize(g)
+    b = _lifting.bosonize(g)
     notes = [f"bosonization: dim {b.space.dim}"]
     if out_path is not None:
         out = io.hopf_to_definition(b.hopf, "HB")
@@ -378,8 +360,8 @@ def bosonize_cmd(df, role_name, fmt, out_path):
 def _boson_and_sigma(df, role_name, index, bound):
     role = _find_role(df, ("graded_yd_hopf",), role_name)
     g = io.build(df, role.name)
-    b = bosonize(g)
-    sweep = zprime_sweep(b, bound)
+    b = _lifting.bosonize(g)
+    sweep = _oracle.zprime_sweep(b, bound)
     # stop at the selected cocycle; only an index out of range needs the count
     sigmas = list(islice(sweep, max(index + 1, 0)))
     if not 0 <= index < len(sigmas):
@@ -394,8 +376,8 @@ def phi_cmd(df, role_name, fmt):
     """Extend a braided scalar cocycle on R to the bosonization."""
     cocycle, report = _checked_cocycle(df, role_name, fmt)
     grole = _find_role(df, ("graded_yd_hopf",), None)
-    b = bosonize(io.build(df, grole.name))
-    _, restricted = check_zprime(b, phi(b, cocycle).sigma)
+    b = _lifting.bosonize(io.build(df, grole.name))
+    _, restricted = _lifting.check_zprime(b, _lifting.phi(b, cocycle).sigma)
     report.extend(restricted)
     _finish(report, fmt)
 
@@ -404,10 +386,10 @@ def phi_cmd(df, role_name, fmt):
 def phi_inverse_cmd(df, role_name, fmt, bound, sigma_index):
     """Restrict a scalar cocycle on the bosonization back to the braided factor."""
     b, s = _boson_and_sigma(df, role_name, sigma_index, bound)
-    _, report = check_zprime(b, s.sigma)
-    pi = phi_inverse(b, s)
+    _, report = _lifting.check_zprime(b, s.sigma)
+    pi = _lifting.phi_inverse(b, s)
     report.add(CheckItem("restriction is a braided cocycle", pi.verified))
-    again = phi(b, pi)
+    again = _lifting.phi(b, pi)
     report.add(CheckItem("phi of the restriction recovers sigma", again.sigma == s.sigma))
     _finish(report, fmt)
 
@@ -416,9 +398,9 @@ def phi_inverse_cmd(df, role_name, fmt, bound, sigma_index):
 def psi_cmd(df, role_name, fmt, bound, sigma_index):
     """Induce an H-cleft object from the R-cleft object of a restricted cocycle."""
     b, s = _boson_and_sigma(df, role_name, sigma_index, bound)
-    ce = psi(b, crossed_to_cleft(phi_inverse(b, s)))
-    report = check_cleft(ce)
-    back, section_report = sigma_gamma_restricts(b, ce)
+    ce = _lifting.psi(b, _cleft.crossed_to_cleft(_lifting.phi_inverse(b, s)))
+    report = _cleft.check_cleft(ce)
+    back, section_report = _lifting.sigma_gamma_restricts(b, ce)
     # the report lists the section conditions twice: once as checked on the
     # induced section, once as the premise of restricting its cocycle
     report.extend(section_report)
@@ -432,7 +414,7 @@ def psi_cmd(df, role_name, fmt, bound, sigma_index):
 def deform_cmd(df, role_name, fmt, bound, sigma_index, out_path):
     """Deform the bosonization by a restricted cocycle."""
     b, s = _boson_and_sigma(df, role_name, sigma_index, bound)
-    deformed = deform(b, s)
+    deformed = _lifting.deform(b, s)
     report = CheckReport(f"deformation of {b.space.name}")
     report.add(CheckItem("deformed bialgebra passes the Hopf axioms", True))
     notes = []
@@ -446,7 +428,7 @@ def deform_cmd(df, role_name, fmt, bound, sigma_index, out_path):
 def gr_check_cmd(df, role_name, fmt, bound, sigma_index):
     """Deform, then verify the associated graded product is undeformed."""
     b, s = _boson_and_sigma(df, role_name, sigma_index, bound)
-    _finish(gr_check(b, deform(b, s)), fmt)
+    _finish(_lifting.gr_check(b, _lifting.deform(b, s)), fmt)
 
 
 @_file_command("census", (
@@ -457,8 +439,8 @@ def census(df, role_name, fmt, bound):
     """Enumerate restricted cocycles, run both cleft-object constructions and
     classify the results up to comodule algebra isomorphism."""
     role = _find_role(df, ("graded_yd_hopf",), role_name)
-    b = bosonize(io.build(df, role.name))
-    result = cleft_prime_census(b, bound)
+    b = _lifting.bosonize(io.build(df, role.name))
+    result = _lifting.cleft_prime_census(b, bound)
     notes = [f"restricted cocycles: {len(result.sigmas)}"]
     for k, cls in enumerate(result.classes):
         members = ", ".join(str(i) for i in cls)
@@ -476,20 +458,20 @@ def oracle(df, role_name, fmt, bound):
             continue
         if role.kind == "hopf_algebra":
             h = io.build(df, role.name)
-            found = oracle_convolution_inverse(
+            found = _oracle.oracle_convolution_inverse(
                 LinearMap.identity(h.space), h.coalg, h.alg, bound)
             report.add(CheckItem(
                 f"{role.name}: antipode matches the exhaustive search",
                 found == h.antipode))
         elif role.kind == "measuring":
             m = io.build(df, role.name)
-            cocycles = enumerate_cocycles(m, bound)
+            cocycles = _oracle.enumerate_cocycles(m, bound)
             notes.append(f"{role.name}: {len(cocycles)} cocycles")
             report.add(CheckItem(f"{role.name}: cocycle sweep completed", True))
         elif role.kind == "graded_yd_hopf":
             g = io.build(df, role.name)
-            b = bosonize(g)
-            sigmas = enumerate_zprime(b, bound)
+            b = _lifting.bosonize(g)
+            sigmas = _oracle.enumerate_zprime(b, bound)
             notes.append(f"{role.name}: {len(sigmas)} restricted cocycles")
             report.add(CheckItem(f"{role.name}: restricted sweep completed", True))
     if not report.items:
@@ -521,7 +503,7 @@ def coinvariants_cmd(df, role_name, fmt):
     """Compute the coinvariant subalgebra of a cleft_extension role."""
     role = _find_role(df, ("cleft_extension",), role_name)
     ce = io.build(df, role.name)
-    coinv = coinvariants(ce.comodule_algebra)
+    coinv = _braided.coinvariants(ce.comodule_algebra)
     report = CheckReport(f"coinvariants of {ce.space.name}")
     report.add(CheckItem("coinvariants carry an induced algebra", True))
     notes = [f"dimension: {coinv.algebra.space.dim}"]

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the default search bounds."""
+
+DEFAULT_BOUND = 1_000_000
+# the census bounds its two restricted-cocycle sweeps and each twisting search
+CENSUS_BOUND = 200_000
 
 
 class HopfcleftError(Exception):

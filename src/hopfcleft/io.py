@@ -28,20 +28,15 @@ from __future__ import annotations
 
 import re
 
-from .braided import (
-    ComoduleAlgebra,
-    HModule,
-    Measuring,
-    YDModule,
-    trivial_module,
-)
-from .cleft import make_cleft
-from .cocycle import check_cocycle
+from . import _lazy
 from .errors import ParseError, ShapeMismatch, TheoremViolation, ValidationError
 from .fields import FieldSpec
 from .hopf import AlgebraData, BialgebraData, CoalgebraData, antipode
-from .lifting import GradedYDHopf
 from .linalg import TENSOR_SEP, BasedSpace, LinearMap, tensor_space, unit_space
+
+# executed when a builder first reads them: parsing and building a
+# hopf_algebra role need none of these
+_braided, _cleft, _cocycle, _lifting = map(_lazy, ("braided", "cleft", "cocycle", "lifting"))
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_'-]+$")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
@@ -427,8 +422,15 @@ def serialize(df: DefinitionFile) -> str:
 
 
 def load(path) -> DefinitionFile:
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+    """Parse the file at ``path``; ParseError on the line of the first byte
+    that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("not UTF-8 text", data.count(b"\n", 0, exc.start) + 1) from None
+    return parse(text)
 
 
 def save(df: DefinitionFile, path):
@@ -451,7 +453,7 @@ def build(df: DefinitionFile, name: str):
         raise ValidationError(f"role {name!r} ({role.kind}): {exc}") from exc
 
 
-def _build_hopf(df, role, yd: YDModule | None = None) -> BialgebraData:
+def _build_hopf(df, role, yd: _braided.YDModule | None = None) -> BialgebraData:
     """The bialgebra of a hopf_algebra role, or of a graded_yd_hopf role over
     its Yetter-Drinfeld structure ``yd``, with the bound antipode or else the
     solved one."""
@@ -466,42 +468,44 @@ def _build_hopf(df, role, yd: YDModule | None = None) -> BialgebraData:
     return hopf
 
 
-def _build_yd(df, role) -> YDModule:
+def _build_yd(df, role) -> _braided.YDModule:
     b = role.bindings
-    module = HModule(build(df, b["ambient"]), df.space(b["space"]), df.tensor_map(b["action"]))
-    return YDModule(module, df.tensor_map(b["coaction"]))
+    module = _braided.HModule(
+        build(df, b["ambient"]), df.space(b["space"]), df.tensor_map(b["action"]))
+    return _braided.YDModule(module, df.tensor_map(b["coaction"]))
 
 
-def _build_graded(df, role) -> GradedYDHopf:
+def _build_graded(df, role) -> _lifting.GradedYDHopf:
     hopf = _build_hopf(df, role, _build_yd(df, role))
     _, grading = df.grades[role.bindings["grading"]]
-    return GradedYDHopf(hopf, grading)
+    return _lifting.GradedYDHopf(hopf, grading)
 
 
-def _algebra_over_hopf(df, b) -> tuple[BialgebraData, AlgebraData, HModule]:
+def _algebra_over_hopf(df, b) -> tuple[BialgebraData, AlgebraData, _braided.HModule]:
     """The parts a measuring and a cleft extension share: the bialgebra of
     the ``hopf=`` binding (a hopf_algebra over the trivial ambient, or the one
     a graded_yd_hopf grades), the algebra on ``space=`` and its ambient
     carrier (trivial unless ``carrier_action=`` is bound)."""
     hopf = build(df, b["hopf"])
-    if isinstance(hopf, GradedYDHopf):
+    if isinstance(hopf, _lifting.GradedYDHopf):
         hopf = hopf.hopf
     space = df.space(b["space"])
     algebra = AlgebraData(space, df.tensor_map(b["mul"]), df.tensor_map(b["unit"]))
     if "carrier_action" in b:
-        return hopf, algebra, HModule(hopf.ambient, space, df.tensor_map(b["carrier_action"]))
-    return hopf, algebra, trivial_module(hopf.ambient, space)
+        carrier = _braided.HModule(hopf.ambient, space, df.tensor_map(b["carrier_action"]))
+        return hopf, algebra, carrier
+    return hopf, algebra, _braided.trivial_module(hopf.ambient, space)
 
 
-def _build_measuring(df, role) -> Measuring:
+def _build_measuring(df, role) -> _braided.Measuring:
     b = role.bindings
     hopf, algebra, carrier = _algebra_over_hopf(df, b)
-    return Measuring(hopf, algebra, carrier, df.tensor_map(b["nu"]))
+    return _braided.Measuring(hopf, algebra, carrier, df.tensor_map(b["nu"]))
 
 
 def _build_cocycle(df, role):
     b = role.bindings
-    cocycle, report = check_cocycle(build(df, b["measuring"]), df.tensor_map(b["sigma"]))
+    cocycle, report = _cocycle.check_cocycle(build(df, b["measuring"]), df.tensor_map(b["sigma"]))
     if cocycle is None:
         raise ValidationError(
             f"role {role.name!r}: sigma fails the cocycle check "
@@ -512,8 +516,8 @@ def _build_cocycle(df, role):
 def _build_cleft(df, role):
     b = role.bindings
     hopf, algebra, carrier = _algebra_over_hopf(df, b)
-    comod = ComoduleAlgebra(hopf, algebra, carrier, df.tensor_map(b["coaction"]))
-    return make_cleft(comod, df.tensor_map(b["section"]))
+    comod = _braided.ComoduleAlgebra(hopf, algebra, carrier, df.tensor_map(b["coaction"]))
+    return _cleft.make_cleft(comod, df.tensor_map(b["section"]))
 
 
 _BUILDERS = {

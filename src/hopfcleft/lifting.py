@@ -29,6 +29,7 @@ from .braided import (
 from .cleft import CleftExtension, closed_form_cleft, cocycle_from_section, crossed_to_cleft
 from .cocycle import Cocycle, check_cocycle, pair_coalgebra, sigma_hat
 from .errors import (
+    CENSUS_BOUND,
     AxiomFailure,
     CorruptFixture,
     NotInvertible,
@@ -57,7 +58,7 @@ from .linalg import (
     tensor_space,
     unit_space,
 )
-from .oracle import CENSUS_BOUND, enumerate_cocycles, enumerate_zprime
+from .oracle import enumerate_cocycles, enumerate_zprime
 from .report import CheckItem, CheckReport, map_equal_item
 
 

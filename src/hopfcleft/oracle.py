@@ -14,14 +14,10 @@ from itertools import product
 
 from .braided import Measuring, trivial_measuring
 from .cocycle import Cocycle, check_cocycle
-from .errors import NotInvertible, SearchSpaceTooLarge
+from .errors import DEFAULT_BOUND, NotInvertible, SearchSpaceTooLarge
 from .fields import FieldSpec
 from .hopf import AlgebraData, CoalgebraData, convolution, convolution_unit
 from .linalg import LinearMap, compose, tensor_map, tensor_maps, tensor_space
-
-DEFAULT_BOUND = 1_000_000
-# the census bounds its two restricted-cocycle sweeps and each twisting search
-CENSUS_BOUND = 200_000
 
 
 class SearchSpace:

@@ -187,6 +187,15 @@ def test_an_empty_slot_in_a_cyclotomic_literal_exits_2(tmp_path, literal):
     assert json.loads(as_json.stdout) == {"error": text.stderr.rstrip("\n"), "ok": False}
 
 
+def test_a_file_that_is_not_utf8_exits_2_with_its_line_number(tmp_path):
+    path = tmp_path / "bad.had"
+    path.write_bytes(b"\xff\xfe")
+    runner = _separate_streams_runner()
+    result = runner.invoke(main, ["verify-hopf", str(path)])
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        2, "", "error: line 1: not UTF-8 text\n")
+
+
 def test_missing_file_exits_2(runner):
     result = run(runner, ["verify-hopf", "no_such_file.had"])
     assert result.exit_code == 2
@@ -559,7 +568,7 @@ def test_psi_checks_the_section_condition_once(runner, monkeypatch):
 def test_smash_checks_the_cocycle_once(runner, tmp_path, monkeypatch):
     """The smash product is built from the trivial cocycle the report
     checked, not from a second check of it."""
-    from hopfcleft import cli, cocycle
+    from hopfcleft import cocycle
 
     calls = []
     original = cocycle.check_cocycle
@@ -568,9 +577,8 @@ def test_smash_checks_the_cocycle_once(runner, tmp_path, monkeypatch):
         calls.append(sigma)
         return original(m, sigma)
 
-    # count the calls made from either module
+    # the command line calls it through the module, so one patch sees its calls
     monkeypatch.setattr(cocycle, "check_cocycle", counted)
-    monkeypatch.setattr(cli, "check_cocycle", counted)
     path = tmp_path / "cocycle.had"
     path.write_text(CLASSICAL_COCYCLE)
     result = run(runner, ["smash", str(path)])
@@ -730,6 +738,28 @@ def test_a_usage_error_under_a_json_report_prints_its_error_object(report):
     assert (result.exit_code, result.stderr) == (2, text.stderr)
     assert result.stdout == json.dumps(
         {"error": f"error: {message}", "ok": False}, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("first,last", [
+    (["--report", "json"], ["--report", "text"]),
+    (["--report", "text"], ["--report", "json"]),
+    (["--report=json"], ["--report=text"]),
+    (["--report=text"], ["--report=json"]),
+    (["--report", "json"], ["--report=text"]),
+    (["--report=text"], ["--report", "json"]),
+])
+def test_a_usage_error_prints_the_error_object_only_when_the_last_report_is_json(first, last):
+    """argparse keeps the last --report, and so does the error object."""
+    runner = _separate_streams_runner()
+    args = ["census", "qline_kc2_f3.had", *first, *last, "--bound", "0"]
+    result = runner.invoke(main, args, env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})
+    message = "error: Invalid value for '--bound': 0 is not in the range x>=1."
+    assert result.exit_code == 2
+    assert result.stderr.endswith(f"\nError: {message[7:]}\n")
+    if last[-1].endswith("json"):
+        assert json.loads(result.stdout) == {"error": message, "ok": False}
+    else:
+        assert result.stdout == ""
 
 
 @pytest.mark.parametrize("args,message", [

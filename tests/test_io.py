@@ -17,6 +17,7 @@ from hopfcleft.io import (
     build,
     graded_to_definition,
     hopf_to_definition,
+    load,
     parse,
     role_keys,
     serialize,
@@ -114,6 +115,24 @@ def test_parse_errors_carry_line_numbers(text, bad_line):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert exc.value.line == bad_line
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error_on_the_line_of_its_first_bad_byte(tmp_path):
+    path = tmp_path / "latin1.had"
+    path.write_bytes("field: Q\nspace H: 1 g\n# caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(ParseError) as exc:
+        load(path)
+    assert (exc.value.line, str(exc.value)) == (3, "line 3: not UTF-8 text")
+
+
+def test_load_reads_any_line_ending(tmp_path):
+    """The file is decoded from its bytes: CRLF and CR line endings split
+    lines as LF does."""
+    text = data_text("kc4_zeta4.had")
+    path = tmp_path / "endings.had"
+    for ending in ("\n", "\r\n", "\r"):
+        path.write_bytes(text.replace("\n", ending).encode())
+        assert serialize(load(path)) == serialize(parse(text))
 
 
 @pytest.mark.parametrize("degrees,message", [

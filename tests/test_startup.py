@@ -1,7 +1,10 @@
-"""Start-up guards. Every CLI command is a fresh process that imports the
-whole package, so whatever the import builds is paid by every command: a
-``@dataclass`` generates and compiles its methods at import, and importing
-``dataclasses`` pulls in ``copy`` too."""
+"""Start-up guards. Every CLI command is a fresh process. It executes the
+modules that ``import hopfcleft.cli`` loads eagerly, and then only the
+modules it calls into: braided, cleft, cocycle, lifting and oracle are
+registered lazily. Whatever a module builds when it is executed is paid
+by every command that executes it: a ``@dataclass`` generates and compiles
+its methods at import, and importing ``dataclasses`` pulls in ``copy``
+too."""
 
 import ast
 import importlib
@@ -12,7 +15,10 @@ import pkgutil
 import re
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
+
+import pytest
 
 import hopfcleft
 
@@ -22,20 +28,75 @@ MODULES = [
 ]
 
 
+def _fresh(script: str, *args: str):
+    """The JSON value that ``script`` prints on its last line of output, run
+    with ``args`` in a fresh interpreter that imports the package under test."""
+    package_root = os.path.dirname(os.path.dirname(hopfcleft.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_the_cli_imports_only_the_package_and_the_standard_library():
     """``import hopfcleft.cli`` in a fresh interpreter adds no module from
     outside the package and the standard library: the command line is
     parsed with argparse, not with a third-party parser such as click."""
-    package_root = os.path.dirname(os.path.dirname(hopfcleft.__file__))
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    script = ("import json, sys; before = set(sys.modules); import hopfcleft.cli; "
-              "print(json.dumps(sorted(set(sys.modules) - before)))")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=300, check=True)
-    added = json.loads(proc.stdout)
+    added = _fresh("import json, sys; before = set(sys.modules); import hopfcleft.cli; "
+                   "print(json.dumps(sorted(set(sys.modules) - before)))")
     assert "hopfcleft.cli" in added
     top = {name.partition(".")[0] for name in added}
     assert sorted(top - {hopfcleft.__name__} - sys.stdlib_module_names) == []
+
+
+def test_the_cli_registers_every_module_but_the_fixtures():
+    """``import hopfcleft.cli`` puts every module of the package but
+    ``fixtures`` in ``sys.modules``, executed or lazily registered: the
+    benchmark's tracer wraps the functions of the modules it finds there."""
+    loaded = _fresh("import json, sys, hopfcleft.cli; "
+                    "print(json.dumps(sorted(n for n in sys.modules if n.startswith('hopfcleft.'))))")
+    assert loaded == sorted(mod.__name__ for mod in MODULES if not mod.__name__.endswith(".fixtures"))
+
+
+# a script that runs the command its arguments name and prints the modules of
+# the package that it left unexecuted: a lazily registered module is not a
+# plain module until its first attribute access, and type() reads no attribute
+UNEXECUTED = """\
+import json, sys, types
+from hopfcleft import cli
+try:
+    cli.main(sys.argv[1:])
+except SystemExit:
+    pass
+print()
+print(json.dumps(sorted(name.partition(".")[2] for name, mod in sys.modules.items()
+                        if name.startswith("hopfcleft.") and type(mod) is not types.ModuleType)))
+"""
+
+
+@pytest.mark.parametrize("command,unexecuted", [
+    ("verify-hopf", ["cleft", "cocycle", "lifting", "oracle"]),
+    ("convolution-inverse", ["braided", "cleft", "cocycle", "lifting", "oracle"]),
+])
+def test_a_command_executes_only_the_modules_it_uses(command, unexecuted):
+    path = str(resources.files(hopfcleft).joinpath("data", "kc4_zeta4.had"))
+    assert _fresh(UNEXECUTED, command, path, "--report", "json") == unexecuted
+
+
+def test_executing_a_lazy_module_imports_nothing_new():
+    """Executing every lazily registered module adds no module to
+    ``sys.modules``, so a loop over ``sys.modules`` that reads their
+    attributes (as the benchmark's self-test does) never sees it grow."""
+    lazy, added = _fresh("""\
+import json, sys, types, hopfcleft.cli
+lazy = [mod for name, mod in sys.modules.items()
+        if name.startswith("hopfcleft.") and type(mod) is not types.ModuleType]
+before = set(sys.modules)
+for mod in lazy:
+    vars(mod)
+print(json.dumps([len(lazy), sorted(set(sys.modules) - before)]))
+""")
+    assert (lazy, added) == (5, [])
 
 
 def test_no_module_imports_dataclasses():
