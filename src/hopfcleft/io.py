@@ -487,7 +487,7 @@ def _algebra_over_hopf(df, b) -> tuple[BialgebraData, AlgebraData, _braided.HMod
     a graded_yd_hopf grades), the algebra on ``space=`` and its ambient
     carrier (trivial unless ``carrier_action=`` is bound)."""
     hopf = build(df, b["hopf"])
-    if isinstance(hopf, _lifting.GradedYDHopf):
+    if df.roles[b["hopf"]].kind == "graded_yd_hopf":
         hopf = hopf.hopf
     space = df.space(b["space"])
     algebra = AlgebraData(space, df.tensor_map(b["mul"]), df.tensor_map(b["unit"]))

@@ -53,34 +53,50 @@ def test_the_cli_registers_every_module_but_the_fixtures():
     """``import hopfcleft.cli`` puts every module of the package but
     ``fixtures`` in ``sys.modules``, executed or lazily registered: the
     benchmark's tracer wraps the functions of the modules it finds there."""
-    loaded = _fresh("import json, sys, hopfcleft.cli; "
-                    "print(json.dumps(sorted(n for n in sys.modules if n.startswith('hopfcleft.'))))")
-    assert loaded == sorted(mod.__name__ for mod in MODULES if not mod.__name__.endswith(".fixtures"))
+    loaded = _fresh("import json, sys, hopfcleft.cli; print(json.dumps(sorted("
+                    "n for n in sys.modules if n.startswith('hopfcleft.'))))")
+    registered = [mod.__name__ for mod in MODULES if not mod.__name__.endswith(".fixtures")]
+    assert loaded == sorted(registered)
 
 
-# a script that runs the command its arguments name and prints the modules of
-# the package that it left unexecuted: a lazily registered module is not a
-# plain module until its first attribute access, and type() reads no attribute
+# a script that runs the command its arguments name and prints its exit code
+# and the modules of the package that it left unexecuted: a lazily registered
+# module is not a plain module until its first attribute access, and type()
+# reads no attribute
 UNEXECUTED = """\
 import json, sys, types
 from hopfcleft import cli
 try:
     cli.main(sys.argv[1:])
-except SystemExit:
-    pass
+except SystemExit as exc:
+    code = exc.code
 print()
-print(json.dumps(sorted(name.partition(".")[2] for name, mod in sys.modules.items()
-                        if name.startswith("hopfcleft.") and type(mod) is not types.ModuleType)))
+unexecuted = [name.partition(".")[2] for name, mod in sys.modules.items()
+              if name.startswith("hopfcleft.") and type(mod) is not types.ModuleType]
+print(json.dumps([code, sorted(unexecuted)]))
+"""
+
+# the trivial measuring of kC2 on the ground field, added to kc2_q.had
+MEASURING = """\
+space A: 1
+tensor A_mul mul@A: (1, 1, 1)
+tensor A_unit unit@A: (1, 1, 1)
+tensor M_nu measuring@kC2,A: (1, 1, 1) (1, g, 1)
+role measuring M: hopf=KC2 mul=A_mul nu=M_nu space=A unit=A_unit
 """
 
 
-@pytest.mark.parametrize("command,unexecuted", [
-    ("verify-hopf", ["cleft", "cocycle", "lifting", "oracle"]),
-    ("convolution-inverse", ["braided", "cleft", "cocycle", "lifting", "oracle"]),
-])
-def test_a_command_executes_only_the_modules_it_uses(command, unexecuted):
-    path = str(resources.files(hopfcleft).joinpath("data", "kc4_zeta4.had"))
-    assert _fresh(UNEXECUTED, command, path, "--report", "json") == unexecuted
+@pytest.mark.parametrize("command,shipped,added,unexecuted", [
+    ("verify-hopf", "kc4_zeta4.had", "", ["cleft", "cocycle", "lifting", "oracle"]),
+    ("convolution-inverse", "kc4_zeta4.had", "",
+     ["braided", "cleft", "cocycle", "lifting", "oracle"]),
+    ("verify-measuring", "kc2_q.had", MEASURING, ["cleft", "cocycle", "lifting", "oracle"]),
+], ids=["verify-hopf", "convolution-inverse", "verify-measuring"])
+def test_a_command_executes_only_the_modules_it_uses(command, shipped, added, unexecuted,
+                                                      tmp_path):
+    path = tmp_path / shipped
+    path.write_text(resources.files(hopfcleft).joinpath("data", shipped).read_text() + added)
+    assert _fresh(UNEXECUTED, command, str(path), "--report", "json") == [0, unexecuted]
 
 
 def test_executing_a_lazy_module_imports_nothing_new():
