@@ -22,11 +22,17 @@ import sys
 from itertools import islice
 from types import SimpleNamespace
 
-from . import __version__, _lazy, io
+from . import __version__, io
+# registered lazily by the package, so executed on a command's first call
+# into them: verify-hopf and convolution-inverse on a hopf_algebra role
+# never execute most of these
+from . import braided as _braided, cleft as _cleft, cocycle as _cocycle
+from . import lifting as _lifting, oracle as _oracle
 from .errors import (
     CENSUS_BOUND,
     DEFAULT_BOUND,
     AxiomFailure,
+    CorruptFixture,
     FactorizationFailure,
     HopfcleftError,
     NotHopf,
@@ -37,11 +43,6 @@ from .errors import (
 from .hopf import check_hopf, convolution_inverse
 from .linalg import LinearMap
 from .report import CheckItem, CheckReport
-
-# executed on a command's first call into them: verify-hopf and
-# convolution-inverse on a hopf_algebra role never compile most of these
-_braided, _cleft, _cocycle, _lifting, _oracle = map(
-    _lazy, ("braided", "cleft", "cocycle", "lifting", "oracle"))
 
 FIXTURE_DIR_VAR = "HOPFCLEFT_FIXTURE_DIR"
 
@@ -375,8 +376,12 @@ def _boson_and_sigma(df, role_name, index, bound):
 def phi_cmd(df, role_name, fmt):
     """Extend a braided scalar cocycle on R to the bosonization."""
     cocycle, report = _checked_cocycle(df, role_name, fmt)
-    grole = _find_role(df, ("graded_yd_hopf",), None)
-    b = _lifting.bosonize(io.build(df, grole.name))
+    # R is the role that the cocycle's measuring is over
+    measuring = _find_role(df, ("cocycle",), role_name).bindings["measuring"]
+    over = df.roles[df.roles[measuring].bindings["hopf"]]
+    if over.kind != "graded_yd_hopf":
+        raise CorruptFixture("pi must be a cocycle on the braided factor")
+    b = _lifting.bosonize(io.build(df, over.name))
     _, restricted = _lifting.check_zprime(b, _lifting.phi(b, cocycle).sigma)
     report.extend(restricted)
     _finish(report, fmt)
@@ -451,6 +456,8 @@ def census(df, role_name, fmt, bound):
 @_file_command("oracle", _bound_option)
 def oracle(df, role_name, fmt, bound):
     """Exhaustive-search cross-checks of the closed-form constructions."""
+    if role_name is not None and role_name not in df.roles:
+        raise ValidationError(f"no role named {role_name!r} in the file")
     report = CheckReport(f"oracle sweeps over {df.field}")
     notes = []
     for role in sorted(df.roles.values(), key=lambda r: r.name):

@@ -44,7 +44,7 @@ CYCLOTOMIC = "cyclotomic"
 # bound (Jaeschke 1993); larger characteristics are rejected, not guessed
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17)
 MAX_PRIME = 341_550_071_728_321
-# a product in Q(zeta_n) takes about euler_phi(n)^2 rational operations, so
+# a product in Q(zeta_n) takes about deg(Phi_n)^2 rational operations, so
 # the index is capped
 MAX_CYCLOTOMIC_INDEX = 1000
 
@@ -71,21 +71,6 @@ def _is_prime(p: int) -> bool:
         else:
             return False
     return True
-
-
-def euler_phi(n: int) -> int:
-    result = n
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            result -= result // d
-        d += 1
-    if m > 1:
-        result -= result // m
-    return result
 
 
 def _poly_trim(c: list) -> list:
@@ -246,9 +231,10 @@ class FieldSpec:
 
     @cached_property
     def degree(self) -> int:
-        """Degree over Q for cyclotomic fields, 1 otherwise (computed once per
-        field object; equality and hash read only kind, p and n)."""
-        return euler_phi(self.n) if self.kind == CYCLOTOMIC else 1
+        """Degree over Q for cyclotomic fields, deg Phi_n = phi(n), and 1
+        otherwise (computed once per field object; equality and hash read
+        only kind, p and n)."""
+        return len(self._modulus) - 1 if self.kind == CYCLOTOMIC else 1
 
     def value(self, x):
         """The raw canonical value of an int, a Fraction, a Scalar of this

@@ -11,13 +11,13 @@ from __future__ import annotations
 from .braided import HModule, YDModule
 from .fields import FieldSpec
 from .hopf import AlgebraData, BialgebraData, CoalgebraData, antipode
-from .linalg import LinearMap, based_space, tensor_space, unit_space
+from .linalg import BasedSpace, LinearMap, tensor_space, unit_space
 
 
 def cyclic_group_hopf(field: FieldSpec, n: int) -> BialgebraData:
     """The group algebra of the cyclic group of order n, as a Hopf algebra."""
     labels = ["1"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)]
-    space = based_space(f"kC{n}", labels, field)
+    space = BasedSpace(f"kC{n}", labels, field)
     unit1 = unit_space(field)
     mul = LinearMap.from_labels(
         tensor_space(space, space), space,
@@ -42,7 +42,7 @@ def quantum_line(ambient: BialgebraData) -> BialgebraData:
     category over a cyclic group algebra: x is g-homogeneous and g.x = -x."""
     field = ambient.space.field
     n = ambient.space.dim
-    space = based_space("R", ["1", "x"], field)
+    space = BasedSpace("R", ["1", "x"], field)
     zero1 = unit_space(field)
     # action: g^i . 1 = 1, g^i . x = (-1)^i x
     action = LinearMap.from_labels(tensor_space(ambient.space, space), space, [

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from . import braided  # imports this module; the package registers it lazily
 from .errors import NotHopf, NotInvertible, ShapeMismatch
 from .fields import FieldSpec
 from .linalg import (
@@ -114,9 +115,7 @@ class BialgebraData:
     @cached_property
     def yd(self):
         """The trivial Yetter-Drinfeld structure over k, unless one was given."""
-        from .braided import trivial_ambient, trivial_yd  # braided imports this module
-
-        return trivial_yd(trivial_ambient(self.space.field), self.space)
+        return braided.trivial_yd(braided.trivial_ambient(self.space.field), self.space)
 
     @cached_property
     def self_braiding(self) -> LinearMap:

@@ -28,15 +28,13 @@ from __future__ import annotations
 
 import re
 
-from . import _lazy
+# registered lazily by the package, so executed when a builder first reads
+# them: parsing and building a hopf_algebra role need none of these
+from . import braided as _braided, cleft as _cleft, cocycle as _cocycle, lifting as _lifting
 from .errors import ParseError, ShapeMismatch, TheoremViolation, ValidationError
 from .fields import FieldSpec
 from .hopf import AlgebraData, BialgebraData, CoalgebraData, antipode
 from .linalg import TENSOR_SEP, BasedSpace, LinearMap, tensor_space, unit_space
-
-# executed when a builder first reads them: parsing and building a
-# hopf_algebra role need none of these
-_braided, _cleft, _cocycle, _lifting = map(_lazy, ("braided", "cleft", "cocycle", "lifting"))
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_'-]+$")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")

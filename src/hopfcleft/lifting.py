@@ -15,6 +15,9 @@ tells R's factors apart from the ambient's by identity.
 
 from __future__ import annotations
 
+# only the restricted-cocycle paths call into these; bosonize and the
+# grading checks leave them unexecuted
+from . import cleft as _cleft, cocycle as _cocycle, oracle as _oracle
 from .braided import (
     ComoduleAlgebra,
     ambient_module_tensor,
@@ -26,8 +29,6 @@ from .braided import (
     twist,
     yd_tensor,
 )
-from .cleft import CleftExtension, closed_form_cleft, cocycle_from_section, crossed_to_cleft
-from .cocycle import Cocycle, check_cocycle, pair_coalgebra, sigma_hat
 from .errors import (
     CENSUS_BOUND,
     AxiomFailure,
@@ -58,7 +59,6 @@ from .linalg import (
     tensor_space,
     unit_space,
 )
-from .oracle import enumerate_cocycles, enumerate_zprime
 from .report import CheckItem, CheckReport, map_equal_item
 
 
@@ -163,7 +163,7 @@ class Bosonization:
         self.degrees = _degrees(hopf.space, source)  # of each basis vector of R (x) H
         # the check_zprime verdict on each distinct sigma checked so far,
         # empty on every new object
-        self.zprime_cache: dict[LinearMap, tuple[Cocycle | None, CheckReport]] = {}
+        self.zprime_cache: dict[LinearMap, tuple[_cocycle.Cocycle | None, CheckReport]] = {}
         # the two parts of the twisting equations, kept per sigma likewise
         self.sigma_hats: dict[LinearMap, LinearMap] = {}
         self.quadratic_parts: dict[LinearMap, LinearMap] = {}
@@ -244,7 +244,7 @@ def _restricted_form(b: Bosonization, sigma: LinearMap) -> LinearMap:
     return compose_all(sigma, tensor_map(j, j), _spread(b))
 
 
-def check_zprime(b: Bosonization, sigma: LinearMap) -> tuple[Cocycle | None, CheckReport]:
+def check_zprime(b: Bosonization, sigma: LinearMap) -> tuple[_cocycle.Cocycle | None, CheckReport]:
     """``check_cocycle`` over the trivial measuring of the bosonization, then
     the restriction condition (8), with the derived consequences asserted
     whenever both hold. The cocycle is returned only when the whole report is
@@ -259,12 +259,12 @@ def check_zprime(b: Bosonization, sigma: LinearMap) -> tuple[Cocycle | None, Che
         verdict = b.zprime_cache[sigma] = _check_zprime(b, sigma)
     cocycle, report = verdict
     if cocycle is not None:
-        cocycle = Cocycle(cocycle.measuring, sigma, cocycle.sigma_inv, verified=True)
+        cocycle = _cocycle.Cocycle(cocycle.measuring, sigma, cocycle.sigma_inv, verified=True)
     return cocycle, CheckReport(report.subject, list(report.items))
 
 
-def _check_zprime(b: Bosonization, sigma: LinearMap) -> tuple[Cocycle | None, CheckReport]:
-    cocycle, report = check_cocycle(trivial_measuring(b.hopf), sigma)
+def _check_zprime(b: Bosonization, sigma: LinearMap) -> tuple[_cocycle.Cocycle | None, CheckReport]:
+    cocycle, report = _cocycle.check_cocycle(trivial_measuring(b.hopf), sigma)
     report.subject = f"scalar cocycle on {b.space.name}"
     item = map_equal_item("(8) determined by values on R x R", sigma, _restricted_form(b, sigma))
     report.add(item)
@@ -297,7 +297,7 @@ def _zprime_derived(b: Bosonization, sigma: LinearMap, sigma_inv: LinearMap) -> 
     return report
 
 
-def phi(b: Bosonization, pi: Cocycle) -> Cocycle:
+def phi(b: Bosonization, pi: _cocycle.Cocycle) -> _cocycle.Cocycle:
     """Extend a braided scalar cocycle on R to the bosonization:
     sigma(r (x) h, r' (x) h') = pi(r, h.r') eps(h')."""
     g = b.source
@@ -333,7 +333,7 @@ def check_equivariant_pair(g: GradedYDHopf, f: LinearMap) -> CheckReport:
     return report
 
 
-def phi_inverse(b: Bosonization, s: Cocycle) -> Cocycle:
+def phi_inverse(b: Bosonization, s: _cocycle.Cocycle) -> _cocycle.Cocycle:
     """Restrict a verified scalar cocycle on the bosonization that satisfies
     (8) to R (x) R; the result is a verified braided cocycle and extending it
     back recovers s exactly."""
@@ -343,7 +343,7 @@ def phi_inverse(b: Bosonization, s: Cocycle) -> Cocycle:
     j = _embed_r(b)
     pi_map = compose(s.sigma, tensor_map(j, j))
     m = trivial_measuring(g.hopf)
-    cocycle, report = check_cocycle(m, pi_map)
+    cocycle, report = _cocycle.check_cocycle(m, pi_map)
     if cocycle is None:
         raise TheoremViolation(
             f"restriction of a verified cocycle rejected: {report.first_failure()}")
@@ -373,7 +373,7 @@ def smash_comodule_algebra(b: Bosonization, e: ComoduleAlgebra) -> ComoduleAlgeb
     return ComoduleAlgebra(b.hopf, algebra, coaction=coaction, carrier=carrier)
 
 
-def psi(b: Bosonization, ce: CleftExtension) -> CleftExtension:
+def psi(b: Bosonization, ce: _cleft.CleftExtension) -> _cleft.CleftExtension:
     """From a cleft object over R (in the ambient-module category, with an
     equivariant section) to a cleft object over the bosonization, with section
     gamma (x) id and closed-form convolution inverse."""
@@ -393,10 +393,11 @@ def psi(b: Bosonization, ce: CleftExtension) -> CleftExtension:
         tensor_map(ce.gamma_inv, compose(h.unit, h.counit)),
         b.hopf.coalg, big.algebra,
     )
-    return closed_form_cleft(big, tensor_map(ce.gamma, LinearMap.identity(h.space)), gamma_inv)
+    section = tensor_map(ce.gamma, LinearMap.identity(h.space))
+    return _cleft.closed_form_cleft(big, section, gamma_inv)
 
 
-def check_cprime_section(b: Bosonization, ce: CleftExtension) -> CheckReport:
+def check_cprime_section(b: Bosonization, ce: _cleft.CleftExtension) -> CheckReport:
     """The multiplicativity condition (9) of a section against group-algebra
     factors, and its three derived consequences when it holds."""
     g = b.source
@@ -441,13 +442,15 @@ def check_cprime_section(b: Bosonization, ce: CleftExtension) -> CheckReport:
     return report
 
 
-def sigma_gamma_restricts(b: Bosonization, ce: CleftExtension) -> tuple[Cocycle, CheckReport]:
+def sigma_gamma_restricts(
+    b: Bosonization, ce: _cleft.CleftExtension
+) -> tuple[_cocycle.Cocycle, CheckReport]:
     """The canonical cocycle of a section satisfying (9) is itself restricted."""
     section_report = check_cprime_section(b, ce)
     if not section_report.ok:
         raise AxiomFailure(
             f"section fails the restriction condition: {section_report.first_failure()}")
-    m, cocycle, _ = cocycle_from_section(ce)
+    m, cocycle, _ = _cleft.cocycle_from_section(ce)
     if m.space.dim != 1:
         raise AxiomFailure("the input must be a cleft object (trivial coinvariants)")
     # identify the one-dimensional coinvariants with the monoidal unit
@@ -459,7 +462,7 @@ def sigma_gamma_restricts(b: Bosonization, ce: CleftExtension) -> tuple[Cocycle,
     return result, section_report
 
 
-def deform(b: Bosonization, s: Cocycle) -> BialgebraData:
+def deform(b: Bosonization, s: _cocycle.Cocycle) -> BialgebraData:
     """The cocycle deformation: the same coalgebra with Doi's twisted product
 
         x ._sigma y = sigma(x1, y1) x2 y2 sigma^-1(x3, y3).
@@ -470,7 +473,7 @@ def deform(b: Bosonization, s: Cocycle) -> BialgebraData:
     if not s.verified:
         raise AxiomFailure("deformation requires a verified cocycle")
     hopf = b.hopf
-    pair = pair_coalgebra(hopf)
+    pair = _cocycle.pair_coalgebra(hopf)
     left = convolution(compose(hopf.unit, s.sigma), hopf.mul, pair, hopf.alg)
     mul = convolution(left, compose(hopf.unit, s.sigma_inv), pair, hopf.alg)
     alg = AlgebraData(hopf.space, mul, hopf.unit)
@@ -517,11 +520,10 @@ def gr_check(b: Bosonization, deformed: BialgebraData) -> CheckReport:
 class CensusResult:
     """The restricted-cocycle census of a bosonization over a prime field."""
 
-    def __init__(self, report: CheckReport, cocycles: list[Cocycle],
-                 sigmas: list[Cocycle], classes: list[list[int]]):
+    def __init__(self, report: CheckReport, sigmas: list[_cocycle.Cocycle],
+                 classes: list[list[int]]):
         self.report = report
-        self.cocycles = cocycles  # braided scalar cocycles on R, enumeration order
-        self.sigmas = sigmas  # their extensions to the bosonization
+        self.sigmas = sigmas  # extensions of the braided cocycles on R, enumeration order
         self.classes = classes  # crossed-product isomorphism classes (indices)
 
 
@@ -537,7 +539,7 @@ def cleft_prime_census(b: Bosonization, bound: int = CENSUS_BOUND) -> CensusResu
     report = CheckReport(f"restricted cocycle census on {b.space.name}")
     g = b.source
     m = trivial_measuring(g.hopf)
-    raw = enumerate_cocycles(m, bound)
+    raw = _oracle.enumerate_cocycles(m, bound)
     cocycles = [
         pi for pi in raw if check_equivariant_pair(g, pi.sigma).ok]
     report.add(CheckItem(
@@ -545,7 +547,7 @@ def cleft_prime_census(b: Bosonization, bound: int = CENSUS_BOUND) -> CensusResu
         len(raw) == len(cocycles),
         None if len(raw) == len(cocycles) else f"{len(raw) - len(cocycles)} dropped"))
     sigmas = [phi(b, pi) for pi in cocycles]
-    direct = enumerate_zprime(b, bound)
+    direct = _oracle.enumerate_zprime(b, bound)
     same_list = [s.sigma for s in sigmas] == [s.sigma for s in direct]
     report.add(CheckItem(
         "extension of the braided sweep equals the direct restricted sweep",
@@ -554,7 +556,7 @@ def cleft_prime_census(b: Bosonization, bound: int = CENSUS_BOUND) -> CensusResu
     route_ok = True
     witness = None
     for pi, s in zip(cocycles, sigmas):
-        ce = psi(b, crossed_to_cleft(pi))
+        ce = psi(b, _cleft.crossed_to_cleft(pi))
         back, _ = sigma_gamma_restricts(b, ce)
         if back.sigma != s.sigma:
             route_ok = False
@@ -568,11 +570,11 @@ def cleft_prime_census(b: Bosonization, bound: int = CENSUS_BOUND) -> CensusResu
     report.add(CheckItem(
         "both routes agree and every deformation has the graded top", route_ok, witness))
     classes = census_classes(b, sigmas, bound)
-    return CensusResult(report, cocycles, sigmas, classes)
+    return CensusResult(report, sigmas, classes)
 
 
 def census_classes(
-    b: Bosonization, sigmas: list[Cocycle], bound: int = CENSUS_BOUND
+    b: Bosonization, sigmas: list[_cocycle.Cocycle], bound: int = CENSUS_BOUND
 ) -> list[list[int]]:
     """Partition the extended cocycles into comodule-algebra isomorphism
     classes of their crossed products. Each member is compared with the first
@@ -593,7 +595,7 @@ def census_classes(
 
 
 def _cleft_objects_isomorphic(
-    b: Bosonization, s1: Cocycle, s2: Cocycle, bound: int
+    b: Bosonization, s1: _cocycle.Cocycle, s2: _cocycle.Cocycle, bound: int
 ) -> bool:
     """Two scalar crossed products are isomorphic as comodule algebras iff some
     convolution invertible functional phi with phi(1) = 1 twists one cocycle
@@ -674,7 +676,7 @@ def _cleft_objects_isomorphic(
     return search(0)
 
 
-def _twisting_equations(b: Bosonization, s1: Cocycle, s2: Cocycle):
+def _twisting_equations(b: Bosonization, s1: _cocycle.Cocycle, s2: _cocycle.Cocycle):
     """The twisting equation of each basis pair (x, y), in the order of the
     columns x d + y of H (x) H (d the dimension), as residue terms (a, b, c),
     read c phi[a] phi[b], with the constant slot phi[d] = 1 standing in for
@@ -687,9 +689,9 @@ def _twisting_equations(b: Bosonization, s1: Cocycle, s2: Cocycle):
     d = b.space.dim
     p = b.space.field.p
     if s2.sigma not in b.sigma_hats:
-        b.sigma_hats[s2.sigma] = sigma_hat(s2.measuring, s2.sigma)
+        b.sigma_hats[s2.sigma] = _cocycle.sigma_hat(s2.measuring, s2.sigma)
     if s1.sigma not in b.quadratic_parts:
-        pair = pair_coalgebra(b.hopf)
+        pair = _cocycle.pair_coalgebra(b.hopf)
         b.quadratic_parts[s1.sigma] = compose(
             tensor_map(LinearMap.identity(pair.space), s1.sigma), pair.comul)
     eqs: dict[int, dict] = {}

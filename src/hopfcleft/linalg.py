@@ -143,10 +143,6 @@ class BasedSpace:
         return f"{self.name}[{self.dim}]"
 
 
-def based_space(name: str, labels, field: FieldSpec) -> BasedSpace:
-    return BasedSpace(name, tuple(labels), field)
-
-
 def unit_space(field: FieldSpec) -> BasedSpace:
     """The monoidal unit: the 1-dimensional space with basis label "1"."""
     return BasedSpace("1", ("1",), field)

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from itertools import product
 
+from . import lifting  # imports this module; the package registers it lazily
 from .braided import Measuring, trivial_measuring
 from .cocycle import Cocycle, check_cocycle
 from .errors import DEFAULT_BOUND, NotInvertible, SearchSpaceTooLarge
 from .fields import FieldSpec
 from .hopf import AlgebraData, CoalgebraData, convolution, convolution_unit
-from .linalg import LinearMap, compose, tensor_map, tensor_maps, tensor_space
+from .linalg import LinearMap, compose, tensor_map, tensor_space
 
 
 class SearchSpace:
@@ -130,13 +131,9 @@ def zprime_sweep(b, bound: int = DEFAULT_BOUND):
     ``Cocycle``s in deterministic order, verifying each candidate only when
     the consumer asks for the next result; SearchSpaceTooLarge comes with the
     first request, before any candidate is checked."""
-    from .lifting import check_zprime
-
-    g = b.source
-    spread = tensor_maps(
-        LinearMap.identity(g.space), g.hopf.yd.module.action, b.ambient.counit)
+    spread = lifting._spread(b)
     # the restriction pi: R (x) R -> k is a unital scalar map on R
-    for pi_map in _unital_candidates(trivial_measuring(g.hopf), bound):
-        cocycle, _ = check_zprime(b, compose(pi_map, spread))
+    for pi_map in _unital_candidates(trivial_measuring(b.source.hopf), bound):
+        cocycle, _ = lifting.check_zprime(b, compose(pi_map, spread))
         if cocycle is not None:
             yield cocycle

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import settings
 
@@ -9,9 +11,9 @@ from hopfcleft.hopf import AlgebraData, BialgebraData, CoalgebraData, convolutio
 from hopfcleft.lifting import GradedYDHopf, bosonize
 from hopfcleft import linalg
 from hopfcleft.linalg import (
+    BasedSpace,
     LinearMap,
     TensorMap,
-    based_space,
     compose,
     compose_all,
     invert,
@@ -27,6 +29,15 @@ from hopfcleft.report import CheckItem, map_equal_item
 # leaves no saved examples in the checkout
 settings.register_profile("hopfcleft", deadline=None, database=None)
 settings.load_profile("hopfcleft")
+
+
+@pytest.fixture(autouse=True)
+def unfrozen_heap():
+    """Every in-process CLI run ends in ``gc.freeze()``, which suits a
+    process about to exit; the test process lives on, so each test hands
+    its frozen objects back to the collector."""
+    yield
+    gc.unfreeze()
 
 
 # -- Scalar construction for the tests --------------------------------------
@@ -187,7 +198,7 @@ def convolution_inverse_or_none(f, c, a):
 def non_hopf_bialgebra(field: FieldSpec) -> BialgebraData:
     """The monoid algebra of {1, e} with e^2 = e and e grouplike: a bialgebra
     whose identity map is not convolution invertible."""
-    space = based_space("kM2", ["1", "e"], field)
+    space = BasedSpace("kM2", ["1", "e"], field)
     one_s = one_scalar(field)
     unit1 = unit_space(field)
     mul = LinearMap.from_labels(
@@ -229,7 +240,7 @@ def change_of_basis(g, new_bases: dict, grading: dict) -> GradedYDHopf:
     field = g.space.field
     moves = {}  # old atomic space -> (new space, P: new -> old)
     for old, (labels, columns) in new_bases.items():
-        new = based_space(old.name, labels, field)
+        new = BasedSpace(old.name, labels, field)
         moves[old] = (new, LinearMap(new, old, {
             (i, j): scalar_of(field, v)
             for j, col in enumerate(columns) for i, v in enumerate(col) if v}))

@@ -24,8 +24,8 @@ from hopfcleft.errors import BaseMismatch, ShapeMismatch
 from hopfcleft.fixtures import cyclic_group_hopf
 from hopfcleft.hopf import check_coalgebra, iterated_comul, iterated_mul
 from hopfcleft.linalg import (
+    BasedSpace,
     LinearMap,
-    based_space,
     compose,
     compose_all,
     flip_map,
@@ -218,7 +218,7 @@ def test_yd_tensor_and_braiding_equal_the_permutation_chains(qline_f3, qline_f5)
 
 
 def test_braiding_requires_common_ambient(qline_f5, kc2_f3):
-    other = trivial_module(kc2_f3, based_space("M", ["m"], kc2_f3.space.field))
+    other = trivial_module(kc2_f3, BasedSpace("M", ["m"], kc2_f3.space.field))
     with pytest.raises(BaseMismatch):
         braiding(qline_f5.hopf.yd, other)
     # a coaction and an action through Hopf algebras of different dimensions

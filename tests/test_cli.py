@@ -508,6 +508,37 @@ def test_phi_inverse_and_gr_check(runner):
     assert result.exit_code == 0, result.output
 
 
+# a second graded role R2: qline_kc2_f3.had's R with its own space and tensors
+SECOND_R = "".join(
+    re.sub(r"\bR(?=_|\b)", "R2", line) + "\n" for line in QLINE_KC2_F3.splitlines()
+    if re.match(r"(space R:|grade R_|tensor R_|role graded_yd_hopf R:)", line))
+
+
+def test_phi_extends_over_the_role_its_cocycle_is_on(runner, tmp_path):
+    """phi bosonizes the role that the cocycle's measuring binds as hopf=,
+    so a second graded role changes nothing; a cocycle over a hopf_algebra
+    role is not on a braided factor."""
+    assert SECOND_R.count("\n") == 10 and not re.search(r"\bR\b|\bR_", SECOND_R)
+    one, two, classical = tmp_path / "one.had", tmp_path / "two.had", tmp_path / "h.had"
+    one.write_text(BRAIDED_COCYCLE)
+    two.write_text(BRAIDED_COCYCLE + SECOND_R)
+    classical.write_text(CLASSICAL_COCYCLE)
+    expected = run(runner, ["phi", str(one)])
+    result = run(runner, ["phi", str(two), "--role", "C"])
+    assert expected.exit_code == result.exit_code == 0, result.output
+    assert result.stdout == expected.stdout
+    result = _separate_streams_runner().invoke(main, ["phi", str(classical)])
+    assert (result.exit_code, result.stderr) == (
+        2, "error: pi must be a cocycle on the braided factor\n")
+
+
+def test_oracle_names_a_missing_role(runner):
+    result = _separate_streams_runner().invoke(
+        main, ["oracle", "kc2_q.had", "--role", "NOPE"], env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: no role named 'NOPE' in the file\n"
+
+
 def test_sigma_index_out_of_range_exits_2(runner):
     result = run(runner, ["gr-check", "qline_kc2_f3.had", "--sigma-index", "9"],
                  env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})

@@ -24,8 +24,8 @@ from hopfcleft.hopf import (
     convolution_inverse,
 )
 from hopfcleft.linalg import (
+    BasedSpace,
     LinearMap,
-    based_space,
     compose,
     tensor_map,
     tensor_maps,
@@ -70,7 +70,7 @@ def _values(field):
 
 def _space(data, field, name, max_dim=3):
     dim = data.draw(st.integers(min_value=1, max_value=max_dim))
-    return based_space(name, [f"{name.lower()}{i}" for i in range(dim)], field)
+    return BasedSpace(name, [f"{name.lower()}{i}" for i in range(dim)], field)
 
 
 def _map(data, source, target):
@@ -218,8 +218,8 @@ _F5, _Q, _Z4 = FieldSpec.prime_field(5), FieldSpec.rationals(), FieldSpec.cyclot
 
 
 def _product_source():
-    u = based_space("U", ["u0", "u1"], _F5)
-    return tensor_space(u, based_space("V", ["v0", "v1", "v2"], _F5))
+    u = BasedSpace("U", ["u0", "u1"], _F5)
+    return tensor_space(u, BasedSpace("V", ["v0", "v1", "v2"], _F5))
 
 
 # (source, left, right, witness): the first differing entry is stored on both
@@ -244,8 +244,8 @@ def test_map_equal_item_prints_the_witness_from_the_raw_entries(case):
     does not store; a product's labels are spelled one at a time, never all
     joined."""
     source, left, right, witness = WITNESSES[case]
-    source = source() if callable(source) else based_space("S", ["a", "b"], source)
-    target = based_space("T", ["x", "y"], source.field)
+    source = source() if callable(source) else BasedSpace("S", ["a", "b"], source)
+    target = BasedSpace("T", ["x", "y"], source.field)
     lhs, rhs = LinearMap(source, target, left), LinearMap(source, target, right)
     assert map_equal_item("relation", lhs, rhs) == CheckItem("relation", False, witness)
     assert map_equal_item("relation", lhs, lhs) == CheckItem("relation", True)

@@ -633,9 +633,9 @@ def test_a_census_builds_each_twisting_part_once(monkeypatch):
     b = _quantum_line_bosonization(4, 5)
     sigmas = enumerate_zprime(b)
     linear, quadratic = [], []
-    hat, tensor = lifting.sigma_hat, lifting.tensor_map
+    hat, tensor = cocycle.sigma_hat, lifting.tensor_map
     # inside census_classes only the quadratic part calls lifting.tensor_map
-    monkeypatch.setattr(lifting, "sigma_hat", lambda m, s: linear.append(s) or hat(m, s))
+    monkeypatch.setattr(cocycle, "sigma_hat", lambda m, s: linear.append(s) or hat(m, s))
     monkeypatch.setattr(lifting, "tensor_map", lambda f, g: quadratic.append(g) or tensor(f, g))
     classes = census_classes(b, sigmas)
     assert classes == [[0], [1, 4], [2, 3]]
@@ -830,7 +830,7 @@ def test_census_check_cocycle_call_count(boson8, monkeypatch):
         calls += 1
         return original(*args, **kwargs)
 
-    for module in (lifting, oracle, cleft):
+    for module in (cocycle, oracle, cleft):
         monkeypatch.setattr(module, "check_cocycle", counting)
     result = cleft_prime_census(_empty_caches(boson8))
     assert result.report.ok, str(result.report)

@@ -12,7 +12,6 @@ from hopfcleft.linalg import (
     TensorMap,
     _kernel,
     _rref,
-    based_space,
     compose,
     equalizer,
     flip_map,
@@ -29,9 +28,9 @@ from conftest import dense_rref, entry_at, kron, one_scalar, scalar_is_zero, sca
 
 F5 = FieldSpec.prime_field(5)
 
-U = based_space("U", ["u0", "u1"], F5)
-V = based_space("V", ["v0", "v1", "v2"], F5)
-W = based_space("W", ["w0", "w1"], F5)
+U = BasedSpace("U", ["u0", "u1"], F5)
+V = BasedSpace("V", ["v0", "v1", "v2"], F5)
+W = BasedSpace("W", ["w0", "w1"], F5)
 
 
 def kernel_basis(f: LinearMap) -> list[list[Scalar]]:
@@ -204,7 +203,7 @@ def test_maps_store_the_normalized_value_of_each_entry():
     triples = [("v0", "u0", 6), ("v1", "u1", scalar_of(F5, 3)), ("v2", "u0", 2), ("v2", "u0", 3)]
     assert LinearMap.from_labels(U, V, triples) == wrapped
     z4 = FieldSpec.cyclotomic(4)
-    x = based_space("X", ["x0", "x1"], z4)
+    x = BasedSpace("X", ["x0", "x1"], z4)
     assert LinearMap.identity(x).raw_entries() == {(0, 0): (1, 0), (1, 1): (1, 0)}
     assert LinearMap(x, x, {(0, 1): [0, 0, 1]}).raw_entries() == {(0, 1): (-1, 0)}
     with pytest.raises(ValueError, match="0.5 is not a value of F_5"):
@@ -220,8 +219,8 @@ Q = FieldSpec.rationals()
 
 
 def _slot_spaces(field):
-    a = based_space("A", ["a0", "a1"], field)
-    b = based_space("B", ["b0", "b1", "b2"], field)
+    a = BasedSpace("A", ["a0", "a1"], field)
+    b = BasedSpace("B", ["b0", "b1", "b2"], field)
     return [unit_space(field), a, b, tensor_space(a, a)]
 
 
@@ -338,7 +337,7 @@ def test_tensor_labels_are_the_eager_join():
 def test_index_reads_the_labels_once(monkeypatch):
     """A product label is looked up one factor at a time: each atomic
     factor's labels are read once, and the product's are never joined."""
-    u, v, w = (based_space(s.name, s.labels, F5) for s in (U, V, W))
+    u, v, w = (BasedSpace(s.name, s.labels, F5) for s in (U, V, W))
     uvw = tensor_space(u, v, w)
     labels = [f"{a}.{b}.{c}" for a in u.labels for b in v.labels for c in w.labels]
     reads = []
@@ -368,8 +367,8 @@ class _CountedLabel(str):
 
 def test_separator_search_is_once_per_atomic_space(monkeypatch):
     monkeypatch.setattr(_CountedLabel, "searches", 0)
-    a = based_space("A", [_CountedLabel(f"a{k}") for k in range(4)], F5)
-    b = based_space("B", [_CountedLabel(f"b{k}") for k in range(3)], F5)
+    a = BasedSpace("A", [_CountedLabel(f"a{k}") for k in range(4)], F5)
+    b = BasedSpace("B", [_CountedLabel(f"b{k}") for k in range(3)], F5)
     assert _CountedLabel.searches == 7
     for _ in range(5):
         ab = tensor_space(a, b)
@@ -388,7 +387,7 @@ def test_same_basis_between_tensor_and_atomic_spaces():
     other = BasedSpace("other", tuple(f"x{k}" for k in range(uvw.dim)), F5)
     assert not uvw.same_basis(other) and not other.same_basis(uvw)
     assert not uvw.same_basis(tensor_space(V, U, W))
-    over_q = (based_space(s.name, s.labels, Q) for s in (U, V, W))
+    over_q = (BasedSpace(s.name, s.labels, Q) for s in (U, V, W))
     assert not uvw.same_basis(tensor_space(*over_q))
     # maps that compare equal hash alike
     f = LinearMap(uvw, U, {(1, 3): one_scalar(F5)})
@@ -400,9 +399,9 @@ def test_tensor_space_rejects_colliding_joined_labels():
     # "a" + "b.c" and "a.b" + "c" would both join to "a.b.c": an atomic
     # label holding the separator is refused, so joined labels are unique
     with pytest.raises(ValueError, match=r"'a\.b' of P contains '\.'"):
-        based_space("P", ["a", "a.b"], F5)
+        BasedSpace("P", ["a", "a.b"], F5)
     with pytest.raises(ValueError, match=r"'b\.c' of R contains '\.'"):
-        based_space("R", ["b.c", "c"], F5)
+        BasedSpace("R", ["b.c", "c"], F5)
 
 
 # -- the sparse elimination against dense Gauss-Jordan ----------------------
@@ -466,7 +465,7 @@ def _systems(draw):
 
     def space(name):
         n = draw(st.integers(min_value=1, max_value=5))
-        return based_space(name, [f"{name}{k}" for k in range(n)], field)
+        return BasedSpace(name, [f"{name}{k}" for k in range(n)], field)
 
     def random_map(source, target):
         return LinearMap(source, target, {
@@ -475,7 +474,7 @@ def _systems(draw):
 
     s, t, rhs = space("s"), space("t"), space("b")
     if draw(st.booleans()):
-        inner = based_space("k", [f"k{n}" for n in range(draw(st.integers(1, 2)))], field)
+        inner = BasedSpace("k", [f"k{n}" for n in range(draw(st.integers(1, 2)))], field)
         a = compose(random_map(inner, t), random_map(s, inner))
     else:
         a = random_map(s, t)

@@ -1,10 +1,10 @@
 """Start-up guards. Every CLI command is a fresh process. It executes the
 modules that ``import hopfcleft.cli`` loads eagerly, and then only the
-modules it calls into: braided, cleft, cocycle, lifting and oracle are
-registered lazily. Whatever a module builds when it is executed is paid
-by every command that executes it: a ``@dataclass`` generates and compiles
-its methods at import, and importing ``dataclasses`` pulls in ``copy``
-too."""
+modules it calls into: the package registers braided, cleft, cocycle,
+lifting and oracle lazily. Whatever a module builds when it is executed is
+paid by every command that executes it: a ``@dataclass`` generates and
+compiles its methods at import, and importing ``dataclasses`` pulls in
+``copy`` too."""
 
 import ast
 import importlib
@@ -86,17 +86,55 @@ role measuring M: hopf=KC2 mul=A_mul nu=M_nu space=A unit=A_unit
 """
 
 
+# a graded role needs lifting but none of its restricted-cocycle paths
+GRADED_ROLE_UNEXECUTED = ["cleft", "cocycle", "oracle"]
+
+
 @pytest.mark.parametrize("command,shipped,added,unexecuted", [
     ("verify-hopf", "kc4_zeta4.had", "", ["cleft", "cocycle", "lifting", "oracle"]),
     ("convolution-inverse", "kc4_zeta4.had", "",
      ["braided", "cleft", "cocycle", "lifting", "oracle"]),
     ("verify-measuring", "kc2_q.had", MEASURING, ["cleft", "cocycle", "lifting", "oracle"]),
-], ids=["verify-hopf", "convolution-inverse", "verify-measuring"])
+    ("bosonize", "qline_kc2_f3.had", "", GRADED_ROLE_UNEXECUTED),
+    ("verify-yd", "qline_kc2_f3.had", "", GRADED_ROLE_UNEXECUTED),
+    ("verify-hopf --role R", "qline_kc2_f3.had", "", GRADED_ROLE_UNEXECUTED),
+], ids=["verify-hopf", "convolution-inverse", "verify-measuring", "bosonize", "verify-yd",
+        "verify-hopf-graded"])
 def test_a_command_executes_only_the_modules_it_uses(command, shipped, added, unexecuted,
                                                       tmp_path):
+    name, *options = command.split()
     path = tmp_path / shipped
     path.write_text(resources.files(hopfcleft).joinpath("data", shipped).read_text() + added)
-    assert _fresh(UNEXECUTED, command, str(path), "--report", "json") == [0, unexecuted]
+    assert _fresh(UNEXECUTED, name, str(path), *options, "--report", "json") == [0, unexecuted]
+
+
+def _last_definition(mod) -> str:
+    """The name of the last top-level function or class of ``mod``'s source."""
+    tree = ast.parse(Path(mod.__file__).read_text())
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))][-1]
+
+
+@pytest.mark.parametrize("mod", MODULES, ids=lambda mod: mod.__name__.rpartition(".")[2])
+def test_every_module_can_be_imported_first(mod):
+    """Each module, imported first in a fresh interpreter, executes to its
+    end: an edit to the package's lazy registration that reopens an import
+    cycle (hopf with braided, oracle with lifting) fails here."""
+    name = _last_definition(mod)
+    assert _fresh("import importlib, json, sys; print(json.dumps(getattr("
+                  "importlib.import_module(sys.argv[1]), sys.argv[2]).__name__))",
+                  mod.__name__, name) == name
+
+
+def test_only_the_package_registers_modules_lazily():
+    """``hopfcleft/__init__.py`` is the one place that registers a module
+    lazily; every other module imports the registered ones as modules."""
+    sources = [Path(hopfcleft.__file__), *(Path(mod.__file__) for mod in MODULES)]
+    registering = {
+        path.name for path in sources for node in ast.walk(ast.parse(path.read_text()))
+        if getattr(node, "id", None) in ("_lazy", "LazyLoader")
+        or getattr(node, "attr", None) in ("_lazy", "LazyLoader")}
+    assert registering == {"__init__.py"}
 
 
 def test_executing_a_lazy_module_imports_nothing_new():
@@ -136,17 +174,16 @@ def test_no_class_is_a_dataclass():
     assert [c.__qualname__ for c in classes if hasattr(c, "__dataclass_fields__")] == []
 
 
-# (module, function, imported module) of each import inside a function that
-# breaks a real import cycle: lifting imports oracle, and braided imports hopf
-DEFERRED_IMPORTS = {
-    ("oracle", "zprime_sweep", "lifting"),
-    ("hopf", "yd", "braided"),
-}
+# (module, function, imported module) of each package import inside a
+# function: none, since the package's lazy registration breaks the cycles
+# (lifting imports oracle, and braided imports hopf) at the modules' tops
+DEFERRED_IMPORTS = set()
 
 
 def test_package_imports_are_deferred_only_to_break_a_cycle():
     """A package import inside a function hides a dependency from the top of
-    the module; it is kept only where importing at the top would be a cycle."""
+    the module; none is left, because the lazy registration makes importing
+    at the top safe on both sides of a cycle."""
     deferred = set()
     for mod in MODULES:
         tree = ast.parse(Path(mod.__file__).read_text())
