@@ -18,7 +18,7 @@ degenerates to the flip.
 
 from __future__ import annotations
 
-from .errors import BaseMismatch, CorruptFixture, InducedStructureFailure, NoSolution, ShapeMismatch
+from .errors import FactorizationFailure, NoSolution, ShapeMismatch, ValidationError
 from .fields import FieldSpec
 from .hopf import (
     AlgebraData,
@@ -129,7 +129,7 @@ def check_yd(x: YDModule) -> CheckReport:
 def braiding(x: YDModule, v: HModule) -> LinearMap:
     """c(x (x) v) = x_(-1).v (x) x_(0), an isomorphism X (x) V -> V (x) X."""
     if x.base is not v.base and not x.base.space.same_basis(v.base.space):
-        raise BaseMismatch("braiding requires a shared ambient Hopf algebra")
+        raise ShapeMismatch("braiding requires a shared ambient Hopf algebra")
     return twist(x.coaction, v.action)
 
 
@@ -137,7 +137,7 @@ def braiding_inverse(x: YDModule, v: HModule) -> LinearMap:
     try:
         return invert(braiding(x, v))
     except NoSolution as exc:
-        raise CorruptFixture("braiding matrix is singular") from exc
+        raise ValidationError("braiding matrix is singular") from exc
 
 
 def check_braiding_axioms(x: YDModule, v: HModule) -> CheckReport:
@@ -374,7 +374,7 @@ def coinvariants(b: ComoduleAlgebra) -> Coinvariants:
             compose(b.carrier.action, tensor_map(LinearMap.identity(b.hopf.ambient.space), iota)),
         )
     except NoSolution as exc:
-        raise InducedStructureFailure(
+        raise FactorizationFailure(
             "induced structure does not factor through the coinvariants") from exc
     algebra = AlgebraData(space, mul, unit)
     carrier = HModule(b.hopf.ambient, space, action)

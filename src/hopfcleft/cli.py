@@ -7,7 +7,8 @@ of a kind, ``--report text|json``, then the command's own options. The
 command's body starts from the loaded file; it prints a deterministic
 report and exits with 0 when all checks pass, 1 when an axiom or
 verification fails, 2 on input and usage errors and 3 when an identity
-guaranteed by a proved statement fails (a bug here, not in the input).
+guaranteed by a proved statement fails (a bug here, not in the input); an
+exception that ends a command exits by its class, as errors.py sets out.
 Constructive commands additionally write their result with ``--out``.
 """
 
@@ -31,12 +32,8 @@ from . import lifting as _lifting, oracle as _oracle
 from .errors import (
     CENSUS_BOUND,
     DEFAULT_BOUND,
-    AxiomFailure,
-    CorruptFixture,
-    FactorizationFailure,
+    CheckFailure,
     HopfcleftError,
-    NotHopf,
-    NotInvertible,
     TheoremViolation,
     ValidationError,
 )
@@ -45,8 +42,6 @@ from .linalg import LinearMap
 from .report import CheckItem, CheckReport
 
 FIXTURE_DIR_VAR = "HOPFCLEFT_FIXTURE_DIR"
-
-_CHECK_ERRORS = (AxiomFailure, NotHopf, NotInvertible, FactorizationFailure)
 
 
 def _load(path: str) -> io.DefinitionFile:
@@ -204,7 +199,7 @@ def _file_command(name: str, *options):
                 return body(_load(file), **params)
             except TheoremViolation as exc:
                 _fail(f"internal error: theorem violated: {exc}", 3, params["fmt"])
-            except _CHECK_ERRORS as exc:
+            except CheckFailure as exc:
                 _fail(f"check failed: {exc}", 1, params["fmt"])
             except (HopfcleftError, OSError) as exc:
                 _fail(f"error: {exc}", 2, params["fmt"])
@@ -380,7 +375,7 @@ def phi_cmd(df, role_name, fmt):
     measuring = _find_role(df, ("cocycle",), role_name).bindings["measuring"]
     over = df.roles[df.roles[measuring].bindings["hopf"]]
     if over.kind != "graded_yd_hopf":
-        raise CorruptFixture("pi must be a cocycle on the braided factor")
+        raise ValidationError("pi must be a cocycle on the braided factor")
     b = _lifting.bosonize(io.build(df, over.name))
     _, restricted = _lifting.check_zprime(b, _lifting.phi(b, cocycle).sigma)
     report.extend(restricted)
@@ -456,13 +451,11 @@ def census(df, role_name, fmt, bound):
 @_file_command("oracle", _bound_option)
 def oracle(df, role_name, fmt, bound):
     """Exhaustive-search cross-checks of the closed-form constructions."""
-    if role_name is not None and role_name not in df.roles:
-        raise ValidationError(f"no role named {role_name!r} in the file")
+    roles = (sorted(df.roles.values(), key=lambda r: r.name) if role_name is None
+             else [_find_role(df, ("hopf_algebra", "measuring", "graded_yd_hopf"), role_name)])
     report = CheckReport(f"oracle sweeps over {df.field}")
     notes = []
-    for role in sorted(df.roles.values(), key=lambda r: r.name):
-        if role_name is not None and role.name != role_name:
-            continue
+    for role in roles:
         if role.kind == "hopf_algebra":
             h = io.build(df, role.name)
             found = _oracle.oracle_convolution_inverse(

@@ -212,7 +212,7 @@ def sigma_recovery(m: Measuring, sigma: LinearMap) -> LinearMap:
 def crossed_product(c: Cocycle) -> ComoduleAlgebra:
     """The comodule algebra A #_sigma H with coaction id (x) comul."""
     if not c.verified:
-        raise ValueError("cocycle must be verified before forming the crossed product")
+        raise AxiomFailure("cocycle must be verified before forming the crossed product")
     m = c.measuring
     hopf = m.hopf
     a = m.algebra

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all modules, and the default search bounds."""
+"""Exception hierarchy shared by all modules, and the default search bounds.
+
+An error's class decides the exit code of the command it ends: a
+``CheckFailure`` exits 1, a ``TheoremViolation`` exits 3, and any other
+``HopfcleftError`` exits 2 as bad input, as an ``OSError`` does.
+"""
 
 DEFAULT_BOUND = 1_000_000
 # the census bounds its two restricted-cocycle sweeps and each twisting search
@@ -7,6 +12,10 @@ CENSUS_BOUND = 200_000
 
 class HopfcleftError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class CheckFailure(HopfcleftError):
+    """A structure failed an axiom or a verification; a command exits 1."""
 
 
 class FieldMismatch(HopfcleftError):
@@ -21,35 +30,19 @@ class ShapeMismatch(HopfcleftError):
     pass
 
 
-class BaseMismatch(HopfcleftError):
-    pass
-
-
 class NoSolution(HopfcleftError):
     pass
 
 
-class NotInvertible(HopfcleftError):
+class NotInvertible(CheckFailure):
     pass
 
 
-class NotHopf(HopfcleftError):
+class AxiomFailure(CheckFailure):
     pass
 
 
-class AxiomFailure(HopfcleftError):
-    pass
-
-
-class FactorizationFailure(HopfcleftError):
-    pass
-
-
-class InducedStructureFailure(HopfcleftError):
-    pass
-
-
-class CorruptFixture(HopfcleftError):
+class FactorizationFailure(CheckFailure):
     pass
 
 

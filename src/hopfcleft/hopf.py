@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import braided  # imports this module; the package registers it lazily
-from .errors import NotHopf, NotInvertible, ShapeMismatch
+from .errors import NotInvertible, ShapeMismatch
 from .fields import FieldSpec
 from .linalg import (
     BasedSpace,
@@ -320,11 +320,11 @@ def convolution_inverse(f: LinearMap, c: CoalgebraData, a: AlgebraData) -> Linea
 
 
 def antipode(b: BialgebraData) -> LinearMap:
-    """The convolution inverse of the identity; raises NotHopf if absent."""
+    """The convolution inverse of the identity; raises NotInvertible if absent."""
     try:
         return convolution_inverse(LinearMap.identity(b.space), b.coalg, b.alg)
     except NotInvertible as exc:
-        raise NotHopf("identity is not convolution invertible") from exc
+        raise NotInvertible("identity is not convolution invertible") from exc
 
 
 def check_hopf(h: BialgebraData) -> CheckReport:

@@ -420,15 +420,15 @@ def serialize(df: DefinitionFile) -> str:
 
 
 def load(path) -> DefinitionFile:
-    """Parse the file at ``path``; ParseError on the line of the first byte
-    that is not UTF-8."""
+    """Parse the file at ``path``, after one leading byte-order mark;
+    ParseError on the line of the first byte that is not UTF-8."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError("not UTF-8 text", data.count(b"\n", 0, exc.start) + 1) from None
-    return parse(text)
+    return parse(text.removeprefix("\ufeff"))
 
 
 def save(df: DefinitionFile, path):

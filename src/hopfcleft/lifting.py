@@ -32,11 +32,11 @@ from .braided import (
 from .errors import (
     CENSUS_BOUND,
     AxiomFailure,
-    CorruptFixture,
     NotInvertible,
     SearchSpaceTooLarge,
     ShapeMismatch,
     TheoremViolation,
+    ValidationError,
 )
 from .hopf import (
     AlgebraData,
@@ -302,9 +302,9 @@ def phi(b: Bosonization, pi: _cocycle.Cocycle) -> _cocycle.Cocycle:
     sigma(r (x) h, r' (x) h') = pi(r, h.r') eps(h')."""
     g = b.source
     if not pi.measuring.hopf.space.same_basis(g.space):
-        raise CorruptFixture("pi must be a cocycle on the braided factor")
+        raise ValidationError("pi must be a cocycle on the braided factor")
     if pi.measuring.space.dim != 1:
-        raise CorruptFixture("phi needs a scalar-valued cocycle")
+        raise ValidationError("phi needs a scalar-valued cocycle")
     equiv = check_equivariant_pair(g, pi.sigma)
     if not equiv.ok:
         raise AxiomFailure(f"pi is not an ambient-module morphism: {equiv.first_failure()}")
@@ -381,7 +381,7 @@ def psi(b: Bosonization, ce: _cleft.CleftExtension) -> _cleft.CleftExtension:
     h = g.ambient
     e = ce.comodule_algebra
     if not ce.hopf.space.same_basis(g.space):
-        raise CorruptFixture("the cleft input must live over the braided factor")
+        raise ValidationError("the cleft input must live over the braided factor")
     equivariant = compose(ce.gamma, g.hopf.yd.module.action) == compose(
         e.carrier.action,
         tensor_map(LinearMap.identity(h.space), ce.gamma))
@@ -478,10 +478,7 @@ def deform(b: Bosonization, s: _cocycle.Cocycle) -> BialgebraData:
     mul = convolution(left, compose(hopf.unit, s.sigma_inv), pair, hopf.alg)
     alg = AlgebraData(hopf.space, mul, hopf.unit)
     deformed = BialgebraData(alg, hopf.coalg)
-    try:
-        deformed.antipode = antipode(deformed)
-    except NotInvertible as exc:
-        raise AxiomFailure("deformed bialgebra has no antipode") from exc
+    deformed.antipode = antipode(deformed)
     report = check_hopf(deformed)
     if not report.ok:
         raise AxiomFailure(f"deformation fails Hopf axioms: {report.first_failure()}")

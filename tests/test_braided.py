@@ -20,7 +20,7 @@ from hopfcleft.braided import (
     yd_tensor,
 )
 from hopfcleft.cocycle import pair_coalgebra
-from hopfcleft.errors import BaseMismatch, ShapeMismatch
+from hopfcleft.errors import ShapeMismatch
 from hopfcleft.fixtures import cyclic_group_hopf
 from hopfcleft.hopf import check_coalgebra, iterated_comul, iterated_mul
 from hopfcleft.linalg import (
@@ -219,7 +219,7 @@ def test_yd_tensor_and_braiding_equal_the_permutation_chains(qline_f3, qline_f5)
 
 def test_braiding_requires_common_ambient(qline_f5, kc2_f3):
     other = trivial_module(kc2_f3, BasedSpace("M", ["m"], kc2_f3.space.field))
-    with pytest.raises(BaseMismatch):
+    with pytest.raises(ShapeMismatch):
         braiding(qline_f5.hopf.yd, other)
     # a coaction and an action through Hopf algebras of different dimensions
     with pytest.raises(ShapeMismatch):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from hopfcleft import cli
+from hopfcleft import cli, errors
 from hopfcleft.cli import main
 
 import hopfcleft
@@ -194,6 +194,20 @@ def test_a_file_that_is_not_utf8_exits_2_with_its_line_number(tmp_path):
     result = runner.invoke(main, ["verify-hopf", str(path)])
     assert (result.exit_code, result.stdout, result.stderr) == (
         2, "", "error: line 1: not UTF-8 text\n")
+
+
+def test_a_leading_byte_order_mark_is_skipped(tmp_path):
+    """A file saved with a UTF-8 byte-order mark reads as the same file
+    without one, and a bad byte later in it keeps its line number."""
+    shipped = resources.files(hopfcleft).joinpath("data", "kc2_q.had").read_bytes()
+    (tmp_path / "plain.had").write_bytes(shipped)
+    (tmp_path / "marked.had").write_bytes(b"\xef\xbb\xbf" + shipped)
+    (tmp_path / "bad.had").write_bytes(b"\xef\xbb\xbffield: Q\nspace H: 1\n\xff\n")
+    runner = _separate_streams_runner()
+    plain, marked, bad = (runner.invoke(main, ["verify-hopf", str(tmp_path / name)])
+                          for name in ("plain.had", "marked.had", "bad.had"))
+    assert (marked.exit_code, marked.stdout, marked.stderr) == (0, plain.stdout, "")
+    assert (bad.exit_code, bad.stderr) == (2, "error: line 3: not UTF-8 text\n")
 
 
 def test_missing_file_exits_2(runner):
@@ -539,6 +553,13 @@ def test_oracle_names_a_missing_role(runner):
     assert result.stderr == "error: no role named 'NOPE' in the file\n"
 
 
+def test_oracle_names_a_role_of_a_kind_it_cannot_sweep(cocycle_file):
+    result = _separate_streams_runner().invoke(main, ["oracle", cocycle_file, "--role", "C"])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == ("error: role 'C' has kind 'cocycle', expected one of "
+                             "('hopf_algebra', 'measuring', 'graded_yd_hopf')\n")
+
+
 def test_sigma_index_out_of_range_exits_2(runner):
     result = run(runner, ["gr-check", "qline_kc2_f3.had", "--sigma-index", "9"],
                  env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})
@@ -731,6 +752,56 @@ def test_a_failed_closed_form_section_exits_3(runner, tmp_path, cocycle_file, mo
     assert ("internal error: theorem violated: closed-form inverse section fails on the right"
             in result.output)
     assert "check failed" not in result.output and not out.exists()
+
+
+# where each error class of the package sends a command: 1 for a failed
+# check, 3 for a violated theorem, 2 for bad input; a new class is placed here
+EXIT_CODES = {
+    "HopfcleftError": 2, "CheckFailure": 1, "FieldMismatch": 2, "DivisionByZero": 2,
+    "ShapeMismatch": 2, "NoSolution": 2, "NotInvertible": 1, "AxiomFailure": 1,
+    "FactorizationFailure": 1, "TheoremViolation": 3, "SearchSpaceTooLarge": 2,
+    "ParseError": 2, "ValidationError": 2,
+}
+PREFIXES = {1: "check failed: ", 2: "error: ", 3: "internal error: theorem violated: "}
+
+
+def test_every_error_class_has_an_exit_code():
+    assert sorted(EXIT_CODES) == sorted(
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.HopfcleftError))
+
+
+@pytest.mark.parametrize("name,code", list(EXIT_CODES.items()))
+def test_an_errors_class_decides_its_exit_code(monkeypatch, name, code):
+    """Raised in a command body, outside io.build (which wraps what its
+    builders raise as a ValidationError), an error exits by its class."""
+    cls = getattr(errors, name)
+    assert code == (1 if issubclass(cls, errors.CheckFailure) else
+                    3 if issubclass(cls, errors.TheoremViolation) else 2)
+
+    def raising(*args):
+        raise cls("forced")
+
+    monkeypatch.setattr(cli, "_find_role", raising)
+    runner = _separate_streams_runner()
+    shipped = os.path.join(DATA_DIR, "kc2_q.had")
+    text = runner.invoke(main, ["verify-hopf", shipped])
+    assert (text.exit_code, text.stdout, text.stderr) == (code, "", f"{PREFIXES[code]}forced\n")
+    as_json = runner.invoke(main, ["verify-hopf", shipped, "--report", "json"])
+    assert (as_json.exit_code, json.loads(as_json.stdout)) == (
+        code, {"error": f"{PREFIXES[code]}forced", "ok": False})
+
+
+def test_coinvariants_that_are_not_a_subalgebra_fail_a_check(tmp_path):
+    """B = Q[x]/(x^3), graded by C2 with x^2 in degree g: the coinvariants
+    span{1, x} carry no induced product, a failed check of the input."""
+    from make_cli_digests import NOT_A_SUBALGEBRA
+
+    path = tmp_path / "not_a_subalgebra.had"
+    path.write_text(NOT_A_SUBALGEBRA)
+    result = _separate_streams_runner().invoke(main, ["coinvariants", str(path)])
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        1, "", "check failed: induced structure does not factor through the coinvariants\n")
 
 
 def test_cleft_from_cocycle_builds_the_crossed_product_once(runner, tmp_path, cocycle_file,

@@ -12,7 +12,7 @@ from hopfcleft.cocycle import (
     trivial_sigma,
     triple_coalgebra,
 )
-from hopfcleft.errors import ShapeMismatch
+from hopfcleft.errors import AxiomFailure, ShapeMismatch
 from hopfcleft.fixtures import cyclic_group_hopf
 from hopfcleft.hopf import BialgebraData
 from hopfcleft.linalg import LinearMap, compose, tensor_space
@@ -91,7 +91,7 @@ def test_smash_product_multiplication(qline_f3, braided_measuring):
 def test_unverified_cocycle_rejected(braided_measuring, braided_cocycles):
     c = braided_cocycles[0]
     stale = Cocycle(c.measuring, c.sigma, c.sigma_inv, verified=False)
-    with pytest.raises(ValueError):
+    with pytest.raises(AxiomFailure):
         crossed_product(stale)
 
 

@@ -14,7 +14,13 @@ from hopfcleft.cocycle import (
     trivial_sigma,
     triple_coalgebra,
 )
-from hopfcleft.errors import AxiomFailure, NotInvertible, SearchSpaceTooLarge, ShapeMismatch
+from hopfcleft.errors import (
+    AxiomFailure,
+    NotInvertible,
+    SearchSpaceTooLarge,
+    ShapeMismatch,
+    ValidationError,
+)
 from hopfcleft.fields import FieldSpec
 from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_grading
 from hopfcleft.hopf import (
@@ -236,10 +242,8 @@ def test_psi_rejects_non_equivariant_section(boson4):
     s = phi(boson4, phi_inverse(boson4, enumerate_zprime(boson4)[1]))
     ce = crossed_to_cleft(phi_inverse(boson4, s))
     # this one is equivariant; a section over the wrong factor must be refused
-    from hopfcleft.errors import CorruptFixture
-
     m = trivial_measuring(boson4.hopf)
-    with pytest.raises(CorruptFixture):
+    with pytest.raises(ValidationError):
         psi(boson4, crossed_to_cleft(check_cocycle(m, trivial_sigma(m))[0]))
     assert psi(boson4, ce) is not None
 
