@@ -20,7 +20,6 @@ import gc
 import json
 import os
 import sys
-from itertools import islice
 from types import SimpleNamespace
 
 from . import __version__, io
@@ -37,7 +36,7 @@ from .errors import (
     TheoremViolation,
     ValidationError,
 )
-from .hopf import check_hopf, convolution_inverse
+from .hopf import check_algebra, check_hopf, convolution_inverse
 from .linalg import LinearMap
 from .report import CheckItem, CheckReport
 
@@ -255,6 +254,15 @@ def _checked_cocycle(df, role_name, fmt):
     return cocycle, report
 
 
+def _constructible(m, fmt):
+    """Check the Hopf algebra and the algebra of the measuring ``m``, which
+    the constructions assume; a failed check ends the command with its report."""
+    for check, structure in ((check_hopf, m.hopf), (check_algebra, m.algebra)):
+        report = check(structure)
+        if not report.ok:
+            _finish(report, fmt)
+
+
 @_file_command("verify-cocycle")
 def verify_cocycle(df, role_name, fmt):
     """Check convolution invertibility and the cocycle relations."""
@@ -288,6 +296,7 @@ def _crossed_output(ce, out_path) -> list[str]:
 def crossed_product_cmd(df, role_name, fmt, out_path):
     """Build and verify the crossed product of a cocycle role."""
     cocycle, report = _checked_cocycle(df, role_name, fmt)
+    _constructible(cocycle.measuring, fmt)
     _finish(report, fmt, _crossed_output(_cleft.crossed_to_cleft(cocycle), out_path))
 
 
@@ -299,6 +308,7 @@ def smash(df, role_name, fmt, out_path):
     cocycle, report = _cocycle.check_cocycle(m, _cocycle.trivial_sigma(m))
     if cocycle is None:
         _finish(report, fmt)
+    _constructible(m, fmt)
     _finish(report, fmt, _crossed_output(_cleft.crossed_to_cleft(cocycle), out_path))
 
 
@@ -306,6 +316,7 @@ def smash(df, role_name, fmt, out_path):
 def cleft_from_cocycle(df, role_name, fmt, out_path):
     """Crossed product with its canonical section, verified as a cleft extension."""
     cocycle, report = _checked_cocycle(df, role_name, fmt)
+    _constructible(cocycle.measuring, fmt)
     ce = _cleft.crossed_to_cleft(cocycle)
     report.extend(_cleft.check_cleft(ce))
     _finish(report, fmt, _crossed_output(ce, out_path))
@@ -331,6 +342,7 @@ def cocycle_from_cleft(df, role_name, fmt):
 def round_trip(df, role_name, fmt):
     """Cocycle -> cleft extension -> cocycle recovers the input exactly."""
     cocycle, report = _checked_cocycle(df, role_name, fmt)
+    _constructible(cocycle.measuring, fmt)
     report.extend(_cleft.round_trip_check(cocycle))
     _finish(report, fmt)
 
@@ -357,14 +369,13 @@ def _boson_and_sigma(df, role_name, index, bound):
     role = _find_role(df, ("graded_yd_hopf",), role_name)
     g = io.build(df, role.name)
     b = _lifting.bosonize(g)
-    sweep = _oracle.zprime_sweep(b, bound)
-    # stop at the selected cocycle; only an index out of range needs the count
-    sigmas = list(islice(sweep, max(index + 1, 0)))
-    if not 0 <= index < len(sigmas):
-        sigmas += sweep
+    # phi maps the equivariant braided cocycles on R onto the restricted
+    # cocycles in enumeration order: only the selected one is extended
+    _, cocycles = _lifting.braided_cocycles(g, bound)
+    if not 0 <= index < len(cocycles):
         raise ValidationError(
-            f"--sigma-index {index} out of range; {len(sigmas)} restricted cocycles exist")
-    return b, sigmas[index]
+            f"--sigma-index {index} out of range; {len(cocycles)} restricted cocycles exist")
+    return b, _lifting.phi(b, cocycles[index])
 
 
 @_file_command("phi")
@@ -376,6 +387,7 @@ def phi_cmd(df, role_name, fmt):
     over = df.roles[df.roles[measuring].bindings["hopf"]]
     if over.kind != "graded_yd_hopf":
         raise ValidationError("pi must be a cocycle on the braided factor")
+    _constructible(cocycle.measuring, fmt)
     b = _lifting.bosonize(io.build(df, over.name))
     _, restricted = _lifting.check_zprime(b, _lifting.phi(b, cocycle).sigma)
     report.extend(restricted)

@@ -46,10 +46,6 @@ class Cocycle:
         self.sigma_inv = sigma_inv  # convolution inverse over the braided pair coalgebra
         self.verified = verified
 
-    @property
-    def hopf(self) -> BialgebraData:
-        return self.measuring.hopf
-
 
 def pair_coalgebra(hopf: BialgebraData) -> CoalgebraData:
     """The braided coalgebra on H (x) H used for every convolution here."""

@@ -514,6 +514,16 @@ def gr_check(b: Bosonization, deformed: BialgebraData) -> CheckReport:
     return report
 
 
+def braided_cocycles(
+    g: GradedYDHopf, bound: int
+) -> tuple[list[_cocycle.Cocycle], list[_cocycle.Cocycle]]:
+    """The braided scalar cocycles on R found by the exhaustive sweep, and the
+    ambient-equivariant ones among them, in enumeration order: ``phi`` maps
+    the latter one to one onto the restricted cocycles of the bosonization."""
+    raw = _oracle.enumerate_cocycles(trivial_measuring(g.hopf), bound)
+    return raw, [pi for pi in raw if check_equivariant_pair(g, pi.sigma).ok]
+
+
 class CensusResult:
     """The restricted-cocycle census of a bosonization over a prime field."""
 
@@ -534,11 +544,7 @@ def cleft_prime_census(b: Bosonization, bound: int = CENSUS_BOUND) -> CensusResu
     map; the full check runs once per restricted cocycle and the later
     routes share its verdict."""
     report = CheckReport(f"restricted cocycle census on {b.space.name}")
-    g = b.source
-    m = trivial_measuring(g.hopf)
-    raw = _oracle.enumerate_cocycles(m, bound)
-    cocycles = [
-        pi for pi in raw if check_equivariant_pair(g, pi.sigma).ok]
+    raw, cocycles = braided_cocycles(b.source, bound)
     report.add(CheckItem(
         "every enumerated braided cocycle is equivariant",
         len(raw) == len(cocycles),

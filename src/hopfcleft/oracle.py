@@ -119,21 +119,15 @@ def oracle_convolution_inverse(
 
 
 def enumerate_zprime(b, bound: int = DEFAULT_BOUND) -> list:
-    """Complete list of restricted scalar cocycles on a bosonization: the
-    whole of ``zprime_sweep``."""
-    return list(zprime_sweep(b, bound))
-
-
-def zprime_sweep(b, bound: int = DEFAULT_BOUND):
-    """The restricted scalar cocycles on a bosonization, found by sweeping the
-    values on R x R pairs (which determine the whole map by the restriction
-    formula) and filtering with the full verifier. Yields their verified
-    ``Cocycle``s in deterministic order, verifying each candidate only when
-    the consumer asks for the next result; SearchSpaceTooLarge comes with the
-    first request, before any candidate is checked."""
+    """Every restricted scalar cocycle on a bosonization, found by sweeping
+    the values on R x R pairs (which determine the whole map by the
+    restriction formula) and filtering with the full verifier: their verified
+    ``Cocycle``s in deterministic order."""
     spread = lifting._spread(b)
+    found = []
     # the restriction pi: R (x) R -> k is a unital scalar map on R
     for pi_map in _unital_candidates(trivial_measuring(b.source.hopf), bound):
         cocycle, _ = lifting.check_zprime(b, compose(pi_map, spread))
         if cocycle is not None:
-            yield cocycle
+            found.append(cocycle)
+    return found

@@ -567,18 +567,20 @@ def test_sigma_index_out_of_range_exits_2(runner):
 
 
 def test_sigma_index_sweep_stops_at_the_selected_cocycle(runner, monkeypatch):
-    """kC4/F_5 has five restricted cocycles, each from one swept candidate:
-    index 0 verifies one candidate; an index out of range sweeps them all,
-    so its message keeps the count."""
+    """kC4/F_5 has five restricted cocycles: a command fully checks only the
+    selected one on the bosonization, and none for an index out of range,
+    whose message keeps the count."""
     from hopfcleft import lifting
 
     checked = []
     original = lifting._check_zprime
     monkeypatch.setattr(lifting, "_check_zprime", lambda b, s: checked.append(s) or original(b, s))
     env = {"HOPFCLEFT_FIXTURE_DIR": DATA_DIR}
-    result = run(runner, ["phi-inverse", "qline_kc4_f5.had", "--sigma-index", "0"], env=env)
-    assert result.exit_code == 0, result.output
-    assert len(checked) == 1
+    for index in ("0", "4"):
+        checked.clear()
+        result = run(runner, ["phi-inverse", "qline_kc4_f5.had", "--sigma-index", index], env=env)
+        assert result.exit_code == 0, result.output
+        assert len(checked) == 1
     for index in ("5", "-1"):
         checked.clear()
         result = run(runner, ["phi-inverse", "qline_kc4_f5.had", "--sigma-index", index],
@@ -586,7 +588,7 @@ def test_sigma_index_sweep_stops_at_the_selected_cocycle(runner, monkeypatch):
         assert result.exit_code == 2
         assert result.output == (
             f"error: --sigma-index {index} out of range; 5 restricted cocycles exist\n")
-        assert len(checked) == 5
+        assert not checked
 
 
 def test_psi_command(runner):
@@ -696,7 +698,15 @@ def test_theorem_violation_exits_3(runner, monkeypatch):
         report.add(CheckItem("equivariance", False, "forced"))
         return report
 
-    monkeypatch.setattr(lifting, "check_equivariant_pair", broken_equivariance)
+    original = lifting.phi
+
+    def phi_then_break(b, pi):
+        # the sweep and phi hold equivariance; the restriction then loses it
+        s = original(b, pi)
+        monkeypatch.setattr(lifting, "check_equivariant_pair", broken_equivariance)
+        return s
+
+    monkeypatch.setattr(lifting, "phi", phi_then_break)
     result = run(runner, ["phi-inverse", "qline_kc2_f3.had", "--sigma-index", "1"],
                  env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})
     assert result.exit_code == 3
@@ -876,22 +886,32 @@ def test_a_usage_error_prints_the_error_object_only_when_the_last_report_is_json
      "Invalid value for '--bound': 0 is not in the range x>=1."),
     (["census", "qline_kc2_f3.had", "--bound", "-5"],
      "Invalid value for '--bound': -5 is not in the range x>=1."),
+    ([], "Missing command."),
+    (["nope", "qline_kc2_f3.had"], "No such command 'nope'."),
+    (["--bound", "5", "census", "qline_kc2_f3.had"], "No such option '--bound'."),
+    (["census", "qline_kc2_f3.had", "--bound"], "Option '--bound' requires an argument."),
+    (["census", "qline_kc2_f3.had", "--help=x"], "Option '--help' does not take a value."),
 ], ids=["unknown-option", "missing-file", "report-xml", "sigma-index-x", "abbreviation",
-        "bound-0", "bound-negative"])
+        "bound-0", "bound-negative", "missing-command", "unknown-command",
+        "option-before-command", "bound-without-value", "help-with-value"])
 def test_every_usage_error_takes_one_path(args, message):
-    """A usage error exits 2 with the command's usage line and ``Error:
-    <message>`` on stderr and nothing on stdout; asked for a JSON report,
-    in either spelling, it also prints the JSON error object on stdout.
-    Options are never abbreviated."""
+    """A usage error exits 2 with the usage line of its command, or of the
+    program when it names none, and ``Error: <message>`` on stderr and
+    nothing on stdout; asked for a JSON report, in either spelling, it also
+    prints the JSON error object on stdout. Options are never abbreviated.
+    A command line without a command has no place for a --report."""
     runner = _separate_streams_runner()
     env = {"HOPFCLEFT_FIXTURE_DIR": DATA_DIR}
+    command = args[0] if args and args[0] in main.commands else None
     text = runner.invoke(main, args, env=env)
     assert (text.exit_code, text.stdout) == (2, "")
-    assert text.stderr.startswith(f"Usage: main {args[0]} [OPTIONS] FILE\n")
+    usage = f"main {command} [OPTIONS] FILE" if command else "main [OPTIONS] COMMAND [ARGS]..."
+    assert text.stderr.startswith(f"Usage: {usage}\n")
     assert text.stderr.endswith(f"\nError: {message}\n")
-    for report in (["--report", "json"], ["--report=json"]):
-        # before the options, so that a --report given in args is the one that counts
-        result = runner.invoke(main, [args[0], *report, *args[1:]], env=env)
+    # right after the command, so that a --report given in args is the one that counts
+    at = 1 if command else len(args)
+    for report in (["--report", "json"], ["--report=json"]) if args else ():
+        result = runner.invoke(main, [*args[:at], *report, *args[at:]], env=env)
         assert (result.exit_code, result.stderr) == (2, text.stderr)
         assert result.stdout == json.dumps(
             {"error": f"error: {message}", "ok": False}, indent=2, sort_keys=True) + "\n"

@@ -1,12 +1,17 @@
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfcleft import cli, io
 from hopfcleft.errors import DivisionByZero, FieldMismatch
-from hopfcleft.fields import CYCLOTOMIC, PRIME, RATIONALS, FieldSpec, Scalar, cyclotomic_polynomial
+from hopfcleft.fields import (
+    CYCLOTOMIC, PRIME, RATIONALS, FieldSpec, Scalar, _is_prime, cyclotomic_polynomial)
+from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_grading
+from hopfcleft.lifting import GradedYDHopf
 
 from conftest import one_scalar, scalar_is_zero, scalar_of, zero_scalar
 
@@ -246,6 +251,30 @@ def test_scalar_is_an_immutable_value_of_its_field():
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         FieldSpec.prime_field(6)
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    """Below 20,000 every n not settled by the trial bases runs the
+    Miller-Rabin rounds; the named cases are a strong pseudoprime to the bases
+    2, 3, 5 and 7, and two primes far beyond trial division's reach here."""
+    for n in range(20_000):
+        assert _is_prime(n) == (n > 1 and all(n % d for d in range(2, isqrt(n) + 1))), n
+    assert not _is_prime(3_215_031_751)
+    assert _is_prime(2 ** 31 - 1) and _is_prime(10 ** 12 + 39)
+
+
+def test_a_command_over_f19(tmp_path, capsys):
+    """F_19 is the least field whose primality the Miller-Rabin rounds
+    decide: the quantum line over kC2/F_19 has 19 restricted cocycles."""
+    line = quantum_line(cyclic_group_hopf(FieldSpec.prime_field(19), 2))
+    path = tmp_path / "qline_kc2_f19.had"
+    io.save(io.graded_to_definition(GradedYDHopf(line, quantum_line_grading()), "KC2"), path)
+    for index, code in (("18", 0), ("19", 2)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["phi-inverse", str(path), "--sigma-index", index])
+        assert exc.value.code == code
+    assert capsys.readouterr().err == (
+        "error: --sigma-index 19 out of range; 19 restricted cocycles exist\n")
 
 
 def test_field_mismatch_rejected():

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from hopfcleft import cli
 from hopfcleft.errors import ParseError, ValidationError
 from hopfcleft.fields import FieldSpec
 from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_grading
@@ -90,6 +91,34 @@ def test_empty_file_with_field_is_valid():
     assert not df.spaces and not df.tensors
 
 
+_SPACE_H = "field: Q\nspace H: 1 x\n"
+_ROLE_H = "role hopf_algebra H: space=H mul=M unit=U comul=C counit=E\n"
+# (id, text, line, message) of each parse error the other cases do not reach
+PARSE_ERRORS = [
+    ("field line with a name", "field F: Q\n", 1, "field line takes no name"),
+    ("empty file", "", 1, "missing 'field: ...' line"),
+    ("bad space header", "field: Q\nspace: 1 g\n", 2, "expected 'space NAME: labels'"),
+    ("empty space", "field: Q\nspace H:\n", 2, "space needs at least one label"),
+    ("bad grade header", _SPACE_H + "grade G: 1=0 x=1\n", 3,
+     "expected 'grade NAME@SPACE: label=k ...'"),
+    ("duplicate grade", _SPACE_H + "grade G@H: 1=0 x=1\n" * 2, 4, "duplicate grade 'G'"),
+    ("unknown grade label", _SPACE_H + "grade G@H: 1=0 y=1\n", 3, "unknown basis label 'y'"),
+    ("labels without a degree", _SPACE_H + "grade G@H: 1=0\n", 3,
+     "labels without a degree: ['x']"),
+    ("wrong number of tensor spaces", _SPACE_H + "tensor T mul@H,H: (1, 1.1, 1)\n", 3,
+     "role 'mul' takes 1 space name(s)"),
+    ("duplicate entry", _SPACE_H + "tensor T unit@H: (1, 1, 1) (1, 1, 2)\n", 3,
+     "duplicate entry (1, 1)"),
+    ("bad role header", _SPACE_H + "role hopf_algebra: space=H\n", 3,
+     "expected 'role KIND NAME: key=value ...'"),
+    ("duplicate role", _SPACE_H + _ROLE_H * 2, 4, "duplicate role 'H'"),
+    ("duplicate role key", _SPACE_H + "role hopf_algebra H: space=H space=H\n", 3,
+     "duplicate role key 'space'"),
+    ("unknown role key", _SPACE_H + _ROLE_H.replace("\n", " wat=T\n"), 3,
+     "unknown key 'wat' for role kind 'hopf_algebra'"),
+]
+
+
 @pytest.mark.parametrize("text,bad_line", [
     ("space H: 1 g", 1),                       # field must come first
     ("field: Q\nspace H: a a", 2),             # duplicate labels
@@ -110,11 +139,23 @@ def test_empty_file_with_field_is_valid():
     # every slot of a cyclotomic literal holds a rational literal
     *[pytest.param(data_text("kc4_zeta4.had").replace("(g, g3, [1, 0])", f"(g, g3, {lit})", 1),
                    3, id=f"kc4_zeta4 {lit}") for lit in ("[1,, 0]", "[,1]", "[1,]", "[,]")],
+    *[pytest.param(text, line, id=name) for name, text, line, _ in PARSE_ERRORS],
 ])
 def test_parse_errors_carry_line_numbers(text, bad_line):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert exc.value.line == bad_line
+
+
+@pytest.mark.parametrize("text,line,message", [
+    pytest.param(text, line, message, id=name) for name, text, line, message in PARSE_ERRORS])
+def test_a_parse_error_exits_2_with_its_line_and_message(tmp_path, capsys, text, line, message):
+    path = tmp_path / "bad.had"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-hopf", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: line {line}: {message}\n")
 
 
 def test_a_file_that_is_not_utf8_is_a_parse_error_on_the_line_of_its_first_bad_byte(tmp_path):
