@@ -188,9 +188,7 @@ def cocycle_from_section(ce: CleftExtension) -> tuple[Measuring, Cocycle, CheckR
         raise FactorizationFailure(
             "section cocycle does not land in the coinvariants") from exc
     cocycle, report = check_cocycle(m, sigma)
-    if cocycle is None:
-        raise FactorizationFailure(
-            f"section cocycle fails the cocycle relations: {report.first_failure()}")
+    report.require(FactorizationFailure, "section cocycle fails the cocycle relations")
     if cocycle.sigma_inv != pi:
         raise FactorizationFailure(
             "closed-form convolution inverse disagrees with the solved one")

@@ -244,20 +244,26 @@ def verify_measuring(df, role_name, fmt):
     _finish(_braided.check_measuring(io.build(df, role.name)), fmt)
 
 
-def _checked_cocycle(df, role_name, fmt):
-    """Check the cocycle role; a failed check ends the command with its report."""
-    role = _find_role(df, ("cocycle",), role_name)
+def _checked_cocycle(df, role: io.Role, fmt):
+    """The verified cocycle of the cocycle ``role`` and its report; every
+    cocycle command starts here. The cocycle is checked first, then what it
+    rests on (``_constructible``); the first failed check ends the command
+    with its report."""
     m = io.build(df, role.bindings["measuring"])
     cocycle, report = _cocycle.check_cocycle(m, df.tensor_map(role.bindings["sigma"]))
     if cocycle is None:
         _finish(report, fmt)
+    _constructible(m, fmt)
     return cocycle, report
 
 
 def _constructible(m, fmt):
-    """Check the Hopf algebra and the algebra of the measuring ``m``, which
-    the constructions assume; a failed check ends the command with its report."""
-    for check, structure in ((check_hopf, m.hopf), (check_algebra, m.algebra)):
+    """Check the ambient Hopf algebra, the Hopf algebra and the algebra of the
+    measuring ``m``, in that order: the cocycle relations and the
+    constructions assume all three. A failed check ends the command with its
+    report."""
+    for check, structure in ((check_hopf, m.hopf.ambient), (check_hopf, m.hopf),
+                             (check_algebra, m.algebra)):
         report = check(structure)
         if not report.ok:
             _finish(report, fmt)
@@ -266,7 +272,7 @@ def _constructible(m, fmt):
 @_file_command("verify-cocycle")
 def verify_cocycle(df, role_name, fmt):
     """Check convolution invertibility and the cocycle relations."""
-    _, report = _checked_cocycle(df, role_name, fmt)
+    _, report = _checked_cocycle(df, _find_role(df, ("cocycle",), role_name), fmt)
     _finish(report, fmt)
 
 
@@ -295,8 +301,7 @@ def _crossed_output(ce, out_path) -> list[str]:
 @_file_command("crossed-product", _out_option)
 def crossed_product_cmd(df, role_name, fmt, out_path):
     """Build and verify the crossed product of a cocycle role."""
-    cocycle, report = _checked_cocycle(df, role_name, fmt)
-    _constructible(cocycle.measuring, fmt)
+    cocycle, report = _checked_cocycle(df, _find_role(df, ("cocycle",), role_name), fmt)
     _finish(report, fmt, _crossed_output(_cleft.crossed_to_cleft(cocycle), out_path))
 
 
@@ -315,8 +320,7 @@ def smash(df, role_name, fmt, out_path):
 @_file_command("cleft-from-cocycle", _out_option)
 def cleft_from_cocycle(df, role_name, fmt, out_path):
     """Crossed product with its canonical section, verified as a cleft extension."""
-    cocycle, report = _checked_cocycle(df, role_name, fmt)
-    _constructible(cocycle.measuring, fmt)
+    cocycle, report = _checked_cocycle(df, _find_role(df, ("cocycle",), role_name), fmt)
     ce = _cleft.crossed_to_cleft(cocycle)
     report.extend(_cleft.check_cleft(ce))
     _finish(report, fmt, _crossed_output(ce, out_path))
@@ -341,8 +345,7 @@ def cocycle_from_cleft(df, role_name, fmt):
 @_file_command("round-trip")
 def round_trip(df, role_name, fmt):
     """Cocycle -> cleft extension -> cocycle recovers the input exactly."""
-    cocycle, report = _checked_cocycle(df, role_name, fmt)
-    _constructible(cocycle.measuring, fmt)
+    cocycle, report = _checked_cocycle(df, _find_role(df, ("cocycle",), role_name), fmt)
     report.extend(_cleft.round_trip_check(cocycle))
     _finish(report, fmt)
 
@@ -381,13 +384,13 @@ def _boson_and_sigma(df, role_name, index, bound):
 @_file_command("phi")
 def phi_cmd(df, role_name, fmt):
     """Extend a braided scalar cocycle on R to the bosonization."""
-    cocycle, report = _checked_cocycle(df, role_name, fmt)
-    # R is the role that the cocycle's measuring is over
-    measuring = _find_role(df, ("cocycle",), role_name).bindings["measuring"]
-    over = df.roles[df.roles[measuring].bindings["hopf"]]
+    role = _find_role(df, ("cocycle",), role_name)
+    # R is the role that the cocycle's measuring is over; its kind is refused
+    # before any check runs
+    over = df.roles[df.roles[role.bindings["measuring"]].bindings["hopf"]]
     if over.kind != "graded_yd_hopf":
         raise ValidationError("pi must be a cocycle on the braided factor")
-    _constructible(cocycle.measuring, fmt)
+    cocycle, report = _checked_cocycle(df, role, fmt)
     b = _lifting.bosonize(io.build(df, over.name))
     _, restricted = _lifting.check_zprime(b, _lifting.phi(b, cocycle).sigma)
     report.extend(restricted)

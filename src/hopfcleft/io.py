@@ -504,10 +504,7 @@ def _build_measuring(df, role) -> _braided.Measuring:
 def _build_cocycle(df, role):
     b = role.bindings
     cocycle, report = _cocycle.check_cocycle(build(df, b["measuring"]), df.tensor_map(b["sigma"]))
-    if cocycle is None:
-        raise ValidationError(
-            f"role {role.name!r}: sigma fails the cocycle check "
-            f"({report.first_failure()})")
+    report.require(ValidationError, f"role {role.name!r}: sigma fails the cocycle check")
     return cocycle
 
 

@@ -184,9 +184,7 @@ def bosonize(g: GradedYDHopf) -> Bosonization:
     c_{R,H} = twist(coaction_R, mul_H), r (x) h -> r(-1) h (x) r(0). The
     closed-form antipode is asserted against the convolution inverse of the
     identity."""
-    input_report = check_graded_yd_hopf(g)
-    if not input_report.ok:
-        raise AxiomFailure(f"invalid graded input: {input_report.first_failure()}")
+    check_graded_yd_hopf(g).require(AxiomFailure, "invalid graded input")
     r = g.hopf
     h = g.ambient
     alg = braided_tensor_algebra(r.alg, h.alg, twist(h.comul, r.yd.module.action))
@@ -200,13 +198,9 @@ def bosonize(g: GradedYDHopf) -> Bosonization:
     if s_closed != antipode(hopf):
         raise AxiomFailure("closed-form antipode disagrees with the convolution inverse")
     hopf.antipode = s_closed
-    hopf_report = check_hopf(hopf)
-    if not hopf_report.ok:
-        raise AxiomFailure(f"bosonization fails: {hopf_report.first_failure()}")
+    check_hopf(hopf).require(AxiomFailure, "bosonization fails")
     b = Bosonization(g, hopf)
-    grading = check_boson_grading(b)
-    if not grading.ok:
-        raise AxiomFailure(f"bosonization grading fails: {grading.first_failure()}")
+    check_boson_grading(b).require(AxiomFailure, "bosonization grading fails")
     return b
 
 
@@ -305,16 +299,13 @@ def phi(b: Bosonization, pi: _cocycle.Cocycle) -> _cocycle.Cocycle:
         raise ValidationError("pi must be a cocycle on the braided factor")
     if pi.measuring.space.dim != 1:
         raise ValidationError("phi needs a scalar-valued cocycle")
-    equiv = check_equivariant_pair(g, pi.sigma)
-    if not equiv.ok:
-        raise AxiomFailure(f"pi is not an ambient-module morphism: {equiv.first_failure()}")
+    check_equivariant_pair(g, pi.sigma).require(
+        AxiomFailure, "pi is not an ambient-module morphism")
     spread = _spread(b)
     sigma = compose(pi.sigma, spread)
     closed_inv = compose(pi.sigma_inv, spread)
     result, report = check_zprime(b, sigma)
-    if result is None:
-        raise TheoremViolation(
-            f"extension of a verified cocycle rejected: {report.first_failure()}")
+    report.require(TheoremViolation, "extension of a verified cocycle rejected")
     if result.sigma_inv != closed_inv:
         raise TheoremViolation("closed-form inverse disagrees with the solved one")
     return result
@@ -344,12 +335,9 @@ def phi_inverse(b: Bosonization, s: _cocycle.Cocycle) -> _cocycle.Cocycle:
     pi_map = compose(s.sigma, tensor_map(j, j))
     m = trivial_measuring(g.hopf)
     cocycle, report = _cocycle.check_cocycle(m, pi_map)
-    if cocycle is None:
-        raise TheoremViolation(
-            f"restriction of a verified cocycle rejected: {report.first_failure()}")
-    equiv = check_equivariant_pair(g, cocycle.sigma)
-    if not equiv.ok:
-        raise TheoremViolation("restricted cocycle lost ambient equivariance")
+    report.require(TheoremViolation, "restriction of a verified cocycle rejected")
+    check_equivariant_pair(g, cocycle.sigma).require(
+        TheoremViolation, "restricted cocycle lost ambient equivariance")
     if compose(s.sigma_inv, tensor_map(j, j)) != cocycle.sigma_inv:
         raise TheoremViolation("restricted inverse disagrees with the solved one")
     if compose(pi_map, _spread(b)) != s.sigma:
@@ -446,19 +434,15 @@ def sigma_gamma_restricts(
     b: Bosonization, ce: _cleft.CleftExtension
 ) -> tuple[_cocycle.Cocycle, CheckReport]:
     """The canonical cocycle of a section satisfying (9) is itself restricted."""
-    section_report = check_cprime_section(b, ce)
-    if not section_report.ok:
-        raise AxiomFailure(
-            f"section fails the restriction condition: {section_report.first_failure()}")
+    section_report = check_cprime_section(b, ce).require(
+        AxiomFailure, "section fails the restriction condition")
     m, cocycle, _ = _cleft.cocycle_from_section(ce)
     if m.space.dim != 1:
         raise AxiomFailure("the input must be a cleft object (trivial coinvariants)")
     # identify the one-dimensional coinvariants with the monoidal unit
     sigma = compose(invert(m.algebra.unit), cocycle.sigma)
     result, report = check_zprime(b, sigma)
-    if result is None:
-        raise TheoremViolation(
-            f"section cocycle is not restricted: {report.first_failure()}")
+    report.require(TheoremViolation, "section cocycle is not restricted")
     return result, section_report
 
 
@@ -479,9 +463,7 @@ def deform(b: Bosonization, s: _cocycle.Cocycle) -> BialgebraData:
     alg = AlgebraData(hopf.space, mul, hopf.unit)
     deformed = BialgebraData(alg, hopf.coalg)
     deformed.antipode = antipode(deformed)
-    report = check_hopf(deformed)
-    if not report.ok:
-        raise AxiomFailure(f"deformation fails Hopf axioms: {report.first_failure()}")
+    check_hopf(deformed).require(AxiomFailure, "deformation fails Hopf axioms")
     return deformed
 
 

@@ -47,6 +47,14 @@ class CheckReport:
     def first_failure(self) -> CheckItem | None:
         return next((i for i in self.items if not i.ok), None)
 
+    def require(self, error: type[Exception], prefix: str) -> "CheckReport":
+        """The report if every item passed; otherwise raise ``error`` with
+        ``prefix`` and the line of the first failing item."""
+        failure = self.first_failure()
+        if failure is not None:
+            raise error(f"{prefix}: {failure.line()}")
+        return self
+
     def lines(self) -> list[str]:
         return [f"{self.subject}:"] + ["  " + i.line() for i in self.items]
 

@@ -431,9 +431,7 @@ def test_a_corrupt_graded_role_fails_verify_hopf_and_bosonize(tmp_path, old, new
     # bosonize reports the first failure of the same check, by name and witness
     result = runner.invoke(main, ["bosonize", str(path), "--role", "R"])
     assert result.exit_code == 1
-    assert result.stderr == (
-        f"check failed: invalid graded input: CheckItem(name={relation!r}, ok=False, "
-        f"witness={witness!r})\n")
+    assert result.stderr == f"check failed: invalid graded input: {relation}: FAIL  [{witness}]\n"
     assert "object at" not in result.stderr
 
 
@@ -541,9 +539,30 @@ def test_phi_extends_over_the_role_its_cocycle_is_on(runner, tmp_path):
     result = run(runner, ["phi", str(two), "--role", "C"])
     assert expected.exit_code == result.exit_code == 0, result.output
     assert result.stdout == expected.stdout
-    result = _separate_streams_runner().invoke(main, ["phi", str(classical)])
-    assert (result.exit_code, result.stderr) == (
-        2, "error: pi must be a cocycle on the braided factor\n")
+    # the role kind is refused before any check, even of a failing cocycle
+    broken = tmp_path / "broken.had"
+    broken.write_text(CLASSICAL_COCYCLE.replace(
+        "(1, 1.1, 1) (1, 1.g, 1)", "(1, 1.1, 1) (1, 1.g, 2)", 1))
+    assert run(runner, ["verify-cocycle", str(broken)]).exit_code == 1
+    for path in (classical, broken):
+        result = _separate_streams_runner().invoke(main, ["phi", str(path)])
+        assert (result.exit_code, result.stderr) == (
+            2, "error: pi must be a cocycle on the braided factor\n")
+
+
+@pytest.mark.parametrize("command,role", [
+    ("verify-cocycle", "C"), ("crossed-product", "C"), ("cleft-from-cocycle", "C"),
+    ("round-trip", "C"), ("phi", "C"), ("smash", "M")])
+def test_a_cocycle_command_checks_the_ambient_of_its_measuring(runner, tmp_path, command, role):
+    """The cocycle relations hold over an ambient whose unit is corrupt; a
+    command that rests on them ends with the ambient's failing report."""
+    path = tmp_path / "corrupt.had"
+    path.write_text(BRAIDED_COCYCLE.replace(
+        "tensor KC2_unit unit@kC2: (1, 1, 1)", "tensor KC2_unit unit@kC2: (1, 1, 2)", 1))
+    result = run(runner, [command, str(path), "--role", role])
+    assert result.exit_code == 1, result.output
+    assert result.stdout.startswith("Hopf algebra on kC2:\n")
+    assert "  left unit: FAIL  [at 1 -> 1: 2 != 1]\n" in result.stdout
 
 
 def test_oracle_names_a_missing_role(runner):
@@ -710,8 +729,8 @@ def test_theorem_violation_exits_3(runner, monkeypatch):
     result = run(runner, ["phi-inverse", "qline_kc2_f3.had", "--sigma-index", "1"],
                  env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})
     assert result.exit_code == 3
-    assert ("internal error: theorem violated: restricted cocycle lost ambient equivariance"
-            in result.output)
+    assert ("internal error: theorem violated: restricted cocycle lost ambient equivariance: "
+            "equivariance: FAIL  [forced]\n" in result.output)
     assert "check failed" not in result.output
 
 

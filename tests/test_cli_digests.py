@@ -35,3 +35,7 @@ def test_every_invocation_matches_its_recorded_digest(tmp_path):
                for args, new in runs.items() if new != (old := recorded["runs"][args])]
     assert not changed, f"{len(changed)} of {len(runs)} invocations changed:\n" + "\n".join(
         changed[:20])
+    # a failed check reads as its report line, never as a CheckItem repr
+    shown = [r["stdout"] + r["stderr"] for r in (*recorded["outputs"].values(), *outputs.values())
+             if "CheckItem(" in r["stdout"] + r["stderr"]]
+    assert not shown, f"{len(shown)} outputs show a CheckItem repr, first:\n{shown[0]}"

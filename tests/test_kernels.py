@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hopfcleft.errors import NotInvertible
+from hopfcleft.errors import AxiomFailure, NotInvertible
 from hopfcleft.fields import FieldSpec, Scalar
 from hopfcleft.fixtures import cyclic_group_hopf
 from hopfcleft.hopf import (
@@ -32,7 +32,7 @@ from hopfcleft.linalg import (
     tensor_space,
     unit_space,
 )
-from hopfcleft.report import CheckItem, map_equal_item
+from hopfcleft.report import CheckItem, CheckReport, map_equal_item
 
 from conftest import (
     entry_at,
@@ -251,6 +251,19 @@ def test_map_equal_item_prints_the_witness_from_the_raw_entries(case):
     assert map_equal_item("relation", lhs, lhs) == CheckItem("relation", True)
     if source.factors:
         assert source._labels is None
+
+
+def test_require_passes_an_ok_report_and_raises_the_first_failure_line():
+    """``require`` returns a report whose items all passed, and otherwise
+    raises the given class with the prefix and the first failing item's
+    report line, never its repr."""
+    report = CheckReport("subject", [CheckItem("first", True)])
+    assert report.require(AxiomFailure, "unused") is report
+    report.add(CheckItem("second", False, "at a -> x: 1 != 2"))
+    report.add(CheckItem("third", False))
+    with pytest.raises(AxiomFailure) as exc:
+        report.require(AxiomFailure, "stopped")
+    assert str(exc.value) == "stopped: second: FAIL  [at a -> x: 1 != 2]"
 
 
 def _model(field, value):
