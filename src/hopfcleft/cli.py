@@ -84,6 +84,13 @@ def _finish(report: CheckReport, fmt: str, notes: list[str] | None = None):
     sys.exit(0 if report.ok else 1)
 
 
+def _passed(report: CheckReport, fmt: str) -> CheckReport:
+    """``report`` when every check passed; otherwise the command ends with it."""
+    if not report.ok:
+        _finish(report, fmt)
+    return report
+
+
 def _terms(m: LinearMap, field) -> list[tuple[int, str]]:
     """(column, "value row-label") of each entry of ``m``, by row then column."""
     return [(j, f"{field.format(v)} {m.target.label(i)}")
@@ -222,8 +229,11 @@ def verify_hopf(df, role_name, fmt):
     """Check all Hopf algebra axioms for a hopf_algebra or graded_yd_hopf role."""
     role = _find_role(df, ("hopf_algebra", "graded_yd_hopf"), role_name)
     obj = io.build(df, role.name)
-    check = check_hopf if role.kind == "hopf_algebra" else _lifting.check_graded_yd_hopf
-    _finish(check(obj), fmt)
+    if role.kind == "hopf_algebra":
+        _finish(check_hopf(obj), fmt)
+    # R is a Hopf algebra in the Yetter-Drinfeld category of its ambient
+    _passed(check_hopf(obj.ambient), fmt)
+    _finish(_lifting.check_graded_yd_hopf(obj), fmt)
 
 
 @_file_command("verify-yd")
@@ -240,33 +250,36 @@ def verify_yd(df, role_name, fmt):
 @_file_command("verify-measuring")
 def verify_measuring(df, role_name, fmt):
     """Check the measuring conditions for a measuring role."""
-    role = _find_role(df, ("measuring",), role_name)
-    _finish(_braided.check_measuring(io.build(df, role.name)), fmt)
+    m = io.build(df, _find_role(df, ("measuring",), role_name).name)
+    report = _passed(_braided.check_measuring(m), fmt)
+    _constructible(m, fmt)
+    _finish(report, fmt)
 
 
 def _checked_cocycle(df, role: io.Role, fmt):
-    """The verified cocycle of the cocycle ``role`` and its report; every
-    cocycle command starts here. The cocycle is checked first, then what it
-    rests on (``_constructible``); the first failed check ends the command
-    with its report."""
-    m = io.build(df, role.bindings["measuring"])
-    cocycle, report = _cocycle.check_cocycle(m, df.tensor_map(role.bindings["sigma"]))
-    if cocycle is None:
-        _finish(report, fmt)
+    """The verified cocycle of ``role`` and its report: a cocycle role's
+    sigma over its measuring, or the trivial cocycle of a measuring role
+    (the smash product's). Every command that needs a cocycle gets it here.
+    The cocycle is checked first, then what it rests on
+    (``_constructible``); the first failed check ends the command with its
+    report, so a cocycle that comes back has passed them all."""
+    has_sigma = role.kind == "cocycle"  # else smash: the trivial cocycle of the measuring
+    m = io.build(df, role.bindings["measuring"] if has_sigma else role.name)
+    sigma = df.tensor_map(role.bindings["sigma"]) if has_sigma else _cocycle.trivial_sigma(m)
+    cocycle, report = _cocycle.check_cocycle(m, sigma)
+    _passed(report, fmt)
     _constructible(m, fmt)
     return cocycle, report
 
 
 def _constructible(m, fmt):
-    """Check the ambient Hopf algebra, the Hopf algebra and the algebra of the
-    measuring ``m``, in that order: the cocycle relations and the
-    constructions assume all three. A failed check ends the command with its
-    report."""
+    """Check the ambient Hopf algebra, the Hopf algebra and the algebra of
+    ``m``, a measuring or a cleft extension, in that order: the cocycle
+    relations and the constructions assume all three. A failed check ends
+    the command with its report."""
     for check, structure in ((check_hopf, m.hopf.ambient), (check_hopf, m.hopf),
                              (check_algebra, m.algebra)):
-        report = check(structure)
-        if not report.ok:
-            _finish(report, fmt)
+        _passed(check(structure), fmt)
 
 
 @_file_command("verify-cocycle")
@@ -308,12 +321,7 @@ def crossed_product_cmd(df, role_name, fmt, out_path):
 @_file_command("smash", _out_option)
 def smash(df, role_name, fmt, out_path):
     """Build the smash product of a measuring role (trivial cocycle)."""
-    role = _find_role(df, ("measuring",), role_name)
-    m = io.build(df, role.name)
-    cocycle, report = _cocycle.check_cocycle(m, _cocycle.trivial_sigma(m))
-    if cocycle is None:
-        _finish(report, fmt)
-    _constructible(m, fmt)
+    cocycle, report = _checked_cocycle(df, _find_role(df, ("measuring",), role_name), fmt)
     _finish(report, fmt, _crossed_output(_cleft.crossed_to_cleft(cocycle), out_path))
 
 
@@ -331,9 +339,7 @@ def cocycle_from_cleft(df, role_name, fmt):
     """Extract and verify the cocycle of a cleft extension role."""
     role = _find_role(df, ("cleft_extension",), role_name)
     ce = io.build(df, role.name)
-    report = _cleft.check_cleft(ce)
-    if not report.ok:
-        _finish(report, fmt)
+    report = _passed(_cleft.check_cleft(ce), fmt)
     m, cocycle, cocycle_report = _cleft.cocycle_from_section(ce)
     report.extend(cocycle_report)
     label = cocycle.sigma.source.label
@@ -355,9 +361,7 @@ def bosonize_cmd(df, role_name, fmt, out_path):
     """Build and verify the bosonization of a graded_yd_hopf role."""
     role = _find_role(df, ("graded_yd_hopf",), role_name)
     g = io.build(df, role.name)
-    report = _lifting.check_graded(g)
-    if not report.ok:
-        _finish(report, fmt)
+    report = _passed(_lifting.check_graded(g), fmt)
     b = _lifting.bosonize(g)
     notes = [f"bosonization: dim {b.space.dim}"]
     if out_path is not None:
@@ -518,6 +522,7 @@ def coinvariants_cmd(df, role_name, fmt):
     """Compute the coinvariant subalgebra of a cleft_extension role."""
     role = _find_role(df, ("cleft_extension",), role_name)
     ce = io.build(df, role.name)
+    _constructible(ce, fmt)
     coinv = _braided.coinvariants(ce.comodule_algebra)
     report = CheckReport(f"coinvariants of {ce.space.name}")
     report.add(CheckItem("coinvariants carry an induced algebra", True))

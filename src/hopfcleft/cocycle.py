@@ -91,9 +91,9 @@ def _shape_check(m: Measuring, sigma: LinearMap):
 
 
 def check_cocycle(m: Measuring, sigma: LinearMap) -> tuple[Cocycle | None, CheckReport]:
-    """Verify convolution invertibility and relations (5)-(7); on success the
-    derived relations are asserted as redundant consistency checks and a
-    verified Cocycle is returned."""
+    """Verify convolution invertibility and relations (5)-(7), then, when
+    they hold, the derived relations (9)-(13). The verified Cocycle comes
+    back only when the whole report passes, else None."""
     _shape_check(m, sigma)
     report = CheckReport("cocycle check")
     pair = pair_coalgebra(m.hopf)
@@ -127,12 +127,10 @@ def check_cocycle(m: Measuring, sigma: LinearMap) -> tuple[Cocycle | None, Check
         compose(sigma, tensor_map(m.hopf.unit, m.hopf.unit)),
         a.unit,
     ))
+    cocycle = Cocycle(m, sigma, sigma_inv, verified=True)
     if report.ok:
-        cocycle = Cocycle(m, sigma, sigma_inv, verified=True)
         report.extend(check_derived_relations(cocycle))
-    else:
-        cocycle = None
-    return cocycle, report
+    return (cocycle if report.ok else None), report
 
 
 def check_derived_relations(c: Cocycle) -> CheckReport:

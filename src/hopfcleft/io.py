@@ -30,7 +30,7 @@ import re
 
 # registered lazily by the package, so executed when a builder first reads
 # them: parsing and building a hopf_algebra role need none of these
-from . import braided as _braided, cleft as _cleft, cocycle as _cocycle, lifting as _lifting
+from . import braided as _braided, cleft as _cleft, lifting as _lifting
 from .errors import ParseError, ShapeMismatch, TheoremViolation, ValidationError
 from .fields import FieldSpec
 from .hopf import AlgebraData, BialgebraData, CoalgebraData, antipode
@@ -326,11 +326,11 @@ def _parse_role(df, words, body, line_no):
 def _validate_roles(df: DefinitionFile):
     """Every binding resolves to an object of the kind its key binds, then
     every tensor binding to one on the role's spaces; done after parsing so
-    declaration order does not matter. The axioms are left to the commands,
-    so a well-shaped structure that breaks one is a check failure (exit 1).
-    What a role needs to be built is not: when a ``hopf_algebra`` bound
-    without ``antipode=`` has no antipode, or a section has no convolution
-    inverse, ``build`` raises an input error (exit 2)."""
+    declaration order does not matter. Neither this nor ``build`` checks an
+    axiom: the commands do, so a well-shaped structure that breaks one is a
+    check failure (exit 1). What a role needs to be built is not: when a
+    ``hopf_algebra`` bound without ``antipode=`` has no antipode, or a
+    section has no convolution inverse, ``build`` raises an input error."""
     for role in df.roles.values():
         keys = role_keys(role.kind)
         for key, value in role.bindings.items():
@@ -437,12 +437,16 @@ def save(df: DefinitionFile, path):
 
 
 def build(df: DefinitionFile, name: str):
-    """Construct the core object declared by the named role. A violated
-    theorem is a bug, not bad input, so it passes through unwrapped."""
+    """Construct the core object declared by the named role, checking no
+    axiom. A cocycle role is not built: the cocycle commands check its sigma
+    over its measuring. A violated theorem is a bug, not bad input, so it
+    passes through unwrapped."""
     if name not in df.roles:
         raise ValidationError(f"unknown role {name!r}")
     role = df.roles[name]
-    builder = _BUILDERS[role.kind]
+    builder = _BUILDERS.get(role.kind)
+    if builder is None:
+        raise ValidationError(f"role {name!r} (cocycle) is not built; the cocycle commands check it")
     try:
         return builder(df, role)
     except (ValidationError, TheoremViolation):
@@ -501,13 +505,6 @@ def _build_measuring(df, role) -> _braided.Measuring:
     return _braided.Measuring(hopf, algebra, carrier, df.tensor_map(b["nu"]))
 
 
-def _build_cocycle(df, role):
-    b = role.bindings
-    cocycle, report = _cocycle.check_cocycle(build(df, b["measuring"]), df.tensor_map(b["sigma"]))
-    report.require(ValidationError, f"role {role.name!r}: sigma fails the cocycle check")
-    return cocycle
-
-
 def _build_cleft(df, role):
     b = role.bindings
     hopf, algebra, carrier = _algebra_over_hopf(df, b)
@@ -520,7 +517,6 @@ _BUILDERS = {
     "yd_module": _build_yd,
     "graded_yd_hopf": _build_graded,
     "measuring": _build_measuring,
-    "cocycle": _build_cocycle,
     "cleft_extension": _build_cleft,
 }
 

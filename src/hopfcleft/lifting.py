@@ -260,9 +260,9 @@ def check_zprime(b: Bosonization, sigma: LinearMap) -> tuple[_cocycle.Cocycle | 
 def _check_zprime(b: Bosonization, sigma: LinearMap) -> tuple[_cocycle.Cocycle | None, CheckReport]:
     cocycle, report = _cocycle.check_cocycle(trivial_measuring(b.hopf), sigma)
     report.subject = f"scalar cocycle on {b.space.name}"
-    item = map_equal_item("(8) determined by values on R x R", sigma, _restricted_form(b, sigma))
-    report.add(item)
-    if cocycle is not None and item.ok:
+    report.add(map_equal_item(
+        "(8) determined by values on R x R", sigma, _restricted_form(b, sigma)))
+    if report.ok:
         report.extend(_zprime_derived(b, sigma, cocycle.sigma_inv))
     return (cocycle if report.ok else None), report
 

@@ -435,6 +435,20 @@ def test_a_corrupt_graded_role_fails_verify_hopf_and_bosonize(tmp_path, old, new
     assert "object at" not in result.stderr
 
 
+def test_a_product_of_the_wrong_degree_stops_bosonize(tmp_path):
+    """x * x = 1 in the quantum line maps degree 2 to degree 0: bosonize
+    ends with the failing grading report, before building anything."""
+    old = "tensor R_mul mul@R: (1, 1.1, 1)"
+    assert old in QLINE_KC2_F3
+    path = tmp_path / "ungraded.had"
+    path.write_text(QLINE_KC2_F3.replace(old, old + " (1, x.x, 1)", 1))
+    result = _separate_streams_runner().invoke(main, ["bosonize", str(path)])
+    assert (result.exit_code, result.stderr) == (1, "")
+    assert result.stdout.startswith("grading on R:\n")
+    assert "  multiplication is graded: FAIL  [1 <- x.x: 0 != 2]\n" in result.stdout
+    assert "bosonization" not in result.stdout
+
+
 def test_round_trip_command(runner, cocycle_file):
     result = run(runner, ["round-trip", cocycle_file])
     assert result.exit_code == 0, result.output
@@ -552,10 +566,12 @@ def test_phi_extends_over_the_role_its_cocycle_is_on(runner, tmp_path):
 
 @pytest.mark.parametrize("command,role", [
     ("verify-cocycle", "C"), ("crossed-product", "C"), ("cleft-from-cocycle", "C"),
-    ("round-trip", "C"), ("phi", "C"), ("smash", "M")])
+    ("round-trip", "C"), ("phi", "C"), ("smash", "M"), ("verify-measuring", "M"),
+    ("verify-hopf", "R")])
 def test_a_cocycle_command_checks_the_ambient_of_its_measuring(runner, tmp_path, command, role):
-    """The cocycle relations hold over an ambient whose unit is corrupt; a
-    command that rests on them ends with the ambient's failing report."""
+    """The cocycle and measuring relations, and R's own axioms, hold over an
+    ambient whose unit is corrupt; a command that rests on them ends with
+    the ambient's failing report."""
     path = tmp_path / "corrupt.had"
     path.write_text(BRAIDED_COCYCLE.replace(
         "tensor KC2_unit unit@kC2: (1, 1, 1)", "tensor KC2_unit unit@kC2: (1, 1, 2)", 1))
@@ -831,6 +847,21 @@ def test_coinvariants_that_are_not_a_subalgebra_fail_a_check(tmp_path):
     result = _separate_streams_runner().invoke(main, ["coinvariants", str(path)])
     assert (result.exit_code, result.stdout, result.stderr) == (
         1, "", "check failed: induced structure does not factor through the coinvariants\n")
+
+
+def test_coinvariants_check_the_hopf_algebra_first(tmp_path):
+    """A wrong antipode leaves the coinvariants computable; the command
+    rests on the Hopf axioms, so it ends with their failing report."""
+    from make_cli_digests import CLASSICAL_CLEFT
+
+    old = "tensor H_antipode antipode@H: (1, 1, 1) (g, g, 1)"
+    assert old in CLASSICAL_CLEFT
+    path = tmp_path / "wrong_antipode.had"
+    path.write_text(CLASSICAL_CLEFT.replace(old, old[:-2] + "2)", 1))
+    result = _separate_streams_runner().invoke(main, ["coinvariants", str(path)])
+    assert (result.exit_code, result.stderr) == (1, "")
+    assert result.stdout.startswith("Hopf algebra on H:\n")
+    assert "  id * S = unit: FAIL  [at g -> 1: 2 != 1]\n" in result.stdout
 
 
 def test_cleft_from_cocycle_builds_the_crossed_product_once(runner, tmp_path, cocycle_file,

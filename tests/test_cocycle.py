@@ -15,10 +15,12 @@ from hopfcleft.cocycle import (
 from hopfcleft.errors import AxiomFailure, ShapeMismatch
 from hopfcleft.fixtures import cyclic_group_hopf
 from hopfcleft.hopf import BialgebraData
+from hopfcleft.io import build, parse
 from hopfcleft.linalg import LinearMap, compose, tensor_space
 from hopfcleft.oracle import enumerate_cocycles
 
 from conftest import convolution_inverse_or_none, kron, record_map_sizes
+from make_cli_digests import BRAIDED, CLASSICAL, _corruptions
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +36,26 @@ def braided_cocycles(braided_measuring):
 def test_trivial_sigma_is_a_cocycle(braided_measuring):
     cocycle, report = check_cocycle(braided_measuring, trivial_sigma(braided_measuring))
     assert cocycle is not None and report.ok, str(report)
+
+
+@pytest.mark.parametrize("name,corrupt", [
+    ("classical.had", "classical-H_counit.had"), ("braided.had", "braided-R_counit.had")])
+def test_a_cocycle_comes_back_only_with_a_passing_report(name, corrupt):
+    """A corrupt counit keeps (5)-(7) but breaks the derived relation (9):
+    the report fails, so no cocycle comes back. Over every one-entry
+    corruption of the same file, a cocycle comes back exactly when its
+    report passes."""
+    text = {"classical.had": CLASSICAL, "braided.had": BRAIDED}[name]
+    corruptions = _corruptions(name, text)
+    df = parse(corruptions[corrupt])
+    cocycle, report = check_cocycle(build(df, "M"), df.tensor_map("SIG"))
+    assert [item.ok for item in report.items[:4]] == [True] * 4
+    assert report.first_failure().name == "(9) twisted module condition"
+    assert cocycle is None
+    for other in (text, *corruptions.values()):
+        df = parse(other)
+        cocycle, report = check_cocycle(build(df, "M"), df.tensor_map("SIG"))
+        assert (cocycle is not None) == report.ok
 
 
 def test_braided_cocycle_count_is_frozen(braided_cocycles):

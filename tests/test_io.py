@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hopfcleft import cli
+from hopfcleft.braided import check_measuring
 from hopfcleft.errors import ParseError, ValidationError
 from hopfcleft.fields import FieldSpec
 from hopfcleft.fixtures import cyclic_group_hopf, quantum_line, quantum_line_grading
@@ -293,31 +294,72 @@ def test_corrupt_but_well_shaped_structure_parses():
     assert not check_hopf(obj).ok
 
 
-def test_a_failing_sigma_names_its_relation():
+# a classical cocycle file whose sigma fails the cocycle relation (5)
+FAILING_SIGMA = "\n".join([
+    "field: Q",
+    "space A: 1",
+    "space H: 1 g",
+    "tensor A_mul mul@A: (1, 1, 1)",
+    "tensor A_unit unit@A: (1, 1, 1)",
+    "tensor H_comul comul@H: (1.1, 1, 1) (g.g, g, 1)",
+    "tensor H_counit counit@H: (1, 1, 1) (1, g, 1)",
+    "tensor H_mul mul@H: (1, 1.1, 1) (1, g.g, 1) (g, 1.g, 1) (g, g.1, 1)",
+    "tensor H_unit unit@H: (1, 1, 1)",
+    "tensor M_nu measuring@H,A: (1, 1, 1) (1, g, 1)",
+    "tensor SIG cocycle@H,A: (1, 1.1, 1) (1, 1.g, 2) (1, g.1, 1) (1, g.g, -1)",
+    "role cocycle C: measuring=M sigma=SIG",
+    "role hopf_algebra KC2: comul=H_comul counit=H_counit mul=H_mul space=H unit=H_unit",
+    "role measuring M: hopf=KC2 mul=A_mul nu=M_nu space=A unit=A_unit",
+])
+
+
+def test_a_failing_sigma_names_its_relation(tmp_path, capsys):
     """The cocycle check's first failure is printed with its relation and
     witness, never as an object address."""
-    text = "\n".join([
-        "field: Q",
-        "space A: 1",
-        "space H: 1 g",
-        "tensor A_mul mul@A: (1, 1, 1)",
-        "tensor A_unit unit@A: (1, 1, 1)",
-        "tensor H_comul comul@H: (1.1, 1, 1) (g.g, g, 1)",
-        "tensor H_counit counit@H: (1, 1, 1) (1, g, 1)",
-        "tensor H_mul mul@H: (1, 1.1, 1) (1, g.g, 1) (g, 1.g, 1) (g, g.1, 1)",
-        "tensor H_unit unit@H: (1, 1, 1)",
-        "tensor M_nu measuring@H,A: (1, 1, 1) (1, g, 1)",
-        "tensor SIG cocycle@H,A: (1, 1.1, 1) (1, 1.g, 2) (1, g.1, 1) (1, g.g, -1)",
-        "role cocycle C: measuring=M sigma=SIG",
-        "role hopf_algebra KC2: comul=H_comul counit=H_counit mul=H_mul space=H unit=H_unit",
-        "role measuring M: hopf=KC2 mul=A_mul nu=M_nu space=A unit=A_unit",
-    ])
+    path = tmp_path / "failing_sigma.had"
+    path.write_text(FAILING_SIGMA)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-cocycle", str(path)])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (1, "")
+    assert "  (5) cocycle relation: FAIL  [at 1.1.g -> 1: 2 != 4]\n" in out
+    assert "object at" not in out
+
+
+def test_a_cocycle_role_is_checked_by_the_commands_not_built():
+    """io checks no axiom, so it builds no cocycle: the cocycle commands
+    check sigma over its measuring, which io does build."""
+    df = parse(FAILING_SIGMA)
     with pytest.raises(ValidationError) as exc:
-        build(parse(text), "C")
-    message = str(exc.value)
-    assert re.fullmatch(
-        r"role 'C': sigma fails the cocycle check: \(\d+\) [^:]+: FAIL  \[at [^\]]+\]", message)
-    assert "object at" not in message
+        build(df, "C")
+    assert str(exc.value) == "role 'C' (cocycle) is not built; the cocycle commands check it"
+    assert build(df, "M").nu == df.tensor_map("M_nu")
+
+
+# qline_kc2_f3.had with A = F_3[a]/(a^2 - 1), on which the ambient's g acts
+# by a -> -a, measured by nu(x (x) a) = 1: relation (3) holds only because
+# the braiding of x past a reads that action
+SIGN_CARRIER = data_text("qline_kc2_f3.had") + """\
+space A: 1 a
+tensor A_act action@kC2,A: (1, 1.1, 1) (a, 1.a, 1) (1, g.1, 1) (a, g.a, 2)
+tensor A_mul mul@A: (1, 1.1, 1) (a, 1.a, 1) (a, a.1, 1) (1, a.a, 1)
+tensor A_unit unit@A: (1, 1, 1)
+tensor M_nu measuring@R,A: (1, 1.1, 1) (a, 1.a, 1) (1, x.a, 1)
+role measuring M: carrier_action=A_act hopf=R mul=A_mul nu=M_nu space=A unit=A_unit
+"""
+
+
+def test_a_carrier_action_is_the_ambient_module_of_the_measured_algebra():
+    df = parse(SIGN_CARRIER)
+    m = build(df, "M")
+    assert m.carrier.action == df.tensor_map("A_act")
+    assert m.carrier.base is m.hopf.ambient
+    assert check_measuring(m).ok
+    # without the binding A is a trivial ambient module, and nu fails (3)
+    trivial = build(parse(SIGN_CARRIER.replace("carrier_action=A_act ", "")), "M")
+    assert trivial.carrier.action != m.carrier.action
+    assert check_measuring(trivial).first_failure().line() == (
+        "(3) measures products: FAIL  [at x.a.a -> a: 0 != 2]")
 
 
 def _readme_role_table() -> list[list[str]]:
