@@ -4,12 +4,14 @@ Every command has one shape, declared by ``_file_command`` in the table
 ``main.commands`` and parsed with argparse: a definition FILE (see io.py
 for the format), ``--role`` to pick a role when the file declares several
 of a kind, ``--report text|json``, then the command's own options. The
-command's body starts from the loaded file; it prints a deterministic
-report and exits with 0 when all checks pass, 1 when an axiom or
-verification fails, 2 on input and usage errors and 3 when an identity
-guaranteed by a proved statement fails (a bug here, not in the input); an
-exception that ends a command exits by its class, as errors.py sets out.
-Constructive commands additionally write their result with ``--out``.
+command's body starts from the loaded file and takes its role's object
+from ``_built``, which first checks what the object rests on; it prints a
+deterministic report and exits with 0 when all checks pass, 1 when an
+axiom or verification fails, 2 on input and usage errors and 3 when an
+identity guaranteed by a proved statement fails (a bug here, not in the
+input); an exception that ends a command exits by its class, as errors.py
+sets out. Constructive commands additionally write their result with
+``--out``.
 """
 
 from __future__ import annotations
@@ -224,23 +226,53 @@ def _file_command(name: str, *options):
     return decorate
 
 
+def _built(df, kinds, role_name, fmt):
+    """The role of one of ``kinds`` that ``role_name`` names (the only one
+    when None) and its object, once what the object rests on has passed its
+    checks in this order: a hopf_algebra rests on nothing; a yd_module or
+    graded_yd_hopf on its ambient Hopf algebra; a measuring or
+    cleft_extension on its ambient, Hopf algebra and algebra; a cocycle on
+    all its measuring rests on, then the measuring relations (1)-(4), and
+    its object is that measuring. A failed check ends the command with its
+    report. Every command reaches a role's object here."""
+    role = _find_role(df, kinds, role_name)
+    if role.kind == "cocycle":
+        _, m = _built(df, ("measuring",), role.bindings["measuring"], fmt)
+        _passed(_braided.check_measuring(m), fmt)
+        return role, m
+    obj = io.build(df, role.name)
+    if role.kind in ("measuring", "cleft_extension"):
+        for check, structure in ((check_hopf, obj.hopf.ambient), (check_hopf, obj.hopf),
+                                 (check_algebra, obj.algebra)):
+            _passed(check(structure), fmt)
+    elif role.kind != "hopf_algebra":  # a YD module over the ambient, or R in its YD category
+        _passed(check_hopf(obj.base if role.kind == "yd_module" else obj.ambient), fmt)
+    return role, obj
+
+
+def _checked_cocycle(df, kinds, role_name, fmt):
+    """The cocycle of the role ``_built`` gives, checked after what the role
+    rests on, and its passing report (else the command ends with it): a
+    cocycle role's sigma, or a measuring role's trivial cocycle (smash's)."""
+    role, m = _built(df, kinds, role_name, fmt)
+    sigma = (df.tensor_map(role.bindings["sigma"]) if role.kind == "cocycle"
+             else _cocycle.trivial_sigma(m))
+    cocycle, report = _cocycle.check_cocycle(m, sigma)
+    return cocycle, _passed(report, fmt)
+
+
 @_file_command("verify-hopf")
 def verify_hopf(df, role_name, fmt):
     """Check all Hopf algebra axioms for a hopf_algebra or graded_yd_hopf role."""
-    role = _find_role(df, ("hopf_algebra", "graded_yd_hopf"), role_name)
-    obj = io.build(df, role.name)
-    if role.kind == "hopf_algebra":
-        _finish(check_hopf(obj), fmt)
-    # R is a Hopf algebra in the Yetter-Drinfeld category of its ambient
-    _passed(check_hopf(obj.ambient), fmt)
-    _finish(_lifting.check_graded_yd_hopf(obj), fmt)
+    role, obj = _built(df, ("hopf_algebra", "graded_yd_hopf"), role_name, fmt)
+    _finish(check_hopf(obj) if role.kind == "hopf_algebra"
+            else _lifting.check_graded_yd_hopf(obj), fmt)
 
 
 @_file_command("verify-yd")
 def verify_yd(df, role_name, fmt):
     """Check the Yetter-Drinfeld axioms and the braiding axioms."""
-    role = _find_role(df, ("yd_module", "graded_yd_hopf"), role_name)
-    obj = io.build(df, role.name)
+    role, obj = _built(df, ("yd_module", "graded_yd_hopf"), role_name, fmt)
     yd = obj if role.kind == "yd_module" else obj.hopf.yd
     report = _braided.check_yd(yd)
     report.extend(_braided.check_braiding_axioms(yd, yd.module))
@@ -250,43 +282,13 @@ def verify_yd(df, role_name, fmt):
 @_file_command("verify-measuring")
 def verify_measuring(df, role_name, fmt):
     """Check the measuring conditions for a measuring role."""
-    m = io.build(df, _find_role(df, ("measuring",), role_name).name)
-    report = _passed(_braided.check_measuring(m), fmt)
-    _constructible(m, fmt)
-    _finish(report, fmt)
-
-
-def _checked_cocycle(df, role: io.Role, fmt):
-    """The verified cocycle of ``role`` and its report: a cocycle role's
-    sigma over its measuring, or the trivial cocycle of a measuring role
-    (the smash product's). Every command that needs a cocycle gets it here.
-    The cocycle is checked first, then what it rests on
-    (``_constructible``); the first failed check ends the command with its
-    report, so a cocycle that comes back has passed them all."""
-    has_sigma = role.kind == "cocycle"  # else smash: the trivial cocycle of the measuring
-    m = io.build(df, role.bindings["measuring"] if has_sigma else role.name)
-    sigma = df.tensor_map(role.bindings["sigma"]) if has_sigma else _cocycle.trivial_sigma(m)
-    cocycle, report = _cocycle.check_cocycle(m, sigma)
-    _passed(report, fmt)
-    _constructible(m, fmt)
-    return cocycle, report
-
-
-def _constructible(m, fmt):
-    """Check the ambient Hopf algebra, the Hopf algebra and the algebra of
-    ``m``, a measuring or a cleft extension, in that order: the cocycle
-    relations and the constructions assume all three. A failed check ends
-    the command with its report."""
-    for check, structure in ((check_hopf, m.hopf.ambient), (check_hopf, m.hopf),
-                             (check_algebra, m.algebra)):
-        _passed(check(structure), fmt)
+    _finish(_braided.check_measuring(_built(df, ("measuring",), role_name, fmt)[1]), fmt)
 
 
 @_file_command("verify-cocycle")
 def verify_cocycle(df, role_name, fmt):
     """Check convolution invertibility and the cocycle relations."""
-    _, report = _checked_cocycle(df, _find_role(df, ("cocycle",), role_name), fmt)
-    _finish(report, fmt)
+    _finish(_checked_cocycle(df, ("cocycle",), role_name, fmt)[1], fmt)
 
 
 def _crossed_output(ce, out_path) -> list[str]:
@@ -314,21 +316,21 @@ def _crossed_output(ce, out_path) -> list[str]:
 @_file_command("crossed-product", _out_option)
 def crossed_product_cmd(df, role_name, fmt, out_path):
     """Build and verify the crossed product of a cocycle role."""
-    cocycle, report = _checked_cocycle(df, _find_role(df, ("cocycle",), role_name), fmt)
+    cocycle, report = _checked_cocycle(df, ("cocycle",), role_name, fmt)
     _finish(report, fmt, _crossed_output(_cleft.crossed_to_cleft(cocycle), out_path))
 
 
 @_file_command("smash", _out_option)
 def smash(df, role_name, fmt, out_path):
     """Build the smash product of a measuring role (trivial cocycle)."""
-    cocycle, report = _checked_cocycle(df, _find_role(df, ("measuring",), role_name), fmt)
+    cocycle, report = _checked_cocycle(df, ("measuring",), role_name, fmt)
     _finish(report, fmt, _crossed_output(_cleft.crossed_to_cleft(cocycle), out_path))
 
 
 @_file_command("cleft-from-cocycle", _out_option)
 def cleft_from_cocycle(df, role_name, fmt, out_path):
     """Crossed product with its canonical section, verified as a cleft extension."""
-    cocycle, report = _checked_cocycle(df, _find_role(df, ("cocycle",), role_name), fmt)
+    cocycle, report = _checked_cocycle(df, ("cocycle",), role_name, fmt)
     ce = _cleft.crossed_to_cleft(cocycle)
     report.extend(_cleft.check_cleft(ce))
     _finish(report, fmt, _crossed_output(ce, out_path))
@@ -337,8 +339,7 @@ def cleft_from_cocycle(df, role_name, fmt, out_path):
 @_file_command("cocycle-from-cleft")
 def cocycle_from_cleft(df, role_name, fmt):
     """Extract and verify the cocycle of a cleft extension role."""
-    role = _find_role(df, ("cleft_extension",), role_name)
-    ce = io.build(df, role.name)
+    _, ce = _built(df, ("cleft_extension",), role_name, fmt)
     report = _passed(_cleft.check_cleft(ce), fmt)
     m, cocycle, cocycle_report = _cleft.cocycle_from_section(ce)
     report.extend(cocycle_report)
@@ -351,7 +352,7 @@ def cocycle_from_cleft(df, role_name, fmt):
 @_file_command("round-trip")
 def round_trip(df, role_name, fmt):
     """Cocycle -> cleft extension -> cocycle recovers the input exactly."""
-    cocycle, report = _checked_cocycle(df, _find_role(df, ("cocycle",), role_name), fmt)
+    cocycle, report = _checked_cocycle(df, ("cocycle",), role_name, fmt)
     report.extend(_cleft.round_trip_check(cocycle))
     _finish(report, fmt)
 
@@ -359,8 +360,7 @@ def round_trip(df, role_name, fmt):
 @_file_command("bosonize", _out_option)
 def bosonize_cmd(df, role_name, fmt, out_path):
     """Build and verify the bosonization of a graded_yd_hopf role."""
-    role = _find_role(df, ("graded_yd_hopf",), role_name)
-    g = io.build(df, role.name)
+    _, g = _built(df, ("graded_yd_hopf",), role_name, fmt)
     report = _passed(_lifting.check_graded(g), fmt)
     b = _lifting.bosonize(g)
     notes = [f"bosonization: dim {b.space.dim}"]
@@ -372,9 +372,8 @@ def bosonize_cmd(df, role_name, fmt, out_path):
     _finish(report, fmt, notes)
 
 
-def _boson_and_sigma(df, role_name, index, bound):
-    role = _find_role(df, ("graded_yd_hopf",), role_name)
-    g = io.build(df, role.name)
+def _boson_and_sigma(df, role_name, fmt, index, bound):
+    _, g = _built(df, ("graded_yd_hopf",), role_name, fmt)
     b = _lifting.bosonize(g)
     # phi maps the equivariant braided cocycles on R onto the restricted
     # cocycles in enumeration order: only the selected one is extended
@@ -394,8 +393,8 @@ def phi_cmd(df, role_name, fmt):
     over = df.roles[df.roles[role.bindings["measuring"]].bindings["hopf"]]
     if over.kind != "graded_yd_hopf":
         raise ValidationError("pi must be a cocycle on the braided factor")
-    cocycle, report = _checked_cocycle(df, role, fmt)
-    b = _lifting.bosonize(io.build(df, over.name))
+    cocycle, report = _checked_cocycle(df, ("cocycle",), role.name, fmt)
+    b = _lifting.bosonize(_built(df, ("graded_yd_hopf",), over.name, fmt)[1])
     _, restricted = _lifting.check_zprime(b, _lifting.phi(b, cocycle).sigma)
     report.extend(restricted)
     _finish(report, fmt)
@@ -404,7 +403,7 @@ def phi_cmd(df, role_name, fmt):
 @_file_command("phi-inverse", _bound_option, _sigma_index_option)
 def phi_inverse_cmd(df, role_name, fmt, bound, sigma_index):
     """Restrict a scalar cocycle on the bosonization back to the braided factor."""
-    b, s = _boson_and_sigma(df, role_name, sigma_index, bound)
+    b, s = _boson_and_sigma(df, role_name, fmt, sigma_index, bound)
     _, report = _lifting.check_zprime(b, s.sigma)
     pi = _lifting.phi_inverse(b, s)
     report.add(CheckItem("restriction is a braided cocycle", pi.verified))
@@ -416,7 +415,7 @@ def phi_inverse_cmd(df, role_name, fmt, bound, sigma_index):
 @_file_command("psi", _bound_option, _sigma_index_option)
 def psi_cmd(df, role_name, fmt, bound, sigma_index):
     """Induce an H-cleft object from the R-cleft object of a restricted cocycle."""
-    b, s = _boson_and_sigma(df, role_name, sigma_index, bound)
+    b, s = _boson_and_sigma(df, role_name, fmt, sigma_index, bound)
     ce = _lifting.psi(b, _cleft.crossed_to_cleft(_lifting.phi_inverse(b, s)))
     report = _cleft.check_cleft(ce)
     back, section_report = _lifting.sigma_gamma_restricts(b, ce)
@@ -432,7 +431,7 @@ def psi_cmd(df, role_name, fmt, bound, sigma_index):
 @_file_command("deform", _bound_option, _sigma_index_option, _out_option)
 def deform_cmd(df, role_name, fmt, bound, sigma_index, out_path):
     """Deform the bosonization by a restricted cocycle."""
-    b, s = _boson_and_sigma(df, role_name, sigma_index, bound)
+    b, s = _boson_and_sigma(df, role_name, fmt, sigma_index, bound)
     deformed = _lifting.deform(b, s)
     report = CheckReport(f"deformation of {b.space.name}")
     report.add(CheckItem("deformed bialgebra passes the Hopf axioms", True))
@@ -446,7 +445,7 @@ def deform_cmd(df, role_name, fmt, bound, sigma_index, out_path):
 @_file_command("gr-check", _bound_option, _sigma_index_option)
 def gr_check_cmd(df, role_name, fmt, bound, sigma_index):
     """Deform, then verify the associated graded product is undeformed."""
-    b, s = _boson_and_sigma(df, role_name, sigma_index, bound)
+    b, s = _boson_and_sigma(df, role_name, fmt, sigma_index, bound)
     _finish(_lifting.gr_check(b, _lifting.deform(b, s)), fmt)
 
 
@@ -457,8 +456,7 @@ def gr_check_cmd(df, role_name, fmt, bound, sigma_index):
 def census(df, role_name, fmt, bound):
     """Enumerate restricted cocycles, run both cleft-object constructions and
     classify the results up to comodule algebra isomorphism."""
-    role = _find_role(df, ("graded_yd_hopf",), role_name)
-    b = _lifting.bosonize(io.build(df, role.name))
+    b = _lifting.bosonize(_built(df, ("graded_yd_hopf",), role_name, fmt)[1])
     result = _lifting.cleft_prime_census(b, bound)
     notes = [f"restricted cocycles: {len(result.sigmas)}"]
     for k, cls in enumerate(result.classes):
@@ -470,26 +468,25 @@ def census(df, role_name, fmt, bound):
 @_file_command("oracle", _bound_option)
 def oracle(df, role_name, fmt, bound):
     """Exhaustive-search cross-checks of the closed-form constructions."""
-    roles = (sorted(df.roles.values(), key=lambda r: r.name) if role_name is None
-             else [_find_role(df, ("hopf_algebra", "measuring", "graded_yd_hopf"), role_name)])
+    kinds = ("hopf_algebra", "measuring", "graded_yd_hopf")
+    names = (sorted(r.name for r in df.roles.values() if r.kind in kinds) if role_name is None
+             else [role_name])
     report = CheckReport(f"oracle sweeps over {df.field}")
     notes = []
-    for role in roles:
+    for name in names:
+        role, obj = _built(df, kinds, name, fmt)
         if role.kind == "hopf_algebra":
-            h = io.build(df, role.name)
             found = _oracle.oracle_convolution_inverse(
-                LinearMap.identity(h.space), h.coalg, h.alg, bound)
+                LinearMap.identity(obj.space), obj.coalg, obj.alg, bound)
             report.add(CheckItem(
                 f"{role.name}: antipode matches the exhaustive search",
-                found == h.antipode))
+                found == obj.antipode))
         elif role.kind == "measuring":
-            m = io.build(df, role.name)
-            cocycles = _oracle.enumerate_cocycles(m, bound)
+            cocycles = _oracle.enumerate_cocycles(obj, bound)
             notes.append(f"{role.name}: {len(cocycles)} cocycles")
             report.add(CheckItem(f"{role.name}: cocycle sweep completed", True))
-        elif role.kind == "graded_yd_hopf":
-            g = io.build(df, role.name)
-            b = _lifting.bosonize(g)
+        else:
+            b = _lifting.bosonize(obj)
             sigmas = _oracle.enumerate_zprime(b, bound)
             notes.append(f"{role.name}: {len(sigmas)} restricted cocycles")
             report.add(CheckItem(f"{role.name}: restricted sweep completed", True))
@@ -502,8 +499,7 @@ def oracle(df, role_name, fmt, bound):
     "--tensor", "tensor_name", None, None, "Invert this H -> H tensor instead of the identity."))
 def convolution_inverse_cmd(df, role_name, fmt, tensor_name):
     """Convolution inverse in Hom(H, H); the identity's inverse is the antipode."""
-    role = _find_role(df, ("hopf_algebra",), role_name)
-    h = io.build(df, role.name)
+    _, h = _built(df, ("hopf_algebra",), role_name, fmt)
     f = LinearMap.identity(h.space) if tensor_name is None else df.tensor_map(tensor_name)
     if not (f.source.same_basis(h.space) and f.target.same_basis(h.space)):
         raise ValidationError(
@@ -520,9 +516,7 @@ def convolution_inverse_cmd(df, role_name, fmt, tensor_name):
 @_file_command("coinvariants")
 def coinvariants_cmd(df, role_name, fmt):
     """Compute the coinvariant subalgebra of a cleft_extension role."""
-    role = _find_role(df, ("cleft_extension",), role_name)
-    ce = io.build(df, role.name)
-    _constructible(ce, fmt)
+    _, ce = _built(df, ("cleft_extension",), role_name, fmt)
     coinv = _braided.coinvariants(ce.comodule_algebra)
     report = CheckReport(f"coinvariants of {ce.space.name}")
     report.add(CheckItem("coinvariants carry an induced algebra", True))

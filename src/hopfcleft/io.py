@@ -325,10 +325,11 @@ def _parse_role(df, words, body, line_no):
 
 def _validate_roles(df: DefinitionFile):
     """Every binding resolves to an object of the kind its key binds, then
-    every tensor binding to one on the role's spaces; done after parsing so
-    declaration order does not matter. Neither this nor ``build`` checks an
-    axiom: the commands do, so a well-shaped structure that breaks one is a
-    check failure (exit 1). What a role needs to be built is not: when a
+    every tensor and grading binding to one on the role's spaces; done after
+    parsing so declaration order does not matter. Neither this nor ``build``
+    checks an axiom: the commands do, what a role rests on before their own
+    checks, so a well-shaped structure that breaks one is a check failure
+    (exit 1). What a role needs to be built is not: when a
     ``hopf_algebra`` bound without ``antipode=`` has no antipode, or a
     section has no convolution inverse, ``build`` raises an input error."""
     for role in df.roles.values():
@@ -365,10 +366,11 @@ def _validate_binding(df, role, key, value, binds):
 
 def _validate_spaces(df, role):
     """Each tensor binding lies on the role's space, after the space of the
-    role that ambient= or hopf= names when it is on two spaces; a cocycle
-    role's spaces are those of its measuring. A graded_yd_hopf needs a space
-    other than its ambient's, since its degrees are read off its own tensor
-    factors. The constructor checks carrier_action."""
+    role that ambient= or hopf= names when it is on two spaces, and a
+    grading on the role's space; a cocycle role's spaces are those of its
+    measuring. A graded_yd_hopf needs a space other than its ambient's,
+    since its degrees are read off its own tensor factors. The constructor
+    checks carrier_action."""
     b = role.bindings
     if role.kind == "cocycle":
         b = df.roles[b["measuring"]].bindings
@@ -380,10 +382,13 @@ def _validate_spaces(df, role):
     keys = role_keys(role.kind)
     for key, value in role.bindings.items():
         binds = keys[key][0]
-        if binds not in TENSOR_SHAPES or key == "carrier_action":
+        if binds == "grade":
+            want, lies_on = (b["space"],), (df.grades[value][0],)
+        elif binds in TENSOR_SHAPES and key != "carrier_action":
+            want = (b["space"],) if TENSOR_SHAPES[binds][0] == 1 else (ref.bindings["space"], b["space"])
+            lies_on = df.tensors[value].space_names
+        else:
             continue
-        want = (b["space"],) if TENSOR_SHAPES[binds][0] == 1 else (ref.bindings["space"], b["space"])
-        lies_on = df.tensors[value].space_names
         if lies_on != want:
             raise ParseError(
                 f"role {role.name!r}: {key}={value!r} is on {','.join(lies_on)}, "

@@ -513,6 +513,27 @@ def test_r_on_its_ambients_space_is_an_input_error(tmp_path):
             "R needs a space of its own\n")
 
 
+# qline_kc2_f3.had with R graded by a grade declared on kC2
+GRADED_ON_KC2 = QLINE_KC2_F3.replace(
+    "grade R_degrees@R: 1=0 x=1\n", "grade R_degrees@R: 1=0 x=1\ngrade H_degrees@kC2: 1=0 g=1\n"
+).replace("grading=R_degrees", "grading=H_degrees")
+
+
+def test_a_grading_on_another_space_is_an_input_error(tmp_path):
+    """R's degrees are read off R's labels, so a grading= that names a grade
+    on the ambient's space is refused at R's line, not left to fail on the
+    first label it lacks."""
+    assert "grading=H_degrees" in GRADED_ON_KC2
+    path = tmp_path / "graded_on_kc2.had"
+    path.write_text(GRADED_ON_KC2)
+    runner = _separate_streams_runner()
+    for command in ("verify-hopf", "bosonize", "census", "phi-inverse"):
+        result = runner.invoke(main, [command, str(path), "--role", "R"])
+        assert (result.exit_code, result.stdout) == (2, ""), result.stderr
+        assert result.stderr == (
+            "error: line 19: role 'R': grading='H_degrees' is on kC2, not on R\n")
+
+
 def test_sigma_on_other_spaces_is_refused_at_its_role(tmp_path):
     """sigma lies on the spaces of its measuring's hopf= and space=; A2 has
     A's labels, which the cocycle constructor's shape check accepted."""
@@ -564,21 +585,49 @@ def test_phi_extends_over_the_role_its_cocycle_is_on(runner, tmp_path):
             2, "error: pi must be a cocycle on the braided factor\n")
 
 
+CORRUPT_AMBIENT_UNIT = ("tensor KC2_unit unit@kC2: (1, 1, 1)", "tensor KC2_unit unit@kC2: (1, 1, 2)")
+
+
 @pytest.mark.parametrize("command,role", [
     ("verify-cocycle", "C"), ("crossed-product", "C"), ("cleft-from-cocycle", "C"),
     ("round-trip", "C"), ("phi", "C"), ("smash", "M"), ("verify-measuring", "M"),
-    ("verify-hopf", "R")])
+    ("verify-hopf", "R"), ("oracle", "M"), ("oracle", "R"), ("verify-yd", "R"),
+    ("bosonize", "R"), ("census", "R"), ("phi-inverse", "R"), ("psi", "R"), ("deform", "R"),
+    ("gr-check", "R")])
 def test_a_cocycle_command_checks_the_ambient_of_its_measuring(runner, tmp_path, command, role):
     """The cocycle and measuring relations, and R's own axioms, hold over an
-    ambient whose unit is corrupt; a command that rests on them ends with
-    the ambient's failing report."""
+    ambient whose unit is corrupt; every command on a role that rests on
+    the ambient, a sweep included, ends with the ambient's failing report."""
     path = tmp_path / "corrupt.had"
-    path.write_text(BRAIDED_COCYCLE.replace(
-        "tensor KC2_unit unit@kC2: (1, 1, 1)", "tensor KC2_unit unit@kC2: (1, 1, 2)", 1))
+    path.write_text(BRAIDED_COCYCLE.replace(*CORRUPT_AMBIENT_UNIT, 1))
     result = run(runner, [command, str(path), "--role", role])
     assert result.exit_code == 1, result.output
     assert result.stdout.startswith("Hopf algebra on kC2:\n")
     assert "  left unit: FAIL  [at 1 -> 1: 2 != 1]\n" in result.stdout
+
+
+@pytest.mark.parametrize("corruptions,first,failing", [
+    # sigma's normalization and the ambient's unit: the ambient comes first
+    ((("tensor SIG cocycle@R,A: (1, 1.1, 1)", "tensor SIG cocycle@R,A: (1, 1.1, 2)"),
+      CORRUPT_AMBIENT_UNIT), "Hopf algebra on kC2:", "left unit: FAIL  [at 1 -> 1: 2 != 1]"),
+    # nu: the measuring relations come before the cocycle's
+    ((("tensor M_nu measuring@R,A: (1, 1, 1)", "tensor M_nu measuring@R,A: (1, 1, 2)"),),
+     "measuring on R with carrier A:", "(1) unit of H acts as identity: FAIL  [at 1 -> 1: 2 != 1]"),
+], ids=["sigma-and-ambient", "nu"])
+def test_verify_cocycle_reports_the_first_premise_that_fails(tmp_path, corruptions, first, failing):
+    """A cocycle rests on the ambient, R, A and the measuring relations, in
+    that order: the first of them that fails is the report, never sigma's."""
+    text = BRAIDED_COCYCLE
+    for old, new in corruptions:
+        assert old in text
+        text = text.replace(old, new, 1)
+    path = tmp_path / "corrupt.had"
+    path.write_text(text)
+    result = _separate_streams_runner().invoke(main, ["verify-cocycle", str(path)])
+    assert (result.exit_code, result.stderr) == (1, "")
+    assert result.stdout.startswith(f"{first}\n")
+    assert f"  {failing}\n" in result.stdout
+    assert "cocycle check" not in result.stdout
 
 
 def test_oracle_names_a_missing_role(runner):
@@ -850,18 +899,20 @@ def test_coinvariants_that_are_not_a_subalgebra_fail_a_check(tmp_path):
 
 
 def test_coinvariants_check_the_hopf_algebra_first(tmp_path):
-    """A wrong antipode leaves the coinvariants computable; the command
-    rests on the Hopf axioms, so it ends with their failing report."""
+    """A wrong antipode leaves the coinvariants and the section's cocycle
+    computable; both commands on a cleft extension rest on the Hopf axioms,
+    so they end with their failing report."""
     from make_cli_digests import CLASSICAL_CLEFT
 
     old = "tensor H_antipode antipode@H: (1, 1, 1) (g, g, 1)"
     assert old in CLASSICAL_CLEFT
     path = tmp_path / "wrong_antipode.had"
     path.write_text(CLASSICAL_CLEFT.replace(old, old[:-2] + "2)", 1))
-    result = _separate_streams_runner().invoke(main, ["coinvariants", str(path)])
-    assert (result.exit_code, result.stderr) == (1, "")
-    assert result.stdout.startswith("Hopf algebra on H:\n")
-    assert "  id * S = unit: FAIL  [at g -> 1: 2 != 1]\n" in result.stdout
+    for command in ("coinvariants", "cocycle-from-cleft"):
+        result = _separate_streams_runner().invoke(main, [command, str(path)])
+        assert (result.exit_code, result.stderr) == (1, ""), command
+        assert result.stdout.startswith("Hopf algebra on H:\n")
+        assert "  id * S = unit: FAIL  [at g -> 1: 2 != 1]\n" in result.stdout
 
 
 def test_cleft_from_cocycle_builds_the_crossed_product_once(runner, tmp_path, cocycle_file,

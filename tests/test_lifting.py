@@ -27,6 +27,7 @@ from hopfcleft.hopf import (
     AlgebraData,
     BialgebraData,
     check_hopf,
+    convolution,
     convolution_inverse,
     iterated_comul,
     iterated_mul,
@@ -238,6 +239,23 @@ def test_section_reversal_equals_the_permutation_chain(boson4, monkeypatch):
     assert not item.ok and item == want
 
 
+def _twisted_section(ce, functional, coalg):
+    """``ce`` with its section gamma twisted to functional * gamma by a
+    convolution-invertible functional on H: again a comodule morphism with a
+    convolution inverse, so a section of the same comodule algebra."""
+    e = ce.comodule_algebra
+    twisted = convolution(compose(e.algebra.unit, functional), ce.gamma, coalg, e.algebra)
+    return cleft.make_cleft(e, twisted)
+
+
+def _functional(space, target, values):
+    """The functional on ``space`` with the value ``values[label]`` on each
+    basis vector, 0 where ``values`` has no label."""
+    field = space.field
+    return LinearMap(space, target, {(0, j): scalar_of(field, values[lab])
+                                     for j, lab in enumerate(space.labels) if lab in values})
+
+
 def test_psi_rejects_non_equivariant_section(boson4):
     s = phi(boson4, phi_inverse(boson4, enumerate_zprime(boson4)[1]))
     ce = crossed_to_cleft(phi_inverse(boson4, s))
@@ -246,6 +264,34 @@ def test_psi_rejects_non_equivariant_section(boson4):
     with pytest.raises(ValidationError):
         psi(boson4, crossed_to_cleft(check_cocycle(m, trivial_sigma(m))[0]))
     assert psi(boson4, ce) is not None
+    # twisted by psi(1) = psi(x) = 1, the section sends x to 1 + x: still the
+    # section of a cleft object over R, but g acts on x and on 1 + x
+    # differently, so it is not an ambient-module morphism
+    g = boson4.source
+    twisted = _twisted_section(
+        ce, _functional(g.space, ce.algebra.unit.source, {"1": 1, "x": 1}), g.hopf.coalg)
+    assert cleft.check_cleft(twisted).ok
+    with pytest.raises(AxiomFailure, match="^section is not an ambient-module morphism$"):
+        psi(boson4, twisted)
+
+
+def test_a_section_that_fails_condition_9_stops_its_restriction(boson8):
+    """Over kC4/F_5, the twist of the trivial crossed product's section by
+    phi(g^i) = 1, 2, 1, 2 is not multiplicative against the group part:
+    gamma(g.g3) = 1 but gamma(g) gamma(g3) = 4. The section report stops at
+    (9), and restricting its cocycle is refused with that line."""
+    m = trivial_measuring(boson8.hopf)
+    ce = crossed_to_cleft(check_cocycle(m, trivial_sigma(m))[0])
+    values = {f"1.{h}": v for h, v in zip(boson8.ambient.space.labels, (1, 2, 1, 2))}
+    twisted = _twisted_section(
+        ce, _functional(boson8.space, ce.algebra.unit.source, values), boson8.hopf.coalg)
+    line = ("(9) section is multiplicative against the group part: "
+            "FAIL  [at 1.1.g.g3 -> 1.1: 1 != 4]")
+    assert check_cprime_section(boson8, ce).ok
+    assert check_cprime_section(boson8, twisted).lines()[1:] == [f"  {line}"]
+    with pytest.raises(AxiomFailure) as raised:
+        sigma_gamma_restricts(boson8, twisted)
+    assert str(raised.value) == f"section fails the restriction condition: {line}"
 
 
 def _sweep_isomorphic(b, s1, s2):
