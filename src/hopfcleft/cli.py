@@ -226,27 +226,31 @@ def _file_command(name: str, *options):
     return decorate
 
 
+def _definition(role, obj) -> CheckReport:
+    """The one check of what a hopf_algebra, graded_yd_hopf or measuring role
+    defines, on whichever route reaches the role."""
+    if role.kind == "hopf_algebra":
+        return check_hopf(obj)
+    return (_lifting.check_graded_yd_hopf if role.kind == "graded_yd_hopf"
+            else _braided.check_measuring)(obj)
+
+
 def _built(df, kinds, role_name, fmt):
     """The role of one of ``kinds`` that ``role_name`` names (the only one
-    when None) and its object, once what the object rests on has passed its
-    checks in this order: a hopf_algebra rests on nothing; a yd_module or
-    graded_yd_hopf on its ambient Hopf algebra; a measuring or
-    cleft_extension on its ambient, Hopf algebra and algebra; a cocycle on
-    all its measuring rests on, then the measuring relations (1)-(4), and
-    its object is that measuring. A failed check ends the command with its
-    report. Every command reaches a role's object here."""
+    when None) and its object, once what it rests on has passed: each role
+    it references (ambient=, hopf=, measuring=), reached here and judged by
+    its ``_definition``, then the algebra of a measuring or cleft_extension.
+    A cocycle's object is its measuring. A failed check ends the command
+    with its report. Every command reaches a role's object here."""
     role = _find_role(df, kinds, role_name)
-    if role.kind == "cocycle":
-        _, m = _built(df, ("measuring",), role.bindings["measuring"], fmt)
-        _passed(_braided.check_measuring(m), fmt)
-        return role, m
-    obj = io.build(df, role.name)
-    if role.kind in ("measuring", "cleft_extension"):
-        for check, structure in ((check_hopf, obj.hopf.ambient), (check_hopf, obj.hopf),
-                                 (check_algebra, obj.algebra)):
-            _passed(check(structure), fmt)
-    elif role.kind != "hopf_algebra":  # a YD module over the ambient, or R in its YD category
-        _passed(check_hopf(obj.base if role.kind == "yd_module" else obj.ambient), fmt)
+    for key, (binds, _) in io.role_keys(role.kind).items():
+        if isinstance(binds, tuple):  # the key references a role of these kinds
+            referenced, obj = _built(df, binds, role.bindings[key], fmt)
+            _passed(_definition(referenced, obj), fmt)
+    if role.kind != "cocycle":  # a cocycle's object is its measuring
+        obj = io.build(df, role.name)
+        if role.kind in ("measuring", "cleft_extension"):
+            _passed(check_algebra(obj.algebra), fmt)
     return role, obj
 
 
@@ -255,6 +259,8 @@ def _checked_cocycle(df, kinds, role_name, fmt):
     rests on, and its passing report (else the command ends with it): a
     cocycle role's sigma, or a measuring role's trivial cocycle (smash's)."""
     role, m = _built(df, kinds, role_name, fmt)
+    if role.kind == "measuring":  # the trivial cocycle rests on the measuring too
+        _passed(_definition(role, m), fmt)
     sigma = (df.tensor_map(role.bindings["sigma"]) if role.kind == "cocycle"
              else _cocycle.trivial_sigma(m))
     cocycle, report = _cocycle.check_cocycle(m, sigma)
@@ -264,9 +270,7 @@ def _checked_cocycle(df, kinds, role_name, fmt):
 @_file_command("verify-hopf")
 def verify_hopf(df, role_name, fmt):
     """Check all Hopf algebra axioms for a hopf_algebra or graded_yd_hopf role."""
-    role, obj = _built(df, ("hopf_algebra", "graded_yd_hopf"), role_name, fmt)
-    _finish(check_hopf(obj) if role.kind == "hopf_algebra"
-            else _lifting.check_graded_yd_hopf(obj), fmt)
+    _finish(_definition(*_built(df, ("hopf_algebra", "graded_yd_hopf"), role_name, fmt)), fmt)
 
 
 @_file_command("verify-yd")
@@ -282,7 +286,7 @@ def verify_yd(df, role_name, fmt):
 @_file_command("verify-measuring")
 def verify_measuring(df, role_name, fmt):
     """Check the measuring conditions for a measuring role."""
-    _finish(_braided.check_measuring(_built(df, ("measuring",), role_name, fmt)[1]), fmt)
+    _finish(_definition(*_built(df, ("measuring",), role_name, fmt)), fmt)
 
 
 @_file_command("verify-cocycle")

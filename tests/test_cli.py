@@ -303,9 +303,9 @@ def test_convolution_inverse_report_is_pinned(runner, name):
     assert result.stdout == PINNED_STDOUT[name]
 
 
-# a braided cocycle: a measuring over the graded Hopf algebra R of
-# qline_kc2_f3.had on a one-dimensional algebra, with sigma = eps (x) eps
-BRAIDED_COCYCLE = QLINE_KC2_F3 + """\
+# a measuring over a graded Hopf algebra R on a one-dimensional algebra,
+# with sigma = eps (x) eps; over the R of qline_kc2_f3.had, a braided cocycle
+OVER_R = """\
 space A: 1
 tensor A_mul mul@A: (1, 1, 1)
 tensor A_unit unit@A: (1, 1, 1)
@@ -314,6 +314,7 @@ tensor SIG cocycle@R,A: (1, 1.1, 1)
 role measuring M: hopf=R mul=A_mul nu=M_nu space=A unit=A_unit
 role cocycle C: measuring=M sigma=SIG
 """
+BRAIDED_COCYCLE = QLINE_KC2_F3 + OVER_R
 
 # complete bytes of the --out files, as written when these pins were
 # recorded: a cleft_extension role over a classical Hopf algebra, plain
@@ -628,6 +629,63 @@ def test_verify_cocycle_reports_the_first_premise_that_fails(tmp_path, corruptio
     assert result.stdout.startswith(f"{first}\n")
     assert f"  {failing}\n" in result.stdout
     assert "cocycle check" not in result.stdout
+
+
+# qline_kc4_f5.had with g^2 acting on x by 2 while g.(g.x) = x, so R is no
+# ambient module, and a measuring and cocycle over R
+NOT_YD = resources.files(hopfcleft).joinpath("data", "qline_kc4_f5.had").read_text().replace(
+    "(x, g2.x, 1)", "(x, g2.x, 2)", 1) + OVER_R
+NOT_YD_FAILURE = "action of a product: FAIL  [at g.g.x -> x: 2 != 1]"
+
+
+@pytest.mark.parametrize("command,role", [
+    ("verify-hopf", "R"), ("bosonize", "R"), ("census", "R"), ("gr-check", "R"),
+    ("verify-measuring", "M"), ("verify-cocycle", "C"), ("crossed-product", "C"),
+    ("cleft-from-cocycle", "C"), ("round-trip", "C"), ("smash", "M"), ("phi", "C"),
+    ("oracle", "M")])
+def test_every_route_judges_r_by_its_whole_definition(tmp_path, command, role):
+    """R that is no Yetter-Drinfeld module is refused by R's one definition,
+    whichever command reaches it: a report names the failing module axiom
+    on stdout, and the bosonization names it as its invalid input."""
+    assert NOT_YD.count("(x, g2.x, 2)") == 1 and "role cocycle C: measuring=M" in NOT_YD
+    path = tmp_path / "not-yd.had"
+    path.write_text(NOT_YD)
+    result = _separate_streams_runner().invoke(main, [command, str(path), "--role", role])
+    assert result.exit_code == 1, result.output
+    if command in ("bosonize", "census", "gr-check"):
+        assert (result.stdout, result.stderr) == (
+            "", f"check failed: invalid graded input: {NOT_YD_FAILURE}\n")
+    else:
+        assert result.stderr == ""
+        assert result.stdout.startswith("Hopf algebra on R in the Yetter-Drinfeld category:\n")
+        assert f"  {NOT_YD_FAILURE}\n" in result.stdout
+
+
+def test_verify_yd_reports_the_module_that_is_not_yetter_drinfeld(tmp_path):
+    path = tmp_path / "not-yd.had"
+    path.write_text(NOT_YD)
+    result = _separate_streams_runner().invoke(main, ["verify-yd", str(path), "--role", "R"])
+    assert (result.exit_code, result.stderr) == (1, "")
+    assert result.stdout.startswith(f"Yetter-Drinfeld module R:\n  {NOT_YD_FAILURE}\n")
+
+
+@pytest.mark.parametrize("text,nu,hopf", [
+    (BRAIDED_COCYCLE, "tensor M_nu measuring@R,A: (1, 1, ", "R"),
+    (CLASSICAL_COCYCLE, "tensor M_nu measuring@H,A: (1, 1, 1) (1, g, ", "H"),
+], ids=["braided", "classical"])
+def test_smash_checks_the_measuring_before_its_trivial_cocycle(tmp_path, text, nu, hopf):
+    """smash's trivial cocycle rests on the measuring relations like any
+    other cocycle: a measuring that fails (2) is reported as the measuring's
+    failure, never as a failed cocycle relation, just as verify-cocycle does."""
+    assert text.count(nu + "1)\n") == 1
+    path = tmp_path / "bad-nu.had"
+    path.write_text(text.replace(nu + "1)\n", nu + "2)\n", 1))
+    for command, role in (("smash", "M"), ("verify-cocycle", "C")):
+        result = _separate_streams_runner().invoke(main, [command, str(path), "--role", role])
+        assert (result.exit_code, result.stderr) == (1, ""), result.output
+        assert result.stdout.startswith(f"measuring on {hopf} with carrier A:\n")
+        assert "  (2) measures the unit of A: FAIL" in result.stdout
+        assert "cocycle check" not in result.stdout
 
 
 def test_oracle_names_a_missing_role(runner):

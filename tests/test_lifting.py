@@ -167,6 +167,20 @@ def test_bosonization_is_hopf(boson4, boson8):
         assert check_boson_grading(b).ok
 
 
+def test_bosonize_solves_no_antipode(qline_f5, monkeypatch):
+    """The closed-form antipode is verified by check_hopf alone: a two-sided
+    convolution inverse is unique, so there is no solved one to compare."""
+    def refuse(*args):
+        raise AssertionError("bosonize solved for an antipode")
+
+    for module in ("hopfcleft.lifting", "hopfcleft.hopf"):
+        for name in ("antipode", "convolution_inverse"):
+            monkeypatch.setattr(f"{module}.{name}", refuse)
+    b = bosonize(qline_f5)
+    assert b.space.dim == 8
+    assert check_hopf(b.hopf).ok
+
+
 def test_restricted_cocycle_counts_are_frozen(boson4, f5_sigmas):
     assert len(enumerate_zprime(boson4)) == 3
     assert len(f5_sigmas) == 5
@@ -364,6 +378,23 @@ def test_census_comparisons_try_at_most_2pd_values(boson8, f5_sigmas):
     p, d = boson8.space.field.p, boson8.space.dim
     classes = census_classes(boson8, f5_sigmas, bound=2 * p * d)
     assert classes == [[0], [1, 4], [2, 3]]
+
+
+def test_the_twisting_search_refuses_a_solution_without_inverse(boson8, f5_sigmas, monkeypatch):
+    """Every solution of the twisting equations is tested for convolution
+    invertibility: when none is invertible, the crossed products of
+    cocycles 1 and 4 (and of 2 and 3) are no longer isomorphic."""
+    assert _cleft_objects_isomorphic(boson8, f5_sigmas[1], f5_sigmas[4], 10 ** 6)
+    tried = []
+
+    def not_invertible(f, *args):
+        tried.append(f)
+        raise NotInvertible("no convolution inverse")
+
+    monkeypatch.setattr(lifting, "convolution_inverse", not_invertible)
+    assert not _cleft_objects_isomorphic(boson8, f5_sigmas[1], f5_sigmas[4], 10 ** 6)
+    assert len(tried) == 2
+    assert census_classes(boson8, f5_sigmas) == [[0], [1], [2], [3], [4]]
 
 
 def test_census_twisting_search_over_the_bound_is_too_large(boson8, f5_sigmas):
