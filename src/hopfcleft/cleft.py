@@ -157,11 +157,10 @@ def coinvariant_measuring(ce: CleftExtension) -> Measuring:
     return Measuring(hopf, coinv.algebra, coinv.carrier, nu)
 
 
-def cocycle_from_section(ce: CleftExtension) -> tuple[Measuring, Cocycle, CheckReport]:
-    """The functor G, the cocycle of a cleft extension: sigma~ =
-    (mul(gamma (x) gamma)) * (gamma_inv mul_H) factors through the
-    coinvariants; the factored map is a cocycle for the induced measuring
-    (verified)."""
+def section_cocycle(ce: CleftExtension) -> tuple[Measuring, LinearMap, LinearMap]:
+    """The functor G unchecked: the induced measuring, the cocycle sigma
+    that sigma~ = (mul(gamma (x) gamma)) * (gamma_inv mul_H) factors into
+    through the coinvariants, and the closed form of its inverse."""
     b = ce.comodule_algebra
     hopf = ce.hopf
     coinv = coinvariants(b)
@@ -187,6 +186,13 @@ def cocycle_from_section(ce: CleftExtension) -> tuple[Measuring, Cocycle, CheckR
     except NoSolution as exc:
         raise FactorizationFailure(
             "section cocycle does not land in the coinvariants") from exc
+    return m, sigma, pi
+
+
+def cocycle_from_section(ce: CleftExtension) -> tuple[Measuring, Cocycle, CheckReport]:
+    """The functor G checked: ``section_cocycle``'s sigma verified a cocycle
+    for its measuring, and its closed-form inverse equal to the solved one."""
+    m, sigma, pi = section_cocycle(ce)
     cocycle, report = check_cocycle(m, sigma)
     report.require(FactorizationFailure, "section cocycle fails the cocycle relations")
     if cocycle.sigma_inv != pi:

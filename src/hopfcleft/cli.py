@@ -229,28 +229,28 @@ def _file_command(name: str, *options):
 def _definition(role, obj) -> CheckReport:
     """The one check of what a hopf_algebra, graded_yd_hopf or measuring role
     defines, on whichever route reaches the role."""
-    if role.kind == "hopf_algebra":
-        return check_hopf(obj)
-    return (_lifting.check_graded_yd_hopf if role.kind == "graded_yd_hopf"
-            else _braided.check_measuring)(obj)
+    if role.kind == "graded_yd_hopf":
+        return _lifting.check_graded_yd_hopf(obj)[0]
+    return (check_hopf if role.kind == "hopf_algebra" else _braided.check_measuring)(obj)
 
 
 def _built(df, kinds, role_name, fmt):
     """The role of one of ``kinds`` that ``role_name`` names (the only one
-    when None) and its object, once what it rests on has passed: each role
-    it references (ambient=, hopf=, measuring=), reached here and judged by
-    its ``_definition``, then the algebra of a measuring or cleft_extension.
-    A cocycle's object is its measuring. A failed check ends the command
-    with its report. Every command reaches a role's object here."""
+    when None) and the object ``io.build`` keeps for it, once what it rests
+    on has passed: each role it references (ambient=, hopf=, measuring=),
+    reached here and judged by its ``_definition`` once per command, then
+    the algebra of a measuring or cleft_extension. A cocycle's object is its
+    measuring. A failed check ends the command with its report. Every
+    command reaches a role's object here."""
     role = _find_role(df, kinds, role_name)
     for key, (binds, _) in io.role_keys(role.kind).items():
-        if isinstance(binds, tuple):  # the key references a role of these kinds
-            referenced, obj = _built(df, binds, role.bindings[key], fmt)
-            _passed(_definition(referenced, obj), fmt)
-    if role.kind != "cocycle":  # a cocycle's object is its measuring
-        obj = io.build(df, role.name)
-        if role.kind in ("measuring", "cleft_extension"):
-            _passed(check_algebra(obj.algebra), fmt)
+        name = role.bindings.get(key)
+        if isinstance(binds, tuple) and name not in df.judged:  # the key binds a role
+            _passed(_definition(*_built(df, binds, name, fmt)), fmt)
+            df.judged.add(name)
+    obj = io.build(df, role.bindings["measuring"] if role.kind == "cocycle" else role.name)
+    if role.kind in ("measuring", "cleft_extension"):
+        _passed(check_algebra(obj.algebra), fmt)
     return role, obj
 
 
@@ -365,7 +365,8 @@ def round_trip(df, role_name, fmt):
 def bosonize_cmd(df, role_name, fmt, out_path):
     """Build and verify the bosonization of a graded_yd_hopf role."""
     _, g = _built(df, ("graded_yd_hopf",), role_name, fmt)
-    report = _passed(_lifting.check_graded(g), fmt)
+    # R's one verdict: its grading report first, then bosonize stops at the rest
+    report = _passed(_lifting.check_graded_yd_hopf(g)[1], fmt)
     b = _lifting.bosonize(g)
     notes = [f"bosonization: dim {b.space.dim}"]
     if out_path is not None:

@@ -114,6 +114,8 @@ class DefinitionFile:
         self.grades: dict[str, tuple[str, dict[str, int]]] = {}
         self.tensors: dict[str, Tensor] = {}
         self.roles: dict[str, Role] = {}
+        self.built: dict[str, object] = {}  # role name -> the object ``build`` made of it
+        self.judged: set[str] = set()  # the roles whose definition ``cli._built`` passed
 
     def tensor_map(self, name: str) -> LinearMap:
         if name not in self.tensors:
@@ -443,21 +445,24 @@ def save(df: DefinitionFile, path):
 
 def build(df: DefinitionFile, name: str):
     """Construct the core object declared by the named role, checking no
-    axiom. A cocycle role is not built: the cocycle commands check its sigma
-    over its measuring. A violated theorem is a bug, not bad input, so it
-    passes through unwrapped."""
+    axiom; it is kept on ``df``, so every route to the role (a builder
+    reaches a role it references here) gets this one object. A cocycle role
+    is not built. A violated theorem is a bug, not bad input, so it passes
+    through unwrapped."""
     if name not in df.roles:
         raise ValidationError(f"unknown role {name!r}")
     role = df.roles[name]
     builder = _BUILDERS.get(role.kind)
     if builder is None:
         raise ValidationError(f"role {name!r} (cocycle) is not built; the cocycle commands check it")
-    try:
-        return builder(df, role)
-    except (ValidationError, TheoremViolation):
-        raise
-    except Exception as exc:
-        raise ValidationError(f"role {name!r} ({role.kind}): {exc}") from exc
+    if name not in df.built:
+        try:
+            df.built[name] = builder(df, role)
+        except (ValidationError, TheoremViolation):
+            raise
+        except Exception as exc:
+            raise ValidationError(f"role {name!r} ({role.kind}): {exc}") from exc
+    return df.built[name]
 
 
 def _build_hopf(df, role, yd: _braided.YDModule | None = None) -> BialgebraData:

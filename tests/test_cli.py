@@ -761,20 +761,106 @@ def test_psi_checks_the_section_condition_once(runner, monkeypatch):
         "  (9) section is multiplicative against the group part: pass\n") == 2
 
 
+def _calls(monkeypatch, module, name):
+    """The argument tuples of every call of ``module.name``, made from any
+    package module that imported it."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module_name, imported in list(sys.modules.items()):
+        if module_name.startswith("hopfcleft") and getattr(imported, name, None) is original:
+            monkeypatch.setattr(imported, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("args,expected", [
+    # K, R and M built once each; R's definition (it begins with check_yd)
+    # computed once; check_hopf on K, on R and on the bosonization
+    (["phi", "braided_cocycle.had", "--role", "C"],
+     {"built": ["KC2", "M", "R"], "check_yd": 1, "check_hopf": 3}),
+    # 2n: the braided cocycles on R, then one check_zprime verdict per
+    # restricted cocycle, shared by the extension, the sweep and the section
+    (["census", "qline_kc2_f3.had"], {"check_cocycle": 6}),
+    (["census", "qline_kc4_f5.had"], {"check_cocycle": 10}),
+    # three on R, the selected extension, its restriction
+    (["psi", "qline_kc2_f3.had", "--sigma-index", "1"], {"check_cocycle": 5}),
+    (["bosonize", "qline_kc2_f3.had"], {"check_graded": 1}),
+], ids=["phi", "census-kc2-f3", "census-kc4-f5", "psi", "bosonize"])
+def test_a_command_builds_each_role_once_and_judges_each_structure_once(
+        runner, tmp_path, monkeypatch, args, expected):
+    from hopfcleft import braided, cocycle, hopf, io, lifting
+
+    path = tmp_path / "braided_cocycle.had"
+    path.write_text(BRAIDED_COCYCLE)
+    built = []
+    for kind, builder in list(io._BUILDERS.items()):
+        monkeypatch.setitem(io._BUILDERS, kind,
+                            lambda df, role, builder=builder: built.append(role.name)
+                            or builder(df, role))
+    calls = {name: _calls(monkeypatch, module, name) for module, name in (
+        (braided, "check_yd"), (hopf, "check_hopf"), (cocycle, "check_cocycle"),
+        (lifting, "check_graded"))}
+    result = run(runner, [str(path) if a == path.name else a for a in args],
+                 env={"HOPFCLEFT_FIXTURE_DIR": DATA_DIR})
+    assert result.exit_code == 0, result.output
+    counts = {"built": sorted(built), **{name: len(c) for name, c in calls.items()}}
+    assert {key: counts[key] for key in expected} == expected
+
+
+def test_the_section_route_keeps_its_tripwires(runner, tmp_path, monkeypatch):
+    """The section cocycle of psi is checked only through check_zprime: one
+    that differs from the extension gets its own full check (a cache miss),
+    a closed-form inverse that disagrees is a violated theorem, and
+    cocycle-from-cleft still checks its section cocycle with check_cocycle."""
+    from make_cli_digests import CLASSICAL_CLEFT
+
+    from hopfcleft import cleft, lifting
+
+    env = {"HOPFCLEFT_FIXTURE_DIR": DATA_DIR}
+    args = ["psi", "qline_kc2_f3.had", "--sigma-index", "1"]
+    section_cocycle = cleft.section_cocycle
+    checked = []
+    original = lifting._check_zprime
+    monkeypatch.setattr(lifting, "_check_zprime", lambda b, s: checked.append(s) or original(b, s))
+
+    def doubled(which):
+        def patched(ce):
+            parts = list(section_cocycle(ce))
+            parts[which] = parts[which] + parts[which]
+            return tuple(parts)
+        return patched
+
+    assert run(runner, args, env=env).exit_code == 0
+    assert len(checked) == 1  # the extension's verdict, shared by the section cocycle
+    checked.clear()
+    monkeypatch.setattr(cleft, "section_cocycle", doubled(1))
+    result = run(runner, args, env=env)
+    assert result.exit_code != 0
+    assert len(checked) == 2 and checked[1] != checked[0]
+    monkeypatch.setattr(cleft, "section_cocycle", doubled(2))
+    result = run(runner, args, env=env)
+    assert result.exit_code == 3
+    assert ("internal error: theorem violated: closed-form inverse of the section cocycle "
+            "disagrees\n" in result.output)
+    monkeypatch.setattr(cleft, "section_cocycle", section_cocycle)
+    calls = _calls(monkeypatch, cleft, "check_cocycle")
+    path = tmp_path / "classical_cleft.had"
+    path.write_text(CLASSICAL_CLEFT)
+    result = run(runner, ["cocycle-from-cleft", str(path)])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+
+
 def test_smash_checks_the_cocycle_once(runner, tmp_path, monkeypatch):
     """The smash product is built from the trivial cocycle the report
     checked, not from a second check of it."""
     from hopfcleft import cocycle
 
-    calls = []
-    original = cocycle.check_cocycle
-
-    def counted(m, sigma):
-        calls.append(sigma)
-        return original(m, sigma)
-
-    # the command line calls it through the module, so one patch sees its calls
-    monkeypatch.setattr(cocycle, "check_cocycle", counted)
+    calls = _calls(monkeypatch, cocycle, "check_cocycle")
     path = tmp_path / "cocycle.had"
     path.write_text(CLASSICAL_COCYCLE)
     result = run(runner, ["smash", str(path)])
@@ -977,17 +1063,7 @@ def test_cleft_from_cocycle_builds_the_crossed_product_once(runner, tmp_path, co
                                                             monkeypatch):
     import hopfcleft.cocycle
 
-    calls = []
-    original = hopfcleft.cocycle.crossed_product
-
-    def counted(c):
-        calls.append(c)
-        return original(c)
-
-    # count the calls made from every module that imported it
-    for name, module in list(sys.modules.items()):
-        if name.startswith("hopfcleft") and getattr(module, "crossed_product", None) is original:
-            monkeypatch.setattr(module, "crossed_product", counted)
+    calls = _calls(monkeypatch, hopfcleft.cocycle, "crossed_product")
     out = tmp_path / "cleft.had"
     result = run(runner, ["cleft-from-cocycle", cocycle_file, "--out", str(out)])
     assert result.exit_code == 0, result.output
