@@ -381,12 +381,12 @@ def _boson_and_sigma(df, role_name, fmt, index, bound):
     _, g = _built(df, ("graded_yd_hopf",), role_name, fmt)
     b = _lifting.bosonize(g)
     # phi maps the equivariant braided cocycles on R onto the restricted
-    # cocycles in enumeration order: only the selected one is extended
+    # cocycles in enumeration order: the selected one and its extension
     _, cocycles = _lifting.braided_cocycles(g, bound)
     if not 0 <= index < len(cocycles):
         raise ValidationError(
             f"--sigma-index {index} out of range; {len(cocycles)} restricted cocycles exist")
-    return b, _lifting.phi(b, cocycles[index])
+    return b, cocycles[index], _lifting.phi(b, cocycles[index])
 
 
 @_file_command("phi")
@@ -408,7 +408,7 @@ def phi_cmd(df, role_name, fmt):
 @_file_command("phi-inverse", _bound_option, _sigma_index_option)
 def phi_inverse_cmd(df, role_name, fmt, bound, sigma_index):
     """Restrict a scalar cocycle on the bosonization back to the braided factor."""
-    b, s = _boson_and_sigma(df, role_name, fmt, sigma_index, bound)
+    b, _, s = _boson_and_sigma(df, role_name, fmt, sigma_index, bound)
     _, report = _lifting.check_zprime(b, s.sigma)
     pi = _lifting.phi_inverse(b, s)
     report.add(CheckItem("restriction is a braided cocycle", pi.verified))
@@ -420,8 +420,8 @@ def phi_inverse_cmd(df, role_name, fmt, bound, sigma_index):
 @_file_command("psi", _bound_option, _sigma_index_option)
 def psi_cmd(df, role_name, fmt, bound, sigma_index):
     """Induce an H-cleft object from the R-cleft object of a restricted cocycle."""
-    b, s = _boson_and_sigma(df, role_name, fmt, sigma_index, bound)
-    ce = _lifting.psi(b, _cleft.crossed_to_cleft(_lifting.phi_inverse(b, s)))
+    b, pi, s = _boson_and_sigma(df, role_name, fmt, sigma_index, bound)
+    ce = _lifting.psi(b, _cleft.crossed_to_cleft(pi))
     report = _cleft.check_cleft(ce)
     back, section_report = _lifting.sigma_gamma_restricts(b, ce)
     # the report lists the section conditions twice: once as checked on the
@@ -436,7 +436,7 @@ def psi_cmd(df, role_name, fmt, bound, sigma_index):
 @_file_command("deform", _bound_option, _sigma_index_option, _out_option)
 def deform_cmd(df, role_name, fmt, bound, sigma_index, out_path):
     """Deform the bosonization by a restricted cocycle."""
-    b, s = _boson_and_sigma(df, role_name, fmt, sigma_index, bound)
+    b, _, s = _boson_and_sigma(df, role_name, fmt, sigma_index, bound)
     deformed = _lifting.deform(b, s)
     report = CheckReport(f"deformation of {b.space.name}")
     report.add(CheckItem("deformed bialgebra passes the Hopf axioms", True))
@@ -450,7 +450,7 @@ def deform_cmd(df, role_name, fmt, bound, sigma_index, out_path):
 @_file_command("gr-check", _bound_option, _sigma_index_option)
 def gr_check_cmd(df, role_name, fmt, bound, sigma_index):
     """Deform, then verify the associated graded product is undeformed."""
-    b, s = _boson_and_sigma(df, role_name, fmt, sigma_index, bound)
+    b, _, s = _boson_and_sigma(df, role_name, fmt, sigma_index, bound)
     _finish(_lifting.gr_check(b, _lifting.deform(b, s)), fmt)
 
 

@@ -590,81 +590,80 @@ def _cleft_objects_isomorphic(
 ) -> bool:
     """Two scalar crossed products are isomorphic as comodule algebras iff some
     convolution invertible functional phi with phi(1) = 1 twists one cocycle
-    into the other: s2(x1,y1) phi(x2 y2) = phi(x1) phi(y1) s1(x2,y2).
-
-    The equation for each basis pair (x, y) is a quadratic form in the values
-    phi[k], and phi is found by backtracking: the unknowns are bound in degree
-    order (grouplikes first), each equation is checked as soon as its last
-    unknown is bound, and an unknown that some equation of its level contains
-    only linearly, with a nonzero coefficient, is solved for instead of
-    swept. The search is complete; every solution is tested for convolution
-    invertibility. Raises SearchSpaceTooLarge once more than ``bound`` values
-    have been tried."""
+    into the other: s2(x1,y1) phi(x2 y2) = phi(x1) phi(y1) s1(x2,y2). The
+    values phi[k] are solved for in degree order (grouplikes first), and
+    every solution is tested for convolution invertibility. Raises
+    SearchSpaceTooLarge once more than ``bound`` values have been tried."""
     field = b.space.field
     if field.kind != "prime":
         raise SearchSpaceTooLarge("isomorphism search needs a prime field")
     if s1.sigma == s2.sigma:
         return True
-    hopf = b.hopf
     d = b.space.dim
-    p = field.p
-    # phi[d] = 1 is the constant slot; phi(1) = 1 is one more equation,
-    # sum_k u_k phi[k] - 1 = 0 over the unit's coordinates u
-    unit = [(d, k, v) for (k, _), v in hopf.unit.raw_entries().items()]
-    order = sorted(range(d), key=lambda i: (b.degrees[i], i))
-    rank = {u: t for t, u in enumerate(order)}
-    rank[d] = -1
-    # per level: (terms, solvable) for each equation whose last unknown is
-    # bound there; solvable = (coefficients of u, the terms without u) when
-    # the level's unknown u occurs only linearly
-    levels: list[list] = [[] for _ in order]
-    for terms in [[*unit, (d, d, p - 1)], *_twisting_equations(b, s1, s2)]:
-        last = max(rank[a] for t in terms for a in t[:2])
-        u = order[last]
-        solvable = None
-        if all(t[:2] != (u, u) for t in terms):
-            solvable = ([(bb if a == u else a, c) for a, bb, c in terms if u in (a, bb)],
-                        [t for t in terms if u not in t[:2]])
-        levels[last].append((terms, solvable))
-    ph = [0] * d + [1]
-    unit_alg = s1.measuring.algebra
-    tried = 0
-
-    def holds(terms):
-        return sum(c * ph[a] * ph[bb] for a, bb, c in terms) % p == 0
-
-    def forced(equations):
-        """The one value an equation linear in the level's unknown allows."""
-        for _, solvable in equations:
-            if solvable is not None:
-                coeff = sum(c * ph[v] for v, c in solvable[0]) % p
-                if coeff:
-                    rest = sum(c * ph[a] * ph[bb] for a, bb, c in solvable[1])
-                    return (-rest * pow(coeff, -1, p) % p,)
-        return range(p)
-
-    def search(level):
-        nonlocal tried
-        if level == len(order):
-            phi_map = LinearMap._from_raw(
-                b.space, s1.sigma.target, {(0, i): ph[i] for i in range(d)})
-            try:
-                convolution_inverse(phi_map, hopf.coalg, unit_alg)
-            except NotInvertible:
-                return False
+    # phi(1) = 1 is sum_k u_k phi[k] - 1 = 0 over the unit's coordinates u
+    unit = [(d, k, v) for (k, _), v in b.hopf.unit.raw_entries().items()]
+    equations = [[*unit, (d, d, field.p - 1)], *_twisting_equations(b, s1, s2)]
+    order = sorted(range(d), key=b.degrees.__getitem__)
+    for ph in _residue_solutions(equations, order, field.p, bound):
+        phi_map = LinearMap._from_raw(
+            b.space, s1.sigma.target, {(0, i): v for i, v in enumerate(ph)})
+        try:
+            convolution_inverse(phi_map, b.hopf.coalg, s1.measuring.algebra)
             return True
-        equations = levels[level]
-        for value in forced(equations):
-            tried += 1
-            if tried > bound:
-                raise SearchSpaceTooLarge(
-                    f"twisting search tried more than the bound of {bound} values")
-            ph[order[level]] = value
-            if all(holds(terms) for terms, _ in equations) and search(level + 1):
-                return True
-        return False
+        except NotInvertible:
+            pass
+    return False
 
-    return search(0)
+
+def _residue_solutions(equations: list, order: list[int], p: int, bound: int):
+    """Every solution x of residue equations over F_p, lazily, in enumeration
+    order. An equation is a list of terms (a, b, c), read c x[a] x[b] over
+    the constant slot x[d] = 1 (d = len(order)), whose sum is 0 mod p. The
+    unknowns sweep 0, ..., p - 1 in ``order``, an equation is checked once
+    its last unknown is bound, and an unknown that an equation of its level
+    holds only linearly, with a nonzero coefficient, is solved for. Raises
+    SearchSpaceTooLarge once more than ``bound`` values have been tried."""
+    d = len(order)
+    rank = {u: t for t, u in enumerate(order)}
+    # per level: (terms, linear) for each equation whose last unknown u is
+    # bound there (the constant slot ranks -1); linear = (coefficients of u,
+    # the terms without u), or None when some term holds u twice
+    levels: list[list] = [[] for _ in order]
+    for terms in equations:
+        last = max(rank.get(a, -1) for t in terms for a in t[:2])
+        u = order[last]
+        linear = None
+        if all(t[:2] != (u, u) for t in terms):
+            linear = ([(bb if a == u else a, c) for a, bb, c in terms if u in (a, bb)],
+                      [t for t in terms if u not in t[:2]])
+        levels[last].append((terms, linear))
+    x = [0] * d + [1]
+    tried = 0
+    values = [None]  # the values left at each level entered so far
+    while values:
+        level = len(values) - 1
+        if values[-1] is None:  # entering the level: solve for its unknown, or sweep it
+            values[-1] = iter(range(p))
+            for _, linear in levels[level]:
+                if linear and (coeff := sum(c * x[v] for v, c in linear[0]) % p):
+                    rest = sum(c * x[a] * x[bb] for a, bb, c in linear[1])
+                    values[-1] = iter((-rest * pow(coeff, -1, p) % p,))
+                    break
+        value = next(values[-1], None)
+        if value is None:
+            values.pop()
+            continue
+        tried += 1
+        if tried > bound:
+            raise SearchSpaceTooLarge(
+                f"twisting search tried more than the bound of {bound} values")
+        x[order[level]] = value
+        if all(sum(c * x[a] * x[bb] for a, bb, c in terms) % p == 0
+               for terms, _ in levels[level]):
+            if level + 1 == d:
+                yield x[:d]
+            else:
+                values.append(None)
 
 
 def _twisting_equations(b: Bosonization, s1: _cocycle.Cocycle, s2: _cocycle.Cocycle):

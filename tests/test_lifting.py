@@ -404,6 +404,85 @@ def test_census_twisting_search_over_the_bound_is_too_large(boson8, f5_sigmas):
         census_classes(boson8, f5_sigmas[:2], bound=5)
 
 
+# The values each census_classes comparison tries, in comparison order, on
+# the quantum line over kC_n and F_p (recorded before the residue solver was
+# taken out of the twisting search, and pinned since)
+VALUES_TRIED = {
+    (4, 5): [43, 35, 39, 35, 39, 20, 43, 18],
+    (4, 3): [19, 15, 19],
+    (2, 3): [14, 10, 14],
+    (2, 11): [38, 34, 38, 38, 34, 38, 38, 38, 34, 38, 38, 38, 38, 34, 38, 34, 38, 38, 38,
+              34, 38, 34, 34, 38, 38, 38, 34, 38, 34, 34, 34, 38, 38, 38, 34, 38, 38, 34,
+              34, 34, 38, 38, 38, 34, 38, 34, 38, 34, 34, 34, 38, 38, 38, 34, 38],
+}
+
+
+@pytest.mark.parametrize("n,p", list(VALUES_TRIED), ids=[f"kC{n}/F_{p}" for n, p in VALUES_TRIED])
+def test_each_twisting_comparison_tries_its_pinned_number_of_values(n, p):
+    """Replays census_classes: each cocycle against the first member of every
+    class so far, until one matches. A comparison pinned at t values decides
+    within the bound t and exceeds the bound t - 1."""
+    b = _quantum_line_bosonization(n, p)
+    sigmas = enumerate_zprime(b)
+    pinned = iter(VALUES_TRIED[n, p])
+    classes: list[list[int]] = []
+    for idx, s in enumerate(sigmas):
+        for group in classes:
+            t = next(pinned)
+            with pytest.raises(SearchSpaceTooLarge, match=rf"the bound of {t - 1} values"):
+                _cleft_objects_isomorphic(b, sigmas[group[0]], s, t - 1)
+            if _cleft_objects_isomorphic(b, sigmas[group[0]], s, t):
+                group.append(idx)
+                break
+        else:
+            classes.append([idx])
+    assert next(pinned, None) is None
+    assert classes == census_classes(b, sigmas)
+
+
+# Residue systems over F_5 for the solver alone. With d unknowns, slot d is
+# the constant slot x[d] = 1: here (0, 0, 1) reads x0^2 and (0, 2, 3) reads
+# 3 x0, so this system is x0^2 = 1 and x1 = 2 x0.
+TWO_UNKNOWNS = [[(0, 0, 1), (2, 2, 4)], [(1, 2, 1), (0, 2, 3)]]
+
+
+def test_the_residue_solver_yields_every_solution_lazily_in_order():
+    solutions = lifting._residue_solutions([[(0, 0, 1), (1, 1, 4)]], [0], 5, 5)
+    assert next(solutions) == [1]  # after trying 0 and 1
+    assert next(solutions) == [4]
+    assert next(solutions, None) is None
+    # x1 = 2 x0 is linear in x1, whose level comes second
+    assert list(lifting._residue_solutions(TWO_UNKNOWNS, [0, 1], 5, 10 ** 6)) == [[1, 2], [4, 3]]
+    # x1 first: both equations are checked at x0, which x1 = 2 x0 then forces
+    assert list(lifting._residue_solutions(TWO_UNKNOWNS, [1, 0], 5, 5 + 5)) == [[1, 2], [4, 3]]
+
+
+def test_the_residue_solver_solves_for_a_linear_unknown():
+    """2 x0 = 1 forces x0 = 3: one value tried, not p. x0 x1 = 1 is linear in
+    x1 with the coefficient x0, so x1 is swept where x0 = 0 and solved for
+    where x0 = 1."""
+    assert list(lifting._residue_solutions([[(0, 1, 2), (1, 1, 4)]], [0], 5, 1)) == [[3]]
+    system = [[(0, 0, 1), (0, 2, 4)], [(0, 1, 1), (2, 2, 4)]]  # x0^2 = x0, x0 x1 = 1
+    assert list(lifting._residue_solutions(system, [0, 1], 5, 5 + 5 + 1)) == [[1, 1]]
+    with pytest.raises(SearchSpaceTooLarge):
+        list(lifting._residue_solutions(system, [0, 1], 5, 5 + 5))
+
+
+def test_an_inconsistent_residue_system_has_no_solution():
+    system = [[(0, 1, 1), (1, 1, 4)], [(0, 1, 1), (1, 1, 3)]]  # x0 = 1 and x0 = 2
+    assert list(lifting._residue_solutions(system, [0], 5, 1)) == []
+
+
+def test_the_residue_solver_refuses_past_its_bound():
+    # five values for x0, one for x1 at each of its two solutions
+    assert len(list(lifting._residue_solutions(TWO_UNKNOWNS, [0, 1], 5, 7))) == 2
+    solutions = lifting._residue_solutions(TWO_UNKNOWNS, [0, 1], 5, 6)
+    assert next(solutions) == [1, 2]
+    with pytest.raises(SearchSpaceTooLarge) as raised:
+        next(solutions)
+    assert str(raised.value) == "twisting search tried more than the bound of 6 values"
+
+
 def _column_walk_gr_check(b, deformed):
     """Reference gr_check: walk the columns of the deformed and undeformed
     products side by side; in the first column with an entry above the
